@@ -54,10 +54,10 @@ bench-lineage:
 bench-history:
 	$(PYTHON) benchmarks/bench_history.py
 
-# multi-process parallel data plane: sequential vs 1/2/4-worker
+# multi-process parallel data plane: in-process vs 1/2/4-worker
 # throughput on the s=4 sharded configuration; writes
 # BENCH_parallel.json and fails on any bit-identity mismatch (the 3x
-# speedup target is enforced only on hosts with >= 4 cores)
+# speedup target is reported, not enforced)
 bench-parallel:
 	$(PYTHON) benchmarks/bench_parallel.py
 

@@ -389,6 +389,16 @@ class POSGGrouping(GroupingPolicy):
         return self._scheduler
 
     @property
+    def schedulers(self) -> tuple[POSGScheduler, ...]:
+        """Every scheduler routing this policy's stream, in shard order.
+
+        Tuple ``i`` is routed by ``schedulers[i mod s]``; the paper's
+        deployment is the ``s = 1`` case.  The simulator's segment
+        router drives any POSG-family policy through this view.
+        """
+        return (self.scheduler,)
+
+    @property
     def config(self) -> POSGConfig:
         """The POSG configuration in force."""
         return self._config

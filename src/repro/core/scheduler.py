@@ -157,6 +157,12 @@ class POSGScheduler:
         # of per estimate (dict insertion order is preserved, keeping the
         # float summation order of the per-tuple path).
         self._pairs: tuple[FWPair, ...] = ()
+        # Bumped wherever ``_matrices``/``_pairs`` change (a matrices
+        # delivery, the watchdog dropping silent instances) and nowhere
+        # else: estimate columns gathered under one stamp stay valid
+        # until it moves, whatever else the control plane delivers.
+        self._matrices_version = 0
+        self._estimate_gathers = 0
         self._rr_counter = 0
         self._epoch = 0
         self._sendall_counter = 0
@@ -405,6 +411,7 @@ class POSGScheduler:
         for instance in stale:
             self._matrices.pop(instance, None)
         self._pairs = tuple(self._matrices.values())
+        self._matrices_version += 1
         self._pending_replies = set()
         self._pending_deltas = {}
         self._resend_targets = None
@@ -452,10 +459,13 @@ class POSGScheduler:
         estimate columns for the block are pre-gathered in one vectorized
         pass, and the per-tuple ``np.argmin`` becomes a tight scalar scan.
         The caller must guarantee that no control message is delivered
-        while the block is open (delivering one invalidates the
-        estimates), must stop at or before ``len(items)`` tuples, and must
+        while the block is open (delivering one invalidates the routing
+        state), must stop at or before ``len(items)`` tuples, and must
         call ``commit()`` to fold the routed prefix back into the
-        scheduler.
+        scheduler.  After a delivery the same block carries on over the
+        rest of ``items`` through ``resume()``, which re-reads the
+        routing state and keeps the estimate columns until the matrices
+        version moves.
 
         Returns ``None`` in SEND_ALL (every tuple piggy-backs a
         :class:`SyncRequest` there, so the per-tuple path is required).
@@ -464,11 +474,9 @@ class POSGScheduler:
         duck-typed) wraps the block hashing and estimate gathering in
         "hash"/"estimate" spans.
         """
-        if self._state is SchedulerState.ROUND_ROBIN:
-            return _BlockRouter(self, None)
         if self._state is SchedulerState.SEND_ALL:
             return None
-        return _BlockRouter(self, self._block_estimates(items, profiler))
+        return _BlockRouter(self, items, profiler)
 
     def _block_estimates(
         self, items: np.ndarray, profiler=None
@@ -483,6 +491,7 @@ class POSGScheduler:
         items = np.asarray(items, dtype=np.int64)
         count = items.shape[0]
         pairs = self._pairs
+        self._estimate_gathers += 1
         buckets = None
         if pairs:
             family = pairs[0].hashes
@@ -587,6 +596,7 @@ class POSGScheduler:
         else:
             self._matrices[message.instance] = message.matrices
         self._pairs = tuple(self._matrices.values())
+        self._matrices_version += 1
         self._matrices_received += 1
         self._last_matrices_at[message.instance] = self._tuples_scheduled
         self._control_bits_received += message.size_bits()
@@ -930,6 +940,11 @@ class POSGScheduler:
         return self._stale_replies_dropped
 
     @property
+    def matrices_version(self) -> int:
+        """Stamp that moves exactly when the stored matrices change."""
+        return self._matrices_version
+
+    @property
     def recovery(self):
         """The :class:`RecoveryConfig` in force, or ``None`` (disabled)."""
         return self._recovery
@@ -984,43 +999,64 @@ class POSGScheduler:
 class _BlockRouter:
     """Scalar-loop replay of :meth:`POSGScheduler.submit` for one block.
 
-    In ROUND_ROBIN mode (``estimates is None``) it advances the round-robin
+    In ROUND_ROBIN mode (``_estimates is None``) it advances the round-robin
     counter; in greedy mode it scans a plain-float copy of ``C_hat`` (plus
     latency debt/hints when configured) with the same first-minimum
-    tie-breaking as ``np.argmin`` and accrues the pre-gathered estimates.
+    tie-breaking as ``np.argmin``, applies the two-choices probe when the
+    scheduler has it armed, and accrues the pre-gathered estimates.
     All arithmetic happens on the exact same IEEE doubles the per-tuple
     path would touch, so the routed sequence is bit-identical.
+
+    ``_c`` is snapshotted in both modes: cross-shard gossip writes sibling
+    adds into it even while its owner is still in ROUND_ROBIN.
     """
 
     __slots__ = (
         "_scheduler",
+        "_items",
+        "_columns",
+        "_version",
         "_estimates",
         "_k",
         "_pos",
+        "_committed",
         "_rr",
         "_c",
         "_debt",
         "_hints",
     )
 
-    def __init__(
-        self, scheduler: POSGScheduler, estimates: "list[list[float]] | None"
-    ) -> None:
+    def __init__(self, scheduler: POSGScheduler, items, profiler=None) -> None:
         self._scheduler = scheduler
-        self._estimates = estimates
+        self._items = items
         self._k = scheduler._k
-        self._pos = 0
-        if estimates is None:
+        self._pos = self._committed = 0
+        self._columns = None
+        self._version = -1
+        self.resume(profiler)
+
+    def resume(self, profiler=None) -> None:
+        """Re-open the block at ``_pos`` for another control-quiet segment.
+
+        Re-reads what control deliveries may have changed — the FSM mode,
+        ``C_hat``, the round-robin counter, the latency debt — and
+        re-gathers the estimate columns only if the scheduler's matrices
+        version moved since they were gathered: sync replies and snooped
+        folds change ``C_hat`` but never an estimate.
+        """
+        scheduler = self._scheduler
+        self._c = scheduler._c_hat.tolist()
+        self._rr = self._estimates = self._debt = self._hints = None
+        if scheduler._state is SchedulerState.ROUND_ROBIN:
             self._rr = scheduler._rr_counter
-            self._c = self._debt = self._hints = None
-        else:
-            self._rr = None
-            self._c = scheduler._c_hat.tolist()
-            if scheduler._latency_hints is None:
-                self._hints = self._debt = None
-            else:
-                self._hints = scheduler._latency_hints.tolist()
-                self._debt = scheduler._latency_debt.tolist()
+            return
+        if self._version != scheduler._matrices_version:
+            self._columns = scheduler._block_estimates(self._items, profiler)
+            self._version = scheduler._matrices_version
+        self._estimates = self._columns
+        if scheduler._latency_hints is not None:
+            self._hints = scheduler._latency_hints.tolist()
+            self._debt = scheduler._latency_debt.tolist()
 
     def route_next(self) -> int:
         """Route one tuple; returns its instance (no sync payloads here)."""
@@ -1039,6 +1075,15 @@ class _BlockRouter:
                 if value < best:
                     best = value
                     instance = i
+            estimate = self._estimates[instance][pos]
+            if self._scheduler._two_choices and self._k > 1:
+                alt = int(self._items[pos]) % self._k
+                if alt == instance:
+                    alt = alt + 1 if alt + 1 < self._k else 0
+                alt_estimate = self._estimates[alt][pos]
+                if c[alt] + alt_estimate < c[instance] + estimate:
+                    instance = alt
+                    estimate = alt_estimate
         else:
             debt, hints = self._debt, self._hints
             best = (c[0] + debt[0]) + hints[0]
@@ -1049,16 +1094,17 @@ class _BlockRouter:
                     best = value
                     instance = i
             debt[instance] += hints[instance]
-        c[instance] += self._estimates[instance][pos]
+            estimate = self._estimates[instance][pos]
+        c[instance] += estimate
         return instance
 
     def commit(self) -> None:
-        """Fold the routed prefix back into the scheduler's state."""
+        """Fold the tuples routed since the last commit into the scheduler."""
         scheduler = self._scheduler
-        scheduler._tuples_scheduled += self._pos
+        scheduler._tuples_scheduled += self._pos - self._committed
+        self._committed = self._pos
+        scheduler._c_hat[:] = self._c
         if self._estimates is None:
             scheduler._rr_counter = self._rr
-        else:
-            scheduler._c_hat[:] = self._c
-            if self._hints is not None:
-                scheduler._latency_debt[:] = self._debt
+        elif self._hints is not None:
+            scheduler._latency_debt[:] = self._debt

@@ -79,7 +79,6 @@ from time import perf_counter, sleep
 import numpy as np
 
 from repro.core.matrices import FWPair
-from repro.core.messages import MatricesMessage
 from repro.core.multisource import MultiSourcePOSGGrouping, ShardWorkerSpec
 from repro.core.scheduler import SchedulerState
 from repro.faults.injector import FaultInjector
@@ -1310,7 +1309,8 @@ def _parallel_loop(
     pending_times: list[list[float]] = [[] for _ in range(k)]
     window_left = [tracker.window_remaining for tracker in trackers]
 
-    matrices_dirty = [True] * sources
+    #: each shard's ``matrices_version`` as of its last arena mirror
+    mirrored_version = [-1] * sources
     shard_tuples = [0] * sources
     segments = 0
     fallback_tuples = 0
@@ -1389,7 +1389,7 @@ def _parallel_loop(
         )
         record[1] = scheduler._rr_counter
         c_hat_region[shard][:] = scheduler._c_hat
-        if not matrices_dirty[shard]:
+        if mirrored_version[shard] == scheduler.matrices_version:
             return
         matrices = scheduler._matrices
         record[2] = len(matrices)
@@ -1404,7 +1404,7 @@ def _parallel_loop(
             arena.work[shard][instance][:] = pair.work._matrix
             totals[instance, 0] = pair.freq.total_weight
             totals[instance, 1] = pair.work.total_weight
-        matrices_dirty[shard] = False
+        mirrored_version[shard] = scheduler.matrices_version
 
     j = 0
     while j < m:
@@ -1415,11 +1415,7 @@ def _parallel_loop(
                 profiler.start("control")
             batch = []
             while control_queue and control_queue[0][0] <= arrival:
-                _, _, message = heappop(control_queue)
-                batch.append(message)
-                if isinstance(message, MatricesMessage):
-                    for shard in range(sources):
-                        matrices_dirty[shard] = True
+                batch.append(heappop(control_queue)[2])
             policy.on_control_batch(batch)
             if profiler is not None:
                 profiler.stop()

@@ -25,14 +25,18 @@ Two engines implement these semantics:
   through ``policy.route`` — simple, obviously correct, and slow;
 - the **chunked engine** (default) processes the stream in
   control-quiet segments.  Scenario multipliers and latencies are
-  hoisted out of the loop, POSG's greedy routing runs through the
-  scheduler's pre-gathered block router
-  (:meth:`~repro.core.scheduler.POSGScheduler.begin_block`), and
-  instance-side sketch maintenance is folded in exact-order batches
-  between FSM window boundaries.  Every floating-point operation matches
-  the reference engine bit for bit — identical completions,
-  assignments, state transitions, control traffic and queue samples —
-  which ``tests/simulator/test_chunked_equivalence.py`` asserts.
+  hoisted out of the loop, every POSG-family policy — one scheduler or
+  ``s`` shards, coordinated or not, observed or not — routes through
+  its schedulers' pre-gathered block routers
+  (:meth:`~repro.core.scheduler.POSGScheduler.begin_block`) in one walk
+  in global arrival order, and instance-side sketch maintenance is
+  folded in exact-order batches between FSM window boundaries.  Every
+  floating-point operation matches the reference engine bit for bit —
+  identical completions, assignments, state transitions, control
+  traffic, queue samples and observer reports — which
+  ``tests/simulator/test_chunked_equivalence.py`` and
+  ``tests/simulator/test_segment_router_equivalence.py`` assert.
+  ``SimulationResult.engine`` says which loop a run took and why.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from repro.core.grouping import (
     POSGGrouping,
     RoundRobinGrouping,
 )
+from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.core.scheduler import SchedulerState
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -68,6 +73,9 @@ Oracle = Callable[[int, int], float]
 PolicyFactory = Callable[[Oracle], GroupingPolicy]
 
 _INFINITY = float("inf")
+
+#: the ``route`` implementations the segment router replays inline
+_SEGMENT_ROUTES = (POSGGrouping.route, MultiSourcePOSGGrouping.route)
 
 
 @dataclass
@@ -100,6 +108,16 @@ class SimulationResult:
     #: workers, start method, shard/worker tuple counts, segment and
     #: speculation tallies — see ``repro.simulator.parallel``
     parallel: "dict | None" = None
+    #: which loop ``simulate_stream`` ran and what it did there: ``path``
+    #: ("segment", "generic", "round_robin", "full_knowledge" or
+    #: "reference"), ``reason`` (the first condition that kept a chunked
+    #: run off the segment path, else ``None``), and the segment path's
+    #: tallies — ``segments``, ``truncated_segments`` (stopped short of
+    #: their chunk_size window by a delivery), ``fallback_tuples`` (routed
+    #: by the per-tuple SEND_ALL step) and ``estimate_gathers`` (estimate
+    #: column gathers, summed over the schedulers).  ``None`` from the
+    #: multi-process engine, which reports through ``parallel``.
+    engine: "dict | None" = None
 
     @property
     def average_completion_time(self) -> float:
@@ -137,6 +155,18 @@ def _as_latency_list(
         return [_as_latency(entry) for entry in latency]
     shared = _as_latency(latency)
     return [shared] * k
+
+
+def _engine_info(path: str, reason: "str | None" = None) -> dict:
+    """A fresh ``SimulationResult.engine`` record for one run."""
+    return {
+        "path": path,
+        "reason": reason,
+        "segments": 0,
+        "truncated_segments": 0,
+        "fallback_tuples": 0,
+        "estimate_gathers": 0,
+    }
 
 
 def simulate_stream(
@@ -226,9 +256,14 @@ def simulate_stream(
         believed loads.  Requires a POSG-family policy.  The recorder
         only *reads* state at deterministic points, so results are
         bit-identical with it on or off, and the recorded timelines are
-        bit-identical across all engines (the chunked engine routes
-        flight-enabled runs through its per-tuple generic loop).  Lands
-        in ``SimulationResult.flight``.
+        bit-identical across all engines: inside a control-quiet
+        segment the chunked engine records each sampled decision from
+        the owning shard's post-add believed loads — the floats the
+        segment commits into ``C_hat``, which the reference engine
+        reads right after ``submit`` — and control events land at the
+        drains between segments, where every scheduler's
+        ``tuples_scheduled`` clock has been committed.  Lands in
+        ``SimulationResult.flight``.
     lineage:
         Optional :class:`~repro.telemetry.lineage.LineageConfig` (or a
         pre-built :class:`~repro.telemetry.lineage.LineageTracer`)
@@ -242,10 +277,9 @@ def simulate_stream(
         tracer only *reads* engine state at deterministic stream
         indices, so results are bit-identical with it on or off, and the
         recorded timelines are bit-identical across all engines: the
-        chunked engine replays sampled grid points inside its
-        control-quiet segments (like the estimator audit) instead of
-        dropping to the per-tuple loop.  Lands in
-        ``SimulationResult.lineage``.
+        chunked engine records sampled grid points inside its
+        control-quiet segments (like the estimator audit and the flight
+        recorder).  Lands in ``SimulationResult.lineage``.
     profiler:
         Optional :class:`~repro.telemetry.profiler.PhaseProfiler`;
         engine phases (control/route/window_close/fold, plus
@@ -638,6 +672,7 @@ def _simulate_reference(
         audit=auditor,
         flight=recorder_flight,
         lineage=tracer,
+        engine=_engine_info("reference"),
     )
 
 
@@ -670,11 +705,9 @@ def _simulate_chunked(
     # Hoist the scenario out of the loop: per-instance execution-time
     # columns `base_times * multiplier` (elementwise numpy, identical
     # IEEE multiplies) when the scenario supports bulk evaluation.
-    multiplier_lists: "list[list[float]] | None" = None
     execution_columns: "list[list[float]] | None" = None
     if hasattr(scenario, "multiplier_matrix"):
         multipliers = scenario.multiplier_matrix(m)
-        multiplier_lists = multipliers.tolist()
         # A unit multiplier column is the base times themselves
         # (x * 1.0 == x exactly), so uniform instances share one list.
         execution_columns = [
@@ -685,12 +718,17 @@ def _simulate_chunked(
         ]
 
     # Oracle closure for Full Knowledge: reads the loop's current index.
+    # Its m x k list-of-lists table is built on the first call: only Full
+    # Knowledge asks, and every other run would allocate and free some 200
+    # bytes of small objects per tuple for nothing.
     position = [0]
-    if multiplier_lists is not None:
-        time_table = stream.time_table.tolist()
+    if execution_columns is not None:
+        tables: list = []
 
         def oracle(item: int, instance: int) -> float:
-            return time_table[item] * multiplier_lists[position[0]][instance]
+            if not tables:
+                tables.extend((stream.time_table.tolist(), multipliers.tolist()))
+            return tables[0][item] * tables[1][position[0]][instance]
 
     else:
 
@@ -721,6 +759,7 @@ def _simulate_chunked(
     state = _ChunkedState(
         k=k,
         items=items,
+        items_array=items_array,
         arrivals=arrivals,
         arrivals_array=np.ascontiguousarray(stream.arrivals, dtype=np.float64),
         base_times=base_times,
@@ -733,41 +772,18 @@ def _simulate_chunked(
         position=position,
     )
 
-    # Fault injection and the recovery defenses interpose per tuple, so
-    # they run through the hoisted generic loop: both engines then make
-    # identical per-tuple calls (same injector rng draws, same defense
-    # tick points) and faulted runs stay bit-identical across engines.
-    block_safe = injector is None
-    plain_run = auditor is None and profiler is None
-    if type(policy) is POSGGrouping:
-        # Flight recording routes through the per-tuple generic loop
-        # (like fault injection): the recorder's believed-load samples
-        # read scheduler C_hat right after each sampled submit, which
-        # the segmented fast path only materializes at commit time.
-        # Coordination (the two-choices probe is the only mechanism
-        # alive under a single scheduler) also routes per tuple: the
-        # segmented block scan replays the plain argmin only.
-        if (
-            block_safe
-            and policy.scheduler.recovery is None
-            and recorder_flight is None
-            and policy.config.coordination is None
-        ):
-            _run_posg(state, policy, agents, chunk_size, auditor, profiler, tracer)
-        else:
-            _run_generic(
-                state, policy, agents, has_agents, True, injector,
-                auditor, profiler, recorder_flight, tracer,
-            )
-    elif (
-        type(policy) is RoundRobinGrouping
-        and not has_agents and block_safe and plain_run
-    ):
+    path, reason = _choose_loop(
+        policy, state, injector, has_agents, auditor is None and profiler is None
+    )
+    state.engine = _engine_info(path, reason)
+    if path == "segment":
+        _run_posg(
+            state, policy, agents, chunk_size, auditor, profiler,
+            recorder_flight, tracer,
+        )
+    elif path == "round_robin":
         _run_round_robin(state, policy, tracer)
-    elif (
-        type(policy) is FullKnowledgeGrouping
-        and not has_agents and block_safe and plain_run
-    ):
+    elif path == "full_knowledge":
         _run_full_knowledge(state, policy, tracer)
     else:
         _run_generic(
@@ -797,19 +813,63 @@ def _simulate_chunked(
         audit=auditor,
         flight=recorder_flight,
         lineage=tracer,
+        engine=state.engine,
     )
+
+
+def _choose_loop(
+    policy: GroupingPolicy,
+    state: "_ChunkedState",
+    injector: FaultInjector | None,
+    has_agents: bool,
+    plain_run: bool,
+) -> tuple[str, "str | None"]:
+    """Pick the chunked engine's loop from what the engine can observe.
+
+    Returns ``(path, reason)``; ``reason`` names the first condition that
+    keeps a run off the segment path.  Any POSG-family policy whose
+    ``route`` is the stock shard interleave takes the segment path —
+    ``POSGGrouping``, its subclasses, and ``MultiSourcePOSGGrouping`` at
+    every ``s`` — unless something interposes per tuple: the injector's
+    draws and the recovery defences' ticks must land at the reference
+    engine's per-tuple points, latency hints change the greedy objective
+    per tuple, and unhoistable scenarios or random data latencies must
+    keep their per-tuple call order.
+    """
+    if isinstance(policy, POSGGrouping):
+        if type(policy).route not in _SEGMENT_ROUTES:
+            reason = "policy overrides route()"
+        elif injector is not None:
+            reason = "fault injection interposes per tuple"
+        elif policy.config.recovery is not None:
+            reason = "recovery defences tick per tuple"
+        elif policy.scheduler._latency_hints is not None:
+            reason = "latency hints change the greedy objective per tuple"
+        elif state.execution_columns is None:
+            reason = "scenario has no bulk multiplier_matrix"
+        elif state.latency_values is None:
+            reason = "random data latency draws per tuple"
+        else:
+            return "segment", None
+        return "generic", reason
+    if not has_agents and injector is None and plain_run:
+        if type(policy) is RoundRobinGrouping:
+            return "round_robin", None
+        if type(policy) is FullKnowledgeGrouping:
+            return "full_knowledge", None
+    return "generic", "policy has no segment router"
 
 
 class _ChunkedState:
     """Mutable bookkeeping shared by the chunked engine's policy loops."""
 
     __slots__ = (
-        "k", "items", "arrivals", "arrivals_array", "base_times",
+        "k", "items", "items_array", "arrivals", "arrivals_array", "base_times",
         "execution_columns", "scenario", "latency_values", "data_lat",
         "control_lat", "sample_queues_every", "position", "busy_until",
         "completions", "assignments", "control_queue", "control_seq",
         "control_messages", "control_bits", "state_transitions",
-        "queue_samples", "queue_sample_indices",
+        "queue_samples", "queue_sample_indices", "engine",
     )
 
     def __init__(self, **kwargs) -> None:
@@ -959,10 +1019,11 @@ def _run_generic(
     flight=None,
     lineage=None,
 ) -> None:
-    """Hoisted per-tuple loop for arbitrary policies (and POSG subclasses).
+    """Hoisted per-tuple loop for arbitrary policies.
 
-    Also the only chunked-engine loop that supports fault injection: it
-    replays the reference engine's per-tuple order exactly, so the
+    POSG-family runs land here only when something interposes per tuple
+    (see :func:`_choose_loop`).  It is the only chunked-engine loop that
+    supports fault injection: it replays the reference engine's per-tuple order exactly, so the
     injector's random draws land at the same points under both engines.
     """
     m = len(state.items)
@@ -1083,25 +1144,35 @@ def _run_posg(
     chunk_size: int,
     auditor=None,
     profiler=None,
+    flight=None,
     lineage=None,
 ) -> None:
-    """POSG data plane: control-quiet fast segments + per-tuple fallback.
+    """POSG-family data plane: control-quiet segments + per-tuple SEND_ALL.
 
-    Between control-message deliveries the scheduler's matrices are
-    frozen, so per-chunk estimate columns are pre-gathered once
-    (:meth:`POSGScheduler.begin_block`) and the segment runs as a tight
-    scalar loop: the greedy pick is an inlined first-minimum scan over
-    plain floats, execution times and instance-arrival times are hoisted
-    columns, and instance-side sketch folds are batched between window
-    boundaries (``InstanceTracker.execute_batch``).  The per-tuple
-    control check disappears: arrivals are sorted, so the segment bound
-    is a ``bisect`` on the earliest pending delivery, re-tightened
-    whenever a window boundary emits new messages.  In SEND_ALL (tuples
-    carry sync requests) the engine falls back to the reference per-tuple
-    step, preserving delivery order and FSM semantics exactly.
+    Between control-message deliveries every scheduler's matrices are
+    frozen, so each of the policy's ``s >= 1`` schedulers pre-gathers
+    estimate columns for its strided slice of the current ``chunk_size``
+    window (:meth:`POSGScheduler.begin_block`) and the segment runs as
+    one tight scalar loop in global arrival order, tuple ``j`` owned by
+    shard ``j mod s``: the greedy pick is an inlined first-minimum scan
+    over plain floats (round-robin for shards still bootstrapping), the
+    two-choices probe and cross-shard gossip are replayed in place,
+    execution and instance-arrival times are hoisted columns, and
+    instance-side sketch folds are batched between window boundaries
+    (``InstanceTracker.execute_batch``).  Routing and merge share the
+    pass, so nothing is speculative: every block commits exactly the
+    positions it consumed.  The per-tuple control check disappears:
+    arrivals are sorted, so the segment bound is a ``bisect`` on the
+    earliest pending delivery, re-tightened whenever a window boundary
+    emits new messages; the blocks then ``resume`` over the rest of the
+    window with their estimate columns intact.  While any shard is in
+    SEND_ALL (tuples carry sync requests) the engine falls back to the
+    reference per-tuple step, preserving delivery order and FSM
+    semantics exactly.
     """
     m = len(state.items)
     items = state.items
+    items_array = state.items_array
     arrivals = state.arrivals
     busy = state.busy_until
     finishes: list[float] = []
@@ -1110,44 +1181,55 @@ def _run_posg(
     control_queue = state.control_queue
     control_lat = state.control_lat
     execution_columns = state.execution_columns
-    latency_values = state.latency_values
-    scheduler = policy.scheduler
+    engine = state.engine
+    schedulers = policy.schedulers
+    sources = len(schedulers)
     trackers = [agent.tracker for agent in agents]
     window_size = policy.config.window_size
     previous_state = policy.state
     k = state.k
     k_range = range(1, k)
+    two_choices = schedulers[0]._two_choices and k > 1
+    gossip = sources > 1 and policy._gossip_on
+    send_all = SchedulerState.SEND_ALL
 
-    # With one constant latency shared by every instance the per-tuple
-    # instance-arrival time does not depend on the routing decision, so
-    # the whole column is precomputed (identical elementwise adds).
-    at_column: "list[float] | None" = None
-    if latency_values is not None and len(set(latency_values)) == 1:
-        if latency_values[0] == 0.0:
-            # x + 0.0 == x for the non-negative arrival times, so the
-            # zero-latency column is the arrival list itself.
-            at_column = arrivals
-        else:
-            at_column = (state.arrivals_array + latency_values[0]).tolist()
+    # Per-instance arrival-at-instance columns (identical elementwise
+    # adds; x + 0.0 == x for the non-negative arrival times, so a
+    # zero-latency column is the arrival list itself).  Instances with
+    # the same constant latency share one list.
+    shifted = {0.0: arrivals}
+    for value in state.latency_values:
+        if value not in shifted:
+            shifted[value] = (state.arrivals_array + value).tolist()
+    at_cols = [shifted[value] for value in state.latency_values]
+    at_column = at_cols[0]
+    # The two single-scheduler specialisations below read one shared
+    # instance-arrival column and carry no flight or two-choices hooks.
+    lean = (
+        sources == 1
+        and not two_choices
+        and flight is None
+        and all(column is at_column for column in at_cols)
+    )
 
-    items_array = np.asarray(items, dtype=np.int64)
     queue_samples = state.queue_samples
     queue_sample_indices = state.queue_sample_indices
     # Queue sampling as an index comparison instead of a per-tuple modulo;
     # j visits 0..m-1 in order, so this replays ``j % every == 0``.
     next_sample = 0 if every is not None else m
-    # Audit sampling uses the same sentinel trick: when disabled the
-    # compare never fires, keeping the fast segments' per-tuple cost flat.
+    # Audit, flight and lineage sampling use the same sentinel trick: when
+    # disabled the compare never fires, keeping the fast segments'
+    # per-tuple cost flat.  Samples are replayed at their grid indices
+    # from segment locals: the believed loads are the owning shard's
+    # post-add ``c`` values — the exact floats ``commit`` folds back into
+    # ``C_hat``, so the reference engine's post-submit ``C_hat`` reads
+    # match bit for bit.
     audit_every = auditor.sample_every if auditor is not None else 0
     audit_observe = auditor.observe if auditor is not None else None
     next_audit = 0 if auditor is not None else m
-    # Lineage samples are replayed at their grid indices from segment
-    # locals (like audit samples): the believed loads are the block
-    # router's post-add ``c`` values — the exact floats ``commit`` folds
-    # back into ``C_hat``, so the reference engine's post-submit
-    # ``C_hat`` reads match bit for bit.  ``_run_posg`` only serves the
-    # single-scheduler ``POSGGrouping`` (exact type check in the
-    # dispatcher), so samples always land on shard 0.
+    flight_every = flight.sample_every if flight is not None else 0
+    flight_record = flight.record_route if flight is not None else None
+    next_flight = 0 if flight is not None else m
     lineage_every = lineage.sample_every if lineage is not None else 0
     lineage_record = lineage.record_sample if lineage is not None else None
     next_lineage = 0 if lineage is not None else m
@@ -1200,6 +1282,8 @@ def _run_posg(
             profiler.stop()
         return next_due, end
 
+    blocks: list = []
+    window_end = 0
     j = 0
     while j < m:
         arrival = arrivals[j]
@@ -1213,43 +1297,51 @@ def _run_posg(
             if profiler is not None:
                 profiler.stop()
 
-        if scheduler.state is not SchedulerState.SEND_ALL:
+        if not any(scheduler._state is send_all for scheduler in schedulers):
             # Control-quiet fast segment.  After the drain every pending
             # delivery is strictly later than this arrival, so the
             # segment covers at least one tuple.
+            if j >= window_end:
+                # A new chunk_size window: shard sigma owns the strided
+                # slice starting at its first index at or after j.
+                window_end = min(j + chunk_size, m)
+                blocks = [
+                    scheduler.begin_block(
+                        items_array[j + (shard - j) % sources:window_end:sources],
+                        profiler=profiler,
+                    )
+                    for shard, scheduler in enumerate(schedulers)
+                ]
+            else:
+                # Same window, cut short by a delivery: the estimate
+                # columns are reused unless the matrices version moved.
+                for block in blocks:
+                    block.resume(profiler)
             if control_queue:
                 next_due = control_queue[0][0]
-                end = bisect.bisect_left(
-                    arrivals, next_due, j + 1, min(j + chunk_size, m)
-                )
+                end = bisect.bisect_left(arrivals, next_due, j + 1, window_end)
             else:
                 next_due = _INFINITY
-                end = min(j + chunk_size, m)
-            block = scheduler.begin_block(items_array[j:end], profiler=profiler)
+                end = window_end
+            engine["segments"] += 1
             # Drain-induced transition: the reference engine records it at
             # the index of the next routed tuple, which the segment routes.
-            current_state = scheduler.state
+            current_state = policy.state
             if current_state is not previous_state:
                 state.state_transitions.append((j, current_state))
                 previous_state = current_state
+            if profiler is not None:
+                profiler.start("route")
+            block = blocks[0]
             estimates = block._estimates
-            rr = block._rr
-            hints = block._hints
-            debt = block._debt
-            c = block._c
-            pos = 0
-            plain = (
-                estimates is not None
-                and hints is None
-                and at_column is not None
-                and execution_columns is not None
-            )
-            if plain and k == 5:
-                # Dominant mode (greedy routing, shared constant latency,
-                # bulk scenario) at the paper's k = 5: the scan state
+            if lean and estimates is not None and k == 5:
+                # Dominant mode (one scheduler, greedy routing, shared
+                # constant latency) at the paper's k = 5: the scan state
                 # lives in unrolled locals, so the per-tuple body is a
                 # handful of float compares and list reads — no method
                 # calls and no container indexing on the scan itself.
+                c = block._c
+                pos = block._pos
                 e0, e1, e2, e3, e4 = estimates
                 x0, x1, x2, x3, x4 = execution_columns
                 c0, c1, c2, c3, c4 = c
@@ -1260,8 +1352,6 @@ def _run_posg(
                 at_col = at_column
                 fin_append = finishes.append
                 asg_append = assignments.append
-                if profiler is not None:
-                    profiler.start("route")
                 while j < end:
                     if j == next_sample:
                         ar = arrivals[j]
@@ -1422,17 +1512,8 @@ def _run_posg(
                 window_left[2] = w2
                 window_left[3] = w3
                 window_left[4] = w4
-                block._rr = rr
                 block._pos = pos
-                block.commit()
-                if profiler is not None:
-                    profiler.stop()
-                continue
-            if (
-                estimates is None
-                and at_column is not None
-                and execution_columns is not None
-            ):
+            elif lean and estimates is None:
                 # ROUND_ROBIN segments: the routing sequence is cyclic and
                 # data-independent, so the segment de-interleaves into k
                 # per-instance busy chains over strided slices.  Each
@@ -1445,9 +1526,10 @@ def _run_posg(
                 # after each chunk: matrices are frozen inside the
                 # control-quiet segment, so the estimates the auditor
                 # reads match the reference engine's per-tuple ordering
-                # bit for bit.
-                if profiler is not None:
-                    profiler.start("route")
+                # bit for bit.  ROUND_ROBIN never updates ``C_hat``, so
+                # every lineage sample believes the block's frozen ``_c``.
+                c = block._c
+                rr = block._rr
                 while True:
                     nb = end
                     for i in range(k):
@@ -1464,13 +1546,6 @@ def _run_posg(
                         collect = sampling or lin_here
                         start_busy = busy[:] if collect else None
                         base_wl = window_left[:] if lin_here else None
-                        # ROUND_ROBIN blocks carry no pre-gathered ``_c``
-                        # (no estimates yet); the frozen C_hat itself is
-                        # what the reference engine's post-submit read
-                        # observes.
-                        lin_bel = (
-                            scheduler._c_hat.tolist() if lin_here else None
-                        )
                         chains: list[list[float]] = []
                         for i in range(k):
                             off = (i - rr) % k
@@ -1528,7 +1603,7 @@ def _run_posg(
                             )
                             at = at_column[s]
                             lineage_record(
-                                0, s, i, lin_bel, arrivals[s], at,
+                                0, s, i, c, arrivals[s], at,
                                 at if at > prev_b else prev_b,
                                 chains[i][cnt], base_wl[i] - cnt,
                             )
@@ -1541,7 +1616,6 @@ def _run_posg(
                                 execution_columns[instance][s],
                             )
                             next_audit += audit_every
-                        pos += count
                         rr += count
                         j = safe_end
                     if j >= end:
@@ -1554,7 +1628,6 @@ def _run_posg(
                         next_sample += every
                     instance = rr % k
                     rr += 1
-                    pos += 1
                     at_instance = at_column[j]
                     b = busy[instance]
                     if at_instance > b:
@@ -1566,9 +1639,8 @@ def _run_posg(
                     assignments.append(instance)
                     if j == next_lineage:
                         lineage_record(
-                            0, j, instance, scheduler._c_hat.tolist(),
-                            arrivals[j], at_instance, b, finish,
-                            window_left[instance],
+                            0, j, instance, c, arrivals[j], at_instance,
+                            b, finish, window_left[instance],
                         )
                         next_lineage += lineage_every
                     wl = window_left[instance]
@@ -1586,43 +1658,67 @@ def _run_posg(
                         audit_observe(j, items[j], instance, execution_time)
                         next_audit += audit_every
                     j += 1
+                block._pos += rr - block._rr
                 block._rr = rr
-                block._pos = pos
-                block.commit()
-                if profiler is not None:
-                    profiler.stop()
-                continue
-            if plain:
-                # Greedy routing at instance counts other than the
-                # unrolled k = 5: the first-minimum scan becomes a
-                # numpy argmin over the C_hat vector (``argmin``
-                # returns the *first* minimum, so tie-breaking is
-                # unchanged) and the estimate columns are stacked once
-                # per segment into one 2-D array.  Scalar float64
-                # adds on the array match the plain-float adds of the
-                # scalar scan bit for bit, so k > 5 keeps the fast
-                # path instead of dropping to the per-element list
-                # scan.
-                c_arr = np.asarray(c, dtype=np.float64)
-                est_arr = np.asarray(estimates, dtype=np.float64)
-                at_col = at_column
-                argmin = np.argmin
+            else:
+                # Every other segment: any shard count, shards mixing
+                # ROUND_ROBIN and greedy modes, the two-choices probe,
+                # gossip, per-instance latencies, any k.  One walk in
+                # global arrival order keeps each shard's believed loads
+                # in its block's ``_c`` list; a gossiped estimate is added
+                # to every sibling's list before the next tuple routes,
+                # which is the float order of ``MultiSourcePOSGGrouping.
+                # route``.
+                beliefs = [block._c for block in blocks]
+                columns = [block._estimates for block in blocks]
+                counters = [block._rr for block in blocks]
+                cursors = [block._pos for block in blocks]
+                gossiped = [0] * sources
+                siblings = [
+                    [c for other, c in enumerate(beliefs) if other != shard]
+                    for shard in range(sources)
+                ] if gossip else ()
                 fin_append = finishes.append
                 asg_append = assignments.append
-                if profiler is not None:
-                    profiler.start("route")
+                shard = j % sources
                 while j < end:
                     if j == next_sample:
                         ar = arrivals[j]
                         queue_sample_indices.append(j)
-                        queue_samples.append(
-                            [max(0.0, b - ar) for b in busy]
-                        )
+                        queue_samples.append([max(0.0, b - ar) for b in busy])
                         next_sample += every
-                    instance = int(argmin(c_arr))
-                    c_arr[instance] += est_arr[instance, pos]
-                    pos += 1
-                    at_instance = at_col[j]
+                    c = beliefs[shard]
+                    estimates = columns[shard]
+                    pos = cursors[shard]
+                    cursors[shard] = pos + 1
+                    if estimates is None:
+                        rr = counters[shard]
+                        instance = rr % k
+                        counters[shard] = rr + 1
+                    else:
+                        # First-minimum scan (same tie-breaking as argmin).
+                        best = c[0]
+                        instance = 0
+                        for i in k_range:
+                            value = c[i]
+                            if value < best:
+                                best = value
+                                instance = i
+                        estimate = estimates[instance][pos]
+                        if two_choices:
+                            alt = items[j] % k
+                            if alt == instance:
+                                alt = alt + 1 if alt + 1 < k else 0
+                            alt_estimate = estimates[alt][pos]
+                            if c[alt] + alt_estimate < c[instance] + estimate:
+                                instance = alt
+                                estimate = alt_estimate
+                        c[instance] += estimate
+                        if gossip and estimate != 0.0:
+                            for sibling in siblings[shard]:
+                                sibling[instance] += estimate
+                            gossiped[shard] += 1
+                    at_instance = at_cols[instance][j]
                     b = busy[instance]
                     if at_instance > b:
                         b = at_instance
@@ -1634,13 +1730,16 @@ def _run_posg(
                     if j == next_audit:
                         audit_observe(j, items[j], instance, execution_time)
                         next_audit += audit_every
+                    if j == next_flight:
+                        flight_record(shard, j, instance, c)
+                        next_flight += flight_every
+                    wl = window_left[instance]
                     if j == next_lineage:
                         lineage_record(
-                            0, j, instance, c_arr.tolist(), arrivals[j],
-                            at_instance, b, finish, window_left[instance],
+                            shard, j, instance, c, arrivals[j], at_instance,
+                            b, finish, wl,
                         )
                         next_lineage += lineage_every
-                    wl = window_left[instance]
                     if wl == 1:
                         next_due, end = _window_boundary(
                             instance, items[j], execution_time, finish,
@@ -1652,112 +1751,33 @@ def _run_posg(
                         pending_times[instance].append(execution_time)
                         window_left[instance] = wl - 1
                     j += 1
-                # ``commit`` copies ``_c`` into the scheduler's C_hat
-                # via slice assignment, which accepts the ndarray.
-                block._c = c_arr
-                block._rr = rr
-                block._pos = pos
+                    shard += 1
+                    if shard == sources:
+                        shard = 0
+                for shard, block in enumerate(blocks):
+                    block._rr = counters[shard]
+                    block._pos = cursors[shard]
+            # Routing and merge shared the pass, so every block commits
+            # exactly the positions it consumed; gossip billing never
+            # feeds back into routing and is replayed per shard here.
+            for block in blocks:
                 block.commit()
-                if profiler is not None:
-                    profiler.stop()
-                continue
-            if profiler is not None:
-                profiler.start("route")
-            while j < end:
-                if j == next_sample:
-                    arrival = arrivals[j]
-                    queue_sample_indices.append(j)
-                    queue_samples.append(
-                        [max(0.0, b - arrival) for b in busy]
-                    )
-                    next_sample += every
-                if plain:
-                    # Dominant mode at other instance counts: inlined
-                    # scan over the pre-gathered columns.
-                    best = c[0]
-                    instance = 0
-                    for i in k_range:
-                        value = c[i]
-                        if value < best:
-                            best = value
-                            instance = i
-                    c[instance] += estimates[instance][pos]
-                    pos += 1
-                    at_instance = at_column[j]
-                    execution_time = execution_columns[instance][j]
-                else:
-                    if estimates is None:
-                        instance = rr % k
-                        rr += 1
-                    elif hints is None:
-                        best = c[0]
-                        instance = 0
-                        for i in k_range:
-                            value = c[i]
-                            if value < best:
-                                best = value
-                                instance = i
-                        c[instance] += estimates[instance][pos]
-                    else:
-                        best = (c[0] + debt[0]) + hints[0]
-                        instance = 0
-                        for i in k_range:
-                            value = (c[i] + debt[i]) + hints[i]
-                            if value < best:
-                                best = value
-                                instance = i
-                        debt[instance] += hints[instance]
-                        c[instance] += estimates[instance][pos]
-                    pos += 1
-                    if at_column is not None:
-                        at_instance = at_column[j]
-                    elif latency_values is not None:
-                        at_instance = arrivals[j] + latency_values[instance]
-                    else:
-                        at_instance = arrivals[j] + state.data_lat[instance].sample()
-                    if execution_columns is not None:
-                        execution_time = execution_columns[instance][j]
-                    else:
-                        execution_time = state.base_times[j] * state.scenario.multiplier(instance, j)
-                b = busy[instance]
-                if at_instance > b:
-                    b = at_instance
-                finish = b + execution_time
-                busy[instance] = finish
-                finishes.append(finish)
-                assignments.append(instance)
-                if j == next_audit:
-                    audit_observe(j, items[j], instance, execution_time)
-                    next_audit += audit_every
-                if j == next_lineage:
-                    lineage_record(
-                        0, j, instance,
-                        c if c is not None else scheduler._c_hat.tolist(),
-                        arrivals[j], at_instance, b, finish,
-                        window_left[instance],
-                    )
-                    next_lineage += lineage_every
-
-                wl = window_left[instance]
-                if wl == 1:
-                    next_due, end = _window_boundary(
-                        instance, items[j], execution_time, finish,
-                        j + 1, next_due, end,
-                    )
-                    window_left[instance] = window_size
-                else:
-                    pending_items[instance].append(items[j])
-                    pending_times[instance].append(execution_time)
-                    window_left[instance] = wl - 1
-                j += 1
-            block._rr = rr
-            block._pos = pos
-            block.commit()
+            if gossip:
+                for shard, count in enumerate(gossiped):
+                    policy.commit_gossip(shard, count)
+            if sources > 1:
+                policy.sync_cursor(j)
+            if j < window_end:
+                engine["truncated_segments"] += 1
             if profiler is not None:
                 profiler.stop()
             continue
 
         # SEND_ALL (sync requests piggy-back on tuples): reference step.
+        # It consumes shard positions behind the blocks' backs, so the
+        # next segment opens a new window.
+        window_end = 0
+        engine["fallback_tuples"] += 1
         if j == next_sample:
             queue_sample_indices.append(j)
             queue_samples.append([max(0.0, b - arrival) for b in busy])
@@ -1779,9 +1799,12 @@ def _run_posg(
         if j == next_audit:
             audit_observe(j, items[j], instance, execution_time)
             next_audit += audit_every
+        if j == next_flight:
+            policy.record_flight_route(flight, j, instance)
+            next_flight += flight_every
         if j == next_lineage:
             # SEND_ALL routes through a real ``submit``, so the policy
-            # hook reads the live post-submit C_hat; ``window_left``
+            # hooks read the live post-submit C_hat; ``window_left``
             # still holds the pre-execution count (the tracker updates
             # below).
             policy.record_lineage_route(
@@ -1835,3 +1858,6 @@ def _run_posg(
     # completions[j] = finish - arrival, deferred as one elementwise pass
     # (same IEEE subtraction as the per-tuple form).
     state.completions = np.asarray(finishes, dtype=np.float64) - state.arrivals_array
+    engine["estimate_gathers"] = sum(
+        scheduler._estimate_gathers for scheduler in schedulers
+    )

@@ -12,12 +12,14 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core.config import POSGConfig
+from repro.core.config import CoordinationConfig, POSGConfig
 from repro.core.grouping import (
     FullKnowledgeGrouping,
     POSGGrouping,
     RoundRobinGrouping,
 )
+from repro.core.messages import MatricesMessage
+from repro.core.scheduler import SchedulerState
 from repro.simulator.network import UniformLatency
 from repro.simulator.run import simulate_stream
 from repro.workloads.nonstationary import LoadShiftScenario
@@ -159,3 +161,77 @@ class TestBlockRouterEquivalence:
         block.commit()
         assert got == expected
         np.testing.assert_array_equal(blocked.c_hat, per_tuple.c_hat)
+
+    @staticmethod
+    def greedy_scheduler(coordination=None):
+        """A scheduler warmed past ROUND_ROBIN and out of SEND_ALL."""
+        policy = POSGGrouping(
+            POSGConfig(
+                window_size=64, rows=2, cols=16, coordination=coordination
+            )
+        )
+        simulate_stream(
+            default_stream(seed=0, m=4_096, n=64), policy, k=5,
+            rng=np.random.default_rng(1),
+        )
+        scheduler = policy.scheduler
+        while scheduler.state is SchedulerState.SEND_ALL:
+            scheduler.submit(0)
+        assert scheduler.state is not SchedulerState.ROUND_ROBIN
+        return scheduler
+
+    def test_block_replays_the_two_choices_probe(self):
+        per_tuple = self.greedy_scheduler(CoordinationConfig(two_choices=True))
+        blocked = copy.deepcopy(per_tuple)
+        items = np.arange(0, 256, dtype=np.int64) % 64
+        expected = [per_tuple.submit(int(item)).instance for item in items]
+        block = blocked.begin_block(items)
+        assert [block.route_next() for _ in items] == expected
+        block.commit()
+        np.testing.assert_array_equal(blocked.c_hat, per_tuple.c_hat)
+        assert blocked.tuples_scheduled == per_tuple.tuples_scheduled
+
+    def test_resumed_block_keeps_columns_until_matrices_version_moves(self):
+        per_tuple = self.greedy_scheduler()
+        blocked = copy.deepcopy(per_tuple)
+        items = np.arange(0, 96, dtype=np.int64) % 64
+
+        def both(action):
+            action(per_tuple)
+            action(blocked)
+
+        def route_both(lo, hi):
+            got = [block.route_next() for _ in range(lo, hi)]
+            block.commit()
+            assert got == [
+                per_tuple.submit(int(item)).instance for item in items[lo:hi]
+            ]
+            np.testing.assert_array_equal(blocked.c_hat, per_tuple.c_hat)
+            assert blocked.tuples_scheduled == per_tuple.tuples_scheduled
+
+        block = blocked.begin_block(items)
+        columns, gathers = block._estimates, blocked._estimate_gathers
+        route_both(0, 32)
+        # a snooped fold rewrites C_hat but no matrix: same columns
+        both(lambda scheduler: scheduler._c_hat.__setitem__(2, 1e6))
+        block.resume()
+        assert block._estimates is columns
+        assert blocked._estimate_gathers == gathers
+        route_both(32, 64)
+        # a matrices delivery moves the version: SEND_ALL runs per tuple
+        # (on tuples outside the block), then the block gathers afresh
+        fresh = blocked._matrices[0].copy()
+        fresh.scale(3.0)
+        both(
+            lambda scheduler: scheduler.on_message(
+                MatricesMessage(0, fresh.copy(), tuples_observed=64)
+            )
+        )
+        assert blocked.matrices_version == per_tuple.matrices_version
+        assert blocked.begin_block(items) is None
+        while blocked.state is SchedulerState.SEND_ALL:
+            both(lambda scheduler: scheduler.submit(7))
+        block.resume()
+        assert block._estimates is not columns
+        assert blocked._estimate_gathers == gathers + 1
+        route_both(64, 96)

@@ -1,0 +1,450 @@
+"""The in-process segment router against the per-tuple reference engine.
+
+Every POSG-family policy — ``POSGGrouping``, its subclasses, and
+``MultiSourcePOSGGrouping`` at any shard count, coordinated or not, with
+any observer attached — runs through one segment router in the chunked
+engine.  This file pins that router three ways:
+
+- a generated differential test (chunked vs ``chunk_size=0``) over shard
+  count, instance count, chunk size, window size, coordination flags,
+  per-instance data latencies, queue sampling and observers;
+- named regressions for the two configurations the generator reaches
+  rarely: a segment whose shards mix ROUND_ROBIN and greedy modes, and a
+  window close that cuts a segment mid-interleave right before a
+  SEND_ALL stretch;
+- the ``SimulationResult.engine`` record, so a change that pushes
+  sharded, coordinated or observed runs back to the per-tuple loop
+  fails here instead of only getting slower.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import CoordinationConfig, POSGConfig, RecoveryConfig
+from repro.core.grouping import (
+    FullKnowledgeGrouping,
+    POSGGrouping,
+    RoundRobinGrouping,
+)
+from repro.core.messages import MatricesMessage
+from repro.core.multisource import MultiSourcePOSGGrouping
+from repro.faults.plan import FaultPlan, MessageFaults
+from repro.simulator.network import UniformLatency
+from repro.simulator.run import simulate_stream
+from repro.telemetry.audit import AuditConfig
+from repro.telemetry.flightrecorder import FlightRecorderConfig
+from repro.telemetry.lineage import LineageConfig
+from repro.telemetry.recorder import TelemetryRecorder
+from repro.workloads.synthetic import default_stream
+
+ENGINE_KEYS = {
+    "path", "reason", "segments", "truncated_segments", "fallback_tuples",
+    "estimate_gathers",
+}
+
+
+def small_config(window_size=32, coordination=None, **overrides):
+    return POSGConfig(
+        window_size=window_size, rows=2, cols=16, coordination=coordination,
+        **overrides,
+    )
+
+
+def assert_same_run(reference, chunked):
+    """Everything a run leaves behind, compared bit for bit."""
+    np.testing.assert_array_equal(
+        reference.stats.completions, chunked.stats.completions
+    )
+    np.testing.assert_array_equal(
+        reference.stats.assignments, chunked.stats.assignments
+    )
+    assert reference.state_transitions == chunked.state_transitions
+    assert reference.control_messages == chunked.control_messages
+    assert reference.control_bits == chunked.control_bits
+    if reference.queue_samples is None:
+        assert chunked.queue_samples is None
+    else:
+        np.testing.assert_array_equal(
+            reference.queue_samples, chunked.queue_samples
+        )
+        np.testing.assert_array_equal(
+            reference.queue_sample_indices, chunked.queue_sample_indices
+        )
+    for ours, theirs in zip(
+        reference.policy.schedulers, chunked.policy.schedulers, strict=True
+    ):
+        np.testing.assert_array_equal(ours.c_hat, theirs.c_hat)
+        assert ours._tuples_scheduled == theirs._tuples_scheduled
+        assert ours._rr_counter == theirs._rr_counter
+        assert ours.stats() == theirs.stats()
+    assert reference.policy.stats() == chunked.policy.stats()
+    for k in range(len(reference.policy._agents)):
+        ours, theirs = reference.policy.tracker(k), chunked.policy.tracker(k)
+        assert ours.cumulated_time == theirs.cumulated_time
+        assert ours.window_remaining == theirs.window_remaining
+    if reference.audit is not None:
+        assert reference.audit.report() == chunked.audit.report()
+    if reference.flight is not None:
+        assert reference.flight.timelines() == chunked.flight.timelines()
+        assert reference.flight.report() == chunked.flight.report()
+    if reference.lineage is not None:
+        assert reference.lineage.timelines() == chunked.lineage.timelines()
+        assert reference.lineage.report() == chunked.lineage.report()
+
+
+def run_pair(make_policy, stream, k, chunk_size, recorded=False, **keywords):
+    """The same run under the reference and the chunked engine.
+
+    ``make_policy`` takes the run's telemetry recorder (``None`` unless
+    ``recorded``); a recorded pair must also leave identical telemetry.
+    """
+    results, recorders = [], []
+    for chunk in (0, chunk_size):
+        recorder = TelemetryRecorder() if recorded else None
+        recorders.append(recorder)
+        results.append(
+            simulate_stream(
+                stream, make_policy(recorder), k=k,
+                rng=np.random.default_rng(11), chunk_size=chunk,
+                telemetry=recorder, **keywords,
+            )
+        )
+    if recorded:
+        ours, theirs = recorders
+        assert ours.registry.snapshot() == theirs.registry.snapshot()
+        assert ours.tracer.events() == theirs.tracer.events()
+    return results
+
+
+@st.composite
+def configurations(draw):
+    sources = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.sampled_from([1, 2, 5, 7]))
+    coordination = None
+    if draw(st.booleans()):
+        coordination = CoordinationConfig(
+            gossip=draw(st.booleans()),
+            gossip_stride=draw(st.sampled_from([0, 1, 16])),
+            snoop=draw(st.booleans()),
+            two_choices=draw(st.booleans()),
+        )
+    observers = {}
+    if draw(st.booleans()):
+        observers["audit"] = AuditConfig(
+            sample_every=draw(st.sampled_from([1, 7, 64]))
+        )
+    if draw(st.booleans()):
+        observers["flight"] = FlightRecorderConfig(
+            sample_every=draw(st.sampled_from([1, 5, 64]))
+        )
+    if draw(st.booleans()):
+        observers["lineage"] = LineageConfig(
+            sample_every=draw(st.sampled_from([1, 3, 64]))
+        )
+    return {
+        "sources": sources,
+        "k": k,
+        "chunk_size": draw(st.sampled_from([1, 7, 64, 2048])),
+        "window_size": draw(st.sampled_from([4, 8, 32])),
+        # mu = 1.0 ships matrices at the first window close, so short
+        # streams still leave ROUND_ROBIN and reach RUN
+        "mu": draw(st.sampled_from([0.05, 1.0])),
+        "coordination": coordination,
+        "data_latency": draw(
+            st.one_of(
+                st.just(0.0),
+                st.lists(
+                    st.sampled_from([0.0, 0.5, 3.0]), min_size=k, max_size=k
+                ),
+            )
+        ),
+        "control_latency": draw(st.sampled_from([0.0, 1.0, 25.0])),
+        "sample_queues_every": draw(st.sampled_from([None, 1, 37])),
+        "m": draw(st.integers(min_value=300, max_value=1_500)),
+        "seed": draw(st.integers(min_value=0, max_value=5)),
+        "over_provisioning": draw(st.sampled_from([0.8, 1.0, 2.0])),
+        "recorded": draw(st.booleans()),
+        "observers": observers,
+    }
+
+
+class TestGeneratedDifferential:
+    @given(configurations())
+    @settings(max_examples=120, deadline=None)
+    def test_chunked_matches_reference(self, drawn):
+        k = drawn["k"]
+        stream = default_stream(
+            seed=drawn["seed"], m=drawn["m"], n=64, k=k,
+            over_provisioning=drawn["over_provisioning"],
+        )
+        config = small_config(
+            drawn["window_size"], drawn["coordination"], mu=drawn["mu"]
+        )
+        reference, chunked = run_pair(
+            lambda recorder: MultiSourcePOSGGrouping(
+                drawn["sources"], config, telemetry=recorder
+            ),
+            stream, k, drawn["chunk_size"], recorded=drawn["recorded"],
+            data_latency=drawn["data_latency"],
+            control_latency=drawn["control_latency"],
+            sample_queues_every=drawn["sample_queues_every"],
+            **drawn["observers"],
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
+
+
+class LateShard(MultiSourcePOSGGrouping):
+    """The last shard misses instance 0's first matrices broadcasts, so
+    it keeps routing round-robin while its siblings already run greedy.
+
+    Only ``on_control`` is overridden, which both engines call, so the
+    run stays on the segment path and the reference stays its baseline.
+    """
+
+    withheld = 3
+
+    def on_control(self, message):
+        if (
+            isinstance(message, MatricesMessage)
+            and message.instance == 0
+            and self.withheld
+        ):
+            self.withheld -= 1
+            for scheduler in self.schedulers[:-1]:
+                scheduler.on_message(
+                    dataclasses.replace(message, matrices=message.matrices.copy())
+                )
+            return
+        super().on_control(message)
+
+
+class CursorLog(MultiSourcePOSGGrouping):
+    """Records where each segment handed the interleave back."""
+
+    def setup(self, k, rng=None):
+        super().setup(k, rng)
+        self.segment_ends = []
+
+    def sync_cursor(self, position):
+        self.segment_ends.append(position)
+        super().sync_cursor(position)
+
+
+class TestNamedRegressions:
+    @pytest.mark.parametrize(
+        "coordination",
+        [None, CoordinationConfig(gossip_stride=1, two_choices=True)],
+        ids=["plain", "coordinated"],
+    )
+    def test_segment_mixing_round_robin_and_greedy_shards(self, coordination):
+        k, sources = 5, 3
+        stream = default_stream(seed=2, m=3_000, n=64, k=k)
+        config = small_config(16, coordination)
+        reference, chunked = run_pair(
+            lambda recorder: LateShard(sources, config), stream, k, 256,
+            flight=FlightRecorderConfig(sample_every=4),
+            lineage=LineageConfig(sample_every=5),
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
+        first, late = chunked.policy.schedulers[0], chunked.policy.schedulers[-1]
+        # the late shard routed round-robin for far longer than the
+        # first shard did, and the first shard was greedy meanwhile
+        assert late._rr_counter > first._rr_counter + 10 * k
+        assert first.sync_rounds_completed >= 1
+        assert late.sync_rounds_completed >= 1
+        if coordination is not None:
+            # gossip reached the late shard while it was bootstrapping
+            assert chunked.policy.stats()["gossip_updates"] > 0
+
+    def test_window_close_cuts_segment_mid_interleave_before_send_all(self):
+        k, sources, window_size = 5, 3, 8
+        # over-provisioned and with an instant control plane: a window
+        # close's matrices land before the next arrival, so the close
+        # cuts its segment and the very next tuple opens SEND_ALL
+        stream = default_stream(
+            seed=1, m=2_000, n=64, k=k, over_provisioning=4.0
+        )
+        config = small_config(window_size)
+        reference, chunked = run_pair(
+            lambda recorder: CursorLog(sources, config), stream, k, 512,
+            control_latency=0.0, flight=FlightRecorderConfig(sample_every=64),
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
+        assignments = chunked.stats.assignments
+        served = [np.cumsum(assignments == i) for i in range(k)]
+        send_all_starts = set()
+        for shard, timeline in enumerate(chunked.flight.timelines()):
+            for event in timeline:
+                if event[0] == "sync_request":
+                    send_all_starts.add(shard + (event[1] - 1) * sources)
+        witnesses = [
+            end
+            for end in chunked.policy.segment_ends
+            if end % sources != 0
+            and end in send_all_starts
+            and served[assignments[end - 1]][end - 1] % window_size == 0
+        ]
+        assert witnesses, "no window close cut a segment off the shard grid"
+        assert chunked.engine["fallback_tuples"] >= sources * k
+
+
+class TestSingleSourceTakesTheSamePath:
+    def run(self, make_policy, **keywords):
+        stream = default_stream(seed=4, m=4_096, n=64)
+        return simulate_stream(
+            stream, make_policy(), k=5, rng=np.random.default_rng(3),
+            sample_queues_every=100, **keywords,
+        )
+
+    @pytest.mark.parametrize("chunk_size", [0, 512])
+    def test_multisource_of_one_is_posg_grouping(self, chunk_size):
+        config = small_config(64)
+        single = self.run(lambda: POSGGrouping(config), chunk_size=chunk_size)
+        wrapped = self.run(
+            lambda: MultiSourcePOSGGrouping(1, config), chunk_size=chunk_size
+        )
+        assert wrapped.engine == single.engine
+        assert wrapped.engine["path"] == ("segment" if chunk_size else "reference")
+        assert wrapped.run_entry_index() is not None
+        for field in dataclasses.fields(single):
+            if field.name in ("policy", "stats", "engine"):
+                continue
+            ours, theirs = getattr(single, field.name), getattr(wrapped, field.name)
+            if isinstance(ours, np.ndarray):
+                np.testing.assert_array_equal(ours, theirs)
+            else:
+                assert ours == theirs, field.name
+        np.testing.assert_array_equal(
+            single.stats.completions, wrapped.stats.completions
+        )
+        np.testing.assert_array_equal(
+            single.stats.assignments, wrapped.stats.assignments
+        )
+        assert single.policy.scheduler.stats() == wrapped.policy.scheduler.stats()
+
+    def test_trivial_subclass_keeps_the_segment_path(self):
+        class Renamed(POSGGrouping):
+            name = "posg_renamed"
+
+        result = self.run(lambda: Renamed(small_config(64)))
+        assert result.engine["path"] == "segment"
+
+    def test_custom_route_is_disqualified_with_a_reason(self):
+        class Pinned(POSGGrouping):
+            def route(self, item):
+                return dataclasses.replace(super().route(item), instance=0)
+
+        result = self.run(lambda: Pinned(small_config(64)))
+        assert result.engine["path"] == "generic"
+        assert "route" in result.engine["reason"]
+
+
+class TestEngineRecord:
+    M = 8_192
+    K = 5
+    CHUNK = 1_024
+
+    def run(self, policy, **keywords):
+        stream = default_stream(seed=0, m=self.M, n=64)
+        keywords.setdefault("chunk_size", self.CHUNK)
+        return simulate_stream(
+            stream, policy, k=self.K, rng=np.random.default_rng(1), **keywords
+        )
+
+    @pytest.mark.parametrize(
+        "coordination,observers",
+        [
+            (None, {}),
+            (CoordinationConfig(), {}),
+            (CoordinationConfig(two_choices=True), {}),
+            (
+                None,
+                {
+                    "audit": AuditConfig(),
+                    "flight": FlightRecorderConfig(),
+                    "lineage": LineageConfig(),
+                },
+            ),
+        ],
+        ids=["sharded", "coordinated", "two-choices", "observed"],
+    )
+    def test_sharded_runs_take_the_segment_path(self, coordination, observers):
+        sources = 4
+        policy = MultiSourcePOSGGrouping(sources, small_config(64, coordination))
+        engine = self.run(policy, **observers).engine
+        assert set(engine) == ENGINE_KEYS
+        assert engine["path"] == "segment" and engine["reason"] is None
+        assert 0 < engine["truncated_segments"] < engine["segments"]
+        assert engine["fallback_tuples"] >= sources * self.K
+        # estimate columns are gathered per chunk_size window and per
+        # matrices version, never per truncated segment
+        windows = math.ceil(self.M / self.CHUNK)
+        for scheduler in policy.schedulers:
+            assert scheduler._estimate_gathers <= (
+                windows + scheduler.matrices_version
+            )
+        assert engine["estimate_gathers"] == sum(
+            scheduler._estimate_gathers for scheduler in policy.schedulers
+        )
+        assert engine["estimate_gathers"] < sources * engine["segments"]
+
+    def test_flight_recorded_single_scheduler_takes_the_segment_path(self):
+        result = self.run(
+            POSGGrouping(small_config(64)), flight=FlightRecorderConfig()
+        )
+        assert result.engine["path"] == "segment"
+
+    @pytest.mark.parametrize(
+        "make_policy,keywords,needle",
+        [
+            (
+                lambda: POSGGrouping(small_config(64)),
+                {"faults": FaultPlan(seed=3, matrices=MessageFaults(drop=0.1))},
+                "fault",
+            ),
+            (
+                lambda: POSGGrouping(small_config(64, recovery=RecoveryConfig())),
+                {},
+                "recovery",
+            ),
+            (
+                lambda: POSGGrouping(
+                    small_config(64), latency_hints=[0.0, 0.1, 0.2, 0.3, 0.4]
+                ),
+                {},
+                "hints",
+            ),
+            (
+                lambda: MultiSourcePOSGGrouping(2, small_config(64)),
+                {
+                    "data_latency": UniformLatency(
+                        0.0, 0.2, rng=np.random.default_rng(7)
+                    )
+                },
+                "latency",
+            ),
+        ],
+        ids=["faults", "recovery", "hints", "random-latency"],
+    )
+    def test_per_tuple_features_stay_generic_and_say_why(
+        self, make_policy, keywords, needle
+    ):
+        engine = self.run(make_policy(), **keywords).engine
+        assert engine["path"] == "generic"
+        assert needle in engine["reason"]
+        assert engine["segments"] == engine["estimate_gathers"] == 0
+
+    def test_other_loops_name_themselves(self):
+        assert self.run(RoundRobinGrouping()).engine["path"] == "round_robin"
+        assert self.run(FullKnowledgeGrouping).engine["path"] == "full_knowledge"
+        reference = self.run(POSGGrouping(small_config(64)), chunk_size=0)
+        assert reference.engine["path"] == "reference"
+        assert reference.engine["reason"] is None
