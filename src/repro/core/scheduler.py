@@ -367,6 +367,38 @@ class POSGScheduler:
             else:
                 self._start_retransmission()
 
+    def defense_deadline(self) -> int | None:
+        """The ``tuples_scheduled`` value at which a defence next acts.
+
+        The :meth:`submit` that raises ``tuples_scheduled`` to the
+        returned value is the first whose :meth:`_defense_tick`
+        retransmits, abandons the round or falls back to ROUND_ROBIN;
+        every earlier one only advances the clock.  ``None`` while no
+        defence can act (recovery disabled, or ROUND_ROBIN / SEND_ALL,
+        where the tick is idle).  Everything read here changes only in
+        :meth:`on_message`, in a SEND_ALL ``submit`` or when a defence
+        acts, so the answer holds until one of those happens — which is
+        what lets an engine route whole control-quiet segments without
+        ticking per tuple.
+        """
+        recovery = self._recovery
+        state = self._state
+        if recovery is None or (
+            state is not SchedulerState.WAIT_ALL and state is not SchedulerState.RUN
+        ):
+            return None
+        deadline = None
+        if recovery.staleness_limit is not None:
+            deadline = min(self._last_matrices_at) + recovery.staleness_limit + 1
+        if state is SchedulerState.WAIT_ALL and self._pending_replies:
+            timeout_at = self._wait_entered + self._current_timeout
+            if deadline is None or timeout_at < deadline:
+                deadline = timeout_at
+        if deadline is None:
+            return None
+        # an overdue deadline acts at the very next submit
+        return max(deadline, self._tuples_scheduled + 1)
+
     def _start_retransmission(self) -> None:
         """Re-enter SEND_ALL for the missing replies only (same epoch)."""
         recovery = self._recovery

@@ -33,7 +33,9 @@ are visible), the scheduler's defense counters, the completion-time
 degradation ``L_chaos / L_fault_free``, and the estimator audit's
 error quantiles split at the crash (the audit segments the stream at
 the crash index, so the report shows W/F accuracy before and after
-the restart).  With ``--output DIR`` it writes ``report.json`` (a v3
+the restart), and each run's ``SimulationResult.engine`` record — it
+exits non-zero if a ``--chunk-size > 0`` run did not take the segment
+path.  With ``--output DIR`` it writes ``report.json`` (a v3
 :class:`~repro.telemetry.report.RunReport` of the chaos run —
 fault-free run as the baseline, fault summary, estimator-audit and
 decision-quality blocks embedded), ``metrics.prom`` and
@@ -58,6 +60,18 @@ DROP_RATE = 0.10
 CRASH_INSTANCE = 2
 #: number of bins in the Figure-10-style timeline
 TIMELINE_BINS = 24
+
+
+def _off_segment_path(runs, chunk_size: int) -> list[str]:
+    """Print each sequential run's engine record; name the chunked runs
+    that left the segment router (a dispatch regression costs ~5x and is
+    otherwise silent)."""
+    off_path = []
+    for label, result in runs:
+        print(f"engine [{label}]: {result.engine}")
+        if chunk_size > 0 and result.engine["path"] != "segment":
+            off_path.append(label)
+    return off_path
 
 
 def _timeline(completions, bins: int) -> list[float]:
@@ -221,6 +235,9 @@ def run(
         f"{scheduler.restarts_detected} restarts detected"
     )
     print(f"final scheduler state: {state.name} (recovered={recovered})")
+    off_path = _off_segment_path(
+        (("fault-free", clean), ("chaos", chaos)), chunk_size
+    )
     audit_report = chaos.audit.report()
     segments = audit_report["segments"]
     print("estimator audit (mean |estimate - true|, ms):")
@@ -250,6 +267,12 @@ def run(
 
     if not recovered:
         print("ERROR: scheduler did not recover to RUN", file=sys.stderr)
+        return 1
+    if off_path:
+        print(
+            f"ERROR: chunked run(s) left the segment path: {off_path}",
+            file=sys.stderr,
+        )
         return 1
     return 0
 
@@ -433,6 +456,7 @@ def run_parallel(
     )
     print(f"gate: bit-identical to sequential engine = {identical}")
     print(f"gate: fully recovered via respawn-replay = {recovered}")
+    off_path = _off_segment_path((("sequential", reference),), chunk_size)
 
     if directory is not None:
         recovery = {
@@ -473,6 +497,12 @@ def run_parallel(
             "ERROR: supervisor did not fully recover "
             f"(failures={failures}, respawns={sup['respawns_total']}, "
             f"degraded={sup['degraded_workers']})",
+            file=sys.stderr,
+        )
+        return 1
+    if off_path:
+        print(
+            "ERROR: the sequential chunked run left the segment path",
             file=sys.stderr,
         )
         return 1

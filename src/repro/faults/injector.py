@@ -13,21 +13,27 @@ trace alone.  Engines interpose it at exactly three points:
   request riding on a data tuple is lost (the only fault kind that makes
   sense for piggy-backed messages);
 - tuple execution — :meth:`execution_factor` inflates execution times
-  inside scripted slow-node windows.
+  inside scripted slow-node windows (:meth:`slowdown_regions` is the
+  same lookup for an engine that hoists execution times into columns).
 
 Scripted crashes are driven *by the engine* (each engine owns its notion
 of time and of what "the instance is down" means); the injector supplies
 the sorted schedule via :attr:`crashes` and books the events through
 :meth:`note_crash` / :meth:`note_restart`.
 
-Determinism: all randomness comes from ``default_rng(plan.seed)``, and
-every engine consults the injector in arrival order, so a (plan, seed,
-workload) triple reproduces the same faults — including across the
-per-tuple and chunked simulator engines, which interpose at the same
-per-tuple points.
+Determinism: all randomness comes from ``default_rng(plan.seed)`` and is
+drawn only in :meth:`deliver_times` and :meth:`drop_request`, i.e. when
+a message is emitted; crashes and slow-node windows are functions of
+virtual time.  Every engine emits messages in arrival order, so a
+(plan, seed, workload) triple reproduces the same faults — including
+across the per-tuple and chunked simulator engines: the chunked engine
+routes whole segments between emissions, but the emissions themselves
+(window closes, SEND_ALL tuples) happen in the same order.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -204,6 +210,41 @@ class FaultInjector:
         if factor != 1.0:
             self._slowed_tuples += 1
         return factor
+
+    def slowdown_regions(self, arrivals) -> list[tuple[int, int, int, float]]:
+        """The slow-node windows as ``(instance, lo, hi, factor)`` index ranges.
+
+        For engines that hoist execution times out of their loop:
+        ``arrivals`` is the sorted arrival-time column, and every tuple
+        ``lo <= j < hi`` executed by ``instance`` has
+        ``execution_factor(instance, arrivals[j]) == factor`` — windows
+        overlapping on an instance are split at each other's edges and
+        compounded in the same ``at_ms`` order, so the product is the
+        same float.  Ranges whose factor is ``1.0`` are left out.  Books
+        nothing: the engine reports the tuples it inflated through
+        :meth:`note_slowed_tuples`.
+        """
+        windows: dict[int, list[tuple[int, int, float]]] = {}
+        for slow in self._slowdowns:
+            lo = bisect.bisect_left(arrivals, slow.at_ms)
+            hi = bisect.bisect_left(arrivals, slow.at_ms + slow.duration_ms)
+            if lo < hi:
+                windows.setdefault(slow.instance, []).append((lo, hi, slow.factor))
+        regions = []
+        for instance, spans in windows.items():
+            edges = sorted({edge for lo, hi, _ in spans for edge in (lo, hi)})
+            for lo, hi in zip(edges, edges[1:]):
+                factor = 1.0
+                for span_lo, span_hi, span_factor in spans:
+                    if span_lo <= lo and hi <= span_hi:
+                        factor *= span_factor
+                if factor != 1.0:
+                    regions.append((instance, lo, hi, factor))
+        return regions
+
+    def note_slowed_tuples(self, count: int) -> None:
+        """Book ``count`` executions inflated through :meth:`slowdown_regions`."""
+        self._slowed_tuples += count
 
     def note_crash(self, instance: int, at_ms: float) -> None:
         """Book a crash the engine just fired."""

@@ -26,7 +26,8 @@ Two engines implement these semantics:
 - the **chunked engine** (default) processes the stream in
   control-quiet segments.  Scenario multipliers and latencies are
   hoisted out of the loop, every POSG-family policy — one scheduler or
-  ``s`` shards, coordinated or not, observed or not — routes through
+  ``s`` shards, coordinated or not, observed or not, under a fault plan
+  or armed recovery defences or neither — routes through
   its schedulers' pre-gathered block routers
   (:meth:`~repro.core.scheduler.POSGScheduler.begin_block`) in one walk
   in global arrival order, and instance-side sketch maintenance is
@@ -77,6 +78,11 @@ _INFINITY = float("inf")
 #: the ``route`` implementations the segment router replays inline
 _SEGMENT_ROUTES = (POSGGrouping.route, MultiSourcePOSGGrouping.route)
 
+#: what can end a segment before its ``chunk_size`` window does: a
+#: delivery pending when it opened, a delivery one of its own window
+#: closes emitted, a scripted crash, a recovery-defence deadline
+_CUT_CAUSES = ("control", "window", "crash", "defence")
+
 
 @dataclass
 class SimulationResult:
@@ -113,10 +119,14 @@ class SimulationResult:
     #: "reference"), ``reason`` (the first condition that kept a chunked
     #: run off the segment path, else ``None``), and the segment path's
     #: tallies — ``segments``, ``truncated_segments`` (stopped short of
-    #: their chunk_size window by a delivery), ``fallback_tuples`` (routed
-    #: by the per-tuple SEND_ALL step) and ``estimate_gathers`` (estimate
-    #: column gathers, summed over the schedulers).  ``None`` from the
-    #: multi-process engine, which reports through ``parallel``.
+    #: their chunk_size window), ``cuts`` (those segments by what stopped
+    #: them: ``control`` — a delivery pending when the segment opened,
+    #: ``window`` — a delivery one of its own window closes emitted,
+    #: ``crash`` — a scripted crash, ``defence`` — a recovery deadline),
+    #: ``fallback_tuples`` (routed by the per-tuple step: SEND_ALL
+    #: stretches and defence-deadline tuples) and ``estimate_gathers``
+    #: (estimate column gathers, summed over the schedulers).  ``None``
+    #: from the multi-process engine, which reports through ``parallel``.
     engine: "dict | None" = None
 
     @property
@@ -166,6 +176,7 @@ def _engine_info(path: str, reason: "str | None" = None) -> dict:
         "truncated_segments": 0,
         "fallback_tuples": 0,
         "estimate_gathers": 0,
+        "cuts": dict.fromkeys(_CUT_CAUSES, 0),
     }
 
 
@@ -227,11 +238,17 @@ def simulate_stream(
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` (or a pre-built
         :class:`~repro.faults.injector.FaultInjector`) injecting seeded
-        control-plane and instance faults.  An inactive plan is
-        equivalent to no plan: the fault-free code paths run untouched,
-        preserving bit-identical results.  With faults active both
-        engines interpose at the same per-tuple points, so the run stays
-        bit-identical across ``chunk_size`` settings.
+        control-plane and instance faults.  A plan that cannot fault the
+        simulated topology — empty, or scripting only the parallel
+        engine's ``worker_faults`` — is equivalent to no plan: the
+        fault-free code paths run untouched, preserving bit-identical
+        results.  With faults active the reference engine interposes
+        per tuple and the chunked engine ends its segments wherever the
+        injector acts (a message emission, a scripted crash), so the
+        injector draws in the same order and the run stays bit-identical
+        across ``chunk_size`` settings.  The same holds for the
+        ``RecoveryConfig`` defences, whose deadlines on the tuple clock
+        end segments the same way.
     audit:
         Optional :class:`~repro.telemetry.audit.AuditConfig` (or a
         pre-built :class:`~repro.telemetry.audit.EstimatorAudit`)
@@ -314,19 +331,25 @@ def simulate_stream(
     else:
         raise TypeError(f"faults must be a FaultPlan or FaultInjector, got {faults!r}")
 
+    # Process-level worker faults mean nothing to the sequential engines:
+    # a plan scripting only those runs as if there were no plan.
+    interposed = (
+        injector if injector is not None and injector.plan.control_active else None
+    )
+
     if profiler is not None:
         profiler.start("simulate")
     try:
         if chunk_size == 0:
             result = _simulate_reference(
                 stream, policy, k, scenario, data_lat, control_lat, rng,
-                sample_queues_every, injector, audit, recorder, profiler,
+                sample_queues_every, interposed, audit, recorder, profiler,
                 flight, lineage,
             )
         else:
             result = _simulate_chunked(
                 stream, policy, k, scenario, data_lat, control_lat, rng,
-                sample_queues_every, chunk_size, injector, audit, recorder,
+                sample_queues_every, chunk_size, interposed, audit, recorder,
                 profiler, flight, lineage,
             )
     finally:
@@ -778,7 +801,7 @@ def _simulate_chunked(
     state.engine = _engine_info(path, reason)
     if path == "segment":
         _run_posg(
-            state, policy, agents, chunk_size, auditor, profiler,
+            state, policy, agents, chunk_size, injector, auditor, profiler,
             recorder_flight, tracer,
         )
     elif path == "round_robin":
@@ -787,7 +810,7 @@ def _simulate_chunked(
         _run_full_knowledge(state, policy, tracer)
     else:
         _run_generic(
-            state, policy, agents, has_agents, track_states, injector,
+            state, policy, agents, track_states, injector,
             auditor, profiler, recorder_flight, tracer,
         )
 
@@ -830,19 +853,14 @@ def _choose_loop(
     keeps a run off the segment path.  Any POSG-family policy whose
     ``route`` is the stock shard interleave takes the segment path —
     ``POSGGrouping``, its subclasses, and ``MultiSourcePOSGGrouping`` at
-    every ``s`` — unless something interposes per tuple: the injector's
-    draws and the recovery defences' ticks must land at the reference
-    engine's per-tuple points, latency hints change the greedy objective
-    per tuple, and unhoistable scenarios or random data latencies must
-    keep their per-tuple call order.
+    every ``s``, faulted or not, defended or not — unless something
+    interposes per tuple: latency hints change the greedy objective per
+    tuple, and unhoistable scenarios or random data latencies must keep
+    their per-tuple call order.
     """
     if isinstance(policy, POSGGrouping):
         if type(policy).route not in _SEGMENT_ROUTES:
             reason = "policy overrides route()"
-        elif injector is not None:
-            reason = "fault injection interposes per tuple"
-        elif policy.config.recovery is not None:
-            reason = "recovery defences tick per tuple"
         elif policy.scheduler._latency_hints is not None:
             reason = "latency hints change the greedy objective per tuple"
         elif state.execution_columns is None:
@@ -1007,11 +1025,124 @@ def _run_full_knowledge(
     policy._loads[:] = loads
 
 
+def _send_control(
+    state: _ChunkedState, injector: "FaultInjector | None", messages, finish: float
+) -> None:
+    """Bill an instance's outgoing messages and queue their deliveries.
+
+    Each message leaves at ``finish`` plus one control-latency draw; an
+    injector turns that into zero, one or two delivery times.  Messages
+    go out in emission order, so the latency model's and the injector's
+    random streams advance exactly as in the reference engine.
+    """
+    control_queue = state.control_queue
+    for message in messages:
+        delivery = finish + state.control_lat.sample()
+        state.control_messages += 1
+        state.control_bits += message.size_bits()
+        times = (
+            (delivery,)
+            if injector is None
+            else injector.deliver_times(message, delivery)
+        )
+        for when in times:
+            heapq.heappush(control_queue, (when, state.control_seq, message))
+            state.control_seq += 1
+
+
+def _tuple_stepper(
+    state: _ChunkedState,
+    policy: GroupingPolicy,
+    agents,
+    finishes: list[float],
+    injector: "FaultInjector | None" = None,
+    slowdowns_hoisted: bool = False,
+    auditor=None,
+    profiler=None,
+    flight=None,
+    lineage=None,
+):
+    """The chunked engine's one per-tuple step, as ``step(j, arrival)``.
+
+    It is the reference engine's loop body from ``policy.route`` to the
+    sync-request billing: route, FIFO service, the injector's slow-node
+    factor and request drop, observer samples, the instance agent's fold
+    and its outgoing messages.  The caller keeps what comes before (the
+    backlog sample, due crashes, the control drain) and after (FSM
+    transitions).  ``_run_generic`` runs every tuple through it; the
+    segment router only the tuples it cannot batch.  The finish time is
+    appended to ``finishes`` and the chosen instance returned.  With
+    ``slowdowns_hoisted`` the caller has already folded the slow-node
+    windows into ``state.execution_columns``.
+    """
+    items = state.items
+    busy = state.busy_until
+    assignments = state.assignments
+    k = state.k
+    slowing = injector is not None and not slowdowns_hoisted
+    audit_every = auditor.sample_every if auditor is not None else 0
+    flight_every = flight.sample_every if flight is not None else 0
+    lineage_every = lineage.sample_every if lineage is not None else 0
+
+    def step(j: int, arrival: float) -> int:
+        if profiler is not None:
+            profiler.start("route")
+        decision = policy.route(items[j])
+        if profiler is not None:
+            profiler.stop()
+        instance = decision.instance
+        if not 0 <= instance < k:
+            raise ValueError(
+                f"policy routed tuple {j} to invalid instance {instance}"
+            )
+        at_instance = state.arrival_at_instance(arrival, instance)
+        b = busy[instance]
+        start = at_instance if at_instance > b else b
+        execution_time = state.execution_time(instance, j)
+        sync_request = decision.sync_request
+        if slowing:
+            factor = injector.execution_factor(instance, arrival)
+            if factor != 1.0:
+                execution_time = execution_time * factor
+        if sync_request is not None:
+            state.control_messages += 1
+            state.control_bits += sync_request.size_bits()
+            if injector is not None and injector.drop_request(sync_request):
+                sync_request = None
+        finish = start + execution_time
+        busy[instance] = finish
+        finishes.append(finish)
+        assignments.append(instance)
+        agent = agents[instance]
+        if audit_every and j % audit_every == 0:
+            auditor.observe(j, items[j], instance, execution_time)
+        if flight_every and j % flight_every == 0:
+            policy.record_flight_route(flight, j, instance)
+        if lineage_every and j % lineage_every == 0:
+            # Captured before the agent folds the tuple, so
+            # ``window_remaining`` still counts it.
+            tracker = getattr(agent, "tracker", None)
+            policy.record_lineage_route(
+                lineage, j, instance, arrival, at_instance, start, finish,
+                tracker.window_remaining if tracker is not None else 0,
+            )
+        if agent is not None:
+            if profiler is not None:
+                profiler.start("fold")
+            messages = agent.on_executed(items[j], execution_time, sync_request)
+            if profiler is not None:
+                profiler.stop()
+            if messages:
+                _send_control(state, injector, messages, finish)
+        return instance
+
+    return step
+
+
 def _run_generic(
     state: _ChunkedState,
     policy: GroupingPolicy,
     agents,
-    has_agents: bool,
     track_states: bool,
     injector: FaultInjector | None = None,
     auditor=None,
@@ -1022,12 +1153,11 @@ def _run_generic(
     """Hoisted per-tuple loop for arbitrary policies.
 
     POSG-family runs land here only when something interposes per tuple
-    (see :func:`_choose_loop`).  It is the only chunked-engine loop that
-    supports fault injection: it replays the reference engine's per-tuple order exactly, so the
-    injector's random draws land at the same points under both engines.
+    (see :func:`_choose_loop`).  It replays the reference engine's
+    per-tuple order exactly, so random latency models and the injector
+    draw at the same points under both engines.
     """
     m = len(state.items)
-    items = state.items
     arrivals = state.arrivals
     busy = state.busy_until
     every = state.sample_queues_every
@@ -1036,12 +1166,11 @@ def _run_generic(
     previous_state = policy.state if track_states else None
     crash_ptr = 0
     faulting = injector is not None
-    audit_every = auditor.sample_every if auditor is not None else 0
-    next_audit = 0 if auditor is not None else m
-    flight_every = flight.sample_every if flight is not None else 0
-    next_flight = 0 if flight is not None else m
-    lineage_every = lineage.sample_every if lineage is not None else 0
-    next_lineage = 0 if lineage is not None else m
+    finishes: list[float] = []
+    step = _tuple_stepper(
+        state, policy, agents, finishes, injector,
+        auditor=auditor, profiler=profiler, flight=flight, lineage=lineage,
+    )
     for j in range(m):
         arrival = arrivals[j]
         position[0] = j
@@ -1063,78 +1192,15 @@ def _run_generic(
             policy.on_control_batch(batch)
             if profiler is not None:
                 profiler.stop()
-
-        if profiler is not None:
-            profiler.start("route")
-        decision = policy.route(items[j])
-        if profiler is not None:
-            profiler.stop()
-        instance = decision.instance
-        if not 0 <= instance < state.k:
-            raise ValueError(
-                f"policy routed tuple {j} to invalid instance {instance}"
-            )
-        at_instance = state.arrival_at_instance(arrival, instance)
-        b = busy[instance]
-        start = at_instance if at_instance > b else b
-        execution_time = state.execution_time(instance, j)
-        sync_request = decision.sync_request
-        if faulting:
-            factor = injector.execution_factor(instance, arrival)
-            if factor != 1.0:
-                execution_time = execution_time * factor
-            if sync_request is not None and injector.drop_request(sync_request):
-                sync_request = None
-        finish = start + execution_time
-        busy[instance] = finish
-        state.completions.append(finish - arrival)
-        state.assignments.append(instance)
-        if j == next_audit:
-            auditor.observe(j, items[j], instance, execution_time)
-            next_audit += audit_every
-        if j == next_flight:
-            policy.record_flight_route(flight, j, instance)
-            next_flight += flight_every
-        if j == next_lineage:
-            agent_tracker = getattr(agents[instance], "tracker", None)
-            policy.record_lineage_route(
-                lineage, j, instance, arrival, at_instance, start, finish,
-                agent_tracker.window_remaining if agent_tracker is not None else 0,
-            )
-            next_lineage += lineage_every
-
-        if has_agents and agents[instance] is not None:
-            if profiler is not None:
-                profiler.start("fold")
-            messages = agents[instance].on_executed(
-                items[j], execution_time, sync_request
-            )
-            if profiler is not None:
-                profiler.stop()
-            for message in messages:
-                delivery = finish + state.control_lat.sample()
-                state.control_messages += 1
-                state.control_bits += message.size_bits()
-                if faulting:
-                    for when in injector.deliver_times(message, delivery):
-                        heapq.heappush(
-                            control_queue, (when, state.control_seq, message)
-                        )
-                        state.control_seq += 1
-                else:
-                    heapq.heappush(
-                        control_queue, (delivery, state.control_seq, message)
-                    )
-                    state.control_seq += 1
-        if decision.sync_request is not None:
-            state.control_messages += 1
-            state.control_bits += decision.sync_request.size_bits()
-
+        step(j, arrival)
         if track_states:
             current_state = policy.state
             if current_state is not previous_state:
                 state.state_transitions.append((j, current_state))
                 previous_state = current_state
+    # completions[j] = finish - arrival as one elementwise pass (the same
+    # IEEE subtraction as the per-tuple form).
+    state.completions = np.asarray(finishes, dtype=np.float64) - state.arrivals_array
 
 
 def _run_posg(
@@ -1142,6 +1208,7 @@ def _run_posg(
     policy: POSGGrouping,
     agents,
     chunk_size: int,
+    injector: FaultInjector | None = None,
     auditor=None,
     profiler=None,
     flight=None,
@@ -1169,6 +1236,21 @@ def _run_posg(
     SEND_ALL (tuples carry sync requests) the engine falls back to the
     reference per-tuple step, preserving delivery order and FSM
     semantics exactly.
+
+    Faults and recovery defences are more horizons of the same kind,
+    because none of them acts between two events the engine already
+    sees.  A scripted crash is a function of arrival time: its index is
+    a ``bisect``, the segment stops there, and the crash fires at the
+    top of the loop once the pending folds have landed.  Slow-node
+    windows are folded into the execution columns up front.  The
+    injector draws only when a message is emitted — at a window close or
+    in the per-tuple step — so its random stream advances in tuple order
+    as in the reference engine.  A defence acts when a scheduler's tuple
+    clock reaches ``defense_deadline()``, which moves only on a delivery
+    or in the per-tuple step: the segment stops at the tuple that
+    reaches it, and that tuple takes the per-tuple step, whose real
+    ``submit`` ticks.  With no injector and no ``RecoveryConfig`` both
+    horizons sit at ``m`` and the loops below run as they always did.
     """
     m = len(state.items)
     items = state.items
@@ -1179,7 +1261,6 @@ def _run_posg(
     assignments = state.assignments
     every = state.sample_queues_every
     control_queue = state.control_queue
-    control_lat = state.control_lat
     execution_columns = state.execution_columns
     engine = state.engine
     schedulers = policy.schedulers
@@ -1192,6 +1273,25 @@ def _run_posg(
     two_choices = schedulers[0]._two_choices and k > 1
     gossip = sources > 1 and policy._gossip_on
     send_all = SchedulerState.SEND_ALL
+    cuts = engine["cuts"]
+
+    # Fault and defence horizons, as stream indices; ``m`` means never.
+    crashes = injector.crashes if injector is not None else ()
+    crash_ptr = 0
+    next_crash = bisect.bisect_left(arrivals, crashes[0].at_ms) if crashes else m
+    armed = policy.config.recovery is not None
+    deadline_at = m
+    slowed = injector.slowdown_regions(arrivals) if injector is not None else ()
+    if slowed:
+        # Same multiply as ``execution_factor`` applies per tuple, once
+        # per region; untouched columns stay shared.
+        execution_columns = list(execution_columns)
+        for instance in {region[0] for region in slowed}:
+            execution_columns[instance] = list(execution_columns[instance])
+        for instance, lo, hi, factor in slowed:
+            column = execution_columns[instance]
+            column[lo:hi] = (np.asarray(column[lo:hi]) * factor).tolist()
+        state.execution_columns = execution_columns
 
     # Per-instance arrival-at-instance columns (identical elementwise
     # adds; x + 0.0 == x for the non-negative arrival times, so a
@@ -1254,6 +1354,7 @@ def _run_posg(
         """Flush the batched prefix, run the boundary tuple through the
         FSM (Figure 2), enqueue its messages, and re-tighten the segment
         bound if a delivery now lands before the previous horizon."""
+        nonlocal cut
         tracker = trackers[instance]
         batch = pending_items[instance]
         if profiler is not None:
@@ -1267,26 +1368,76 @@ def _run_posg(
             batch.clear()
             pending_times[instance].clear()
         messages = tracker.execute(item, execution_time, None)
-        for message in messages:
-            delivery = finish + control_lat.sample()
-            heapq.heappush(
-                control_queue, (delivery, state.control_seq, message)
-            )
-            state.control_seq += 1
-            state.control_messages += 1
-            state.control_bits += message.size_bits()
+        if messages:
+            _send_control(state, injector, messages, finish)
         if control_queue and control_queue[0][0] < next_due:
             next_due = control_queue[0][0]
-            end = bisect.bisect_left(arrivals, next_due, lo, end)
+            tightened = bisect.bisect_left(arrivals, next_due, lo, end)
+            if tightened < end:
+                end = tightened
+                cut = "window"
         if profiler is not None:
             profiler.stop()
         return next_due, end
 
+    # These helpers close over names the segment loops do not read per
+    # tuple, so the loops' locals stay plain locals.
+    def _flush_pending() -> None:
+        """Land every batched fold, before anything reads a tracker."""
+        for tracker, batch, times in zip(trackers, pending_items, pending_times):
+            if batch:
+                if profiler is not None:
+                    profiler.start("fold")
+                tracker.execute_batch(batch, times)
+                if profiler is not None:
+                    profiler.stop()
+                batch.clear()
+                times.clear()
+
+    def _next_deadline(j: int) -> int:
+        """Index of the first tuple from ``j`` on whose ``submit`` makes a
+        defence act: shard ``j' mod s`` ticks once per tuple it owns."""
+        nearest = len(arrivals)
+        stride = len(schedulers)
+        for shard, scheduler in enumerate(schedulers):
+            deadline = scheduler.defense_deadline()
+            if deadline is not None:
+                index = (
+                    j + (shard - j) % stride
+                    + (deadline - scheduler._tuples_scheduled - 1) * stride
+                )
+                if index < nearest:
+                    nearest = index
+        return nearest
+
+    step = _tuple_stepper(
+        state, policy, agents, finishes, injector, slowdowns_hoisted=True,
+        auditor=auditor, profiler=profiler, flight=flight, lineage=lineage,
+    )
     blocks: list = []
     window_end = 0
+    cut = None
     j = 0
     while j < m:
         arrival = arrivals[j]
+        if j == next_crash:
+            # The reference engine samples the backlog before the crash
+            # pushes ``busy_until``, and a restart keeps the tracker's
+            # lifetime counters, so the batched folds land first.
+            if j == next_sample:
+                queue_sample_indices.append(j)
+                queue_samples.append([max(0.0, b - arrival) for b in busy])
+                next_sample += every
+            _flush_pending()
+            crash_ptr = _fire_due_crashes(
+                injector, crash_ptr, arrival, agents, busy
+            )
+            window_left[:] = [tracker.window_remaining for tracker in trackers]
+            next_crash = (
+                bisect.bisect_left(arrivals, crashes[crash_ptr].at_ms)
+                if crash_ptr < len(crashes)
+                else m
+            )
         if control_queue and control_queue[0][0] <= arrival:
             if profiler is not None:
                 profiler.start("control")
@@ -1297,10 +1448,15 @@ def _run_posg(
             if profiler is not None:
                 profiler.stop()
 
-        if not any(scheduler._state is send_all for scheduler in schedulers):
+        quiet = not any(scheduler._state is send_all for scheduler in schedulers)
+        if quiet and armed:
+            deadline_at = _next_deadline(j)
+            quiet = deadline_at > j
+        if quiet:
             # Control-quiet fast segment.  After the drain every pending
-            # delivery is strictly later than this arrival, so the
-            # segment covers at least one tuple.
+            # delivery is strictly later than this arrival, the next
+            # crash is due later and no defence acts on this tuple, so
+            # the segment covers at least one tuple.
             if j >= window_end:
                 # A new chunk_size window: shard sigma owns the strided
                 # slice starting at its first index at or after j.
@@ -1323,6 +1479,13 @@ def _run_posg(
             else:
                 next_due = _INFINITY
                 end = window_end
+            cut = "control" if end < window_end else None
+            if next_crash < end:
+                end = next_crash
+                cut = "crash"
+            if deadline_at < end:
+                end = deadline_at
+                cut = "defence"
             engine["segments"] += 1
             # Drain-induced transition: the reference engine records it at
             # the index of the next routed tuple, which the segment routes.
@@ -1769,11 +1932,13 @@ def _run_posg(
                 policy.sync_cursor(j)
             if j < window_end:
                 engine["truncated_segments"] += 1
+                cuts[cut] += 1
             if profiler is not None:
                 profiler.stop()
             continue
 
-        # SEND_ALL (sync requests piggy-back on tuples): reference step.
+        # A shard is in SEND_ALL (sync requests piggy-back on tuples) or
+        # at a defence deadline: the per-tuple step, over live trackers.
         # It consumes shard positions behind the blocks' backs, so the
         # next segment opens a new window.
         window_end = 0
@@ -1782,60 +1947,15 @@ def _run_posg(
             queue_sample_indices.append(j)
             queue_samples.append([max(0.0, b - arrival) for b in busy])
             next_sample += every
-        if profiler is not None:
-            profiler.start("route")
-        decision = policy.route(items[j])
-        if profiler is not None:
-            profiler.stop()
-        instance = decision.instance
-        at_instance = state.arrival_at_instance(arrival, instance)
-        b = busy[instance]
-        start = at_instance if at_instance > b else b
-        execution_time = state.execution_time(instance, j)
-        finish = start + execution_time
-        busy[instance] = finish
-        finishes.append(finish)
-        assignments.append(instance)
+        _flush_pending()
+        instance = step(j, arrival)
+        window_left[instance] = trackers[instance].window_remaining
         if j == next_audit:
-            audit_observe(j, items[j], instance, execution_time)
             next_audit += audit_every
         if j == next_flight:
-            policy.record_flight_route(flight, j, instance)
             next_flight += flight_every
         if j == next_lineage:
-            # SEND_ALL routes through a real ``submit``, so the policy
-            # hooks read the live post-submit C_hat; ``window_left``
-            # still holds the pre-execution count (the tracker updates
-            # below).
-            policy.record_lineage_route(
-                lineage, j, instance, arrival, at_instance, start, finish,
-                window_left[instance],
-            )
             next_lineage += lineage_every
-
-        if profiler is not None:
-            profiler.start("fold")
-        if pending_items[instance]:
-            trackers[instance].execute_batch(
-                pending_items[instance], pending_times[instance]
-            )
-            pending_items[instance].clear()
-            pending_times[instance].clear()
-        messages = trackers[instance].execute(
-            items[j], execution_time, decision.sync_request
-        )
-        window_left[instance] = trackers[instance].window_remaining
-        if profiler is not None:
-            profiler.stop()
-        for message in messages:
-            delivery = finish + control_lat.sample()
-            heapq.heappush(control_queue, (delivery, state.control_seq, message))
-            state.control_seq += 1
-            state.control_messages += 1
-            state.control_bits += message.size_bits()
-        if decision.sync_request is not None:
-            state.control_messages += 1
-            state.control_bits += decision.sync_request.size_bits()
 
         current_state = policy.state
         if current_state is not previous_state:
@@ -1845,15 +1965,12 @@ def _run_posg(
 
     # Fold the tail batches so the trackers' state (C_op, counters) ends
     # exactly where the per-tuple engine would leave it.
-    for instance in range(k):
-        if pending_items[instance]:
-            if profiler is not None:
-                profiler.start("fold")
-            trackers[instance].execute_batch(
-                pending_items[instance], pending_times[instance]
-            )
-            if profiler is not None:
-                profiler.stop()
+    _flush_pending()
+    slowed_tuples = 0
+    for instance, lo, hi, _ in slowed:
+        slowed_tuples += assignments[lo:hi].count(instance)
+    if slowed_tuples:
+        injector.note_slowed_tuples(slowed_tuples)
 
     # completions[j] = finish - arrival, deferred as one elementwise pass
     # (same IEEE subtraction as the per-tuple form).

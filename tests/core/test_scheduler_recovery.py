@@ -10,6 +10,8 @@ re-baselining arithmetic can be asserted to the last bit.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import POSGConfig, RecoveryConfig
 from repro.core.instance import InstanceTracker
@@ -195,6 +197,87 @@ class TestStalenessWatchdog:
             scheduler.submit(0)
         assert scheduler.state is SchedulerState.RUN
         assert scheduler.watchdog_fallbacks == 0
+
+
+def defence_counters(scheduler):
+    return (
+        scheduler.sync_retransmits,
+        scheduler.sync_rounds_abandoned,
+        scheduler.watchdog_fallbacks,
+    )
+
+
+class TestDefenseDeadline:
+    """``defense_deadline()`` names the exact ``submit`` at which a
+    defence next acts — the contract the simulator's segment router
+    relies on to route whole segments without ticking per tuple."""
+
+    K = 3
+
+    #: one step of a random walk over reachable scheduler states
+    operations = st.one_of(
+        st.tuples(st.just("matrices"), st.integers(0, K - 1)),
+        st.tuples(st.just("reply"), st.integers(0, K - 1)),
+        st.tuples(st.just("replies"), st.just(None)),
+        st.tuples(st.just("submit"), st.integers(1, 12)),
+    )
+
+    @given(
+        st.lists(operations, max_size=40),
+        st.sampled_from([1, 3, 7]),
+        st.sampled_from([0, 1, 3]),
+        st.sampled_from([None, 5, 20]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_defence_acts_at_exactly_the_deadline(
+        self, walk, timeout, retries, staleness
+    ):
+        recovery = RecoveryConfig(
+            sync_timeout=timeout, sync_timeout_max=4 * timeout,
+            sync_max_retries=retries, staleness_limit=staleness,
+        )
+        scheduler, hashes = make_scheduler(k=self.K, recovery=recovery)
+        bootstrap(scheduler, hashes)
+        for operation, argument in walk:
+            if operation == "matrices":
+                send_matrices(scheduler, hashes, argument)
+            elif operation == "reply":
+                scheduler.on_message(
+                    SyncReply(instance=argument, epoch=scheduler.epoch, delta=1.0)
+                )
+            elif operation == "replies":
+                for instance in sorted(scheduler.pending_replies):
+                    scheduler.on_message(
+                        SyncReply(instance=instance, epoch=scheduler.epoch, delta=1.0)
+                    )
+            else:
+                for _ in range(argument):
+                    scheduler.submit(0)
+        # the deadline is defined where the tick runs: past SEND_ALL
+        drain_send_all(scheduler)
+
+        deadline = scheduler.defense_deadline()
+        before = defence_counters(scheduler)
+        if deadline is None:
+            state = scheduler.state
+            for _ in range(50):
+                scheduler.submit(0)
+            assert defence_counters(scheduler) == before
+            assert scheduler.state is state
+            return
+        assert deadline > scheduler.tuples_scheduled
+        while scheduler.tuples_scheduled < deadline - 1:
+            scheduler.submit(0)
+            assert defence_counters(scheduler) == before
+            assert scheduler.defense_deadline() == deadline
+        scheduler.submit(0)
+        assert sum(defence_counters(scheduler)) == sum(before) + 1
+
+    def test_disabled_recovery_has_no_deadline(self):
+        scheduler, hashes = make_scheduler(k=2, recovery=None)
+        bootstrap(scheduler, hashes)
+        assert scheduler.state is SchedulerState.WAIT_ALL
+        assert scheduler.defense_deadline() is None
 
 
 class TestGenerationRebaselining:

@@ -38,6 +38,28 @@ class TestChaosExperiment:
         trace = (tmp_path / "trace.jsonl").read_text()
         assert "fault_" in trace
 
+    def test_prints_engine_records_and_gates_on_the_segment_path(
+        self, monkeypatch, capsys
+    ):
+        assert main(["chaos", "--scale", "0.01"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("'path': 'segment'") == 2
+        assert "engine [chaos]" in out and "'cuts'" in out
+
+        # the reference engine is not a dispatch regression
+        from repro.experiments import chaos
+        from repro.simulator import run as simulator_run
+
+        assert chaos.run(scale=0.01, chunk_size=0) == 0
+        assert "'path': 'reference'" in capsys.readouterr().out
+
+        monkeypatch.setattr(
+            simulator_run, "_choose_loop",
+            lambda *args: ("generic", "forced off the segment path"),
+        )
+        assert main(["chaos", "--scale", "0.01"]) == 1
+        assert "left the segment path" in capsys.readouterr().err
+
     def test_listed_in_cli(self, capsys):
         assert main(["list"]) == 0
         assert "chaos" in capsys.readouterr().out

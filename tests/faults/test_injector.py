@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.matrices import FWPair, make_shared_hashes
 from repro.core.config import POSGConfig
@@ -121,6 +123,50 @@ class TestInstanceFaults:
         )
         injector = FaultInjector(plan)
         assert injector.execution_factor(0, 7.0) == 6.0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.integers(0, 40),
+                st.integers(1, 30),
+                st.sampled_from([0.5, 2.0, 3.0, 0.1]),
+            ),
+            max_size=5,
+        ),
+        st.lists(st.integers(0, 60), min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slowdown_regions_replay_execution_factor(self, windows, clock):
+        """Hoisted index ranges against the per-tuple lookup, on a clock
+        with repeated arrivals and windows that start and end on them."""
+        arrivals = [float(t) for t in sorted(clock)]
+        plan = FaultPlan(
+            slowdowns=[
+                SlowdownFault(instance, float(at), float(span), factor)
+                for instance, at, span, factor in windows
+            ]
+        )
+        hoisted = {}
+        for instance, lo, hi, factor in FaultInjector(plan).slowdown_regions(
+            arrivals
+        ):
+            assert factor != 1.0 and 0 <= lo < hi <= len(arrivals)
+            for j in range(lo, hi):
+                assert (instance, j) not in hoisted, "regions overlap"
+                hoisted[instance, j] = factor
+        per_tuple = FaultInjector(plan)
+        for instance in range(3):
+            for j, now in enumerate(arrivals):
+                assert hoisted.get((instance, j), 1.0) == (
+                    per_tuple.execution_factor(instance, now)
+                )
+        assert per_tuple.report()["injected"]["slowed_tuples"] == len(hoisted)
+
+    def test_noted_slowed_tuples_land_in_the_report(self):
+        injector = FaultInjector(FaultPlan())
+        injector.note_slowed_tuples(7)
+        assert injector.report()["injected"]["slowed_tuples"] == 7
 
     def test_crash_bookkeeping(self):
         injector = FaultInjector(FaultPlan())

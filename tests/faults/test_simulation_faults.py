@@ -2,10 +2,14 @@
 
 The contract under test:
 
-- an *inactive* plan leaves both engines bit-identical to a run with no
-  plan at all;
+- an *inactive* plan — empty, or scripting only process-level worker
+  faults, which mean nothing to the sequential engines — leaves both
+  engines bit-identical to a run with no plan at all, on the same loop;
 - a *faulted* run is bit-identical across the per-tuple and chunked
-  engines (the injector is consulted at the same per-tuple points);
+  engines: the chunked engine routes it in segments that stop at every
+  point where the injector or a recovery defence acts, so the injector
+  draws in the same order (the generated cases live in
+  ``tests/simulator/test_segment_router_equivalence.py``);
 - the acceptance scenario — 10% control-plane loss plus one mid-run
   crash — never strands the recovery-enabled scheduler in WAIT_ALL: it
   re-enters RUN after the crash.
@@ -19,7 +23,13 @@ import pytest
 from repro.core.config import POSGConfig, RecoveryConfig
 from repro.core.grouping import POSGGrouping
 from repro.core.scheduler import SchedulerState
-from repro.faults import CrashFault, FaultInjector, FaultPlan, MessageFaults
+from repro.faults import (
+    CrashFault,
+    FaultInjector,
+    FaultPlan,
+    MessageFaults,
+    WorkerFault,
+)
 from repro.simulator.run import simulate_stream
 from repro.workloads.distributions import ZipfItems
 from repro.workloads.synthetic import StreamSpec, generate_stream
@@ -85,6 +95,19 @@ class TestDisabledPlanIdentity:
         planned, _ = run(config, faults=FaultPlan(), chunk_size=chunk_size)
         assert_identical(bare, planned)
         assert planned.faults is None
+
+    @pytest.mark.parametrize("chunk_size", [0, 2048])
+    def test_worker_faults_alone_do_not_change_the_path(self, chunk_size):
+        config = POSGConfig(window_size=64, rows=2, cols=16)
+        plan = FaultPlan(worker_faults=(WorkerFault(worker=0, segment=1),))
+        assert plan.active and not plan.control_active
+        bare, _ = run(config, faults=None, chunk_size=chunk_size)
+        planned, _ = run(config, faults=plan, chunk_size=chunk_size)
+        assert_identical(bare, planned)
+        assert planned.engine == bare.engine
+        assert planned.engine["path"] == ("segment" if chunk_size else "reference")
+        # the plan still travels with the result, for the report
+        assert planned.faults.plan is plan
 
     def test_recovery_without_faults_is_cross_engine_identical(self):
         config = recovery_config()
@@ -162,6 +185,18 @@ class TestAcceptanceScenario:
         assert sum(injected["dropped"].values()) > 0
         assert injected["crashes"] == 1
         assert injected["restarts"] == 1
+        # the whole scenario rode the segment router: the crash and every
+        # defence that acted each ended exactly one segment
+        engine = result.engine
+        assert engine["path"] == "segment"
+        assert engine["cuts"]["crash"] == 1
+        acted = (
+            scheduler.sync_retransmits
+            + scheduler.sync_rounds_abandoned
+            + scheduler.watchdog_fallbacks
+        )
+        assert acted > 0 and engine["cuts"]["defence"] == acted
+        assert engine["fallback_tuples"] < M // 10
 
     def test_degradation_is_reported_against_fault_free(self):
         config = recovery_config()

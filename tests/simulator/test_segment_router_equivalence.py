@@ -2,19 +2,23 @@
 
 Every POSG-family policy — ``POSGGrouping``, its subclasses, and
 ``MultiSourcePOSGGrouping`` at any shard count, coordinated or not, with
-any observer attached — runs through one segment router in the chunked
+any observer attached, under any ``FaultPlan`` and with or without
+``RecoveryConfig`` — runs through one segment router in the chunked
 engine.  This file pins that router three ways:
 
 - a generated differential test (chunked vs ``chunk_size=0``) over shard
   count, instance count, chunk size, window size, coordination flags,
-  per-instance data latencies, queue sampling and observers;
-- named regressions for the two configurations the generator reaches
-  rarely: a segment whose shards mix ROUND_ROBIN and greedy modes, and a
+  per-instance data latencies, queue sampling, observers, fault plans
+  (message faults per channel and per source, crashes, overlapping
+  slow-node windows) and recovery thresholds small enough that every
+  defence fires inside the stream;
+- named regressions for the configurations the generator reaches
+  rarely: a segment whose shards mix ROUND_ROBIN and greedy modes, a
   window close that cuts a segment mid-interleave right before a
-  SEND_ALL stretch;
+  SEND_ALL stretch, and the fault/defence horizons at their edges;
 - the ``SimulationResult.engine`` record, so a change that pushes
-  sharded, coordinated or observed runs back to the per-tuple loop
-  fails here instead of only getting slower.
+  sharded, coordinated, observed, faulted or defended runs back to the
+  per-tuple loop fails here instead of only getting slower.
 """
 
 import dataclasses
@@ -33,7 +37,7 @@ from repro.core.grouping import (
 )
 from repro.core.messages import MatricesMessage
 from repro.core.multisource import MultiSourcePOSGGrouping
-from repro.faults.plan import FaultPlan, MessageFaults
+from repro.faults.plan import CrashFault, FaultPlan, MessageFaults, SlowdownFault
 from repro.simulator.network import UniformLatency
 from repro.simulator.run import simulate_stream
 from repro.telemetry.audit import AuditConfig
@@ -44,7 +48,7 @@ from repro.workloads.synthetic import default_stream
 
 ENGINE_KEYS = {
     "path", "reason", "segments", "truncated_segments", "fallback_tuples",
-    "estimate_gathers",
+    "estimate_gathers", "cuts",
 }
 
 
@@ -95,6 +99,26 @@ def assert_same_run(reference, chunked):
     if reference.lineage is not None:
         assert reference.lineage.timelines() == chunked.lineage.timelines()
         assert reference.lineage.report() == chunked.lineage.report()
+    crashes = 0
+    if reference.faults is not None:
+        assert reference.faults.report() == chunked.faults.report()
+        crashes = chunked.faults.report()["injected"]["crashes"]
+    # every segment that stopped short of its window names one cause
+    # (a defence cut can outnumber the defences that acted: a delivery
+    # landing on the deadline tuple is drained first and may disarm it)
+    engine = chunked.engine
+    cuts = engine["cuts"]
+    assert sum(cuts.values()) == engine["truncated_segments"]
+    assert cuts["crash"] <= crashes
+
+
+def defence_actions(policy):
+    stats = policy.stats()
+    return (
+        stats["sync_retransmits"]
+        + stats["sync_rounds_abandoned"]
+        + stats["watchdog_fallbacks"]
+    )
 
 
 def run_pair(make_policy, stream, k, chunk_size, recorded=False, **keywords):
@@ -119,6 +143,96 @@ def run_pair(make_policy, stream, k, chunk_size, recorded=False, **keywords):
         assert ours.registry.snapshot() == theirs.registry.snapshot()
         assert ours.tracer.events() == theirs.tracer.events()
     return results
+
+
+@st.composite
+def message_faults(draw):
+    return MessageFaults(
+        drop=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        duplicate=draw(st.sampled_from([0.0, 0.3])),
+        delay=draw(st.sampled_from([0.0, 0.3])),
+        delay_ms=draw(st.sampled_from([2.0, 40.0])),
+        reorder=draw(st.sampled_from([0.0, 0.5])),
+        reorder_ms=draw(st.sampled_from([1.0, 30.0])),
+    )
+
+
+@st.composite
+def fault_scripts(draw, sources, k):
+    """A ``FaultPlan`` minus its clock: crash and slow-node times are
+    fractions of the stream, resolved by :func:`fault_plan`."""
+    fraction = st.floats(min_value=0.0, max_value=1.0)
+    shards = st.integers(min_value=0, max_value=sources - 1)
+    overrides = st.dictionaries(shards, message_faults(), max_size=2)
+    instance = st.integers(min_value=0, max_value=k - 1)
+    return {
+        "channels": {
+            "matrices": draw(message_faults()),
+            "sync_requests": draw(message_faults()),
+            "sync_replies": draw(message_faults()),
+            "source_sync_requests": draw(overrides) if sources > 1 else {},
+            "source_sync_replies": draw(overrides) if sources > 1 else {},
+            "seed": draw(st.integers(min_value=0, max_value=3)),
+        },
+        "crashes": draw(
+            st.lists(
+                st.tuples(
+                    instance, fraction, st.sampled_from([0.0, 0.5]),
+                    st.sampled_from([0.0, 5.0, 200.0]),
+                ),
+                max_size=3,
+            )
+        ),
+        "slowdowns": draw(
+            st.lists(
+                st.tuples(
+                    instance, fraction, st.sampled_from([0.0, 0.5]),
+                    st.floats(min_value=0.01, max_value=0.6),
+                    # 2.0 over 0.5 compounds to exactly 1.0
+                    st.sampled_from([0.5, 2.0, 3.0]),
+                ),
+                max_size=2,
+            )
+        ),
+    }
+
+
+def fault_plan(script, stream):
+    """Resolve a drawn script against the stream's arrival clock: an
+    ``offset`` of 0.0 puts the event exactly on an arrival."""
+    arrivals = stream.arrivals
+    gap = float(arrivals[-1] - arrivals[0]) / stream.m
+
+    def clock(position, offset):
+        return float(arrivals[int(position * (stream.m - 1))]) + offset * gap
+
+    return FaultPlan(
+        crashes=[
+            CrashFault(instance, clock(position, offset), outage)
+            for instance, position, offset, outage in script["crashes"]
+        ],
+        slowdowns=[
+            SlowdownFault(
+                instance, clock(position, offset),
+                span * float(arrivals[-1] - arrivals[0]) + gap, factor,
+            )
+            for instance, position, offset, span, factor in script["slowdowns"]
+        ],
+        **script["channels"],
+    )
+
+
+@st.composite
+def recovery_configs(draw):
+    timeout = draw(st.sampled_from([1, 3, 16, 64]))
+    return RecoveryConfig(
+        sync_timeout=timeout,
+        sync_backoff=draw(st.sampled_from([1.0, 2.0])),
+        sync_timeout_max=timeout * 4,
+        sync_max_retries=draw(st.sampled_from([0, 1, 3])),
+        staleness_limit=draw(st.sampled_from([None, 40, 300])),
+        rebroadcast_windows=draw(st.sampled_from([None, 1, 3])),
+    )
 
 
 @st.composite
@@ -170,6 +284,8 @@ def configurations(draw):
         "over_provisioning": draw(st.sampled_from([0.8, 1.0, 2.0])),
         "recorded": draw(st.booleans()),
         "observers": observers,
+        "faults": draw(st.none() | fault_scripts(sources, k)),
+        "recovery": draw(st.none() | recovery_configs()),
     }
 
 
@@ -183,8 +299,10 @@ class TestGeneratedDifferential:
             over_provisioning=drawn["over_provisioning"],
         )
         config = small_config(
-            drawn["window_size"], drawn["coordination"], mu=drawn["mu"]
+            drawn["window_size"], drawn["coordination"], mu=drawn["mu"],
+            recovery=drawn["recovery"],
         )
+        faults = drawn["faults"]
         reference, chunked = run_pair(
             lambda recorder: MultiSourcePOSGGrouping(
                 drawn["sources"], config, telemetry=recorder
@@ -193,6 +311,7 @@ class TestGeneratedDifferential:
             data_latency=drawn["data_latency"],
             control_latency=drawn["control_latency"],
             sample_queues_every=drawn["sample_queues_every"],
+            faults=None if faults is None else fault_plan(faults, stream),
             **drawn["observers"],
         )
         assert chunked.engine["path"] == "segment"
@@ -294,6 +413,134 @@ class TestNamedRegressions:
         ]
         assert witnesses, "no window close cut a segment off the shard grid"
         assert chunked.engine["fallback_tuples"] >= sources * k
+
+
+class TestFaultAndDefenceHorizons:
+    """The fault and defence horizons at their edges (s = 1 unless said)."""
+
+    K = 5
+
+    def pair(self, config, plan, chunk_size, sources=1, m=6_000, **keywords):
+        stream = default_stream(seed=0, m=m, n=128, k=self.K)
+        if callable(plan):
+            plan = plan(stream)
+        reference, chunked = run_pair(
+            lambda recorder: MultiSourcePOSGGrouping(
+                sources, config, telemetry=recorder
+            ),
+            stream, self.K, chunk_size, recorded=True, faults=plan, **keywords,
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
+        return chunked
+
+    def test_crash_mid_window_with_a_pending_batch_on_the_crashed_instance(self):
+        window_size = 64
+        config = small_config(window_size)
+        chunked = self.pair(
+            config,
+            lambda stream: FaultPlan(
+                crashes=[CrashFault(2, float(stream.arrivals[3_333]), 20.0)]
+            ),
+            chunk_size=2_048,
+        )
+        assert chunked.engine["cuts"]["crash"] == 1
+        # run_pair compared the traces, so the restart event's lifetime
+        # count proves the batch landed before the tracker was wiped
+        tracker = chunked.policy.tracker(2)
+        assert tracker.restarts == 1
+        executed_at_crash = int(np.sum(chunked.stats.assignments[:3_333] == 2))
+        assert executed_at_crash % window_size != 0
+        assert tracker.tuples_executed == int(
+            np.sum(chunked.stats.assignments == 2)
+        )
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["edge", "last", "inside"])
+    def test_defence_deadline_on_a_window_edge_and_on_a_last_index(self, offset):
+        # Every reply is lost, so each round times out ``timeout`` tuples
+        # after its SEND_ALL stretch, which is also where the next
+        # chunk_size window opens: with chunk_size = timeout - 1 the
+        # deadline tuple is the first past the window, with timeout the
+        # window's last index, with timeout + 1 one short of it.
+        timeout = 32
+        config = small_config(
+            64,
+            recovery=RecoveryConfig(
+                sync_timeout=timeout, sync_backoff=1.0, sync_timeout_max=timeout,
+                sync_max_retries=2, staleness_limit=None,
+            ),
+        )
+        chunked = self.pair(
+            config, FaultPlan(sync_replies=MessageFaults(drop=1.0)),
+            chunk_size=timeout + offset,
+        )
+        actions = defence_actions(chunked.policy)
+        cuts = chunked.engine["cuts"]["defence"]
+        assert actions > 10
+        # a deadline tuple that opens a window cut no segment short
+        assert cuts == (0 if offset < 0 else actions)
+
+    def test_one_shard_retransmits_while_its_sibling_runs(self):
+        config = small_config(
+            256,
+            recovery=RecoveryConfig(
+                sync_timeout=100, sync_max_retries=8, staleness_limit=None
+            ),
+        )
+        chunked = self.pair(
+            config,
+            FaultPlan(source_sync_replies={0: MessageFaults(drop=1.0)}),
+            chunk_size=512, sources=2, m=12_000,
+        )
+        starved, served = chunked.policy.schedulers
+        assert starved.sync_retransmits > 5 and starved.sync_rounds_completed == 0
+        assert served.sync_rounds_completed > 3
+        # what shard 1 was doing each time shard 0 re-entered SEND_ALL
+        # (run_pair compared the two engines' traces already)
+        sibling_state, seen = "round_robin", set()
+        for event in chunked.policy.telemetry.tracer.events():
+            if event["kind"] == "scheduler_state" and event["scheduler"] == 1:
+                sibling_state = event["to"]
+            elif event["kind"] == "sync_retransmit" and event["scheduler"] == 0:
+                seen.add(sibling_state)
+        assert "run" in seen
+
+    def test_duplicated_reply_overtaking_the_original(self):
+        config = small_config(64, recovery=RecoveryConfig(sync_timeout=512))
+        chunked = self.pair(
+            config,
+            FaultPlan(
+                sync_replies=MessageFaults(
+                    duplicate=1.0, reorder=1.0, reorder_ms=60.0
+                ),
+                seed=2,
+            ),
+            chunk_size=512,
+        )
+        injected = chunked.faults.report()["injected"]
+        scheduler = chunked.policy.scheduler
+        assert injected["duplicated"]["sync_reply"] > 20
+        assert injected["reordered"]["sync_reply"] > 20
+        # whichever copy lands second is dropped as stale
+        assert scheduler.stale_replies_dropped >= scheduler.deltas_folded > 0
+
+    def test_watchdog_fallback_mid_window_regathers_the_block(self):
+        # instance 2 goes silent behind a long outage, so the watchdog
+        # drops its matrices in the middle of a 4096-tuple window
+        config = small_config(
+            32, recovery=RecoveryConfig(sync_timeout=4_096, staleness_limit=700)
+        )
+        chunked = self.pair(
+            config,
+            lambda stream: FaultPlan(
+                crashes=[CrashFault(2, float(stream.arrivals[3_000]), 4_000.0)]
+            ),
+            chunk_size=4_096,
+        )
+        scheduler = chunked.policy.scheduler
+        assert scheduler.watchdog_fallbacks >= 1
+        assert chunked.engine["cuts"]["defence"] >= 1
+        assert 2 * 6_000 // 4_096 < chunked.engine["estimate_gathers"]
 
 
 class TestSingleSourceTakesTheSamePath:
@@ -408,12 +655,12 @@ class TestEngineRecord:
             (
                 lambda: POSGGrouping(small_config(64)),
                 {"faults": FaultPlan(seed=3, matrices=MessageFaults(drop=0.1))},
-                "fault",
+                None,
             ),
             (
                 lambda: POSGGrouping(small_config(64, recovery=RecoveryConfig())),
                 {},
-                "recovery",
+                None,
             ),
             (
                 lambda: POSGGrouping(
@@ -437,10 +684,17 @@ class TestEngineRecord:
     def test_per_tuple_features_stay_generic_and_say_why(
         self, make_policy, keywords, needle
     ):
+        """Hints and random data latency interpose per tuple; a fault
+        plan and armed defences (``needle is None``) are segment horizons."""
         engine = self.run(make_policy(), **keywords).engine
-        assert engine["path"] == "generic"
-        assert needle in engine["reason"]
-        assert engine["segments"] == engine["estimate_gathers"] == 0
+        if needle is None:
+            assert engine["path"] == "segment" and engine["reason"] is None
+            assert engine["segments"] > 0
+        else:
+            assert engine["path"] == "generic"
+            assert needle in engine["reason"]
+            assert engine["segments"] == engine["estimate_gathers"] == 0
+            assert not any(engine["cuts"].values())
 
     def test_other_loops_name_themselves(self):
         assert self.run(RoundRobinGrouping()).engine["path"] == "round_robin"
