@@ -162,6 +162,9 @@ class POSGScheduler:
         # else: estimate columns gathered under one stamp stay valid
         # until it moves, whatever else the control plane delivers.
         self._matrices_version = 0
+        # Per-tuple estimates repeat (a skewed stream routes the same hot
+        # items between two deliveries): memoised until the matrices move.
+        self._estimate_memo: dict[int, float] = {}
         self._estimate_gathers = 0
         self._rr_counter = 0
         self._epoch = 0
@@ -284,7 +287,7 @@ class POSGScheduler:
         # charges every assignment its instance's delivery latency, so
         # distant instances receive a proportionally smaller share.
         if self._latency_hints is None:
-            instance = int(np.argmin(self._c_hat))
+            instance = int(self._c_hat.argmin())
             estimate = self.estimate(item, instance)
             if self._two_choices and self._k > 1:
                 # Deterministic power-of-two-choices probe: compare the
@@ -442,8 +445,7 @@ class POSGScheduler:
         """Drop silent instances' matrices and re-bootstrap (Figure 3.B)."""
         for instance in stale:
             self._matrices.pop(instance, None)
-        self._pairs = tuple(self._matrices.values())
-        self._matrices_version += 1
+        self._matrices_changed()
         self._pending_replies = set()
         self._pending_deltas = {}
         self._resend_targets = None
@@ -575,10 +577,20 @@ class POSGScheduler:
         over every instance's matrices instead (see
         :class:`~repro.core.config.POSGConfig`).
         """
-        if self._config.pooled_estimates and self._pairs:
-            return sum(pair.estimate(item) for pair in self._pairs) / len(self._pairs)
-        pair = self._matrices.get(instance)
-        return pair.estimate(item) if pair is not None else 0.0
+        memo = self._estimate_memo
+        pooled = self._config.pooled_estimates and self._pairs
+        key = item if pooled else item * self._k + instance
+        estimate = memo.get(key)
+        if estimate is None:
+            if pooled:
+                estimate = sum(
+                    pair.estimate(item) for pair in self._pairs
+                ) / len(self._pairs)
+            else:
+                pair = self._matrices.get(instance)
+                estimate = pair.estimate(item) if pair is not None else 0.0
+            memo[key] = estimate
+        return estimate
 
     def row_estimates(
         self, item: int, instance: int
@@ -606,6 +618,13 @@ class POSGScheduler:
         else:
             raise TypeError(f"unexpected control message: {message!r}")
 
+    def _matrices_changed(self) -> None:
+        """Every write to ``_matrices`` ends here: whatever was derived
+        from the old ones (gathered columns, memoised estimates) is void."""
+        self._pairs = tuple(self._matrices.values())
+        self._matrices_version += 1
+        self._estimate_memo.clear()
+
     def _on_matrices(self, message: MatricesMessage) -> None:
         if not 0 <= message.instance < self._k:
             raise ValueError(f"matrices from unknown instance {message.instance}")
@@ -627,8 +646,7 @@ class POSGScheduler:
             stored.work.merge(message.matrices.work)
         else:
             self._matrices[message.instance] = message.matrices
-        self._pairs = tuple(self._matrices.values())
-        self._matrices_version += 1
+        self._matrices_changed()
         self._matrices_received += 1
         self._last_matrices_at[message.instance] = self._tuples_scheduled
         self._control_bits_received += message.size_bits()

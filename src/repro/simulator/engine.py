@@ -10,6 +10,7 @@ engine is single-threaded, so simulations are exactly reproducible.
 from __future__ import annotations
 
 from collections.abc import Callable
+from heapq import heappop
 
 from repro.simulator.events import Event, EventQueue
 
@@ -37,22 +38,22 @@ class Simulation:
     # scheduling
     # ------------------------------------------------------------------
     def at(
-        self, time: float, action: Callable[[], None], priority: int = 0
+        self, time: float, fn: Callable[..., None], *args, priority: int = 0
     ) -> Event:
-        """Schedule ``action`` at absolute virtual time ``time``."""
+        """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
         if time < self._now:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self._now}"
             )
-        return self._queue.push(time, action, priority)
+        return self._queue.push(time, fn, args, priority)
 
     def after(
-        self, delay: float, action: Callable[[], None], priority: int = 0
+        self, delay: float, fn: Callable[..., None], *args, priority: int = 0
     ) -> Event:
-        """Schedule ``action`` ``delay`` time units from now."""
+        """Schedule ``fn(*args)`` ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        return self._queue.push(self._now + delay, action, priority)
+        return self._queue.push(self._now + delay, fn, args, priority)
 
     # ------------------------------------------------------------------
     # execution
@@ -74,20 +75,22 @@ class Simulation:
             raise RuntimeError("simulation is already running (re-entrant run)")
         self._running = True
         try:
+            heap = self._queue._heap
             processed = 0
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
+            while heap:
+                event = heap[0]
+                fn = event[3]
+                if fn is None:  # cancelled
+                    heappop(heap)
+                    continue
+                if until is not None and event[0] > until:
                     self._now = until
                     break
                 if max_events is not None and processed >= max_events:
                     break
-                event = self._queue.pop()
-                assert event is not None
-                self._now = event.time
-                event.action()
+                heappop(heap)
+                self._now = event[0]
+                fn(*event[4])
                 self._events_processed += 1
                 processed += 1
             return self._now

@@ -10,26 +10,35 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+
+_INF = float("inf")
 
 
-@dataclass(order=True)
-class Event:
-    """One scheduled callback.
+class Event(list):
+    """One scheduled callback: ``[time, priority, sequence, fn, args]``.
 
-    ``action`` is excluded from ordering; comparisons use only
-    ``(time, priority, sequence)``.
+    A list, so the heap compares entries element by element in C; the
+    unique ``sequence`` settles every comparison before it could reach
+    ``fn``.  Cancelling clears ``fn`` in place.
     """
 
-    time: float
-    priority: int
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ()
+
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[3] is None
 
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be skipped when popped."""
-        self.cancelled = True
+        self[3] = None
+
+    def action(self) -> None:
+        """Call ``fn(*args)``."""
+        self[3](*self[4])
 
 
 class EventQueue:
@@ -40,36 +49,33 @@ class EventQueue:
         self._counter = itertools.count()
 
     def push(
-        self, time: float, action: Callable[[], None], priority: int = 0
+        self, time: float, fn: Callable[..., None], args: tuple = (), priority: int = 0
     ) -> Event:
-        """Schedule ``action`` at ``time``; returns the (cancellable) event."""
-        if time != time or time == float("inf"):  # NaN or infinite
+        """Schedule ``fn(*args)`` at ``time``; returns the (cancellable) event."""
+        if not time < _INF:  # NaN or infinite
             raise ValueError(f"event time must be finite, got {time}")
-        event = Event(
-            time=time,
-            priority=priority,
-            sequence=next(self._counter),
-            action=action,
-        )
+        event = Event((time, priority, next(self._counter), fn, args))
         heapq.heappush(self._heap, event)
         return event
 
     def pop(self) -> Event | None:
         """Remove and return the earliest live event, or ``None`` if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)
+            if event[3] is not None:
                 return event
         return None
 
     def peek_time(self) -> float | None:
         """Timestamp of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3] is None:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for event in self._heap if event[3] is not None)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None

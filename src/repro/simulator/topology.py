@@ -74,7 +74,7 @@ class _InstanceProcess:
         self.busy = True
         sim = self.topology.sim
         execution_time = self.topology.execution_time(tup.index, tup.item, self.instance_id)
-        sim.after(execution_time, lambda: self._finish(tup, execution_time))
+        sim.after(execution_time, self._finish, tup, execution_time)
 
     def _finish(self, tup: _InFlightTuple, execution_time: float) -> None:
         sim = self.topology.sim
@@ -148,12 +148,8 @@ class StageTopology:
         self._control_bits += message.size_bits()
         delay = self._control_latency.sample()
         self.sim.after(
-            delay, lambda: self._deliver_control(message), priority=PRIORITY_CONTROL
+            delay, self.policy.on_control, message, priority=PRIORITY_CONTROL
         )
-
-    def _deliver_control(self, message) -> None:
-        assert self.policy is not None
-        self.policy.on_control(message)
 
     # ------------------------------------------------------------------
     # the scheduler process
@@ -178,10 +174,10 @@ class StageTopology:
             emitted_at=self.sim.now,
             sync_request=decision.sync_request,
         )
-        instance = self._instances[decision.instance]
         self.sim.after(
             self._data_latency[decision.instance].sample(),
-            lambda: instance.on_tuple(tup),
+            self._instances[decision.instance].on_tuple,
+            tup,
             priority=PRIORITY_DATA,
         )
 
@@ -220,9 +216,7 @@ class StageTopology:
         for index in range(m):
             arrival = float(stream.arrivals[index])
             self.sim.at(
-                arrival,
-                (lambda idx: lambda: self._on_source_tuple(idx))(index),
-                priority=PRIORITY_DATA,
+                arrival, self._on_source_tuple, index, priority=PRIORITY_DATA
             )
         self.sim.run()
         if self._completed != m:  # pragma: no cover - invariant guard

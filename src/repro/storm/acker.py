@@ -15,26 +15,35 @@ exceeds the timeout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+#: ack ids drawn from the generator per call (see ``fresh_ack_id``)
+_ACK_ID_BLOCK = 1024
 
-@dataclass
+
 class _PendingTree:
     """Book-keeping for one in-flight spout tuple."""
 
-    msg_id: Any
-    emitted_at: float
-    checksum: int
-    #: edges created but whose ack hasn't arrived; checksum==0 AND no
-    #: outstanding edges means complete
-    outstanding: int
+    __slots__ = ("emitted_at", "checksum", "outstanding")
+
+    def __init__(self, emitted_at: float, checksum: int) -> None:
+        self.emitted_at = emitted_at
+        self.checksum = checksum
+        #: edges created but whose ack hasn't arrived; checksum==0 AND no
+        #: outstanding edges means complete
+        self.outstanding = 1
 
 
 class AckTracker:
-    """Tracks in-flight tuple trees for one topology."""
+    """Tracks in-flight tuple trees for one topology.
+
+    The tracker owns ``rng`` from construction on: it draws ack ids ahead
+    of use, a block at a time, so a generator shared with another consumer
+    would hand that consumer different values than scalar draws did.  Share
+    a seed, not a generator, when other draws must be reproducible too.
+    """
 
     def __init__(
         self,
@@ -45,7 +54,11 @@ class AckTracker:
             raise ValueError(f"message_timeout must be > 0, got {message_timeout}")
         self._timeout = message_timeout
         self._rng = rng if rng is not None else np.random.default_rng()
+        #: drawn-ahead ids, reversed so ``pop()`` serves them in draw order
+        self._ack_ids: list[int] = []
+        #: insertion-ordered, so ``emitted_at`` never decreases along it
         self._pending: dict[Any, _PendingTree] = {}
+        self._last_emit = float("-inf")
         self._acked = 0
         self._failed = 0
         self._timed_out = 0
@@ -58,17 +71,29 @@ class AckTracker:
 
         The draw covers the full non-zero 64-bit range; zero (the XOR
         identity, which could complete a tree early) is excluded by the
-        lower bound, so no rejection loop is needed.
+        lower bound, so no rejection loop is needed.  Ids come from
+        blocks of ``_ACK_ID_BLOCK``: for 64-bit bounded integers numpy
+        consumes the bit stream one value at a time, so a block holds
+        exactly the values that many scalar draws would have returned.
         """
-        return int(self._rng.integers(1, 1 << 64, dtype=np.uint64))
+        ids = self._ack_ids
+        if not ids:
+            ids = self._ack_ids = self._rng.integers(
+                1, 1 << 64, size=_ACK_ID_BLOCK, dtype=np.uint64
+            ).tolist()
+            ids.reverse()
+        return ids.pop()
 
     def register_root(self, msg_id: Any, ack_id: int, now: float) -> None:
-        """A spout emitted an anchored tuple."""
+        """A spout emitted an anchored tuple at ``now`` (never decreasing)."""
         if msg_id in self._pending:
             raise ValueError(f"message id {msg_id!r} already pending")
-        self._pending[msg_id] = _PendingTree(
-            msg_id=msg_id, emitted_at=now, checksum=ack_id, outstanding=1
-        )
+        if now < self._last_emit:
+            raise ValueError(
+                f"emission time went backwards: {now} < {self._last_emit}"
+            )
+        self._last_emit = now
+        self._pending[msg_id] = _PendingTree(now, ack_id)
 
     def register_edge(self, msg_id: Any, ack_id: int) -> None:
         """A bolt emitted an anchored descendant tuple."""
@@ -100,12 +125,16 @@ class AckTracker:
         return False
 
     def expire(self, now: float) -> list[Any]:
-        """Fail every tree older than the timeout; returns their ids."""
-        expired = [
-            msg_id
-            for msg_id, tree in self._pending.items()
-            if now - tree.emitted_at >= self._timeout
-        ]
+        """Fail every tree older than the timeout; returns their ids.
+
+        Trees sit in emission order, so the scan stops at the first one
+        still young enough.
+        """
+        expired = []
+        for msg_id, tree in self._pending.items():
+            if now - tree.emitted_at < self._timeout:
+                break
+            expired.append(msg_id)
         for msg_id in expired:
             del self._pending[msg_id]
             self._timed_out += 1
@@ -113,10 +142,9 @@ class AckTracker:
 
     def next_expiry(self) -> float | None:
         """Earliest instant at which a pending tree can time out."""
-        if not self._pending:
-            return None
-        oldest = min(tree.emitted_at for tree in self._pending.values())
-        return oldest + self._timeout
+        for tree in self._pending.values():
+            return tree.emitted_at + self._timeout
+        return None
 
     # ------------------------------------------------------------------
     # introspection

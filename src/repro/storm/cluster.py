@@ -75,8 +75,10 @@ class LocalCluster:
         Optional :class:`~repro.telemetry.recorder.TelemetryRecorder`.
     rng:
         Generator for the cluster's randomness (ack-id draws).  Falls
-        back to ``default_rng(config.seed)``, so either a shared
-        generator or a config seed makes runs reproducible end to end.
+        back to ``default_rng(config.seed)``, so either a generator or a
+        config seed makes runs reproducible end to end.  The acker draws
+        ids ahead of use and so owns the generator from here on: do not
+        share it with another consumer.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` (or pre-built
         injector).  Scripted crashes/slowdowns target ``fault_bolt``;
@@ -122,7 +124,12 @@ class LocalCluster:
         self._fault_bolt = fault_bolt
         self._topology: Topology | None = None
         self._spout_executors: list[SpoutExecutor] = []
+        #: spout name -> its executors, by task index
+        self._spout_tasks: dict[str, list[SpoutExecutor]] = {}
         self._bolt_executors: dict[str, list[BoltExecutor]] = {}
+        #: source component -> its subscribers, each
+        #: ``(bolt_spec, grouping, executors)``
+        self._routes: dict[str, list[tuple]] = {}
         #: groupings wanting execution reports, per bolt name
         self._reporting_groupings: dict[str, list[CustomStreamGrouping]] = {}
         self._msg_roots: dict[Any, SpoutExecutor] = {}
@@ -162,12 +169,19 @@ class LocalCluster:
                         bolt_spec.name, []
                     ).append(grouping)
 
+        for spec in (*topology.spouts.values(), *topology.bolts.values()):
+            self._routes[spec.name] = [
+                (bolt_spec, grouping, self._bolt_executors[bolt_spec.name])
+                for bolt_spec, grouping in topology.downstream_of(spec.name)
+            ]
+
         for spout_spec in topology.spouts.values():
             for index in range(spout_spec.parallelism):
                 executor = SpoutExecutor(
                     self, spout_spec, index, spout_spec.factory()
                 )
                 self._spout_executors.append(executor)
+                self._spout_tasks.setdefault(spout_spec.name, []).append(executor)
                 executor.open()
 
         if self._injector is not None:
@@ -198,9 +212,7 @@ class LocalCluster:
             for executor in executors:
                 executor.fault_injector = injector
         for crash in injector.crashes:
-            self.sim.after(
-                crash.at_ms, (lambda c: lambda: self._fire_crash(c))(crash)
-            )
+            self.sim.after(crash.at_ms, self._fire_crash, crash)
 
     def _fire_crash(self, crash: CrashFault) -> None:
         """Crash one bolt task: fail its tuples, notify groupings."""
@@ -216,10 +228,7 @@ class LocalCluster:
             if isinstance(grouping, CustomStreamGrouping):
                 grouping.on_instance_crash(crash.instance)
         self.sim.after(
-            crash.outage_ms,
-            (lambda ex, i: lambda: self._finish_restart(ex, i))(
-                executor, crash.instance
-            ),
+            crash.outage_ms, self._finish_restart, executor, crash.instance
         )
 
     def _finish_restart(self, executor: BoltExecutor, instance: int) -> None:
@@ -255,33 +264,24 @@ class LocalCluster:
         self, spec: SpoutSpec, task_index: int, values: Values, msg_id: Any
     ) -> None:
         """Route one spout emission to every subscriber."""
-        assert self._topology is not None
-        root_id = None
-        if msg_id is not None:
-            root_ack = self.acker.fresh_ack_id()
-            self.acker.register_root(msg_id, root_ack, self.sim.now)
-            self._msg_roots[msg_id] = self._find_spout_executor(spec, task_index)
-            self.metrics.record_emit()
-            self._ensure_sweep()
-            root_id = msg_id
-            # the root edge is acked once the first hop's edges exist; we
-            # model the spout's own edge as immediately acked after fan-out
-        proto = StormTuple(
-            values=values,
-            fields=spec.output_fields,
-            source_component=spec.name,
-            source_task=task_index,
-            root_id=root_id,
-        )
-        self._route(proto)
-        if msg_id is not None:
-            # complete the root edge (the fan-out registered child edges)
-            result = self.acker.ack(msg_id, root_ack)
-            if result is not None:
-                # degenerate: no subscriber -> the tree completes instantly
-                _, emitted_at = result
-                self.metrics.record_completion(msg_id, self.sim.now - emitted_at)
-                self._notify_spout(msg_id, failed=False)
+        if msg_id is None:
+            self._route(spec, task_index, values, None)
+            return
+        root_ack = self.acker.fresh_ack_id()
+        self.acker.register_root(msg_id, root_ack, self.sim.now)
+        self._msg_roots[msg_id] = self._spout_tasks[spec.name][task_index]
+        self.metrics.record_emit()
+        self._ensure_sweep()
+        # the root edge is acked once the first hop's edges exist; we
+        # model the spout's own edge as immediately acked after fan-out
+        self._route(spec, task_index, values, msg_id)
+        # complete the root edge (the fan-out registered child edges)
+        result = self.acker.ack(msg_id, root_ack)
+        if result is not None:
+            # degenerate: no subscriber -> the tree completes instantly
+            _, emitted_at = result
+            self.metrics.record_completion(msg_id, self.sim.now - emitted_at)
+            self._notify_spout(msg_id, failed=False)
 
     def bolt_emit(
         self,
@@ -296,58 +296,57 @@ class LocalCluster:
             if anchor.root_id is not None:
                 root_id = anchor.root_id  # single-root model (see DESIGN.md)
                 break
-        proto = StormTuple(
-            values=values,
-            fields=spec.output_fields,
-            source_component=spec.name,
-            source_task=task_index,
-            root_id=root_id,
-        )
-        self._route(proto)
+        self._route(spec, task_index, values, root_id)
 
-    def _route(self, proto: StormTuple) -> None:
-        assert self._topology is not None
-        for bolt_spec, grouping in self._topology.downstream_of(
-            proto.source_component
-        ):
+    def _route(
+        self,
+        spec: SpoutSpec | BoltSpec,
+        task_index: int,
+        values: Values,
+        root_id: Any,
+    ) -> None:
+        """Hand one emission to every subscriber's grouping.
+
+        The groupings read ``values`` through a prototype tuple; every
+        edge of the tuple tree gets its own copy of them.
+        """
+        name = spec.name
+        fields = spec.output_fields
+        proto = StormTuple(values, fields, name, task_index, root_id)
+        acker = self.acker
+        injector = self._injector
+        for bolt_spec, grouping, executors in self._routes[name]:
             proto.sync_request = None
             tasks = grouping.choose_tasks(proto)
             sync_request = proto.sync_request  # set by POSG-style groupings
             if (
                 sync_request is not None
-                and self._injector is not None
-                and self._injector.drop_request(sync_request)
+                and injector is not None
+                and injector.drop_request(sync_request)
             ):
                 # The piggy-backed request is lost on the wire; the data
                 # tuple itself still arrives.  Its bits were spent, so the
                 # control-overhead accounting still counts the send.
                 self.metrics.record_control_message(sync_request.size_bits())
                 sync_request = None
-            for position, task in enumerate(tasks):
+            for task in tasks:
                 if not 0 <= task < bolt_spec.parallelism:
                     raise ValueError(
                         f"grouping chose invalid task {task} for bolt "
                         f"{bolt_spec.name!r}"
                     )
-                edge = StormTuple(
-                    values=list(proto.values),
-                    fields=proto.fields,
-                    source_component=proto.source_component,
-                    source_task=proto.source_task,
-                    root_id=proto.root_id,
-                    sync_request=sync_request if position == 0 else None,
-                )
-                if edge.root_id is not None:
-                    edge.ack_id = self.acker.fresh_ack_id()
-                    self.acker.register_edge(edge.root_id, edge.ack_id)
-                if sync_request is not None and position == 0:
+                edge = StormTuple(list(values), fields, name, task_index, root_id)
+                if root_id is not None:
+                    edge.ack_id = acker.fresh_ack_id()
+                    acker.register_edge(root_id, edge.ack_id)
+                if sync_request is not None:
+                    # the request rides on the first chosen task's copy
+                    edge.sync_request = sync_request
                     self.metrics.record_control_message(sync_request.size_bits())
-                executor = self._bolt_executors[bolt_spec.name][task]
+                    sync_request = None
                 self.sim.after(
-                    self.config.transfer_latency,
-                    (lambda ex, tup: lambda: ex.enqueue(tup))(executor, edge),
+                    self.config.transfer_latency, executors[task].enqueue, edge
                 )
-        proto.sync_request = None
 
     # ------------------------------------------------------------------
     # reliability
@@ -375,15 +374,7 @@ class LocalCluster:
         if executor is None:
             return
         callback = executor.spout.fail if failed else executor.spout.ack
-        self.sim.after(self.config.control_latency, lambda: callback(msg_id))
-
-    def _find_spout_executor(
-        self, spec: SpoutSpec, task_index: int
-    ) -> SpoutExecutor:
-        for executor in self._spout_executors:
-            if executor.spec is spec and executor.task_index == task_index:
-                return executor
-        raise KeyError(f"no executor for spout {spec.name!r} task {task_index}")
+        self.sim.after(self.config.control_latency, callback, msg_id)
 
     # ------------------------------------------------------------------
     # timeouts
@@ -426,9 +417,4 @@ class LocalCluster:
                 else:
                     delays = (self.config.control_latency,)
                 for delay in delays:
-                    self.sim.after(
-                        delay,
-                        (lambda g, msg: lambda: g.on_control(msg))(
-                            grouping, message
-                        ),
-                    )
+                    self.sim.after(delay, grouping.on_control, message)

@@ -189,7 +189,7 @@ class ForwardingBolt(Bolt):
         self._collector = collector
 
     def execute(self, tup: StormTuple) -> None:
-        self._collector.emit(list(tup.values), anchors=[tup])
+        self._collector.emit(tup.values, anchors=[tup])
 
 
 class FailingBolt(Bolt):

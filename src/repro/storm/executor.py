@@ -47,7 +47,7 @@ class SpoutCollector:
 
     def emit(self, values: Values, msg_id: Any = None) -> None:
         """Emit a tuple; a non-``None`` ``msg_id`` makes it tracked."""
-        self._cluster.spout_emit(self._spec, self._task_index, list(values), msg_id)
+        self._cluster.spout_emit(self._spec, self._task_index, values, msg_id)
 
 
 class BoltCollector:
@@ -61,9 +61,7 @@ class BoltCollector:
 
     def emit(self, values: Values, anchors: list[StormTuple] | None = None) -> None:
         """Emit a tuple, optionally anchored to input tuples."""
-        self._cluster.bolt_emit(
-            self._spec, self._task_index, list(values), anchors or []
-        )
+        self._cluster.bolt_emit(self._spec, self._task_index, values, anchors or [])
 
     def ack(self, tup: StormTuple) -> None:
         """Acknowledge an input tuple."""
@@ -196,9 +194,8 @@ class BoltExecutor:
             duration *= self.fault_injector.execution_factor(
                 self.task_index, self.cluster.sim.now
             )
-        incarnation = self._incarnation
         self.cluster.sim.after(
-            duration, lambda: self._finish(tup, duration, incarnation)
+            duration, self._finish, tup, duration, self._incarnation
         )
 
     def _finish(self, tup: StormTuple, duration: float, incarnation: int = 0) -> None:

@@ -170,7 +170,7 @@ class POSGShuffleGrouping(CustomStreamGrouping):
 
     def choose_tasks(self, tup: StormTuple) -> list[int]:
         item = int(tup.value(self._item_field))
-        decision = self._policy.route(item)
+        decision = self._policy.scheduler.submit(item)
         tup.sync_request = decision.sync_request
         if self._flight is not None:
             index = self._routed

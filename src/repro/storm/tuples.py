@@ -21,7 +21,7 @@ def _fresh_tuple_id() -> int:
     return next(_tuple_ids)
 
 
-@dataclass
+@dataclass(slots=True)
 class StormTuple:
     """One tuple instance flowing between tasks.
 

@@ -1,6 +1,10 @@
 """Tests for the event queue and the simulation engine."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulator.engine import Simulation
 from repro.simulator.events import EventQueue
@@ -135,3 +139,180 @@ class TestSimulation:
         sim.at(1.0, nested)
         with pytest.raises(RuntimeError):
             sim.run()
+
+
+# ----------------------------------------------------------------------
+# the ordering contract, against a sorted reference model
+# ----------------------------------------------------------------------
+#: few distinct values, so timestamps tie and delays of 0 are common
+TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+PRIORITIES = st.sampled_from([-1, 0, 1])
+#: an event: (time or delay, priority, events it schedules when it fires,
+#: earlier-created events it cancels when it fires)
+EVENTS = st.recursive(
+    st.tuples(TIMES, PRIORITIES, st.just([]), st.lists(st.integers(0, 30), max_size=2)),
+    lambda children: st.tuples(
+        TIMES, PRIORITIES, st.lists(children, max_size=3),
+        st.lists(st.integers(0, 30), max_size=2),
+    ),
+    max_leaves=12,
+)
+SCHEDULES = st.lists(EVENTS, min_size=1, max_size=8)
+
+
+def reference_run(schedule):
+    """Firing order ``[(label, time)]`` under (time, priority, insertion),
+    and the number of live events left after each firing."""
+    pending = []  # [time, priority, insertion, spec, live]
+    fired = []
+    live_after = []
+
+    def add(time, spec):
+        pending.append([time, spec[1], len(pending), spec, True])
+
+    for spec in schedule:
+        add(spec[0], spec)
+    while True:
+        live = [entry for entry in pending if entry[4]]
+        if not live:
+            return fired, live_after
+        entry = min(live, key=lambda e: e[:3])
+        entry[4] = False
+        now, _, label, spec, _ = entry
+        fired.append((label, now))
+        for target in spec[3]:
+            pending[target % len(pending)][4] = False
+        for child in spec[2]:
+            add(now + child[0], child)
+        live_after.append(sum(entry[4] for entry in pending))
+
+
+def reference_order(schedule):
+    return reference_run(schedule)[0]
+
+
+class Driver:
+    """Plays a schedule on a real ``Simulation``, labelling events by
+    creation order exactly like the reference model."""
+
+    def __init__(self, schedule):
+        self.sim = Simulation()
+        self.handles = []
+        self.fired = []
+        for spec in schedule:
+            self.handles.append(
+                self.sim.at(
+                    spec[0], self.fire, len(self.handles), spec, priority=spec[1]
+                )
+            )
+
+    def fire(self, label, spec):
+        self.fired.append((label, self.sim.now))
+        for target in spec[3]:
+            self.handles[target % len(self.handles)].cancel()
+        for child in spec[2]:
+            self.handles.append(
+                self.sim.after(
+                    child[0], self.fire, len(self.handles), child, priority=child[1]
+                )
+            )
+
+
+class TestOrderingContract:
+    @given(SCHEDULES)
+    @settings(max_examples=200, deadline=None)
+    def test_run_fires_in_reference_order(self, schedule):
+        expected = reference_order(schedule)
+        driver = Driver(schedule)
+        final = driver.sim.run()
+        assert driver.fired == expected
+        assert driver.sim.events_processed == len(expected)
+        assert final == (expected[-1][1] if expected else 0.0)
+        assert driver.sim.pending == 0
+
+    @given(SCHEDULES)
+    @settings(max_examples=100, deadline=None)
+    def test_step_and_pending_agree_with_the_model(self, schedule):
+        expected, live_after = reference_run(schedule)
+        driver = Driver(schedule)
+        steps = 0
+        while driver.sim.step():
+            steps += 1
+            assert driver.fired == expected[:steps]
+            assert driver.sim.now == expected[steps - 1][1]
+            assert driver.sim.pending == live_after[steps - 1]
+        assert steps == len(expected)
+        assert driver.sim.pending == 0
+
+    @given(SCHEDULES, TIMES)
+    @settings(max_examples=100, deadline=None)
+    def test_until_splits_the_run_without_reordering(self, schedule, until):
+        expected = reference_order(schedule)
+        before = [entry for entry in expected if entry[1] <= until]
+        driver = Driver(schedule)
+        driver.sim.run(until=until)
+        assert driver.fired == before
+        if len(before) < len(expected):
+            assert driver.sim.now == until
+            assert driver.sim.pending > 0
+        driver.sim.run()
+        assert driver.fired == expected
+
+    @given(SCHEDULES, st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_max_events_stops_after_exactly_that_many(self, schedule, budget):
+        expected = reference_order(schedule)
+        driver = Driver(schedule)
+        driver.sim.run(max_events=budget)
+        assert driver.fired == expected[:budget]
+        assert driver.sim.events_processed == min(budget, len(expected))
+        driver.sim.run()
+        assert driver.fired == expected
+
+
+class TestSchedulingChecks:
+    def test_after_passes_arguments(self):
+        sim = Simulation()
+        seen = []
+        sim.after(1.0, lambda *args: seen.append(args), "a", 2, priority=0)
+        sim.at(2.0, seen.append, "plain")
+        sim.run()
+        assert seen == [("a", 2), "plain"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        sim = Simulation()
+        with pytest.raises(ValueError, match="finite"):
+            sim.at(bad, lambda: None)
+        with pytest.raises(ValueError, match="finite"):
+            sim.after(bad, lambda: None)
+        assert sim.pending == 0
+
+    def test_rejects_negative_delay_and_the_past_mid_run(self):
+        sim = Simulation()
+        errors = []
+
+        def misbehave():
+            for schedule in (
+                lambda: sim.after(-0.5, misbehave),
+                lambda: sim.at(sim.now - 0.5, misbehave),
+                lambda: sim.at(-math.inf, misbehave),
+            ):
+                try:
+                    schedule()
+                except ValueError as error:
+                    errors.append(str(error))
+
+        sim.at(3.0, misbehave)
+        sim.run()
+        assert len(errors) == 3
+        assert sim.events_processed == 1
+
+    def test_cancelling_a_fired_event_is_harmless(self):
+        sim = Simulation()
+        fired = []
+        first = sim.at(1.0, fired.append, 1)
+        sim.at(2.0, first.cancel)
+        sim.at(3.0, fired.append, 3)
+        sim.run()
+        assert fired == [1, 3]

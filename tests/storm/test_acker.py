@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.storm.acker import AckTracker
+from repro.storm.acker import _ACK_ID_BLOCK, AckTracker
 
 
 @pytest.fixture
@@ -98,3 +100,79 @@ class TestXorProperty:
         tracker.register_root("m1", 7, now=0.0)
         tracker.register_edge("m1", 7)  # checksum back to 0, outstanding 2
         assert tracker.ack("m1", 5) is None  # checksum nonzero again
+
+
+class TestBlockDrawnAckIds:
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_equal_the_scalar_draws_of_the_same_seed(self, seed):
+        """Serving ids from blocks must not move the stream: three blocks'
+        worth equals one scalar draw per id from an identical generator."""
+        count = 2 * _ACK_ID_BLOCK + 17
+        tracker = AckTracker(1000.0, rng=np.random.default_rng(seed))
+        served = [tracker.fresh_ack_id() for _ in range(count)]
+        scalar_rng = np.random.default_rng(seed)
+        scalar = [
+            int(scalar_rng.integers(1, 1 << 64, dtype=np.uint64))
+            for _ in range(count)
+        ]
+        assert served == scalar
+        assert all(type(ack_id) is int and 1 <= ack_id < 1 << 64 for ack_id in served)
+
+
+#: one step of a tracker's life: emit a new tree, complete or fail a
+#: pending one, replay a settled id, or sweep — each after a time advance
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["emit", "emit", "ack", "fail", "replay", "sweep"]),
+        st.sampled_from([0.0, 0.0, 1.0, 7.0, 30.0]),
+        st.integers(0, 1000),
+    ),
+    max_size=60,
+)
+
+
+class TestSweepInEmissionOrder:
+    @given(STEPS)
+    @settings(max_examples=200, deadline=None)
+    def test_expire_and_next_expiry_match_a_full_scan(self, steps):
+        """Stopping at the first young tree finds what scanning every
+        pending tree finds, replays and out-of-order completions included."""
+        timeout = 20.0
+        tracker = AckTracker(timeout, rng=np.random.default_rng(0))
+        pending = {}  # the full-scan model: msg_id -> emitted_at
+        settled = []
+        now = 0.0
+        for kind, advance, pick in steps:
+            now += advance
+            if kind == "emit" or (kind == "replay" and not settled):
+                msg_id = len(pending) + len(settled)
+                tracker.register_root(msg_id, 1, now)
+                pending[msg_id] = now
+            elif kind == "replay":
+                msg_id = settled.pop(pick % len(settled))
+                tracker.register_root(msg_id, 1, now)
+                pending[msg_id] = now
+            elif kind == "sweep":
+                expected = [m for m, at in pending.items() if now - at >= timeout]
+                assert tracker.expire(now) == expected
+                for msg_id in expected:
+                    settled.append(msg_id)
+                    del pending[msg_id]
+            elif pending:
+                msg_id = list(pending)[pick % len(pending)]
+                if kind == "ack":
+                    assert tracker.ack(msg_id, 1) == (True, pending[msg_id])
+                else:
+                    assert tracker.fail(msg_id)
+                settled.append(msg_id)
+                del pending[msg_id]
+            assert tracker.pending_count == len(pending)
+            assert tracker.next_expiry() == (
+                min(pending.values()) + timeout if pending else None
+            )
+
+    def test_rejects_an_emission_time_that_goes_backwards(self, tracker):
+        tracker.register_root("m1", 1, now=10.0)
+        with pytest.raises(ValueError, match="backwards"):
+            tracker.register_root("m2", 2, now=9.0)
+        assert tracker.pending_count == 1

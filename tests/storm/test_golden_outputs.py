@@ -1,0 +1,241 @@
+"""Golden pins for the Storm layer and the event kernel it shares.
+
+Every digest below was recorded at commit e58f616 (the parent of the
+event-kernel rewrite) and covers everything a run of the engine reports:
+completion latencies and ids, per-task execution counts, control
+messages and bits, timeouts, failures, the final virtual time and the
+number of events the kernel executed.  A change to the order in which
+events fire, to an RNG stream (ack ids, fault draws, hash families) or to
+the arithmetic of an estimate moves at least one of them.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core.config import POSGConfig, RecoveryConfig
+from repro.core.grouping import POSGGrouping
+from repro.faults import CrashFault, FaultPlan, MessageFaults
+from repro.simulator.topology import StageTopology
+from repro.storm.cluster import ClusterConfig, LocalCluster
+from repro.storm.components import (
+    STREAM_SPOUT_FIELDS,
+    ForwardingBolt,
+    ShardedStreamSpout,
+    StreamSpout,
+    WorkBolt,
+)
+from repro.storm.grouping import ShuffleGrouping
+from repro.storm.multisource import MultiSourcePOSGCoordinator
+from repro.storm.posg_grouping import POSGShuffleGrouping
+from repro.storm.topology import TopologyBuilder
+from repro.workloads.twitter import TwitterDatasetSpec, generate_twitter_stream
+
+K = 5
+M = 4000
+#: Figure 12's sketch and estimate settings, with a window and tolerance
+#: small enough that 4000 tuples see ~40 matrices and several sync rounds
+#: (the figure's own N = 128 never leaves ROUND_ROBIN on a stream this short)
+CONFIG = POSGConfig(
+    window_size=32, mu=0.5, rows=4, cols=54,
+    merge_matrices=True, pooled_estimates=True,
+)
+RECOVERING = dataclasses.replace(
+    CONFIG, recovery=RecoveryConfig(sync_timeout=256, staleness_limit=2048)
+)
+#: ASSG under back-to-back arrivals queues past a 40 ms timeout: trees time
+#: out and the sweep (every 10 ms) fails them
+TIGHT_TIMEOUT = ClusterConfig(
+    seed=0, message_timeout=40.0, timeout_sweep_interval=10.0
+)
+
+
+@pytest.fixture(scope="module")
+def stream():
+    return generate_twitter_stream(
+        TwitterDatasetSpec(m=M, k=K), np.random.default_rng(0)
+    )
+
+
+def posg(config=CONFIG):
+    return POSGShuffleGrouping("value", config, np.random.default_rng(1))
+
+
+def digest(*parts) -> str:
+    sha = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            sha.update(str(part.dtype).encode() + part.tobytes())
+        else:
+            sha.update(repr(part).encode())
+        sha.update(b"|")
+    return sha.hexdigest()
+
+
+def cluster_digest(cluster, final, bolts=("worker",), parallelism=K) -> str:
+    metrics = cluster.metrics
+    return digest(
+        metrics.completion_latencies(),
+        metrics.completed_ids(),
+        [metrics.task_execution_counts(name, parallelism) for name in bolts],
+        metrics.control_messages,
+        metrics.control_bits,
+        metrics.timed_out,
+        metrics.failed,
+        final,
+        cluster.sim.events_processed,
+    )
+
+
+def single_stage(stream, grouping, config=None, faults=None):
+    builder = TopologyBuilder()
+    builder.set_spout(
+        "source", lambda: StreamSpout(stream), output_fields=STREAM_SPOUT_FIELDS
+    )
+    builder.set_bolt(
+        "worker", lambda: WorkBolt(stream.time_table), parallelism=K
+    ).custom_grouping("source", grouping)
+    cluster = LocalCluster(
+        config if config is not None else ClusterConfig(seed=0), faults=faults
+    )
+    cluster.submit(builder.build())
+    return cluster, cluster.run()
+
+
+def run_single_stage(stream, grouping, config=None, faults=None) -> str:
+    return cluster_digest(*single_stage(stream, grouping, config, faults))
+
+
+def run_sharded(stream, sources=2) -> str:
+    coordinator = MultiSourcePOSGCoordinator(
+        sources, item_field="value", config=CONFIG, rng=np.random.default_rng(1)
+    )
+    builder = TopologyBuilder()
+    bolt = builder.set_bolt(
+        "worker", lambda: WorkBolt(stream.time_table), parallelism=K
+    )
+    for shard in range(sources):
+        builder.set_spout(
+            f"source{shard}",
+            (lambda i: lambda: ShardedStreamSpout(stream, i, sources))(shard),
+            output_fields=STREAM_SPOUT_FIELDS,
+        )
+        bolt.custom_grouping(f"source{shard}", coordinator.shard(shard))
+    cluster = LocalCluster(ClusterConfig(seed=0))
+    cluster.submit(builder.build())
+    return cluster_digest(cluster, cluster.run())
+
+
+def run_chain(stream) -> str:
+    builder = TopologyBuilder()
+    builder.set_spout(
+        "source", lambda: StreamSpout(stream), output_fields=STREAM_SPOUT_FIELDS
+    )
+    builder.set_bolt(
+        "fwd", ForwardingBolt, parallelism=2, output_fields=STREAM_SPOUT_FIELDS
+    ).shuffle_grouping("source")
+    builder.set_bolt(
+        "worker", lambda: WorkBolt(stream.time_table), parallelism=K
+    ).custom_grouping("fwd", posg())
+    cluster = LocalCluster(ClusterConfig(seed=0))
+    cluster.submit(builder.build())
+    final = cluster.run()
+    return digest(
+        cluster_digest(cluster, final),
+        cluster.metrics.task_execution_counts("fwd", 2),
+    )
+
+
+def run_stage_topology(stream) -> str:
+    topology = StageTopology(
+        K, POSGGrouping(CONFIG), control_latency=1.0,
+        rng=np.random.default_rng(1),
+    )
+    result = topology.run(stream)
+    return digest(
+        result.stats.completions,
+        result.stats.assignments,
+        [(index, state.value) for index, state in result.state_transitions],
+        result.control_messages,
+        result.control_bits,
+        topology.sim.now,
+        topology.sim.events_processed,
+    )
+
+
+def chaos_plan(stream) -> FaultPlan:
+    loss = MessageFaults(drop=0.10)
+    return FaultPlan(
+        matrices=loss,
+        sync_requests=loss,
+        sync_replies=loss,
+        crashes=(
+            CrashFault(
+                instance=1,
+                at_ms=float(stream.arrivals[2 * stream.m // 3]),
+                outage_ms=200.0,
+            ),
+        ),
+        seed=7,
+    )
+
+
+SCENARIOS = {
+    "posg": lambda s: run_single_stage(s, posg()),
+    # the paper's protocol: replace stored matrices, per-instance estimates
+    "posg_unpooled": lambda s: run_single_stage(
+        s,
+        posg(dataclasses.replace(
+            CONFIG, merge_matrices=False, pooled_estimates=False
+        )),
+    ),
+    "assg": lambda s: run_single_stage(s, ShuffleGrouping()),
+    "max_spout_pending": lambda s: run_single_stage(
+        s, posg(), ClusterConfig(seed=0, max_spout_pending=50)
+    ),
+    "transfer_latency": lambda s: run_single_stage(
+        s, posg(), ClusterConfig(seed=0, transfer_latency=0.5)
+    ),
+    "message_timeout": lambda s: run_single_stage(
+        s, ShuffleGrouping(), TIGHT_TIMEOUT
+    ),
+    "faulted": lambda s: run_single_stage(
+        s, posg(RECOVERING), faults=chaos_plan(s)
+    ),
+    "multisource_s2": run_sharded,
+    "forwarding_chain": run_chain,
+    "stage_topology": run_stage_topology,
+}
+
+GOLDEN = {
+    "assg": "3c5fd38ff2335c00173617a57b866a7822ad7c93b89328be1954a0dbc134119b",
+    "faulted": "107de014931b53d8eb1b7b24c845b2e66a2f0a863213583758e776d6dbc88270",
+    "forwarding_chain": "5d4f44d9d523035282d696d3ac09894315e1c6076842437b71ea56a6fe7d060e",
+    "max_spout_pending": "202b4d43834181fad5561752347efcace0580c88c8110dc6d99155e5b444e75c",
+    "message_timeout": "90f1243a253ecf973ab07b33386038d419bd49acaba0fc32672933b15cd00609",
+    "multisource_s2": "2856528e2c91730845aac3bc9fecb80497268d12e3ec3439c4e453bad052a2e2",
+    "posg": "ff74a028655c31aafd2872aad108be6b89fb67aca2b77594abb117490dbb6f0c",
+    "posg_unpooled": "f6b7195148651851c152ed7aaccf67872b43adb0b1d726c18227e90b54f798bf",
+    "stage_topology": "6b42ad124a0a2b3ba77ee044191462405c46c5f11eac47250305e0381afccf35",
+    "transfer_latency": "cee8ac0bd67d9f71f8b342938102d8ccc36fa9d0d51cd1c65168023ed0e8cd2e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_matches_recorded_digest(name, stream):
+    assert SCENARIOS[name](stream) == GOLDEN[name]
+
+
+def test_pinned_scenarios_exercise_what_they_name(stream):
+    """The pins must cover the sweep, the crash and a moving scheduler."""
+    timed, _ = single_stage(stream, ShuffleGrouping(), TIGHT_TIMEOUT)
+    assert timed.metrics.timed_out > 0
+    assert timed.metrics.completed + timed.metrics.timed_out == stream.m
+    grouping = posg(RECOVERING)
+    faulted, _ = single_stage(stream, grouping, faults=chaos_plan(stream))
+    injected = faulted._injector.report()["injected"]
+    assert injected["crashes"] == 1 and all(injected["dropped"].values())
+    assert faulted.metrics.failed > 0
+    assert grouping.scheduler.stats()["sync_rounds_completed"] >= 2
