@@ -4,11 +4,9 @@ PYTHON ?= python
 # every target runs against the in-tree sources without an install step
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test bench bench-throughput bench-telemetry bench-audit \
-	bench-flightrecorder bench-lineage bench-history bench-parallel \
-	bench-supervision chaos chaos-parallel observe multisource \
-	multisource-coord attribution latency figures figures-paper-scale \
-	examples clean
+.PHONY: install test bench chaos chaos-parallel observe \
+	multisource multisource-coord attribution latency figures \
+	figures-paper-scale examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -16,56 +14,10 @@ install:
 test:
 	$(PYTHON) -m pytest -x -q
 
+# paper-figure regenerators under pytest-benchmark; performance is
+# measured by the pinned benchmark, `python -m bench` (bench/README.md)
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# data-plane throughput baseline: writes BENCH_throughput.json at the
-# repo root (REPRO_REPS / REPRO_SCALE scale the measurement)
-bench-throughput:
-	$(PYTHON) benchmarks/bench_throughput.py
-
-# telemetry overhead gate: writes BENCH_telemetry_overhead.json and
-# fails if disabled-mode telemetry costs more than 3%
-bench-telemetry:
-	$(PYTHON) benchmarks/bench_telemetry_overhead.py
-
-# estimator-audit overhead gate: writes BENCH_audit_overhead.json and
-# fails if a sparse audit costs more than 3% or the default sampled
-# audit more than 10%
-bench-audit:
-	$(PYTHON) benchmarks/bench_audit_overhead.py
-
-# flight-recorder overhead gate: writes
-# BENCH_flightrecorder_overhead.json and fails if a sparse recorder
-# costs more than 3% or the default sampled recorder more than 10%
-# (both vs the uninstrumented sharded run)
-bench-flightrecorder:
-	$(PYTHON) benchmarks/bench_flightrecorder_overhead.py
-
-# lineage-tracer overhead gate: writes BENCH_lineage_overhead.json and
-# fails if a sparse tracer costs more than 3% or the default sampled
-# tracer more than 10% (both vs the uninstrumented sharded run)
-bench-lineage:
-	$(PYTHON) benchmarks/bench_lineage_overhead.py
-
-# append {throughput, telemetry overhead, audit overhead} to
-# BENCH_history.jsonl with provenance; fails (without appending) if
-# throughput regressed more than 10% vs the last recorded entry
-bench-history:
-	$(PYTHON) benchmarks/bench_history.py
-
-# multi-process parallel data plane: in-process vs 1/2/4-worker
-# throughput on the s=4 sharded configuration; writes
-# BENCH_parallel.json and fails on any bit-identity mismatch (the 3x
-# speedup target is reported, not enforced)
-bench-parallel:
-	$(PYTHON) benchmarks/bench_parallel.py
-
-# fault-free supervision overhead gate: writes BENCH_supervision.json
-# and fails if armed worker supervision costs more than 3% vs the
-# strict (detect-only) parallel baseline
-bench-supervision:
-	$(PYTHON) benchmarks/bench_supervision.py
 
 # fault-injection acceptance scenario: 10% control-plane loss plus one
 # mid-stream crash; writes report.json/metrics.prom/trace.jsonl under

@@ -98,41 +98,6 @@ class GroupingPolicy(abc.ABC):
         """Instance-side hook, or ``None`` for purely scheduler-side policies."""
         return None
 
-    # ------------------------------------------------------------------
-    # per-tuple lineage tracer attachment (any policy can be traced)
-    # ------------------------------------------------------------------
-    def attach_lineage(self, lineage) -> None:
-        """Bind a :class:`~repro.telemetry.lineage.LineageTracer`.
-
-        Must be called after :meth:`setup`.  The default (unsharded)
-        deployment records as shard 0; sharded policies override this
-        to bind every shard.
-        """
-        lineage.bind(1)
-
-    def record_lineage_route(
-        self,
-        lineage,
-        index: int,
-        instance: int,
-        arrival: float,
-        at_instance: float,
-        start: float,
-        finish: float,
-        window_remaining: int,
-    ) -> None:
-        """Record a sampled tuple's span chain at global stream ``index``.
-
-        Called by the engines right after computing the sampled tuple's
-        clocks.  Policies without an estimated load vector record an
-        empty believed tuple; POSG-family policies override this to
-        attach their post-decision ``C_hat``.
-        """
-        lineage.record_sample(
-            0, index, instance, (), arrival, at_instance, start, finish,
-            window_remaining,
-        )
-
 
 class RoundRobinGrouping(GroupingPolicy):
     """The baseline the paper compares against: ``i mod k`` assignment.
@@ -318,56 +283,6 @@ class POSGGrouping(GroupingPolicy):
 
     def on_control(self, message: ControlMessage) -> None:
         self.scheduler.on_message(message)
-
-    # ------------------------------------------------------------------
-    # cross-shard flight recorder attachment
-    # ------------------------------------------------------------------
-    def attach_flight(self, flight) -> None:
-        """Bind a :class:`~repro.telemetry.flightrecorder.FlightRecorder`.
-
-        Must be called after :meth:`setup`.  The single-scheduler
-        deployment records as shard 0.
-        """
-        flight.bind(1)
-        self.scheduler.attach_flight(flight)
-
-    def record_flight_route(self, flight, index: int, instance: int) -> None:
-        """Record a sampled routing decision at global stream ``index``.
-
-        Called by the engines right after routing the sampled tuple, so
-        the believed loads include this tuple's estimate — the same
-        float values the engine-side block routers commit.
-        """
-        flight.record_route(0, index, instance, self.scheduler._c_hat.tolist())
-
-    def record_lineage_route(
-        self,
-        lineage,
-        index: int,
-        instance: int,
-        arrival: float,
-        at_instance: float,
-        start: float,
-        finish: float,
-        window_remaining: int,
-    ) -> None:
-        """Record a sampled span with the post-decision ``C_hat``.
-
-        The believed loads include this tuple's estimate (the flight-
-        recorder convention), so the reference engine's post-route hook
-        and the chunked/parallel segment replays agree bit-for-bit.
-        """
-        lineage.record_sample(
-            0,
-            index,
-            instance,
-            self.scheduler._c_hat.tolist(),
-            arrival,
-            at_instance,
-            start,
-            finish,
-            window_remaining,
-        )
 
     def create_instance_agent(self, instance_id: int) -> InstanceAgent:
         if self._hashes is None:

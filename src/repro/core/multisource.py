@@ -384,54 +384,6 @@ class MultiSourcePOSGGrouping(POSGGrouping):
                 self._bill_gossip_digest(source)
 
     # ------------------------------------------------------------------
-    # cross-shard flight recorder attachment
-    # ------------------------------------------------------------------
-    def attach_flight(self, flight) -> None:
-        """Bind a flight recorder across every shard's scheduler."""
-        flight.bind(self._sources)
-        for scheduler in self._schedulers:
-            scheduler.attach_flight(flight)
-
-    def record_flight_route(self, flight, index: int, instance: int) -> None:
-        """Record a sampled decision for the shard owning ``index``."""
-        shard = index % self._sources
-        flight.record_route(
-            shard, index, instance, self._schedulers[shard]._c_hat.tolist()
-        )
-
-    # ------------------------------------------------------------------
-    # per-tuple lineage tracer attachment
-    # ------------------------------------------------------------------
-    def attach_lineage(self, lineage) -> None:
-        """Bind a lineage tracer across every shard (coprime stride)."""
-        lineage.bind(self._sources)
-
-    def record_lineage_route(
-        self,
-        lineage,
-        index: int,
-        instance: int,
-        arrival: float,
-        at_instance: float,
-        start: float,
-        finish: float,
-        window_remaining: int,
-    ) -> None:
-        """Record a sampled span under the shard owning ``index``."""
-        shard = index % self._sources
-        lineage.record_sample(
-            shard,
-            index,
-            instance,
-            self._schedulers[shard]._c_hat.tolist(),
-            arrival,
-            at_instance,
-            start,
-            finish,
-            window_remaining,
-        )
-
-    # ------------------------------------------------------------------
     # parallel-engine attachment
     # ------------------------------------------------------------------
     def worker_spec(self) -> ShardWorkerSpec:

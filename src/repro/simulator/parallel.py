@@ -91,14 +91,12 @@ from repro.simulator.run import (
     _as_latency,
     _as_latency_list,
     _fire_due_crashes,
-    _prepare_audit,
-    _prepare_flight,
-    _prepare_lineage,
     _record_run_telemetry,
 )
 from repro.simulator.supervisor import SupervisionConfig, WorkerSupervisor
 from repro.sketches.bucket_cache import get_bucket_cache
 from repro.sketches.hashing import TwoUniversalHashFamily
+from repro.telemetry.observers import Observers
 from repro.telemetry.recorder import NULL_RECORDER
 from repro.workloads.synthetic import Stream
 
@@ -814,19 +812,14 @@ def simulate_stream_parallel(
         Defaults to ``fork`` where available (cheap worker startup),
         falling back to the platform default; the worker bootstrap is
         picklable, so any method works.
-    flight:
-        As in ``simulate_stream``: a ``FlightRecorderConfig`` or
-        pre-built ``FlightRecorder``.  Workers emit route samples into
-        per-shard shared-memory rings; the parent merges them back in
-        reference event order at segment commit, so the recorded
-        timelines are bit-identical to both sequential engines.
-    lineage:
-        As in ``simulate_stream``: a ``LineageConfig`` or pre-built
-        ``LineageTracer``.  Workers emit the believed-load half of each
-        sampled span into per-shard rings; the parent derives the
-        sample's clocks during the deterministic merge and joins the
-        two halves at segment commit, so recorded lineage timelines
-        are bit-identical to both sequential engines.
+    audit, flight, lineage:
+        As in ``simulate_stream``, resolved and bound by the same
+        :class:`~repro.telemetry.observers.Observers`.  Workers emit
+        flight route samples and the believed-load half of each lineage
+        span into per-shard shared-memory rings; the parent derives a
+        span's clocks during the deterministic merge and copies both
+        out in reference event order at segment commit, so the
+        recorded timelines are bit-identical to both sequential engines.
     chunk_size:
         As in ``simulate_stream`` but must be >= 1 (there is no
         per-tuple parallel engine).
@@ -904,6 +897,7 @@ def simulate_stream_parallel(
         raise TypeError(
             f"faults must be a FaultPlan or FaultInjector, got {faults!r}"
         )
+    observers = Observers(audit, flight, lineage, recorder)
 
     if workers is None:
         workers = default_worker_count(policy.sources)
@@ -915,8 +909,8 @@ def simulate_stream_parallel(
     try:
         result = _simulate_parallel(
             stream, policy, int(workers), k, scenario, data_lat, control_lat,
-            rng, sample_queues_every, chunk_size, injector, audit, flight,
-            lineage, recorder, profiler, start_method, supervision,
+            rng, sample_queues_every, chunk_size, injector, observers,
+            recorder, profiler, start_method, supervision,
         )
     finally:
         if profiler is not None:
@@ -1019,9 +1013,7 @@ def _simulate_parallel(
     sample_queues_every: int | None,
     chunk_size: int,
     injector: FaultInjector | None,
-    audit,
-    flight,
-    lineage,
+    observers: Observers,
     recorder,
     profiler,
     start_method: str | None,
@@ -1059,13 +1051,10 @@ def _simulate_parallel(
             "latency hints change the greedy objective per tuple; the "
             "parallel engine does not support them — use simulate_stream"
         )
-    auditor = _prepare_audit(audit, policy, recorder)
-    recorder_flight = _prepare_flight(flight, policy, recorder)
-    flight_every = (
-        recorder_flight.sample_every if recorder_flight is not None else 0
-    )
-    tracer = _prepare_lineage(lineage, policy, recorder)
-    lineage_every = tracer.sample_every if tracer is not None else 0
+    observers.bind(policy)
+    flight, lineage = observers.flight, observers.lineage
+    flight_every = flight.sample_every if flight is not None else 0
+    lineage_every = lineage.sample_every if lineage is not None else 0
     agents = [policy.create_instance_agent(instance) for instance in range(k)]
     trackers = [agent.tracker for agent in agents]
     schedulers = list(policy.schedulers)
@@ -1155,7 +1144,7 @@ def _simulate_parallel(
         inline_router=_inline_route,
         injector=injector,
         recorder=recorder,
-        flight=recorder_flight,
+        flight=flight,
     )
     run_info: dict = {}
     try:
@@ -1182,11 +1171,7 @@ def _simulate_parallel(
             arena=arena,
             supervisor=supervisor,
             injector=injector,
-            auditor=auditor,
-            flight=recorder_flight,
-            flight_every=flight_every,
-            lineage=tracer,
-            lineage_every=lineage_every,
+            observers=observers,
             sample_queues_every=sample_queues_every,
             profiler=profiler,
             coupled_router=_coupled_route,
@@ -1228,9 +1213,9 @@ def _simulate_parallel(
             if sample_queues_every is not None
             else None
         ),
-        audit=auditor,
-        flight=recorder_flight,
-        lineage=tracer,
+        audit=observers.audit,
+        flight=flight,
+        lineage=lineage,
         parallel={
             "workers": n_workers,
             "start_method": start_method,
@@ -1266,11 +1251,7 @@ def _parallel_loop(
     arena: ShardArena,
     supervisor: WorkerSupervisor,
     injector,
-    auditor,
-    flight,
-    flight_every,
-    lineage,
-    lineage_every,
+    observers: Observers,
     sample_queues_every,
     profiler,
     coupled_router=None,
@@ -1290,6 +1271,13 @@ def _parallel_loop(
 
     every = sample_queues_every
     next_sample = 0 if every is not None else m
+    # Workers sample flight and lineage routes into their arena rings on
+    # their own strided grids and the merge samples the audit, so this
+    # engine keeps its per-observer schedules; only the per-tuple
+    # fallback goes through ``Observers.sample_routed``.
+    auditor, flight, lineage = observers.audit, observers.flight, observers.lineage
+    observed = not (auditor is None and flight is None and lineage is None)
+    lineage_every = lineage.sample_every if lineage is not None else 0
     audit_every = auditor.sample_every if auditor is not None else 0
     audit_observe = auditor.observe if auditor is not None else None
     next_audit = 0 if auditor is not None else m
@@ -1457,24 +1445,21 @@ def _parallel_loop(
             busy[instance] = finish
             finishes.append(finish)
             assignments.append(instance)
-            if j == next_audit:
-                audit_observe(j, items[j], instance, execution_time)
-                next_audit += audit_every
-            if flight is not None and j % flight_every == 0:
-                policy.record_flight_route(flight, j, instance)
-            if lineage is not None and j % lineage_every == 0:
+            if observed:
                 # window_left drifts in faulted runs (the faulted merge
                 # only refreshes it at boundaries) but batches are never
                 # pending there, so the tracker's own counter is exact;
                 # fault-free runs may hold un-folded batches, where
                 # window_left is the accurate logical counter.
-                policy.record_lineage_route(
-                    lineage, j, instance, arrival, at_instance, start,
-                    finish,
+                observers.sample_routed(
+                    j, items[j], instance, arrival, at_instance, start,
+                    finish, execution_time,
                     trackers[instance].window_remaining
                     if faulting
                     else window_left[instance],
                 )
+                if j == next_audit:
+                    next_audit += audit_every
             if profiler is not None:
                 profiler.start("fold")
             if pending_items[instance]:

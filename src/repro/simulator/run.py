@@ -64,6 +64,7 @@ from repro.simulator.network import ConstantLatency, LatencyModel
 from repro.telemetry.audit import AuditConfig, EstimatorAudit
 from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
 from repro.telemetry.lineage import LineageConfig, LineageTracer
+from repro.telemetry.observers import Observers
 from repro.telemetry.recorder import NULL_RECORDER
 from repro.workloads.nonstationary import LoadShiftScenario
 from repro.workloads.synthetic import Stream
@@ -249,54 +250,41 @@ def simulate_stream(
         across ``chunk_size`` settings.  The same holds for the
         ``RecoveryConfig`` defences, whose deadlines on the tuple clock
         end segments the same way.
-    audit:
-        Optional :class:`~repro.telemetry.audit.AuditConfig` (or a
-        pre-built :class:`~repro.telemetry.audit.EstimatorAudit`)
-        sampling every N-th routed tuple and comparing the scheduler's
-        W/F estimate against the true execution time.  ``AuditConfig``
-        requires a policy exposing a ``scheduler`` (POSG).  The audit
-        only *reads* scheduler state at deterministic stream indices, so
-        routing decisions and completions are bit-identical with the
-        audit on or off, and — because both engines agree per tuple on
-        ``(item, instance, execution_time)`` and the scheduler matrices
-        are frozen between control deliveries — the sampled observations
-        are bit-identical across engines.  The auditor lands in
-        ``SimulationResult.audit``.
-    flight:
-        Optional
-        :class:`~repro.telemetry.flightrecorder.FlightRecorderConfig`
-        (or a pre-built
-        :class:`~repro.telemetry.flightrecorder.FlightRecorder`)
-        capturing causal per-shard timelines — sync requests/replies,
-        delta folds, matrices broadcasts — plus every
-        ``sample_every``-th routing decision with the owning shard's
-        believed loads.  Requires a POSG-family policy.  The recorder
-        only *reads* state at deterministic points, so results are
-        bit-identical with it on or off, and the recorded timelines are
-        bit-identical across all engines: inside a control-quiet
-        segment the chunked engine records each sampled decision from
-        the owning shard's post-add believed loads — the floats the
-        segment commits into ``C_hat``, which the reference engine
-        reads right after ``submit`` — and control events land at the
-        drains between segments, where every scheduler's
-        ``tuples_scheduled`` clock has been committed.  Lands in
-        ``SimulationResult.flight``.
-    lineage:
-        Optional :class:`~repro.telemetry.lineage.LineageConfig` (or a
-        pre-built :class:`~repro.telemetry.lineage.LineageTracer`)
-        sampling every N-th tuple and recording its span chain —
-        arrival, instance arrival, execution start/finish, the chosen
-        instance with the scheduler's post-decision believed loads, and
-        the instance's window-remaining count — from which the tracer
-        derives the exact latency partition ``scheduling_delay +
-        queue_wait + service_time == completion``.  Works with *any*
-        policy (non-POSG policies record empty believed loads).  The
-        tracer only *reads* engine state at deterministic stream
-        indices, so results are bit-identical with it on or off, and the
-        recorded timelines are bit-identical across all engines: the
-        chunked engine records sampled grid points inside its
-        control-quiet segments (like the estimator audit and the flight
-        recorder).  Lands in ``SimulationResult.lineage``.
+    audit, flight, lineage:
+        The run's read-only observers, each a config or a pre-built
+        instance, type-checked here and attached through
+        :class:`~repro.telemetry.observers.Observers` once the policy is
+        set up; they land in ``SimulationResult.audit`` / ``.flight`` /
+        ``.lineage``.
+        :class:`~repro.telemetry.audit.AuditConfig` /
+        :class:`~repro.telemetry.audit.EstimatorAudit` compares the
+        scheduler's W/F estimate against the true execution time of
+        every N-th routed tuple; a config needs a policy exposing a
+        scheduler (POSG).
+        :class:`~repro.telemetry.flightrecorder.FlightRecorderConfig` /
+        :class:`~repro.telemetry.flightrecorder.FlightRecorder` captures
+        causal per-shard timelines — sync requests/replies, delta folds,
+        matrices broadcasts — plus every ``sample_every``-th routing
+        decision with the owning shard's believed loads; needs a
+        POSG-family policy.
+        :class:`~repro.telemetry.lineage.LineageConfig` /
+        :class:`~repro.telemetry.lineage.LineageTracer` records every
+        N-th tuple's span chain — arrival, instance arrival, execution
+        start/finish, the chosen instance with the believed loads, the
+        instance's window-remaining count — from which it derives the
+        exact partition ``scheduling_delay + queue_wait + service_time
+        == completion``; works with *any* policy (non-POSG policies
+        record empty believed loads).
+        Observers only *read* state, at deterministic stream indices,
+        so a run is bit-identical with them on or off, and what they
+        record is bit-identical across all engines: both engines agree
+        per tuple on ``(item, instance, execution_time)`` and clocks,
+        scheduler matrices are frozen between control deliveries, a
+        sampled decision's believed loads are the owning shard's
+        post-add values — the floats a segment commits into ``C_hat``
+        and the reference engine reads right after ``submit`` — and
+        control events land at the drains between segments, where every
+        scheduler's ``tuples_scheduled`` clock has been committed.
     profiler:
         Optional :class:`~repro.telemetry.profiler.PhaseProfiler`;
         engine phases (control/route/window_close/fold, plus
@@ -330,6 +318,7 @@ def simulate_stream(
         injector = None
     else:
         raise TypeError(f"faults must be a FaultPlan or FaultInjector, got {faults!r}")
+    observers = Observers(audit, flight, lineage, recorder)
 
     # Process-level worker faults mean nothing to the sequential engines:
     # a plan scripting only those runs as if there were no plan.
@@ -343,14 +332,13 @@ def simulate_stream(
         if chunk_size == 0:
             result = _simulate_reference(
                 stream, policy, k, scenario, data_lat, control_lat, rng,
-                sample_queues_every, interposed, audit, recorder, profiler,
-                flight, lineage,
+                sample_queues_every, interposed, observers, profiler,
             )
         else:
             result = _simulate_chunked(
                 stream, policy, k, scenario, data_lat, control_lat, rng,
-                sample_queues_every, chunk_size, interposed, audit, recorder,
-                profiler, flight, lineage,
+                sample_queues_every, chunk_size, interposed, observers,
+                profiler,
             )
     finally:
         if profiler is not None:
@@ -407,82 +395,6 @@ def _record_run_telemetry(recorder, result: SimulationResult, k: int) -> None:
     )
 
 
-def _prepare_audit(audit, policy, recorder) -> "EstimatorAudit | None":
-    """Resolve the ``audit=`` argument once the policy exists.
-
-    Called by the engines *after* factory resolution and ``setup`` so an
-    :class:`AuditConfig` can bind to the policy's scheduler.  A pre-built
-    :class:`EstimatorAudit` passes through untouched (callers wire its
-    telemetry themselves).
-    """
-    if audit is None:
-        return None
-    if isinstance(audit, EstimatorAudit):
-        return audit
-    if isinstance(audit, AuditConfig):
-        scheduler = getattr(policy, "scheduler", None)
-        if scheduler is None:
-            raise ValueError(
-                "audit=AuditConfig(...) needs a policy exposing a scheduler "
-                f"(POSG); policy {getattr(policy, 'name', policy)!r} has none"
-            )
-        return EstimatorAudit(scheduler, audit, telemetry=recorder)
-    raise TypeError(
-        f"audit must be an AuditConfig or EstimatorAudit, got {audit!r}"
-    )
-
-
-def _prepare_flight(flight, policy, recorder) -> "FlightRecorder | None":
-    """Resolve the ``flight=`` argument once the policy exists.
-
-    Called by the engines *after* factory resolution and ``setup`` so
-    the recorder can bind to the policy's shard layout
-    (``policy.attach_flight``).  A pre-built :class:`FlightRecorder`
-    is bound here too; callers wire its telemetry themselves.
-    """
-    if flight is None:
-        return None
-    if isinstance(flight, FlightRecorder):
-        recorder_flight = flight
-    elif isinstance(flight, FlightRecorderConfig):
-        recorder_flight = FlightRecorder(flight, telemetry=recorder)
-    else:
-        raise TypeError(
-            f"flight must be a FlightRecorderConfig or FlightRecorder, got {flight!r}"
-        )
-    if not hasattr(policy, "attach_flight"):
-        raise ValueError(
-            "flight recording needs a POSG-family policy exposing "
-            f"attach_flight; policy {getattr(policy, 'name', policy)!r} has none"
-        )
-    policy.attach_flight(recorder_flight)
-    return recorder_flight
-
-
-def _prepare_lineage(lineage, policy, recorder) -> "LineageTracer | None":
-    """Resolve the ``lineage=`` argument once the policy exists.
-
-    Called by the engines *after* factory resolution and ``setup`` so
-    the tracer can bind to the policy's shard layout
-    (``policy.attach_lineage``, provided by the ``GroupingPolicy`` base
-    class — every policy is traceable).  A pre-built
-    :class:`LineageTracer` is bound here too; callers wire its
-    telemetry themselves.
-    """
-    if lineage is None:
-        return None
-    if isinstance(lineage, LineageTracer):
-        tracer = lineage
-    elif isinstance(lineage, LineageConfig):
-        tracer = LineageTracer(lineage, telemetry=recorder)
-    else:
-        raise TypeError(
-            f"lineage must be a LineageConfig or LineageTracer, got {lineage!r}"
-        )
-    policy.attach_lineage(tracer)
-    return tracer
-
-
 def _fire_due_crashes(
     injector: FaultInjector,
     crash_ptr: int,
@@ -527,12 +439,9 @@ def _simulate_reference(
     control_lat: LatencyModel,
     rng: np.random.Generator | None,
     sample_queues_every: int | None,
-    injector: FaultInjector | None = None,
-    audit=None,
-    recorder=NULL_RECORDER,
+    injector: FaultInjector | None,
+    observers: Observers,
     profiler=None,
-    flight=None,
-    lineage=None,
 ) -> SimulationResult:
     # Oracle closure for Full Knowledge: reads the loop's current index.
     position = [0]
@@ -543,9 +452,7 @@ def _simulate_reference(
     if not isinstance(policy, GroupingPolicy):
         policy = policy(oracle)
     policy.setup(k, rng)
-    auditor = _prepare_audit(audit, policy, recorder)
-    recorder_flight = _prepare_flight(flight, policy, recorder)
-    tracer = _prepare_lineage(lineage, policy, recorder)
+    observers.bind(policy)
 
     agents = [policy.create_instance_agent(instance) for instance in range(k)]
     has_agents = any(agent is not None for agent in agents)
@@ -569,14 +476,6 @@ def _simulate_reference(
     queue_sample_indices: list[int] = []
     crash_ptr = 0
     faulting = injector is not None
-    # Audit sampling as an index comparison, mirroring the queue-sample
-    # sentinel: never fires when disabled (next_audit == m).
-    audit_every = auditor.sample_every if auditor is not None else 0
-    next_audit = 0 if auditor is not None else m
-    flight_every = recorder_flight.sample_every if recorder_flight is not None else 0
-    next_flight = 0 if recorder_flight is not None else m
-    lineage_every = tracer.sample_every if tracer is not None else 0
-    next_lineage = 0 if tracer is not None else m
 
     for j in range(m):
         arrival = arrivals[j]
@@ -629,23 +528,16 @@ def _simulate_reference(
         busy_until[instance] = finish
         completions[j] = finish - arrival
         assignments[j] = instance
-        if j == next_audit:
-            auditor.observe(j, int(items[j]), instance, execution_time)
-            next_audit += audit_every
-        if j == next_flight:
-            policy.record_flight_route(recorder_flight, j, instance)
-            next_flight += flight_every
-        if j == next_lineage:
-            # Span clocks are captured *before* the instance agent folds
-            # the tuple, so ``window_remaining`` counts this tuple (pre-
-            # execution); the chunked segment replays reconstruct the
-            # same pre-value.
-            agent_tracker = getattr(agents[instance], "tracker", None)
-            policy.record_lineage_route(
-                tracer, j, instance, arrival, at_instance, start, finish,
-                agent_tracker.window_remaining if agent_tracker is not None else 0,
+        if j == observers.next_due:
+            # Before the instance agent folds the tuple, so
+            # ``window_remaining`` still counts it; the chunked segment
+            # replays reconstruct the same pre-value.
+            tracker = getattr(agents[instance], "tracker", None)
+            observers.sample_routed(
+                j, int(items[j]), instance, arrival, at_instance, start,
+                finish, execution_time,
+                tracker.window_remaining if tracker is not None else 0,
             )
-            next_lineage += lineage_every
 
         if has_agents and agents[instance] is not None:
             if profiler is not None:
@@ -692,9 +584,9 @@ def _simulate_reference(
             if sample_queues_every is not None
             else None
         ),
-        audit=auditor,
-        flight=recorder_flight,
-        lineage=tracer,
+        audit=observers.audit,
+        flight=observers.flight,
+        lineage=observers.lineage,
         engine=_engine_info("reference"),
     )
 
@@ -712,12 +604,9 @@ def _simulate_chunked(
     rng: np.random.Generator | None,
     sample_queues_every: int | None,
     chunk_size: int,
-    injector: FaultInjector | None = None,
-    audit=None,
-    recorder=NULL_RECORDER,
+    injector: FaultInjector | None,
+    observers: Observers,
     profiler=None,
-    flight=None,
-    lineage=None,
 ) -> SimulationResult:
     m = stream.m
     items_array = np.ascontiguousarray(stream.items, dtype=np.int64)
@@ -761,9 +650,7 @@ def _simulate_chunked(
     if not isinstance(policy, GroupingPolicy):
         policy = policy(oracle)
     policy.setup(k, rng)
-    auditor = _prepare_audit(audit, policy, recorder)
-    recorder_flight = _prepare_flight(flight, policy, recorder)
-    tracer = _prepare_lineage(lineage, policy, recorder)
+    observers.bind(policy)
 
     agents = [policy.create_instance_agent(instance) for instance in range(k)]
     has_agents = any(agent is not None for agent in agents)
@@ -796,22 +683,19 @@ def _simulate_chunked(
     )
 
     path, reason = _choose_loop(
-        policy, state, injector, has_agents, auditor is None and profiler is None
+        policy, state, injector, has_agents,
+        observers.audit is None and profiler is None,
     )
     state.engine = _engine_info(path, reason)
     if path == "segment":
-        _run_posg(
-            state, policy, agents, chunk_size, injector, auditor, profiler,
-            recorder_flight, tracer,
-        )
+        _run_posg(state, policy, agents, chunk_size, injector, observers, profiler)
     elif path == "round_robin":
-        _run_round_robin(state, policy, tracer)
+        _run_round_robin(state, policy, observers)
     elif path == "full_knowledge":
-        _run_full_knowledge(state, policy, tracer)
+        _run_full_knowledge(state, policy, observers)
     else:
         _run_generic(
-            state, policy, agents, track_states, injector,
-            auditor, profiler, recorder_flight, tracer,
+            state, policy, agents, track_states, injector, observers, profiler
         )
 
     return SimulationResult(
@@ -833,9 +717,9 @@ def _simulate_chunked(
             if sample_queues_every is not None
             else None
         ),
-        audit=auditor,
-        flight=recorder_flight,
-        lineage=tracer,
+        audit=observers.audit,
+        flight=observers.flight,
+        lineage=observers.lineage,
         engine=state.engine,
     )
 
@@ -916,10 +800,11 @@ class _ChunkedState:
 
 
 def _run_round_robin(
-    state: _ChunkedState, policy: RoundRobinGrouping, lineage=None
+    state: _ChunkedState, policy: RoundRobinGrouping, observers: Observers
 ) -> None:
     """Whole-stream inline loop for ASSG (no agents, no control plane)."""
     m = len(state.items)
+    items = state.items
     arrivals = state.arrivals
     busy = state.busy_until
     completions = state.completions
@@ -929,8 +814,8 @@ def _run_round_robin(
     latency_values = state.latency_values
     k = state.k
     counter = policy._counter
-    lineage_every = lineage.sample_every if lineage is not None else 0
-    next_lineage = 0 if lineage is not None else m
+    # a small-int sentinel when nothing is attached, like ``next_sample``
+    next_probe = min(observers.next_due, m)
     for j in range(m):
         arrival = arrivals[j]
         if every is not None and j % every == 0:
@@ -954,16 +839,16 @@ def _run_round_robin(
         busy[instance] = finish
         completions.append(finish - arrival)
         assignments.append(instance)
-        if j == next_lineage:
-            policy.record_lineage_route(
-                lineage, j, instance, arrival, at_instance, start, finish, 0,
+        if j == next_probe:
+            next_probe = observers.sample(
+                0, j, items[j], instance, (), arrival, at_instance, start,
+                finish, execution_time, 0,
             )
-            next_lineage += lineage_every
     policy._counter = counter
 
 
 def _run_full_knowledge(
-    state: _ChunkedState, policy: FullKnowledgeGrouping, lineage=None
+    state: _ChunkedState, policy: FullKnowledgeGrouping, observers: Observers
 ) -> None:
     """Whole-stream inline loop for the Full Knowledge baseline.
 
@@ -985,8 +870,7 @@ def _run_full_knowledge(
     loads = policy._loads.tolist()
     k = state.k
     k_range = range(1, k)
-    lineage_every = lineage.sample_every if lineage is not None else 0
-    next_lineage = 0 if lineage is not None else m
+    next_probe = min(observers.next_due, m)
     for j in range(m):
         arrival = arrivals[j]
         position[0] = j
@@ -1017,11 +901,11 @@ def _run_full_knowledge(
         busy[instance] = finish
         completions.append(finish - arrival)
         assignments.append(instance)
-        if j == next_lineage:
-            policy.record_lineage_route(
-                lineage, j, instance, arrival, at_instance, start, finish, 0,
+        if j == next_probe:
+            next_probe = observers.sample(
+                0, j, items[j], instance, (), arrival, at_instance, start,
+                finish, execution_time, 0,
             )
-            next_lineage += lineage_every
     policy._loads[:] = loads
 
 
@@ -1055,12 +939,10 @@ def _tuple_stepper(
     policy: GroupingPolicy,
     agents,
     finishes: list[float],
-    injector: "FaultInjector | None" = None,
-    slowdowns_hoisted: bool = False,
-    auditor=None,
+    injector: "FaultInjector | None",
+    observers: Observers,
     profiler=None,
-    flight=None,
-    lineage=None,
+    slowdowns_hoisted: bool = False,
 ):
     """The chunked engine's one per-tuple step, as ``step(j, arrival)``.
 
@@ -1080,9 +962,6 @@ def _tuple_stepper(
     assignments = state.assignments
     k = state.k
     slowing = injector is not None and not slowdowns_hoisted
-    audit_every = auditor.sample_every if auditor is not None else 0
-    flight_every = flight.sample_every if flight is not None else 0
-    lineage_every = lineage.sample_every if lineage is not None else 0
 
     def step(j: int, arrival: float) -> int:
         if profiler is not None:
@@ -1114,16 +993,13 @@ def _tuple_stepper(
         finishes.append(finish)
         assignments.append(instance)
         agent = agents[instance]
-        if audit_every and j % audit_every == 0:
-            auditor.observe(j, items[j], instance, execution_time)
-        if flight_every and j % flight_every == 0:
-            policy.record_flight_route(flight, j, instance)
-        if lineage_every and j % lineage_every == 0:
-            # Captured before the agent folds the tuple, so
-            # ``window_remaining`` still counts it.
+        if j == observers.next_due:
+            # Before the agent folds the tuple, so ``window_remaining``
+            # still counts it.
             tracker = getattr(agent, "tracker", None)
-            policy.record_lineage_route(
-                lineage, j, instance, arrival, at_instance, start, finish,
+            observers.sample_routed(
+                j, items[j], instance, arrival, at_instance, start, finish,
+                execution_time,
                 tracker.window_remaining if tracker is not None else 0,
             )
         if agent is not None:
@@ -1144,11 +1020,9 @@ def _run_generic(
     policy: GroupingPolicy,
     agents,
     track_states: bool,
-    injector: FaultInjector | None = None,
-    auditor=None,
+    injector: FaultInjector | None,
+    observers: Observers,
     profiler=None,
-    flight=None,
-    lineage=None,
 ) -> None:
     """Hoisted per-tuple loop for arbitrary policies.
 
@@ -1168,8 +1042,7 @@ def _run_generic(
     faulting = injector is not None
     finishes: list[float] = []
     step = _tuple_stepper(
-        state, policy, agents, finishes, injector,
-        auditor=auditor, profiler=profiler, flight=flight, lineage=lineage,
+        state, policy, agents, finishes, injector, observers, profiler
     )
     for j in range(m):
         arrival = arrivals[j]
@@ -1208,11 +1081,9 @@ def _run_posg(
     policy: POSGGrouping,
     agents,
     chunk_size: int,
-    injector: FaultInjector | None = None,
-    auditor=None,
+    injector: FaultInjector | None,
+    observers: Observers,
     profiler=None,
-    flight=None,
-    lineage=None,
 ) -> None:
     """POSG-family data plane: control-quiet segments + per-tuple SEND_ALL.
 
@@ -1304,11 +1175,10 @@ def _run_posg(
     at_cols = [shifted[value] for value in state.latency_values]
     at_column = at_cols[0]
     # The two single-scheduler specialisations below read one shared
-    # instance-arrival column and carry no flight or two-choices hooks.
+    # instance-arrival column and carry no two-choices probe.
     lean = (
         sources == 1
         and not two_choices
-        and flight is None
         and all(column is at_column for column in at_cols)
     )
 
@@ -1317,22 +1187,14 @@ def _run_posg(
     # Queue sampling as an index comparison instead of a per-tuple modulo;
     # j visits 0..m-1 in order, so this replays ``j % every == 0``.
     next_sample = 0 if every is not None else m
-    # Audit, flight and lineage sampling use the same sentinel trick: when
-    # disabled the compare never fires, keeping the fast segments'
-    # per-tuple cost flat.  Samples are replayed at their grid indices
-    # from segment locals: the believed loads are the owning shard's
-    # post-add ``c`` values — the exact floats ``commit`` folds back into
-    # ``C_hat``, so the reference engine's post-submit ``C_hat`` reads
-    # match bit for bit.
-    audit_every = auditor.sample_every if auditor is not None else 0
-    audit_observe = auditor.observe if auditor is not None else None
-    next_audit = 0 if auditor is not None else m
-    flight_every = flight.sample_every if flight is not None else 0
-    flight_record = flight.record_route if flight is not None else None
-    next_flight = 0 if flight is not None else m
-    lineage_every = lineage.sample_every if lineage is not None else 0
-    lineage_record = lineage.record_sample if lineage is not None else None
-    next_lineage = 0 if lineage is not None else m
+    # The observers share one sentinel of the same kind (``m`` when
+    # nothing is attached, so the compare stays between small ints).
+    # Samples are taken at their grid indices from segment locals: the
+    # believed loads are the owning shard's post-add ``c`` values — the
+    # exact floats ``commit`` folds back into ``C_hat``, so the reference
+    # engine's post-submit ``C_hat`` reads match bit for bit.
+    probe = observers.sample
+    next_probe = min(observers.next_due, m)
 
     # Instance-side batching state persists across segments: tuples are
     # folded lazily, right before anything inspects the tracker (a window
@@ -1411,8 +1273,8 @@ def _run_posg(
         return nearest
 
     step = _tuple_stepper(
-        state, policy, agents, finishes, injector, slowdowns_hoisted=True,
-        auditor=auditor, profiler=profiler, flight=flight, lineage=lineage,
+        state, policy, agents, finishes, injector, observers, profiler,
+        slowdowns_hoisted=True,
     )
     blocks: list = []
     window_end = 0
@@ -1642,22 +1504,18 @@ def _run_posg(
                             w4 -= 1
                             pi4.append(items[j])
                             pt4.append(execution_time)
-                    if j == next_audit:
-                        audit_observe(j, items[j], instance, execution_time)
-                        next_audit += audit_every
-                    if j == next_lineage:
+                    if j == next_probe:
                         # ``b`` is this tuple's start clock; the chosen
                         # instance's window counter is already post-
                         # update, so the pre-execution value is either
                         # the boundary (post == window_size -> 1) or
                         # post + 1.
                         wpost = (w0, w1, w2, w3, w4)[instance]
-                        lineage_record(
-                            0, j, instance, (c0, c1, c2, c3, c4),
-                            arrivals[j], at_instance, b, finish,
+                        next_probe = probe(
+                            0, j, items[j], instance, (c0, c1, c2, c3, c4),
+                            arrivals[j], at_instance, b, finish, execution_time,
                             1 if wpost == window_size else wpost + 1,
                         )
-                        next_lineage += lineage_every
                     pos += 1
                     j += 1
                 c[0] = c0
@@ -1684,13 +1542,13 @@ def _run_posg(
                 # float sequence (and every finish time) is bit-identical
                 # to the interleaved reference loop; window boundaries are
                 # located up front from ``window_left`` and the boundary
-                # tuple itself runs through the reference step.  Audit
+                # tuple itself runs through the reference step.  Observer
                 # samples are replayed from the de-interleaved arrays
                 # after each chunk: matrices are frozen inside the
                 # control-quiet segment, so the estimates the auditor
                 # reads match the reference engine's per-tuple ordering
                 # bit for bit.  ROUND_ROBIN never updates ``C_hat``, so
-                # every lineage sample believes the block's frozen ``_c``.
+                # every sample believes the block's frozen ``_c``.
                 c = block._c
                 rr = block._rr
                 while True:
@@ -1704,11 +1562,10 @@ def _run_posg(
                         count = safe_end - j
                         seg_fin = [0.0] * count
                         seg_asg = [0] * count
-                        sampling = next_sample < safe_end
-                        lin_here = next_lineage < safe_end
-                        collect = sampling or lin_here
+                        probing = next_probe < safe_end
+                        collect = probing or next_sample < safe_end
                         start_busy = busy[:] if collect else None
-                        base_wl = window_left[:] if lin_here else None
+                        base_wl = window_left[:] if probing else None
                         chains: list[list[float]] = []
                         for i in range(k):
                             off = (i - rr) % k
@@ -1750,14 +1607,14 @@ def _run_posg(
                             queue_sample_indices.append(s)
                             queue_samples.append(sample)
                             next_sample += every
-                        # Lineage samples replay from the de-interleaved
+                        # Observer samples replay from the de-interleaved
                         # chains: the sampled tuple's start clock is the
                         # same max(at, previous finish) the chain loop
                         # computed, its finish is the chain value itself,
                         # and C_hat is frozen for the whole ROUND_ROBIN
                         # segment.
-                        while next_lineage < safe_end:
-                            s = next_lineage
+                        while next_probe < safe_end:
+                            s = next_probe
                             i = seg_asg[s - j]
                             first = j + (i - rr) % k
                             cnt = (s - first) // k
@@ -1765,20 +1622,12 @@ def _run_posg(
                                 start_busy[i] if cnt == 0 else chains[i][cnt - 1]
                             )
                             at = at_column[s]
-                            lineage_record(
-                                0, s, i, c, arrivals[s], at,
+                            next_probe = probe(
+                                0, s, items[s], i, c, arrivals[s], at,
                                 at if at > prev_b else prev_b,
-                                chains[i][cnt], base_wl[i] - cnt,
+                                chains[i][cnt], execution_columns[i][s],
+                                base_wl[i] - cnt,
                             )
-                            next_lineage += lineage_every
-                        while next_audit < safe_end:
-                            s = next_audit
-                            instance = seg_asg[s - j]
-                            audit_observe(
-                                s, items[s], instance,
-                                execution_columns[instance][s],
-                            )
-                            next_audit += audit_every
                         rr += count
                         j = safe_end
                     if j >= end:
@@ -1800,13 +1649,12 @@ def _run_posg(
                     busy[instance] = finish
                     finishes.append(finish)
                     assignments.append(instance)
-                    if j == next_lineage:
-                        lineage_record(
-                            0, j, instance, c, arrivals[j], at_instance,
-                            b, finish, window_left[instance],
-                        )
-                        next_lineage += lineage_every
                     wl = window_left[instance]
+                    if j == next_probe:
+                        next_probe = probe(
+                            0, j, items[j], instance, c, arrivals[j],
+                            at_instance, b, finish, execution_time, wl,
+                        )
                     if wl == 1:
                         next_due, end = _window_boundary(
                             instance, items[j], execution_time, finish,
@@ -1817,9 +1665,6 @@ def _run_posg(
                         pending_items[instance].append(items[j])
                         pending_times[instance].append(execution_time)
                         window_left[instance] = wl - 1
-                    if j == next_audit:
-                        audit_observe(j, items[j], instance, execution_time)
-                        next_audit += audit_every
                     j += 1
                 block._pos += rr - block._rr
                 block._rr = rr
@@ -1890,19 +1735,12 @@ def _run_posg(
                     busy[instance] = finish
                     fin_append(finish)
                     asg_append(instance)
-                    if j == next_audit:
-                        audit_observe(j, items[j], instance, execution_time)
-                        next_audit += audit_every
-                    if j == next_flight:
-                        flight_record(shard, j, instance, c)
-                        next_flight += flight_every
                     wl = window_left[instance]
-                    if j == next_lineage:
-                        lineage_record(
-                            shard, j, instance, c, arrivals[j], at_instance,
-                            b, finish, wl,
+                    if j == next_probe:
+                        next_probe = probe(
+                            shard, j, items[j], instance, c, arrivals[j],
+                            at_instance, b, finish, execution_time, wl,
                         )
-                        next_lineage += lineage_every
                     if wl == 1:
                         next_due, end = _window_boundary(
                             instance, items[j], execution_time, finish,
@@ -1950,12 +1788,8 @@ def _run_posg(
         _flush_pending()
         instance = step(j, arrival)
         window_left[instance] = trackers[instance].window_remaining
-        if j == next_audit:
-            next_audit += audit_every
-        if j == next_flight:
-            next_flight += flight_every
-        if j == next_lineage:
-            next_lineage += lineage_every
+        if j == next_probe:
+            next_probe = observers.next_due
 
         current_state = policy.state
         if current_state is not previous_state:

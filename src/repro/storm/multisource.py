@@ -36,7 +36,7 @@ from repro.storm.tuples import StormTuple
 from repro.telemetry.audit import AuditConfig, EstimatorAudit
 from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
 from repro.telemetry.lineage import LineageConfig, LineageTracer
-from repro.telemetry.recorder import NULL_RECORDER
+from repro.telemetry.observers import Observers
 
 
 class MultiSourcePOSGCoordinator:
@@ -97,45 +97,18 @@ class MultiSourcePOSGCoordinator:
         )
         self._item_field = item_field
         self._rng = rng
-        self._telemetry = telemetry if telemetry is not None else NULL_RECORDER
-        if audit is not None and not isinstance(
-            audit, (AuditConfig, EstimatorAudit)
-        ):
-            raise TypeError(
-                f"audit must be an AuditConfig or EstimatorAudit, got {audit!r}"
-            )
-        self._audit_spec = audit
-        self._auditor: EstimatorAudit | None = None
-        if flight is not None and not isinstance(
-            flight, (FlightRecorderConfig, FlightRecorder)
-        ):
-            raise TypeError(
-                "flight must be a FlightRecorderConfig or FlightRecorder, "
-                f"got {flight!r}"
-            )
-        self._flight_spec = flight
-        self._flight: FlightRecorder | None = None
-        self._flight_every = 0
-        self._routed = 0
-        if lineage is not None and not isinstance(
-            lineage, (LineageConfig, LineageTracer)
-        ):
-            raise TypeError(
-                "lineage must be a LineageConfig or LineageTracer, "
-                f"got {lineage!r}"
-            )
-        self._lineage_spec = lineage
-        self._lineage: LineageTracer | None = None
-        self._lineage_every = 0
+        self._observers = Observers(audit, flight, lineage, telemetry)
         self._clock = clock
-        self._lin_routed = 0
-        self._lin_route_seq: dict[int, int] = {}
-        self._lin_exec_seq: dict[int, int] = {}
+        #: tuples routed (by every shard) / execution reports seen
+        self._routed = 0
+        self._executed = 0
+        #: per task: tuples routed there / execution reports seen there
+        self._route_seq: dict[int, int] = {}
+        self._exec_seq: dict[int, int] = {}
         #: per task: open spans awaiting their execution report, FIFO of
         #: ``(task_seq, shard, sample_index, believed, arrival)``
-        self._lin_pending: dict[int, list] = {}
+        self._open_spans: dict[int, list] = {}
         self._agents: dict[int, object] = {}
-        self._executed = 0
         self._shards: dict[int, _ShardGrouping] = {}
         self._bound_tasks: list[int] | None = None
 
@@ -163,32 +136,7 @@ class MultiSourcePOSGCoordinator:
                 position: self._core.create_instance_agent(position)
                 for position in range(len(target_tasks))
             }
-            if isinstance(self._audit_spec, EstimatorAudit):
-                self._auditor = self._audit_spec
-            elif self._audit_spec is not None:
-                self._auditor = EstimatorAudit(
-                    self._core.scheduler,
-                    self._audit_spec,
-                    telemetry=self._telemetry,
-                )
-            if isinstance(self._flight_spec, FlightRecorder):
-                self._flight = self._flight_spec
-            elif self._flight_spec is not None:
-                self._flight = FlightRecorder(
-                    self._flight_spec, telemetry=self._telemetry
-                )
-            if self._flight is not None:
-                self._core.attach_flight(self._flight)
-                self._flight_every = self._flight.sample_every
-            if isinstance(self._lineage_spec, LineageTracer):
-                self._lineage = self._lineage_spec
-            elif self._lineage_spec is not None:
-                self._lineage = LineageTracer(
-                    self._lineage_spec, telemetry=self._telemetry
-                )
-            if self._lineage is not None:
-                self._core.attach_lineage(self._lineage)
-                self._lineage_every = self._lineage.sample_every
+            self._observers.bind(self._core)
         elif list(target_tasks) != self._bound_tasks:
             raise ValueError(
                 f"shard {source} prepared against tasks {target_tasks}, "
@@ -199,49 +147,55 @@ class MultiSourcePOSGCoordinator:
     # ------------------------------------------------------------------
     # shared hooks (called by the shard groupings)
     # ------------------------------------------------------------------
-    def _route(self, source: int, item: int):
-        decision = self._core.schedulers[source].submit(item)
-        if self._flight is not None:
-            index = self._routed
-            if index % self._flight_every == 0:
-                self._flight.record_route(
-                    source,
-                    index,
-                    decision.instance,
-                    self._core.schedulers[source]._c_hat.tolist(),
-                )
-            self._routed = index + 1
-        if self._lineage is not None:
-            index = self._lin_routed
-            position = decision.instance
-            seq = self._lin_route_seq.get(position, 0)
-            if index % self._lineage_every == 0:
-                self._lin_pending.setdefault(position, []).append((
+    def _sample_route(self, source: int, instance: int) -> None:
+        """Flight sample and lineage span-open for one routed tuple.
+
+        The sample index counts tuples in coordinator routing order; the
+        believed loads are the routing shard's post-decision ``C_hat``.
+        Only called while a flight recorder or lineage tracer is attached.
+        """
+        index = self._routed
+        self._routed = index + 1
+        flight, lineage = self._observers.flight, self._observers.lineage
+        if flight is not None and index % flight.sample_every == 0:
+            flight.record_route(
+                source, index, instance,
+                self._core.schedulers[source]._c_hat.tolist(),
+            )
+        if lineage is not None:
+            seq = self._route_seq.get(instance, 0)
+            self._route_seq[instance] = seq + 1
+            if index % lineage.sample_every == 0:
+                self._open_spans.setdefault(instance, []).append((
                     seq,
                     source,
                     index,
                     self._core.schedulers[source]._c_hat.tolist(),
                     self._clock() if self._clock is not None else 0.0,
                 ))
-            self._lin_route_seq[position] = seq + 1
-            self._lin_routed = index + 1
-        return decision
 
-    def _on_execution(
-        self, task: int, tup: StormTuple, duration: float
-    ) -> list:
-        item = int(tup.value(self._item_field))
-        auditor = self._auditor
+    def _sample_execution(self, task: int, item: int, duration: float) -> None:
+        """Audit sample and lineage span-close for one execution report.
+
+        Called before the task's agent folds the report: the
+        scheduler-side matrices only change on control delivery, so the
+        audit reads the estimate the grouping is currently routing with,
+        and the span records the pre-fold window counter.  The audit's
+        sample index counts execution reports (completion order).
+        """
+        auditor = self._observers.audit
         if auditor is not None:
             index = self._executed
+            self._executed = index + 1
             if index % auditor.sample_every == 0:
                 auditor.observe(index, item, task, duration)
-            self._executed = index + 1
-        agent = self._agents[task]
-        if self._lineage is not None:
-            seq = self._lin_exec_seq.get(task, 0)
-            self._lin_exec_seq[task] = seq + 1
-            queue = self._lin_pending.get(task)
+        lineage = self._observers.lineage
+        if lineage is not None:
+            seq = self._exec_seq.get(task, 0)
+            self._exec_seq[task] = seq + 1
+            queue = self._open_spans.get(task)
+            # Drop spans whose tuple was lost before executing (crash
+            # or replay desync), then close the one matching this report.
             while queue and queue[0][0] < seq:
                 queue.pop(0)
             if queue and queue[0][0] == seq:
@@ -251,22 +205,24 @@ class MultiSourcePOSGCoordinator:
                     if self._clock is not None
                     else arrival + duration
                 )
-                self._lineage.record_sample(
+                lineage.record_sample(
                     shard, index, task, believed, arrival, arrival,
                     finish - duration, finish,
-                    agent.tracker.window_remaining,
+                    self._agents[task].tracker.window_remaining,
                 )
-        return agent.on_executed(item, duration, tup.sync_request)
 
     def on_control(self, message) -> None:
         """Dispatch through the core: broadcast matrices, route replies."""
         self._core.on_control(message)
 
     def _on_instance_crash(self, task: int) -> None:
+        """Wipe the crashed task's instance-side state (new generation)."""
         agent = self._agents.get(task)
         if agent is not None:
             agent.tracker.restart()
-        self._lin_pending.pop(task, None)
+        # Open spans routed to the crashed task may never execute (its
+        # queue restarts); drop them rather than mis-close later spans.
+        self._open_spans.pop(task, None)
 
     # ------------------------------------------------------------------
     # introspection
@@ -299,17 +255,17 @@ class MultiSourcePOSGCoordinator:
     @property
     def audit(self) -> EstimatorAudit | None:
         """The estimator audit, once the first shard has prepared."""
-        return self._auditor
+        return self._observers.audit
 
     @property
     def flight(self) -> FlightRecorder | None:
         """The flight recorder, once the first shard has prepared."""
-        return self._flight
+        return self._observers.flight
 
     @property
     def lineage(self) -> LineageTracer | None:
         """The lineage tracer, once the first shard has prepared."""
-        return self._lineage
+        return self._observers.lineage
 
     def stats(self) -> dict:
         """Merged per-shard control-plane accounting (see the core)."""
@@ -327,22 +283,35 @@ class _ShardGrouping(CustomStreamGrouping):
     def __init__(self, coordinator: MultiSourcePOSGCoordinator, source: int) -> None:
         self._coordinator = coordinator
         self._source = source
+        self._item_field = coordinator.item_field
 
     def prepare(self, source: str, target_tasks: list[int]) -> None:
         super().prepare(source, target_tasks)
-        self._coordinator._bind(self._source, self._target_tasks)
+        coordinator = self._coordinator
+        coordinator._bind(self._source, self._target_tasks)
+        self._submit = coordinator.schedulers[self._source].submit
+        self._agents = coordinator._agents
+        # With nothing attached, routing is the bare ``submit`` and an
+        # execution report the bare fold.
+        lineage = coordinator.lineage
+        self._samples_routes = not (coordinator.flight is None and lineage is None)
+        self._samples_executions = not (coordinator.audit is None and lineage is None)
 
     def choose_tasks(self, tup: StormTuple) -> list[int]:
-        item = int(tup.value(self._coordinator.item_field))
-        decision = self._coordinator._route(self._source, item)
+        decision = self._submit(int(tup.value(self._item_field)))
         tup.sync_request = decision.sync_request
+        if self._samples_routes:
+            self._coordinator._sample_route(self._source, decision.instance)
         return [self._target_tasks[decision.instance]]
 
     def wants_execution_reports(self) -> bool:
         return self._source == 0
 
     def on_execution(self, task: int, tup: StormTuple, duration: float) -> list:
-        return self._coordinator._on_execution(task, tup, duration)
+        item = int(tup.value(self._item_field))
+        if self._samples_executions:
+            self._coordinator._sample_execution(task, item, duration)
+        return self._agents[task].on_executed(item, duration, tup.sync_request)
 
     def on_control(self, message) -> None:
         self._coordinator.on_control(message)

@@ -54,8 +54,8 @@ class AuditConfig:
     ----------
     sample_every:
         Audit every N-th tuple (stream position).  256 keeps the sampled
-        hot-path work under the 10% overhead gate at paper scale (see
-        ``benchmarks/bench_audit_overhead.py``).
+        hot-path work within a few percent at paper scale (the pinned
+        benchmark's ``telemetry.audit.overhead_ratio``).
     quantiles:
         Error quantiles to stream, as fractions.
     tail_thresholds_ms:

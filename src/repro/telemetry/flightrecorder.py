@@ -70,8 +70,9 @@ class FlightRecorderConfig:
         of the shards — :meth:`FlightRecorder.bind` therefore bumps the
         effective stride to the next integer coprime with ``s``, so the
         samples rotate over every shard.  256 (257 effective under
-        even shard counts) keeps the sampled-mode overhead inside the
-        ``bench_flightrecorder_overhead`` gate.
+        even shard counts) keeps the sampled-mode overhead (the pinned
+        benchmark's ``telemetry.flight.overhead_ratio``) within a few
+        percent.
     capacity:
         Per-shard timeline bound; the prefix is kept on overflow and
         ``dropped_events`` counts the rest.  ``None`` is unbounded.
@@ -113,6 +114,13 @@ class FlightRecorder:
 
     ``at`` is the shard scheduler's ``tuples_scheduled`` clock at
     emission; ``index`` is the global stream index of the sampled tuple.
+
+    A shard whose timeline reaches ``config.capacity`` keeps the
+    *prefix*: later events are counted in ``dropped_events`` and
+    discarded, so a truncated timeline is still an engine-comparable
+    prefix.  (:class:`~repro.telemetry.tracer.Tracer` does the opposite
+    — its ring keeps the suffix — because an FSM trace is most useful
+    near the end of a run.)
     """
 
     def __init__(self, config: FlightRecorderConfig | None = None, telemetry=NULL_RECORDER) -> None:

@@ -122,7 +122,8 @@ class LineageConfig:
         bumps the effective stride to the next integer coprime with
         ``s`` — the samples then rotate over every shard instead of
         aliasing onto shard 0.  The default keeps the sampled-mode
-        overhead inside the ``bench_lineage_overhead`` gate.
+        overhead (the pinned benchmark's
+        ``telemetry.lineage.overhead_ratio``) within a few percent.
     capacity:
         Per-shard sample bound; the prefix is kept on overflow and
         ``dropped_samples`` counts the rest.  ``None`` is unbounded.

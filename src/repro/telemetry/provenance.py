@@ -1,9 +1,9 @@
 """Provenance stamping for benchmark artifacts.
 
-Every ``BENCH_*.json`` file the repo writes embeds the output of
-:func:`provenance` so the bench trajectory stays comparable across PRs:
-the same numbers mean nothing without knowing which commit, interpreter
-and numpy produced them.
+Every record the pinned benchmark (``python -m bench``) prints embeds
+the output of :func:`provenance` so the bench trajectory stays
+comparable across PRs: the same numbers mean nothing without knowing
+which commit, interpreter and numpy produced them.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ with a single attribute check::
         self._telemetry.tracer.emit("scheduler_state", ...)
 
 so the instrumented code costs one attribute load and a predictable
-branch when telemetry is off (the <3% overhead gate of
-``benchmarks/bench_telemetry_overhead.py`` holds this to account).
+branch when telemetry is off (the pinned benchmark's
+``telemetry.recorder.overhead_ratio`` holds this to account).
 Cold paths may call the registry/tracer unguarded — the null objects
 swallow everything.
 """

@@ -49,8 +49,8 @@ class Tracer:
     Overflow semantics
     ------------------
     Once the ring is full, every further :meth:`emit` evicts the
-    *oldest* buffered event (the ring is a sliding window over the
-    tail of the stream) and increments :attr:`dropped`.  Evicted events
+    *oldest* buffered event (the ring keeps the *suffix* of the
+    stream) and increments :attr:`dropped`.  Evicted events
     are gone from memory but remain in the JSONL sink when one is
     attached, and ``seq`` numbering is never affected — so
     ``emitted == len(events()) + dropped`` always holds, and a reader

@@ -255,7 +255,7 @@ class TestArgumentResolution:
         from repro.core.grouping import RoundRobinGrouping
 
         stream = default_stream(seed=0, m=64)
-        with pytest.raises(ValueError, match="attach_flight"):
+        with pytest.raises(ValueError, match="POSG-family"):
             simulate_stream(
                 stream,
                 RoundRobinGrouping(),

@@ -39,10 +39,11 @@ from repro.core.messages import MatricesMessage
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.faults.plan import CrashFault, FaultPlan, MessageFaults, SlowdownFault
 from repro.simulator.network import UniformLatency
+from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
 from repro.telemetry.audit import AuditConfig
-from repro.telemetry.flightrecorder import FlightRecorderConfig
-from repro.telemetry.lineage import LineageConfig
+from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
+from repro.telemetry.lineage import LineageConfig, LineageTracer
 from repro.telemetry.recorder import TelemetryRecorder
 from repro.workloads.synthetic import default_stream
 
@@ -413,6 +414,84 @@ class TestNamedRegressions:
         ]
         assert witnesses, "no window close cut a segment off the shard grid"
         assert chunked.engine["fallback_tuples"] >= sources * k
+
+
+    @pytest.mark.parametrize("sources", [1, 4])
+    def test_colliding_observer_strides_share_one_schedule(self, sources):
+        """All three observers at stride 2: at s = 1 every sample is a
+        triple hit, at s = 4 flight and lineage bump to 3 and the merged
+        schedule mixes single, double and triple hits — across a
+        ROUND_ROBIN stretch, SEND_ALL stretches, sampled window
+        boundaries and a scripted crash."""
+        k, m, window_size = 5, 4_000, 16
+        stream = default_stream(seed=3, m=m, n=64, k=k)
+        reference, chunked = run_pair(
+            lambda recorder: MultiSourcePOSGGrouping(
+                sources, small_config(window_size)
+            ),
+            stream, k, 256,
+            faults=FaultPlan(
+                crashes=[CrashFault(1, float(stream.arrivals[2_500]), 10.0)]
+            ),
+            audit=AuditConfig(sample_every=2),
+            flight=FlightRecorderConfig(sample_every=2),
+            lineage=LineageConfig(sample_every=2),
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
+        stride = 2 if sources == 1 else 3
+        assert chunked.flight.sample_every == stride
+        assert chunked.lineage.sample_every == stride
+        assert chunked.audit.samples == m // 2
+        spans = [
+            span for lane in chunked.lineage.timelines() for span in lane
+        ]
+        routes = [
+            event
+            for lane in chunked.flight.timelines()
+            for event in lane
+            if event[0] == "route"
+        ]
+        assert len(spans) == len(routes) == -(-m // stride)
+        # the run left ROUND_ROBIN after a sampled stretch, fell back to
+        # the per-tuple step, closed windows on sampled tuples and
+        # crossed the crash
+        assert chunked.run_entry_index() > 2 * stride
+        assert chunked.engine["fallback_tuples"] >= sources * k
+        assert chunked.engine["cuts"]["crash"] == 1
+        assert sum(span[7] == 1 for span in spans) > m // (window_size * stride) // 2
+
+
+class TestObserverArguments:
+    """``audit=``/``flight=``/``lineage=`` are type-checked at the public
+    boundary, before the policy is set up or the generator drawn from."""
+
+    @pytest.mark.parametrize(
+        "run", [simulate_stream, simulate_stream_parallel],
+        ids=["sequential", "parallel"],
+    )
+    @pytest.mark.parametrize(
+        "name,bad", [("audit", "x"), ("flight", 3), ("lineage", object())],
+        ids=["audit", "flight", "lineage"],
+    )
+    def test_bad_argument_is_rejected_before_any_state_moves(self, run, name, bad):
+        stream = default_stream(seed=0, m=64)
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        policy = MultiSourcePOSGGrouping(2, small_config())
+        # pre-built observers left over from a three-shard deployment
+        prebuilt = {
+            "flight": FlightRecorder(FlightRecorderConfig()),
+            "lineage": LineageTracer(LineageConfig()),
+        }
+        for observer in prebuilt.values():
+            observer.bind(3)
+        with pytest.raises(TypeError, match=name):
+            run(stream, policy, k=5, rng=rng, **{**prebuilt, name: bad})
+        assert rng.bit_generator.state == before
+        with pytest.raises(RuntimeError, match="not set up"):
+            policy.k
+        assert all(observer.sources == 3 for observer in prebuilt.values())
 
 
 class TestFaultAndDefenceHorizons:

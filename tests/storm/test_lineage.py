@@ -6,8 +6,11 @@ import pytest
 from repro.core.config import POSGConfig
 from repro.storm.cluster import LocalCluster
 from repro.storm.components import STREAM_SPOUT_FIELDS, StreamSpout, WorkBolt
+from repro.storm.multisource import MultiSourcePOSGCoordinator
 from repro.storm.posg_grouping import POSGShuffleGrouping
 from repro.storm.topology import TopologyBuilder
+from repro.telemetry.audit import AuditConfig
+from repro.telemetry.flightrecorder import FlightRecorderConfig
 from repro.telemetry.lineage import LineageConfig, LineageTracer, SLOConfig
 from repro.workloads.distributions import ZipfItems
 from repro.workloads.synthetic import StreamSpec, generate_stream
@@ -18,23 +21,23 @@ def make_stream(m=3000, n=128, k=3, seed=0):
     return generate_stream(ZipfItems(n, 1.0), spec, np.random.default_rng(seed))
 
 
-def run_traced_topology(stream, k=3, lineage=None, seed=1, with_clock=True):
-    grouping = POSGShuffleGrouping(
+def run_traced_topology(stream, k=3, lineage=None, seed=1, with_clock=True,
+                        make_grouping=POSGShuffleGrouping, **observers):
+    cluster = LocalCluster()
+    grouping = make_grouping(
         item_field="value",
         config=POSGConfig(window_size=64, rows=2, cols=16),
         rng=np.random.default_rng(seed),
         lineage=lineage,
+        # span stamps read the cluster's virtual clock
+        clock=(lambda: cluster.sim.now) if with_clock else None,
+        **observers,
     )
     builder = TopologyBuilder()
     builder.set_spout("source", lambda: StreamSpout(stream),
                       output_fields=STREAM_SPOUT_FIELDS)
     builder.set_bolt("worker", lambda: WorkBolt(stream.time_table),
                      parallelism=k).custom_grouping("source", grouping)
-    cluster = LocalCluster()
-    if with_clock:
-        # the grouping needs the cluster's virtual clock for span stamps,
-        # but the cluster is built after the grouping: bind it here
-        grouping._clock = lambda: cluster.sim.now
     cluster.submit(builder.build())
     cluster.run()
     return cluster, grouping
@@ -123,6 +126,44 @@ class TestStormLineage:
         _, grouping = run_traced_topology(stream, lineage=tracer)
         assert grouping.lineage is tracer
         assert tracer.report()["samples_total"] > 0
+
+    def test_single_source_grouping_is_the_one_shard_coordinator(self):
+        """``POSGShuffleGrouping`` is shard 0 of a one-source coordinator:
+        same completions, control traffic and observer reports."""
+        stream = make_stream(m=3000)
+
+        def observed(make_grouping):
+            return run_traced_topology(
+                stream, make_grouping=make_grouping,
+                lineage=LineageConfig(sample_every=16),
+                audit=AuditConfig(sample_every=16),
+                flight=FlightRecorderConfig(sample_every=16),
+            )
+
+        coordinators = []
+
+        def shard_zero(**keywords):
+            coordinators.append(MultiSourcePOSGCoordinator(1, **keywords))
+            return coordinators[0].shard(0)
+
+        single_cluster, single = observed(POSGShuffleGrouping)
+        sharded_cluster, _ = observed(shard_zero)
+        (coordinator,) = coordinators
+        ours, theirs = single_cluster.metrics, sharded_cluster.metrics
+        np.testing.assert_array_equal(
+            ours.completion_latencies(), theirs.completion_latencies()
+        )
+        assert ours.completed_ids() == theirs.completed_ids()
+        assert ours.control_bits == theirs.control_bits > 0
+        assert ours.control_messages == theirs.control_messages
+        assert ours.timed_out == theirs.timed_out
+        assert single.scheduler.stats() == coordinator.scheduler.stats()
+        assert single.audit.report() == coordinator.audit.report()
+        assert single.flight.timelines() == coordinator.flight.timelines()
+        assert single.flight.report() == coordinator.flight.report()
+        assert single.lineage.timelines() == coordinator.lineage.timelines()
+        assert single.lineage.report() == coordinator.lineage.report()
+        assert single.audit.samples > 100 and single.lineage.spans()
 
     def test_rejects_wrong_lineage_type(self):
         with pytest.raises(TypeError, match="lineage"):
