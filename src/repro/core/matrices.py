@@ -40,6 +40,24 @@ def make_shared_hashes(
     return random_hash_family(rows, cols, rng=rng)
 
 
+def _ratio_at_min_freq(
+    freq: np.ndarray, work: np.ndarray, buckets: np.ndarray, unobserved: np.ndarray
+) -> np.ndarray:
+    """``W/F`` at each column's first minimum-``F`` row (Listing III.2).
+
+    ``buckets`` is ``(rows, count)``; ``unobserved`` holds the value of
+    the columns whose minimum ``F`` cell is empty and receives the result.
+    """
+    rows = np.arange(buckets.shape[0])[:, None]
+    freq_cells = freq[rows, buckets]
+    best_rows = np.argmin(freq_cells, axis=0)
+    pick = np.arange(buckets.shape[1])
+    best_freq = freq_cells[best_rows, pick]
+    best_work = work[best_rows, buckets[best_rows, pick]]
+    np.divide(best_work, best_freq, out=unobserved, where=best_freq > 0)
+    return unobserved
+
+
 class FWPair:
     """The two Count-Min matrices of one operator instance.
 
@@ -137,20 +155,42 @@ class FWPair:
         """:meth:`estimate_many` over pre-hashed bucket columns.
 
         ``buckets`` is a ``(rows, count)`` column matrix from the family's
-        shared bucket cache; the scheduler hashes each block once and
-        evaluates every instance's pair against the same columns.
+        shared bucket cache.  The scheduler calls this only for blocks
+        its estimate table cannot serve (ids the cache does not table, an
+        instance still without matrices); everything else is evaluated
+        cell by cell through :meth:`estimate_many_stacked`.  Both run the
+        same elementwise operations (:func:`_ratio_at_min_freq`), so a
+        value is the same float whichever of the two produced it.
         """
-        count = buckets.shape[1]
-        rows = np.arange(buckets.shape[0])[:, None]
-        freq_cells = self._freq._matrix[rows, buckets]
-        best_rows = np.argmin(freq_cells, axis=0)
-        pick = np.arange(count)
-        best_freq = freq_cells[best_rows, pick]
-        best_work = self._work._matrix[best_rows, buckets[best_rows, pick]]
-        observed = best_freq > 0
-        out = np.full(count, self.mean_execution_time(), dtype=np.float64)
-        np.divide(best_work, best_freq, out=out, where=observed)
-        return out
+        return _ratio_at_min_freq(
+            self._freq._matrix,
+            self._work._matrix,
+            buckets,
+            np.full(buckets.shape[1], self.mean_execution_time()),
+        )
+
+    @staticmethod
+    def estimate_many_stacked(
+        pairs, which: np.ndarray, buckets: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`estimate_many_at` across several pairs in one pass.
+
+        Column ``j`` of ``buckets`` is evaluated against
+        ``pairs[which[j]]``: entry ``j`` of the result is
+        ``pairs[which[j]].estimate_many_at(buckets[:, j:j + 1])[0]``.
+        The pairs must share the hash family ``buckets`` came from.
+        Their matrices are laid side by side and each column reads its
+        pair's copy (buckets shifted by ``which * cols``), so any set of
+        ``(pair, id)`` cells costs the numpy calls of one pair.
+        """
+        cols = pairs[0]._freq._matrix.shape[1]
+        means = np.array([pair.mean_execution_time() for pair in pairs])
+        return _ratio_at_min_freq(
+            np.hstack([pair._freq._matrix for pair in pairs]),
+            np.hstack([pair._work._matrix for pair in pairs]),
+            buckets + which * cols,
+            means[which],
+        )
 
     def row_values(self, item: int) -> list[tuple[float, float]]:
         """Per-row ``(F cell, W/F ratio)`` for ``item`` — the cells that

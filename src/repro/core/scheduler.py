@@ -41,6 +41,7 @@ bit-identical to the paper's protocol.
 from __future__ import annotations
 
 import enum
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,20 @@ import numpy as np
 from repro.core.config import POSGConfig
 from repro.core.matrices import FWPair
 from repro.core.messages import ControlMessage, MatricesMessage, SyncReply, SyncRequest
+from repro.sketches.bucket_cache import MAX_CACHED_ITEM
 from repro.telemetry.recorder import NULL_RECORDER
 from repro.telemetry.registry import Sample
+
+
+#: the estimate table holds at most this many (instance, id) cells per
+#: scheduler (9 bytes each), so sparse ids cost no more here than the
+#: bucket cache's own table; blocks with larger ids are gathered afresh
+MAX_TABLE_CELLS = 1 << 22
+
+
+def _span(profiler, name: str):
+    """``profiler.span(name)`` for an optional (duck-typed) profiler."""
+    return nullcontext() if profiler is None else profiler.span(name)
 
 
 class SchedulerState(enum.Enum):
@@ -165,7 +178,15 @@ class POSGScheduler:
         # Per-tuple estimates repeat (a skewed stream routes the same hot
         # items between two deliveries): memoised until the matrices move.
         self._estimate_memo: dict[int, float] = {}
+        # Block estimates repeat far more (every window re-reads the same
+        # hot items for every instance): one value per (instance, item
+        # id), valid until that instance's matrices move.
+        self._table_limit = min(MAX_CACHED_ITEM, MAX_TABLE_CELLS // k - 1)
+        self._table_values = np.zeros((k, 0), dtype=np.float64)
+        self._table_valid = np.zeros((k, 0), dtype=bool)
         self._estimate_gathers = 0
+        self._estimate_requests = 0
+        self._estimate_evaluations = 0
         self._rr_counter = 0
         self._epoch = 0
         self._sendall_counter = 0
@@ -445,7 +466,7 @@ class POSGScheduler:
         """Drop silent instances' matrices and re-bootstrap (Figure 3.B)."""
         for instance in stale:
             self._matrices.pop(instance, None)
-        self._matrices_changed()
+        self._matrices_changed(stale)
         self._pending_replies = set()
         self._pending_deltas = {}
         self._resend_targets = None
@@ -518,35 +539,98 @@ class POSGScheduler:
         """Per-instance estimate columns for a block: ``[k][count]``.
 
         All pairs ship from instances sharing one hash family (Listing
-        III.1 line 4), so the block is hashed once and every pair is
-        evaluated against the same bucket columns; pairs with a foreign
-        family (hand-built tests) fall back to hashing themselves.
+        III.1 line 4), so a block whose ids the family's bucket cache
+        tables densely is read out of the estimate table, after the
+        cells it misses are evaluated (:meth:`_fill_table`).  Any other
+        block — ids outside ``[0, _table_limit]``, an instance without
+        matrices, or pairs with a foreign family (hand-built tests) — is
+        gathered afresh: hashed once and every pair evaluated against
+        the same bucket columns.
         """
         items = np.asarray(items, dtype=np.int64)
         count = items.shape[0]
         pairs = self._pairs
         self._estimate_gathers += 1
-        buckets = None
-        if pairs:
-            family = pairs[0].hashes
-            if all(pair.hashes is family for pair in pairs):
-                if profiler is not None:
-                    profiler.start("hash")
-                buckets = pairs[0].freq.bucket_cache.columns_many(items)
-                if profiler is not None:
-                    profiler.stop()
-        if profiler is None:
-            return self._gather_columns(items, count, pairs, buckets)
-        profiler.start("estimate")
-        try:
-            return self._gather_columns(items, count, pairs, buckets)
-        finally:
-            profiler.stop()
+        self._estimate_requests += self._k * count
+        shared = bool(pairs) and all(
+            pair.hashes is pairs[0].hashes for pair in pairs
+        )
+        if not (
+            shared
+            and len(pairs) == self._k
+            and count
+            and 0 <= items.min()
+            and (high := int(items.max())) <= self._table_limit
+        ):
+            buckets = None
+            if shared:
+                with _span(profiler, "hash"):
+                    buckets = pairs[0].freq.bucket_cache.columns_many(items)
+            with _span(profiler, "estimate"):
+                return self._gather_columns(items, count, pairs, buckets)
+        with _span(profiler, "estimate"):
+            if high >= self._table_valid.shape[1]:
+                self._grow_table(high + 1)
+            missing = ~self._table_valid.take(items, axis=1)
+            incomplete = bool(missing.any())
+        if incomplete:
+            self._fill_table(items, missing, profiler)
+        with _span(profiler, "estimate"):
+            return self._table_columns(items)
+
+    def _grow_table(self, needed: int) -> None:
+        """Double the table's capacity until it holds ``needed`` ids."""
+        held = self._table_valid.shape[1]
+        capacity = max(1024, held)
+        while capacity < needed:
+            capacity *= 2
+        capacity = min(capacity, self._table_limit + 1)
+        values = np.zeros((self._k, capacity), dtype=np.float64)
+        values[:, :held] = self._table_values
+        valid = np.zeros((self._k, capacity), dtype=bool)
+        valid[:, :held] = self._table_valid
+        self._table_values = values
+        self._table_valid = valid
+
+    def _fill_table(self, items: np.ndarray, missing: np.ndarray, profiler) -> None:
+        """Evaluate the ``(instance, position)`` cells a block misses.
+
+        A cell misses because the block is the first to read the id or
+        because a delivery voided the instance's row since the id was
+        last read.  Either way it is evaluated here, when it is read:
+        nothing is refreshed ahead of a read, so the table never costs
+        an evaluation a fresh gather would not have made.  One stacked
+        call serves whatever mix of rows the cells fall in.
+        """
+        # flat cell indices: several times cheaper than 2-D nonzero/scatter
+        rows, at = np.divmod(np.flatnonzero(missing), items.shape[0])
+        ids = items[at]
+        pairs = [self._matrices[instance] for instance in range(self._k)]
+        with _span(profiler, "hash"):
+            buckets = pairs[0].freq.bucket_cache.columns_many(ids)
+        with _span(profiler, "estimate"):
+            cells = rows * self._table_valid.shape[1] + ids
+            self._table_values.reshape(-1)[cells] = FWPair.estimate_many_stacked(
+                pairs, rows, buckets
+            )
+            self._table_valid.reshape(-1)[cells] = True
+            self._estimate_evaluations += cells.shape[0]
+
+    def _table_columns(self, items: np.ndarray) -> list[list[float]]:
+        """Read a block's columns out of the (filled) estimate table."""
+        columns = self._table_values.take(items, axis=1)
+        if not self._config.pooled_estimates:
+            return columns.tolist()
+        total = np.zeros(items.shape[0], dtype=np.float64)
+        for instance in self._matrices:  # first-arrival order, as ``estimate``
+            total = total + columns[instance]
+        return [(total / len(self._matrices)).tolist()] * self._k
 
     def _gather_columns(
         self, items: np.ndarray, count: int, pairs, buckets
     ) -> list[list[float]]:
         def column(pair: FWPair) -> np.ndarray:
+            self._estimate_evaluations += count
             if buckets is not None:
                 return pair.estimate_many_at(buckets)
             return pair.estimate_many(items)
@@ -618,12 +702,14 @@ class POSGScheduler:
         else:
             raise TypeError(f"unexpected control message: {message!r}")
 
-    def _matrices_changed(self) -> None:
+    def _matrices_changed(self, instances) -> None:
         """Every write to ``_matrices`` ends here: whatever was derived
-        from the old ones (gathered columns, memoised estimates) is void."""
+        from the old pairs of ``instances`` (gathered columns, memoised
+        estimates, their rows of the estimate table) is void."""
         self._pairs = tuple(self._matrices.values())
         self._matrices_version += 1
         self._estimate_memo.clear()
+        self._table_valid[list(instances)] = False
 
     def _on_matrices(self, message: MatricesMessage) -> None:
         if not 0 <= message.instance < self._k:
@@ -646,7 +732,7 @@ class POSGScheduler:
             stored.work.merge(message.matrices.work)
         else:
             self._matrices[message.instance] = message.matrices
-        self._matrices_changed()
+        self._matrices_changed((message.instance,))
         self._matrices_received += 1
         self._last_matrices_at[message.instance] = self._tuples_scheduled
         self._control_bits_received += message.size_bits()

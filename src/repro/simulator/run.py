@@ -125,9 +125,13 @@ class SimulationResult:
     #: ``window`` — a delivery one of its own window closes emitted,
     #: ``crash`` — a scripted crash, ``defence`` — a recovery deadline),
     #: ``fallback_tuples`` (routed by the per-tuple step: SEND_ALL
-    #: stretches and defence-deadline tuples) and ``estimate_gathers``
-    #: (estimate column gathers, summed over the schedulers).  ``None``
-    #: from the multi-process engine, which reports through ``parallel``.
+    #: stretches and defence-deadline tuples) and, summed over the
+    #: schedulers, ``estimate_gathers`` (estimate column gathers),
+    #: ``estimate_requests`` (k x block length over those gathers: the
+    #: item-estimates they asked for) and ``estimate_evaluations`` (the
+    #: item-estimates actually computed; the rest were read from the
+    #: schedulers' estimate tables).  ``None`` from the multi-process
+    #: engine, which reports through ``parallel``.
     engine: "dict | None" = None
 
     @property
@@ -177,6 +181,8 @@ def _engine_info(path: str, reason: "str | None" = None) -> dict:
         "truncated_segments": 0,
         "fallback_tuples": 0,
         "estimate_gathers": 0,
+        "estimate_requests": 0,
+        "estimate_evaluations": 0,
         "cuts": dict.fromkeys(_CUT_CAUSES, 0),
     }
 
@@ -1809,6 +1815,7 @@ def _run_posg(
     # completions[j] = finish - arrival, deferred as one elementwise pass
     # (same IEEE subtraction as the per-tuple form).
     state.completions = np.asarray(finishes, dtype=np.float64) - state.arrivals_array
-    engine["estimate_gathers"] = sum(
-        scheduler._estimate_gathers for scheduler in schedulers
-    )
+    for count in ("estimate_gathers", "estimate_requests", "estimate_evaluations"):
+        engine[count] = sum(
+            getattr(scheduler, "_" + count) for scheduler in schedulers
+        )

@@ -110,7 +110,7 @@ class BucketColumnCache:
         if items.size == 0:
             return np.empty((self._rows, 0), dtype=np.int64)
         if items.min() < 0 or items.max() > MAX_CACHED_ITEM:
-            return self._hashes.hash_vector(items.astype(np.uint64))
+            return self._hashes.hash_vector(items)
         high = int(items.max())
         if high >= self._table.shape[1]:
             self._grow(high + 1)

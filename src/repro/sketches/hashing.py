@@ -174,7 +174,17 @@ class TwoUniversalHashFamily:
           into the field first, so the guard is exact);
         - everything else: vectorized Python-int (object-dtype) arithmetic,
           correct for arbitrary primes.
+
+        Signed ids are first reduced into the field the way Python's
+        ``%`` reduces them in :meth:`hash` (a plain cast to ``uint64``
+        would wrap ``-1`` to ``2^64 - 1``, a different residue).
         """
+        items = np.asarray(items)
+        if items.dtype.kind == "i":
+            if self.prime <= np.iinfo(np.int64).max:
+                items = items % np.int64(self.prime)
+            else:
+                items = items.astype(object) % self.prime
         items = np.ascontiguousarray(items, dtype=np.uint64)
         if items.size == 0:
             return np.empty((self.rows, 0), dtype=np.int64)

@@ -1,11 +1,14 @@
-"""The scheduler's per-tuple estimate memo never outlives its matrices.
+"""The scheduler's estimate memo and estimate table never outlive their matrices.
 
 ``POSGScheduler.estimate`` memoises ``(item, instance)`` (per item when
-pooled) until a write to ``_matrices`` moves ``_matrices_version``.  Random walks over ``submit``
-and ``on_message`` — replaced and merged matrices, ``merge_decay < 1``,
-the staleness watchdog dropping pairs, restart generations — must leave
-``estimate()`` equal to a recomputation from ``_matrices`` after every
-step, with the memo kept warm so a missed invalidation shows at once.
+pooled) until a write to ``_matrices`` moves ``_matrices_version``, and
+``_block_estimates`` reads ``(instance, id)`` cells out of a table whose
+row a delivery for that instance voids.  Random walks over ``submit``,
+``on_message`` and block gathers — replaced and merged matrices,
+``merge_decay < 1``, the staleness watchdog dropping pairs, restart
+generations — must leave ``estimate()`` and every gathered column equal
+to a recomputation from ``_matrices`` after every step, with memo and
+table kept warm so a missed invalidation shows at once.
 """
 
 import numpy as np
@@ -17,8 +20,12 @@ from repro.core.config import POSGConfig, RecoveryConfig
 from repro.core.matrices import FWPair, make_shared_hashes
 from repro.core.messages import MatricesMessage, SyncReply
 from repro.core.scheduler import POSGScheduler
+from repro.sketches.bucket_cache import MAX_CACHED_ITEM
 
 ITEMS = range(12)
+#: ids a block may hold: the walk's items, one past the table's first
+#: 1024 slots (a capacity doubling), and both sides of the tabled range
+BLOCK_IDS = [*ITEMS, 1_500, MAX_CACHED_ITEM + 1, -3]
 #: a watchdog that fires within a walk of ~80 steps
 WATCHDOG = RecoveryConfig(
     sync_timeout=4, sync_timeout_max=8, sync_max_retries=1, staleness_limit=12,
@@ -38,6 +45,10 @@ STEPS = st.lists(
         st.tuples(
             st.just("reply"), st.integers(0, 3), st.integers(0, 2),
             st.sampled_from([-2.0, 0.0, 5.0]),
+        ),
+        st.tuples(
+            st.just("gather"),
+            st.lists(st.sampled_from(BLOCK_IDS), min_size=1, max_size=8),
         ),
     ),
     max_size=80,
@@ -70,6 +81,28 @@ def assert_memo_fresh(scheduler, k):
             )
 
 
+def table_free(scheduler, items):
+    """``_block_estimates`` as ``FWPair.estimate_many`` states it."""
+    items = np.asarray(items, dtype=np.int64)
+    pairs = list(scheduler._matrices.values())
+    if scheduler._config.pooled_estimates and pairs:
+        total = np.zeros(len(items))
+        for pair in pairs:
+            total = total + pair.estimate_many(items)
+        return [(total / len(pairs)).tolist()] * scheduler.k
+    return [
+        scheduler._matrices[instance].estimate_many(items).tolist()
+        if instance in scheduler._matrices
+        else [0.0] * len(items)
+        for instance in range(scheduler.k)
+    ]
+
+
+def assert_table_fresh(scheduler, items=tuple(ITEMS)):
+    gathered = scheduler._block_estimates(np.asarray(items, dtype=np.int64))
+    assert gathered == table_free(scheduler, items)
+
+
 def pair_of(hashes, samples):
     pair = FWPair(hashes)
     for item, time in samples:
@@ -85,8 +118,11 @@ class TestEstimateMemo:
         scheduler = POSGScheduler(k, config)
         generations = [0] * k
         assert_memo_fresh(scheduler, k)
+        assert_table_fresh(scheduler)
         for step in steps:
-            if step[0] == "submit":
+            if step[0] == "gather":
+                assert_table_fresh(scheduler, step[1])
+            elif step[0] == "submit":
                 decision = scheduler.submit(step[1])
                 # what submit added to C_hat is the memo-free estimate too
                 if decision.estimate:
@@ -116,6 +152,9 @@ class TestEstimateMemo:
                     )
                 )
             assert_memo_fresh(scheduler, k)
+            assert_table_fresh(scheduler)
+        # a fresh gather never evaluates less than the table did
+        assert scheduler._estimate_evaluations <= scheduler._estimate_requests
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_a_merge_moves_a_memoised_estimate(self, pooled):
@@ -155,3 +194,130 @@ class TestEstimateMemo:
             scheduler.submit(3)
         assert scheduler.stats()["watchdog_fallbacks"] == 1
         assert scheduler.estimate(3, 1) == 0.0
+
+
+def deliver(scheduler, instance, hashes, samples):
+    scheduler.on_message(
+        MatricesMessage(instance, pair_of(hashes, samples), len(samples))
+    )
+
+
+class TestEstimateTable:
+    """What each test here kills is recorded in CHANGES.md (PR 16)."""
+
+    @staticmethod
+    def warmed(k=3, **overrides):
+        config = POSGConfig(rows=2, cols=8, **overrides)
+        hashes = make_shared_hashes(config, np.random.default_rng(0))
+        scheduler = POSGScheduler(k, config)
+        for instance in range(k):
+            deliver(scheduler, instance, hashes, [(3, 1.0 + instance), (5, 7.0)])
+        return scheduler, hashes
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("decay", [1.0, 0.5])
+    def test_a_merge_voids_the_merged_row(self, pooled, decay):
+        """The stored pair is mutated in place (``scale`` then ``merge``),
+        so only the dirty mark at the write can tell the row moved."""
+        scheduler, hashes = self.warmed(
+            merge_matrices=True, merge_decay=decay, pooled_estimates=pooled
+        )
+        before = scheduler._block_estimates(np.array([3, 5, 3]))
+        stored = scheduler._matrices[1]
+        deliver(scheduler, 1, hashes, [(3, 25.0)])
+        assert scheduler._matrices[1] is stored
+        after = scheduler._block_estimates(np.array([3, 5, 3]))
+        assert after == table_free(scheduler, [3, 5, 3])
+        assert after[1][0] > before[1][0]
+        if not pooled:
+            assert after[0] == before[0] and after[2] == before[2]
+
+    def test_a_delivery_costs_one_row_and_only_what_is_read(self):
+        scheduler, hashes = self.warmed()
+        block = np.array([3, 5, 3, 7])
+        scheduler._block_estimates(block)
+        evaluated = scheduler._estimate_evaluations
+        assert evaluated == 3 * len(block)  # every cell, once
+        scheduler._block_estimates(block)
+        assert scheduler._estimate_evaluations == evaluated  # all repeats
+        deliver(scheduler, 2, hashes, [(7, 4.0)])
+        scheduler._block_estimates(np.array([5, 5]))
+        assert scheduler._estimate_evaluations == evaluated + 2  # row 2 only
+        assert_table_fresh(scheduler, block)
+
+    def test_an_id_first_seen_after_a_fill_is_filled_in_every_row(self):
+        """Validity is per (row, id): a row that filled ids 3 and 5 has
+        not filled 9, and a voided row that re-filled 9 has not 3."""
+        scheduler, hashes = self.warmed()
+        assert_table_fresh(scheduler, [3, 5])
+        assert_table_fresh(scheduler, [9, 3])
+        deliver(scheduler, 0, hashes, [(9, 2.0), (3, 8.0)])
+        assert_table_fresh(scheduler, [9])
+        assert_table_fresh(scheduler, [3, 5, 9])
+
+    def test_pooled_sum_follows_first_arrival_order(self):
+        """Float addition does not associate: 1e16 + 1 + 1 depends on
+        who is summed first, and ``estimate`` sums in arrival order."""
+        config = POSGConfig(rows=2, cols=8, pooled_estimates=True)
+        hashes = make_shared_hashes(config, np.random.default_rng(0))
+        scheduler = POSGScheduler(3, config)
+        for instance, time in ((2, 1.0), (1, 1.0), (0, 1e16)):
+            deliver(scheduler, instance, hashes, [(3, time)])
+        assert list(scheduler._matrices) == [2, 1, 0]
+        arrival = ((0.0 + 1.0) + 1.0) + 1e16
+        by_instance = ((0.0 + 1e16) + 1.0) + 1.0
+        assert arrival != by_instance
+        (column,) = {tuple(c) for c in scheduler._block_estimates(np.array([3]))}
+        assert column == (arrival / 3,) == (scheduler.estimate(3, 0),)
+
+    def test_capacity_doubling_keeps_what_was_filled(self):
+        scheduler, hashes = self.warmed()
+        assert_table_fresh(scheduler, [3, 5])
+        capacity = scheduler._table_valid.shape[1]
+        evaluated = scheduler._estimate_evaluations
+        assert_table_fresh(scheduler, [3, capacity + 7])
+        assert scheduler._table_valid.shape[1] == 2 * capacity
+        # id 3 survived the copy; only the new id was evaluated
+        assert scheduler._estimate_evaluations == evaluated + 3
+        deliver(scheduler, 1, hashes, [(capacity + 7, 2.0)])
+        assert_table_fresh(scheduler, [3, capacity + 7])
+
+    def test_two_schedulers_on_one_family_keep_their_own_rows(self):
+        """Shards share the hash family (and its bucket cache), never
+        the matrices: a table hung on the family would mix them."""
+        ours, hashes = self.warmed()
+        theirs = POSGScheduler(3, ours.config)
+        for instance in range(3):
+            deliver(theirs, instance, hashes, [(3, 40.0 + instance)])
+        for scheduler in (ours, theirs, ours, theirs):
+            assert_table_fresh(scheduler, [3, 5, 9])
+        assert ours._block_estimates(np.array([3])) != theirs._block_estimates(
+            np.array([3])
+        )
+
+    def test_ids_outside_the_tabled_range_are_gathered_afresh(self):
+        scheduler, _ = self.warmed(k=2)
+        limit = scheduler._table_limit
+        assert limit < MAX_CACHED_ITEM  # k x capacity is what is bounded
+        for block in ([5, limit], [5, limit + 1], [-1, 5], [MAX_CACHED_ITEM + 9]):
+            before = scheduler._estimate_evaluations
+            assert_table_fresh(scheduler, block)
+            assert_table_fresh(scheduler, block)
+            tabled = 0 <= min(block) and max(block) <= limit
+            assert scheduler._estimate_evaluations - before == (
+                (1 if tabled else 2) * 2 * len(block)
+            )
+        assert scheduler._table_valid.shape[1] == limit + 1
+
+    def test_an_instance_without_matrices_reads_zero(self):
+        config = POSGConfig(rows=2, cols=8)
+        hashes = make_shared_hashes(config, np.random.default_rng(0))
+        scheduler = POSGScheduler(2, config)
+        for instance in range(2):
+            deliver(scheduler, instance, hashes, [(3, 4.0)])
+        assert scheduler._block_estimates(np.array([3]))[1] == [4.0]
+        del scheduler._matrices[1]
+        scheduler._matrices_changed([1])
+        assert scheduler._block_estimates(np.array([3])) == [[4.0], [0.0]]
+        deliver(scheduler, 1, hashes, [(3, 9.0)])
+        assert scheduler._block_estimates(np.array([3])) == [[4.0], [9.0]]

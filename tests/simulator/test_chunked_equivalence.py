@@ -8,6 +8,7 @@ chunked engine only reorders bookkeeping, never arithmetic.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -130,6 +131,31 @@ class TestPOSGEquivalence:
             )
         for other in outputs[1:]:
             assert_identical(outputs[0], other)
+
+
+class TestRelabelledIds:
+    """Ids are labels: ``items -> -items - 1`` (all negative, so every
+    block takes the untabled gather) must leave the two engines agreeing,
+    which they did not while the bulk hash wrapped signed ids."""
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_negative_ids_reference_equals_chunked(self, pooled):
+        stream = default_stream(seed=0, m=M)
+        relabelled = dataclasses.replace(stream, items=-stream.items - 1)
+        config = POSGConfig(window_size=256, pooled_estimates=pooled)
+        results = [
+            simulate_stream(
+                relabelled, POSGGrouping(config), k=5,
+                rng=np.random.default_rng(1), sample_queues_every=500,
+                chunk_size=chunk,
+            )
+            for chunk in (0, 1024)
+        ]
+        assert_identical(*results)
+        engine = results[1].engine
+        assert results[1].run_entry_index() is not None
+        # nothing is tabled, so every requested estimate is evaluated
+        assert engine["estimate_evaluations"] == engine["estimate_requests"] > 0
 
 
 class TestBaselineEquivalence:

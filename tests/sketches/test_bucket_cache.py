@@ -63,6 +63,14 @@ class TestColumnLookups:
         # scalar path still answers (memoized in the dict, not the table)
         assert cache.columns(huge) == fam.hash_all(huge)
 
+    def test_negative_items_agree_between_bulk_and_scalar(self):
+        fam = random_hash_family(3, 32, rng=np.random.default_rng(5))
+        cache = BucketColumnCache(fam)
+        items = np.array([-1, 4, -4096, -(1 << 63)])
+        bulk = cache.columns_many(items)
+        for j, item in enumerate(items.tolist()):
+            assert tuple(bulk[:, j].tolist()) == cache.columns(item)
+
     def test_shared_cache_per_family_object(self):
         fam = random_hash_family(3, 32, rng=np.random.default_rng(6))
         assert get_bucket_cache(fam) is get_bucket_cache(fam)
@@ -137,6 +145,25 @@ class TestEstimateMany:
         np.testing.assert_array_equal(
             pair.estimate_many_at(buckets), pair.estimate_many(items)
         )
+
+    def test_estimate_many_stacked_is_estimate_many_cell_by_cell(self):
+        """Any mix of (pair, id) cells in one call, bit for bit: trained
+        pairs, a sparse one (unobserved ids read its mean) and an empty
+        one (reads 0.0)."""
+        fam = random_hash_family(4, 54, rng=np.random.default_rng(40))
+        rng = np.random.default_rng(41)
+        pairs = [FWPair(fam) for _ in range(4)]
+        for pair, samples in zip(pairs, (500, 300, 3, 0)):
+            for _ in range(samples):
+                pair.update(int(rng.integers(0, 256)), float(rng.uniform(1.0, 8.0)))
+        which = rng.integers(0, len(pairs), size=700)
+        items = rng.integers(0, 512, size=700)
+        stacked = FWPair.estimate_many_stacked(
+            pairs, which, get_bucket_cache(fam).columns_many(items)
+        )
+        expected = np.stack([pair.estimate_many(items) for pair in pairs])
+        np.testing.assert_array_equal(stacked, expected[which, np.arange(700)])
+        assert set(which.tolist()) == {0, 1, 2, 3}
 
     def test_empty_batch(self):
         pair = self._trained_pair(seed=30)

@@ -92,6 +92,46 @@ class TestKernelVsScalar:
         assert int(got) == ((a * item + b) % MERSENNE_PRIME_61) % cols
 
 
+class TestSignedAndHugeIds:
+    """``hash_vector`` takes signed ids the way scalar ``hash`` does:
+    reduced by Python's ``%``, never wrapped to ``2^64 + x`` by a cast
+    (which made the chunked engine disagree with the reference)."""
+
+    SIGNED = [-1, -2, -4096, -(1 << 63), 0, 7, (1 << 62) + 5, (1 << 63) - 1]
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            random_hash_family(4, 54, rng=np.random.default_rng(0)),
+            TwoUniversalHashFamily(a=(3, 11), b=(5, 0), cols=16, prime=104729),
+            # a prime above int64: the signed reduction falls to Python ints
+            TwoUniversalHashFamily(
+                a=(3, (1 << 63) + 8), b=(5, 0), cols=16,
+                prime=hashing.next_prime(1 << 63),
+            ),
+        ],
+        ids=["mersenne61", "small-prime", "prime-above-int64"],
+    )
+    def test_signed_ids_hash_like_the_scalar_path(self, family):
+        buckets = family.hash_vector(np.array(self.SIGNED, dtype=np.int64))
+        for j, item in enumerate(self.SIGNED):
+            assert tuple(buckets[:, j]) == family.hash_all(item), item
+
+    def test_unsigned_ids_above_the_signed_range(self):
+        family = random_hash_family(4, 54, rng=np.random.default_rng(0))
+        huge = [(1 << 62) + 1, (1 << 63) + 3, (1 << 64) - 1]
+        buckets = family.hash_vector(np.array(huge, dtype=np.uint64))
+        for j, item in enumerate(huge):
+            assert tuple(buckets[:, j]) == family.hash_all(item), item
+
+    @given(st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_property_any_int64_id(self, item):
+        family = random_hash_family(3, 54, rng=np.random.default_rng(2))
+        got = family.hash_vector(np.array([item], dtype=np.int64))
+        assert tuple(got[:, 0]) == family.hash_all(item)
+
+
 class TestNoPythonFallbackRegression:
     def test_default_prime_uses_kernel(self, monkeypatch):
         """With the default Mersenne prime, hash_vector must route through
