@@ -154,8 +154,16 @@ class POSGScheduler:
                 raise ValueError(
                     f"latency_hints must have shape ({k},), got {hints.shape}"
                 )
-            if np.any(hints < 0):
-                raise ValueError("latency hints must be >= 0")
+            if not np.all(np.isfinite(hints) & (hints >= 0)):
+                raise ValueError("latency hints must be >= 0 and finite")
+            if self._two_choices:
+                # The probe compares post-add *loads*; nothing defines it
+                # against a latency debt, so the pair is refused rather
+                # than routed as if two-choices were off.
+                raise ValueError(
+                    "CoordinationConfig(two_choices=True) cannot be combined "
+                    "with latency_hints"
+                )
             self._latency_hints = hints
         # Latency-aware extension: per-instance cumulated delivery cost.
         # Kept separate from C_hat so the Delta synchronization (which

@@ -10,6 +10,7 @@ time series of Figure 10 shows the resulting adaptation lag).
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -26,8 +27,8 @@ class ConstantLatency(LatencyModel):
     """Every message takes exactly ``value`` milliseconds."""
 
     def __init__(self, value: float = 0.0) -> None:
-        if value < 0:
-            raise ValueError(f"latency must be >= 0, got {value}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"latency must be >= 0 and finite, got {value}")
         self._value = value
 
     @property
@@ -45,8 +46,10 @@ class UniformLatency(LatencyModel):
     def __init__(
         self, low: float, high: float, rng: np.random.Generator | None = None
     ) -> None:
-        if low < 0 or high < low:
-            raise ValueError(f"need 0 <= low <= high, got [{low}, {high}]")
+        if not (0 <= low <= high and math.isfinite(high)):
+            raise ValueError(
+                f"need 0 <= low <= high, both finite, got [{low}, {high}]"
+            )
         self._low = low
         self._high = high
         self._rng = rng if rng is not None else np.random.default_rng()
@@ -73,10 +76,12 @@ class LognormalLatency(LatencyModel):
         base: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        if base < 0:
-            raise ValueError(f"base must be >= 0, got {base}")
+        if not math.isfinite(mean):
+            raise ValueError(f"mean must be finite, got {mean}")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
+        if not (math.isfinite(base) and base >= 0):
+            raise ValueError(f"base must be >= 0 and finite, got {base}")
         self._mean = mean
         self._sigma = sigma
         self._base = base

@@ -24,10 +24,11 @@ Two engines implement these semantics:
 - the **reference engine** (``chunk_size=0``) routes one tuple at a time
   through ``policy.route`` — simple, obviously correct, and slow;
 - the **chunked engine** (default) processes the stream in
-  control-quiet segments.  Scenario multipliers and latencies are
-  hoisted out of the loop, every POSG-family policy — one scheduler or
-  ``s`` shards, coordinated or not, observed or not, under a fault plan
-  or armed recovery defences or neither — routes through
+  control-quiet segments.  Scenario multipliers, slow-node windows and
+  constant latencies are hoisted out of the loop, every POSG-family
+  policy — one scheduler or ``s`` shards, coordinated or not, observed
+  or not, latency-hinted or not, under a fault plan or armed recovery
+  defences or neither — routes through
   its schedulers' pre-gathered block routers
   (:meth:`~repro.core.scheduler.POSGScheduler.begin_block`) in one walk
   in global arrival order, and instance-side sketch maintenance is
@@ -117,8 +118,8 @@ class SimulationResult:
     parallel: "dict | None" = None
     #: which loop ``simulate_stream`` ran and what it did there: ``path``
     #: ("segment", "generic", "round_robin", "full_knowledge" or
-    #: "reference"), ``reason`` (the first condition that kept a chunked
-    #: run off the segment path, else ``None``), and the segment path's
+    #: "reference"), ``reason`` (why a chunked run is on the generic
+    #: loop, else ``None``), and the segment path's
     #: tallies — ``segments``, ``truncated_segments`` (stopped short of
     #: their chunk_size window), ``cuts`` (those segments by what stopped
     #: them: ``control`` — a delivery pending when the segment opened,
@@ -172,6 +173,37 @@ def _as_latency_list(
     return [shared] * k
 
 
+def _scenario_multipliers(scenario, k: int, m: int) -> np.ndarray:
+    """Check the scenario contract once; returns ``multiplier_matrix(m)``.
+
+    A scenario provides ``k``, ``multiplier(instance, index)`` (the
+    reference engine's per-tuple read) and ``multiplier_matrix(m)`` (the
+    same values in bulk, which the chunked engine hoists out of its
+    loops), and covers the ``k`` instances of the run.
+    """
+    missing = [
+        name
+        for name in ("k", "multiplier", "multiplier_matrix")
+        if getattr(scenario, name, None) is None
+    ]
+    if missing:
+        raise TypeError(
+            f"scenario {scenario!r} lacks {', '.join(missing)}: a scenario "
+            "provides k, multiplier(instance, index) and multiplier_matrix(m)"
+        )
+    if scenario.k < k:
+        raise ValueError(
+            f"scenario covers {scenario.k} instances but k={k} requested"
+        )
+    multipliers = np.asarray(scenario.multiplier_matrix(m), dtype=np.float64)
+    if multipliers.ndim != 2 or multipliers.shape[0] != m or multipliers.shape[1] < k:
+        raise ValueError(
+            f"scenario.multiplier_matrix({m}) must have shape ({m}, >= {k}), "
+            f"got {multipliers.shape}"
+        )
+    return multipliers
+
+
 def _engine_info(path: str, reason: "str | None" = None) -> dict:
     """A fresh ``SimulationResult.engine`` record for one run."""
     return {
@@ -218,11 +250,19 @@ def simulate_stream(
         Number of downstream operator instances.
     scenario:
         Per-instance execution-time multipliers; uniform instances when
-        omitted.  The scenario must cover ``k`` instances.
+        omitted.  The contract is three attributes: ``k`` (instances
+        covered, at least the run's ``k``), ``multiplier(instance,
+        index)`` and ``multiplier_matrix(m)`` — the same values in bulk,
+        shape ``(m, >= k)`` with ``[j, i] == multiplier(i, j)``
+        (:class:`~repro.workloads.nonstationary.LoadShiftScenario` and
+        ``DriftScenario`` both qualify).  A missing attribute raises
+        ``TypeError`` and a wrong shape or a short ``k`` ``ValueError``,
+        under either engine, before the policy is set up.
     data_latency, control_latency:
         Network models for tuples and control messages, in milliseconds.
         ``data_latency`` additionally accepts a length-``k`` list for
-        heterogeneous per-instance network paths.
+        heterogeneous per-instance network paths.  Non-finite or
+        negative values are rejected when the model is built.
     rng:
         Seeds the policy's internal randomness (hash functions, ...).
     sample_queues_every:
@@ -304,10 +344,7 @@ def simulate_stream(
         raise ValueError(f"chunk_size must be >= 0, got {chunk_size}")
     if scenario is None:
         scenario = LoadShiftScenario.constant(k)
-    if scenario.k < k:
-        raise ValueError(
-            f"scenario covers {scenario.k} instances but k={k} requested"
-        )
+    multipliers = _scenario_multipliers(scenario, k, stream.m)
     if sample_queues_every is not None and sample_queues_every < 1:
         raise ValueError(
             f"sample_queues_every must be >= 1, got {sample_queues_every}"
@@ -342,7 +379,7 @@ def simulate_stream(
             )
         else:
             result = _simulate_chunked(
-                stream, policy, k, scenario, data_lat, control_lat, rng,
+                stream, policy, k, multipliers, data_lat, control_lat, rng,
                 sample_queues_every, chunk_size, interposed, observers,
                 profiler,
             )
@@ -604,7 +641,7 @@ def _simulate_chunked(
     stream: Stream,
     policy: GroupingPolicy | PolicyFactory,
     k: int,
-    scenario,
+    multipliers: np.ndarray,
     data_lat: list[LatencyModel],
     control_lat: LatencyModel,
     rng: np.random.Generator | None,
@@ -614,44 +651,45 @@ def _simulate_chunked(
     observers: Observers,
     profiler=None,
 ) -> SimulationResult:
-    m = stream.m
+    """Hoist what no routing decision can change, dispatch one loop, and
+    derive completions, backlog samples and slow-node billing from what
+    the loop appended.  The loops themselves only route and FIFO-fold."""
     items_array = np.ascontiguousarray(stream.items, dtype=np.int64)
-    items = items_array.tolist()
-    arrivals = stream.arrivals.tolist()
+    arrivals_array = np.ascontiguousarray(stream.arrivals, dtype=np.float64)
+    arrivals = arrivals_array.tolist()
     base_times = stream.base_times.tolist()
 
-    # Hoist the scenario out of the loop: per-instance execution-time
-    # columns `base_times * multiplier` (elementwise numpy, identical
-    # IEEE multiplies) when the scenario supports bulk evaluation.
-    execution_columns: "list[list[float]] | None" = None
-    if hasattr(scenario, "multiplier_matrix"):
-        multipliers = scenario.multiplier_matrix(m)
-        # A unit multiplier column is the base times themselves
-        # (x * 1.0 == x exactly), so uniform instances share one list.
-        execution_columns = [
-            base_times
-            if np.all(multipliers[:, instance] == 1.0)
-            else (stream.base_times * multipliers[:, instance]).tolist()
-            for instance in range(k)
-        ]
+    # Per-instance execution-time columns ``base_times * multiplier``
+    # (elementwise numpy, identical IEEE multiplies).  A unit multiplier
+    # column is the base times themselves (x * 1.0 == x exactly), so
+    # uniform instances share one list.
+    execution_columns = [
+        base_times
+        if np.all(multipliers[:, instance] == 1.0)
+        else (stream.base_times * multipliers[:, instance]).tolist()
+        for instance in range(k)
+    ]
+    # Slow-node windows are a function of arrival time alone: the same
+    # multiply ``execution_factor`` applies per tuple, once per region;
+    # untouched columns stay shared.
+    slowed = injector.slowdown_regions(arrivals) if injector is not None else ()
+    for instance in {region[0] for region in slowed}:
+        execution_columns[instance] = list(execution_columns[instance])
+    for instance, lo, hi, factor in slowed:
+        column = execution_columns[instance]
+        column[lo:hi] = (np.asarray(column[lo:hi]) * factor).tolist()
 
     # Oracle closure for Full Knowledge: reads the loop's current index.
     # Its m x k list-of-lists table is built on the first call: only Full
     # Knowledge asks, and every other run would allocate and free some 200
     # bytes of small objects per tuple for nothing.
     position = [0]
-    if execution_columns is not None:
-        tables: list = []
+    tables: list = []
 
-        def oracle(item: int, instance: int) -> float:
-            if not tables:
-                tables.extend((stream.time_table.tolist(), multipliers.tolist()))
-            return tables[0][item] * tables[1][position[0]][instance]
-
-    else:
-
-        def oracle(item: int, instance: int) -> float:
-            return stream.time_of(item) * scenario.multiplier(instance, position[0])
+    def oracle(item: int, instance: int) -> float:
+        if not tables:
+            tables.extend((stream.time_table.tolist(), multipliers.tolist()))
+        return tables[0][item] * tables[1][position[0]][instance]
 
     if not isinstance(policy, GroupingPolicy):
         policy = policy(oracle)
@@ -660,36 +698,30 @@ def _simulate_chunked(
 
     agents = [policy.create_instance_agent(instance) for instance in range(k)]
     has_agents = any(agent is not None for agent in agents)
-    track_states = isinstance(policy, POSGGrouping)
 
     # Constant data latencies are hoisted to plain floats (``sample`` is
-    # side-effect free there); random models keep their per-tuple call
-    # order so seeded draws match the reference engine.
-    latency_values: "list[float] | None" = [
-        model.value if isinstance(model, ConstantLatency) else None
-        for model in data_lat
-    ]
-    if any(value is None for value in latency_values):
-        latency_values = None
+    # side-effect free there); with any random model every instance
+    # arrival is drawn inline, right after the pick, so seeded draws
+    # interleave with the control-latency draws as in the reference engine.
+    latency_values: "list[float] | None" = None
+    if all(isinstance(model, ConstantLatency) for model in data_lat):
+        latency_values = [model.value for model in data_lat]
 
     state = _ChunkedState(
         k=k,
-        items=items,
+        items=items_array.tolist(),
         items_array=items_array,
         arrivals=arrivals,
-        arrivals_array=np.ascontiguousarray(stream.arrivals, dtype=np.float64),
-        base_times=base_times,
+        arrivals_array=arrivals_array,
         execution_columns=execution_columns,
-        scenario=scenario,
         latency_values=latency_values,
         data_lat=data_lat,
         control_lat=control_lat,
-        sample_queues_every=sample_queues_every,
         position=position,
     )
 
     path, reason = _choose_loop(
-        policy, state, injector, has_agents,
+        policy, injector, has_agents,
         observers.audit is None and profiler is None,
     )
     state.engine = _engine_info(path, reason)
@@ -700,29 +732,32 @@ def _simulate_chunked(
     elif path == "full_knowledge":
         _run_full_knowledge(state, policy, observers)
     else:
-        _run_generic(
-            state, policy, agents, track_states, injector, observers, profiler
-        )
+        _run_generic(state, policy, agents, injector, observers, profiler)
 
+    finishes = np.asarray(state.finishes, dtype=np.float64)
+    assignments = np.asarray(state.assignments, dtype=np.int64)
+    slowed_tuples = sum(
+        int(np.count_nonzero(assignments[lo:hi] == instance))
+        for instance, lo, hi, _ in slowed
+    )
+    if slowed_tuples:
+        injector.note_slowed_tuples(slowed_tuples)
+    queue_samples = queue_sample_indices = None
+    if sample_queues_every is not None:
+        queue_sample_indices, queue_samples = _backlog_samples(
+            finishes, assignments, arrivals_array, sample_queues_every, k,
+            injector.crashes if injector is not None else (),
+        )
     return SimulationResult(
-        stats=CompletionStats(
-            np.asarray(state.completions, dtype=np.float64),
-            np.asarray(state.assignments, dtype=np.int64),
-        ),
+        # completions[j] = finish - arrival as one elementwise pass (the
+        # same IEEE subtraction as the reference's per-tuple form)
+        stats=CompletionStats(finishes - arrivals_array, assignments),
         policy=policy,
         state_transitions=state.state_transitions,
         control_messages=state.control_messages,
         control_bits=state.control_bits,
-        queue_samples=(
-            np.asarray(state.queue_samples)
-            if sample_queues_every is not None
-            else None
-        ),
-        queue_sample_indices=(
-            np.asarray(state.queue_sample_indices, dtype=np.int64)
-            if sample_queues_every is not None
-            else None
-        ),
+        queue_samples=queue_samples,
+        queue_sample_indices=queue_sample_indices,
         audit=observers.audit,
         flight=observers.flight,
         lineage=observers.lineage,
@@ -730,36 +765,60 @@ def _simulate_chunked(
     )
 
 
+def _backlog_samples(
+    finishes: np.ndarray,
+    assignments: np.ndarray,
+    arrivals: np.ndarray,
+    every: int,
+    k: int,
+    crashes,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reference engine's ``sample_queues_every`` trace, post hoc.
+
+    Returns ``(indices, samples)``: every ``every``-th arrival and each
+    instance's pending work there, ``max(0, busy_until - arrival)``.
+    FIFO finishes never decrease, so an instance's ``busy_until`` just
+    before tuple ``s`` is the finish of its last tuple before ``s`` — or
+    the restart time of a crash fired at an index ``< s`` if that is
+    later (the reference samples *before* it fires the crashes due at
+    ``s``, hence strict).
+    """
+    m = arrivals.shape[0]
+    indices = np.arange(0, m, every, dtype=np.int64)
+    busy = np.zeros((indices.shape[0], k), dtype=np.float64)
+    for instance in range(k):
+        served = np.flatnonzero(assignments == instance)
+        before = np.searchsorted(served, indices)
+        busy[:, instance] = np.concatenate(([0.0], finishes[served]))[before]
+    for crash in crashes:
+        fired_at = int(np.searchsorted(arrivals, crash.at_ms))
+        if fired_at < m:
+            later = indices > fired_at
+            busy[later, crash.instance] = np.maximum(
+                busy[later, crash.instance], crash.at_ms + crash.outage_ms
+            )
+    return indices, np.maximum(0.0, busy - arrivals[indices, None])
+
+
 def _choose_loop(
     policy: GroupingPolicy,
-    state: "_ChunkedState",
     injector: FaultInjector | None,
     has_agents: bool,
     plain_run: bool,
 ) -> tuple[str, "str | None"]:
     """Pick the chunked engine's loop from what the engine can observe.
 
-    Returns ``(path, reason)``; ``reason`` names the first condition that
-    keeps a run off the segment path.  Any POSG-family policy whose
-    ``route`` is the stock shard interleave takes the segment path —
-    ``POSGGrouping``, its subclasses, and ``MultiSourcePOSGGrouping`` at
-    every ``s``, faulted or not, defended or not — unless something
-    interposes per tuple: latency hints change the greedy objective per
-    tuple, and unhoistable scenarios or random data latencies must keep
-    their per-tuple call order.
+    Returns ``(path, reason)``; ``reason`` says why a run is on the
+    per-tuple generic loop.  Every POSG-family policy whose ``route`` is
+    the stock shard interleave takes the segment path — ``POSGGrouping``,
+    its subclasses, and ``MultiSourcePOSGGrouping`` at every ``s``, with
+    or without latency hints, under any data-latency model, faulted or
+    not, defended or not.
     """
     if isinstance(policy, POSGGrouping):
-        if type(policy).route not in _SEGMENT_ROUTES:
-            reason = "policy overrides route()"
-        elif policy.scheduler._latency_hints is not None:
-            reason = "latency hints change the greedy objective per tuple"
-        elif state.execution_columns is None:
-            reason = "scenario has no bulk multiplier_matrix"
-        elif state.latency_values is None:
-            reason = "random data latency draws per tuple"
-        else:
+        if type(policy).route in _SEGMENT_ROUTES:
             return "segment", None
-        return "generic", reason
+        return "generic", "policy overrides route()"
     if not has_agents and injector is None and plain_run:
         if type(policy) is RoundRobinGrouping:
             return "round_robin", None
@@ -772,32 +831,24 @@ class _ChunkedState:
     """Mutable bookkeeping shared by the chunked engine's policy loops."""
 
     __slots__ = (
-        "k", "items", "items_array", "arrivals", "arrivals_array", "base_times",
-        "execution_columns", "scenario", "latency_values", "data_lat",
-        "control_lat", "sample_queues_every", "position", "busy_until",
-        "completions", "assignments", "control_queue", "control_seq",
-        "control_messages", "control_bits", "state_transitions",
-        "queue_samples", "queue_sample_indices", "engine",
+        "k", "items", "items_array", "arrivals", "arrivals_array",
+        "execution_columns", "latency_values", "data_lat", "control_lat",
+        "position", "busy_until", "finishes", "assignments", "control_queue",
+        "control_seq", "control_messages", "control_bits",
+        "state_transitions", "engine",
     )
 
     def __init__(self, **kwargs) -> None:
         for name, value in kwargs.items():
             setattr(self, name, value)
         self.busy_until = [0.0] * self.k
-        self.completions: list[float] = []
+        self.finishes: list[float] = []
         self.assignments: list[int] = []
         self.control_queue: list[tuple[float, int, object]] = []
         self.control_seq = 0
         self.control_messages = 0
         self.control_bits = 0
         self.state_transitions: list[tuple[int, SchedulerState]] = []
-        self.queue_samples: list[list[float]] = []
-        self.queue_sample_indices: list[int] = []
-
-    def execution_time(self, instance: int, index: int) -> float:
-        if self.execution_columns is not None:
-            return self.execution_columns[instance][index]
-        return self.base_times[index] * self.scenario.multiplier(instance, index)
 
     def arrival_at_instance(self, arrival: float, instance: int) -> float:
         if self.latency_values is not None:
@@ -813,22 +864,16 @@ def _run_round_robin(
     items = state.items
     arrivals = state.arrivals
     busy = state.busy_until
-    completions = state.completions
+    finishes = state.finishes
     assignments = state.assignments
-    every = state.sample_queues_every
     execution_columns = state.execution_columns
     latency_values = state.latency_values
     k = state.k
     counter = policy._counter
-    # a small-int sentinel when nothing is attached, like ``next_sample``
+    # a small-int sentinel when nothing is attached
     next_probe = min(observers.next_due, m)
     for j in range(m):
         arrival = arrivals[j]
-        if every is not None and j % every == 0:
-            state.queue_sample_indices.append(j)
-            state.queue_samples.append(
-                [max(0.0, b - arrival) for b in busy]
-            )
         instance = counter % k
         counter += 1
         if latency_values is not None:
@@ -837,13 +882,10 @@ def _run_round_robin(
             at_instance = arrival + state.data_lat[instance].sample()
         b = busy[instance]
         start = at_instance if at_instance > b else b
-        if execution_columns is not None:
-            execution_time = execution_columns[instance][j]
-        else:
-            execution_time = state.base_times[j] * state.scenario.multiplier(instance, j)
+        execution_time = execution_columns[instance][j]
         finish = start + execution_time
         busy[instance] = finish
-        completions.append(finish - arrival)
+        finishes.append(finish)
         assignments.append(instance)
         if j == next_probe:
             next_probe = observers.sample(
@@ -866,9 +908,8 @@ def _run_full_knowledge(
     items = state.items
     arrivals = state.arrivals
     busy = state.busy_until
-    completions = state.completions
+    finishes = state.finishes
     assignments = state.assignments
-    every = state.sample_queues_every
     execution_columns = state.execution_columns
     latency_values = state.latency_values
     position = state.position
@@ -880,11 +921,6 @@ def _run_full_knowledge(
     for j in range(m):
         arrival = arrivals[j]
         position[0] = j
-        if every is not None and j % every == 0:
-            state.queue_sample_indices.append(j)
-            state.queue_samples.append(
-                [max(0.0, b - arrival) for b in busy]
-            )
         best = loads[0]
         instance = 0
         for i in k_range:
@@ -899,13 +935,10 @@ def _run_full_knowledge(
             at_instance = arrival + state.data_lat[instance].sample()
         b = busy[instance]
         start = at_instance if at_instance > b else b
-        if execution_columns is not None:
-            execution_time = execution_columns[instance][j]
-        else:
-            execution_time = state.base_times[j] * state.scenario.multiplier(instance, j)
+        execution_time = execution_columns[instance][j]
         finish = start + execution_time
         busy[instance] = finish
-        completions.append(finish - arrival)
+        finishes.append(finish)
         assignments.append(instance)
         if j == next_probe:
             next_probe = observers.sample(
@@ -944,30 +977,28 @@ def _tuple_stepper(
     state: _ChunkedState,
     policy: GroupingPolicy,
     agents,
-    finishes: list[float],
     injector: "FaultInjector | None",
     observers: Observers,
     profiler=None,
-    slowdowns_hoisted: bool = False,
 ):
     """The chunked engine's one per-tuple step, as ``step(j, arrival)``.
 
     It is the reference engine's loop body from ``policy.route`` to the
-    sync-request billing: route, FIFO service, the injector's slow-node
-    factor and request drop, observer samples, the instance agent's fold
-    and its outgoing messages.  The caller keeps what comes before (the
-    backlog sample, due crashes, the control drain) and after (FSM
-    transitions).  ``_run_generic`` runs every tuple through it; the
-    segment router only the tuples it cannot batch.  The finish time is
-    appended to ``finishes`` and the chosen instance returned.  With
-    ``slowdowns_hoisted`` the caller has already folded the slow-node
-    windows into ``state.execution_columns``.
+    sync-request billing: route, FIFO service, the injector's request
+    drop, observer samples, the instance agent's fold and its outgoing
+    messages.  The caller keeps what comes before (due crashes, the
+    control drain) and after (FSM transitions); slow-node windows are
+    already in ``state.execution_columns``.  ``_run_generic`` runs every
+    tuple through it; the segment router only the tuples it cannot
+    batch.  The finish time is appended to ``state.finishes`` and the
+    chosen instance returned.
     """
     items = state.items
     busy = state.busy_until
+    finishes = state.finishes
     assignments = state.assignments
+    execution_columns = state.execution_columns
     k = state.k
-    slowing = injector is not None and not slowdowns_hoisted
 
     def step(j: int, arrival: float) -> int:
         if profiler is not None:
@@ -983,12 +1014,8 @@ def _tuple_stepper(
         at_instance = state.arrival_at_instance(arrival, instance)
         b = busy[instance]
         start = at_instance if at_instance > b else b
-        execution_time = state.execution_time(instance, j)
+        execution_time = execution_columns[instance][j]
         sync_request = decision.sync_request
-        if slowing:
-            factor = injector.execution_factor(instance, arrival)
-            if factor != 1.0:
-                execution_time = execution_time * factor
         if sync_request is not None:
             state.control_messages += 1
             state.control_bits += sync_request.size_bits()
@@ -1025,39 +1052,30 @@ def _run_generic(
     state: _ChunkedState,
     policy: GroupingPolicy,
     agents,
-    track_states: bool,
     injector: FaultInjector | None,
     observers: Observers,
     profiler=None,
 ) -> None:
     """Hoisted per-tuple loop for arbitrary policies.
 
-    POSG-family runs land here only when something interposes per tuple
-    (see :func:`_choose_loop`).  It replays the reference engine's
-    per-tuple order exactly, so random latency models and the injector
-    draw at the same points under both engines.
+    A POSG-family run lands here only when its policy overrides
+    ``route()`` (see :func:`_choose_loop`).  It replays the reference
+    engine's per-tuple order exactly, so random latency models and the
+    injector draw at the same points under both engines.
     """
     m = len(state.items)
     arrivals = state.arrivals
     busy = state.busy_until
-    every = state.sample_queues_every
     control_queue = state.control_queue
     position = state.position
+    track_states = isinstance(policy, POSGGrouping)
     previous_state = policy.state if track_states else None
     crash_ptr = 0
     faulting = injector is not None
-    finishes: list[float] = []
-    step = _tuple_stepper(
-        state, policy, agents, finishes, injector, observers, profiler
-    )
+    step = _tuple_stepper(state, policy, agents, injector, observers, profiler)
     for j in range(m):
         arrival = arrivals[j]
         position[0] = j
-        if every is not None and j % every == 0:
-            state.queue_sample_indices.append(j)
-            state.queue_samples.append(
-                [max(0.0, b - arrival) for b in busy]
-            )
         if faulting:
             crash_ptr = _fire_due_crashes(
                 injector, crash_ptr, arrival, agents, busy
@@ -1077,9 +1095,6 @@ def _run_generic(
             if current_state is not previous_state:
                 state.state_transitions.append((j, current_state))
                 previous_state = current_state
-    # completions[j] = finish - arrival as one elementwise pass (the same
-    # IEEE subtraction as the per-tuple form).
-    state.completions = np.asarray(finishes, dtype=np.float64) - state.arrivals_array
 
 
 def _run_posg(
@@ -1099,10 +1114,12 @@ def _run_posg(
     window (:meth:`POSGScheduler.begin_block`) and the segment runs as
     one tight scalar loop in global arrival order, tuple ``j`` owned by
     shard ``j mod s``: the greedy pick is an inlined first-minimum scan
-    over plain floats (round-robin for shards still bootstrapping), the
-    two-choices probe and cross-shard gossip are replayed in place,
-    execution and instance-arrival times are hoisted columns, and
-    instance-side sketch folds are batched between window boundaries
+    over plain floats (round-robin for shards still bootstrapping; over
+    load + latency debt + hint under ``latency_hints``), the two-choices
+    probe and cross-shard gossip are replayed in place, execution and
+    constant instance-arrival times are hoisted columns (a random data
+    latency is drawn inline, right after the pick), and instance-side
+    sketch folds are batched between window boundaries
     (``InstanceTracker.execute_batch``).  Routing and merge share the
     pass, so nothing is speculative: every block commits exactly the
     positions it consumed.  The per-tuple control check disappears:
@@ -1119,24 +1136,24 @@ def _run_posg(
     sees.  A scripted crash is a function of arrival time: its index is
     a ``bisect``, the segment stops there, and the crash fires at the
     top of the loop once the pending folds have landed.  Slow-node
-    windows are folded into the execution columns up front.  The
-    injector draws only when a message is emitted — at a window close or
-    in the per-tuple step — so its random stream advances in tuple order
-    as in the reference engine.  A defence acts when a scheduler's tuple
-    clock reaches ``defense_deadline()``, which moves only on a delivery
-    or in the per-tuple step: the segment stops at the tuple that
-    reaches it, and that tuple takes the per-tuple step, whose real
-    ``submit`` ticks.  With no injector and no ``RecoveryConfig`` both
-    horizons sit at ``m`` and the loops below run as they always did.
+    windows are already in the execution columns (``_simulate_chunked``
+    folds them before it dispatches).  The injector draws only when a
+    message is emitted — at a window close or in the per-tuple step —
+    so its random stream advances in tuple order as in the reference
+    engine.  A defence acts when a scheduler's tuple clock reaches
+    ``defense_deadline()``, which moves only on a delivery or in the
+    per-tuple step: the segment stops at the tuple that reaches it, and
+    that tuple takes the per-tuple step, whose real ``submit`` ticks.
+    With no injector and no ``RecoveryConfig`` both horizons sit at
+    ``m`` and the loops below run as they always did.
     """
     m = len(state.items)
     items = state.items
     items_array = state.items_array
     arrivals = state.arrivals
     busy = state.busy_until
-    finishes: list[float] = []
+    finishes = state.finishes
     assignments = state.assignments
-    every = state.sample_queues_every
     control_queue = state.control_queue
     execution_columns = state.execution_columns
     engine = state.engine
@@ -1149,6 +1166,9 @@ def _run_posg(
     k_range = range(1, k)
     two_choices = schedulers[0]._two_choices and k > 1
     gossip = sources > 1 and policy._gossip_on
+    hints = schedulers[0]._latency_hints
+    if hints is not None:
+        hints = hints.tolist()
     send_all = SchedulerState.SEND_ALL
     cuts = engine["cuts"]
 
@@ -1158,47 +1178,39 @@ def _run_posg(
     next_crash = bisect.bisect_left(arrivals, crashes[0].at_ms) if crashes else m
     armed = policy.config.recovery is not None
     deadline_at = m
-    slowed = injector.slowdown_regions(arrivals) if injector is not None else ()
-    if slowed:
-        # Same multiply as ``execution_factor`` applies per tuple, once
-        # per region; untouched columns stay shared.
-        execution_columns = list(execution_columns)
-        for instance in {region[0] for region in slowed}:
-            execution_columns[instance] = list(execution_columns[instance])
-        for instance, lo, hi, factor in slowed:
-            column = execution_columns[instance]
-            column[lo:hi] = (np.asarray(column[lo:hi]) * factor).tolist()
-        state.execution_columns = execution_columns
 
     # Per-instance arrival-at-instance columns (identical elementwise
     # adds; x + 0.0 == x for the non-negative arrival times, so a
     # zero-latency column is the arrival list itself).  Instances with
-    # the same constant latency share one list.
-    shifted = {0.0: arrivals}
-    for value in state.latency_values:
-        if value not in shifted:
-            shifted[value] = (state.arrivals_array + value).tolist()
-    at_cols = [shifted[value] for value in state.latency_values]
-    at_column = at_cols[0]
+    # the same constant latency share one list.  A random model has no
+    # column: its draws stay inline (``at_cols is None``), right after
+    # the pick, where the reference engine makes them.
+    data_lat = state.data_lat
+    at_cols = at_column = None
+    if state.latency_values is not None:
+        shifted = {0.0: arrivals}
+        for value in state.latency_values:
+            if value not in shifted:
+                shifted[value] = (state.arrivals_array + value).tolist()
+        at_cols = [shifted[value] for value in state.latency_values]
+        at_column = at_cols[0]
     # The two single-scheduler specialisations below read one shared
-    # instance-arrival column and carry no two-choices probe.
+    # instance-arrival column and carry neither a two-choices probe nor
+    # latency hints.
     lean = (
         sources == 1
         and not two_choices
+        and hints is None
+        and at_cols is not None
         and all(column is at_column for column in at_cols)
     )
 
-    queue_samples = state.queue_samples
-    queue_sample_indices = state.queue_sample_indices
-    # Queue sampling as an index comparison instead of a per-tuple modulo;
-    # j visits 0..m-1 in order, so this replays ``j % every == 0``.
-    next_sample = 0 if every is not None else m
-    # The observers share one sentinel of the same kind (``m`` when
-    # nothing is attached, so the compare stays between small ints).
-    # Samples are taken at their grid indices from segment locals: the
-    # believed loads are the owning shard's post-add ``c`` values — the
-    # exact floats ``commit`` folds back into ``C_hat``, so the reference
-    # engine's post-submit ``C_hat`` reads match bit for bit.
+    # The observers' sentinel is ``m`` when nothing is attached, so the
+    # per-tuple compare stays between small ints.  Samples are taken at
+    # their grid indices from segment locals: the believed loads are the
+    # owning shard's post-add ``c`` values — the exact floats ``commit``
+    # folds back into ``C_hat``, so the reference engine's post-submit
+    # ``C_hat`` reads match bit for bit.
     probe = observers.sample
     next_probe = min(observers.next_due, m)
 
@@ -1278,10 +1290,7 @@ def _run_posg(
                     nearest = index
         return nearest
 
-    step = _tuple_stepper(
-        state, policy, agents, finishes, injector, observers, profiler,
-        slowdowns_hoisted=True,
-    )
+    step = _tuple_stepper(state, policy, agents, injector, observers, profiler)
     blocks: list = []
     window_end = 0
     cut = None
@@ -1289,13 +1298,8 @@ def _run_posg(
     while j < m:
         arrival = arrivals[j]
         if j == next_crash:
-            # The reference engine samples the backlog before the crash
-            # pushes ``busy_until``, and a restart keeps the tracker's
-            # lifetime counters, so the batched folds land first.
-            if j == next_sample:
-                queue_sample_indices.append(j)
-                queue_samples.append([max(0.0, b - arrival) for b in busy])
-                next_sample += every
+            # A restart keeps the tracker's lifetime counters, so the
+            # batched folds land first.
             _flush_pending()
             crash_ptr = _fire_due_crashes(
                 injector, crash_ptr, arrival, agents, busy
@@ -1384,17 +1388,6 @@ def _run_posg(
                 fin_append = finishes.append
                 asg_append = assignments.append
                 while j < end:
-                    if j == next_sample:
-                        ar = arrivals[j]
-                        queue_sample_indices.append(j)
-                        queue_samples.append([
-                            max(0.0, b0 - ar),
-                            max(0.0, b1 - ar),
-                            max(0.0, b2 - ar),
-                            max(0.0, b3 - ar),
-                            max(0.0, b4 - ar),
-                        ])
-                        next_sample += every
                     # First-minimum scan (same tie-breaking as argmin).
                     best = c0
                     instance = 0
@@ -1569,8 +1562,7 @@ def _run_posg(
                         seg_fin = [0.0] * count
                         seg_asg = [0] * count
                         probing = next_probe < safe_end
-                        collect = probing or next_sample < safe_end
-                        start_busy = busy[:] if collect else None
+                        start_busy = busy[:] if probing else None
                         base_wl = window_left[:] if probing else None
                         chains: list[list[float]] = []
                         for i in range(k):
@@ -1595,24 +1587,10 @@ def _run_posg(
                                 pending_items[i].extend(items[lo:safe_end:k])
                                 pending_times[i].extend(x_slice)
                                 window_left[i] -= n_i
-                            if collect:
+                            if probing:
                                 chains.append(fl)
                         finishes.extend(seg_fin)
                         assignments.extend(seg_asg)
-                        # Backlog samples falling inside the range read the
-                        # chain value just before the sampled arrival.
-                        while next_sample < safe_end:
-                            s = next_sample
-                            ar = arrivals[s]
-                            sample = []
-                            for i in range(k):
-                                first = j + (i - rr) % k
-                                cnt = 0 if s <= first else (s - first + k - 1) // k
-                                bi = start_busy[i] if cnt == 0 else chains[i][cnt - 1]
-                                sample.append(max(0.0, bi - ar))
-                            queue_sample_indices.append(s)
-                            queue_samples.append(sample)
-                            next_sample += every
                         # Observer samples replay from the de-interleaved
                         # chains: the sampled tuple's start clock is the
                         # same max(at, previous finish) the chain loop
@@ -1639,11 +1617,6 @@ def _run_posg(
                     if j >= end:
                         break
                     # Window-boundary tuple: reference per-tuple step.
-                    if j == next_sample:
-                        ar = arrivals[j]
-                        queue_sample_indices.append(j)
-                        queue_samples.append([max(0.0, b - ar) for b in busy])
-                        next_sample += every
                     instance = rr % k
                     rr += 1
                     at_instance = at_column[j]
@@ -1677,14 +1650,16 @@ def _run_posg(
             else:
                 # Every other segment: any shard count, shards mixing
                 # ROUND_ROBIN and greedy modes, the two-choices probe,
-                # gossip, per-instance latencies, any k.  One walk in
-                # global arrival order keeps each shard's believed loads
-                # in its block's ``_c`` list; a gossiped estimate is added
-                # to every sibling's list before the next tuple routes,
-                # which is the float order of ``MultiSourcePOSGGrouping.
-                # route``.
+                # gossip, latency hints, per-instance or random data
+                # latencies, any k.  One walk in global arrival order
+                # keeps each shard's believed loads in its block's ``_c``
+                # list (and its latency debt in ``_debt``, which
+                # ``commit`` writes back); a gossiped estimate is added to
+                # every sibling's list before the next tuple routes, which
+                # is the float order of ``MultiSourcePOSGGrouping.route``.
                 beliefs = [block._c for block in blocks]
                 columns = [block._estimates for block in blocks]
+                debts = [block._debt for block in blocks]
                 counters = [block._rr for block in blocks]
                 cursors = [block._pos for block in blocks]
                 gossiped = [0] * sources
@@ -1696,11 +1671,6 @@ def _run_posg(
                 asg_append = assignments.append
                 shard = j % sources
                 while j < end:
-                    if j == next_sample:
-                        ar = arrivals[j]
-                        queue_sample_indices.append(j)
-                        queue_samples.append([max(0.0, b - ar) for b in busy])
-                        next_sample += every
                     c = beliefs[shard]
                     estimates = columns[shard]
                     pos = cursors[shard]
@@ -1710,29 +1680,50 @@ def _run_posg(
                         instance = rr % k
                         counters[shard] = rr + 1
                     else:
-                        # First-minimum scan (same tie-breaking as argmin).
-                        best = c[0]
-                        instance = 0
-                        for i in k_range:
-                            value = c[i]
-                            if value < best:
-                                best = value
-                                instance = i
-                        estimate = estimates[instance][pos]
-                        if two_choices:
-                            alt = items[j] % k
-                            if alt == instance:
-                                alt = alt + 1 if alt + 1 < k else 0
-                            alt_estimate = estimates[alt][pos]
-                            if c[alt] + alt_estimate < c[instance] + estimate:
-                                instance = alt
-                                estimate = alt_estimate
+                        if hints is None:
+                            # First-minimum scan (same tie-breaking as
+                            # argmin).
+                            best = c[0]
+                            instance = 0
+                            for i in k_range:
+                                value = c[i]
+                                if value < best:
+                                    best = value
+                                    instance = i
+                            estimate = estimates[instance][pos]
+                            if two_choices:
+                                alt = items[j] % k
+                                if alt == instance:
+                                    alt = alt + 1 if alt + 1 < k else 0
+                                alt_estimate = estimates[alt][pos]
+                                if c[alt] + alt_estimate < c[instance] + estimate:
+                                    instance = alt
+                                    estimate = alt_estimate
+                        else:
+                            # Latency-aware scan: every assignment is
+                            # charged its instance's delivery latency
+                            # (``submit``'s hinted arm, same grouping of
+                            # the sum; it carries no probe by
+                            # construction).
+                            debt = debts[shard]
+                            best = (c[0] + debt[0]) + hints[0]
+                            instance = 0
+                            for i in k_range:
+                                value = (c[i] + debt[i]) + hints[i]
+                                if value < best:
+                                    best = value
+                                    instance = i
+                            debt[instance] += hints[instance]
+                            estimate = estimates[instance][pos]
                         c[instance] += estimate
                         if gossip and estimate != 0.0:
                             for sibling in siblings[shard]:
                                 sibling[instance] += estimate
                             gossiped[shard] += 1
-                    at_instance = at_cols[instance][j]
+                    if at_cols is not None:
+                        at_instance = at_cols[instance][j]
+                    else:
+                        at_instance = arrivals[j] + data_lat[instance].sample()
                     b = busy[instance]
                     if at_instance > b:
                         b = at_instance
@@ -1787,10 +1778,6 @@ def _run_posg(
         # next segment opens a new window.
         window_end = 0
         engine["fallback_tuples"] += 1
-        if j == next_sample:
-            queue_sample_indices.append(j)
-            queue_samples.append([max(0.0, b - arrival) for b in busy])
-            next_sample += every
         _flush_pending()
         instance = step(j, arrival)
         window_left[instance] = trackers[instance].window_remaining
@@ -1806,15 +1793,6 @@ def _run_posg(
     # Fold the tail batches so the trackers' state (C_op, counters) ends
     # exactly where the per-tuple engine would leave it.
     _flush_pending()
-    slowed_tuples = 0
-    for instance, lo, hi, _ in slowed:
-        slowed_tuples += assignments[lo:hi].count(instance)
-    if slowed_tuples:
-        injector.note_slowed_tuples(slowed_tuples)
-
-    # completions[j] = finish - arrival, deferred as one elementwise pass
-    # (same IEEE subtraction as the per-tuple form).
-    state.completions = np.asarray(finishes, dtype=np.float64) - state.arrivals_array
     for count in ("estimate_gathers", "estimate_requests", "estimate_evaluations"):
         engine[count] = sum(
             getattr(scheduler, "_" + count) for scheduler in schedulers

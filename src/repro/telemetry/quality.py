@@ -41,23 +41,14 @@ __all__ = ["compute_quality", "execution_time_matrix", "record_quality"]
 def execution_time_matrix(stream, scenario, k: int) -> np.ndarray:
     """True execution time of every tuple on every instance: ``(m, k)``.
 
-    Uses the scenario's bulk ``multiplier_matrix`` when available (the
-    same elementwise product the chunked engine hoists), falling back to
-    per-tuple ``multiplier`` calls.
+    The scenario's bulk ``multiplier_matrix`` times the base times — the
+    same elementwise product the chunked engine hoists.
     """
     base = np.asarray(stream.base_times, dtype=np.float64)
-    m = base.shape[0]
-    if hasattr(scenario, "multiplier_matrix"):
-        multipliers = np.asarray(
-            scenario.multiplier_matrix(m), dtype=np.float64
-        )[:, :k]
-        return base[:, None] * multipliers
-    out = np.empty((m, k), dtype=np.float64)
-    for instance in range(k):
-        out[:, instance] = [
-            base[j] * scenario.multiplier(instance, j) for j in range(m)
-        ]
-    return out
+    multipliers = np.asarray(
+        scenario.multiplier_matrix(base.shape[0]), dtype=np.float64
+    )[:, :k]
+    return base[:, None] * multipliers
 
 
 def _oracle_gos(times: np.ndarray, k: int) -> tuple[np.ndarray, float]:

@@ -114,6 +114,27 @@ class TestLatencyAware:
         with pytest.raises(ValueError):
             POSGScheduler(2, POSGConfig(rows=2, cols=8), latency_hints=[-1.0, 0.0])
 
+    def test_two_choices_probe_is_refused_with_hints(self):
+        """The probe compares post-add loads and knows no latency debt:
+        the pair raises instead of routing as if two-choices were off."""
+        from repro.core.config import CoordinationConfig
+        from repro.core.multisource import MultiSourcePOSGGrouping
+        from repro.telemetry.recorder import TelemetryRecorder
+
+        config = POSGConfig(
+            rows=2, cols=8, coordination=CoordinationConfig(two_choices=True)
+        )
+        recorder = TelemetryRecorder()
+        with pytest.raises(ValueError, match="two_choices.*latency_hints"):
+            POSGScheduler(5, config, latency_hints=[0.1] * 5, telemetry=recorder)
+        # refused before the scheduler registered its collector
+        assert recorder.registry.snapshot() == {}
+        with pytest.raises(ValueError, match="two_choices.*latency_hints"):
+            MultiSourcePOSGGrouping(2, config, latency_hints=[0.1] * 5).setup(5)
+        # either half alone still constructs
+        POSGScheduler(5, config)
+        POSGScheduler(5, POSGConfig(rows=2, cols=8), latency_hints=[0.1] * 5)
+
     def test_high_latency_instance_down_weighted(self):
         config = POSGConfig(rows=2, cols=8)
         hashes = make_shared_hashes(config, np.random.default_rng(0))

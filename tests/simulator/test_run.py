@@ -9,7 +9,7 @@ from repro.core.grouping import (
     POSGGrouping,
     RoundRobinGrouping,
 )
-from repro.core.scheduler import SchedulerState
+from repro.core.scheduler import POSGScheduler, SchedulerState
 from repro.simulator.network import (
     ConstantLatency,
     LognormalLatency,
@@ -185,6 +185,58 @@ class TestLatencyModels:
     def test_uniform_latency_validation(self):
         with pytest.raises(ValueError):
             UniformLatency(2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: ConstantLatency(bad),
+            lambda bad: UniformLatency(bad, 1.0),
+            lambda bad: UniformLatency(0.0, bad),
+            lambda bad: LognormalLatency(bad, 1.0),
+            lambda bad: LognormalLatency(0.0, bad),
+            lambda bad: LognormalLatency(0.0, 1.0, base=bad),
+            lambda bad: POSGScheduler(3, tiny_config(), latency_hints=[bad] * 3),
+            lambda bad: POSGScheduler(
+                3, tiny_config(), latency_hints=[0.0, bad, 1.0]
+            ),
+        ],
+        ids=[
+            "constant", "uniform-low", "uniform-high", "lognormal-mean",
+            "lognormal-sigma", "lognormal-base", "hints", "one-hint",
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_are_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
+
+    @pytest.mark.parametrize(
+        "keywords",
+        [
+            {"data_latency": float("nan")},
+            {"data_latency": float("inf")},
+            {"data_latency": [0.0, float("nan"), 0.0, 0.0, 0.0]},
+            {"control_latency": float("nan")},
+            {"control_latency": float("inf")},
+        ],
+        ids=["data-nan", "data-inf", "data-list", "control-nan", "control-inf"],
+    )
+    @pytest.mark.parametrize("chunk_size", [0, 2048])
+    def test_non_finite_latency_is_rejected_before_the_run(
+        self, keywords, chunk_size
+    ):
+        """Not after every tuple ran, as a complaint about completions."""
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        policy = POSGGrouping(tiny_config())
+        with pytest.raises(ValueError, match="finite"):
+            simulate_stream(
+                small_stream(m=64), policy, k=5, rng=rng,
+                chunk_size=chunk_size, **keywords,
+            )
+        assert rng.bit_generator.state == before
+        with pytest.raises(RuntimeError, match="not set up"):
+            policy.k
 
     def test_lognormal_latency_floors_at_base(self):
         latency = LognormalLatency(0.0, 1.0, base=2.0,

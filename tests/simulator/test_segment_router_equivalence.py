@@ -8,7 +8,9 @@ engine.  This file pins that router three ways:
 
 - a generated differential test (chunked vs ``chunk_size=0``) over shard
   count, instance count, chunk size, window size, coordination flags,
-  per-instance data latencies, queue sampling, observers, fault plans
+  latency hints, constant and random data-latency models (shared, per
+  instance, and sharing one generator with the control model), queue
+  sampling, observers, fault plans
   (message faults per channel and per source, crashes, overlapping
   slow-node windows) and recovery thresholds small enough that every
   defence fires inside the stream;
@@ -38,7 +40,7 @@ from repro.core.grouping import (
 from repro.core.messages import MatricesMessage
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.faults.plan import CrashFault, FaultPlan, MessageFaults, SlowdownFault
-from repro.simulator.network import UniformLatency
+from repro.simulator.network import LognormalLatency, UniformLatency
 from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
 from repro.telemetry.audit import AuditConfig
@@ -89,6 +91,7 @@ def assert_same_run(reference, chunked):
         reference.policy.schedulers, chunked.policy.schedulers, strict=True
     ):
         np.testing.assert_array_equal(ours.c_hat, theirs.c_hat)
+        np.testing.assert_array_equal(ours._latency_debt, theirs._latency_debt)
         assert ours._tuples_scheduled == theirs._tuples_scheduled
         assert ours._rr_counter == theirs._rr_counter
         assert ours.stats() == theirs.stats()
@@ -129,16 +132,23 @@ def defence_actions(policy):
     )
 
 
-def run_pair(make_policy, stream, k, chunk_size, recorded=False, **keywords):
+def run_pair(
+    make_policy, stream, k, chunk_size, recorded=False, latencies=None,
+    **keywords,
+):
     """The same run under the reference and the chunked engine.
 
     ``make_policy`` takes the run's telemetry recorder (``None`` unless
     ``recorded``); a recorded pair must also leave identical telemetry.
+    ``latencies`` builds each run's ``data_latency`` / ``control_latency``
+    keywords afresh: random models own generators a run advances.
     """
     results, recorders = [], []
     for chunk in (0, chunk_size):
         recorder = TelemetryRecorder() if recorded else None
         recorders.append(recorder)
+        if latencies is not None:
+            keywords.update(latencies())
         results.append(
             simulate_stream(
                 stream, make_policy(recorder), k=k,
@@ -243,6 +253,37 @@ def recovery_configs(draw):
     )
 
 
+HINT_SHAPES = {
+    "increasing": lambda k: [0.25 * instance for instance in range(k)],
+    "all-equal": lambda k: [0.5] * k,
+    "one-zero": lambda k: [0.0] + [0.75] * (k - 1),
+}
+
+
+def latency_models(kind, k, seed, control_latency):
+    """One run's ``data_latency`` / ``control_latency`` keywords."""
+    if kind == "constant":
+        data = 0.5
+    elif kind == "per-instance-constants":
+        data = [(0.0, 0.5, 3.0)[(seed + instance) % 3] for instance in range(k)]
+    elif kind == "uniform":
+        data = UniformLatency(0.0, 2.0, rng=np.random.default_rng(seed))
+    elif kind == "per-instance-lognormal":
+        data = [
+            LognormalLatency(
+                -1.0, 0.5, base=0.25 * instance,
+                rng=np.random.default_rng(seed + instance),
+            )
+            for instance in range(k)
+        ]
+    else:
+        # data and control draws interleave on one generator
+        shared = np.random.default_rng(seed)
+        data = UniformLatency(0.0, 2.0, rng=shared)
+        control_latency = LognormalLatency(0.0, 0.5, rng=shared)
+    return {"data_latency": data, "control_latency": control_latency}
+
+
 @st.composite
 def configurations(draw):
     sources = draw(st.integers(min_value=1, max_value=8))
@@ -255,6 +296,9 @@ def configurations(draw):
             snoop=draw(st.booleans()),
             two_choices=draw(st.booleans()),
         )
+    hints = draw(st.sampled_from([None, *HINT_SHAPES]))
+    if coordination is not None and coordination.two_choices:
+        hints = None  # refused together: the probe compares loads only
     observers = {}
     if draw(st.booleans()):
         observers["audit"] = AuditConfig(
@@ -277,16 +321,18 @@ def configurations(draw):
         # streams still leave ROUND_ROBIN and reach RUN
         "mu": draw(st.sampled_from([0.05, 1.0])),
         "coordination": coordination,
+        "latency_hints": None if hints is None else HINT_SHAPES[hints](k),
         "data_latency": draw(
-            st.one_of(
-                st.just(0.0),
-                st.lists(
-                    st.sampled_from([0.0, 0.5, 3.0]), min_size=k, max_size=k
-                ),
+            st.sampled_from(
+                [
+                    "constant", "per-instance-constants", "uniform",
+                    "per-instance-lognormal", "one-generator",
+                ]
             )
         ),
         "control_latency": draw(st.sampled_from([0.0, 1.0, 25.0])),
-        "sample_queues_every": draw(st.sampled_from([None, 1, 37])),
+        # 2_000 > m: the one sample is tuple 0's
+        "sample_queues_every": draw(st.sampled_from([None, 1, 7, 2_000])),
         "m": draw(st.integers(min_value=300, max_value=1_500)),
         "seed": draw(st.integers(min_value=0, max_value=5)),
         "over_provisioning": draw(st.sampled_from([0.8, 1.0, 2.0])),
@@ -313,16 +359,20 @@ class TestGeneratedDifferential:
         faults = drawn["faults"]
         reference, chunked = run_pair(
             lambda recorder: MultiSourcePOSGGrouping(
-                drawn["sources"], config, telemetry=recorder
+                drawn["sources"], config,
+                latency_hints=drawn["latency_hints"], telemetry=recorder,
             ),
             stream, k, drawn["chunk_size"], recorded=drawn["recorded"],
-            data_latency=drawn["data_latency"],
-            control_latency=drawn["control_latency"],
+            latencies=lambda: latency_models(
+                drawn["data_latency"], k, drawn["seed"],
+                drawn["control_latency"],
+            ),
             sample_queues_every=drawn["sample_queues_every"],
             faults=None if faults is None else fault_plan(faults, stream),
             **drawn["observers"],
         )
         assert chunked.engine["path"] == "segment"
+        assert chunked.engine["reason"] is None
         assert_same_run(reference, chunked)
 
 
@@ -499,6 +549,86 @@ class TestObserverArguments:
         with pytest.raises(RuntimeError, match="not set up"):
             policy.k
         assert all(observer.sources == 3 for observer in prebuilt.values())
+
+
+class ConstantScenario:
+    """A duck-typed scenario: the full contract, uniform instances."""
+
+    k = 5
+
+    def multiplier(self, instance, index):
+        return 1.0
+
+    def multiplier_matrix(self, m):
+        return np.ones((m, self.k))
+
+
+class NoMatrix:
+    k = 5
+
+    def multiplier(self, instance, index):
+        return 1.0
+
+
+class NoInstanceCount:
+    multiplier = ConstantScenario.multiplier
+    multiplier_matrix = ConstantScenario.multiplier_matrix
+
+
+class ShortMatrix(ConstantScenario):
+    def multiplier_matrix(self, m):
+        return np.ones((m - 1, self.k))
+
+
+class NarrowMatrix(ConstantScenario):
+    def multiplier_matrix(self, m):
+        return np.ones((m, self.k - 1))
+
+
+class FlatMatrix(ConstantScenario):
+    def multiplier_matrix(self, m):
+        return np.ones(m * self.k)
+
+
+class TestScenarioContract:
+    """``k``, ``multiplier`` and ``multiplier_matrix(m)`` of shape
+    ``(m, >= k)``, checked once at the boundary under either engine."""
+
+    @pytest.mark.parametrize("chunk_size", [0, 2048])
+    @pytest.mark.parametrize(
+        "scenario,error,needle",
+        [
+            (NoMatrix(), TypeError, "multiplier_matrix"),
+            (NoInstanceCount(), TypeError, "lacks k"),
+            (ShortMatrix(), ValueError, "shape"),
+            (NarrowMatrix(), ValueError, "shape"),
+            (FlatMatrix(), ValueError, "shape"),
+        ],
+        ids=["no-matrix", "no-k", "short", "narrow", "flat"],
+    )
+    def test_bad_scenario_is_rejected_before_any_state_moves(
+        self, scenario, error, needle, chunk_size
+    ):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        policy = MultiSourcePOSGGrouping(2, small_config())
+        with pytest.raises(error, match=needle):
+            simulate_stream(
+                default_stream(seed=0, m=64), policy, k=5, scenario=scenario,
+                rng=rng, chunk_size=chunk_size,
+            )
+        assert rng.bit_generator.state == before
+        with pytest.raises(RuntimeError, match="not set up"):
+            policy.k
+
+    def test_duck_typed_scenario_takes_the_segment_path(self):
+        stream = default_stream(seed=0, m=2_000, n=64)
+        reference, chunked = run_pair(
+            lambda recorder: MultiSourcePOSGGrouping(1, small_config()),
+            stream, 5, 256, scenario=ConstantScenario(),
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
 
 
 class TestFaultAndDefenceHorizons:
@@ -757,24 +887,21 @@ class TestEngineRecord:
         assert result.engine["path"] == "segment"
 
     @pytest.mark.parametrize(
-        "make_policy,keywords,needle",
+        "make_policy,keywords",
         [
             (
                 lambda: POSGGrouping(small_config(64)),
                 {"faults": FaultPlan(seed=3, matrices=MessageFaults(drop=0.1))},
-                None,
             ),
             (
                 lambda: POSGGrouping(small_config(64, recovery=RecoveryConfig())),
                 {},
-                None,
             ),
             (
                 lambda: POSGGrouping(
                     small_config(64), latency_hints=[0.0, 0.1, 0.2, 0.3, 0.4]
                 ),
                 {},
-                "hints",
             ),
             (
                 lambda: MultiSourcePOSGGrouping(2, small_config(64)),
@@ -783,25 +910,17 @@ class TestEngineRecord:
                         0.0, 0.2, rng=np.random.default_rng(7)
                     )
                 },
-                "latency",
             ),
         ],
         ids=["faults", "recovery", "hints", "random-latency"],
     )
-    def test_per_tuple_features_stay_generic_and_say_why(
-        self, make_policy, keywords, needle
-    ):
-        """Hints and random data latency interpose per tuple; a fault
-        plan and armed defences (``needle is None``) are segment horizons."""
+    def test_stock_posg_runs_take_the_segment_path(self, make_policy, keywords):
+        """A fault plan and armed defences are segment horizons; hints
+        are one more scan and a random data latency one inline draw."""
         engine = self.run(make_policy(), **keywords).engine
-        if needle is None:
-            assert engine["path"] == "segment" and engine["reason"] is None
-            assert engine["segments"] > 0
-        else:
-            assert engine["path"] == "generic"
-            assert needle in engine["reason"]
-            assert engine["segments"] == engine["estimate_gathers"] == 0
-            assert not any(engine["cuts"].values())
+        assert set(engine) == ENGINE_KEYS
+        assert engine["path"] == "segment" and engine["reason"] is None
+        assert engine["segments"] > 0
 
     def test_other_loops_name_themselves(self):
         assert self.run(RoundRobinGrouping()).engine["path"] == "round_robin"
