@@ -342,10 +342,6 @@ class POSGScheduler:
         self._c_hat[instance] += estimate
         return SchedulingDecision(instance, None, self._state, estimate)
 
-    def _update_c_hat(self, item: int, instance: int) -> None:
-        """UPDATEC: grow the estimate by the tuple's estimated time."""
-        self._c_hat[instance] += self.estimate(item, instance)
-
     def _transition(self, new_state: SchedulerState) -> None:
         """Move the FSM, tracing the edge when telemetry is live."""
         old_state = self._state
@@ -1122,11 +1118,6 @@ class POSGScheduler:
     def deltas_folded(self) -> int:
         """Total ``Delta_op`` values folded into ``C_hat``."""
         return self._deltas_folded
-
-    @property
-    def last_sync_latency(self) -> int:
-        """Tuples scheduled between the last SEND_ALL and its fold."""
-        return self._last_sync_latency
 
     @property
     def control_bits(self) -> int:

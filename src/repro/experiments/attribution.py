@@ -39,19 +39,21 @@ With ``--output DIR`` it writes ``attribution.json`` (the decomposed
 curve) and ``attribution.html`` (the largest sweep point's full run
 report with the shard-lane timelines), both uploaded by the CI
 ``attribution-smoke`` job.
-
-The module is imported lazily by ``repro.experiments.cli`` and pulls
-the core/simulator stack in only inside :func:`run`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import pathlib
+import dataclasses
 import sys
 from collections.abc import Sequence
+
+from repro.experiments.scaffold import (
+    compact_setup,
+    engines_agree,
+    output_directory,
+    simulate,
+    wrote,
+)
 
 #: shard counts the attribution sweep decomposes
 SOURCE_COUNTS = (1, 2, 4, 8)
@@ -86,12 +88,8 @@ def run(
     recorded timelines must be bit-identical across all three (and the
     assignments too), otherwise the run exits non-zero.
     """
-    import numpy as np
-
-    from repro.core.config import CoordinationConfig, POSGConfig
+    from repro.core.config import CoordinationConfig
     from repro.core.multisource import MultiSourcePOSGGrouping
-    from repro.simulator.parallel import simulate_stream_parallel
-    from repro.simulator.run import simulate_stream
     from repro.telemetry.dashboard import render_shard_lanes, write_html_report
     from repro.telemetry.flightrecorder import (
         FlightRecorderConfig,
@@ -100,44 +98,26 @@ def run(
     from repro.telemetry.quality import execution_time_matrix
     from repro.telemetry.report import RunReport
     from repro.workloads.nonstationary import LoadShiftScenario
-    from repro.workloads.synthetic import default_stream
 
-    if scale is None:
-        scale = float(os.environ.get("REPRO_SCALE", "1.0"))
-    # same sizing as the multisource sweep so the curves are comparable
-    m = max(8_192, int(32_768 * scale))
-    k = 5
-    window = min(256, max(64, m // 128))
-    config = POSGConfig(window_size=window, rows=2, cols=16)
+    # same setup as the multisource sweep so the curves are comparable
+    setup = compact_setup(scale, seed, chunk_size, workers)
+    m, k, window, config = setup.m, setup.k, setup.window, setup.config
     # collision windows aligned with the scheduling window make the
     # "concurrent pick" metric mean "within one estimation window"
     flight_config = FlightRecorderConfig(
         sample_every=sample_every, window=window
     )
-    stream = default_stream(seed=seed, m=m, n=128)
-    times = execution_time_matrix(stream, LoadShiftScenario.constant(k), k)
-
-    coordinated_config = POSGConfig(
-        window_size=window, rows=2, cols=16,
-        coordination=CoordinationConfig(),
+    times = execution_time_matrix(
+        setup.stream, LoadShiftScenario.constant(k), k
+    )
+    coordinated_config = dataclasses.replace(
+        config, coordination=CoordinationConfig()
     )
 
-    def simulate(sources: int, engine: str, shard_config=config):
-        policy = MultiSourcePOSGGrouping(sources, shard_config)
-        rng = np.random.default_rng(seed + 1)
-        if engine == "reference":
-            return simulate_stream(
-                stream, policy, k=k, rng=rng, chunk_size=0,
-                flight=flight_config,
-            )
-        if engine == "chunked":
-            return simulate_stream(
-                stream, policy, k=k, rng=rng, chunk_size=chunk_size,
-                flight=flight_config,
-            )
-        return simulate_stream_parallel(
-            stream, policy, workers=workers, k=k, rng=rng,
-            chunk_size=max(1, chunk_size), flight=flight_config,
+    def recorded(sources: int, engine: str, shard_config=config):
+        return simulate(
+            setup, MultiSourcePOSGGrouping(sources, shard_config), engine,
+            flight=flight_config,
         )
 
     print(
@@ -150,18 +130,11 @@ def run(
     starved = []
     last_result = None
     for sources in source_counts:
-        reference = simulate(sources, "reference")
-        chunked = simulate(sources, "chunked")
-        parallel = simulate(sources, "parallel")
-        identical = bool(
-            reference.flight.timelines() == chunked.flight.timelines()
-            and reference.flight.timelines() == parallel.flight.timelines()
-            and np.array_equal(
-                reference.stats.assignments, chunked.stats.assignments
-            )
-            and np.array_equal(
-                reference.stats.assignments, parallel.stats.assignments
-            )
+        reference = recorded(sources, "reference")
+        identical = engines_agree(
+            reference,
+            recorded(sources, "chunked"),
+            recorded(sources, "parallel"),
         )
         if not identical:
             mismatches.append(sources)
@@ -171,7 +144,7 @@ def run(
         attribution = derive_attribution(
             reference.flight, reference.stats.assignments, times
         )
-        coordinated = simulate(sources, "reference", coordinated_config)
+        coordinated = recorded(sources, "reference", coordinated_config)
         attribution_coordinated = derive_attribution(
             coordinated.flight, coordinated.stats.assignments, times
         )
@@ -270,9 +243,8 @@ def run(
     print()
     print(render_shard_lanes(rows[-1]["flight"], width=72))
 
-    if output is not None:
-        directory = pathlib.Path(output)
-        directory.mkdir(parents=True, exist_ok=True)
+    directory = output_directory(output)
+    if directory is not None:
         payload = {
             "m": m,
             "k": k,
@@ -283,14 +255,13 @@ def run(
             "sample_every": sample_every,
             "curve": rows,
         }
-        path = directory / "attribution.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {path}")
+        wrote(directory / "attribution.json", payload)
         report = RunReport.from_simulation(last_result, k=k)
-        html_path = write_html_report(
-            directory / "attribution.html", report.to_dict()
+        wrote(
+            write_html_report(
+                directory / "attribution.html", report.to_dict()
+            )
         )
-        print(f"wrote {html_path}")
 
     if mismatches:
         print(
@@ -314,54 +285,3 @@ def run(
         )
         return 1
     return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.attribution",
-        description="Decompose the sharded-POSG degradation curve into "
-        "staleness regret, collision loss and residual.",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=None,
-        help="stream-length scale factor (1.0 = paper sizes)",
-    )
-    parser.add_argument(
-        "--output", type=str, default=None,
-        help="directory for attribution.json and attribution.html",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=2048,
-        help="chunk size for the chunked/parallel engines",
-    )
-    parser.add_argument(
-        "--sources", type=int, nargs="+", default=list(SOURCE_COUNTS),
-        help="shard counts to sweep (default: 1 2 4 8)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes for the parallel-engine leg",
-    )
-    parser.add_argument(
-        "--sample-every", type=int, default=64,
-        help="flight-recorder route-sampling stride",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="stream seed")
-    return parser
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(
-        scale=args.scale,
-        output=args.output,
-        chunk_size=args.chunk_size,
-        seed=args.seed,
-        source_counts=tuple(args.sources),
-        workers=args.workers,
-        sample_every=args.sample_every,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -34,25 +34,27 @@ degradation ``L_chaos / L_fault_free``, and the estimator audit's
 error quantiles split at the crash (the audit segments the stream at
 the crash index, so the report shows W/F accuracy before and after
 the restart), and each run's ``SimulationResult.engine`` record — it
-exits non-zero if a ``--chunk-size > 0`` run did not take the segment
-path.  With ``--output DIR`` it writes ``report.json`` (a v3
+exits non-zero if a chunked (``chunk_size > 0``) run did not take the
+segment path.  With ``--output DIR`` it writes ``report.json`` (a v3
 :class:`~repro.telemetry.report.RunReport` of the chaos run —
 fault-free run as the baseline, fault summary, estimator-audit and
 decision-quality blocks embedded), ``metrics.prom`` and
 ``trace.jsonl`` — the same artifact set as the ``telemetry``
 subcommand.
-
-The module is imported lazily by ``repro.experiments.cli`` and pulls
-the core/simulator stack in only inside :func:`run`.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import pathlib
+import dataclasses
 import sys
-from collections.abc import Sequence
+
+from repro.experiments.scaffold import (
+    compact_setup,
+    engines_agree,
+    output_directory,
+    simulate,
+    wrote,
+)
 
 #: control-plane loss rate of the acceptance scenario
 DROP_RATE = 0.10
@@ -95,11 +97,10 @@ def run(
     """Execute the chaos scenario; returns a process exit code."""
     import numpy as np
 
-    from repro.core.config import POSGConfig, RecoveryConfig
+    from repro.core.config import RecoveryConfig
     from repro.core.grouping import POSGGrouping
     from repro.core.scheduler import SchedulerState
     from repro.faults import CrashFault, FaultPlan, MessageFaults
-    from repro.simulator.run import simulate_stream
     from repro.telemetry.audit import AuditConfig
     from repro.telemetry.quality import (
         compute_quality,
@@ -110,36 +111,20 @@ def run(
     from repro.telemetry.report import RunReport
     from repro.telemetry.tracer import Tracer
     from repro.workloads.nonstationary import LoadShiftScenario
-    from repro.workloads.synthetic import default_stream
 
-    if scale is None:
-        scale = float(os.environ.get("REPRO_SCALE", "1.0"))
-    # the floor leaves a restarted instance enough stream to re-stabilize
-    m = max(8_192, int(32_768 * scale))
-    k = 5
-
-    directory: pathlib.Path | None = None
-    trace_path: pathlib.Path | None = None
-    if output is not None:
-        directory = pathlib.Path(output)
-        directory.mkdir(parents=True, exist_ok=True)
-        trace_path = directory / "trace.jsonl"
-
-    # The chaos scenario stresses the control plane, not sketch accuracy,
-    # so it uses a small Count-Min (2 x 16) over a compact item universe:
-    # the matrices stabilize within the first third of the stream at every
-    # scale, leaving room for the crash and the recovery after it.  The
-    # window and the defense thresholds scale with the stream so the short
-    # CI smoke run still completes sync rounds.
-    window = min(256, max(64, m // 128))
-    stream = default_stream(seed=seed, m=m, n=128)
+    # The compact setup's matrices stabilize within the first third of
+    # the stream, leaving room for the crash and the recovery after it;
+    # the defense thresholds scale with the stream like its window does.
+    setup = compact_setup(scale, seed, chunk_size)
+    stream, m, k = setup.stream, setup.m, setup.k
     recovery = RecoveryConfig(
         sync_timeout=max(256, m // 32),
         staleness_limit=max(4096, m // 4),
     )
-    config = POSGConfig(
-        window_size=window, rows=2, cols=16, recovery=recovery
-    )
+    config = dataclasses.replace(setup.config, recovery=recovery)
+
+    directory = output_directory(output)
+    trace_path = directory / "trace.jsonl" if directory is not None else None
 
     span = float(stream.arrivals[-1] - stream.arrivals[0])
     crash_index = 2 * m // 3
@@ -157,18 +142,6 @@ def run(
         seed=seed,
     )
 
-    def simulate(policy, faults=None, telemetry=None, audit=None):
-        return simulate_stream(
-            stream,
-            policy,
-            k=k,
-            rng=np.random.default_rng(seed + 1),
-            chunk_size=chunk_size,
-            telemetry=telemetry,
-            faults=faults,
-            audit=audit,
-        )
-
     # Audit every routed tuple at chaos scale (the run is short) but
     # back off at paper scale; the segment boundary at the crash splits
     # the estimator-error quantiles into before/after-restart blocks.
@@ -182,11 +155,12 @@ def run(
         # Fault-free reference: same config, same defenses, no injector —
         # un-instrumented so the registry holds only the chaos run.
         clean_policy = POSGGrouping(config)
-        clean = simulate(clean_policy)
+        clean = simulate(setup, clean_policy)
 
         chaos_policy = POSGGrouping(config, telemetry=recorder)
         chaos = simulate(
-            chaos_policy, faults=plan, telemetry=recorder, audit=audit_config
+            setup, chaos_policy,
+            faults=plan, telemetry=recorder, audit=audit_config,
         )
         # Decision quality vs the oracle: true times are scenario-free
         # here (constant multipliers; the crash stalls an instance but
@@ -258,12 +232,9 @@ def run(
     )
 
     if directory is not None:
-        report_path = report.save(directory / "report.json")
-        prom_path = directory / "metrics.prom"
-        prom_path.write_text(recorder.registry.to_prometheus())
-        print(f"wrote {report_path}")
-        print(f"wrote {prom_path}")
-        print(f"wrote {trace_path}")
+        wrote(report.save(directory / "report.json"))
+        wrote(directory / "metrics.prom", recorder.registry.to_prometheus())
+        wrote(trace_path)
 
     if not recovered:
         print("ERROR: scheduler did not recover to RUN", file=sys.stderr)
@@ -301,39 +272,23 @@ def run_parallel(
     overhead (faulted vs fault-free parallel wall-clock) is printed and
     written to ``recovery_report.json`` under ``--output``.
     """
-    import json
     import time as time_module
 
-    import numpy as np
-
-    from repro.core.config import POSGConfig
     from repro.core.multisource import MultiSourcePOSGGrouping
     from repro.faults import FaultPlan, MessageFaults, WorkerFault
-    from repro.simulator.parallel import simulate_stream_parallel
-    from repro.simulator.run import simulate_stream
     from repro.simulator.supervisor import SupervisionConfig
     from repro.telemetry.recorder import TelemetryRecorder
     from repro.telemetry.report import RunReport
     from repro.telemetry.tracer import Tracer
-    from repro.workloads.synthetic import default_stream
 
     if workers < 2:
         raise ValueError(
             f"parallel chaos needs >= 2 workers to disturb, got {workers}"
         )
-    if scale is None:
-        scale = float(os.environ.get("REPRO_SCALE", "1.0"))
-    m = max(8_192, int(32_768 * scale))
-    k = 5
+    setup = compact_setup(scale, seed, chunk_size, workers)
+    m, k, config = setup.m, setup.k, setup.config
     sources = 4
-    window = min(256, max(64, m // 128))
-    config = POSGConfig(window_size=window, rows=2, cols=16)
-    stream = default_stream(seed=seed, m=m, n=128)
-
-    directory: pathlib.Path | None = None
-    if output is not None:
-        directory = pathlib.Path(output)
-        directory.mkdir(parents=True, exist_ok=True)
+    directory = output_directory(output)
 
     loss = MessageFaults(drop=DROP_RATE)
     worker_faults = (
@@ -365,12 +320,8 @@ def run_parallel(
     def policy():
         return MultiSourcePOSGGrouping(sources, config)
 
-    rng = lambda: np.random.default_rng(seed + 1)  # noqa: E731
-
     t0 = time_module.perf_counter()
-    reference = simulate_stream(
-        stream, policy(), k=k, rng=rng(), chunk_size=chunk_size, faults=plan
-    )
+    reference = simulate(setup, policy(), faults=plan)
     t_reference = time_module.perf_counter() - t0
 
     # fault-free parallel baseline for the recovery-overhead measurement
@@ -379,9 +330,8 @@ def run_parallel(
         matrices=loss, sync_requests=loss, sync_replies=loss, seed=seed
     )
     t0 = time_module.perf_counter()
-    simulate_stream_parallel(
-        stream, policy(), workers=workers, k=k, rng=rng(),
-        chunk_size=chunk_size, faults=clean_plan, supervision=supervision,
+    simulate(
+        setup, policy(), "parallel", faults=clean_plan, supervision=supervision
     )
     t_clean = time_module.perf_counter() - t0
 
@@ -392,10 +342,10 @@ def run_parallel(
     )
     with TelemetryRecorder(tracer=tracer) as recorder:
         t0 = time_module.perf_counter()
-        disturbed = simulate_stream_parallel(
-            stream,
+        disturbed = simulate(
+            setup,
             MultiSourcePOSGGrouping(sources, config, telemetry=recorder),
-            workers=workers, k=k, rng=rng(), chunk_size=chunk_size,
+            "parallel",
             telemetry=recorder, faults=plan, supervision=supervision,
         )
         t_disturbed = time_module.perf_counter() - t0
@@ -407,21 +357,7 @@ def run_parallel(
     failures = (
         sup["crashes_detected"] + sup["hangs_detected"] + sup["worker_errors"]
     )
-    identical = (
-        bool(
-            np.array_equal(
-                reference.stats.completions, disturbed.stats.completions
-            )
-        )
-        and bool(
-            np.array_equal(
-                reference.stats.assignments, disturbed.stats.assignments
-            )
-        )
-        and reference.state_transitions == disturbed.state_transitions
-        and reference.control_messages == disturbed.control_messages
-        and reference.control_bits == disturbed.control_bits
-    )
+    identical = engines_agree(reference, disturbed)
     recovered = (
         bool(sup["recovered"])
         and failures >= len(worker_faults)
@@ -478,12 +414,9 @@ def run_parallel(
                 "recovery_overhead": overhead,
             },
         }
-        recovery_path = directory / "recovery_report.json"
-        recovery_path.write_text(json.dumps(recovery, indent=2) + "\n")
-        report_path = report.save(directory / "report.json")
-        print(f"wrote {recovery_path}")
-        print(f"wrote {report_path}")
-        print(f"wrote {directory / 'trace.jsonl'}")
+        wrote(directory / "recovery_report.json", recovery)
+        wrote(report.save(directory / "report.json"))
+        wrote(directory / "trace.jsonl")
 
     if not identical:
         print(
@@ -507,52 +440,3 @@ def run_parallel(
         )
         return 1
     return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.chaos",
-        description="Run POSG under injected faults and report recovery.",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=None,
-        help="stream-length scale factor (1.0 = paper sizes)",
-    )
-    parser.add_argument(
-        "--output", type=str, default=None,
-        help="directory for report.json, metrics.prom and trace.jsonl",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=2048,
-        help="simulator chunk size (0 = per-tuple reference engine)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="stream/fault seed")
-    parser.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="run process-level chaos against the parallel engine with N "
-        "workers (crash/hang injected mid-run; gated on bit-identity "
-        "and full supervisor recovery)",
-    )
-    return parser
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.parallel is not None:
-        return run_parallel(
-            workers=args.parallel,
-            scale=args.scale,
-            output=args.output,
-            chunk_size=args.chunk_size,
-            seed=args.seed,
-        )
-    return run(
-        scale=args.scale,
-        output=args.output,
-        chunk_size=args.chunk_size,
-        seed=args.seed,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -4,47 +4,36 @@ Usage::
 
     python -m repro.experiments list
     python -m repro.experiments figure4 --reps 5
-    python -m repro.experiments figure10 --scale 0.5
     python -m repro.experiments all --reps 3 --scale 0.25
-    python -m repro.experiments telemetry --scale 0.1 --output out/
     python -m repro.experiments chaos --scale 0.1 --output out/
-    python -m repro.experiments observe --scale 0.1 --output out/
-    python -m repro.experiments multisource --scale 0.25 --output out/
-    python -m repro.experiments attribution --scale 0.25 --output out/
-    python -m repro.experiments latency --scale 0.25 --output out/
 
-Each figure command prints the same series the paper plots (see
-EXPERIMENTS.md for the interpretation).  The ``telemetry`` subcommand
-runs the Figure 4 configuration once under a live recorder and emits
-the run report, Prometheus metrics and JSONL event trace (see
-"Telemetry & run reports" in EXPERIMENTS.md).  The ``chaos``
-subcommand runs the same configuration under the fault-injection layer
-(control-plane loss plus a seeded crash) and reports the recovery
-timeline (see "Chaos runs" in EXPERIMENTS.md).  The ``observe``
-subcommand runs the scheduling-quality observatory: estimator audit,
-decision-quality metrics, phase profiler and the live dashboard (see
-"The quality observatory" in EXPERIMENTS.md).  The ``multisource``
-subcommand sweeps the sharded deployment over s ∈ {1, 2, 4, 8} and
-reports the L(s)/L(1) degradation curve (see "Multi-source scheduling"
-in EXPERIMENTS.md).  The ``attribution`` subcommand reruns that sweep
-under the cross-shard flight recorder and decomposes each point's
-excess into staleness regret, collision loss and residual (see
-"Attribution" in EXPERIMENTS.md).  The ``latency`` subcommand runs the
-lineage tracer over a strategy x shard sweep and prints each point's
-exact scheduling-delay / queue-wait / service-time decomposition (see
-"Latency lineage" in EXPERIMENTS.md).
+Every command is one row of :data:`COMMANDS` — its summary (what
+``list`` prints), its runner and the shared flags it accepts; a flag a
+command does not take is refused, not ignored.  Each figure command
+prints the same series the paper plots; the run-level commands
+(:data:`RUN_LEVEL`) are described under their own headings in
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
-import pathlib
-import sys
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
-from repro.experiments import figures
+from repro.experiments import (
+    attribution,
+    chaos,
+    figures,
+    latency,
+    multisource,
+    observe,
+    telemetry,
+)
 from repro.experiments.report import render_figure
+from repro.experiments.scaffold import output_directory
 
 #: command name -> zero-argument callable producing a FigureResult
 FIGURES: dict[str, Callable] = {
@@ -60,39 +49,160 @@ FIGURES: dict[str, Callable] = {
 }
 
 
+@dataclass(frozen=True)
+class Command:
+    """One row of the command table."""
+
+    #: the line ``list`` prints
+    summary: str
+    #: called with the parsed arguments; returns the process exit code
+    run: Callable[[argparse.Namespace], int]
+    #: the shared flags (argparse dests) this command accepts
+    flags: tuple[str, ...] = ("scale", "output")
+
+
+@contextlib.contextmanager
+def _environment(**values: object):
+    """Set environment variables (``None`` leaves one alone) for the
+    figures' ``env_reps()`` / ``env_scale()`` readers, and restore the
+    environment exactly on the way out."""
+    values = {k: str(v) for k, v in values.items() if v is not None}
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
+def _figures(names: Sequence[str]) -> Callable[[argparse.Namespace], int]:
+    def run(args: argparse.Namespace) -> int:
+        directory = output_directory(args.output)
+        with _environment(REPRO_REPS=args.reps, REPRO_SCALE=args.scale):
+            for name in names:
+                result = FIGURES[name]()
+                print(render_figure(result))
+                if args.plot:
+                    from repro.experiments.plotting import plot_figure
+
+                    print()
+                    print(plot_figure(result))
+                if directory is not None:
+                    path = directory / f"{name}.json"
+                    result.save(path)
+                    print(f"(saved to {path})")
+                print()
+        return 0
+
+    return run
+
+
+def _chaos(args: argparse.Namespace) -> int:
+    if args.parallel is not None:
+        return chaos.run_parallel(
+            workers=args.parallel, scale=args.scale, output=args.output
+        )
+    return chaos.run(scale=args.scale, output=args.output)
+
+
+def _run_level(module) -> Callable[[argparse.Namespace], int]:
+    return lambda args: module.run(scale=args.scale, output=args.output)
+
+
+def _list(args: argparse.Namespace) -> int:
+    for name, command in COMMANDS.items():
+        print(f"{name + '  ':11s}{command.summary}")
+    return 0
+
+
+FIGURE_FLAGS = ("reps", "scale", "plot", "output")
+
+#: the experiments beyond the paper's figures; each has an
+#: ``experiment-smoke`` entry in CI (tests/experiments/test_cli.py)
+RUN_LEVEL: dict[str, Command] = {
+    "telemetry": Command(
+        "One instrumented run: report, metrics, trace.", _run_level(telemetry)
+    ),
+    "chaos": Command(
+        "One fault-injected run: recovery timeline, report.",
+        _chaos,
+        ("scale", "output", "parallel"),
+    ),
+    "observe": Command(
+        "One run under the quality observatory: audit, quality, profile, "
+        "dashboard.",
+        _run_level(observe),
+    ),
+    "multisource": Command(
+        "Sharded-scheduling sweep: L(s)/L(1) for s in {1, 2, 4, 8}.",
+        lambda args: multisource.run(
+            scale=args.scale, output=args.output,
+            parallel_workers=args.parallel,
+        ),
+        ("scale", "output", "parallel"),
+    ),
+    "attribution": Command(
+        "Flight-recorder sweep: L(s)/L(1) decomposed into staleness / "
+        "collision / residual.",
+        _run_level(attribution),
+    ),
+    "latency": Command(
+        "Lineage sweep: per-tuple scheduling delay / queue wait / service "
+        "time by strategy and s.",
+        _run_level(latency),
+    ),
+}
+
+COMMANDS: dict[str, Command] = {
+    **{
+        name: Command(
+            function.__doc__.strip().splitlines()[0], _figures([name]),
+            FIGURE_FLAGS,
+        )
+        for name, function in sorted(FIGURES.items())
+    },
+    **RUN_LEVEL,
+    "all": Command(
+        "Every figure, one after the other.", _figures(sorted(FIGURES)),
+        FIGURE_FLAGS,
+    ),
+    "list": Command("This table.", _list, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # every shared flag defaults to None: main() tells a flag that was
+    # given from one that was not, to refuse what a command does not take
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
-        description="Regenerate the paper's evaluation figures.",
+        description="Regenerate the paper's evaluation figures and run "
+        "the experiments built on top of them.",
     )
     parser.add_argument(
-        "figure",
-        choices=sorted(FIGURES)
-        + ["all", "list", "telemetry", "chaos", "observe", "multisource",
-           "attribution", "latency"],
-        help="which figure to regenerate ('all' runs everything, "
-        "'list' shows what is available, 'telemetry' runs one "
-        "instrumented demo run, 'chaos' one fault-injected run, "
-        "'observe' one run under the quality observatory, "
-        "'multisource' the sharded-scheduling degradation sweep, "
-        "'attribution' the flight-recorder regret decomposition, "
-        "'latency' the per-tuple lineage latency decomposition)",
+        "command",
+        choices=list(COMMANDS),
+        help="what to run ('list' prints one line per command)",
     )
     parser.add_argument(
         "--reps", type=int, default=None,
-        help="randomized streams per configuration (paper: 100; default 5)",
+        help="figures: randomized streams per configuration "
+        "(paper: 100; default 5)",
     )
     parser.add_argument(
         "--scale", type=float, default=None,
         help="stream-length scale factor (1.0 = paper sizes)",
     )
     parser.add_argument(
-        "--plot", action="store_true",
-        help="also render an ASCII plot of each figure",
+        "--plot", action="store_true", default=None,
+        help="figures: also render an ASCII plot of each figure",
     )
     parser.add_argument(
         "--output", type=str, default=None,
-        help="directory to write <figure>.json result files into",
+        help="directory to write the command's result files into",
     )
     parser.add_argument(
         "--parallel", type=int, default=None, metavar="N",
@@ -108,78 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.figure == "list":
-        for name, function in sorted(FIGURES.items()):
-            summary = (function.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:10s} {summary}")
-        print("telemetry  One instrumented run: report, metrics, trace.")
-        print("chaos      One fault-injected run: recovery timeline, report.")
-        print("observe    One run under the quality observatory: audit, "
-              "quality, profile, dashboard.")
-        print("multisource  Sharded-scheduling sweep: L(s)/L(1) for "
-              "s in {1, 2, 4, 8}.")
-        print("attribution  Flight-recorder sweep: L(s)/L(1) decomposed "
-              "into staleness / collision / residual.")
-        print("latency    Lineage sweep: per-tuple scheduling delay / "
-              "queue wait / service time by strategy and s.")
-        return 0
-    if args.figure == "telemetry":
-        # lazy import keeps the figure path free of telemetry CLI costs
-        from repro.telemetry.cli import run as run_telemetry
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    command = COMMANDS[args.command]
+    for flag, value in vars(args).items():
+        if flag != "command" and value is not None and flag not in command.flags:
+            parser.error(f"{args.command} does not take --{flag}")
+    return command.run(args)
 
-        return run_telemetry(scale=args.scale, output=args.output)
-    if args.figure == "chaos":
-        from repro.experiments.chaos import run as run_chaos
-        from repro.experiments.chaos import run_parallel as run_chaos_parallel
-
-        if args.parallel is not None:
-            return run_chaos_parallel(
-                workers=args.parallel, scale=args.scale, output=args.output
-            )
-        return run_chaos(scale=args.scale, output=args.output)
-    if args.figure == "observe":
-        from repro.experiments.observe import run as run_observe
-
-        return run_observe(scale=args.scale, output=args.output)
-    if args.figure == "multisource":
-        from repro.experiments.multisource import run as run_multisource
-
-        return run_multisource(
-            scale=args.scale,
-            output=args.output,
-            parallel_workers=args.parallel,
-        )
-    if args.figure == "attribution":
-        from repro.experiments.attribution import run as run_attribution
-
-        return run_attribution(scale=args.scale, output=args.output)
-    if args.figure == "latency":
-        from repro.experiments.latency import run as run_latency
-
-        return run_latency(scale=args.scale, output=args.output)
-    if args.reps is not None:
-        os.environ["REPRO_REPS"] = str(args.reps)
-    if args.scale is not None:
-        os.environ["REPRO_SCALE"] = str(args.scale)
-    names = sorted(FIGURES) if args.figure == "all" else [args.figure]
-    for name in names:
-        result = FIGURES[name]()
-        print(render_figure(result))
-        if args.plot:
-            from repro.experiments.plotting import plot_figure
-
-            print()
-            print(plot_figure(result))
-        if args.output is not None:
-            directory = pathlib.Path(args.output)
-            directory.mkdir(parents=True, exist_ok=True)
-            path = directory / f"{name}.json"
-            result.save(path)
-            print(f"(saved to {path})")
-        print()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

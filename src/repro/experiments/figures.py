@@ -1,14 +1,18 @@
 """One function per figure of the paper's evaluation (Section V).
 
 Every function returns a :class:`FigureResult` whose rows carry the same
-series the paper plots; the ``benchmarks/`` targets print them.  Absolute
-milliseconds differ from the paper (different hardware model), but the
-*shapes* — orderings, trends and crossovers — are asserted by the
-benchmark suite.
+series the paper plots; the ``benchmarks/`` targets and the
+``figureN`` rows of :data:`repro.experiments.cli.COMMANDS` print them.
+Absolute milliseconds differ from the paper (different hardware model),
+but the *shapes* — orderings, trends and crossovers — are asserted by
+the benchmark suite.  Figures 5-9 are one-parameter sweeps over
+:func:`_sweep`; each names only what its parameter changes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +23,7 @@ from repro.core.scheduler import SchedulerState
 from repro.experiments.runner import (
     PAPER_POSG_CONFIG,
     ExperimentSettings,
+    PolicyOutcome,
     compare_policies,
     env_scale,
 )
@@ -111,129 +116,117 @@ def figure4_distributions(
 
 
 # ----------------------------------------------------------------------
-# Figure 5 — speedup vs over-provisioning percentage
+# Figures 5-9 — one-parameter sweeps on the Zipf-1.0 stream
 # ----------------------------------------------------------------------
+def _sweep(
+    settings: ExperimentSettings | None,
+    values: Iterable,
+    vary: Callable[[object], tuple[dict, dict]],
+) -> Iterator[tuple[object, dict[str, PolicyOutcome]]]:
+    """The three-policy comparison at every value of one swept parameter.
+
+    ``vary(value)`` names what the value changes: fields of the settings
+    (applied with ``dataclasses.replace``, so every other field carries
+    over) and fields of the stream spec.
+    """
+    settings = settings if settings is not None else ExperimentSettings()
+    for value in values:
+        settings_changes, spec_changes = vary(value)
+        point = dataclasses.replace(settings, **settings_changes)
+        spec = _spec(k=point.k, **spec_changes)
+        yield value, compare_policies(
+            lambda rng, s=spec: generate_stream(ZipfItems(s.n, 1.0), s, rng),
+            point,
+        )
+
+
+def _policy_rows(key: str, value, outcomes: dict[str, PolicyOutcome]) -> list:
+    """Round-Robin and POSG summaries of one sweep point (Figures 6, 7)."""
+    speedup = outcomes["posg"].speedup_summary()["mean"]
+    return [
+        {
+            key: value, "policy": policy, **outcomes[policy].summary(),
+            "speedup_mean": speedup if policy == "posg" else 1.0,
+        }
+        for policy in ("round_robin", "posg")
+    ]
+
+
 def figure5_overprovisioning(
     settings: ExperimentSettings | None = None,
     percentages: tuple[float, ...] = (0.95, 0.98, 1.0, 1.02, 1.05, 1.09, 1.15),
 ) -> FigureResult:
     """Speedup S_L of POSG over Round-Robin vs provisioning (paper Fig. 5)."""
-    settings = settings if settings is not None else ExperimentSettings()
     result = FigureResult(
         name="figure5",
         description="Completion time speedup vs percentage of "
         "over-provisioning (paper Fig. 5)",
         columns=["over_provisioning", "min", "mean", "max"],
     )
-    for percentage in percentages:
-        spec = _spec(k=settings.k, over_provisioning=percentage)
-        outcomes = compare_policies(
-            lambda rng, s=spec: generate_stream(ZipfItems(s.n, 1.0), s, rng),
-            settings,
-        )
+    for percentage, outcomes in _sweep(
+        settings, percentages, lambda p: ({}, {"over_provisioning": p})
+    ):
         summary = outcomes["posg"].speedup_summary()
         result.rows.append({"over_provisioning": percentage, **summary})
     return result
 
 
-# ----------------------------------------------------------------------
-# Figure 6 — L vs maximum execution time value
-# ----------------------------------------------------------------------
 def figure6_wmax(
     settings: ExperimentSettings | None = None,
     w_max_values: tuple[float, ...] = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
 ) -> FigureResult:
     """L for POSG and Round-Robin as w_max grows (paper Fig. 6)."""
-    settings = settings if settings is not None else ExperimentSettings()
     result = FigureResult(
         name="figure6",
         description="Average completion time vs maximum execution time "
         "value w_max (paper Fig. 6)",
         columns=["w_max", "policy", "min", "mean", "max", "speedup_mean"],
     )
-    for w_max in w_max_values:
-        w_n = min(64, int(w_max))  # cannot have more values than the range
-        spec = _spec(k=settings.k, w_max=float(w_max), w_n=w_n)
-        outcomes = compare_policies(
-            lambda rng, s=spec: generate_stream(ZipfItems(s.n, 1.0), s, rng),
-            settings,
-        )
-        speedup = outcomes["posg"].speedup_summary()["mean"]
-        for policy in ("round_robin", "posg"):
-            summary = outcomes[policy].summary()
-            result.rows.append({
-                "w_max": w_max, "policy": policy, **summary,
-                "speedup_mean": speedup if policy == "posg" else 1.0,
-            })
+    for w_max, outcomes in _sweep(
+        settings, w_max_values,
+        # cannot have more values than the range
+        lambda w: ({}, {"w_max": float(w), "w_n": min(64, int(w))}),
+    ):
+        result.rows.extend(_policy_rows("w_max", w_max, outcomes))
     return result
 
 
-# ----------------------------------------------------------------------
-# Figure 7 — L vs number of execution time values
-# ----------------------------------------------------------------------
 def figure7_wn(
     settings: ExperimentSettings | None = None,
     w_n_values: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
 ) -> FigureResult:
     """L for POSG and Round-Robin as w_n grows (paper Fig. 7)."""
-    settings = settings if settings is not None else ExperimentSettings()
     result = FigureResult(
         name="figure7",
         description="Average completion time vs number of execution time "
         "values w_n (paper Fig. 7)",
         columns=["w_n", "policy", "min", "mean", "max", "speedup_mean"],
     )
-    for w_n in w_n_values:
-        spec = _spec(k=settings.k, w_n=w_n)
-        outcomes = compare_policies(
-            lambda rng, s=spec: generate_stream(ZipfItems(s.n, 1.0), s, rng),
-            settings,
-        )
-        speedup = outcomes["posg"].speedup_summary()["mean"]
-        for policy in ("round_robin", "posg"):
-            summary = outcomes[policy].summary()
-            result.rows.append({
-                "w_n": w_n, "policy": policy, **summary,
-                "speedup_mean": speedup if policy == "posg" else 1.0,
-            })
+    for w_n, outcomes in _sweep(
+        settings, w_n_values, lambda n: ({}, {"w_n": n})
+    ):
+        result.rows.extend(_policy_rows("w_n", w_n, outcomes))
     return result
 
 
-# ----------------------------------------------------------------------
-# Figure 8 — speedup vs number of operator instances
-# ----------------------------------------------------------------------
 def figure8_instances(
     settings: ExperimentSettings | None = None,
     instance_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
 ) -> FigureResult:
     """Speedup vs k (paper Fig. 8)."""
-    base = settings if settings is not None else ExperimentSettings()
     result = FigureResult(
         name="figure8",
         description="Completion time speedup vs number of operator "
         "instances k (paper Fig. 8)",
         columns=["k", "min", "mean", "max"],
     )
-    for k in instance_counts:
-        settings_k = ExperimentSettings(
-            k=k, reps=base.reps, base_seed=base.base_seed,
-            posg_config=base.posg_config,
-            control_latency=base.control_latency,
-            data_latency=base.data_latency,
-        )
-        spec = _spec(k=k)
-        outcomes = compare_policies(
-            lambda rng, s=spec: generate_stream(ZipfItems(s.n, 1.0), s, rng),
-            settings_k,
-        )
-        summary = outcomes["posg"].speedup_summary()
-        result.rows.append({"k": k, **summary})
+    for k, outcomes in _sweep(
+        settings, instance_counts, lambda k: ({"k": k}, {})
+    ):
+        result.rows.append({"k": k, **outcomes["posg"].speedup_summary()})
     return result
 
 
-# ----------------------------------------------------------------------
-# Figure 9 — speedup vs sketch precision epsilon
-# ----------------------------------------------------------------------
 def figure9_epsilon(
     settings: ExperimentSettings | None = None,
     epsilons: tuple[float, ...] = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0),
@@ -246,39 +239,30 @@ def figure9_epsilon(
     the bootstrap and sync cadence are amortized, and wide matrices need
     enough samples per cell to differentiate (see EXPERIMENTS.md).
     """
-    base = settings if settings is not None else ExperimentSettings()
+    settings = settings if settings is not None else ExperimentSettings()
     m = m if m is not None else max(4_096, int(131_072 * env_scale()))
+    # cols=None: the column count follows from epsilon
+    configs = {
+        epsilon: dataclasses.replace(
+            settings.posg_config,
+            epsilon=epsilon, window_size=1024, rows=4, cols=None,
+        )
+        for epsilon in epsilons
+    }
     result = FigureResult(
         name="figure9",
         description="Completion time speedup vs precision parameter "
         "epsilon (paper Fig. 9)",
         columns=["epsilon", "cols", "min", "mean", "max"],
     )
-    for epsilon in epsilons:
-        config = POSGConfig(
-            epsilon=epsilon,
-            delta=base.posg_config.delta,
-            window_size=1024,
-            mu=base.posg_config.mu,
-            rows=4,
-            merge_matrices=base.posg_config.merge_matrices,
-            pooled_estimates=base.posg_config.pooled_estimates,
-        )
-        settings_eps = ExperimentSettings(
-            k=base.k, reps=base.reps, base_seed=base.base_seed,
-            posg_config=config,
-            control_latency=base.control_latency,
-            data_latency=base.data_latency,
-        )
-        spec = _spec(scale=1.0, m=m, k=base.k)
-        outcomes = compare_policies(
-            lambda rng, s=spec: generate_stream(ZipfItems(s.n, 1.0), s, rng),
-            settings_eps,
-        )
-        summary = outcomes["posg"].speedup_summary()
-        result.rows.append(
-            {"epsilon": epsilon, "cols": config.sketch_shape[1], **summary}
-        )
+    for epsilon, outcomes in _sweep(
+        settings, epsilons,
+        lambda e: ({"posg_config": configs[e]}, {"scale": 1.0, "m": m}),
+    ):
+        result.rows.append({
+            "epsilon": epsilon, "cols": configs[epsilon].sketch_shape[1],
+            **outcomes["posg"].speedup_summary(),
+        })
     return result
 
 

@@ -33,19 +33,20 @@ sweep), ``latency_report.html`` (the largest POSG point's full run
 report with the latency-lineage section) and ``metrics.prom`` (the
 ``posg_lineage_*``/``posg_slo_*`` series), all uploaded by the CI
 ``latency-smoke`` job.
-
-The module is imported lazily by ``repro.experiments.cli`` and pulls
-the core/simulator stack in only inside :func:`run`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import pathlib
 import sys
 from collections.abc import Sequence
+
+from repro.experiments.scaffold import (
+    compact_setup,
+    engines_agree,
+    output_directory,
+    simulate,
+    wrote,
+)
 
 #: shard counts the POSG leg of the sweep decomposes
 SOURCE_COUNTS = (1, 2, 4)
@@ -61,27 +62,16 @@ def run(
     sample_every: int = 31,
 ) -> int:
     """Execute the latency-decomposition sweep; returns an exit code."""
-    import numpy as np
-
-    from repro.core.config import POSGConfig
     from repro.core.grouping import RoundRobinGrouping
     from repro.core.multisource import MultiSourcePOSGGrouping
-    from repro.simulator.parallel import simulate_stream_parallel
-    from repro.simulator.run import simulate_stream
     from repro.telemetry.dashboard import write_html_report
     from repro.telemetry.lineage import LineageConfig, SLOConfig, decompose
     from repro.telemetry.recorder import TelemetryRecorder
     from repro.telemetry.report import RunReport
-    from repro.workloads.synthetic import default_stream
 
-    if scale is None:
-        scale = float(os.environ.get("REPRO_SCALE", "1.0"))
-    # same sizing as the multisource/attribution sweeps for comparability
-    m = max(8_192, int(32_768 * scale))
-    k = 5
-    window = min(256, max(64, m // 128))
-    config = POSGConfig(window_size=window, rows=2, cols=16)
-    stream = default_stream(seed=seed, m=m, n=128)
+    # same setup as the multisource/attribution sweeps for comparability
+    setup = compact_setup(scale, seed, chunk_size, workers)
+    m, k, window = setup.m, setup.k, setup.window
 
     def lineage_config():
         # SLO targets are illustrative fixed thresholds; the point of the
@@ -95,24 +85,16 @@ def run(
             ),
         )
 
-    def simulate(strategy: str, sources: int, engine: str, telemetry=None):
+    def traced(strategy: str, sources: int, engine: str, **options):
         if strategy == "round_robin":
             policy = RoundRobinGrouping()
         else:
             # the sharded wrapper covers s=1 too, so every engine (the
             # parallel one only speaks the sharded worker protocol) runs
             # the exact same policy object shape
-            policy = MultiSourcePOSGGrouping(sources, config)
-        rng = np.random.default_rng(seed + 1)
-        if engine == "parallel":
-            return simulate_stream_parallel(
-                stream, policy, workers=workers, k=k, rng=rng,
-                chunk_size=max(1, chunk_size), lineage=lineage_config(),
-            )
-        return simulate_stream(
-            stream, policy, k=k, rng=rng,
-            chunk_size=0 if engine == "reference" else chunk_size,
-            lineage=lineage_config(), telemetry=telemetry,
+            policy = MultiSourcePOSGGrouping(sources, setup.config)
+        return simulate(
+            setup, policy, engine, lineage=lineage_config(), **options
         )
 
     print(
@@ -126,16 +108,13 @@ def run(
     empty = []
     broken_partitions = []
     for strategy, sources in points:
-        reference = simulate(strategy, sources, "reference")
-        chunked = simulate(strategy, sources, "chunked")
-        timelines = reference.lineage.timelines()
-        identical = timelines == chunked.lineage.timelines()
+        reference = traced(strategy, sources, "reference")
         # the parallel engine schedules through the POSG worker protocol
-        if strategy == "posg":
-            parallel = simulate(strategy, sources, "parallel")
-            identical = (
-                identical and timelines == parallel.lineage.timelines()
-            )
+        others = ("chunked", "parallel") if strategy == "posg" else ("chunked",)
+        identical = engines_agree(
+            reference,
+            *(traced(strategy, sources, engine) for engine in others),
+        )
         if not identical:
             mismatches.append((strategy, sources))
         report = reference.lineage.report()
@@ -219,13 +198,12 @@ def run(
             f"{row['lineage']['dropped_samples']} dropped)  {slos}"
         )
 
-    if output is not None:
-        directory = pathlib.Path(output)
-        directory.mkdir(parents=True, exist_ok=True)
+    directory = output_directory(output)
+    if directory is not None:
         # one more instrumented reference run of the largest POSG point so
         # metrics.prom carries its posg_lineage_*/posg_slo_* series
         with TelemetryRecorder() as recorder:
-            last_posg = simulate(
+            last_posg = traced(
                 "posg", max(source_counts), "reference", telemetry=recorder
             )
             prom_text = recorder.registry.to_prometheus()
@@ -242,16 +220,13 @@ def run(
             "sample_every": sample_every,
             "sweep": rows,
         }
-        path = directory / "latency_report.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {path}")
-        html_path = write_html_report(
-            directory / "latency_report.html", report.to_dict()
+        wrote(directory / "latency_report.json", payload)
+        wrote(
+            write_html_report(
+                directory / "latency_report.html", report.to_dict()
+            )
         )
-        print(f"wrote {html_path}")
-        prom_path = directory / "metrics.prom"
-        prom_path.write_text(prom_text)
-        print(f"wrote {prom_path}")
+        wrote(directory / "metrics.prom", prom_text)
 
     if mismatches:
         print(
@@ -274,54 +249,3 @@ def run(
         )
         return 1
     return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.latency",
-        description="Decompose sampled per-tuple latency into scheduling "
-        "delay, queue wait and service time across strategies.",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=None,
-        help="stream-length scale factor (1.0 = paper sizes)",
-    )
-    parser.add_argument(
-        "--output", type=str, default=None,
-        help="directory for latency_report.{json,html} and metrics.prom",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=2048,
-        help="chunk size for the chunked/parallel engines",
-    )
-    parser.add_argument(
-        "--sources", type=int, nargs="+", default=list(SOURCE_COUNTS),
-        help="POSG shard counts to sweep (default: 1 2 4)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes for the parallel-engine leg",
-    )
-    parser.add_argument(
-        "--sample-every", type=int, default=31,
-        help="lineage sampling stride",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="stream seed")
-    return parser
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(
-        scale=args.scale,
-        output=args.output,
-        chunk_size=args.chunk_size,
-        seed=args.seed,
-        source_counts=tuple(args.sources),
-        workers=args.workers,
-        sample_every=args.sample_every,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

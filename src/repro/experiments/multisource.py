@@ -36,19 +36,22 @@ Built-in gates make the run self-checking:
 
 With ``--output DIR`` it writes ``multisource.json`` holding both
 degradation curves for downstream tooling (the CI smoke job uploads it).
-
-The module is imported lazily by ``repro.experiments.cli`` and pulls
-the core/simulator stack in only inside :func:`run`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import pathlib
+import dataclasses
 import sys
 from collections.abc import Sequence
+
+from repro.experiments.runner import env_scale
+from repro.experiments.scaffold import (
+    compact_setup,
+    engines_agree,
+    output_directory,
+    simulate,
+    wrote,
+)
 
 #: shard counts the degradation curve sweeps
 SOURCE_COUNTS = (1, 2, 4, 8)
@@ -78,55 +81,34 @@ def run(
 
     import numpy as np
 
-    from repro.core.config import CoordinationConfig, POSGConfig
+    from repro.core.config import CoordinationConfig
     from repro.core.grouping import POSGGrouping
     from repro.core.multisource import MultiSourcePOSGGrouping
-    from repro.simulator.parallel import simulate_stream_parallel
-    from repro.simulator.run import simulate_stream
     from repro.telemetry.quality import compute_quality, execution_time_matrix
     from repro.workloads.nonstationary import LoadShiftScenario
-    from repro.workloads.synthetic import default_stream
 
-    if scale is None:
-        scale = float(os.environ.get("REPRO_SCALE", "1.0"))
-    # the floor keeps every shard of the largest s past its first sync
-    # round (each shard only sees m/s tuples)
-    m = max(8_192, int(32_768 * scale))
-    k = 5
-    # same control-plane sizing as the chaos scenario: a small sketch
-    # over a compact universe, window scaled so short smoke runs still
-    # complete sync rounds on every shard
-    window = min(256, max(64, m // 128))
-    config = POSGConfig(window_size=window, rows=2, cols=16)
-    stream = default_stream(seed=seed, m=m, n=128)
-    times = execution_time_matrix(stream, LoadShiftScenario.constant(k), k)
-
-    def simulate(policy):
-        return simulate_stream(
-            stream,
-            policy,
-            k=k,
-            rng=np.random.default_rng(seed + 1),
-            chunk_size=chunk_size,
-        )
+    # the full-scale flatness gate below needs the resolved scale
+    scale = scale if scale is not None else env_scale()
+    setup = compact_setup(scale, seed, chunk_size, parallel_workers)
+    m, k, window, config = setup.m, setup.k, setup.window, setup.config
+    times = execution_time_matrix(
+        setup.stream, LoadShiftScenario.constant(k), k
+    )
 
     print(f"== multisource: sharded POSG (m={m}, k={k}, window={window}) ==")
 
     # -- gate 1: s=1 collapses to the paper's single-scheduler path ----
-    single = simulate(POSGGrouping(config))
-    collapsed = simulate(MultiSourcePOSGGrouping(1, config))
-    identical = bool(
-        np.array_equal(single.stats.assignments, collapsed.stats.assignments)
-        and single.control_bits == collapsed.control_bits
+    identical = engines_agree(
+        simulate(setup, POSGGrouping(config)),
+        simulate(setup, MultiSourcePOSGGrouping(1, config)),
     )
     print(
         "s=1 vs single-scheduler POSG: "
         + ("bit-identical" if identical else "MISMATCH")
     )
 
-    coordinated_config = POSGConfig(
-        window_size=window, rows=2, cols=16,
-        coordination=CoordinationConfig(),
+    coordinated_config = dataclasses.replace(
+        config, coordination=CoordinationConfig()
     )
     curves: dict[str, list] = {"plain": [], "coordinated": []}
     starved = []
@@ -138,31 +120,18 @@ def run(
         ):
             policy = MultiSourcePOSGGrouping(sources, shard_config)
             t0 = time.perf_counter()
-            result = simulate(policy)
+            result = simulate(setup, policy)
             sequential_elapsed = time.perf_counter() - t0
             parallel_row = None
             if parallel_workers is not None:
                 t0 = time.perf_counter()
-                parallel_result = simulate_stream_parallel(
-                    stream,
+                parallel_result = simulate(
+                    setup,
                     MultiSourcePOSGGrouping(sources, shard_config),
-                    workers=parallel_workers,
-                    k=k,
-                    rng=np.random.default_rng(seed + 1),
-                    chunk_size=max(1, chunk_size),
+                    "parallel",
                 )
                 parallel_elapsed = time.perf_counter() - t0
-                matches = bool(
-                    np.array_equal(
-                        result.stats.assignments,
-                        parallel_result.stats.assignments,
-                    )
-                    and np.array_equal(
-                        result.stats.completions,
-                        parallel_result.stats.completions,
-                    )
-                    and result.control_bits == parallel_result.control_bits
-                )
+                matches = engines_agree(result, parallel_result)
                 if not matches:
                     parallel_mismatches.append((label, sources))
                 parallel_row = {
@@ -254,9 +223,8 @@ def run(
         + ")"
     )
 
-    if output is not None:
-        directory = pathlib.Path(output)
-        directory.mkdir(parents=True, exist_ok=True)
+    directory = output_directory(output)
+    if directory is not None:
         payload = {
             "m": m,
             "k": k,
@@ -272,9 +240,7 @@ def run(
             ),
             "coordination_gate_enforced": gate_applies,
         }
-        path = directory / "multisource.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {path}")
+        wrote(directory / "multisource.json", payload)
 
     if not identical:
         print(
@@ -306,49 +272,3 @@ def run(
         )
         return 1
     return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.multisource",
-        description="Measure POSG's degradation under multi-source sharding.",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=None,
-        help="stream-length scale factor (1.0 = paper sizes)",
-    )
-    parser.add_argument(
-        "--output", type=str, default=None,
-        help="directory for multisource.json (the degradation curve)",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=2048,
-        help="simulator chunk size (0 = per-tuple reference engine)",
-    )
-    parser.add_argument(
-        "--sources", type=int, nargs="+", default=list(SOURCE_COUNTS),
-        help="shard counts to sweep (default: 1 2 4 8)",
-    )
-    parser.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="also run each sweep point through the multi-process "
-        "parallel engine with N workers (gated bit-identical)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="stream seed")
-    return parser
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(
-        scale=args.scale,
-        output=args.output,
-        chunk_size=args.chunk_size,
-        seed=args.seed,
-        source_counts=tuple(args.sources),
-        parallel_workers=args.parallel,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

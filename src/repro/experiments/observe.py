@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.experiments observe
     python -m repro.experiments observe --scale 0.1 --output out/
-    python -m repro.experiments observe --live
 
 Runs a Figure 4-sized stream (m = 32,768 scaled, k = 5) with POSG under
 the full quality-observability stack:
@@ -20,8 +19,8 @@ the full quality-observability stack:
 - the **phase profiler** wraps the engine's hash / estimate / route /
   fold / window-close phases in nanosecond spans;
 - the **live dashboard** repaints an ANSI terminal view of the registry
-  while the run executes (``--live``; defaults to on when stdout is a
-  TTY) — otherwise one static frame is printed after the run.
+  while the run executes when stdout is a TTY — otherwise one static
+  frame is printed after the run.
 
 With ``--output DIR`` it writes ``quality_report.json`` (a v3
 :class:`~repro.telemetry.report.RunReport` with the audit and quality
@@ -34,17 +33,18 @@ oracle-GOS makespan violates the Theorem 4.2 bound on the identical-
 machine scenario, when any Theorem 4.3 Markov check fails (impossible
 on the empirical measure — a failure means the audit itself is broken),
 or when the estimator-error quantiles are not finite.
-
-The module is imported lazily by ``repro.experiments.cli``.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import pathlib
 import sys
-from collections.abc import Sequence
+
+from repro.experiments.scaffold import (
+    compact_setup,
+    output_directory,
+    simulate,
+    wrote,
+)
 
 
 def run(
@@ -57,9 +57,7 @@ def run(
     """Execute the observatory run; returns a process exit code."""
     import numpy as np
 
-    from repro.core.config import POSGConfig
     from repro.core.grouping import POSGGrouping
-    from repro.simulator.run import simulate_stream
     from repro.telemetry.audit import AuditConfig
     from repro.telemetry.dashboard import (
         LiveDashboard,
@@ -75,53 +73,36 @@ def run(
     from repro.telemetry.recorder import TelemetryRecorder
     from repro.telemetry.report import RunReport
     from repro.workloads.nonstationary import LoadShiftScenario
-    from repro.workloads.synthetic import default_stream
 
-    if scale is None:
-        scale = float(os.environ.get("REPRO_SCALE", "1.0"))
-    m = max(8_192, int(32_768 * scale))
-    k = 5
     if live is None:
         live = sys.stdout.isatty()
+    directory = output_directory(output)
 
-    directory: pathlib.Path | None = None
-    if output is not None:
-        directory = pathlib.Path(output)
-        directory.mkdir(parents=True, exist_ok=True)
-
-    # Same compact configuration as the chaos scenario: the matrices
-    # stabilize early at every scale, so the audit mostly samples the
-    # estimator in its steady (RUN) regime rather than during warm-up.
-    window = min(256, max(64, m // 128))
-    stream = default_stream(seed=seed, m=m, n=128)
-    config = POSGConfig(window_size=window, rows=2, cols=16)
+    # The compact setup's matrices stabilize early at every scale, so
+    # the audit mostly samples the estimator in its steady (RUN) regime
+    # rather than during warm-up.
+    setup = compact_setup(scale, seed, chunk_size)
+    k = setup.k
     scenario = LoadShiftScenario.constant(k)
-    audit_config = AuditConfig(sample_every=max(8, m // 2048))
+    audit_config = AuditConfig(sample_every=max(8, setup.m // 2048))
     profiler = PhaseProfiler()
 
     with TelemetryRecorder() as recorder:
-        policy = POSGGrouping(config, telemetry=recorder)
+        policy = POSGGrouping(setup.config, telemetry=recorder)
 
-        def simulate():
-            return simulate_stream(
-                stream,
-                policy,
-                k=k,
-                scenario=scenario,
-                rng=np.random.default_rng(seed + 1),
-                chunk_size=chunk_size,
-                telemetry=recorder,
-                audit=audit_config,
-                profiler=profiler,
+        def observed():
+            return simulate(
+                setup, policy, scenario=scenario, telemetry=recorder,
+                audit=audit_config, profiler=profiler,
             )
 
         if live:
             dashboard = LiveDashboard(recorder, title="posg observe")
-            result = dashboard.run(simulate)
+            result = dashboard.run(observed)
         else:
-            result = simulate()
+            result = observed()
 
-        times = execution_time_matrix(stream, scenario, k)
+        times = execution_time_matrix(setup.stream, scenario, k)
         quality = compute_quality(
             np.asarray(result.stats.assignments), times, k
         )
@@ -136,18 +117,15 @@ def run(
         print(report.summary())
 
         if directory is not None:
-            report_path = report.save(directory / "quality_report.json")
-            html_path = directory / "quality_report.html"
-            write_html_report(html_path, report.to_dict())
-            prom_path = directory / "metrics.prom"
-            prom_path.write_text(recorder.registry.to_prometheus())
-            profile_path = profiler.save_json(directory / "profile.json")
-            flame_path = directory / "flamegraph.txt"
-            flame_path.write_text(profiler.to_flamegraph())
-            for path in (
-                report_path, html_path, prom_path, profile_path, flame_path
-            ):
-                print(f"wrote {path}")
+            wrote(report.save(directory / "quality_report.json"))
+            wrote(
+                write_html_report(
+                    directory / "quality_report.html", report.to_dict()
+                )
+            )
+            wrote(directory / "metrics.prom", recorder.registry.to_prometheus())
+            wrote(profiler.save_json(directory / "profile.json"))
+            wrote(directory / "flamegraph.txt", profiler.to_flamegraph())
 
     # ------------------------------------------------------------------
     # gates: the observatory must stand behind its own numbers
@@ -171,49 +149,3 @@ def run(
     for failure in failures:
         print(f"ERROR: {failure}", file=sys.stderr)
     return 1 if failures else 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.observe",
-        description="Run POSG under the quality observatory.",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=None,
-        help="stream-length scale factor (1.0 = paper sizes)",
-    )
-    parser.add_argument(
-        "--output", type=str, default=None,
-        help="directory for quality_report.{json,html}, metrics.prom, "
-        "profile.json and flamegraph.txt",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=2048,
-        help="simulator chunk size (0 = per-tuple reference engine)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="stream seed")
-    live = parser.add_mutually_exclusive_group()
-    live.add_argument(
-        "--live", dest="live", action="store_true", default=None,
-        help="repaint the ANSI dashboard while the run executes",
-    )
-    live.add_argument(
-        "--no-live", dest="live", action="store_false",
-        help="print one static frame after the run (default off-TTY)",
-    )
-    return parser
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(
-        scale=args.scale,
-        output=args.output,
-        chunk_size=args.chunk_size,
-        seed=args.seed,
-        live=args.live,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

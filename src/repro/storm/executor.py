@@ -31,11 +31,6 @@ class TaskContext:
     #: read the current virtual time (Storm components read wall clock)
     clock: "Callable[[], float]" = lambda: 0.0
 
-    @property
-    def is_leader(self) -> bool:
-        """Whether this is the component's first task."""
-        return self.task_index == 0
-
 
 class SpoutCollector:
     """Output collector handed to a spout's ``open``."""

@@ -319,8 +319,3 @@ class _ShardGrouping(CustomStreamGrouping):
     def on_instance_crash(self, task: int) -> None:
         if self._source == 0:
             self._coordinator._on_instance_crash(task)
-
-    @property
-    def source_id(self) -> int:
-        """This shard's scheduler id."""
-        return self._source
