@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.config import POSGConfig
 from repro.core.matrices import FWPair
 from repro.core.messages import ControlMessage, MatricesMessage, SyncReply, SyncRequest
+from repro.sketches.count_min import running_total
 from repro.sketches.hashing import TwoUniversalHashFamily
 from repro.telemetry.recorder import NULL_RECORDER
 from repro.telemetry.registry import Sample
@@ -158,25 +159,25 @@ class InstanceTracker:
 
         Bit-identical to calling :meth:`execute` per tuple with no sync
         requests: the F/W fold preserves per-tuple float semantics
-        (``FWPair.update_batch``) and ``C_op`` accumulates term by term.
-        The batch must not reach a window boundary — the FSM of Figure 2
-        inspects the matrices exactly there, so the boundary tuple itself
-        must go through :meth:`execute`.  The chunked simulator batches
-        the tuples between boundaries this way.
+        (``FWPair.update_batch``) and ``C_op`` accumulates term by term
+        (:func:`~repro.sketches.count_min.running_total`).  ``items`` and
+        ``execution_times`` are arrays or sequences of equal length; the
+        chunked simulator hands over index-gathered arrays, which are
+        used as they are.  The batch must not reach a window boundary —
+        the FSM of Figure 2 inspects the matrices exactly there, so the
+        boundary tuple itself must go through :meth:`execute`.  A batch
+        that would, or that holds a negative or non-finite time, raises
+        ``ValueError`` with the tracker untouched.
         """
-        count = len(items)
-        if count == 0:
-            return
+        times = np.asarray(execution_times, dtype=np.float64)
+        count = times.size
         if self._window_count + count >= self._config.window_size:
             raise ValueError(
                 f"batch of {count} tuples would cross the window boundary "
                 f"({self._window_count}/{self._config.window_size} used)"
             )
-        self._pair.update_batch(items, execution_times)
-        total = self._cumulated_time
-        for value in execution_times:
-            total += value
-        self._cumulated_time = total
+        self._pair.update_batch(items, times)
+        self._cumulated_time = running_total(self._cumulated_time, times)
         self._tuples_executed += count
         self._window_count += count
 

@@ -99,12 +99,22 @@ class FWPair:
         The chunked simulator collects the tuples an instance executed
         between window boundaries and folds them in one scatter; callers
         must not let a batch straddle a window boundary, since the FSM of
-        Figure 2 inspects the matrices exactly there.
+        Figure 2 inspects the matrices exactly there.  A negative or
+        non-finite execution time anywhere in the batch raises before
+        either matrix moves (:meth:`update` refuses a negative one tuple
+        by tuple; a NaN here would poison ``W`` for the rest of the run).
         """
         items = np.asarray(items, dtype=np.int64)
+        times = np.asarray(execution_times, dtype=np.float64)
+        if items.ndim != 1 or items.shape != times.shape:
+            raise ValueError(
+                "items and execution_times must be 1-D and of equal length, "
+                f"got shapes {items.shape} and {times.shape}"
+            )
         if items.size == 0:
             return
-        times = np.asarray(execution_times, dtype=np.float64)
+        if not (np.isfinite(times).all() and (times >= 0.0).all()):
+            raise ValueError("execution times must be finite and >= 0")
         buckets = self._freq.bucket_cache.columns_many(items)
         self._freq.fold_batch_exact(buckets, None)
         self._work.fold_batch_exact(buckets, times)

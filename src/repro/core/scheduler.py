@@ -41,6 +41,7 @@ bit-identical to the paper's protocol.
 from __future__ import annotations
 
 import enum
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -58,6 +59,17 @@ from repro.telemetry.registry import Sample
 #: scheduler (9 bytes each), so sparse ids cost no more here than the
 #: bucket cache's own table; blocks with larger ids are gathered afresh
 MAX_TABLE_CELLS = 1 << 22
+
+
+def _float_column(values: np.ndarray) -> array:
+    """A float64 vector as an ``array('d')``: one copy of its bytes.
+
+    A block's scalar loop reads one estimate in ``k`` (only the chosen
+    instance's), so boxing every element with ``tolist()`` costs far more
+    than the boxing the loop does on the reads it makes; indexing an
+    ``array('d')`` yields the same Python float a list would hold.
+    """
+    return array("d", values.tobytes())
 
 
 def _span(profiler, name: str):
@@ -539,7 +551,7 @@ class POSGScheduler:
 
     def _block_estimates(
         self, items: np.ndarray, profiler=None
-    ) -> list[list[float]]:
+    ) -> "list[array]":
         """Per-instance estimate columns for a block: ``[k][count]``.
 
         All pairs ship from instances sharing one hash family (Listing
@@ -620,19 +632,19 @@ class POSGScheduler:
             self._table_valid.reshape(-1)[cells] = True
             self._estimate_evaluations += cells.shape[0]
 
-    def _table_columns(self, items: np.ndarray) -> list[list[float]]:
+    def _table_columns(self, items: np.ndarray) -> "list[array]":
         """Read a block's columns out of the (filled) estimate table."""
         columns = self._table_values.take(items, axis=1)
         if not self._config.pooled_estimates:
-            return columns.tolist()
+            return [_float_column(column) for column in columns]
         total = np.zeros(items.shape[0], dtype=np.float64)
         for instance in self._matrices:  # first-arrival order, as ``estimate``
             total = total + columns[instance]
-        return [(total / len(self._matrices)).tolist()] * self._k
+        return [_float_column(total / len(self._matrices))] * self._k
 
     def _gather_columns(
         self, items: np.ndarray, count: int, pairs, buckets
-    ) -> list[list[float]]:
+    ) -> "list[array]":
         def column(pair: FWPair) -> np.ndarray:
             self._estimate_evaluations += count
             if buckets is not None:
@@ -643,18 +655,17 @@ class POSGScheduler:
             total = np.zeros(count, dtype=np.float64)
             for pair in pairs:
                 total = total + column(pair)
-            pooled = (total / len(pairs)).tolist()
-            return [pooled] * self._k
+            return [_float_column(total / len(pairs))] * self._k
         zeros = None
         columns = []
         for instance in range(self._k):
             pair = self._matrices.get(instance)
             if pair is None:
                 if zeros is None:
-                    zeros = [0.0] * count
+                    zeros = _float_column(np.zeros(count, dtype=np.float64))
                 columns.append(zeros)
             else:
-                columns.append(column(pair).tolist())
+                columns.append(_float_column(column(pair)))
         return columns
 
     def estimate(self, item: int, instance: int) -> float:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -126,13 +127,13 @@ class SimulationResult:
     #: ``window`` — a delivery one of its own window closes emitted,
     #: ``crash`` — a scripted crash, ``defence`` — a recovery deadline),
     #: ``fallback_tuples`` (routed by the per-tuple step: SEND_ALL
-    #: stretches and defence-deadline tuples) and, summed over the
-    #: schedulers, ``estimate_gathers`` (estimate column gathers),
-    #: ``estimate_requests`` (k x block length over those gathers: the
-    #: item-estimates they asked for) and ``estimate_evaluations`` (the
-    #: item-estimates actually computed; the rest were read from the
-    #: schedulers' estimate tables).  ``None`` from the multi-process
-    #: engine, which reports through ``parallel``.
+    #: stretches and defence-deadline tuples), ``folds`` /
+    #: ``folded_tuples`` (batched instance folds landed, tuples in them)
+    #: and, summed over the schedulers, ``estimate_gathers`` (estimate
+    #: column gathers), ``estimate_requests`` (k x block length over
+    #: those: the item-estimates asked for) and ``estimate_evaluations``
+    #: (those actually computed; the rest were estimate-table reads).
+    #: ``None`` from the multi-process engine (it reports in ``parallel``).
     engine: "dict | None" = None
 
     @property
@@ -215,6 +216,8 @@ def _engine_info(path: str, reason: "str | None" = None) -> dict:
         "estimate_gathers": 0,
         "estimate_requests": 0,
         "estimate_evaluations": 0,
+        "folds": 0,
+        "folded_tuples": 0,
         "cuts": dict.fromkeys(_CUT_CAUSES, 0),
     }
 
@@ -657,16 +660,18 @@ def _simulate_chunked(
     items_array = np.ascontiguousarray(stream.items, dtype=np.int64)
     arrivals_array = np.ascontiguousarray(stream.arrivals, dtype=np.float64)
     arrivals = arrivals_array.tolist()
-    base_times = stream.base_times.tolist()
+    base_array = np.ascontiguousarray(stream.base_times, dtype=np.float64)
+    base_times = base_array.tolist()
 
     # Per-instance execution-time columns ``base_times * multiplier``
-    # (elementwise numpy, identical IEEE multiplies).  A unit multiplier
-    # column is the base times themselves (x * 1.0 == x exactly), so
-    # uniform instances share one list.
-    execution_columns = [
-        base_times
+    # (elementwise numpy, identical IEEE multiplies): the arrays the
+    # batched folds gather from, then the lists the scalar loops read.
+    # A unit multiplier column is the base times themselves
+    # (x * 1.0 == x exactly), so uniform instances share one of each.
+    execution_arrays = [
+        base_array
         if np.all(multipliers[:, instance] == 1.0)
-        else (stream.base_times * multipliers[:, instance]).tolist()
+        else base_array * multipliers[:, instance]
         for instance in range(k)
     ]
     # Slow-node windows are a function of arrival time alone: the same
@@ -674,10 +679,13 @@ def _simulate_chunked(
     # untouched columns stay shared.
     slowed = injector.slowdown_regions(arrivals) if injector is not None else ()
     for instance in {region[0] for region in slowed}:
-        execution_columns[instance] = list(execution_columns[instance])
+        execution_arrays[instance] = execution_arrays[instance].copy()
     for instance, lo, hi, factor in slowed:
-        column = execution_columns[instance]
-        column[lo:hi] = (np.asarray(column[lo:hi]) * factor).tolist()
+        execution_arrays[instance][lo:hi] *= factor
+    execution_columns = [
+        base_times if column is base_array else column.tolist()
+        for column in execution_arrays
+    ]
 
     # Oracle closure for Full Knowledge: reads the loop's current index.
     # Its m x k list-of-lists table is built on the first call: only Full
@@ -714,6 +722,7 @@ def _simulate_chunked(
         arrivals=arrivals,
         arrivals_array=arrivals_array,
         execution_columns=execution_columns,
+        execution_arrays=execution_arrays,
         latency_values=latency_values,
         data_lat=data_lat,
         control_lat=control_lat,
@@ -832,9 +841,9 @@ class _ChunkedState:
 
     __slots__ = (
         "k", "items", "items_array", "arrivals", "arrivals_array",
-        "execution_columns", "latency_values", "data_lat", "control_lat",
-        "position", "busy_until", "finishes", "assignments", "control_queue",
-        "control_seq", "control_messages", "control_bits",
+        "execution_columns", "execution_arrays", "latency_values", "data_lat",
+        "control_lat", "position", "busy_until", "finishes", "assignments",
+        "control_queue", "control_seq", "control_messages", "control_bits",
         "state_transitions", "engine",
     )
 
@@ -843,7 +852,7 @@ class _ChunkedState:
             setattr(self, name, value)
         self.busy_until = [0.0] * self.k
         self.finishes: list[float] = []
-        self.assignments: list[int] = []
+        self.assignments = array("I")  # uint32: numpy views it in place
         self.control_queue: list[tuple[float, int, object]] = []
         self.control_seq = 0
         self.control_messages = 0
@@ -1120,7 +1129,9 @@ def _run_posg(
     constant instance-arrival times are hoisted columns (a random data
     latency is drawn inline, right after the pick), and instance-side
     sketch folds are batched between window boundaries
-    (``InstanceTracker.execute_batch``).  Routing and merge share the
+    (``InstanceTracker.execute_batch``) and read back from the
+    assignment buffer, so the loops keep no per-instance batch and the
+    numbers stay in arrays.  Routing and merge share the
     pass, so nothing is speculative: every block commits exactly the
     positions it consumed.  The per-tuple control check disappears:
     arrivals are sorted, so the segment bound is a ``bisect`` on the
@@ -1214,13 +1225,38 @@ def _run_posg(
     probe = observers.sample
     next_probe = min(observers.next_due, m)
 
-    # Instance-side batching state persists across segments: tuples are
-    # folded lazily, right before anything inspects the tracker (a window
-    # boundary, a SEND_ALL execute, or the end of the run).  The batches
-    # are cleared in place so the specialized loop can hold aliases.
-    pending_items: list[list[int]] = [[] for _ in range(k)]
-    pending_times: list[list[float]] = [[] for _ in range(k)]
+    # Instance-side folds are lazy and persist across segments: the
+    # tuples instance ``i`` executed land in its tracker right before
+    # anything inspects it (a window boundary, a crash, a per-tuple step,
+    # the end of the run).  What it is still owed is every index
+    # ``>= fold_from[i]`` the assignment buffer gives to ``i``; a tuple
+    # folded on its own at index ``j`` (a boundary tuple, a per-tuple
+    # step) hands over at ``j + 1``, so each tuple is folded exactly once.
+    fold_from = [0] * k
     window_left = [tracker.window_remaining for tracker in trackers]
+
+    def _fold(instance: int, hi: int) -> None:
+        """Land the tuples ``instance`` executed in ``[fold_from, hi)``."""
+        lo = fold_from[instance]
+        fold_from[instance] = hi
+        if lo >= hi:
+            return
+        if profiler is not None:
+            profiler.start("fold")
+        # The view lives inside this one expression: a buffer that is
+        # exported cannot grow, and the loops append to it.
+        owned = np.flatnonzero(
+            np.frombuffer(assignments, assignments.typecode)[lo:hi] == instance
+        )
+        if owned.size:
+            owned += lo
+            trackers[instance].execute_batch(
+                items_array[owned], state.execution_arrays[instance][owned]
+            )
+            engine["folds"] += 1
+            engine["folded_tuples"] += owned.size
+        if profiler is not None:
+            profiler.stop()
 
     def _window_boundary(
         instance: int,
@@ -1231,23 +1267,15 @@ def _run_posg(
         next_due: float,
         end: int,
     ) -> tuple[float, int]:
-        """Flush the batched prefix, run the boundary tuple through the
-        FSM (Figure 2), enqueue its messages, and re-tighten the segment
-        bound if a delivery now lands before the previous horizon."""
+        """Fold what precedes the boundary tuple ``lo - 1``, run that one
+        through the FSM (Figure 2), enqueue its messages, and re-tighten the
+        segment bound if a delivery now lands before the previous horizon."""
         nonlocal cut
-        tracker = trackers[instance]
-        batch = pending_items[instance]
         if profiler is not None:
             profiler.start("window_close")
-        if batch:
-            if profiler is not None:
-                profiler.start("fold")
-            tracker.execute_batch(batch, pending_times[instance])
-            if profiler is not None:
-                profiler.stop()
-            batch.clear()
-            pending_times[instance].clear()
-        messages = tracker.execute(item, execution_time, None)
+        _fold(instance, lo - 1)
+        fold_from[instance] = lo
+        messages = trackers[instance].execute(item, execution_time, None)
         if messages:
             _send_control(state, injector, messages, finish)
         if control_queue and control_queue[0][0] < next_due:
@@ -1264,15 +1292,8 @@ def _run_posg(
     # tuple, so the loops' locals stay plain locals.
     def _flush_pending() -> None:
         """Land every batched fold, before anything reads a tracker."""
-        for tracker, batch, times in zip(trackers, pending_items, pending_times):
-            if batch:
-                if profiler is not None:
-                    profiler.start("fold")
-                tracker.execute_batch(batch, times)
-                if profiler is not None:
-                    profiler.stop()
-                batch.clear()
-                times.clear()
+        for instance in range(k):
+            _fold(instance, len(assignments))
 
     def _next_deadline(j: int) -> int:
         """Index of the first tuple from ``j`` on whose ``submit`` makes a
@@ -1382,8 +1403,6 @@ def _run_posg(
                 c0, c1, c2, c3, c4 = c
                 b0, b1, b2, b3, b4 = busy
                 w0, w1, w2, w3, w4 = window_left
-                pi0, pi1, pi2, pi3, pi4 = pending_items
-                pt0, pt1, pt2, pt3, pt4 = pending_times
                 at_col = at_column
                 fin_append = finishes.append
                 asg_append = assignments.append
@@ -1413,16 +1432,13 @@ def _run_posg(
                         b0 = finish
                         fin_append(finish)
                         asg_append(0)
-                        if w0 == 1:
+                        w0 -= 1
+                        if not w0:
                             next_due, end = _window_boundary(
                                 0, items[j], execution_time, finish,
                                 j + 1, next_due, end,
                             )
                             w0 = window_size
-                        else:
-                            w0 -= 1
-                            pi0.append(items[j])
-                            pt0.append(execution_time)
                     elif instance == 1:
                         c1 += e1[pos]
                         b = b1
@@ -1433,16 +1449,13 @@ def _run_posg(
                         b1 = finish
                         fin_append(finish)
                         asg_append(1)
-                        if w1 == 1:
+                        w1 -= 1
+                        if not w1:
                             next_due, end = _window_boundary(
                                 1, items[j], execution_time, finish,
                                 j + 1, next_due, end,
                             )
                             w1 = window_size
-                        else:
-                            w1 -= 1
-                            pi1.append(items[j])
-                            pt1.append(execution_time)
                     elif instance == 2:
                         c2 += e2[pos]
                         b = b2
@@ -1453,16 +1466,13 @@ def _run_posg(
                         b2 = finish
                         fin_append(finish)
                         asg_append(2)
-                        if w2 == 1:
+                        w2 -= 1
+                        if not w2:
                             next_due, end = _window_boundary(
                                 2, items[j], execution_time, finish,
                                 j + 1, next_due, end,
                             )
                             w2 = window_size
-                        else:
-                            w2 -= 1
-                            pi2.append(items[j])
-                            pt2.append(execution_time)
                     elif instance == 3:
                         c3 += e3[pos]
                         b = b3
@@ -1473,16 +1483,13 @@ def _run_posg(
                         b3 = finish
                         fin_append(finish)
                         asg_append(3)
-                        if w3 == 1:
+                        w3 -= 1
+                        if not w3:
                             next_due, end = _window_boundary(
                                 3, items[j], execution_time, finish,
                                 j + 1, next_due, end,
                             )
                             w3 = window_size
-                        else:
-                            w3 -= 1
-                            pi3.append(items[j])
-                            pt3.append(execution_time)
                     else:
                         c4 += e4[pos]
                         b = b4
@@ -1493,16 +1500,13 @@ def _run_posg(
                         b4 = finish
                         fin_append(finish)
                         asg_append(4)
-                        if w4 == 1:
+                        w4 -= 1
+                        if not w4:
                             next_due, end = _window_boundary(
                                 4, items[j], execution_time, finish,
                                 j + 1, next_due, end,
                             )
                             w4 = window_size
-                        else:
-                            w4 -= 1
-                            pi4.append(items[j])
-                            pt4.append(execution_time)
                     if j == next_probe:
                         # ``b`` is this tuple's start clock; the chosen
                         # instance's window counter is already post-
@@ -1584,8 +1588,6 @@ def _run_posg(
                                 busy[i] = b
                                 seg_fin[off::k] = fl
                                 seg_asg[off::k] = [i] * n_i
-                                pending_items[i].extend(items[lo:safe_end:k])
-                                pending_times[i].extend(x_slice)
                                 window_left[i] -= n_i
                             if probing:
                                 chains.append(fl)
@@ -1641,8 +1643,6 @@ def _run_posg(
                         )
                         window_left[instance] = window_size
                     else:
-                        pending_items[instance].append(items[j])
-                        pending_times[instance].append(execution_time)
                         window_left[instance] = wl - 1
                     j += 1
                 block._pos += rr - block._rr
@@ -1745,8 +1745,6 @@ def _run_posg(
                         )
                         window_left[instance] = window_size
                     else:
-                        pending_items[instance].append(items[j])
-                        pending_times[instance].append(execution_time)
                         window_left[instance] = wl - 1
                     j += 1
                     shard += 1
@@ -1780,6 +1778,7 @@ def _run_posg(
         engine["fallback_tuples"] += 1
         _flush_pending()
         instance = step(j, arrival)
+        fold_from[:] = [j + 1] * k  # the step folded tuple j itself
         window_left[instance] = trackers[instance].window_remaining
         if j == next_probe:
             next_probe = observers.next_due

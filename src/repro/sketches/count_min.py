@@ -28,6 +28,20 @@ from repro.sketches.bucket_cache import get_bucket_cache
 from repro.sketches.hashing import TwoUniversalHashFamily, random_hash_family
 
 
+def running_total(start: float, terms: np.ndarray) -> float:
+    """``start + terms[0] + terms[1] + ...``, added strictly left to right.
+
+    ``np.add.accumulate`` performs one addition per element in index
+    order (a running sum cannot be pairwise-reassociated), so the result
+    carries the exact rounding of a Python ``total += term`` loop — what
+    per-tuple updates produce (float addition is not associative).
+    """
+    chain = np.empty(terms.shape[0] + 1, dtype=np.float64)
+    chain[0] = start
+    chain[1:] = terms
+    return float(np.add.accumulate(chain, out=chain)[-1])
+
+
 def dims_for(epsilon: float, delta: float) -> tuple[int, int]:
     """Return the sketch dimensions ``(rows, cols)`` for an accuracy target.
 
@@ -183,9 +197,10 @@ BucketColumnCache`; callers updating several sketches with the same hash
 
         Unlike :meth:`update_many`, every cell receives its updates one by
         one in stream order (``np.add.at`` is unbuffered and sequential)
-        and ``total_weight`` accumulates term by term, so the resulting
-        sketch state is bit-for-bit identical to calling :meth:`update`
-        once per tuple.  ``weights=None`` means unit weights and requires
+        and ``total_weight`` accumulates term by term
+        (:func:`running_total`), so the resulting sketch state is
+        bit-for-bit identical to calling :meth:`update` once per tuple.
+        ``weights=None`` means unit weights and requires
         a sketch that has only ever seen unit weights (the frequency
         sketch ``F``): all counters are then small integers, exactly
         representable, and the scatter collapses to a ``bincount``.
@@ -211,12 +226,7 @@ columns_many`); validation is the caller's job — this is a hot path.
         else:
             tiled = np.broadcast_to(weights, (rows, batch)).ravel()
             np.add.at(flat, indices, tiled)
-            # Sequential scalar accumulation preserves the exact rounding
-            # of per-tuple updates (float addition is not associative).
-            total = self._total_weight
-            for w in weights.tolist():
-                total += w
-            self._total_weight = total
+            self._total_weight = running_total(self._total_weight, weights)
         self._update_count += batch
 
     # ------------------------------------------------------------------

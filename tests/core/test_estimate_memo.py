@@ -98,9 +98,14 @@ def table_free(scheduler, items):
     ]
 
 
-def assert_table_fresh(scheduler, items=tuple(ITEMS)):
+def block_values(scheduler, items):
+    """A block's estimate columns as lists: the values, whatever holds them."""
     gathered = scheduler._block_estimates(np.asarray(items, dtype=np.int64))
-    assert gathered == table_free(scheduler, items)
+    return [list(column) for column in gathered]
+
+
+def assert_table_fresh(scheduler, items=tuple(ITEMS)):
+    assert block_values(scheduler, items) == table_free(scheduler, items)
 
 
 def pair_of(hashes, samples):
@@ -222,11 +227,11 @@ class TestEstimateTable:
         scheduler, hashes = self.warmed(
             merge_matrices=True, merge_decay=decay, pooled_estimates=pooled
         )
-        before = scheduler._block_estimates(np.array([3, 5, 3]))
+        before = block_values(scheduler, [3, 5, 3])
         stored = scheduler._matrices[1]
         deliver(scheduler, 1, hashes, [(3, 25.0)])
         assert scheduler._matrices[1] is stored
-        after = scheduler._block_estimates(np.array([3, 5, 3]))
+        after = block_values(scheduler, [3, 5, 3])
         assert after == table_free(scheduler, [3, 5, 3])
         assert after[1][0] > before[1][0]
         if not pooled:
@@ -315,9 +320,9 @@ class TestEstimateTable:
         scheduler = POSGScheduler(2, config)
         for instance in range(2):
             deliver(scheduler, instance, hashes, [(3, 4.0)])
-        assert scheduler._block_estimates(np.array([3]))[1] == [4.0]
+        assert block_values(scheduler, [3])[1] == [4.0]
         del scheduler._matrices[1]
         scheduler._matrices_changed([1])
-        assert scheduler._block_estimates(np.array([3])) == [[4.0], [0.0]]
+        assert block_values(scheduler, [3]) == [[4.0], [0.0]]
         deliver(scheduler, 1, hashes, [(3, 9.0)])
-        assert scheduler._block_estimates(np.array([3])) == [[4.0], [9.0]]
+        assert block_values(scheduler, [3]) == [[4.0], [9.0]]

@@ -39,6 +39,7 @@ from repro.core.grouping import (
 )
 from repro.core.messages import MatricesMessage
 from repro.core.multisource import MultiSourcePOSGGrouping
+from repro.core.scheduler import SchedulerState
 from repro.faults.plan import CrashFault, FaultPlan, MessageFaults, SlowdownFault
 from repro.simulator.network import LognormalLatency, UniformLatency
 from repro.simulator.parallel import simulate_stream_parallel
@@ -56,7 +57,8 @@ from repro.workloads.synthetic import (
 
 ENGINE_KEYS = {
     "path", "reason", "segments", "truncated_segments", "fallback_tuples",
-    "estimate_gathers", "estimate_requests", "estimate_evaluations", "cuts",
+    "estimate_gathers", "estimate_requests", "estimate_evaluations", "folds",
+    "folded_tuples", "cuts",
 }
 
 
@@ -96,10 +98,17 @@ def assert_same_run(reference, chunked):
         assert ours._rr_counter == theirs._rr_counter
         assert ours.stats() == theirs.stats()
     assert reference.policy.stats() == chunked.policy.stats()
+    executed = 0
     for k in range(len(reference.policy._agents)):
         ours, theirs = reference.policy.tracker(k), chunked.policy.tracker(k)
         assert ours.cumulated_time == theirs.cumulated_time
         assert ours.window_remaining == theirs.window_remaining
+        assert ours.tuples_executed == theirs.tuples_executed
+        executed += theirs.tuples_executed
+    # every tuple is folded exactly once: a fold doubled or skipped where
+    # ``fold_from`` changes hands (boundary, crash, per-tuple step, cut
+    # window) moves this count (restarts keep the lifetime counter)
+    assert executed == chunked.stats.assignments.shape[0]
     if reference.audit is not None:
         assert reference.audit.report() == chunked.audit.report()
     if reference.flight is not None:
@@ -471,6 +480,29 @@ class TestNamedRegressions:
         ]
         assert witnesses, "no window close cut a segment off the shard grid"
         assert chunked.engine["fallback_tuples"] >= sources * k
+
+    def test_instance_ids_past_one_byte_fold_to_their_own_tracker(self):
+        """The folds read instance ids back from the assignment buffer:
+        at k = 300 an id that wrapped at 256 would fold into the wrong
+        tracker (or none) and lose the tuple count."""
+        k = 300
+        stream = default_stream(seed=4, m=26_000, n=64, k=k)
+        reference, chunked = run_pair(
+            lambda recorder: MultiSourcePOSGGrouping(
+                1, small_config(16, mu=0.5)
+            ),
+            stream, k, 2048,
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
+        # round-robin and greedy segments both ran, and both reached the
+        # instances a byte cannot name
+        states = [state for _, state in chunked.state_transitions]
+        assert SchedulerState.WAIT_ALL in states
+        assert chunked.engine["estimate_evaluations"] > 0
+        greedy_from = chunked.state_transitions[1][0]
+        assert chunked.stats.assignments[:greedy_from].max() >= 256
+        assert chunked.stats.assignments[greedy_from:].max() >= 256
 
 
     @pytest.mark.parametrize("sources", [1, 4])
@@ -847,6 +879,10 @@ class TestEngineRecord:
         assert engine["path"] == "segment" and engine["reason"] is None
         assert 0 < engine["truncated_segments"] < engine["segments"]
         assert engine["fallback_tuples"] >= sources * self.K
+        # batched folds carry the tuples that neither closed a window nor
+        # took the per-tuple step
+        assert 0 < engine["folds"] <= engine["folded_tuples"]
+        assert engine["folded_tuples"] < self.M - engine["fallback_tuples"]
         # estimate columns are gathered per chunk_size window and per
         # matrices version, never per truncated segment
         windows = math.ceil(self.M / self.CHUNK)
