@@ -19,6 +19,8 @@ the relative-error stability criterion of Eq. 1:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.config import POSGConfig
@@ -83,9 +85,15 @@ class FWPair:
     # ingestion (Listing III.1)
     # ------------------------------------------------------------------
     def update(self, item: int, execution_time: float) -> None:
-        """Fold one executed tuple into both matrices."""
-        if execution_time < 0:
-            raise ValueError(f"execution_time must be >= 0, got {execution_time}")
+        """Fold one executed tuple into both matrices.
+
+        A negative or non-finite execution time raises before either
+        matrix moves, as in :meth:`update_batch`.
+        """
+        if not 0.0 <= execution_time < math.inf:  # false for NaN
+            raise ValueError(
+                f"execution_time must be finite and >= 0, got {execution_time}"
+            )
         # Both sketches share the hash family, so the tuple is hashed once
         # (a cached column lookup) and applied to F and W.
         columns = self._freq.bucket_cache.columns(item)
@@ -101,8 +109,8 @@ class FWPair:
         must not let a batch straddle a window boundary, since the FSM of
         Figure 2 inspects the matrices exactly there.  A negative or
         non-finite execution time anywhere in the batch raises before
-        either matrix moves (:meth:`update` refuses a negative one tuple
-        by tuple; a NaN here would poison ``W`` for the rest of the run).
+        either matrix moves (:meth:`update` refuses the same values tuple
+        by tuple; a NaN would poison ``W`` for the rest of the run).
         """
         items = np.asarray(items, dtype=np.int64)
         times = np.asarray(execution_times, dtype=np.float64)

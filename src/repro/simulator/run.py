@@ -128,9 +128,11 @@ class SimulationResult:
     #: ``crash`` — a scripted crash, ``defence`` — a recovery deadline),
     #: ``fallback_tuples`` (routed by the per-tuple step: SEND_ALL
     #: stretches and defence-deadline tuples), ``folds`` /
-    #: ``folded_tuples`` (batched instance folds landed, tuples in them)
-    #: and, summed over the schedulers, ``estimate_gathers`` (estimate
-    #: column gathers), ``estimate_requests`` (k x block length over
+    #: ``folded_tuples`` (batched instance folds landed, tuples in them),
+    #: ``windows`` / ``window_tuples`` (column windows listed for the
+    #: loops on any chunked path, tuples converted for them: the stream
+    #: length) and, summed over the schedulers, ``estimate_gathers``
+    #: (estimate column gathers), ``estimate_requests`` (k x block length over
     #: those: the item-estimates asked for) and ``estimate_evaluations``
     #: (those actually computed; the rest were estimate-table reads).
     #: ``None`` from the multi-process engine (it reports in ``parallel``).
@@ -180,7 +182,9 @@ def _scenario_multipliers(scenario, k: int, m: int) -> np.ndarray:
     A scenario provides ``k``, ``multiplier(instance, index)`` (the
     reference engine's per-tuple read) and ``multiplier_matrix(m)`` (the
     same values in bulk, which the chunked engine hoists out of its
-    loops), and covers the ``k`` instances of the run.
+    loops), and covers the ``k`` instances of the run.  The matrix is
+    only read, so it may be read-only and zero-strided (one row
+    broadcast along the stream, as a single-phase schedule returns).
     """
     missing = [
         name
@@ -218,6 +222,8 @@ def _engine_info(path: str, reason: "str | None" = None) -> dict:
         "estimate_evaluations": 0,
         "folds": 0,
         "folded_tuples": 0,
+        "windows": 0,
+        "window_tuples": 0,
         "cuts": dict.fromkeys(_CUT_CAUSES, 0),
     }
 
@@ -258,9 +264,10 @@ def simulate_stream(
         index)`` and ``multiplier_matrix(m)`` — the same values in bulk,
         shape ``(m, >= k)`` with ``[j, i] == multiplier(i, j)``
         (:class:`~repro.workloads.nonstationary.LoadShiftScenario` and
-        ``DriftScenario`` both qualify).  A missing attribute raises
-        ``TypeError`` and a wrong shape or a short ``k`` ``ValueError``,
-        under either engine, before the policy is set up.
+        ``DriftScenario`` both qualify); it is only read, so a read-only,
+        zero-strided view of one repeated row will do.  A missing
+        attribute raises ``TypeError`` and a wrong shape or a short ``k``
+        ``ValueError``, under either engine, before the policy is set up.
     data_latency, control_latency:
         Network models for tuples and control messages, in milliseconds.
         ``data_latency`` additionally accepts a length-``k`` list for
@@ -659,45 +666,55 @@ def _simulate_chunked(
     the loop appended.  The loops themselves only route and FIFO-fold."""
     items_array = np.ascontiguousarray(stream.items, dtype=np.int64)
     arrivals_array = np.ascontiguousarray(stream.arrivals, dtype=np.float64)
-    arrivals = arrivals_array.tolist()
     base_array = np.ascontiguousarray(stream.base_times, dtype=np.float64)
-    base_times = base_array.tolist()
 
     # Per-instance execution-time columns ``base_times * multiplier``
-    # (elementwise numpy, identical IEEE multiplies): the arrays the
-    # batched folds gather from, then the lists the scalar loops read.
-    # A unit multiplier column is the base times themselves
-    # (x * 1.0 == x exactly), so uniform instances share one of each.
+    # (elementwise numpy, identical IEEE multiplies), which the batched
+    # folds gather from and the loops read a window at a time.  A unit
+    # multiplier column is the base times themselves (x * 1.0 == x
+    # exactly), so uniform instances share one array; a zero-strided
+    # matrix is one row repeated, and that row decides.
+    distinct = multipliers[:1] if multipliers.strides[0] == 0 else multipliers
+    unit = (distinct[:, :k] == 1.0).all(axis=0)
     execution_arrays = [
-        base_array
-        if np.all(multipliers[:, instance] == 1.0)
-        else base_array * multipliers[:, instance]
+        base_array if unit[instance] else base_array * multipliers[:, instance]
         for instance in range(k)
     ]
     # Slow-node windows are a function of arrival time alone: the same
     # multiply ``execution_factor`` applies per tuple, once per region;
     # untouched columns stay shared.
-    slowed = injector.slowdown_regions(arrivals) if injector is not None else ()
+    slowed = injector.slowdown_regions(arrivals_array) if injector is not None else ()
     for instance in {region[0] for region in slowed}:
         execution_arrays[instance] = execution_arrays[instance].copy()
     for instance, lo, hi, factor in slowed:
         execution_arrays[instance][lo:hi] *= factor
-    execution_columns = [
-        base_times if column is base_array else column.tolist()
-        for column in execution_arrays
-    ]
 
-    # Oracle closure for Full Knowledge: reads the loop's current index.
-    # Its m x k list-of-lists table is built on the first call: only Full
-    # Knowledge asks, and every other run would allocate and free some 200
-    # bytes of small objects per tuple for nothing.
-    position = [0]
-    tables: list = []
+    state = _ChunkedState(
+        k=k,
+        chunk_size=chunk_size,
+        items_array=items_array,
+        arrivals_array=arrivals_array,
+        execution_arrays=execution_arrays,
+        data_lat=data_lat,
+        control_lat=control_lat,
+    )
+
+    # Oracle closure for Full Knowledge: reads the multipliers at the
+    # loop's index in the open window.  Its tables are listed on the
+    # first call (in each window, for the multiplier rows): only Full
+    # Knowledge asks, and they cost some 200 bytes of objects per tuple.
+    position = state.position
+    time_table: list = []
 
     def oracle(item: int, instance: int) -> float:
-        if not tables:
-            tables.extend((stream.time_table.tolist(), multipliers.tolist()))
-        return tables[0][item] * tables[1][position[0]][instance]
+        rows = state.multiplier_rows
+        if rows is None:
+            if not time_table:
+                time_table.extend(stream.time_table.tolist())
+            rows = state.multiplier_rows = multipliers[
+                state.base:state.base + len(state.items)
+            ].tolist()
+        return time_table[item] * rows[position[0]][instance]
 
     if not isinstance(policy, GroupingPolicy):
         policy = policy(oracle)
@@ -707,35 +724,13 @@ def _simulate_chunked(
     agents = [policy.create_instance_agent(instance) for instance in range(k)]
     has_agents = any(agent is not None for agent in agents)
 
-    # Constant data latencies are hoisted to plain floats (``sample`` is
-    # side-effect free there); with any random model every instance
-    # arrival is drawn inline, right after the pick, so seeded draws
-    # interleave with the control-latency draws as in the reference engine.
-    latency_values: "list[float] | None" = None
-    if all(isinstance(model, ConstantLatency) for model in data_lat):
-        latency_values = [model.value for model in data_lat]
-
-    state = _ChunkedState(
-        k=k,
-        items=items_array.tolist(),
-        items_array=items_array,
-        arrivals=arrivals,
-        arrivals_array=arrivals_array,
-        execution_columns=execution_columns,
-        execution_arrays=execution_arrays,
-        latency_values=latency_values,
-        data_lat=data_lat,
-        control_lat=control_lat,
-        position=position,
-    )
-
     path, reason = _choose_loop(
         policy, injector, has_agents,
         observers.audit is None and profiler is None,
     )
     state.engine = _engine_info(path, reason)
     if path == "segment":
-        _run_posg(state, policy, agents, chunk_size, injector, observers, profiler)
+        _run_posg(state, policy, agents, injector, observers, profiler)
     elif path == "round_robin":
         _run_round_robin(state, policy, observers)
     elif path == "full_knowledge":
@@ -743,7 +738,7 @@ def _simulate_chunked(
     else:
         _run_generic(state, policy, agents, injector, observers, profiler)
 
-    finishes = np.asarray(state.finishes, dtype=np.float64)
+    finishes = np.frombuffer(state.finishes, dtype=np.float64)
     assignments = np.asarray(state.assignments, dtype=np.int64)
     slowed_tuples = sum(
         int(np.count_nonzero(assignments[lo:hi] == instance))
@@ -837,70 +832,126 @@ def _choose_loop(
 
 
 class _ChunkedState:
-    """Mutable bookkeeping shared by the chunked engine's policy loops."""
+    """Mutable bookkeeping shared by the chunked engine's policy loops.
+
+    What lives for the whole stream stays in arrays: the numpy columns
+    and the two result buffers the loops append to.  Python objects
+    exist for one ``chunk_size`` window at a time: :meth:`open_window`
+    lists each distinct column's slice once, and the loops index those
+    lists by position in the window.
+    """
 
     __slots__ = (
-        "k", "items", "items_array", "arrivals", "arrivals_array",
-        "execution_columns", "execution_arrays", "latency_values", "data_lat",
-        "control_lat", "position", "busy_until", "finishes", "assignments",
-        "control_queue", "control_seq", "control_messages", "control_bits",
-        "state_transitions", "engine",
+        "k", "m", "chunk_size", "items_array", "arrivals_array",
+        "execution_arrays", "at_arrays", "data_lat", "control_lat",
+        "position", "busy_until", "finishes", "assignments", "control_queue",
+        "control_seq", "control_messages", "control_bits",
+        "state_transitions", "engine", "base", "items", "arrivals",
+        "at_columns", "execution_columns", "multiplier_rows", "_listed",
     )
 
     def __init__(self, **kwargs) -> None:
         for name, value in kwargs.items():
             setattr(self, name, value)
+        self.m = self.items_array.shape[0]
+        #: the loop's index in the open window (the oracle's clock)
+        self.position = [0]
         self.busy_until = [0.0] * self.k
-        self.finishes: list[float] = []
-        self.assignments = array("I")  # uint32: numpy views it in place
+        self.finishes = array("d")  # numpy views both buffers in place
+        self.assignments = array("I")  # uint32 whatever k
         self.control_queue: list[tuple[float, int, object]] = []
         self.control_seq = 0
         self.control_messages = 0
         self.control_bits = 0
         self.state_transitions: list[tuple[int, SchedulerState]] = []
+        # Constant data latencies are hoisted to instance-arrival columns,
+        # one per distinct latency (``sample`` is side-effect free there;
+        # x + 0.0 == x for the non-negative arrival times, so a zero
+        # latency reads the arrivals themselves).  With any random model
+        # every instance arrival is drawn inline, right after the pick,
+        # where the reference engine's seeded draws fall.
+        self.at_arrays = None
+        if all(isinstance(model, ConstantLatency) for model in self.data_lat):
+            shifted = {0.0: self.arrivals_array}
+            for model in self.data_lat:
+                if model.value not in shifted:
+                    shifted[model.value] = self.arrivals_array + model.value
+            self.at_arrays = [shifted[model.value] for model in self.data_lat]
+        self.base = 0
+        self.items = self.arrivals = []
+        self.at_columns = self.execution_columns = self.multiplier_rows = None
+        self._listed: dict[int, list] = {}
 
-    def arrival_at_instance(self, arrival: float, instance: int) -> float:
-        if self.latency_values is not None:
-            return arrival + self.latency_values[instance]
-        return arrival + self.data_lat[instance].sample()
+    def open_window(self, lo: int):
+        """List the columns for ``[lo, lo + chunk_size)``.
+
+        Returns ``(items, arrivals, at_columns, execution_columns)``, the
+        last two per instance (``at_columns`` is ``None`` under a random
+        data-latency model); entry ``q`` of each is tuple ``lo + q``'s.
+        Where the new window overlaps the open one its lists are kept,
+        so a run converts each tuple once however its windows fall.
+        """
+        hi = min(lo + self.chunk_size, self.m)
+        fresh = max(lo, self.base + len(self.items))
+        skip = lo - self.base
+        kept, listed = self._listed, {}
+
+        def column(array: np.ndarray) -> list:
+            key = id(array)
+            if key not in listed:
+                listed[key] = kept.get(key, [])[skip:] + array[fresh:hi].tolist()
+            return listed[key]
+
+        self.items = column(self.items_array)
+        self.arrivals = column(self.arrivals_array)
+        if self.at_arrays is not None:
+            self.at_columns = [column(array) for array in self.at_arrays]
+        self.execution_columns = [column(array) for array in self.execution_arrays]
+        self.base, self._listed, self.multiplier_rows = lo, listed, None
+        self.engine["windows"] += 1
+        self.engine["window_tuples"] += hi - fresh
+        return self.items, self.arrivals, self.at_columns, self.execution_columns
+
+    def windows(self):
+        """Open the stream's windows in turn: ``(lo, *open_window(lo))``."""
+        for lo in range(0, self.m, self.chunk_size):
+            yield (lo, *self.open_window(lo))
 
 
 def _run_round_robin(
     state: _ChunkedState, policy: RoundRobinGrouping, observers: Observers
 ) -> None:
     """Whole-stream inline loop for ASSG (no agents, no control plane)."""
-    m = len(state.items)
-    items = state.items
-    arrivals = state.arrivals
     busy = state.busy_until
-    finishes = state.finishes
-    assignments = state.assignments
-    execution_columns = state.execution_columns
-    latency_values = state.latency_values
+    fin_append = state.finishes.append
+    asg_append = state.assignments.append
+    data_lat = state.data_lat
     k = state.k
     counter = policy._counter
     # a small-int sentinel when nothing is attached
-    next_probe = min(observers.next_due, m)
-    for j in range(m):
-        arrival = arrivals[j]
-        instance = counter % k
-        counter += 1
-        if latency_values is not None:
-            at_instance = arrival + latency_values[instance]
-        else:
-            at_instance = arrival + state.data_lat[instance].sample()
-        b = busy[instance]
-        start = at_instance if at_instance > b else b
-        execution_time = execution_columns[instance][j]
-        finish = start + execution_time
-        busy[instance] = finish
-        finishes.append(finish)
-        assignments.append(instance)
-        if j == next_probe:
-            next_probe = observers.sample(
-                0, j, items[j], instance, (), arrival, at_instance, start,
-                finish, execution_time, 0,
-            )
+    next_probe = min(observers.next_due, state.m)
+    for base, items, arrivals, at_columns, execution_columns in state.windows():
+        due = next_probe - base
+        for q, arrival in enumerate(arrivals):
+            instance = counter % k
+            counter += 1
+            if at_columns is not None:
+                at_instance = at_columns[instance][q]
+            else:
+                at_instance = arrival + data_lat[instance].sample()
+            b = busy[instance]
+            start = at_instance if at_instance > b else b
+            execution_time = execution_columns[instance][q]
+            finish = start + execution_time
+            busy[instance] = finish
+            fin_append(finish)
+            asg_append(instance)
+            if q == due:
+                next_probe = observers.sample(
+                    0, base + q, items[q], instance, (), arrival, at_instance,
+                    start, finish, execution_time, 0,
+                )
+                due = next_probe - base
     policy._counter = counter
 
 
@@ -913,47 +964,44 @@ def _run_full_knowledge(
     the run (same IEEE additions, same first-minimum tie-breaking as the
     policy's ``np.argmin``) and is written back at the end.
     """
-    m = len(state.items)
-    items = state.items
-    arrivals = state.arrivals
     busy = state.busy_until
-    finishes = state.finishes
-    assignments = state.assignments
-    execution_columns = state.execution_columns
-    latency_values = state.latency_values
+    fin_append = state.finishes.append
+    asg_append = state.assignments.append
+    data_lat = state.data_lat
     position = state.position
     oracle = policy._oracle
     loads = policy._loads.tolist()
-    k = state.k
-    k_range = range(1, k)
-    next_probe = min(observers.next_due, m)
-    for j in range(m):
-        arrival = arrivals[j]
-        position[0] = j
-        best = loads[0]
-        instance = 0
-        for i in k_range:
-            value = loads[i]
-            if value < best:
-                best = value
-                instance = i
-        loads[instance] += oracle(items[j], instance)
-        if latency_values is not None:
-            at_instance = arrival + latency_values[instance]
-        else:
-            at_instance = arrival + state.data_lat[instance].sample()
-        b = busy[instance]
-        start = at_instance if at_instance > b else b
-        execution_time = execution_columns[instance][j]
-        finish = start + execution_time
-        busy[instance] = finish
-        finishes.append(finish)
-        assignments.append(instance)
-        if j == next_probe:
-            next_probe = observers.sample(
-                0, j, items[j], instance, (), arrival, at_instance, start,
-                finish, execution_time, 0,
-            )
+    k_range = range(1, state.k)
+    next_probe = min(observers.next_due, state.m)
+    for base, items, arrivals, at_columns, execution_columns in state.windows():
+        due = next_probe - base
+        for q, arrival in enumerate(arrivals):
+            position[0] = q
+            best = loads[0]
+            instance = 0
+            for i in k_range:
+                value = loads[i]
+                if value < best:
+                    best = value
+                    instance = i
+            loads[instance] += oracle(items[q], instance)
+            if at_columns is not None:
+                at_instance = at_columns[instance][q]
+            else:
+                at_instance = arrival + data_lat[instance].sample()
+            b = busy[instance]
+            start = at_instance if at_instance > b else b
+            execution_time = execution_columns[instance][q]
+            finish = start + execution_time
+            busy[instance] = finish
+            fin_append(finish)
+            asg_append(instance)
+            if q == due:
+                next_probe = observers.sample(
+                    0, base + q, items[q], instance, (), arrival, at_instance,
+                    start, finish, execution_time, 0,
+                )
+                due = next_probe - base
     policy._loads[:] = loads
 
 
@@ -996,23 +1044,24 @@ def _tuple_stepper(
     sync-request billing: route, FIFO service, the injector's request
     drop, observer samples, the instance agent's fold and its outgoing
     messages.  The caller keeps what comes before (due crashes, the
-    control drain) and after (FSM transitions); slow-node windows are
-    already in ``state.execution_columns``.  ``_run_generic`` runs every
-    tuple through it; the segment router only the tuples it cannot
-    batch.  The finish time is appended to ``state.finishes`` and the
-    chosen instance returned.
+    control drain) and after (FSM transitions), and has tuple ``j`` in
+    the open window; slow-node windows are already in the execution
+    columns.  ``_run_generic`` runs every tuple through it; the segment
+    router only the tuples it cannot batch.  The finish time is appended
+    to ``state.finishes`` and the chosen instance returned.
     """
-    items = state.items
     busy = state.busy_until
     finishes = state.finishes
     assignments = state.assignments
-    execution_columns = state.execution_columns
+    data_lat = state.data_lat
     k = state.k
 
     def step(j: int, arrival: float) -> int:
+        q = j - state.base
+        item = state.items[q]
         if profiler is not None:
             profiler.start("route")
-        decision = policy.route(items[j])
+        decision = policy.route(item)
         if profiler is not None:
             profiler.stop()
         instance = decision.instance
@@ -1020,10 +1069,13 @@ def _tuple_stepper(
             raise ValueError(
                 f"policy routed tuple {j} to invalid instance {instance}"
             )
-        at_instance = state.arrival_at_instance(arrival, instance)
+        if state.at_columns is not None:
+            at_instance = state.at_columns[instance][q]
+        else:
+            at_instance = arrival + data_lat[instance].sample()
         b = busy[instance]
         start = at_instance if at_instance > b else b
-        execution_time = execution_columns[instance][j]
+        execution_time = state.execution_columns[instance][q]
         sync_request = decision.sync_request
         if sync_request is not None:
             state.control_messages += 1
@@ -1040,14 +1092,14 @@ def _tuple_stepper(
             # still counts it.
             tracker = getattr(agent, "tracker", None)
             observers.sample_routed(
-                j, items[j], instance, arrival, at_instance, start, finish,
+                j, item, instance, arrival, at_instance, start, finish,
                 execution_time,
                 tracker.window_remaining if tracker is not None else 0,
             )
         if agent is not None:
             if profiler is not None:
                 profiler.start("fold")
-            messages = agent.on_executed(items[j], execution_time, sync_request)
+            messages = agent.on_executed(item, execution_time, sync_request)
             if profiler is not None:
                 profiler.stop()
             if messages:
@@ -1072,8 +1124,6 @@ def _run_generic(
     engine's per-tuple order exactly, so random latency models and the
     injector draw at the same points under both engines.
     """
-    m = len(state.items)
-    arrivals = state.arrivals
     busy = state.busy_until
     control_queue = state.control_queue
     position = state.position
@@ -1082,35 +1132,34 @@ def _run_generic(
     crash_ptr = 0
     faulting = injector is not None
     step = _tuple_stepper(state, policy, agents, injector, observers, profiler)
-    for j in range(m):
-        arrival = arrivals[j]
-        position[0] = j
-        if faulting:
-            crash_ptr = _fire_due_crashes(
-                injector, crash_ptr, arrival, agents, busy
-            )
-        if control_queue and control_queue[0][0] <= arrival:
-            if profiler is not None:
-                profiler.start("control")
-            batch = []
-            while control_queue and control_queue[0][0] <= arrival:
-                batch.append(heapq.heappop(control_queue)[2])
-            policy.on_control_batch(batch)
-            if profiler is not None:
-                profiler.stop()
-        step(j, arrival)
-        if track_states:
-            current_state = policy.state
-            if current_state is not previous_state:
-                state.state_transitions.append((j, current_state))
-                previous_state = current_state
+    for base, _, arrivals, _, _ in state.windows():
+        for q, arrival in enumerate(arrivals):
+            position[0] = q
+            if faulting:
+                crash_ptr = _fire_due_crashes(
+                    injector, crash_ptr, arrival, agents, busy
+                )
+            if control_queue and control_queue[0][0] <= arrival:
+                if profiler is not None:
+                    profiler.start("control")
+                batch = []
+                while control_queue and control_queue[0][0] <= arrival:
+                    batch.append(heapq.heappop(control_queue)[2])
+                policy.on_control_batch(batch)
+                if profiler is not None:
+                    profiler.stop()
+            step(base + q, arrival)
+            if track_states:
+                current_state = policy.state
+                if current_state is not previous_state:
+                    state.state_transitions.append((base + q, current_state))
+                    previous_state = current_state
 
 
 def _run_posg(
     state: _ChunkedState,
     policy: POSGGrouping,
     agents,
-    chunk_size: int,
     injector: FaultInjector | None,
     observers: Observers,
     profiler=None,
@@ -1126,9 +1175,10 @@ def _run_posg(
     over plain floats (round-robin for shards still bootstrapping; over
     load + latency debt + hint under ``latency_hints``), the two-choices
     probe and cross-shard gossip are replayed in place, execution and
-    constant instance-arrival times are hoisted columns (a random data
-    latency is drawn inline, right after the pick), and instance-side
-    sketch folds are batched between window boundaries
+    constant instance-arrival times are hoisted columns, listed with the
+    window (:meth:`_ChunkedState.open_window`) and indexed from its first
+    tuple (a random data latency is drawn inline, right after the pick),
+    and instance-side sketch folds are batched between window boundaries
     (``InstanceTracker.execute_batch``) and read back from the
     assignment buffer, so the loops keep no per-instance batch and the
     numbers stay in arrays.  Routing and merge share the
@@ -1145,8 +1195,8 @@ def _run_posg(
     Faults and recovery defences are more horizons of the same kind,
     because none of them acts between two events the engine already
     sees.  A scripted crash is a function of arrival time: its index is
-    a ``bisect``, the segment stops there, and the crash fires at the
-    top of the loop once the pending folds have landed.  Slow-node
+    a ``searchsorted``, the segment stops there, and the crash fires at
+    the top of the loop once the pending folds have landed.  Slow-node
     windows are already in the execution columns (``_simulate_chunked``
     folds them before it dispatches).  The injector draws only when a
     message is emitted — at a window close or in the per-tuple step —
@@ -1158,15 +1208,13 @@ def _run_posg(
     With no injector and no ``RecoveryConfig`` both horizons sit at
     ``m`` and the loops below run as they always did.
     """
-    m = len(state.items)
-    items = state.items
+    m = state.m
     items_array = state.items_array
-    arrivals = state.arrivals
+    arrivals_array = state.arrivals_array
     busy = state.busy_until
     finishes = state.finishes
     assignments = state.assignments
     control_queue = state.control_queue
-    execution_columns = state.execution_columns
     engine = state.engine
     schedulers = policy.schedulers
     sources = len(schedulers)
@@ -1186,34 +1234,21 @@ def _run_posg(
     # Fault and defence horizons, as stream indices; ``m`` means never.
     crashes = injector.crashes if injector is not None else ()
     crash_ptr = 0
-    next_crash = bisect.bisect_left(arrivals, crashes[0].at_ms) if crashes else m
+    next_crash = int(arrivals_array.searchsorted(crashes[0].at_ms)) if crashes else m
     armed = policy.config.recovery is not None
     deadline_at = m
 
-    # Per-instance arrival-at-instance columns (identical elementwise
-    # adds; x + 0.0 == x for the non-negative arrival times, so a
-    # zero-latency column is the arrival list itself).  Instances with
-    # the same constant latency share one list.  A random model has no
-    # column: its draws stay inline (``at_cols is None``), right after
-    # the pick, where the reference engine makes them.
-    data_lat = state.data_lat
-    at_cols = at_column = None
-    if state.latency_values is not None:
-        shifted = {0.0: arrivals}
-        for value in state.latency_values:
-            if value not in shifted:
-                shifted[value] = (state.arrivals_array + value).tolist()
-        at_cols = [shifted[value] for value in state.latency_values]
-        at_column = at_cols[0]
     # The two single-scheduler specialisations below read one shared
     # instance-arrival column and carry neither a two-choices probe nor
     # latency hints.
+    data_lat = state.data_lat
+    at_arrays = state.at_arrays
     lean = (
         sources == 1
         and not two_choices
         and hints is None
-        and at_cols is not None
-        and all(column is at_column for column in at_cols)
+        and at_arrays is not None
+        and all(column is at_arrays[0] for column in at_arrays)
     )
 
     # The observers' sentinel is ``m`` when nothing is attached, so the
@@ -1269,18 +1304,19 @@ def _run_posg(
     ) -> tuple[float, int]:
         """Fold what precedes the boundary tuple ``lo - 1``, run that one
         through the FSM (Figure 2), enqueue its messages, and re-tighten the
-        segment bound if a delivery now lands before the previous horizon."""
+        segment bound if a delivery now lands before the previous horizon.
+        ``lo`` and ``end`` count from the open window's first tuple."""
         nonlocal cut
         if profiler is not None:
             profiler.start("window_close")
-        _fold(instance, lo - 1)
-        fold_from[instance] = lo
+        _fold(instance, state.base + lo - 1)
+        fold_from[instance] = state.base + lo
         messages = trackers[instance].execute(item, execution_time, None)
         if messages:
             _send_control(state, injector, messages, finish)
         if control_queue and control_queue[0][0] < next_due:
             next_due = control_queue[0][0]
-            tightened = bisect.bisect_left(arrivals, next_due, lo, end)
+            tightened = bisect.bisect_left(state.arrivals, next_due, lo, end)
             if tightened < end:
                 end = tightened
                 cut = "window"
@@ -1298,7 +1334,7 @@ def _run_posg(
     def _next_deadline(j: int) -> int:
         """Index of the first tuple from ``j`` on whose ``submit`` makes a
         defence act: shard ``j' mod s`` ticks once per tuple it owns."""
-        nearest = len(arrivals)
+        nearest = state.m
         stride = len(schedulers)
         for shard, scheduler in enumerate(schedulers):
             deadline = scheduler.defense_deadline()
@@ -1313,11 +1349,11 @@ def _run_posg(
 
     step = _tuple_stepper(state, policy, agents, injector, observers, profiler)
     blocks: list = []
-    window_end = 0
+    base = window_end = 0
     cut = None
     j = 0
     while j < m:
-        arrival = arrivals[j]
+        arrival = arrivals_array.item(j)
         if j == next_crash:
             # A restart keeps the tracker's lifetime counters, so the
             # batched folds land first.
@@ -1327,7 +1363,7 @@ def _run_posg(
             )
             window_left[:] = [tracker.window_remaining for tracker in trackers]
             next_crash = (
-                bisect.bisect_left(arrivals, crashes[crash_ptr].at_ms)
+                int(arrivals_array.searchsorted(crashes[crash_ptr].at_ms))
                 if crash_ptr < len(crashes)
                 else m
             )
@@ -1351,9 +1387,14 @@ def _run_posg(
             # crash is due later and no defence acts on this tuple, so
             # the segment covers at least one tuple.
             if j >= window_end:
-                # A new chunk_size window: shard sigma owns the strided
-                # slice starting at its first index at or after j.
-                window_end = min(j + chunk_size, m)
+                # A new chunk_size window: its columns are listed once
+                # and shared by every shard's walk, and shard sigma owns
+                # the strided slice starting at its first index at or
+                # after j.
+                items, arrivals, at_cols, execution_columns = state.open_window(j)
+                at_column = at_cols[0] if lean else None
+                base = j
+                window_end = j + len(items)
                 blocks = [
                     scheduler.begin_block(
                         items_array[j + (shard - j) % sources:window_end:sources],
@@ -1368,7 +1409,7 @@ def _run_posg(
                     block.resume(profiler)
             if control_queue:
                 next_due = control_queue[0][0]
-                end = bisect.bisect_left(arrivals, next_due, j + 1, window_end)
+                end = base + bisect.bisect_left(arrivals, next_due, j + 1 - base)
             else:
                 next_due = _INFINITY
                 end = window_end
@@ -1390,6 +1431,11 @@ def _run_posg(
                 profiler.start("route")
             block = blocks[0]
             estimates = block._estimates
+            # The loops count from the window's first tuple: ``q`` is
+            # tuple ``base + q``, and at s = 1 the block's own cursor.
+            q = j - base
+            stop = end - base
+            due = next_probe - base
             if lean and estimates is not None and k == 5:
                 # Dominant mode (one scheduler, greedy routing, shared
                 # constant latency) at the paper's k = 5: the scan state
@@ -1397,16 +1443,14 @@ def _run_posg(
                 # handful of float compares and list reads — no method
                 # calls and no container indexing on the scan itself.
                 c = block._c
-                pos = block._pos
                 e0, e1, e2, e3, e4 = estimates
                 x0, x1, x2, x3, x4 = execution_columns
                 c0, c1, c2, c3, c4 = c
                 b0, b1, b2, b3, b4 = busy
                 w0, w1, w2, w3, w4 = window_left
-                at_col = at_column
                 fin_append = finishes.append
                 asg_append = assignments.append
-                while j < end:
+                while q < stop:
                     # First-minimum scan (same tie-breaking as argmin).
                     best = c0
                     instance = 0
@@ -1421,106 +1465,105 @@ def _run_posg(
                         instance = 3
                     if c4 < best:
                         instance = 4
-                    at_instance = at_col[j]
+                    at_instance = at_column[q]
                     if instance == 0:
-                        c0 += e0[pos]
+                        c0 += e0[q]
                         b = b0
                         if at_instance > b:
                             b = at_instance
-                        execution_time = x0[j]
+                        execution_time = x0[q]
                         finish = b + execution_time
                         b0 = finish
                         fin_append(finish)
                         asg_append(0)
                         w0 -= 1
                         if not w0:
-                            next_due, end = _window_boundary(
-                                0, items[j], execution_time, finish,
-                                j + 1, next_due, end,
+                            next_due, stop = _window_boundary(
+                                0, items[q], execution_time, finish,
+                                q + 1, next_due, stop,
                             )
                             w0 = window_size
                     elif instance == 1:
-                        c1 += e1[pos]
+                        c1 += e1[q]
                         b = b1
                         if at_instance > b:
                             b = at_instance
-                        execution_time = x1[j]
+                        execution_time = x1[q]
                         finish = b + execution_time
                         b1 = finish
                         fin_append(finish)
                         asg_append(1)
                         w1 -= 1
                         if not w1:
-                            next_due, end = _window_boundary(
-                                1, items[j], execution_time, finish,
-                                j + 1, next_due, end,
+                            next_due, stop = _window_boundary(
+                                1, items[q], execution_time, finish,
+                                q + 1, next_due, stop,
                             )
                             w1 = window_size
                     elif instance == 2:
-                        c2 += e2[pos]
+                        c2 += e2[q]
                         b = b2
                         if at_instance > b:
                             b = at_instance
-                        execution_time = x2[j]
+                        execution_time = x2[q]
                         finish = b + execution_time
                         b2 = finish
                         fin_append(finish)
                         asg_append(2)
                         w2 -= 1
                         if not w2:
-                            next_due, end = _window_boundary(
-                                2, items[j], execution_time, finish,
-                                j + 1, next_due, end,
+                            next_due, stop = _window_boundary(
+                                2, items[q], execution_time, finish,
+                                q + 1, next_due, stop,
                             )
                             w2 = window_size
                     elif instance == 3:
-                        c3 += e3[pos]
+                        c3 += e3[q]
                         b = b3
                         if at_instance > b:
                             b = at_instance
-                        execution_time = x3[j]
+                        execution_time = x3[q]
                         finish = b + execution_time
                         b3 = finish
                         fin_append(finish)
                         asg_append(3)
                         w3 -= 1
                         if not w3:
-                            next_due, end = _window_boundary(
-                                3, items[j], execution_time, finish,
-                                j + 1, next_due, end,
+                            next_due, stop = _window_boundary(
+                                3, items[q], execution_time, finish,
+                                q + 1, next_due, stop,
                             )
                             w3 = window_size
                     else:
-                        c4 += e4[pos]
+                        c4 += e4[q]
                         b = b4
                         if at_instance > b:
                             b = at_instance
-                        execution_time = x4[j]
+                        execution_time = x4[q]
                         finish = b + execution_time
                         b4 = finish
                         fin_append(finish)
                         asg_append(4)
                         w4 -= 1
                         if not w4:
-                            next_due, end = _window_boundary(
-                                4, items[j], execution_time, finish,
-                                j + 1, next_due, end,
+                            next_due, stop = _window_boundary(
+                                4, items[q], execution_time, finish,
+                                q + 1, next_due, stop,
                             )
                             w4 = window_size
-                    if j == next_probe:
+                    if q == due:
                         # ``b`` is this tuple's start clock; the chosen
                         # instance's window counter is already post-
                         # update, so the pre-execution value is either
                         # the boundary (post == window_size -> 1) or
                         # post + 1.
                         wpost = (w0, w1, w2, w3, w4)[instance]
-                        next_probe = probe(
-                            0, j, items[j], instance, (c0, c1, c2, c3, c4),
-                            arrivals[j], at_instance, b, finish, execution_time,
+                        due = probe(
+                            0, base + q, items[q], instance, (c0, c1, c2, c3, c4),
+                            arrivals[q], at_instance, b, finish, execution_time,
                             1 if wpost == window_size else wpost + 1,
-                        )
-                    pos += 1
-                    j += 1
+                        ) - base
+                    q += 1
                 c[0] = c0
                 c[1] = c1
                 c[2] = c2
@@ -1536,7 +1579,7 @@ def _run_posg(
                 window_left[2] = w2
                 window_left[3] = w3
                 window_left[4] = w4
-                block._pos = pos
+                block._pos = q
             elif lean and estimates is None:
                 # ROUND_ROBIN segments: the routing sequence is cyclic and
                 # data-independent, so the segment de-interleaves into k
@@ -1555,23 +1598,22 @@ def _run_posg(
                 c = block._c
                 rr = block._rr
                 while True:
-                    nb = end
+                    safe_end = stop
                     for i in range(k):
-                        bidx = j + (i - rr) % k + (window_left[i] - 1) * k
-                        if bidx < nb:
-                            nb = bidx
-                    safe_end = nb
-                    if safe_end > j:
-                        count = safe_end - j
+                        bidx = q + (i - rr) % k + (window_left[i] - 1) * k
+                        if bidx < safe_end:
+                            safe_end = bidx
+                    if safe_end > q:
+                        count = safe_end - q
                         seg_fin = [0.0] * count
                         seg_asg = [0] * count
-                        probing = next_probe < safe_end
+                        probing = due < safe_end
                         start_busy = busy[:] if probing else None
                         base_wl = window_left[:] if probing else None
                         chains: list[list[float]] = []
                         for i in range(k):
                             off = (i - rr) % k
-                            lo = j + off
+                            lo = q + off
                             x_slice = execution_columns[i][lo:safe_end:k]
                             n_i = len(x_slice)
                             fl: list[float] = []
@@ -1599,52 +1641,51 @@ def _run_posg(
                         # computed, its finish is the chain value itself,
                         # and C_hat is frozen for the whole ROUND_ROBIN
                         # segment.
-                        while next_probe < safe_end:
-                            s = next_probe
-                            i = seg_asg[s - j]
-                            first = j + (i - rr) % k
-                            cnt = (s - first) // k
+                        while due < safe_end:
+                            i = seg_asg[due - q]
+                            first = q + (i - rr) % k
+                            cnt = (due - first) // k
                             prev_b = (
                                 start_busy[i] if cnt == 0 else chains[i][cnt - 1]
                             )
-                            at = at_column[s]
-                            next_probe = probe(
-                                0, s, items[s], i, c, arrivals[s], at,
-                                at if at > prev_b else prev_b,
-                                chains[i][cnt], execution_columns[i][s],
+                            at = at_column[due]
+                            due = probe(
+                                0, base + due, items[due], i, c, arrivals[due],
+                                at, at if at > prev_b else prev_b,
+                                chains[i][cnt], execution_columns[i][due],
                                 base_wl[i] - cnt,
-                            )
+                            ) - base
                         rr += count
-                        j = safe_end
-                    if j >= end:
+                        q = safe_end
+                    if q >= stop:
                         break
                     # Window-boundary tuple: reference per-tuple step.
                     instance = rr % k
                     rr += 1
-                    at_instance = at_column[j]
+                    at_instance = at_column[q]
                     b = busy[instance]
                     if at_instance > b:
                         b = at_instance
-                    execution_time = execution_columns[instance][j]
+                    execution_time = execution_columns[instance][q]
                     finish = b + execution_time
                     busy[instance] = finish
                     finishes.append(finish)
                     assignments.append(instance)
                     wl = window_left[instance]
-                    if j == next_probe:
-                        next_probe = probe(
-                            0, j, items[j], instance, c, arrivals[j],
+                    if q == due:
+                        due = probe(
+                            0, base + q, items[q], instance, c, arrivals[q],
                             at_instance, b, finish, execution_time, wl,
-                        )
+                        ) - base
                     if wl == 1:
-                        next_due, end = _window_boundary(
-                            instance, items[j], execution_time, finish,
-                            j + 1, next_due, end,
+                        next_due, stop = _window_boundary(
+                            instance, items[q], execution_time, finish,
+                            q + 1, next_due, stop,
                         )
                         window_left[instance] = window_size
                     else:
                         window_left[instance] = wl - 1
-                    j += 1
+                    q += 1
                 block._pos += rr - block._rr
                 block._rr = rr
             else:
@@ -1670,7 +1711,7 @@ def _run_posg(
                 fin_append = finishes.append
                 asg_append = assignments.append
                 shard = j % sources
-                while j < end:
+                while q < stop:
                     c = beliefs[shard]
                     estimates = columns[shard]
                     pos = cursors[shard]
@@ -1692,7 +1733,7 @@ def _run_posg(
                                     instance = i
                             estimate = estimates[instance][pos]
                             if two_choices:
-                                alt = items[j] % k
+                                alt = items[q] % k
                                 if alt == instance:
                                     alt = alt + 1 if alt + 1 < k else 0
                                 alt_estimate = estimates[alt][pos]
@@ -1721,38 +1762,40 @@ def _run_posg(
                                 sibling[instance] += estimate
                             gossiped[shard] += 1
                     if at_cols is not None:
-                        at_instance = at_cols[instance][j]
+                        at_instance = at_cols[instance][q]
                     else:
-                        at_instance = arrivals[j] + data_lat[instance].sample()
+                        at_instance = arrivals[q] + data_lat[instance].sample()
                     b = busy[instance]
                     if at_instance > b:
                         b = at_instance
-                    execution_time = execution_columns[instance][j]
+                    execution_time = execution_columns[instance][q]
                     finish = b + execution_time
                     busy[instance] = finish
                     fin_append(finish)
                     asg_append(instance)
                     wl = window_left[instance]
-                    if j == next_probe:
-                        next_probe = probe(
-                            shard, j, items[j], instance, c, arrivals[j],
+                    if q == due:
+                        due = probe(
+                            shard, base + q, items[q], instance, c, arrivals[q],
                             at_instance, b, finish, execution_time, wl,
-                        )
+                        ) - base
                     if wl == 1:
-                        next_due, end = _window_boundary(
-                            instance, items[j], execution_time, finish,
-                            j + 1, next_due, end,
+                        next_due, stop = _window_boundary(
+                            instance, items[q], execution_time, finish,
+                            q + 1, next_due, stop,
                         )
                         window_left[instance] = window_size
                     else:
                         window_left[instance] = wl - 1
-                    j += 1
+                    q += 1
                     shard += 1
                     if shard == sources:
                         shard = 0
                 for shard, block in enumerate(blocks):
                     block._rr = counters[shard]
                     block._pos = cursors[shard]
+            j = base + q
+            next_probe = base + due
             # Routing and merge shared the pass, so every block commits
             # exactly the positions it consumed; gossip billing never
             # feeds back into routing and is replayed per shard here.
@@ -1777,6 +1820,8 @@ def _run_posg(
         window_end = 0
         engine["fallback_tuples"] += 1
         _flush_pending()
+        if j >= state.base + len(state.items):
+            state.open_window(j)
         instance = step(j, arrival)
         fold_from[:] = [j + 1] * k  # the step folded tuple j itself
         window_left[instance] = trackers[instance].window_remaining

@@ -125,10 +125,11 @@ class CountMinSketch:
         ``columns`` must be the item's per-row column tuple as returned by
         the family's shared :class:`~repro.sketches.bucket_cache.\
 BucketColumnCache`; callers updating several sketches with the same hash
-        family (the F/W pair) use this to hash each tuple once.
+        family (the F/W pair) use this to hash each tuple once.  A
+        negative or non-finite weight raises with the sketch untouched.
         """
-        if weight < 0:
-            raise ValueError(f"weight must be non-negative, got {weight}")
+        if not 0.0 <= weight < math.inf:  # false for NaN
+            raise ValueError(f"weight must be finite and >= 0, got {weight}")
         matrix = self._matrix
         for row, col in enumerate(columns):
             matrix[row, col] += weight

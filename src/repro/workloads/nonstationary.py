@@ -74,9 +74,14 @@ class LoadShiftScenario:
         ``multiplier_matrix(m)[j, i] == multiplier(i, j)`` exactly (the
         table holds the same Python floats, merely gathered in bulk); the
         chunked simulator uses this to hoist the per-tuple
-        ``np.searchsorted`` out of the hot loop.
+        ``np.searchsorted`` out of the hot loop.  A single-phase schedule
+        returns a read-only view of its one row repeated ``m`` times
+        (``k`` floats, zero stride along the stream); callers that need
+        to write take a copy.
         """
         phase_table = np.asarray(self.phases, dtype=np.float64)
+        if not self.boundaries:
+            return np.broadcast_to(phase_table[0], (m, self.k))
         indices = np.searchsorted(
             np.asarray(self.boundaries), np.arange(m), side="right"
         )

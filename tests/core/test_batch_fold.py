@@ -101,11 +101,22 @@ class TestBatchRefusesBeforeMutating:
         with pytest.raises(ValueError, match="finite and >= 0"):
             tracker.execute_batch([1, 2, 3, 4, 5], times)
         assert state_of(tracker) == before
-        # what ``execute`` does with the same negative tuple
-        if bad < 0:
-            with pytest.raises(ValueError):
-                tracker.execute(1, bad)
-            assert state_of(tracker) == before
+        # the per-tuple spelling refuses the same tuple the same way
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            tracker.execute(position + 1, bad)
+        assert state_of(tracker) == before
+        pair = tracker._pair
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            pair.work.update_at(pair.work.bucket_cache.columns(1), bad)
+        assert state_of(tracker) == before
+
+    def test_both_spellings_take_the_edges_of_the_range(self):
+        batch, single = warmed(self.PREFIX), warmed(self.PREFIX)
+        edges = [0.0, -0.0, 5e-324, 1.7976931348623157e308]
+        batch.execute_batch([1, 2, 3, 4], edges)
+        for item, time in zip([1, 2, 3, 4], edges):
+            single.execute(item, time)
+        assert state_of(batch) == state_of(single)
 
     def test_mismatched_lengths(self):
         tracker = warmed(self.PREFIX)

@@ -58,7 +58,7 @@ from repro.workloads.synthetic import (
 ENGINE_KEYS = {
     "path", "reason", "segments", "truncated_segments", "fallback_tuples",
     "estimate_gathers", "estimate_requests", "estimate_evaluations", "folds",
-    "folded_tuples", "cuts",
+    "folded_tuples", "windows", "window_tuples", "cuts",
 }
 
 
@@ -130,6 +130,10 @@ def assert_same_run(reference, chunked):
     assert cuts["crash"] <= crashes
     # the estimate table never evaluates what a fresh gather would not
     assert engine["estimate_evaluations"] <= engine["estimate_requests"]
+    # each tuple became Python objects once, however SEND_ALL stretches,
+    # crashes and defences moved the windows
+    assert engine["window_tuples"] == chunked.stats.assignments.shape[0]
+    assert 1 <= engine["windows"] <= engine["window_tuples"]
 
 
 def defence_actions(policy):
@@ -789,6 +793,75 @@ class TestFaultAndDefenceHorizons:
         assert scheduler.watchdog_fallbacks >= 1
         assert chunked.engine["cuts"]["defence"] >= 1
         assert 2 * 6_000 // 4_096 < chunked.engine["estimate_gathers"]
+
+
+class TestWindowRelativeColumns:
+    """The loops index one window's lists by position in the window while
+    folds, probes, crashes and transitions keep stream indices: every
+    seam between the two, at window sizes that put the seams everywhere
+    (1), off every other period (3, 7), on the default, on the stream's
+    last tuple (m) and past it (m + 5)."""
+
+    K = 5
+    M = 1_200
+
+    @pytest.mark.parametrize("sources", [1, 4])
+    @pytest.mark.parametrize("chunk_size", [1, 3, 7, 2_048, M, M + 5])
+    @pytest.mark.parametrize(
+        "latency",
+        # the s = 1 specialisations / the general walk over per-instance
+        # columns / the general walk drawing inline
+        ["constant", "per-instance-constants", "uniform"],
+    )
+    def test_chunked_matches_reference(self, latency, chunk_size, sources):
+        stream = default_stream(seed=2, m=self.M, n=64, k=self.K)
+        arrivals = stream.arrivals
+        gap = float(arrivals[1] - arrivals[0])
+        # Before the first window close (instance 0's 32nd tuple is index
+        # 155) nothing has moved the windows off the chunk_size grid.
+        early = 96 // chunk_size * chunk_size
+        later = self.M // 2 // chunk_size * chunk_size
+        plan = FaultPlan(
+            # each on a window's first index
+            crashes=[
+                CrashFault(1, float(arrivals[early]), 5.0),
+                CrashFault(3, float(arrivals[later]), 200.0),
+            ],
+            # from two tuples before a window edge to three past it, and
+            # one across a third of the stream
+            slowdowns=[
+                SlowdownFault(
+                    2, max(0.0, float(arrivals[max(early - 2, 0)]) - 0.5 * gap),
+                    5 * gap, 3.0,
+                ),
+                SlowdownFault(
+                    0, float(arrivals[self.M // 3]), 400 * gap, 2.0
+                ),
+            ],
+            sync_replies=MessageFaults(drop=0.2),
+            seed=1,
+        )
+        reference, chunked = run_pair(
+            lambda recorder: MultiSourcePOSGGrouping(
+                sources, small_config(32, mu=1.0), telemetry=recorder
+            ),
+            stream, self.K, chunk_size, recorded=True,
+            latencies=lambda: latency_models(latency, self.K, 5, 1.0),
+            sample_queues_every=13, faults=plan,
+            # strides coprime to every chunk size above
+            audit=AuditConfig(sample_every=11),
+            flight=FlightRecorderConfig(sample_every=13),
+            lineage=LineageConfig(sample_every=17),
+        )
+        assert chunked.engine["path"] == "segment"
+        assert chunked.faults.report()["injected"]["crashes"] == 2
+        assert chunked.faults.report()["injected"]["slowed_tuples"] > 0
+        assert any(
+            state is SchedulerState.SEND_ALL
+            for _, state in chunked.state_transitions
+        )
+        assert_same_run(reference, chunked)
+        assert chunked.engine["windows"] >= -(-self.M // chunk_size)
 
 
 class TestSingleSourceTakesTheSamePath:

@@ -1,5 +1,8 @@
 """Tests for the non-stationary load scenarios."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.workloads.nonstationary import (
@@ -60,3 +63,35 @@ class TestPhases:
     def test_constant_heterogeneous(self):
         scenario = LoadShiftScenario.constant(2, (1.0, 2.0))
         assert scenario.multiplier(1, 0) == 2.0
+
+
+class TestMultiplierMatrix:
+    """The bulk form the chunked engine hoists: ``[j, i] == multiplier(i, j)``."""
+
+    def test_single_phase_is_a_read_only_view_of_one_row(self):
+        scenario = LoadShiftScenario.constant(3, (1.0, 2.0, 0.5))
+        m = 4096
+        matrix = scenario.multiplier_matrix(m)
+        assert matrix.shape == (m, 3) and matrix.dtype == np.float64
+        for j in (0, 1, m // 2, m - 1):
+            for i in range(3):
+                assert matrix[j, i] == scenario.multiplier(i, j)
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 7.0
+        # k floats, not m x k: one row, zero stride along the stream
+        assert matrix.strides[0] == 0
+        assert matrix.base is not None and matrix.base.nbytes == 3 * 8
+        assert np.array_equal(matrix, np.tile([1.0, 2.0, 0.5], (m, 1)))
+
+    def test_two_phase_matrix_is_byte_identical_to_the_gathered_table(self):
+        m = 1001
+        scenario = LoadShiftScenario.paper_figure10(m)
+        matrix = scenario.multiplier_matrix(m)
+        assert matrix.flags.c_contiguous and matrix.flags.writeable
+        assert np.array_equal(matrix[: m // 2], np.tile(PAPER_PHASE1, (m // 2, 1)))
+        assert np.array_equal(matrix[m // 2 :], np.tile(PAPER_PHASE2, (m - m // 2, 1)))
+        # recorded before the single-phase view existed
+        assert hashlib.sha256(matrix.tobytes()).hexdigest() == (
+            "2e573192d5670e7c076ec88ea9c83abd5eb21f2f836cbc7410b2a58ffb764e65"
+        )
