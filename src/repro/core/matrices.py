@@ -43,20 +43,18 @@ def make_shared_hashes(
 
 
 def _ratio_at_min_freq(
-    freq: np.ndarray, work: np.ndarray, buckets: np.ndarray, unobserved: np.ndarray
+    freq: np.ndarray, work: np.ndarray, cells: np.ndarray, unobserved: np.ndarray
 ) -> np.ndarray:
-    """``W/F`` at each column's first minimum-``F`` row (Listing III.2).
+    """``W/F`` at each id's first minimum-``F`` row (Listing III.2).
 
-    ``buckets`` is ``(rows, count)``; ``unobserved`` holds the value of
-    the columns whose minimum ``F`` cell is empty and receives the result.
+    ``freq`` and ``work`` are flat matrices, ``cells`` the ``(rows,
+    count)`` flat cell indices into them; ``unobserved`` holds the value
+    of the ids whose minimum ``F`` cell is empty and receives the result.
     """
-    rows = np.arange(buckets.shape[0])[:, None]
-    freq_cells = freq[rows, buckets]
-    best_rows = np.argmin(freq_cells, axis=0)
-    pick = np.arange(buckets.shape[1])
-    best_freq = freq_cells[best_rows, pick]
-    best_work = work[best_rows, buckets[best_rows, pick]]
-    np.divide(best_work, best_freq, out=unobserved, where=best_freq > 0)
+    best_rows = freq.take(cells).argmin(0)
+    chosen = cells[best_rows, np.arange(cells.shape[1])]
+    best_freq = freq.take(chosen)
+    np.divide(work.take(chosen), best_freq, out=unobserved, where=best_freq > 0)
     return unobserved
 
 
@@ -123,9 +121,9 @@ class FWPair:
             return
         if not (np.isfinite(times).all() and (times >= 0.0).all()):
             raise ValueError("execution times must be finite and >= 0")
-        buckets = self._freq.bucket_cache.columns_many(items)
-        self._freq.fold_batch_exact(buckets, None)
-        self._work.fold_batch_exact(buckets, times)
+        cells = self._freq.bucket_cache.cells_many(items)
+        self._freq.fold_batch_exact(cells, None)
+        self._work.fold_batch_exact(cells, times)
 
     # ------------------------------------------------------------------
     # estimation (Listing III.2, UPDATEC)
@@ -167,46 +165,46 @@ class FWPair:
         items = np.asarray(items, dtype=np.int64)
         if items.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
-        return self.estimate_many_at(self._freq.bucket_cache.columns_many(items))
+        return self.estimate_many_cells(self._freq.bucket_cache.cells_many(items))
 
-    def estimate_many_at(self, buckets: np.ndarray) -> np.ndarray:
-        """:meth:`estimate_many` over pre-hashed bucket columns.
+    def estimate_many_cells(self, cells: np.ndarray) -> np.ndarray:
+        """:meth:`estimate_many` over pre-hashed flat cell indices.
 
-        ``buckets`` is a ``(rows, count)`` column matrix from the family's
-        shared bucket cache.  The scheduler calls this only for blocks
-        its estimate table cannot serve (ids the cache does not table, an
-        instance still without matrices); everything else is evaluated
+        ``cells`` is a ``(rows, count)`` matrix from the family's shared
+        bucket cache (``cells_many``, *not* bucket columns).  The scheduler
+        calls this only for blocks its estimate table cannot serve (ids the
+        cache does not table, an instance without matrices); the rest goes
         cell by cell through :meth:`estimate_many_stacked`.  Both run the
         same elementwise operations (:func:`_ratio_at_min_freq`), so a
         value is the same float whichever of the two produced it.
         """
         return _ratio_at_min_freq(
-            self._freq._matrix,
-            self._work._matrix,
-            buckets,
-            np.full(buckets.shape[1], self.mean_execution_time()),
+            self._freq._flat(),
+            self._work._flat(),
+            cells,
+            np.full(cells.shape[1], self.mean_execution_time()),
         )
 
     @staticmethod
     def estimate_many_stacked(
-        pairs, which: np.ndarray, buckets: np.ndarray
+        pairs, which: np.ndarray, cells: np.ndarray
     ) -> np.ndarray:
-        """:meth:`estimate_many_at` across several pairs in one pass.
+        """:meth:`estimate_many_cells` across several pairs in one pass.
 
-        Column ``j`` of ``buckets`` is evaluated against
+        Column ``j`` of ``cells`` is evaluated against
         ``pairs[which[j]]``: entry ``j`` of the result is
-        ``pairs[which[j]].estimate_many_at(buckets[:, j:j + 1])[0]``.
-        The pairs must share the hash family ``buckets`` came from.
-        Their matrices are laid side by side and each column reads its
-        pair's copy (buckets shifted by ``which * cols``), so any set of
-        ``(pair, id)`` cells costs the numpy calls of one pair.
+        ``pairs[which[j]].estimate_many_cells(cells[:, j:j + 1])[0]``.
+        The pairs must share the hash family ``cells`` came from.
+        Their flat matrices are laid end to end and each column reads
+        its pair's stretch (cells shifted by ``which * rows * cols``), so
+        any set of ``(pair, id)`` cells costs the numpy calls of one pair.
         """
-        cols = pairs[0]._freq._matrix.shape[1]
+        freq = [pair._freq._flat() for pair in pairs]
         means = np.array([pair.mean_execution_time() for pair in pairs])
         return _ratio_at_min_freq(
-            np.hstack([pair._freq._matrix for pair in pairs]),
-            np.hstack([pair._work._matrix for pair in pairs]),
-            buckets + which * cols,
+            np.concatenate(freq),
+            np.concatenate([pair._work._flat() for pair in pairs]),
+            cells + which * freq[0].shape[0],
             means[which],
         )
 

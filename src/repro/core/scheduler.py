@@ -561,7 +561,7 @@ class POSGScheduler:
         block — ids outside ``[0, _table_limit]``, an instance without
         matrices, or pairs with a foreign family (hand-built tests) — is
         gathered afresh: hashed once and every pair evaluated against
-        the same bucket columns.
+        the same cells.
         """
         items = np.asarray(items, dtype=np.int64)
         count = items.shape[0]
@@ -578,19 +578,18 @@ class POSGScheduler:
             and 0 <= items.min()
             and (high := int(items.max())) <= self._table_limit
         ):
-            buckets = None
+            cells = None
             if shared:
                 with _span(profiler, "hash"):
-                    buckets = pairs[0].freq.bucket_cache.columns_many(items)
+                    cells = pairs[0].freq.bucket_cache.cells_many(items)
             with _span(profiler, "estimate"):
-                return self._gather_columns(items, count, pairs, buckets)
+                return self._gather_columns(items, count, pairs, cells)
         with _span(profiler, "estimate"):
             if high >= self._table_valid.shape[1]:
                 self._grow_table(high + 1)
-            missing = ~self._table_valid.take(items, axis=1)
-            incomplete = bool(missing.any())
-        if incomplete:
-            self._fill_table(items, missing, profiler)
+            complete = bool(self._table_valid.take(items, axis=1).all())
+        if not complete:
+            self._fill_table(items, profiler)
         with _span(profiler, "estimate"):
             return self._table_columns(items)
 
@@ -608,8 +607,9 @@ class POSGScheduler:
         self._table_values = values
         self._table_valid = valid
 
-    def _fill_table(self, items: np.ndarray, missing: np.ndarray, profiler) -> None:
-        """Evaluate the ``(instance, position)`` cells a block misses.
+    def _fill_table(self, items: np.ndarray, profiler) -> None:
+        """Evaluate the ``(instance, id)`` cells a block misses, each once
+        however many positions of the block hold the id.
 
         A cell misses because the block is the first to read the id or
         because a delivery voided the instance's row since the id was
@@ -618,19 +618,21 @@ class POSGScheduler:
         an evaluation a fresh gather would not have made.  One stacked
         call serves whatever mix of rows the cells fall in.
         """
+        capacity = self._table_valid.shape[1]
+        asked = np.zeros(capacity, dtype=bool)
+        asked[items] = True
         # flat cell indices: several times cheaper than 2-D nonzero/scatter
-        rows, at = np.divmod(np.flatnonzero(missing), items.shape[0])
-        ids = items[at]
+        table_cells = np.flatnonzero(asked & ~self._table_valid)
+        rows, ids = np.divmod(table_cells, capacity)
         pairs = [self._matrices[instance] for instance in range(self._k)]
         with _span(profiler, "hash"):
-            buckets = pairs[0].freq.bucket_cache.columns_many(ids)
+            cells = pairs[0].freq.bucket_cache.cells_many(ids)
         with _span(profiler, "estimate"):
-            cells = rows * self._table_valid.shape[1] + ids
-            self._table_values.reshape(-1)[cells] = FWPair.estimate_many_stacked(
-                pairs, rows, buckets
+            self._table_values.reshape(-1)[table_cells] = FWPair.estimate_many_stacked(
+                pairs, rows, cells
             )
-            self._table_valid.reshape(-1)[cells] = True
-            self._estimate_evaluations += cells.shape[0]
+            self._table_valid.reshape(-1)[table_cells] = True
+            self._estimate_evaluations += table_cells.shape[0]
 
     def _table_columns(self, items: np.ndarray) -> "list[array]":
         """Read a block's columns out of the (filled) estimate table."""
@@ -643,12 +645,12 @@ class POSGScheduler:
         return [_float_column(total / len(self._matrices))] * self._k
 
     def _gather_columns(
-        self, items: np.ndarray, count: int, pairs, buckets
+        self, items: np.ndarray, count: int, pairs, cells
     ) -> "list[array]":
         def column(pair: FWPair) -> np.ndarray:
             self._estimate_evaluations += count
-            if buckets is not None:
-                return pair.estimate_many_at(buckets)
+            if cells is not None:
+                return pair.estimate_many_cells(cells)
             return pair.estimate_many(items)
 
         if self._config.pooled_estimates and pairs:

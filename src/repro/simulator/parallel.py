@@ -26,7 +26,7 @@ Architecture
   :meth:`~repro.core.multisource.MultiSourcePOSGGrouping.worker_spec`
   once, wraps the shared matrices in view-backed
   :class:`~repro.core.matrices.FWPair` objects, and replays the chunked
-  engine's estimate gathering (:meth:`FWPair.estimate_many_at` over the
+  engine's estimate gathering (:meth:`FWPair.estimate_many_cells` over the
   family's bucket cache) and first-minimum greedy scan over its slice —
   the exact float operations of the sequential block router, in the
   exact per-shard order.
@@ -327,7 +327,7 @@ def _attach_pair_views(family, arena: ShardArena, shard: int) -> list[FWPair]:
     """View-backed ``FWPair`` per instance over the shard's shared F/W.
 
     The pairs reuse the production estimate kernel
-    (:meth:`FWPair.estimate_many_at`), so worker estimates are the same
+    (:meth:`FWPair.estimate_many_cells`), so worker estimates are the same
     code path — hence the same bits — as the sequential scheduler's
     block gathering.  Total weights are refreshed from the arena before
     every segment (they drive the never-observed global-mean fallback).
@@ -427,7 +427,7 @@ def _route_shard(
         return
 
     sub = arena.items[first:end:sources]
-    buckets = cache.columns_many(np.ascontiguousarray(sub))
+    cells = cache.cells_many(np.ascontiguousarray(sub))
     pair_count = int(ctrl[2])
     totals = arena.totals[shard]
     order = arena.order[shard]
@@ -441,7 +441,7 @@ def _route_shard(
     if pooled and pair_count:
         total = np.zeros(n, dtype=np.float64)
         for slot in range(pair_count):
-            total = total + pairs[int(order[slot])].estimate_many_at(buckets)
+            total = total + pairs[int(order[slot])].estimate_many_cells(cells)
         pooled_column = (total / pair_count).tolist()
         columns = [pooled_column] * k
     else:
@@ -449,7 +449,7 @@ def _route_shard(
         columns = []
         for instance in range(k):
             if valid[instance]:
-                columns.append(pairs[instance].estimate_many_at(buckets).tolist())
+                columns.append(pairs[instance].estimate_many_cells(cells).tolist())
             else:
                 if zeros is None:
                     zeros = [0.0] * n
@@ -571,7 +571,7 @@ def _route_segment_coupled(
         # `_route_shard` (same bucket cache, same pooled/per-instance
         # split, zeros for never-synced instances).
         sub = arena.items[first:end:sources]
-        buckets = cache.columns_many(np.ascontiguousarray(sub))
+        cells = cache.cells_many(np.ascontiguousarray(sub))
         pairs = pairs_by_shard[shard]
         pair_count = int(ctrl[2])
         totals = arena.totals[shard]
@@ -585,8 +585,8 @@ def _route_segment_coupled(
         if pooled and pair_count:
             total = np.zeros(n, dtype=np.float64)
             for slot in range(pair_count):
-                total = total + pairs[int(order[slot])].estimate_many_at(
-                    buckets
+                total = total + pairs[int(order[slot])].estimate_many_cells(
+                    cells
                 )
             pooled_column = (total / pair_count).tolist()
             columns = [pooled_column] * k
@@ -596,7 +596,7 @@ def _route_segment_coupled(
             for instance in range(k):
                 if valid[instance]:
                     columns.append(
-                        pairs[instance].estimate_many_at(buckets).tolist()
+                        pairs[instance].estimate_many_cells(cells).tolist()
                     )
                 else:
                     if zeros is None:

@@ -4,10 +4,15 @@ Every sketch-level operation — Count-Min update, point query, the F/W
 ratio estimate of POSG — starts by evaluating the same ``rows`` hash
 functions on the same item.  The item universes of the paper are small
 (``n = 4096`` synthetic, ~35k Twitter entities), so the ``(rows, n)``
-column table fits comfortably in memory and can be computed once per
+table fits comfortably in memory and can be computed once per
 hash family and shared by every sketch built from it: the scheduler's
 ``C_hat`` estimates, all ``k`` instance-side F/W pairs and any
 workload-preprocessing sketch then reduce hashing to an array lookup.
+
+The table holds each item's *flat cell index* ``row * cols + column`` on
+every row — its place in ``matrix.reshape(-1)``, which is what the vector
+kernels (F/W batch fold, estimate fills) index; bucket columns are the
+same table minus the row offsets.
 
 The cache fills lazily: items are hashed in bulk (via the vectorized
 Mersenne kernel of :mod:`repro.sketches.hashing`) the first time they
@@ -32,24 +37,27 @@ MAX_CACHED_ITEM = (1 << 22) - 1
 
 
 class BucketColumnCache:
-    """Lazy ``(rows, universe)`` column table for one hash family.
+    """Lazy ``(rows, universe)`` cell table for one hash family.
 
     Two complementary lookup structures are kept in sync:
 
     - a Python ``dict`` mapping ``item -> tuple(cols)`` serving the
       scalar per-tuple hot paths (sketch update, estimate) without any
       numpy call;
-    - a dense ``(rows, capacity)`` ``int64`` table plus a ``known``
-      bitmap serving vectorized bulk lookups (``columns_many``).
+    - a dense ``(rows, capacity)`` ``int64`` table of flat cell indices
+      plus a ``known`` bitmap serving vectorized bulk lookups
+      (``cells_many``, and ``columns_many`` derived from it).
     """
 
-    __slots__ = ("_hashes", "_rows", "_scalar", "_table", "_known")
+    __slots__ = ("_hashes", "_rows", "_offsets", "_scalar", "_table", "_known")
 
     def __init__(
         self, hashes: TwoUniversalHashFamily, initial_capacity: int = 1024
     ) -> None:
         self._hashes = hashes
         self._rows = hashes.rows
+        # flat index of each row's first cell, as a column: cells - columns
+        self._offsets = (np.arange(self._rows, dtype=np.int64) * hashes.cols)[:, None]
         self._scalar: dict[int, tuple[int, ...]] = {}
         capacity = max(1, initial_capacity)
         self._table = np.zeros((self._rows, capacity), dtype=np.int64)
@@ -81,7 +89,7 @@ class BucketColumnCache:
     def _fill_table(self, item: int, cols: tuple[int, ...]) -> None:
         if item >= self._table.shape[1]:
             self._grow(item + 1)
-        self._table[:, item] = cols
+        self._table[:, item] = self._offsets[:, 0] + cols
         self._known[item] = True
 
     def _grow(self, needed: int) -> None:
@@ -99,9 +107,11 @@ class BucketColumnCache:
     # ------------------------------------------------------------------
     # vectorized lookup (bulk paths)
     # ------------------------------------------------------------------
-    def columns_many(self, items: np.ndarray) -> np.ndarray:
-        """Bucket matrix of shape ``(rows, len(items))`` for a batch.
+    def cells_many(self, items: np.ndarray) -> np.ndarray:
+        """Flat cell indices ``row * cols + column``, ``(rows, len(items))``.
 
+        Entry ``[row, j]`` is where ``items[j]`` lives on ``row`` in any
+        ``matrix.reshape(-1)`` of the family's shape.
         Unknown items are hashed in bulk through the vectorized kernel
         and memoized; items outside the cacheable range fall back to a
         direct (uncached) kernel evaluation.
@@ -110,7 +120,7 @@ class BucketColumnCache:
         if items.size == 0:
             return np.empty((self._rows, 0), dtype=np.int64)
         if items.min() < 0 or items.max() > MAX_CACHED_ITEM:
-            return self._hashes.hash_vector(items)
+            return self._hashes.hash_vector(items) + self._offsets
         high = int(items.max())
         if high >= self._table.shape[1]:
             self._grow(high + 1)
@@ -118,17 +128,22 @@ class BucketColumnCache:
         if missing.any():
             fresh = np.unique(items[missing])
             cols = self._hashes.hash_vector(fresh.astype(np.uint64))
-            self._table[:, fresh] = cols
+            self._table[:, fresh] = cols + self._offsets
             self._known[fresh] = True
             scalar = self._scalar
             for j, item in enumerate(fresh.tolist()):
                 scalar[item] = tuple(int(c) for c in cols[:, j])
-        return self._table[:, items]
+        return self._table.take(items, axis=1)
+
+    def columns_many(self, items: np.ndarray) -> np.ndarray:
+        """Bucket matrix of shape ``(rows, len(items))`` for a batch:
+        :meth:`cells_many` less each row's offset."""
+        return self.cells_many(items) - self._offsets
 
     def prefill(self, universe: int) -> None:
         """Eagerly materialize columns for items ``0 .. universe-1``."""
         if universe > 0:
-            self.columns_many(np.arange(min(universe, MAX_CACHED_ITEM + 1)))
+            self.cells_many(np.arange(min(universe, MAX_CACHED_ITEM + 1)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

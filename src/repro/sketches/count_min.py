@@ -110,14 +110,9 @@ class CountMinSketch:
         """Fold one occurrence of ``item`` (with ``weight``) into the sketch.
 
         Time complexity is ``O(rows) = O(log 1/delta)`` (Theorem 3.1).
+        A negative or non-finite weight raises with the sketch untouched.
         """
-        if weight < 0:
-            raise ValueError(f"weight must be non-negative, got {weight}")
-        matrix = self._matrix
-        for row, col in enumerate(self._cache.columns(item)):
-            matrix[row, col] += weight
-        self._total_weight += weight
-        self._update_count += 1
+        self.update_at(self._cache.columns(item), weight)
 
     def update_at(self, columns, weight: float = 1.0) -> None:
         """Fold one occurrence whose bucket columns are already known.
@@ -152,8 +147,8 @@ BucketColumnCache`; callers updating several sketches with the same hash
         overestimate more than a single conservatively-built sketch of
         the concatenated stream.
         """
-        if weight < 0:
-            raise ValueError(f"weight must be non-negative, got {weight}")
+        if not 0.0 <= weight < math.inf:  # false for NaN
+            raise ValueError(f"weight must be finite and >= 0, got {weight}")
         matrix = self._matrix
         cells = list(enumerate(self._cache.columns(item)))
         target = min(matrix[row, col] for row, col in cells) + weight
@@ -183,8 +178,8 @@ BucketColumnCache`; callers updating several sketches with the same hash
             weights = np.asarray(weights, dtype=self._matrix.dtype)
             if weights.shape != items.shape:
                 raise ValueError("items and weights must have the same shape")
-            if np.any(weights < 0):
-                raise ValueError("weights must be non-negative")
+            if not (np.isfinite(weights).all() and (weights >= 0).all()):
+                raise ValueError("weights must be finite and >= 0")
         cols = self._matrix.shape[1]
         for row in range(buckets.shape[0]):
             self._matrix[row] += np.bincount(
@@ -193,7 +188,20 @@ BucketColumnCache`; callers updating several sketches with the same hash
         self._total_weight += float(weights.sum())
         self._update_count += items.shape[0]
 
-    def fold_batch_exact(self, buckets: np.ndarray, weights: "np.ndarray | None") -> None:
+    def _flat(self) -> np.ndarray:
+        """The matrix as one writable 1-D view, cell ``row * cols + column``
+        (what ``BucketColumnCache.cells_many`` indexes).  Only a
+        C-contiguous matrix always reshapes to a view; a fold through a
+        *copy* would move the counters and not the matrix, so anything
+        else is refused here, the one place the view is taken."""
+        if not self._matrix.flags.c_contiguous:
+            raise ValueError(
+                "sketch matrix is not C-contiguous: its flat view would not "
+                "share memory with it"
+            )
+        return self._matrix.reshape(-1)
+
+    def fold_batch_exact(self, cells: np.ndarray, weights: "np.ndarray | None") -> None:
         """Fold a pre-hashed batch with *per-tuple* float semantics.
 
         Unlike :meth:`update_many`, every cell receives its updates one by
@@ -208,25 +216,23 @@ BucketColumnCache`; callers updating several sketches with the same hash
         The chunked simulator uses this to batch instance-side sketch
         maintenance without perturbing POSG's estimates.
 
-        ``buckets`` is a ``(rows, batch)`` column matrix (from
+        ``cells`` is a ``(rows, batch)`` matrix of flat cell indices (from
         :meth:`~repro.sketches.bucket_cache.BucketColumnCache.\
-columns_many`); validation is the caller's job — this is a hot path.
+cells_many`, *not* bucket columns); validation is the caller's job —
+        this is a hot path.
         """
-        rows, batch = buckets.shape
+        rows, batch = cells.shape
         if batch == 0:
             return
-        cols = self._matrix.shape[1]
-        flat = self._matrix.ravel()
-        offsets = (np.arange(rows, dtype=np.int64) * cols)[:, None]
-        indices = (buckets + offsets).ravel()
+        flat = self._flat()
+        indices = cells.reshape(-1)
         if weights is None:
             # Unit weights: cell sums are small integers, exactly
             # representable, so a bincount scatter is bit-identical.
-            flat += np.bincount(indices, minlength=rows * cols)
+            flat += np.bincount(indices, minlength=flat.shape[0])
             self._total_weight += float(batch)
         else:
-            tiled = np.broadcast_to(weights, (rows, batch)).ravel()
-            np.add.at(flat, indices, tiled)
+            np.add.at(flat, indices, np.tile(weights, rows))
             self._total_weight = running_total(self._total_weight, weights)
         self._update_count += batch
 
@@ -325,7 +331,8 @@ columns_many`); validation is the caller's job — this is a hot path.
             else TwoUniversalHashFamily.from_dict(payload["hashes"])
         )
         sketch = cls(family)
-        matrix = np.asarray(payload["matrix"], dtype=sketch._matrix.dtype)
+        # C order: the batch fold writes through the matrix's flat view
+        matrix = np.ascontiguousarray(payload["matrix"], dtype=sketch._matrix.dtype)
         if matrix.shape != sketch._matrix.shape:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match family shape "

@@ -42,8 +42,8 @@ def state_of(tracker):
     )
 
 
-def warmed(prefix):
-    tracker = InstanceTracker(0, CONFIG, HASHES)
+def warmed(prefix, config=CONFIG):
+    tracker = InstanceTracker(0, config, HASHES)
     for item, time in prefix:
         tracker.execute(item, time)
     return tracker
@@ -58,12 +58,31 @@ class TestBatchEqualsPerTuple:
     def test_lists_and_arrays_both_match_execute(self, prefix, batch):
         """The prefix leaves non-zero running totals for the batch to
         continue from; the batch stops short of the window boundary."""
-        one_by_one = warmed(prefix + batch)
+        self.assert_batch_matches_execute(prefix, batch, CONFIG)
+
+    @pytest.mark.parametrize("length", [1, 27, 428, 1023])
+    def test_fold_sized_batches_with_repeated_ids(self, length):
+        """The lengths the engines fold (a sweep's ~27, ``fast_single``'s
+        ~428, a whole window less one) over 41 ids, so past the first
+        few dozen tuples every cell takes several updates in one scatter."""
+        rng = np.random.default_rng(length)
+        batch = list(
+            zip(
+                rng.integers(0, 41, size=length).tolist(),
+                (10.0 ** rng.uniform(-9.0, 9.0, size=length)).tolist(),
+            )
+        )
+        config = POSGConfig(window_size=2048, rows=3, cols=16)
+        self.assert_batch_matches_execute([(3, 2.0), (5, 0.25)], batch, config)
+
+    @staticmethod
+    def assert_batch_matches_execute(prefix, batch, config):
+        one_by_one = warmed(prefix + batch, config)
         items = [item for item, _ in batch]
         times = [time for _, time in batch]
-        from_lists = warmed(prefix)
+        from_lists = warmed(prefix, config)
         from_lists.execute_batch(items, times)
-        from_arrays = warmed(prefix)
+        from_arrays = warmed(prefix, config)
         from_arrays.execute_batch(
             np.array(items, dtype=np.int64), np.array(times, dtype=np.float64)
         )

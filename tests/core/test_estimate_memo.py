@@ -242,13 +242,51 @@ class TestEstimateTable:
         block = np.array([3, 5, 3, 7])
         scheduler._block_estimates(block)
         evaluated = scheduler._estimate_evaluations
-        assert evaluated == 3 * len(block)  # every cell, once
+        # one evaluation per (instance, distinct id): id 3 sits at two
+        # positions of the block and is evaluated once per row
+        assert evaluated == 3 * 3
         scheduler._block_estimates(block)
         assert scheduler._estimate_evaluations == evaluated  # all repeats
         deliver(scheduler, 2, hashes, [(7, 4.0)])
         scheduler._block_estimates(np.array([5, 5]))
-        assert scheduler._estimate_evaluations == evaluated + 2  # row 2 only
+        assert scheduler._estimate_evaluations == evaluated + 1  # row 2, id 5
         assert_table_fresh(scheduler, block)
+
+    def test_a_repeated_id_reads_the_same_float_at_every_position(self):
+        scheduler, hashes = self.warmed()
+        for block in ([3, 5, 3, 7], [3, 3, 3], [7, 3, 5, 3]):
+            deliver(scheduler, 1, hashes, [(3, 1.0 / 3.0), (5, 0.1)])  # voids row 1
+            for instance, column in enumerate(block_values(scheduler, block)):
+                pair = scheduler._matrices[instance]
+                assert column == [pair.estimate(item) for item in block]
+                at = [j for j, item in enumerate(block) if item == 3]
+                assert len({column[j].hex() for j in at}) == 1
+
+    def test_a_fill_is_scalar_estimate_cell_by_cell(self):
+        """``estimate_many_stacked`` against ``FWPair.estimate`` on five
+        warmed pairs: trained ones, a sparse one (never-observed ids read
+        its mean) and an empty one (reads 0.0)."""
+        config = POSGConfig(rows=4, cols=54)
+        hashes = make_shared_hashes(config, np.random.default_rng(0))
+        scheduler = POSGScheduler(5, config)
+        rng = np.random.default_rng(1)
+        for instance, samples in enumerate((400, 300, 200, 3, 0)):
+            deliver(
+                scheduler, instance, hashes,
+                [
+                    (int(rng.integers(0, 256)), float(rng.uniform(1.0, 8.0)))
+                    for _ in range(samples)
+                ],
+            )
+        block = rng.integers(0, 512, size=700).tolist()
+        columns = block_values(scheduler, block)
+        # the table's fill ran, once per (pair, distinct id)
+        assert scheduler._estimate_evaluations == 5 * len(set(block))
+        for instance, column in enumerate(columns):
+            pair = scheduler._matrices[instance]
+            assert column == [pair.estimate(item) for item in block]
+        assert set(columns[4]) == {0.0}
+        assert scheduler._matrices[3].mean_execution_time() in columns[3]
 
     def test_an_id_first_seen_after_a_fill_is_filled_in_every_row(self):
         """Validity is per (row, id): a row that filled ids 3 and 5 has

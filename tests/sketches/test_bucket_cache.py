@@ -8,6 +8,7 @@ state as a hand-folded reference.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sketches.bucket_cache import (
     MAX_CACHED_ITEM,
@@ -84,6 +85,40 @@ class TestColumnLookups:
         assert cache.cached_items == 100
 
 
+#: negatives, the initial 1024-slot table, past two capacity doublings,
+#: and ids the table never holds
+IDS = st.one_of(
+    st.integers(-(1 << 40), -1),
+    st.integers(0, 1023),
+    st.integers(1024, 5000),
+    st.integers(MAX_CACHED_ITEM + 1, MAX_CACHED_ITEM + (1 << 20)),
+)
+LOOKUPS = st.lists(st.one_of(IDS, st.lists(IDS, min_size=1, max_size=12)), max_size=30)
+
+
+class TestFlatCells:
+    @given(LOOKUPS)
+    @settings(max_examples=100, deadline=None)
+    def test_cells_are_columns_plus_row_offsets(self, lookups):
+        """Whichever of the scalar and the bulk path fills an id first,
+        and whether the batch is tabled or bypasses the table."""
+        fam = random_hash_family(3, 32, rng=np.random.default_rng(14))
+        first, second = CountMinSketch(fam), CountMinSketch(fam)
+        cache = first.bucket_cache
+        offsets = np.arange(3)[:, None] * 32
+        for lookup in lookups:
+            if isinstance(lookup, int):
+                assert cache.columns(lookup) == fam.hash_all(lookup)
+                continue
+            ids = np.array(lookup)
+            columns = cache.columns_many(ids)
+            np.testing.assert_array_equal(cache.cells_many(ids), columns + offsets)
+            assert columns.T.tolist() == [list(fam.hash_all(i)) for i in lookup]
+        # one table, however often it was regrown, under both sketches
+        assert second.bucket_cache is cache
+        assert cache._table.shape == (3, cache._known.shape[0])
+
+
 class TestCachedSketchEquality:
     def test_mixed_update_stream_matches_reference_fold(self):
         """Sketch state after interleaved scalar/bulk updates equals a
@@ -139,11 +174,13 @@ class TestEstimateMany:
             assert bulk[j] == pair.estimate(item)
 
     def test_estimate_many_at_matches_estimate_many(self):
+        """The pre-hashed kernel takes flat cells (``estimate_many_cells``;
+        it was ``estimate_many_at`` over bucket columns)."""
         pair = self._trained_pair(seed=20)
         items = np.arange(0, 300)
-        buckets = pair.freq.bucket_cache.columns_many(items)
+        cells = pair.freq.bucket_cache.cells_many(items)
         np.testing.assert_array_equal(
-            pair.estimate_many_at(buckets), pair.estimate_many(items)
+            pair.estimate_many_cells(cells), pair.estimate_many(items)
         )
 
     def test_estimate_many_stacked_is_estimate_many_cell_by_cell(self):
@@ -159,7 +196,7 @@ class TestEstimateMany:
         which = rng.integers(0, len(pairs), size=700)
         items = rng.integers(0, 512, size=700)
         stacked = FWPair.estimate_many_stacked(
-            pairs, which, get_bucket_cache(fam).columns_many(items)
+            pairs, which, get_bucket_cache(fam).cells_many(items)
         )
         expected = np.stack([pair.estimate_many(items) for pair in pairs])
         np.testing.assert_array_equal(stacked, expected[which, np.arange(700)])

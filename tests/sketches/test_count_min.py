@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.matrices import FWPair
 from repro.sketches.count_min import CountMinSketch, dims_for
 from repro.sketches.hashing import random_hash_family
 
@@ -123,6 +124,93 @@ class TestWeightedUpdates:
         cm = make_sketch()
         with pytest.raises(ValueError):
             cm.update_many(np.array([1]), np.array([-1.0]))
+
+
+def entry_points(cm):
+    """Every way a single weight reaches a matrix: name -> (sketches it
+    moves, call taking the weight)."""
+    pair = FWPair(cm.hashes)
+    return {
+        "update": ([cm], lambda w: cm.update(5, w)),
+        "update_at": ([cm], lambda w: cm.update_at(cm.bucket_cache.columns(5), w)),
+        "update_conservative": ([cm], lambda w: cm.update_conservative(5, w)),
+        "update_many": (
+            [cm], lambda w: cm.update_many(np.array([1, 5]), np.array([1.0, w]))
+        ),
+        "FWPair.update": ([pair.freq, pair.work], lambda w: pair.update(5, w)),
+    }
+
+
+ENTRY_POINTS = list(entry_points(make_sketch()))
+
+
+def counters(sketches):
+    return [
+        (cm.matrix.tobytes(), cm.total_weight, cm.update_count) for cm in sketches
+    ]
+
+
+class TestWeightRefusals:
+    """``weight < 0`` lets NaN and +inf through; every entry point tests
+    ``0.0 <= w < inf`` before the matrix or a counter moves."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), -1.0]
+    )
+    def test_a_bad_weight_leaves_the_sketch_untouched(self, entry, bad):
+        sketches, call = entry_points(make_sketch(seed=6))[entry]
+        call(2.5)
+        before = counters(sketches)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            call(bad)
+        assert counters(sketches) == before
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_negative_zero_is_a_weight(self, entry):
+        sketches, call = entry_points(make_sketch(seed=6))[entry]
+        before = [cm.update_count for cm in sketches]
+        call(-0.0)
+        assert all(cm.update_count > was for cm, was in zip(sketches, before))
+
+
+class TestFlatView:
+    """The batch fold writes through ``matrix.reshape(-1)``: a copy there
+    would move the counters and leave the matrix as it was."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda zeros: np.zeros(zeros.shape[::-1]).T],
+        ids=["fortran", "transposed-view"],
+    )
+    def test_from_dict_binds_a_matrix_the_fold_can_write(self, layout):
+        matrix = layout(np.zeros((4, 54)))
+        assert not matrix.flags.c_contiguous
+        reference = make_sketch(seed=8)
+        cm = CountMinSketch.from_dict(
+            dict(reference.to_dict(), matrix=matrix), hashes=reference.hashes
+        )
+        items, weights = [3, 9, 3, 200], [1.0, 2.0, 4.0, 8.0]
+        cm.fold_batch_exact(
+            cm.bucket_cache.cells_many(np.array(items)), np.array(weights)
+        )
+        for item, weight in zip(items, weights):
+            reference.update(item, weight)
+        assert cm.update_count == 4 and cm.total_weight == 15.0
+        np.testing.assert_array_equal(cm.matrix, reference.matrix)
+
+    def test_a_matrix_rebound_without_a_shared_flat_view_is_refused(self):
+        cm = make_sketch(seed=8)
+        cm._matrix = np.asfortranarray(cm._matrix)
+        cells = cm.bucket_cache.cells_many(np.array([3, 9]))
+        with pytest.raises(ValueError, match="share memory"):
+            cm.fold_batch_exact(cells, None)
+        assert cm.update_count == 0 and cm.total_weight == 0.0
+        # a contiguous slice of a larger buffer (the arena's layout) passes
+        arena = np.zeros((3, 4, 54))
+        cm._matrix = arena[1]
+        cm.fold_batch_exact(cells, None)
+        assert arena[1].sum() == 8.0 and arena[0].sum() == arena[2].sum() == 0.0
 
 
 class TestQueries:
