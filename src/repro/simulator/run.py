@@ -63,6 +63,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.simulator.metrics import CompletionStats
 from repro.simulator.network import ConstantLatency, LatencyModel
+from repro.simulator.segment_kernel import Shape, segment_kernel
 from repro.telemetry.audit import AuditConfig, EstimatorAudit
 from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
 from repro.telemetry.lineage import LineageConfig, LineageTracer
@@ -1171,10 +1172,12 @@ def _run_posg(
     estimate columns for its strided slice of the current ``chunk_size``
     window (:meth:`POSGScheduler.begin_block`) and the segment runs as
     one tight scalar loop in global arrival order, tuple ``j`` owned by
-    shard ``j mod s``: the greedy pick is an inlined first-minimum scan
-    over plain floats (round-robin for shards still bootstrapping; over
-    load + latency debt + hint under ``latency_hints``), the two-choices
-    probe and cross-shard gossip are replayed in place, execution and
+    shard ``j mod s`` — the run shape's generated kernel
+    (:mod:`repro.simulator.segment_kernel`): the greedy pick is an
+    unrolled first-minimum scan over plain floats (round-robin for shards
+    still bootstrapping; over load + latency debt + hint under
+    ``latency_hints``), the two-choices probe and cross-shard gossip are
+    replayed in place, execution and
     constant instance-arrival times are hoisted columns, listed with the
     window (:meth:`_ChunkedState.open_window`) and indexed from its first
     tuple (a random data latency is drawn inline, right after the pick),
@@ -1222,7 +1225,6 @@ def _run_posg(
     window_size = policy.config.window_size
     previous_state = policy.state
     k = state.k
-    k_range = range(1, k)
     two_choices = schedulers[0]._two_choices and k > 1
     gossip = sources > 1 and policy._gossip_on
     hints = schedulers[0]._latency_hints
@@ -1238,9 +1240,10 @@ def _run_posg(
     armed = policy.config.recovery is not None
     deadline_at = m
 
-    # The two single-scheduler specialisations below read one shared
-    # instance-arrival column and carry neither a two-choices probe nor
-    # latency hints.
+    # Segments run the run shape's generated loop, except ROUND_ROBIN
+    # ones of a single scheduler with neither a two-choices probe nor
+    # latency hints over one shared instance-arrival column, which are
+    # de-interleaved below.
     data_lat = state.data_lat
     at_arrays = state.at_arrays
     lean = (
@@ -1250,6 +1253,10 @@ def _run_posg(
         and at_arrays is not None
         and all(column is at_arrays[0] for column in at_arrays)
     )
+    kernel = segment_kernel(
+        Shape(k, sources, gossip, two_choices, hints is not None, at_arrays is None)
+    )
+    draws = None if at_arrays is not None else [model.sample for model in data_lat]
 
     # The observers' sentinel is ``m`` when nothing is attached, so the
     # per-tuple compare stays between small ints.  Samples are taken at
@@ -1430,157 +1437,12 @@ def _run_posg(
             if profiler is not None:
                 profiler.start("route")
             block = blocks[0]
-            estimates = block._estimates
             # The loops count from the window's first tuple: ``q`` is
             # tuple ``base + q``, and at s = 1 the block's own cursor.
             q = j - base
             stop = end - base
             due = next_probe - base
-            if lean and estimates is not None and k == 5:
-                # Dominant mode (one scheduler, greedy routing, shared
-                # constant latency) at the paper's k = 5: the scan state
-                # lives in unrolled locals, so the per-tuple body is a
-                # handful of float compares and list reads — no method
-                # calls and no container indexing on the scan itself.
-                c = block._c
-                e0, e1, e2, e3, e4 = estimates
-                x0, x1, x2, x3, x4 = execution_columns
-                c0, c1, c2, c3, c4 = c
-                b0, b1, b2, b3, b4 = busy
-                w0, w1, w2, w3, w4 = window_left
-                fin_append = finishes.append
-                asg_append = assignments.append
-                while q < stop:
-                    # First-minimum scan (same tie-breaking as argmin).
-                    best = c0
-                    instance = 0
-                    if c1 < best:
-                        best = c1
-                        instance = 1
-                    if c2 < best:
-                        best = c2
-                        instance = 2
-                    if c3 < best:
-                        best = c3
-                        instance = 3
-                    if c4 < best:
-                        instance = 4
-                    at_instance = at_column[q]
-                    if instance == 0:
-                        c0 += e0[q]
-                        b = b0
-                        if at_instance > b:
-                            b = at_instance
-                        execution_time = x0[q]
-                        finish = b + execution_time
-                        b0 = finish
-                        fin_append(finish)
-                        asg_append(0)
-                        w0 -= 1
-                        if not w0:
-                            next_due, stop = _window_boundary(
-                                0, items[q], execution_time, finish,
-                                q + 1, next_due, stop,
-                            )
-                            w0 = window_size
-                    elif instance == 1:
-                        c1 += e1[q]
-                        b = b1
-                        if at_instance > b:
-                            b = at_instance
-                        execution_time = x1[q]
-                        finish = b + execution_time
-                        b1 = finish
-                        fin_append(finish)
-                        asg_append(1)
-                        w1 -= 1
-                        if not w1:
-                            next_due, stop = _window_boundary(
-                                1, items[q], execution_time, finish,
-                                q + 1, next_due, stop,
-                            )
-                            w1 = window_size
-                    elif instance == 2:
-                        c2 += e2[q]
-                        b = b2
-                        if at_instance > b:
-                            b = at_instance
-                        execution_time = x2[q]
-                        finish = b + execution_time
-                        b2 = finish
-                        fin_append(finish)
-                        asg_append(2)
-                        w2 -= 1
-                        if not w2:
-                            next_due, stop = _window_boundary(
-                                2, items[q], execution_time, finish,
-                                q + 1, next_due, stop,
-                            )
-                            w2 = window_size
-                    elif instance == 3:
-                        c3 += e3[q]
-                        b = b3
-                        if at_instance > b:
-                            b = at_instance
-                        execution_time = x3[q]
-                        finish = b + execution_time
-                        b3 = finish
-                        fin_append(finish)
-                        asg_append(3)
-                        w3 -= 1
-                        if not w3:
-                            next_due, stop = _window_boundary(
-                                3, items[q], execution_time, finish,
-                                q + 1, next_due, stop,
-                            )
-                            w3 = window_size
-                    else:
-                        c4 += e4[q]
-                        b = b4
-                        if at_instance > b:
-                            b = at_instance
-                        execution_time = x4[q]
-                        finish = b + execution_time
-                        b4 = finish
-                        fin_append(finish)
-                        asg_append(4)
-                        w4 -= 1
-                        if not w4:
-                            next_due, stop = _window_boundary(
-                                4, items[q], execution_time, finish,
-                                q + 1, next_due, stop,
-                            )
-                            w4 = window_size
-                    if q == due:
-                        # ``b`` is this tuple's start clock; the chosen
-                        # instance's window counter is already post-
-                        # update, so the pre-execution value is either
-                        # the boundary (post == window_size -> 1) or
-                        # post + 1.
-                        wpost = (w0, w1, w2, w3, w4)[instance]
-                        due = probe(
-                            0, base + q, items[q], instance, (c0, c1, c2, c3, c4),
-                            arrivals[q], at_instance, b, finish, execution_time,
-                            1 if wpost == window_size else wpost + 1,
-                        ) - base
-                    q += 1
-                c[0] = c0
-                c[1] = c1
-                c[2] = c2
-                c[3] = c3
-                c[4] = c4
-                busy[0] = b0
-                busy[1] = b1
-                busy[2] = b2
-                busy[3] = b3
-                busy[4] = b4
-                window_left[0] = w0
-                window_left[1] = w1
-                window_left[2] = w2
-                window_left[3] = w3
-                window_left[4] = w4
-                block._pos = q
-            elif lean and estimates is None:
+            if lean and block._estimates is None:
                 # ROUND_ROBIN segments: the routing sequence is cyclic and
                 # data-independent, so the segment de-interleaves into k
                 # per-instance busy chains over strided slices.  Each
@@ -1691,109 +1553,14 @@ def _run_posg(
             else:
                 # Every other segment: any shard count, shards mixing
                 # ROUND_ROBIN and greedy modes, the two-choices probe,
-                # gossip, latency hints, per-instance or random data
-                # latencies, any k.  One walk in global arrival order
-                # keeps each shard's believed loads in its block's ``_c``
-                # list (and its latency debt in ``_debt``, which
-                # ``commit`` writes back); a gossiped estimate is added to
-                # every sibling's list before the next tuple routes, which
-                # is the float order of ``MultiSourcePOSGGrouping.route``.
-                beliefs = [block._c for block in blocks]
-                columns = [block._estimates for block in blocks]
-                debts = [block._debt for block in blocks]
-                counters = [block._rr for block in blocks]
-                cursors = [block._pos for block in blocks]
-                gossiped = [0] * sources
-                siblings = [
-                    [c for other, c in enumerate(beliefs) if other != shard]
-                    for shard in range(sources)
-                ] if gossip else ()
-                fin_append = finishes.append
-                asg_append = assignments.append
-                shard = j % sources
-                while q < stop:
-                    c = beliefs[shard]
-                    estimates = columns[shard]
-                    pos = cursors[shard]
-                    cursors[shard] = pos + 1
-                    if estimates is None:
-                        rr = counters[shard]
-                        instance = rr % k
-                        counters[shard] = rr + 1
-                    else:
-                        if hints is None:
-                            # First-minimum scan (same tie-breaking as
-                            # argmin).
-                            best = c[0]
-                            instance = 0
-                            for i in k_range:
-                                value = c[i]
-                                if value < best:
-                                    best = value
-                                    instance = i
-                            estimate = estimates[instance][pos]
-                            if two_choices:
-                                alt = items[q] % k
-                                if alt == instance:
-                                    alt = alt + 1 if alt + 1 < k else 0
-                                alt_estimate = estimates[alt][pos]
-                                if c[alt] + alt_estimate < c[instance] + estimate:
-                                    instance = alt
-                                    estimate = alt_estimate
-                        else:
-                            # Latency-aware scan: every assignment is
-                            # charged its instance's delivery latency
-                            # (``submit``'s hinted arm, same grouping of
-                            # the sum; it carries no probe by
-                            # construction).
-                            debt = debts[shard]
-                            best = (c[0] + debt[0]) + hints[0]
-                            instance = 0
-                            for i in k_range:
-                                value = (c[i] + debt[i]) + hints[i]
-                                if value < best:
-                                    best = value
-                                    instance = i
-                            debt[instance] += hints[instance]
-                            estimate = estimates[instance][pos]
-                        c[instance] += estimate
-                        if gossip and estimate != 0.0:
-                            for sibling in siblings[shard]:
-                                sibling[instance] += estimate
-                            gossiped[shard] += 1
-                    if at_cols is not None:
-                        at_instance = at_cols[instance][q]
-                    else:
-                        at_instance = arrivals[q] + data_lat[instance].sample()
-                    b = busy[instance]
-                    if at_instance > b:
-                        b = at_instance
-                    execution_time = execution_columns[instance][q]
-                    finish = b + execution_time
-                    busy[instance] = finish
-                    fin_append(finish)
-                    asg_append(instance)
-                    wl = window_left[instance]
-                    if q == due:
-                        due = probe(
-                            shard, base + q, items[q], instance, c, arrivals[q],
-                            at_instance, b, finish, execution_time, wl,
-                        ) - base
-                    if wl == 1:
-                        next_due, stop = _window_boundary(
-                            instance, items[q], execution_time, finish,
-                            q + 1, next_due, stop,
-                        )
-                        window_left[instance] = window_size
-                    else:
-                        window_left[instance] = wl - 1
-                    q += 1
-                    shard += 1
-                    if shard == sources:
-                        shard = 0
-                for shard, block in enumerate(blocks):
-                    block._rr = counters[shard]
-                    block._pos = cursors[shard]
+                # gossip, latency hints, any data-latency model, any k —
+                # the run shape's generated loop (``segment_kernel.py``).
+                q, due, gossiped = kernel(
+                    blocks, q, stop, due, next_due, base, items, arrivals,
+                    at_cols, execution_columns, busy, window_left, window_size,
+                    _window_boundary, probe, finishes.append, assignments.append,
+                    hints, draws,
+                )
             j = base + q
             next_probe = base + due
             # Routing and merge shared the pass, so every block commits

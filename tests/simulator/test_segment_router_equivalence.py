@@ -4,7 +4,7 @@ Every POSG-family policy — ``POSGGrouping``, its subclasses, and
 ``MultiSourcePOSGGrouping`` at any shard count, coordinated or not, with
 any observer attached, under any ``FaultPlan`` and with or without
 ``RecoveryConfig`` — runs through one segment router in the chunked
-engine.  This file pins that router three ways:
+engine.  This file pins that router four ways:
 
 - a generated differential test (chunked vs ``chunk_size=0``) over shard
   count, instance count, chunk size, window size, coordination flags,
@@ -14,6 +14,9 @@ engine.  This file pins that router three ways:
   (message faults per channel and per source, crashes, overlapping
   slow-node windows) and recovery thresholds small enough that every
   defence fires inside the stream;
+- a deterministic walk over the generated segment kernels (shard count
+  x instance count x one feature at a time), each compiled once and
+  legible in tracebacks;
 - named regressions for the configurations the generator reaches
   rarely: a segment whose shards mix ROUND_ROBIN and greedy modes, a
   window close that cuts a segment mid-interleave right before a
@@ -24,7 +27,10 @@ engine.  This file pins that router three ways:
 """
 
 import dataclasses
+import inspect
 import math
+import time
+import traceback
 
 import numpy as np
 import pytest
@@ -44,6 +50,7 @@ from repro.faults.plan import CrashFault, FaultPlan, MessageFaults, SlowdownFaul
 from repro.simulator.network import LognormalLatency, UniformLatency
 from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
+from repro.simulator.segment_kernel import Shape, kernel_source, segment_kernel
 from repro.telemetry.audit import AuditConfig
 from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
 from repro.telemetry.lineage import LineageConfig, LineageTracer
@@ -389,6 +396,154 @@ class TestGeneratedDifferential:
         assert_same_run(reference, chunked)
 
 
+#: one switch per shape field or run feature the generated kernels see;
+#: each builds ``(config overrides, policy keywords, run keywords)``
+WALK_FEATURES = {
+    "gossip": lambda k, stream: (
+        {"coordination": CoordinationConfig(gossip=True, snoop=False)}, {}, {}
+    ),
+    "two-choices": lambda k, stream: (
+        {
+            "coordination": CoordinationConfig(
+                gossip=False, snoop=False, two_choices=True
+            )
+        },
+        {},
+        {},
+    ),
+    "hints": lambda k, stream: (
+        {}, {"latency_hints": HINT_SHAPES["increasing"](k)}, {}
+    ),
+    "uniform-latency": lambda k, stream: (
+        {}, {}, {"latencies": lambda: latency_models("uniform", k, 3, 1.0)}
+    ),
+    "per-instance-constants": lambda k, stream: (
+        {},
+        {},
+        {"latencies": lambda: latency_models("per-instance-constants", k, 3, 1.0)},
+    ),
+    "observers": lambda k, stream: (
+        {},
+        {},
+        {
+            "audit": AuditConfig(sample_every=3),
+            "flight": FlightRecorderConfig(sample_every=5),
+            "lineage": LineageConfig(sample_every=7),
+        },
+    ),
+    "faults-recovery": lambda k, stream: (
+        {"recovery": RecoveryConfig(sync_timeout=16, sync_max_retries=1)},
+        {},
+        {
+            "faults": FaultPlan(
+                crashes=[
+                    CrashFault(k - 1, float(stream.arrivals[stream.m // 2]), 5.0)
+                ],
+                sync_replies=MessageFaults(drop=0.2),
+                seed=1,
+            )
+        },
+    ),
+}
+
+
+class TestShapeWalk:
+    """Every kernel shape the walk reaches, against the reference engine.
+
+    s in {1, 2, 3, 8} crossed with k in {1, 2, 5, 7}, one feature at a
+    time.  The stream is long enough that every shard leaves
+    ROUND_ROBIN, so each run executes its shards' greedy arms after the
+    shared round-robin ones (which single-shard runs over one constant
+    arrival column de-interleave instead); the cache is emptied first
+    and must compile each shape exactly once.
+    """
+
+    SOURCES = (1, 2, 3, 8)
+    KS = (1, 2, 5, 7)
+    M = 600
+
+    def test_every_shape_compiles_once_and_matches_the_reference(self, capsys):
+        segment_kernel.cache_clear()
+        started = time.perf_counter()
+        shapes = set()
+        for sources in self.SOURCES:
+            for k in self.KS:
+                stream = default_stream(seed=1, m=self.M, n=64, k=k)
+                for feature, build in WALK_FEATURES.items():
+                    overrides, policy_keywords, keywords = build(k, stream)
+                    config = small_config(16, mu=1.0, **overrides)
+                    reference, chunked = run_pair(
+                        lambda recorder: MultiSourcePOSGGrouping(
+                            sources, config, **policy_keywords
+                        ),
+                        stream, k, 64, **keywords,
+                    )
+                    label = f"s={sources} k={k} {feature}"
+                    try:
+                        assert chunked.engine["path"] == "segment"
+                        assert_same_run(reference, chunked)
+                        # every shard routed greedily for a while, so its
+                        # greedy arms ran beside the round-robin ones
+                        assert all(
+                            scheduler._estimate_gathers > 0
+                            for scheduler in chunked.policy.schedulers
+                        )
+                    except AssertionError as error:
+                        raise AssertionError(f"{label}: {error}") from error
+                    coordination = config.coordination
+                    shapes.add(
+                        Shape(
+                            k, sources,
+                            sources > 1 and feature == "gossip",
+                            k > 1 and coordination is not None
+                            and coordination.two_choices,
+                            feature == "hints",
+                            feature == "uniform-latency",
+                        )
+                    )
+        elapsed = time.perf_counter() - started
+        runs = len(self.SOURCES) * len(self.KS) * len(WALK_FEATURES)
+        # a miss is the only way to compile: one per shape the runs
+        # reached, and asking again for exactly those shapes compiles none
+        for shape in shapes:
+            segment_kernel(shape)
+        info = segment_kernel.cache_info()
+        assert info.misses == info.currsize == len(shapes)
+        assert info.hits == runs
+        with capsys.disabled():
+            print(
+                f"\nshape walk: {len(shapes)} kernels, {runs} run pairs, "
+                f"{elapsed:.1f} s"
+            )
+
+    def test_a_raising_observer_shows_the_generated_line(self):
+        """The kernel's frame in a traceback names its shape and shows the
+        generated line, and ``inspect`` finds the whole text."""
+
+        class Failing(FlightRecorder):
+            def record_route(self, *args):
+                raise RuntimeError("observer failed")
+
+        stream = default_stream(seed=0, m=256, n=64)
+        with pytest.raises(RuntimeError, match="observer failed") as failure:
+            simulate_stream(
+                stream, MultiSourcePOSGGrouping(2, small_config()), k=5,
+                rng=np.random.default_rng(1), chunk_size=64,
+                flight=Failing(FlightRecorderConfig(sample_every=1)),
+            )
+        shape = Shape(5, 2, False, False, False, False)
+        text = kernel_source(shape)
+        (frame,) = [
+            frame
+            for frame in traceback.extract_tb(failure.tb)
+            if frame.filename.startswith("<segment kernel")
+        ]
+        assert frame.filename == "<segment kernel k=5 s=2>"
+        assert frame.line.startswith("due = probe(")
+        assert text.splitlines()[frame.lineno - 1].strip() == frame.line
+        assert inspect.getsource(segment_kernel(shape)) == text
+
+
 class LateShard(MultiSourcePOSGGrouping):
     """The last shard misses instance 0's first matrices broadcasts, so
     it keeps routing round-robin while its siblings already run greedy.
@@ -484,6 +639,38 @@ class TestNamedRegressions:
         ]
         assert witnesses, "no window close cut a segment off the shard grid"
         assert chunked.engine["fallback_tuples"] >= sources * k
+
+    def test_gossip_skips_zero_estimates(self):
+        """Even ids execute in no time, so an id whose cells (64 ids over
+        256 columns) only even ids reach estimates exactly 0.0, and a
+        greedy pick of it gossips nothing: a kernel that gossiped it
+        anyway would count (and bill) updates the per-tuple route never
+        makes."""
+        k, sources = 5, 3
+        stream = default_stream(seed=2, m=3_000, n=64, k=k)
+        stream = dataclasses.replace(
+            stream,
+            base_times=np.where(stream.items % 2 == 0, 0.0, stream.base_times),
+            time_table=np.where(
+                np.arange(stream.time_table.shape[0]) % 2 == 0,
+                0.0, stream.time_table,
+            ),
+        )
+        config = POSGConfig(
+            window_size=32, rows=2, cols=256,
+            coordination=CoordinationConfig(gossip_stride=1, snoop=False),
+        )
+        reference, chunked = run_pair(
+            lambda recorder: MultiSourcePOSGGrouping(sources, config),
+            stream, k, 256,
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
+        greedy = sum(
+            scheduler._tuples_scheduled - scheduler._rr_counter
+            for scheduler in chunked.policy.schedulers
+        )
+        assert 0 < chunked.policy.stats()["gossip_updates"] < greedy
 
     def test_instance_ids_past_one_byte_fold_to_their_own_tracker(self):
         """The folds read instance ids back from the assignment buffer:
@@ -809,8 +996,8 @@ class TestWindowRelativeColumns:
     @pytest.mark.parametrize("chunk_size", [1, 3, 7, 2_048, M, M + 5])
     @pytest.mark.parametrize(
         "latency",
-        # the s = 1 specialisations / the general walk over per-instance
-        # columns / the general walk drawing inline
+        # one shared column (at s = 1 also the ROUND_ROBIN de-interleave)
+        # / per-instance columns / latencies drawn inline
         ["constant", "per-instance-constants", "uniform"],
     )
     def test_chunked_matches_reference(self, latency, chunk_size, sources):
