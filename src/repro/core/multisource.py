@@ -14,8 +14,9 @@ models that deployment:
   instance, shared by every scheduler — the instance measures its total
   cumulated execution time ``C_op`` across *all* sources;
 - stable ``(F, W)`` matrices are **broadcast**: every scheduler receives
-  (a private copy of) each instance's matrices message, so all shards
-  estimate with the same information;
+  each instance's matrices message (a private copy only when it will
+  merge into its stored pair), so all shards estimate with the same
+  information — from one shared estimate table when they do not merge;
 - :class:`~repro.core.messages.SyncRequest`\\ s carry the originating
   shard id (``source``), and the instance echoes it on the
   :class:`~repro.core.messages.SyncReply` so the reply is routed back to
@@ -74,7 +75,7 @@ across the reference, chunked and parallel engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,6 +187,11 @@ class MultiSourcePOSGGrouping(POSGGrouping):
             for shard in shard_ids
         ]
         self._scheduler = self._schedulers[0]
+        if not self._config.merge_matrices:
+            # every shard stores the broadcast pair itself, so one table
+            # (whose rows know the pair that filled them) serves them all
+            for scheduler in self._schedulers[1:]:
+                scheduler._table = self._scheduler._table
         self._agents = {}
         self._cursor = 0
         coordination = self._config.coordination
@@ -252,17 +258,18 @@ class MultiSourcePOSGGrouping(POSGGrouping):
                     self._bill_gossip_digest(source)
         return RouteDecision(decision.instance, decision.sync_request)
 
-    def _bill_gossip_digest(self, source: int) -> None:
-        """Charge one batched gossip digest from ``source`` to siblings.
+    def _bill_gossip_digest(self, source: int, digests: int = 1) -> None:
+        """Charge ``digests`` batched gossip digests from ``source``.
 
         Billing only touches the control-bit counters — never the
         believed loads — so a ``gossip_stride`` change (including 0,
         which disables billing) cannot change routing.
         """
-        self._schedulers[source]._control_bits_sent += self._gossip_digest_bits
+        bits = digests * self._gossip_digest_bits
+        self._schedulers[source]._control_bits_sent += bits
         for sibling in self._gossip_siblings[source]:
-            sibling._control_bits_received += GOSSIP_BITS
-        self._gossip_billed += 1
+            sibling._control_bits_received += digests * GOSSIP_BITS
+        self._gossip_billed += digests
 
     # ------------------------------------------------------------------
     # control path
@@ -270,21 +277,20 @@ class MultiSourcePOSGGrouping(POSGGrouping):
     def on_control(self, message: ControlMessage) -> None:
         """Broadcast matrices to every shard; route replies by source.
 
-        Each shard past the first receives a private *copy* of the
-        matrices: with ``config.merge_matrices`` the scheduler merges
-        incoming counters into its stored pair in place, so sharing one
-        object across shards would double-count every merge.
+        A shard gets a private *copy* of the matrices only when it will
+        merge into the pair it stores: with ``config.merge_matrices`` the
+        scheduler merges later counters into that pair in place, so one
+        object across shards would double-count every merge.  Otherwise
+        every shard stores the message's pair itself, and the estimate
+        table they share evaluates it once.
         """
         if isinstance(message, MatricesMessage):
-            self._schedulers[0].on_message(message)
-            for scheduler in self._schedulers[1:]:
+            merge = self._config.merge_matrices
+            for shard, scheduler in enumerate(self._schedulers):
                 scheduler.on_message(
-                    MatricesMessage(
-                        instance=message.instance,
-                        matrices=message.matrices.copy(),
-                        tuples_observed=message.tuples_observed,
-                        generation=message.generation,
-                    )
+                    replace(message, matrices=message.matrices.copy())
+                    if merge and shard
+                    else message
                 )
         elif isinstance(message, SyncReply):
             if not 0 <= message.source < self._sources:
@@ -380,8 +386,7 @@ class MultiSourcePOSGGrouping(POSGGrouping):
         events[source] = after
         stride = self._gossip_stride
         if stride:
-            for _ in range(after // stride - before // stride):
-                self._bill_gossip_digest(source)
+            self._bill_gossip_digest(source, after // stride - before // stride)
 
     # ------------------------------------------------------------------
     # parallel-engine attachment

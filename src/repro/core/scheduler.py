@@ -42,39 +42,16 @@ from __future__ import annotations
 
 import enum
 from array import array
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import POSGConfig
+from repro.core.estimate_table import EstimateTable, float_column, span
 from repro.core.matrices import FWPair
 from repro.core.messages import ControlMessage, MatricesMessage, SyncReply, SyncRequest
-from repro.sketches.bucket_cache import MAX_CACHED_ITEM
 from repro.telemetry.recorder import NULL_RECORDER
 from repro.telemetry.registry import Sample
-
-
-#: the estimate table holds at most this many (instance, id) cells per
-#: scheduler (9 bytes each), so sparse ids cost no more here than the
-#: bucket cache's own table; blocks with larger ids are gathered afresh
-MAX_TABLE_CELLS = 1 << 22
-
-
-def _float_column(values: np.ndarray) -> array:
-    """A float64 vector as an ``array('d')``: one copy of its bytes.
-
-    A block's scalar loop reads one estimate in ``k`` (only the chosen
-    instance's), so boxing every element with ``tolist()`` costs far more
-    than the boxing the loop does on the reads it makes; indexing an
-    ``array('d')`` yields the same Python float a list would hold.
-    """
-    return array("d", values.tobytes())
-
-
-def _span(profiler, name: str):
-    """``profiler.span(name)`` for an optional (duck-typed) profiler."""
-    return nullcontext() if profiler is None else profiler.span(name)
 
 
 class SchedulerState(enum.Enum):
@@ -200,13 +177,9 @@ class POSGScheduler:
         self._estimate_memo: dict[int, float] = {}
         # Block estimates repeat far more (every window re-reads the same
         # hot items for every instance): one value per (instance, item
-        # id), valid until that instance's matrices move.
-        self._table_limit = min(MAX_CACHED_ITEM, MAX_TABLE_CELLS // k - 1)
-        self._table_values = np.zeros((k, 0), dtype=np.float64)
-        self._table_valid = np.zeros((k, 0), dtype=bool)
-        self._estimate_gathers = 0
-        self._estimate_requests = 0
-        self._estimate_evaluations = 0
+        # id), valid until that instance's pair moves.  Held by reference:
+        # shards that store the same pairs share one table.
+        self._table = EstimateTable(k)
         self._rr_counter = 0
         self._epoch = 0
         self._sendall_counter = 0
@@ -557,98 +530,43 @@ class POSGScheduler:
         All pairs ship from instances sharing one hash family (Listing
         III.1 line 4), so a block whose ids the family's bucket cache
         tables densely is read out of the estimate table, after the
-        cells it misses are evaluated (:meth:`_fill_table`).  Any other
-        block — ids outside ``[0, _table_limit]``, an instance without
-        matrices, or pairs with a foreign family (hand-built tests) — is
-        gathered afresh: hashed once and every pair evaluated against
-        the same cells.
+        cells it misses are evaluated.  Any other block — ids outside
+        ``[0, limit]``, an instance without matrices, or pairs with a
+        foreign family (hand-built tests) — is gathered afresh: hashed
+        once and every pair evaluated against the same cells.
         """
         items = np.asarray(items, dtype=np.int64)
         count = items.shape[0]
         pairs = self._pairs
-        self._estimate_gathers += 1
-        self._estimate_requests += self._k * count
-        shared = bool(pairs) and all(
-            pair.hashes is pairs[0].hashes for pair in pairs
-        )
-        if not (
-            shared
-            and len(pairs) == self._k
-            and count
-            and 0 <= items.min()
-            and (high := int(items.max())) <= self._table_limit
-        ):
-            cells = None
-            if shared:
-                with _span(profiler, "hash"):
-                    cells = pairs[0].freq.bucket_cache.cells_many(items)
-            with _span(profiler, "estimate"):
-                return self._gather_columns(items, count, pairs, cells)
-        with _span(profiler, "estimate"):
-            if high >= self._table_valid.shape[1]:
-                self._grow_table(high + 1)
-            complete = bool(self._table_valid.take(items, axis=1).all())
-        if not complete:
-            self._fill_table(items, profiler)
-        with _span(profiler, "estimate"):
-            return self._table_columns(items)
+        table = self._table
+        table.requests += self._k * count
+        row_pairs = self._row_pairs()
+        if row_pairs is not None and table.gather(items, row_pairs, profiler):
+            with span(profiler, "estimate"):
+                return table.columns(
+                    items, self._matrices, self._config.pooled_estimates
+                )
+        table.gathers += 1
+        cells = None
+        if pairs and all(pair.hashes is pairs[0].hashes for pair in pairs):
+            with span(profiler, "hash"):
+                cells = pairs[0].freq.bucket_cache.cells_many(items)
+        with span(profiler, "estimate"):
+            return self._gather_columns(items, count, pairs, cells)
 
-    def _grow_table(self, needed: int) -> None:
-        """Double the table's capacity until it holds ``needed`` ids."""
-        held = self._table_valid.shape[1]
-        capacity = max(1024, held)
-        while capacity < needed:
-            capacity *= 2
-        capacity = min(capacity, self._table_limit + 1)
-        values = np.zeros((self._k, capacity), dtype=np.float64)
-        values[:, :held] = self._table_values
-        valid = np.zeros((self._k, capacity), dtype=bool)
-        valid[:, :held] = self._table_valid
-        self._table_values = values
-        self._table_valid = valid
-
-    def _fill_table(self, items: np.ndarray, profiler) -> None:
-        """Evaluate the ``(instance, id)`` cells a block misses, each once
-        however many positions of the block hold the id.
-
-        A cell misses because the block is the first to read the id or
-        because a delivery voided the instance's row since the id was
-        last read.  Either way it is evaluated here, when it is read:
-        nothing is refreshed ahead of a read, so the table never costs
-        an evaluation a fresh gather would not have made.  One stacked
-        call serves whatever mix of rows the cells fall in.
-        """
-        capacity = self._table_valid.shape[1]
-        asked = np.zeros(capacity, dtype=bool)
-        asked[items] = True
-        # flat cell indices: several times cheaper than 2-D nonzero/scatter
-        table_cells = np.flatnonzero(asked & ~self._table_valid)
-        rows, ids = np.divmod(table_cells, capacity)
-        pairs = [self._matrices[instance] for instance in range(self._k)]
-        with _span(profiler, "hash"):
-            cells = pairs[0].freq.bucket_cache.cells_many(ids)
-        with _span(profiler, "estimate"):
-            self._table_values.reshape(-1)[table_cells] = FWPair.estimate_many_stacked(
-                pairs, rows, cells
-            )
-            self._table_valid.reshape(-1)[table_cells] = True
-            self._estimate_evaluations += table_cells.shape[0]
-
-    def _table_columns(self, items: np.ndarray) -> "list[array]":
-        """Read a block's columns out of the (filled) estimate table."""
-        columns = self._table_values.take(items, axis=1)
-        if not self._config.pooled_estimates:
-            return [_float_column(column) for column in columns]
-        total = np.zeros(items.shape[0], dtype=np.float64)
-        for instance in self._matrices:  # first-arrival order, as ``estimate``
-            total = total + columns[instance]
-        return [_float_column(total / len(self._matrices))] * self._k
+    def _row_pairs(self) -> "list[FWPair] | None":
+        """Every instance's pair in instance order, what the estimate table
+        evaluates, if all ``k`` are stored on one hash family."""
+        pairs = self._pairs
+        if len(pairs) == self._k and all(p.hashes is pairs[0].hashes for p in pairs):
+            return [self._matrices[instance] for instance in range(self._k)]
+        return None
 
     def _gather_columns(
         self, items: np.ndarray, count: int, pairs, cells
     ) -> "list[array]":
         def column(pair: FWPair) -> np.ndarray:
-            self._estimate_evaluations += count
+            self._table.evaluations += count
             if cells is not None:
                 return pair.estimate_many_cells(cells)
             return pair.estimate_many(items)
@@ -657,17 +575,17 @@ class POSGScheduler:
             total = np.zeros(count, dtype=np.float64)
             for pair in pairs:
                 total = total + column(pair)
-            return [_float_column(total / len(pairs))] * self._k
+            return [float_column(total / len(pairs))] * self._k
         zeros = None
         columns = []
         for instance in range(self._k):
             pair = self._matrices.get(instance)
             if pair is None:
                 if zeros is None:
-                    zeros = _float_column(np.zeros(count, dtype=np.float64))
+                    zeros = float_column(np.zeros(count, dtype=np.float64))
                 columns.append(zeros)
             else:
-                columns.append(_float_column(column(pair)))
+                columns.append(float_column(column(pair)))
         return columns
 
     def estimate(self, item: int, instance: int) -> float:
@@ -726,7 +644,7 @@ class POSGScheduler:
         self._pairs = tuple(self._matrices.values())
         self._matrices_version += 1
         self._estimate_memo.clear()
-        self._table_valid[list(instances)] = False
+        self._table.void(instances)
 
     def _on_matrices(self, message: MatricesMessage) -> None:
         if not 0 <= message.instance < self._k:

@@ -1231,7 +1231,12 @@ def _run_posg(
     if hints is not None:
         hints = hints.tolist()
     send_all = SchedulerState.SEND_ALL
+    round_robin = SchedulerState.ROUND_ROBIN
     cuts = engine["cuts"]
+    # Shards that store the same broadcast pairs (``merge_matrices`` off)
+    # share one estimate table, filled once per window for all of them.
+    tables = list({id(shard._table): shard._table for shard in schedulers}.values())
+    shared_table = tables[0] if sources > 1 and len(tables) == 1 else None
 
     # Fault and defence horizons, as stream indices; ``m`` means never.
     crashes = injector.crashes if injector is not None else ()
@@ -1338,6 +1343,24 @@ def _run_posg(
         for instance in range(k):
             _fold(instance, len(assignments))
 
+    def _fill_window(lo: int, hi: int) -> None:
+        """Fill the shared table once for every greedy shard's block of
+        window ``[lo, hi)``, against the first one's pairs (each reader
+        checks the rows' owners).  A version move sends a greedy shard to
+        SEND_ALL, which ends the window: once per window is enough."""
+        shared_table.prefilled = False
+        greedy = [
+            shard
+            for shard, scheduler in enumerate(schedulers)
+            if scheduler._state is not round_robin
+        ]
+        if len(greedy) < 2 or (pairs := schedulers[greedy[0]]._row_pairs()) is None:
+            return
+        window = np.concatenate(
+            [items_array[lo + (shard - lo) % sources:hi:sources] for shard in greedy]
+        )
+        shared_table.prefilled = shared_table.gather(window, pairs, profiler)
+
     def _next_deadline(j: int) -> int:
         """Index of the first tuple from ``j`` on whose ``submit`` makes a
         defence act: shard ``j' mod s`` ticks once per tuple it owns."""
@@ -1402,6 +1425,8 @@ def _run_posg(
                 at_column = at_cols[0] if lean else None
                 base = j
                 window_end = j + len(items)
+                if shared_table is not None:
+                    _fill_window(base, window_end)
                 blocks = [
                     scheduler.begin_block(
                         items_array[j + (shard - j) % sources:window_end:sources],
@@ -1604,7 +1629,5 @@ def _run_posg(
     # Fold the tail batches so the trackers' state (C_op, counters) ends
     # exactly where the per-tuple engine would leave it.
     _flush_pending()
-    for count in ("estimate_gathers", "estimate_requests", "estimate_evaluations"):
-        engine[count] = sum(
-            getattr(scheduler, "_" + count) for scheduler in schedulers
-        )
+    for count in ("gathers", "requests", "evaluations"):
+        engine["estimate_" + count] = sum(getattr(table, count) for table in tables)

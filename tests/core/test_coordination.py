@@ -153,6 +153,32 @@ class TestGossip:
         policy.commit_gossip(1, 2)  # independent per-source counter
         assert policy._gossip_billed == 3
 
+    @pytest.mark.parametrize("stride", [0, 1, 16, 17])
+    def test_commit_gossip_bills_like_one_digest_at_a_time(self, stride):
+        """``commit_gossip`` bills a whole interval's digests with one
+        multiply per counter; the counters must equal billing each
+        digest on its own, as the per-tuple route does."""
+        rng = np.random.default_rng(stride)
+        batched, looped = (
+            MultiSourcePOSGGrouping(3, coord_config(gossip_stride=stride))
+            for _ in range(2)
+        )
+        for policy in (batched, looped):
+            policy.setup(2, np.random.default_rng(0))
+        for _ in range(50):
+            source = int(rng.integers(3))
+            gossiped = int(rng.integers(0, 60))
+            batched.commit_gossip(source, gossiped)
+            for _ in range(gossiped):
+                looped._gossip_updates += 1
+                looped._gossip_events[source] += 1
+                if stride and looped._gossip_events[source] % stride == 0:
+                    looped._bill_gossip_digest(source)
+        assert batched.stats() == looped.stats()
+        assert batched._gossip_events == looped._gossip_events
+        if stride:
+            assert batched.stats()["gossip_billed"] > 0
+
     def test_commit_gossip_noop_when_gossip_off(self):
         policy = MultiSourcePOSGGrouping(2, coord_config(gossip=False))
         policy.setup(2, np.random.default_rng(0))

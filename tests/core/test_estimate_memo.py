@@ -3,7 +3,8 @@
 ``POSGScheduler.estimate`` memoises ``(item, instance)`` (per item when
 pooled) until a write to ``_matrices`` moves ``_matrices_version``, and
 ``_block_estimates`` reads ``(instance, id)`` cells out of a table whose
-row a delivery for that instance voids.  Random walks over ``submit``,
+row a delivery for that instance voids, and which serves a row only to
+a reader holding the pair that filled it.  Random walks over ``submit``,
 ``on_message`` and block gathers — replaced and merged matrices,
 ``merge_decay < 1``, the staleness watchdog dropping pairs, restart
 generations — must leave ``estimate()`` and every gathered column equal
@@ -159,7 +160,7 @@ class TestEstimateMemo:
             assert_memo_fresh(scheduler, k)
             assert_table_fresh(scheduler)
         # a fresh gather never evaluates less than the table did
-        assert scheduler._estimate_evaluations <= scheduler._estimate_requests
+        assert scheduler._table.evaluations <= scheduler._table.requests
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_a_merge_moves_a_memoised_estimate(self, pooled):
@@ -241,15 +242,15 @@ class TestEstimateTable:
         scheduler, hashes = self.warmed()
         block = np.array([3, 5, 3, 7])
         scheduler._block_estimates(block)
-        evaluated = scheduler._estimate_evaluations
+        evaluated = scheduler._table.evaluations
         # one evaluation per (instance, distinct id): id 3 sits at two
         # positions of the block and is evaluated once per row
         assert evaluated == 3 * 3
         scheduler._block_estimates(block)
-        assert scheduler._estimate_evaluations == evaluated  # all repeats
+        assert scheduler._table.evaluations == evaluated  # all repeats
         deliver(scheduler, 2, hashes, [(7, 4.0)])
         scheduler._block_estimates(np.array([5, 5]))
-        assert scheduler._estimate_evaluations == evaluated + 1  # row 2, id 5
+        assert scheduler._table.evaluations == evaluated + 1  # row 2, id 5
         assert_table_fresh(scheduler, block)
 
     def test_a_repeated_id_reads_the_same_float_at_every_position(self):
@@ -281,7 +282,7 @@ class TestEstimateTable:
         block = rng.integers(0, 512, size=700).tolist()
         columns = block_values(scheduler, block)
         # the table's fill ran, once per (pair, distinct id)
-        assert scheduler._estimate_evaluations == 5 * len(set(block))
+        assert scheduler._table.evaluations == 5 * len(set(block))
         for instance, column in enumerate(columns):
             pair = scheduler._matrices[instance]
             assert column == [pair.estimate(item) for item in block]
@@ -316,12 +317,12 @@ class TestEstimateTable:
     def test_capacity_doubling_keeps_what_was_filled(self):
         scheduler, hashes = self.warmed()
         assert_table_fresh(scheduler, [3, 5])
-        capacity = scheduler._table_valid.shape[1]
-        evaluated = scheduler._estimate_evaluations
+        capacity = scheduler._table.valid.shape[1]
+        evaluated = scheduler._table.evaluations
         assert_table_fresh(scheduler, [3, capacity + 7])
-        assert scheduler._table_valid.shape[1] == 2 * capacity
+        assert scheduler._table.valid.shape[1] == 2 * capacity
         # id 3 survived the copy; only the new id was evaluated
-        assert scheduler._estimate_evaluations == evaluated + 3
+        assert scheduler._table.evaluations == evaluated + 3
         deliver(scheduler, 1, hashes, [(capacity + 7, 2.0)])
         assert_table_fresh(scheduler, [3, capacity + 7])
 
@@ -338,19 +339,41 @@ class TestEstimateTable:
             np.array([3])
         )
 
+    def test_a_shared_row_serves_only_the_pair_that_filled_it(self):
+        """Two schedulers on one table, storing the same pairs but for
+        instance 1: each reads its own pair's values there, the rows of
+        the pairs they share are evaluated once, and the row they
+        disagree on is re-claimed (and re-evaluated) at each switch."""
+        ours, hashes = self.warmed()
+        theirs = POSGScheduler(3, ours.config)
+        theirs._table = ours._table
+        for instance in range(3):
+            theirs.on_message(MatricesMessage(instance, ours._matrices[instance], 1))
+        deliver(theirs, 1, hashes, [(3, 40.0), (5, 0.5)])
+        assert theirs._matrices[0] is ours._matrices[0]
+        assert theirs._matrices[1] is not ours._matrices[1]
+        block = [3, 5, 3]
+        for scheduler in (ours, theirs, ours, theirs):
+            assert_table_fresh(scheduler, block)
+        assert ours.estimate(3, 1) != theirs.estimate(3, 1)
+        # three rows x two ids once, then row 1's two ids at each switch
+        assert ours._table.evaluations == 3 * 2 + 3 * 2
+        assert_table_fresh(theirs, block)
+        assert ours._table.evaluations == 12
+
     def test_ids_outside_the_tabled_range_are_gathered_afresh(self):
         scheduler, _ = self.warmed(k=2)
-        limit = scheduler._table_limit
+        limit = scheduler._table.limit
         assert limit < MAX_CACHED_ITEM  # k x capacity is what is bounded
         for block in ([5, limit], [5, limit + 1], [-1, 5], [MAX_CACHED_ITEM + 9]):
-            before = scheduler._estimate_evaluations
+            before = scheduler._table.evaluations
             assert_table_fresh(scheduler, block)
             assert_table_fresh(scheduler, block)
             tabled = 0 <= min(block) and max(block) <= limit
-            assert scheduler._estimate_evaluations - before == (
+            assert scheduler._table.evaluations - before == (
                 (1 if tabled else 2) * 2 * len(block)
             )
-        assert scheduler._table_valid.shape[1] == limit + 1
+        assert scheduler._table.valid.shape[1] == limit + 1
 
     def test_an_instance_without_matrices_reads_zero(self):
         config = POSGConfig(rows=2, cols=8)

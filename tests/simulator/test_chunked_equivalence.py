@@ -236,13 +236,13 @@ class TestBlockRouterEquivalence:
             assert blocked.tuples_scheduled == per_tuple.tuples_scheduled
 
         block = blocked.begin_block(items)
-        columns, gathers = block._estimates, blocked._estimate_gathers
+        columns, gathers = block._estimates, blocked._table.gathers
         route_both(0, 32)
         # a snooped fold rewrites C_hat but no matrix: same columns
         both(lambda scheduler: scheduler._c_hat.__setitem__(2, 1e6))
         block.resume()
         assert block._estimates is columns
-        assert blocked._estimate_gathers == gathers
+        assert blocked._table.gathers == gathers
         route_both(32, 64)
         # a matrices delivery moves the version: SEND_ALL runs per tuple
         # (on tuples outside the block), then the block gathers afresh
@@ -259,5 +259,5 @@ class TestBlockRouterEquivalence:
             both(lambda scheduler: scheduler.submit(7))
         block.resume()
         assert block._estimates is not columns
-        assert blocked._estimate_gathers == gathers + 1
+        assert blocked._table.gathers == gathers + 1
         route_both(64, 96)

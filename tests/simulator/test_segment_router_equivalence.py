@@ -8,9 +8,10 @@ engine.  This file pins that router four ways:
 
 - a generated differential test (chunked vs ``chunk_size=0``) over shard
   count, instance count, chunk size, window size, coordination flags,
-  latency hints, constant and random data-latency models (shared, per
-  instance, and sharing one generator with the control model), queue
-  sampling, observers, fault plans
+  matrices handling (merged or replaced, decay, pooled), latency hints,
+  constant and random data-latency models (shared, per instance, and
+  sharing one generator with the control model), queue sampling,
+  observers, fault plans
   (message faults per channel and per source, crashes, overlapping
   slow-node windows) and recovery thresholds small enough that every
   defence fires inside the stream;
@@ -20,12 +21,14 @@ engine.  This file pins that router four ways:
 - named regressions for the configurations the generator reaches
   rarely: a segment whose shards mix ROUND_ROBIN and greedy modes, a
   window close that cuts a segment mid-interleave right before a
-  SEND_ALL stretch, and the fault/defence horizons at their edges;
+  SEND_ALL stretch, shards that hold different pairs over one shared
+  estimate table, and the fault/defence horizons at their edges;
 - the ``SimulationResult.engine`` record, so a change that pushes
   sharded, coordinated, observed, faulted or defended runs back to the
   per-tuple loop fails here instead of only getting slower.
 """
 
+import collections
 import dataclasses
 import inspect
 import math
@@ -43,9 +46,10 @@ from repro.core.grouping import (
     POSGGrouping,
     RoundRobinGrouping,
 )
+from repro.core.estimate_table import EstimateTable
 from repro.core.messages import MatricesMessage
 from repro.core.multisource import MultiSourcePOSGGrouping
-from repro.core.scheduler import SchedulerState
+from repro.core.scheduler import POSGScheduler, SchedulerState
 from repro.faults.plan import CrashFault, FaultPlan, MessageFaults, SlowdownFault
 from repro.simulator.network import LognormalLatency, UniformLatency
 from repro.simulator.parallel import simulate_stream_parallel
@@ -316,6 +320,14 @@ def configurations(draw):
             snoop=draw(st.booleans()),
             two_choices=draw(st.booleans()),
         )
+    # whether shards share pairs and one estimate table follows from
+    # these three, at every shard count
+    merge = draw(st.booleans())
+    matrices = {
+        "merge_matrices": merge,
+        "merge_decay": draw(st.sampled_from([0.5, 1.0])) if merge else 1.0,
+        "pooled_estimates": draw(st.booleans()),
+    }
     hints = draw(st.sampled_from([None, *HINT_SHAPES]))
     if coordination is not None and coordination.two_choices:
         hints = None  # refused together: the probe compares loads only
@@ -341,6 +353,7 @@ def configurations(draw):
         # streams still leave ROUND_ROBIN and reach RUN
         "mu": draw(st.sampled_from([0.05, 1.0])),
         "coordination": coordination,
+        "matrices": matrices,
         "latency_hints": None if hints is None else HINT_SHAPES[hints](k),
         "data_latency": draw(
             st.sampled_from(
@@ -374,7 +387,7 @@ class TestGeneratedDifferential:
         )
         config = small_config(
             drawn["window_size"], drawn["coordination"], mu=drawn["mu"],
-            recovery=drawn["recovery"],
+            recovery=drawn["recovery"], **drawn["matrices"],
         )
         faults = drawn["faults"]
         reference, chunked = run_pair(
@@ -462,7 +475,19 @@ class TestShapeWalk:
     KS = (1, 2, 5, 7)
     M = 600
 
-    def test_every_shape_compiles_once_and_matches_the_reference(self, capsys):
+    def test_every_shape_compiles_once_and_matches_the_reference(
+        self, capsys, monkeypatch
+    ):
+        # block gathers per scheduler (the shards share one table, whose
+        # counters count its reads once for all of them)
+        gathered = collections.Counter()
+        block_estimates = POSGScheduler._block_estimates
+
+        def counted(scheduler, items, profiler=None):
+            gathered[id(scheduler)] += 1
+            return block_estimates(scheduler, items, profiler)
+
+        monkeypatch.setattr(POSGScheduler, "_block_estimates", counted)
         segment_kernel.cache_clear()
         started = time.perf_counter()
         shapes = set()
@@ -472,6 +497,7 @@ class TestShapeWalk:
                 for feature, build in WALK_FEATURES.items():
                     overrides, policy_keywords, keywords = build(k, stream)
                     config = small_config(16, mu=1.0, **overrides)
+                    gathered.clear()
                     reference, chunked = run_pair(
                         lambda recorder: MultiSourcePOSGGrouping(
                             sources, config, **policy_keywords
@@ -485,7 +511,7 @@ class TestShapeWalk:
                         # every shard routed greedily for a while, so its
                         # greedy arms ran beside the round-robin ones
                         assert all(
-                            scheduler._estimate_gathers > 0
+                            gathered[id(scheduler)] > 0
                             for scheduler in chunked.policy.schedulers
                         )
                     except AssertionError as error:
@@ -579,6 +605,200 @@ class CursorLog(MultiSourcePOSGGrouping):
     def sync_cursor(self, position):
         self.segment_ends.append(position)
         super().sync_cursor(position)
+
+
+class DeafShard(MultiSourcePOSGGrouping):
+    """Shard 0 hears instance 0's ``n``-th matrices broadcast only when
+    ``hears(n)``; its siblings hear every one and store the broadcast
+    pair itself, so shard 0 and its siblings can hold different pairs
+    (or shard 0 none) for instance 0 over the table they share.
+
+    Only ``on_control`` is overridden, which both engines call.
+    """
+
+    def __init__(self, sources, config, hears):
+        assert not config.merge_matrices  # siblings store the same object
+        super().__init__(sources, config)
+        self.hears = hears
+        self.broadcasts = 0
+
+    def on_control(self, message):
+        if isinstance(message, MatricesMessage) and message.instance == 0:
+            self.broadcasts += 1
+            if not self.hears(self.broadcasts):
+                for scheduler in self.schedulers[1:]:
+                    scheduler.on_message(message)
+                return
+        super().on_control(message)
+
+
+class Shadowed(MultiSourcePOSGGrouping):
+    """Also delivers a copy of every matrices message to one lone
+    scheduler: what each shard's stored pairs must equal."""
+
+    def setup(self, k, rng=None):
+        super().setup(k, rng)
+        self.shadow = POSGScheduler(k, self.config)
+
+    def on_control(self, message):
+        if isinstance(message, MatricesMessage):
+            self.shadow.on_message(
+                dataclasses.replace(message, matrices=message.matrices.copy())
+            )
+        super().on_control(message)
+
+
+def record_table_fills(monkeypatch):
+    """Every ``(pair, id)`` cell an estimate table evaluates, and every
+    pair that claimed a row back after another pair had taken it; the
+    pairs are kept alive, so ``id(pair)`` names one pair throughout."""
+    evaluated, reclaimed = [], []
+    owned = {}
+    gather = EstimateTable.gather
+
+    def recording(table, items, pairs, profiler=None):
+        before = table.valid.copy()
+        for instance, pair in enumerate(pairs):
+            if table.owners[instance] is not pair:
+                before[instance] = False
+                if id(pair) in owned:
+                    reclaimed.append(pair)
+                owned[id(pair)] = pair
+        held = gather(table, items, pairs, profiler)
+        fresh = table.valid.copy()
+        fresh[:, : before.shape[1]] &= ~before
+        evaluated.extend(
+            (pairs[row], int(item)) for row, item in zip(*np.nonzero(fresh))
+        )
+        return held
+
+    monkeypatch.setattr(EstimateTable, "gather", recording)
+    return evaluated, reclaimed
+
+
+def assert_evaluated_once_per_pair(evaluated, engine):
+    """With merging off, each (instance, id) is evaluated at most once
+    per pair the instance shipped, across all shards."""
+    keys = [(id(pair), item) for pair, item in evaluated]
+    assert len(set(keys)) == len(keys) == engine["estimate_evaluations"]
+
+
+class TestSharedEstimateTable:
+    """Shards that store the same broadcast pairs share one estimate
+    table; these are the ways they come to hold different ones."""
+
+    K = 5
+    SOURCES = 4
+
+    def windows_and_versions(self, chunked, chunk_size):
+        versions = max(
+            scheduler.matrices_version for scheduler in chunked.policy.schedulers
+        )
+        return math.ceil(chunked.stats.assignments.shape[0] / chunk_size) + versions
+
+    def test_a_shard_watchdog_drops_a_pair_its_siblings_still_read(
+        self, monkeypatch
+    ):
+        """Shard 0 hears instance 0 once, so its watchdog drops that pair
+        and it bootstraps again, lacking it, while its siblings (whose own
+        watchdogs fire under the dropped broadcasts too) read the shared
+        table: the window fills must evaluate against a sibling's pairs."""
+        gathers = []
+        gather = EstimateTable.gather
+
+        def noting(table, items, pairs, profiler=None):
+            gathers.append(0 in deaf[-1].schedulers[0]._matrices)
+            return gather(table, items, pairs, profiler)
+
+        monkeypatch.setattr(EstimateTable, "gather", noting)
+        deaf = []
+        config = small_config(
+            16, recovery=RecoveryConfig(sync_timeout=64, staleness_limit=300)
+        )
+        stream = default_stream(seed=2, m=6_000, n=64, k=self.K)
+
+        def make_policy(recorder):
+            deaf.append(DeafShard(self.SOURCES, config, lambda n: n <= 1))
+            return deaf[-1]
+
+        reference, chunked = run_pair(
+            make_policy, stream, self.K, 256,
+            faults=FaultPlan(matrices=MessageFaults(drop=0.2), seed=1),
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
+        first, *siblings = chunked.policy.schedulers
+        assert first.watchdog_fallbacks >= 1 and 0 not in first._matrices
+        assert all(sibling.watchdog_fallbacks >= 1 for sibling in siblings)
+        assert all(sibling.sync_rounds_completed >= 1 for sibling in siblings)
+        # the siblings gathered from the table while shard 0 lacked the
+        # pair, and their windows were filled once for all of them
+        assert gathers.count(False) > 10
+        assert chunked.engine["estimate_gathers"] <= self.windows_and_versions(
+            chunked, 256
+        )
+
+    def test_a_row_filled_from_one_pair_is_never_served_to_another(
+        self, monkeypatch
+    ):
+        """Shard 0 misses every other broadcast of instance 0, so it keeps
+        routing on the older pair while its siblings hold the newer one:
+        row 0 changes hands between live pairs, and each reader must get
+        its own pair's estimates."""
+        evaluated, reclaimed = record_table_fills(monkeypatch)
+        stream = default_stream(seed=2, m=6_000, n=64, k=self.K)
+        reference, chunked = run_pair(
+            lambda recorder: DeafShard(
+                self.SOURCES, small_config(16, mu=0.5), lambda n: n % 2 == 1
+            ),
+            stream, self.K, 256,
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
+        assert len(reclaimed) > 10
+        assert chunked.engine["estimate_evaluations"] == len(evaluated)
+
+    def test_merging_shards_keep_private_copies_and_tables(self):
+        """With ``merge_matrices`` every shard merges into a pair of its
+        own: one shared object would take every merge once per shard."""
+        config = small_config(16, mu=0.5, merge_matrices=True, merge_decay=0.5)
+        stream = default_stream(seed=2, m=4_000, n=64, k=self.K)
+        reference, chunked = run_pair(
+            lambda recorder: Shadowed(self.SOURCES, config), stream, self.K, 256,
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
+        policy = chunked.policy
+        schedulers = policy.schedulers
+        assert len({id(scheduler._table) for scheduler in schedulers}) == self.SOURCES
+        assert policy.shadow.matrices_received == schedulers[0].matrices_received
+        for instance in range(self.K):
+            stored = [scheduler._matrices[instance] for scheduler in schedulers]
+            expected = policy.shadow._matrices[instance]
+            for pair in stored:
+                np.testing.assert_array_equal(pair.freq.matrix, expected.freq.matrix)
+                np.testing.assert_array_equal(pair.work.matrix, expected.work.matrix)
+            assert len({id(pair) for pair in stored}) == self.SOURCES
+
+    def test_pooled_estimates_sum_in_each_shards_own_order(self, monkeypatch):
+        """Shard 0 hears instance 0 from its third broadcast on, so it
+        stores instance 0 last and its siblings first: the pooled sums
+        read one shared table in each shard's own order."""
+        evaluated, _ = record_table_fills(monkeypatch)
+        config = small_config(16, pooled_estimates=True)
+        stream = default_stream(seed=3, m=4_000, n=64, k=self.K)
+        reference, chunked = run_pair(
+            lambda recorder: DeafShard(self.SOURCES, config, lambda n: n > 2),
+            stream, self.K, 256,
+        )
+        assert chunked.engine["path"] == "segment"
+        assert_same_run(reference, chunked)
+        first, *siblings = chunked.policy.schedulers
+        assert list(first._matrices)[-1] == 0
+        assert all(list(sibling._matrices)[0] == 0 for sibling in siblings)
+        assert all(sibling._table is first._table for sibling in siblings)
+        assert first.sync_rounds_completed >= 1
+        assert_evaluated_once_per_pair(evaluated, chunked.engine)
 
 
 class TestNamedRegressions:
@@ -1131,8 +1351,11 @@ class TestEngineRecord:
         ],
         ids=["sharded", "coordinated", "two-choices", "observed"],
     )
-    def test_sharded_runs_take_the_segment_path(self, coordination, observers):
+    def test_sharded_runs_take_the_segment_path(
+        self, coordination, observers, monkeypatch
+    ):
         sources = 4
+        evaluated, reclaimed = record_table_fills(monkeypatch)
         policy = MultiSourcePOSGGrouping(sources, small_config(64, coordination))
         engine = self.run(policy, **observers).engine
         assert set(engine) == ENGINE_KEYS
@@ -1143,30 +1366,35 @@ class TestEngineRecord:
         # took the per-tuple step
         assert 0 < engine["folds"] <= engine["folded_tuples"]
         assert engine["folded_tuples"] < self.M - engine["fallback_tuples"]
-        # estimate columns are gathered per chunk_size window and per
-        # matrices version, never per truncated segment
+        # with merging off the shards store the broadcast pairs and share
+        # one estimate table, counted once: a window's ids are gathered
+        # once per chunk_size window and matrices version for all shards
+        # together, never per shard or per truncated segment, and each
+        # (instance, id) is evaluated at most once per pair it shipped
+        (table,) = {id(s._table): s._table for s in policy.schedulers}.values()
         windows = math.ceil(self.M / self.CHUNK)
-        for scheduler in policy.schedulers:
-            assert scheduler._estimate_gathers <= (
-                windows + scheduler.matrices_version
-            )
+        versions = max(s.matrices_version for s in policy.schedulers)
+        assert engine["estimate_gathers"] <= windows + versions
         for count in ("gathers", "requests", "evaluations"):
-            assert engine[f"estimate_{count}"] == sum(
-                getattr(scheduler, f"_estimate_{count}")
-                for scheduler in policy.schedulers
-            )
-        assert engine["estimate_gathers"] < sources * engine["segments"]
+            assert engine[f"estimate_{count}"] == getattr(table, count)
+        assert engine["estimate_gathers"] < engine["segments"]
+        assert_evaluated_once_per_pair(evaluated, engine)
+        assert not reclaimed
         # the estimate table never evaluates what a fresh gather would not
         assert 0 < engine["estimate_evaluations"] <= engine["estimate_requests"]
 
     @pytest.mark.parametrize("sources", [1, 4])
-    def test_the_estimate_table_saves_most_evaluations(self, sources):
+    def test_the_estimate_table_saves_most_evaluations(self, sources, monkeypatch):
         """Paper defaults on a Zipf-1.0 stream: a window re-reads hot ids
         whose rows no delivery touched, and a fill evaluates an id once
         however many positions hold it, so most requested estimates are
-        table reads: 0.125 of the requests at s = 1 and 0.238 at s = 4
-        (0.20 and 0.30 when a fill evaluated every position, which the
-        bounds sit below)."""
+        table reads: 0.125 of the requests at s = 1, and 0.129 at s = 4,
+        where the shards share one table and each (instance, id) is
+        evaluated at most once per shipped pair across all of them
+        (0.238 when each shard kept its own table; 0.20 and 0.30 when a
+        fill evaluated every position).  The s = 1 counts are pinned:
+        nothing about a lone scheduler's table changed with sharing."""
+        evaluated, _ = record_table_fills(monkeypatch)
         spec = StreamSpec(m=2**16, k=self.K)
         stream = generate_stream(
             ZipfItems(spec.n, 1.0), spec, np.random.default_rng(0)
@@ -1177,8 +1405,14 @@ class TestEngineRecord:
         ).engine
         assert engine["path"] == "segment" and engine["estimate_gathers"] > 0
         assert engine["estimate_requests"] >= self.K * 2**15
-        share = {1: 0.16, 4: 0.27}[sources]
-        assert engine["estimate_evaluations"] <= share * engine["estimate_requests"]
+        assert engine["estimate_evaluations"] <= 0.16 * engine["estimate_requests"]
+        assert_evaluated_once_per_pair(evaluated, engine)
+        if sources == 1:
+            assert (
+                engine["estimate_gathers"],
+                engine["estimate_requests"],
+                engine["estimate_evaluations"],
+            ) == (32, 324_970, 40_728)
 
     def test_flight_recorded_single_scheduler_takes_the_segment_path(self):
         result = self.run(
