@@ -31,8 +31,11 @@ Two engines implement these semantics:
   defences or neither — routes through
   its schedulers' pre-gathered block routers
   (:meth:`~repro.core.scheduler.POSGScheduler.begin_block`) in one walk
-  in global arrival order, and instance-side sketch maintenance is
-  folded in exact-order batches between FSM window boundaries.  Every
+  in global arrival order — the run shape's generated loop
+  (:mod:`repro.simulator.segment_kernel`) for every control-quiet
+  segment, the ROUND_ROBIN bootstrap included — and instance-side
+  sketch maintenance is folded in exact-order batches between FSM
+  window boundaries.  Every
   floating-point operation matches the reference engine bit for bit —
   identical completions, assignments, state transitions, control
   traffic, queue samples and observer reports — which
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import operator
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -135,7 +139,9 @@ class SimulationResult:
     #: length) and, summed over the schedulers, ``estimate_gathers``
     #: (estimate column gathers), ``estimate_requests`` (k x block length over
     #: those: the item-estimates asked for) and ``estimate_evaluations``
-    #: (those actually computed; the rest were estimate-table reads).
+    #: (those actually computed; the rest were estimate-table reads), and
+    #: ``kernel``: the generated segment loop's ``Shape.label`` (for
+    #: example ``"k=5 s=4 gossip"``) on the segment path, else ``None``.
     #: ``None`` from the multi-process engine (it reports in ``parallel``).
     engine: "dict | None" = None
 
@@ -226,6 +232,7 @@ def _engine_info(path: str, reason: "str | None" = None) -> dict:
         "windows": 0,
         "window_tuples": 0,
         "cuts": dict.fromkeys(_CUT_CAUSES, 0),
+        "kernel": None,
     }
 
 
@@ -284,7 +291,8 @@ def simulate_stream(
         Tuples pre-gathered per control-quiet segment by the chunked
         engine.  ``0`` selects the per-tuple reference engine (slow;
         kept as the equivalence baseline).  Both engines produce
-        bit-identical results.
+        bit-identical results.  Any integer type will do; a float, even
+        a whole one, raises ``TypeError`` before the policy is set up.
     telemetry:
         Optional :class:`~repro.telemetry.recorder.TelemetryRecorder`.
         Run-level metrics (tuple counts, completion-time histogram,
@@ -351,6 +359,9 @@ def simulate_stream(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    # A float passes the sign check and the loops slice with it: refuse
+    # it here, before ``policy.setup`` draws from ``rng``.
+    chunk_size = operator.index(chunk_size)
     if chunk_size < 0:
         raise ValueError(f"chunk_size must be >= 0, got {chunk_size}")
     if scenario is None:
@@ -1031,6 +1042,23 @@ def _send_control(
             state.control_seq += 1
 
 
+def _drain_control(
+    state: _ChunkedState, policy: GroupingPolicy, arrival: float, profiler
+) -> None:
+    """Deliver, in one ``on_control_batch``, every queued control message
+    due by ``arrival``.  Callers test the queue's head first, so a tuple
+    with nothing due pays no call."""
+    control_queue = state.control_queue
+    if profiler is not None:
+        profiler.start("control")
+    batch = []
+    while control_queue and control_queue[0][0] <= arrival:
+        batch.append(heapq.heappop(control_queue)[2])
+    policy.on_control_batch(batch)
+    if profiler is not None:
+        profiler.stop()
+
+
 def _tuple_stepper(
     state: _ChunkedState,
     policy: GroupingPolicy,
@@ -1141,14 +1169,7 @@ def _run_generic(
                     injector, crash_ptr, arrival, agents, busy
                 )
             if control_queue and control_queue[0][0] <= arrival:
-                if profiler is not None:
-                    profiler.start("control")
-                batch = []
-                while control_queue and control_queue[0][0] <= arrival:
-                    batch.append(heapq.heappop(control_queue)[2])
-                policy.on_control_batch(batch)
-                if profiler is not None:
-                    profiler.stop()
+                _drain_control(state, policy, arrival, profiler)
             step(base + q, arrival)
             if track_states:
                 current_state = policy.state
@@ -1173,11 +1194,12 @@ def _run_posg(
     window (:meth:`POSGScheduler.begin_block`) and the segment runs as
     one tight scalar loop in global arrival order, tuple ``j`` owned by
     shard ``j mod s`` — the run shape's generated kernel
-    (:mod:`repro.simulator.segment_kernel`): the greedy pick is an
-    unrolled first-minimum scan over plain floats (round-robin for shards
-    still bootstrapping; over load + latency debt + hint under
-    ``latency_hints``), the two-choices probe and cross-shard gossip are
-    replayed in place, execution and
+    (:mod:`repro.simulator.segment_kernel`), which every control-quiet
+    segment runs, whatever ``s``: the greedy pick is an unrolled
+    first-minimum scan over plain floats (the kernel's round-robin arm
+    for a shard still bootstrapping; over load + latency debt + hint
+    under ``latency_hints``), the two-choices probe and cross-shard
+    gossip are replayed in place, execution and
     constant instance-arrival times are hoisted columns, listed with the
     window (:meth:`_ChunkedState.open_window`) and indexed from its first
     tuple (a random data latency is drawn inline, right after the pick),
@@ -1209,7 +1231,7 @@ def _run_posg(
     per-tuple step: the segment stops at the tuple that reaches it, and
     that tuple takes the per-tuple step, whose real ``submit`` ticks.
     With no injector and no ``RecoveryConfig`` both horizons sit at
-    ``m`` and the loops below run as they always did.
+    ``m`` and never end a segment.
     """
     m = state.m
     items_array = state.items_array
@@ -1245,23 +1267,11 @@ def _run_posg(
     armed = policy.config.recovery is not None
     deadline_at = m
 
-    # Segments run the run shape's generated loop, except ROUND_ROBIN
-    # ones of a single scheduler with neither a two-choices probe nor
-    # latency hints over one shared instance-arrival column, which are
-    # de-interleaved below.
-    data_lat = state.data_lat
     at_arrays = state.at_arrays
-    lean = (
-        sources == 1
-        and not two_choices
-        and hints is None
-        and at_arrays is not None
-        and all(column is at_arrays[0] for column in at_arrays)
-    )
-    kernel = segment_kernel(
-        Shape(k, sources, gossip, two_choices, hints is not None, at_arrays is None)
-    )
-    draws = None if at_arrays is not None else [model.sample for model in data_lat]
+    shape = Shape(k, sources, gossip, two_choices, hints is not None, at_arrays is None)
+    kernel = segment_kernel(shape)
+    engine["kernel"] = shape.label
+    draws = None if at_arrays is not None else [model.sample for model in state.data_lat]
 
     # The observers' sentinel is ``m`` when nothing is attached, so the
     # per-tuple compare stays between small ints.  Samples are taken at
@@ -1398,14 +1408,7 @@ def _run_posg(
                 else m
             )
         if control_queue and control_queue[0][0] <= arrival:
-            if profiler is not None:
-                profiler.start("control")
-            batch = []
-            while control_queue and control_queue[0][0] <= arrival:
-                batch.append(heapq.heappop(control_queue)[2])
-            policy.on_control_batch(batch)
-            if profiler is not None:
-                profiler.stop()
+            _drain_control(state, policy, arrival, profiler)
 
         quiet = not any(scheduler._state is send_all for scheduler in schedulers)
         if quiet and armed:
@@ -1422,7 +1425,6 @@ def _run_posg(
                 # the strided slice starting at its first index at or
                 # after j.
                 items, arrivals, at_cols, execution_columns = state.open_window(j)
-                at_column = at_cols[0] if lean else None
                 base = j
                 window_end = j + len(items)
                 if shared_table is not None:
@@ -1461,131 +1463,14 @@ def _run_posg(
                 previous_state = current_state
             if profiler is not None:
                 profiler.start("route")
-            block = blocks[0]
-            # The loops count from the window's first tuple: ``q`` is
+            # The kernel counts from the window's first tuple: ``q`` is
             # tuple ``base + q``, and at s = 1 the block's own cursor.
-            q = j - base
-            stop = end - base
-            due = next_probe - base
-            if lean and block._estimates is None:
-                # ROUND_ROBIN segments: the routing sequence is cyclic and
-                # data-independent, so the segment de-interleaves into k
-                # per-instance busy chains over strided slices.  Each
-                # chain only reads its own tuples, so the per-instance
-                # float sequence (and every finish time) is bit-identical
-                # to the interleaved reference loop; window boundaries are
-                # located up front from ``window_left`` and the boundary
-                # tuple itself runs through the reference step.  Observer
-                # samples are replayed from the de-interleaved arrays
-                # after each chunk: matrices are frozen inside the
-                # control-quiet segment, so the estimates the auditor
-                # reads match the reference engine's per-tuple ordering
-                # bit for bit.  ROUND_ROBIN never updates ``C_hat``, so
-                # every sample believes the block's frozen ``_c``.
-                c = block._c
-                rr = block._rr
-                while True:
-                    safe_end = stop
-                    for i in range(k):
-                        bidx = q + (i - rr) % k + (window_left[i] - 1) * k
-                        if bidx < safe_end:
-                            safe_end = bidx
-                    if safe_end > q:
-                        count = safe_end - q
-                        seg_fin = [0.0] * count
-                        seg_asg = [0] * count
-                        probing = due < safe_end
-                        start_busy = busy[:] if probing else None
-                        base_wl = window_left[:] if probing else None
-                        chains: list[list[float]] = []
-                        for i in range(k):
-                            off = (i - rr) % k
-                            lo = q + off
-                            x_slice = execution_columns[i][lo:safe_end:k]
-                            n_i = len(x_slice)
-                            fl: list[float] = []
-                            if n_i:
-                                b = busy[i]
-                                fa = fl.append
-                                for at, w in zip(
-                                    at_column[lo:safe_end:k], x_slice
-                                ):
-                                    if at > b:
-                                        b = at
-                                    b += w
-                                    fa(b)
-                                busy[i] = b
-                                seg_fin[off::k] = fl
-                                seg_asg[off::k] = [i] * n_i
-                                window_left[i] -= n_i
-                            if probing:
-                                chains.append(fl)
-                        finishes.extend(seg_fin)
-                        assignments.extend(seg_asg)
-                        # Observer samples replay from the de-interleaved
-                        # chains: the sampled tuple's start clock is the
-                        # same max(at, previous finish) the chain loop
-                        # computed, its finish is the chain value itself,
-                        # and C_hat is frozen for the whole ROUND_ROBIN
-                        # segment.
-                        while due < safe_end:
-                            i = seg_asg[due - q]
-                            first = q + (i - rr) % k
-                            cnt = (due - first) // k
-                            prev_b = (
-                                start_busy[i] if cnt == 0 else chains[i][cnt - 1]
-                            )
-                            at = at_column[due]
-                            due = probe(
-                                0, base + due, items[due], i, c, arrivals[due],
-                                at, at if at > prev_b else prev_b,
-                                chains[i][cnt], execution_columns[i][due],
-                                base_wl[i] - cnt,
-                            ) - base
-                        rr += count
-                        q = safe_end
-                    if q >= stop:
-                        break
-                    # Window-boundary tuple: reference per-tuple step.
-                    instance = rr % k
-                    rr += 1
-                    at_instance = at_column[q]
-                    b = busy[instance]
-                    if at_instance > b:
-                        b = at_instance
-                    execution_time = execution_columns[instance][q]
-                    finish = b + execution_time
-                    busy[instance] = finish
-                    finishes.append(finish)
-                    assignments.append(instance)
-                    wl = window_left[instance]
-                    if q == due:
-                        due = probe(
-                            0, base + q, items[q], instance, c, arrivals[q],
-                            at_instance, b, finish, execution_time, wl,
-                        ) - base
-                    if wl == 1:
-                        next_due, stop = _window_boundary(
-                            instance, items[q], execution_time, finish,
-                            q + 1, next_due, stop,
-                        )
-                        window_left[instance] = window_size
-                    else:
-                        window_left[instance] = wl - 1
-                    q += 1
-                block._pos += rr - block._rr
-                block._rr = rr
-            else:
-                # Every other segment: any shard count, shards mixing
-                # ROUND_ROBIN and greedy modes, the two-choices probe,
-                # gossip, latency hints, any data-latency model, any k —
-                # the run shape's generated loop (``segment_kernel.py``).
-                q, due, gossiped = kernel(
-                    blocks, q, stop, due, next_due, base, items, arrivals,
-                    at_cols, execution_columns, busy, window_left, window_size,
-                    _window_boundary, probe, finishes.append, assignments.append,
-                    hints, draws,
-                )
+            q, due, gossiped = kernel(
+                blocks, j - base, end - base, next_probe - base, next_due,
+                base, items, arrivals, at_cols, execution_columns, busy,
+                window_left, window_size, _window_boundary, probe,
+                finishes.append, assignments.append, hints, draws,
+            )
             j = base + q
             next_probe = base + due
             # Routing and merge shared the pass, so every block commits

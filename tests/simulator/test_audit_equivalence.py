@@ -7,11 +7,11 @@ Three contracts, in increasing strength:
   or off, in both engines;
 - the audit *report itself* is bit-identical between the per-tuple
   reference engine (``chunk_size=0``) and the chunked engine — the
-  chunked engine replays sampled observations from the de-interleaved
-  arrays, and matrices are frozen inside control-quiet segments, so the
-  estimates it reads match per-tuple order exactly;
-- the same holds under an active fault plan (the faulted path runs the
-  generic per-tuple chunk loop, which samples inline).
+  chunked engine samples inside its segment loop, and matrices are
+  frozen inside control-quiet segments, so the estimates it reads match
+  per-tuple order exactly;
+- the same holds under an active fault plan (crashes and emitted
+  messages end segments; the per-tuple step samples inline).
 """
 
 import numpy as np

@@ -242,6 +242,36 @@ class TestLatencyModels:
         with pytest.raises(RuntimeError, match="not set up"):
             policy.k
 
+    @pytest.mark.parametrize(
+        "chunk_size", [2.5, np.float64(512.0)], ids=["float", "numpy-float"]
+    )
+    def test_non_integer_chunk_size_is_rejected_before_the_run(self, chunk_size):
+        """Before ``policy.setup`` draws from the caller's ``rng``, not
+        somewhere inside the loops that slice with it."""
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        policy = POSGGrouping(tiny_config())
+        with pytest.raises(TypeError):
+            simulate_stream(
+                small_stream(m=64), policy, k=5, rng=rng, chunk_size=chunk_size
+            )
+        assert rng.bit_generator.state == before
+        with pytest.raises(RuntimeError, match="not set up"):
+            policy.k
+
+    def test_numpy_integer_chunk_size_is_a_chunk_size(self):
+        stream = small_stream(m=256)
+        plain, numpy_int = (
+            simulate_stream(
+                stream, POSGGrouping(tiny_config()), k=5,
+                rng=np.random.default_rng(5), chunk_size=size,
+            )
+            for size in (64, np.int64(64))
+        )
+        np.testing.assert_array_equal(
+            plain.stats.completions, numpy_int.stats.completions
+        )
+
     def test_lognormal_latency_floors_at_base(self):
         latency = LognormalLatency(0.0, 1.0, base=2.0,
                                    rng=np.random.default_rng(0))

@@ -69,7 +69,7 @@ from repro.workloads.synthetic import (
 ENGINE_KEYS = {
     "path", "reason", "segments", "truncated_segments", "fallback_tuples",
     "estimate_gathers", "estimate_requests", "estimate_evaluations", "folds",
-    "folded_tuples", "windows", "window_tuples", "cuts",
+    "folded_tuples", "windows", "window_tuples", "cuts", "kernel",
 }
 
 
@@ -466,9 +466,8 @@ class TestShapeWalk:
     s in {1, 2, 3, 8} crossed with k in {1, 2, 5, 7}, one feature at a
     time.  The stream is long enough that every shard leaves
     ROUND_ROBIN, so each run executes its shards' greedy arms after the
-    shared round-robin ones (which single-shard runs over one constant
-    arrival column de-interleave instead); the cache is emptied first
-    and must compile each shape exactly once.
+    shared round-robin ones, and reports the shape it ran; the cache is
+    emptied first and must compile each shape exactly once.
     """
 
     SOURCES = (1, 2, 3, 8)
@@ -505,8 +504,19 @@ class TestShapeWalk:
                         stream, k, 64, **keywords,
                     )
                     label = f"s={sources} k={k} {feature}"
+                    coordination = config.coordination
+                    shape = Shape(
+                        k, sources,
+                        sources > 1 and feature == "gossip",
+                        k > 1 and coordination is not None
+                        and coordination.two_choices,
+                        feature == "hints",
+                        feature == "uniform-latency",
+                    )
+                    shapes.add(shape)
                     try:
                         assert chunked.engine["path"] == "segment"
+                        assert chunked.engine["kernel"] == shape.label
                         assert_same_run(reference, chunked)
                         # every shard routed greedily for a while, so its
                         # greedy arms ran beside the round-robin ones
@@ -516,17 +526,6 @@ class TestShapeWalk:
                         )
                     except AssertionError as error:
                         raise AssertionError(f"{label}: {error}") from error
-                    coordination = config.coordination
-                    shapes.add(
-                        Shape(
-                            k, sources,
-                            sources > 1 and feature == "gossip",
-                            k > 1 and coordination is not None
-                            and coordination.two_choices,
-                            feature == "hints",
-                            feature == "uniform-latency",
-                        )
-                    )
         elapsed = time.perf_counter() - started
         runs = len(self.SOURCES) * len(self.KS) * len(WALK_FEATURES)
         # a miss is the only way to compile: one per shape the runs
@@ -541,6 +540,23 @@ class TestShapeWalk:
                 f"\nshape walk: {len(shapes)} kernels, {runs} run pairs, "
                 f"{elapsed:.1f} s"
             )
+
+    def test_a_run_that_never_leaves_round_robin_runs_the_kernel(self):
+        """No window closes, so a lone scheduler routes the whole stream
+        through the kernel's round-robin arm, samples included."""
+        stream = default_stream(seed=1, m=self.M, n=64)
+        reference, chunked = run_pair(
+            lambda recorder: MultiSourcePOSGGrouping(1, small_config(4_096)),
+            stream, 5, 64,
+            audit=AuditConfig(sample_every=3),
+            flight=FlightRecorderConfig(sample_every=5),
+            lineage=LineageConfig(sample_every=7),
+        )
+        assert chunked.engine["kernel"] == "k=5 s=1"
+        assert chunked.engine["segments"] > 1
+        assert chunked.state_transitions == []
+        assert chunked.engine["estimate_gathers"] == 0
+        assert_same_run(reference, chunked)
 
     def test_a_raising_observer_shows_the_generated_line(self):
         """The kernel's frame in a traceback names its shape and shows the
@@ -1216,8 +1232,7 @@ class TestWindowRelativeColumns:
     @pytest.mark.parametrize("chunk_size", [1, 3, 7, 2_048, M, M + 5])
     @pytest.mark.parametrize(
         "latency",
-        # one shared column (at s = 1 also the ROUND_ROBIN de-interleave)
-        # / per-instance columns / latencies drawn inline
+        # one shared column / per-instance columns / latencies drawn inline
         ["constant", "per-instance-constants", "uniform"],
     )
     def test_chunked_matches_reference(self, latency, chunk_size, sources):
@@ -1320,6 +1335,7 @@ class TestSingleSourceTakesTheSamePath:
         result = self.run(lambda: Pinned(small_config(64)))
         assert result.engine["path"] == "generic"
         assert "route" in result.engine["reason"]
+        assert result.engine["kernel"] is None
 
 
 class TestEngineRecord:
@@ -1457,8 +1473,12 @@ class TestEngineRecord:
         assert engine["segments"] > 0
 
     def test_other_loops_name_themselves(self):
-        assert self.run(RoundRobinGrouping()).engine["path"] == "round_robin"
-        assert self.run(FullKnowledgeGrouping).engine["path"] == "full_knowledge"
-        reference = self.run(POSGGrouping(small_config(64)), chunk_size=0)
-        assert reference.engine["path"] == "reference"
-        assert reference.engine["reason"] is None
+        """Every loop but the segment router names itself and no kernel."""
+        for result, path in (
+            (self.run(RoundRobinGrouping()), "round_robin"),
+            (self.run(FullKnowledgeGrouping), "full_knowledge"),
+            (self.run(POSGGrouping(small_config(64)), chunk_size=0), "reference"),
+        ):
+            assert result.engine["path"] == path
+            assert result.engine["reason"] is None
+            assert result.engine["kernel"] is None
