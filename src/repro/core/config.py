@@ -12,9 +12,19 @@ constructor pins the paper's 4 x 54 shape.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from repro.sketches.count_min import dims_for
+
+
+def index_arg(name: str, value) -> int:
+    """``value`` as an exact integer (``operator.index``: any integer
+    type, never a float or a string), or a ``TypeError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

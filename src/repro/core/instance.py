@@ -21,17 +21,45 @@ import enum
 
 import numpy as np
 
-from repro.core.config import POSGConfig
+from repro.core.config import POSGConfig, index_arg
 from repro.core.matrices import FWPair
 from repro.core.messages import ControlMessage, MatricesMessage, SyncReply, SyncRequest
 from repro.sketches.count_min import running_total
 from repro.sketches.hashing import TwoUniversalHashFamily
 from repro.telemetry.recorder import NULL_RECORDER
-from repro.telemetry.registry import Sample
+from repro.telemetry.registry import (
+    Sample,
+    Stat,
+    stat_properties,
+    stat_samples,
+    stat_values,
+)
 
 #: histogram bucket bounds for the stability error ``eta`` (Eq. 1); the
 #: paper's default tolerance mu = 0.05 sits on a bucket edge
 ETA_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
+
+#: the tracker's counters in ``stats()`` order (``instance`` and
+#: ``state`` come first); every exported one carries the instance label
+STATS = (
+    Stat("tuples_executed", "_tuples_executed", "Tuples executed by this instance",
+         "posg_instance_tuples_executed_total", "counter", "instance"),
+    Stat("cumulated_time_ms", "_cumulated_time",
+         "Measured cumulated execution time C_op",
+         "posg_instance_cumulated_time_ms", "gauge", "instance"),
+    Stat("matrices_sent", "_matrices_sent",
+         "Stable (F, W) pairs shipped to the scheduler",
+         "posg_instance_matrices_sent_total", "counter", "instance"),
+    Stat("matrices_rebroadcasts", "_matrices_rebroadcasts",
+         "Recovery re-sends of the last stable (F, W) pair",
+         "posg_instance_matrices_rebroadcasts_total", "counter", "instance"),
+    Stat("snapshot_refreshes", "_snapshot_refreshes",
+         "Snapshot refreshes forced by instability (eta > mu)",
+         "posg_instance_snapshot_refreshes_total", "counter", "instance"),
+    Stat("window_count", "_window_count", "Tuples executed in the current window"),
+    Stat("generation", "_generation", "Crash-restart counter (0 = never restarted)"),
+    Stat("restarts", "_restarts", "Crash-restarts this instance has gone through"),
+)
 
 
 class InstanceState(enum.Enum):
@@ -41,6 +69,7 @@ class InstanceState(enum.Enum):
     STABILIZING = "stabilizing"
 
 
+@stat_properties(STATS)
 class InstanceTracker:
     """Tracks tuple execution times on one operator instance.
 
@@ -70,6 +99,7 @@ class InstanceTracker:
         hashes: TwoUniversalHashFamily,
         telemetry=NULL_RECORDER,
     ) -> None:
+        instance_id = index_arg("instance_id", instance_id)
         if instance_id < 0:
             raise ValueError(f"instance_id must be >= 0, got {instance_id}")
         rows, cols = config.sketch_shape
@@ -311,63 +341,19 @@ class InstanceTracker:
         return {
             "instance": self._instance_id,
             "state": self._state.value,
-            "tuples_executed": self._tuples_executed,
-            "cumulated_time_ms": self._cumulated_time,
-            "matrices_sent": self._matrices_sent,
-            "matrices_rebroadcasts": self._matrices_rebroadcasts,
-            "snapshot_refreshes": self._snapshot_refreshes,
-            "window_count": self._window_count,
-            "generation": self._generation,
-            "restarts": self._restarts,
+            **stat_values(self, STATS),
         }
 
     def _collect_samples(self) -> list[Sample]:
         """Export-time metric samples (registered as a collector)."""
         labels = (("instance", str(self._instance_id)),)
-        return [
-            Sample(
-                "posg_instance_tuples_executed_total",
-                self._tuples_executed,
-                "counter",
-                labels,
-                help="Tuples executed by this instance",
-            ),
-            Sample(
-                "posg_instance_cumulated_time_ms",
-                self._cumulated_time,
-                "gauge",
-                labels,
-                help="Measured cumulated execution time C_op",
-            ),
-            Sample(
-                "posg_instance_matrices_sent_total",
-                self._matrices_sent,
-                "counter",
-                labels,
-                help="Stable (F, W) pairs shipped to the scheduler",
-            ),
-            Sample(
-                "posg_instance_matrices_rebroadcasts_total",
-                self._matrices_rebroadcasts,
-                "counter",
-                labels,
-                help="Recovery re-sends of the last stable (F, W) pair",
-            ),
-            Sample(
-                "posg_instance_snapshot_refreshes_total",
-                self._snapshot_refreshes,
-                "counter",
-                labels,
-                help="Snapshot refreshes forced by instability (eta > mu)",
-            ),
-            Sample(
-                "posg_instance_state_info",
-                1,
-                "gauge",
-                labels + (("state", self._state.value),),
-                help="Current instance FSM state (label carries the state)",
-            ),
-        ]
+        samples = stat_samples(self, STATS, {"instance": labels})
+        samples.append(Sample(
+            "posg_instance_state_info", 1, "gauge",
+            labels + (("state", self._state.value),),
+            "Current instance FSM state (label carries the state)",
+        ))
+        return samples
 
     @property
     def instance_id(self) -> int:
@@ -378,41 +364,6 @@ class InstanceTracker:
     def state(self) -> InstanceState:
         """Current FSM state."""
         return self._state
-
-    @property
-    def cumulated_time(self) -> float:
-        """``C_op`` — measured cumulated execution time since start."""
-        return self._cumulated_time
-
-    @property
-    def tuples_executed(self) -> int:
-        """Total tuples executed since start."""
-        return self._tuples_executed
-
-    @property
-    def matrices_sent(self) -> int:
-        """How many stable ``(F, W)`` pairs were shipped so far."""
-        return self._matrices_sent
-
-    @property
-    def matrices_rebroadcasts(self) -> int:
-        """Recovery re-sends of the last stable pair."""
-        return self._matrices_rebroadcasts
-
-    @property
-    def snapshot_refreshes(self) -> int:
-        """How many times instability forced a snapshot refresh."""
-        return self._snapshot_refreshes
-
-    @property
-    def generation(self) -> int:
-        """Crash-restart counter (0 = never restarted)."""
-        return self._generation
-
-    @property
-    def restarts(self) -> int:
-        """How many crash-restarts this instance has gone through."""
-        return self._restarts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -79,11 +79,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.config import POSGConfig
+from repro.core.config import POSGConfig, index_arg
 from repro.core.grouping import GroupingPolicy, POSGGrouping, RouteDecision
 from repro.core.matrices import make_shared_hashes
 from repro.core.messages import ControlMessage, MatricesMessage, SyncReply
-from repro.core.scheduler import POSGScheduler
+from repro.core.scheduler import STATS, POSGScheduler
 from repro.telemetry.recorder import NULL_RECORDER
 
 #: billed size of one gossiped load digest per shard edge (a packed
@@ -149,10 +149,11 @@ class MultiSourcePOSGGrouping(POSGGrouping):
         latency_hints: "list[float] | None" = None,
         telemetry=NULL_RECORDER,
     ) -> None:
+        sources = index_arg("sources", sources)
         if sources < 1:
             raise ValueError(f"sources must be >= 1, got {sources}")
         super().__init__(config, latency_hints=latency_hints, telemetry=telemetry)
-        self._sources = int(sources)
+        self._sources = sources
         self._schedulers: list[POSGScheduler] = []
         self._cursor = 0
         # cross-shard coordination (armed in setup; counters live here so
@@ -456,8 +457,9 @@ class MultiSourcePOSGGrouping(POSGGrouping):
     def stats(self) -> dict:
         """Merged control-plane accounting across every shard.
 
-        Counter fields sum over the shards; ``state`` / ``epoch`` are
-        reported per shard under ``per_source``.
+        Counter fields of the scheduler's ``STATS`` table sum over the
+        shards; ``state`` and the gauges (``epoch``, the last sync
+        latency) are reported per shard under ``per_source``.
         """
         per_source = [scheduler.stats() for scheduler in self._schedulers]
         merged: dict = {
@@ -467,20 +469,7 @@ class MultiSourcePOSGGrouping(POSGGrouping):
             "gossip_billed": self._gossip_billed,
             "snoop_published": self._snoop_published,
         }
-        for key in (
-            "tuples_scheduled",
-            "sync_rounds_completed",
-            "matrices_received",
-            "stale_replies_dropped",
-            "control_bits_sent",
-            "control_bits_received",
-            "control_bits",
-            "sync_retransmits",
-            "sync_rounds_abandoned",
-            "watchdog_fallbacks",
-            "restarts_detected",
-            "deltas_folded",
-            "sync_latency_total",
-        ):
-            merged[key] = sum(stats[key] for stats in per_source)
+        for row in STATS:
+            if row.kind == "counter":
+                merged[row.key] = sum(stats[row.key] for stats in per_source)
         return merged

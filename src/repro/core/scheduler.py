@@ -25,7 +25,8 @@ States and transitions (Figure 3):
 
 In any state but ROUND_ROBIN, receiving an updated matrix pair restarts
 the synchronization: the epoch counter bumps and the scheduler re-enters
-SEND_ALL (3.F); replies from stale epochs are discarded.
+SEND_ALL (3.F); replies from stale epochs are discarded.  These edges,
+and the recovery-only ones below, are the :data:`TRANSITIONS` table.
 
 Beyond the paper, the scheduler optionally defends itself against a
 lossy control plane (see :class:`~repro.core.config.RecoveryConfig`):
@@ -43,15 +44,22 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.config import POSGConfig
+from repro.core.config import POSGConfig, index_arg
 from repro.core.estimate_table import EstimateTable, float_column, span
 from repro.core.matrices import FWPair
 from repro.core.messages import ControlMessage, MatricesMessage, SyncReply, SyncRequest
 from repro.telemetry.recorder import NULL_RECORDER
-from repro.telemetry.registry import Sample
+from repro.telemetry.registry import (
+    Sample,
+    Stat,
+    stat_properties,
+    stat_samples,
+    stat_values,
+)
 
 
 class SchedulerState(enum.Enum):
@@ -61,6 +69,79 @@ class SchedulerState(enum.Enum):
     SEND_ALL = "send_all"
     WAIT_ALL = "wait_all"
     RUN = "run"
+
+
+class Edge(NamedTuple):
+    """Why the FSM may take one edge: the Figure 3 label, the recovery
+    defences that also take it, or both.  ``figure=None`` marks an edge
+    that exists only under :class:`~repro.core.config.RecoveryConfig`."""
+
+    figure: str | None
+    recovery: tuple[str, ...] = ()
+
+
+_RR, _SA, _WA, _RUN = SchedulerState
+
+#: every edge :meth:`POSGScheduler._transition` may take; any other raises
+TRANSITIONS: dict[tuple[SchedulerState, SchedulerState], Edge] = {
+    (_RR, _SA): Edge("3.B"),
+    (_SA, _SA): Edge("3.F"),
+    (_SA, _WA): Edge("3.C"),
+    (_WA, _SA): Edge("3.F", ("retransmit",)),
+    (_WA, _RUN): Edge("3.E", ("abandon", "immediate resync")),
+    (_RUN, _SA): Edge("3.F"),
+    (_WA, _RR): Edge(None, ("watchdog",)),
+    (_RUN, _RR): Edge(None, ("watchdog",)),
+}
+
+#: the scheduler's counters in ``stats()`` order (``state`` comes first);
+#: ``scheduler``-labelled samples carry the shard id under multi-source
+#: scheduling, ``shard``-labelled ones follow the cross-shard convention
+STATS = (
+    Stat("epoch", "_epoch", "Current synchronization epoch",
+         "posg_scheduler_epoch", "gauge", "scheduler"),
+    Stat("tuples_scheduled", "_tuples_scheduled",
+         "Tuples submitted to the POSG scheduler",
+         "posg_scheduler_tuples_scheduled_total", "counter", "scheduler"),
+    Stat("sync_rounds_completed", "_sync_rounds_completed",
+         "Completed WAIT_ALL -> RUN synchronizations",
+         "posg_scheduler_sync_rounds_total", "counter", "scheduler"),
+    Stat("matrices_received", "_matrices_received",
+         "(F, W) pairs received from instances",
+         "posg_scheduler_matrices_received_total", "counter", "scheduler"),
+    Stat("stale_replies_dropped", "_stale_replies_dropped",
+         "Sync replies dropped because their epoch was preempted",
+         "posg_scheduler_stale_replies_total", "counter", "scheduler"),
+    Stat("control_bits_sent", "_control_bits_sent",
+         "Control-plane bits sent by the scheduler",
+         "posg_scheduler_control_bits_sent_total", "counter", "scheduler"),
+    Stat("control_bits_received", "_control_bits_received",
+         "Control-plane bits received by the scheduler",
+         "posg_scheduler_control_bits_received_total", "counter", "scheduler"),
+    Stat("control_bits", "control_bits",
+         "Sent plus received control bits (derived, not exported)"),
+    Stat("sync_retransmits", "_sync_retransmits",
+         "SEND_ALL retransmission rounds triggered by timeout",
+         "posg_scheduler_sync_retransmits_total", "counter", "scheduler"),
+    Stat("sync_rounds_abandoned", "_sync_rounds_abandoned",
+         "Sync rounds abandoned after exhausting retries",
+         "posg_scheduler_sync_rounds_abandoned_total", "counter", "scheduler"),
+    Stat("watchdog_fallbacks", "_watchdog_fallbacks",
+         "ROUND_ROBIN fallbacks forced by the staleness watchdog",
+         "posg_scheduler_watchdog_fallbacks_total", "counter", "scheduler"),
+    Stat("restarts_detected", "_restarts_detected",
+         "Instance crash-restarts detected via generation tags",
+         "posg_scheduler_restarts_detected_total", "counter", "scheduler"),
+    Stat("deltas_folded", "_deltas_folded",
+         "Delta_op folds applied to C_hat (per shard)",
+         "posg_scheduler_deltas_folded_total", "counter", "shard"),
+    Stat("sync_latency_tuples", "_sync_latency_tuples",
+         "Last sync round's SEND_ALL->fold latency in tuples",
+         "posg_scheduler_sync_latency_tuples", "gauge", "shard"),
+    Stat("sync_latency_total", "_sync_latency_total",
+         "Cumulated sync-round latency in tuples (per shard)",
+         "posg_scheduler_sync_latency_tuples_total", "counter", "shard"),
+)
 
 
 @dataclass(frozen=True)
@@ -80,6 +161,7 @@ class SchedulingDecision:
     estimate: float = 0.0
 
 
+@stat_properties(STATS)
 class POSGScheduler:
     """The POSG scheduling operator ``S`` (Listing III.2 + Figure 3).
 
@@ -112,23 +194,21 @@ class POSGScheduler:
         telemetry=NULL_RECORDER,
         source: int | None = None,
     ) -> None:
+        k = index_arg("k", k)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self._k = k
         self._source = source
         self._source_id = 0 if source is None else int(source)
         # pre-built label/kwarg extras so the single-scheduler hot path
-        # pays nothing and multi-source telemetry is distinguishable
-        self._source_labels: tuple = (
-            () if source is None else (("scheduler", str(source)),)
-        )
+        # pays nothing and multi-source telemetry is distinguishable; the
+        # ``shard`` label set follows the flight recorder's cross-shard
+        # convention, so the attribution tooling joins layers by one key
         self._source_trace: dict = {} if source is None else {"scheduler": source}
-        # Flight-recorder labels follow the cross-shard convention
-        # (``shard``) rather than the scheduler label so the attribution
-        # tooling can join metrics across layers by one key.
-        self._shard_labels: tuple = (
-            () if source is None else (("shard", str(source)),)
-        )
+        self._labels = {
+            name: () if source is None else ((name, str(source)),)
+            for name in ("scheduler", "shard")
+        }
         self._telemetry = telemetry if telemetry is not None else NULL_RECORDER
         self._config = config if config is not None else POSGConfig()
         coordination = self._config.coordination
@@ -209,7 +289,7 @@ class POSGScheduler:
         self._restarts_detected = 0
         # per-shard sync-round accounting (clocked in tuples scheduled)
         self._sync_started_at = 0
-        self._last_sync_latency = 0
+        self._sync_latency_tuples = 0
         self._sync_latency_total = 0
         self._deltas_folded = 0
         # optional cross-shard flight recorder (attach_flight)
@@ -277,14 +357,12 @@ class POSGScheduler:
             )
             self._control_bits_sent += request.size_bits()
             if self._telemetry.enabled:
-                self._telemetry.tracer.emit(
+                self._trace(
                     "sync_request",
                     instance=instance,
                     epoch=self._epoch,
                     c_hat=request.c_hat_at_send,
                     bits=request.size_bits(),
-                    at=self._tuples_scheduled,
-                    **self._source_trace,
                 )
             if self._flight is not None:
                 self._flight.record_sync_request(
@@ -327,17 +405,28 @@ class POSGScheduler:
         self._c_hat[instance] += estimate
         return SchedulingDecision(instance, None, self._state, estimate)
 
+    def _trace(self, kind: str, **fields) -> None:
+        """Emit one control event stamped with the scheduler clock."""
+        self._telemetry.tracer.emit(
+            kind, **fields, at=self._tuples_scheduled, **self._source_trace
+        )
+
     def _transition(self, new_state: SchedulerState) -> None:
-        """Move the FSM, tracing the edge when telemetry is live."""
+        """Take one :data:`TRANSITIONS` edge, tracing it when telemetry is
+        live; an edge the table lacks, or a recovery-only edge with
+        recovery off, raises ``RuntimeError`` with the FSM untouched."""
         old_state = self._state
+        edge = TRANSITIONS.get((old_state, new_state))
+        if edge is None or (edge.figure is None and self._recovery is None):
+            raise RuntimeError(
+                f"illegal scheduler transition {old_state.name} -> {new_state.name}"
+            )
         self._state = new_state
         if self._telemetry.enabled and new_state is not old_state:
-            self._telemetry.tracer.emit(
+            self._trace(
                 "scheduler_state",
                 **{"from": old_state.value, "to": new_state.value},
                 epoch=self._epoch,
-                at=self._tuples_scheduled,
-                **self._source_trace,
             )
 
     def _enter_wait_all(self) -> None:
@@ -424,14 +513,12 @@ class POSGScheduler:
         self._sendall_counter = 0
         self._sync_retransmits += 1
         if self._telemetry.enabled:
-            self._telemetry.tracer.emit(
+            self._trace(
                 "sync_retransmit",
                 epoch=self._epoch,
                 targets=list(self._resend_targets),
                 retry=self._sync_retries,
                 timeout=self._current_timeout,
-                at=self._tuples_scheduled,
-                **self._source_trace,
             )
         self._transition(SchedulerState.SEND_ALL)
 
@@ -441,13 +528,11 @@ class POSGScheduler:
         missing = sorted(self._pending_replies)
         self._pending_replies = set()
         if self._telemetry.enabled:
-            self._telemetry.tracer.emit(
+            self._trace(
                 "sync_round_abandoned",
                 epoch=self._epoch,
                 missing=missing,
                 retries=self._sync_retries,
-                at=self._tuples_scheduled,
-                **self._source_trace,
             )
         self._resynchronize()
 
@@ -461,13 +546,7 @@ class POSGScheduler:
         self._resend_targets = None
         self._watchdog_fallbacks += 1
         if self._telemetry.enabled:
-            self._telemetry.tracer.emit(
-                "watchdog_fallback",
-                stale=list(stale),
-                epoch=self._epoch,
-                at=self._tuples_scheduled,
-                **self._source_trace,
-            )
+            self._trace("watchdog_fallback", stale=list(stale), epoch=self._epoch)
         self._transition(SchedulerState.ROUND_ROBIN)
 
     def _note_restart(self, instance: int, generation: int) -> None:
@@ -483,13 +562,11 @@ class POSGScheduler:
         self._c_offsets[instance] = float(self._c_hat[instance])
         self._restarts_detected += 1
         if self._telemetry.enabled:
-            self._telemetry.tracer.emit(
+            self._trace(
                 "instance_restart_detected",
                 instance=instance,
                 generation=generation,
                 c_offset=self._c_offsets[instance],
-                at=self._tuples_scheduled,
-                **self._source_trace,
             )
 
     # ------------------------------------------------------------------
@@ -672,14 +749,12 @@ class POSGScheduler:
         self._last_matrices_at[message.instance] = self._tuples_scheduled
         self._control_bits_received += message.size_bits()
         if self._telemetry.enabled:
-            self._telemetry.tracer.emit(
+            self._trace(
                 "matrices_received",
                 instance=message.instance,
                 tuples_observed=message.tuples_observed,
                 bits=message.size_bits(),
                 merged=bool(stored is not None and self._config.merge_matrices),
-                at=self._tuples_scheduled,
-                **self._source_trace,
             )
         if self._flight is not None:
             self._flight.record_matrices(
@@ -715,52 +790,31 @@ class POSGScheduler:
             elif reply.generation < known:
                 # Pre-crash measurement from a dead incarnation.
                 outdated = True
-        if (
+        stale = (
             outdated
             or reply.epoch != self._epoch
             or reply.instance not in self._pending_replies
-        ):
+        )
+        if stale:
             self._stale_replies_dropped += 1
-            if self._telemetry.enabled:
-                self._telemetry.tracer.emit(
-                    "sync_reply",
-                    instance=reply.instance,
-                    epoch=reply.epoch,
-                    delta=reply.delta,
-                    bits=reply.size_bits(),
-                    stale=True,
-                    at=self._tuples_scheduled,
-                    **self._source_trace,
-                )
-            if self._flight is not None:
-                self._flight.record_sync_reply(
-                    self._source_id,
-                    self._tuples_scheduled,
-                    reply.instance,
-                    reply.epoch,
-                    True,
-                )
-            return
-        self._control_bits_received += reply.size_bits()
+        else:
+            self._control_bits_received += reply.size_bits()
         if self._telemetry.enabled:
-            self._telemetry.tracer.emit(
+            self._trace(
                 "sync_reply",
                 instance=reply.instance,
                 epoch=reply.epoch,
                 delta=reply.delta,
                 bits=reply.size_bits(),
-                stale=False,
-                at=self._tuples_scheduled,
-                **self._source_trace,
+                stale=stale,
             )
         if self._flight is not None:
             self._flight.record_sync_reply(
-                self._source_id,
-                self._tuples_scheduled,
-                reply.instance,
-                reply.epoch,
-                False,
+                self._source_id, self._tuples_scheduled, reply.instance,
+                reply.epoch, stale,
             )
+        if stale:
+            return
         delta = reply.delta
         offset = self._c_offsets[reply.instance]
         if offset != 0.0:
@@ -782,19 +836,17 @@ class POSGScheduler:
         self._sync_rounds_completed += 1
         self._deltas_folded += folded
         latency = self._tuples_scheduled - self._sync_started_at
-        self._last_sync_latency = latency
+        self._sync_latency_tuples = latency
         self._sync_latency_total += latency
         if self._flight is not None:
             self._flight.record_fold(
                 self._source_id, self._tuples_scheduled, self._epoch, folded
             )
         if self._telemetry.enabled:
-            self._telemetry.tracer.emit(
+            self._trace(
                 "sync_round_complete",
                 epoch=self._epoch,
                 rounds=self._sync_rounds_completed,
-                at=self._tuples_scheduled,
-                **self._source_trace,
             )
         self._transition(SchedulerState.RUN)
         if self._fold_hook is not None and folded_instances:
@@ -811,148 +863,24 @@ class POSGScheduler:
         layers report control overhead in *bits* so Figure 12's overhead
         numbers are comparable across substrates.
         """
-        return {
-            "state": self._state.value,
-            "epoch": self._epoch,
-            "tuples_scheduled": self._tuples_scheduled,
-            "sync_rounds_completed": self._sync_rounds_completed,
-            "matrices_received": self._matrices_received,
-            "stale_replies_dropped": self._stale_replies_dropped,
-            "control_bits_sent": self._control_bits_sent,
-            "control_bits_received": self._control_bits_received,
-            "control_bits": self._control_bits_sent + self._control_bits_received,
-            "sync_retransmits": self._sync_retransmits,
-            "sync_rounds_abandoned": self._sync_rounds_abandoned,
-            "watchdog_fallbacks": self._watchdog_fallbacks,
-            "restarts_detected": self._restarts_detected,
-            "deltas_folded": self._deltas_folded,
-            "sync_latency_tuples": self._last_sync_latency,
-            "sync_latency_total": self._sync_latency_total,
-        }
+        return {"state": self._state.value, **stat_values(self, STATS)}
 
     def _collect_samples(self) -> list[Sample]:
-        """Export-time metric samples (registered as a collector).
-
-        Under multi-source scheduling every sample carries a
-        ``scheduler`` label so the shards stay distinguishable in one
-        registry; single-scheduler deployments (``source=None``) emit the
-        exact same label-free samples as before.
-        """
-        extra = self._source_labels
-        samples = [
-            Sample(
-                "posg_scheduler_tuples_scheduled_total",
-                self._tuples_scheduled,
-                "counter",
-                extra,
-                help="Tuples submitted to the POSG scheduler",
-            ),
-            Sample(
-                "posg_scheduler_epoch",
-                self._epoch,
-                "gauge",
-                extra,
-                help="Current synchronization epoch",
-            ),
-            Sample(
-                "posg_scheduler_sync_rounds_total",
-                self._sync_rounds_completed,
-                "counter",
-                extra,
-                help="Completed WAIT_ALL -> RUN synchronizations",
-            ),
-            Sample(
-                "posg_scheduler_matrices_received_total",
-                self._matrices_received,
-                "counter",
-                extra,
-                help="(F, W) pairs received from instances",
-            ),
-            Sample(
-                "posg_scheduler_stale_replies_total",
-                self._stale_replies_dropped,
-                "counter",
-                extra,
-                help="Sync replies dropped because their epoch was preempted",
-            ),
-            Sample(
-                "posg_scheduler_control_bits_sent_total",
-                self._control_bits_sent,
-                "counter",
-                extra,
-                help="Control-plane bits sent by the scheduler",
-            ),
-            Sample(
-                "posg_scheduler_control_bits_received_total",
-                self._control_bits_received,
-                "counter",
-                extra,
-                help="Control-plane bits received by the scheduler",
-            ),
-            Sample(
-                "posg_scheduler_state_info",
-                1,
-                "gauge",
-                (("state", self._state.value),) + extra,
-                help="Current scheduler FSM state (label carries the state)",
-            ),
-            Sample(
-                "posg_scheduler_sync_retransmits_total",
-                self._sync_retransmits,
-                "counter",
-                extra,
-                help="SEND_ALL retransmission rounds triggered by timeout",
-            ),
-            Sample(
-                "posg_scheduler_sync_rounds_abandoned_total",
-                self._sync_rounds_abandoned,
-                "counter",
-                extra,
-                help="Sync rounds abandoned after exhausting retries",
-            ),
-            Sample(
-                "posg_scheduler_watchdog_fallbacks_total",
-                self._watchdog_fallbacks,
-                "counter",
-                extra,
-                help="ROUND_ROBIN fallbacks forced by the staleness watchdog",
-            ),
-            Sample(
-                "posg_scheduler_restarts_detected_total",
-                self._restarts_detected,
-                "counter",
-                extra,
-                help="Instance crash-restarts detected via generation tags",
-            ),
-            Sample(
-                "posg_scheduler_deltas_folded_total",
-                self._deltas_folded,
-                "counter",
-                self._shard_labels,
-                help="Delta_op folds applied to C_hat (per shard)",
-            ),
-            Sample(
-                "posg_scheduler_sync_latency_tuples",
-                self._last_sync_latency,
-                "gauge",
-                self._shard_labels,
-                help="Last sync round's SEND_ALL->fold latency in tuples",
-            ),
-            Sample(
-                "posg_scheduler_sync_latency_tuples_total",
-                self._sync_latency_total,
-                "counter",
-                self._shard_labels,
-                help="Cumulated sync-round latency in tuples (per shard)",
-            ),
-        ]
+        """Export-time metric samples (registered as a collector): the
+        ``scheduler`` / ``shard`` label sets tell shards apart under
+        multi-source scheduling and are empty when ``source`` is None."""
+        extra = self._labels["scheduler"]
+        samples = stat_samples(self, STATS, self._labels)
+        samples.append(Sample(
+            "posg_scheduler_state_info", 1, "gauge",
+            (("state", self._state.value),) + extra,
+            "Current scheduler FSM state (label carries the state)",
+        ))
         samples.extend(
             Sample(
-                "posg_scheduler_c_hat_ms",
-                value,
-                "gauge",
+                "posg_scheduler_c_hat_ms", value, "gauge",
                 (("instance", str(instance)),) + extra,
-                help="Estimated cumulated execution time per instance",
+                "Estimated cumulated execution time per instance",
             )
             for instance, value in enumerate(self._c_hat.tolist())
         )
@@ -979,36 +907,11 @@ class POSGScheduler:
         return self._state
 
     @property
-    def epoch(self) -> int:
-        """Current synchronization epoch."""
-        return self._epoch
-
-    @property
     def c_hat(self) -> np.ndarray:
         """Read-only view of the estimated cumulated execution times."""
         view = self._c_hat.view()
         view.flags.writeable = False
         return view
-
-    @property
-    def tuples_scheduled(self) -> int:
-        """Total tuples submitted so far."""
-        return self._tuples_scheduled
-
-    @property
-    def sync_rounds_completed(self) -> int:
-        """Completed synchronizations (WAIT_ALL -> RUN transitions)."""
-        return self._sync_rounds_completed
-
-    @property
-    def matrices_received(self) -> int:
-        """Matrix pairs received from instances so far."""
-        return self._matrices_received
-
-    @property
-    def stale_replies_dropped(self) -> int:
-        """Sync replies discarded because their epoch was preempted."""
-        return self._stale_replies_dropped
 
     @property
     def matrices_version(self) -> int:
@@ -1024,31 +927,6 @@ class POSGScheduler:
     def pending_replies(self) -> frozenset[int]:
         """Instances whose reply for the current epoch is still missing."""
         return frozenset(self._pending_replies)
-
-    @property
-    def sync_retransmits(self) -> int:
-        """SEND_ALL retransmission rounds triggered by the sync timeout."""
-        return self._sync_retransmits
-
-    @property
-    def sync_rounds_abandoned(self) -> int:
-        """Sync rounds abandoned after exhausting the retry budget."""
-        return self._sync_rounds_abandoned
-
-    @property
-    def watchdog_fallbacks(self) -> int:
-        """ROUND_ROBIN fallbacks forced by the staleness watchdog."""
-        return self._watchdog_fallbacks
-
-    @property
-    def restarts_detected(self) -> int:
-        """Instance crash-restarts detected via generation tags."""
-        return self._restarts_detected
-
-    @property
-    def deltas_folded(self) -> int:
-        """Total ``Delta_op`` values folded into ``C_hat``."""
-        return self._deltas_folded
 
     @property
     def control_bits(self) -> int:

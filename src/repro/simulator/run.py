@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import operator
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.config import index_arg
 from repro.core.grouping import (
     FullKnowledgeGrouping,
     GroupingPolicy,
@@ -264,7 +264,8 @@ def simulate_stream(
         called with the simulation's oracle (for the Full Knowledge
         baseline, which needs exact execution times).
     k:
-        Number of downstream operator instances.
+        Number of downstream operator instances; any integer type, like
+        ``chunk_size``.
     scenario:
         Per-instance execution-time multipliers; uniform instances when
         omitted.  The contract is three attributes: ``k`` (instances
@@ -357,11 +358,12 @@ def simulate_stream(
         under a root ``simulate`` span.  Purely additive timing — no
         effect on results.
     """
+    # A float passes the sign checks and the loops slice with it: refuse
+    # it here, before ``policy.setup`` draws from ``rng``.
+    k = index_arg("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # A float passes the sign check and the loops slice with it: refuse
-    # it here, before ``policy.setup`` draws from ``rng``.
-    chunk_size = operator.index(chunk_size)
+    chunk_size = index_arg("chunk_size", chunk_size)
     if chunk_size < 0:
         raise ValueError(f"chunk_size must be >= 0, got {chunk_size}")
     if scenario is None:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,6 +213,51 @@ def _format_bound(bound: float) -> str:
 
 
 Collector = Callable[[], Iterable[Sample]]
+
+
+class Stat(NamedTuple):
+    """One statistic a component keeps in a plain attribute, declared once:
+    its ``stats()`` key, the attribute, its help text and, unless
+    ``metric`` is ``None``, the sample it exports under the owner's label
+    set named ``labels``."""
+
+    key: str
+    attr: str
+    help: str
+    metric: str | None = None
+    kind: str = "counter"
+    labels: str = ""
+
+
+def stat_values(owner, table: tuple[Stat, ...]) -> dict:
+    """``{key: value}`` of every row, in table order."""
+    return {row.key: getattr(owner, row.attr) for row in table}
+
+
+def stat_samples(owner, table: tuple[Stat, ...], labels: dict) -> list[Sample]:
+    """One sample per exported row, labelled with ``labels[row.labels]``."""
+    return [
+        Sample(
+            row.metric, getattr(owner, row.attr), row.kind, labels[row.labels], row.help
+        )
+        for row in table
+        if row.metric is not None
+    ]
+
+
+def stat_properties(table: tuple[Stat, ...]):
+    """Class decorator: a read-only property, named without the leading
+    underscore, per row whose ``attr`` is private (a public ``attr`` names
+    a hand-written property)."""
+
+    def install(cls):
+        for row in table:
+            if row.attr.startswith("_"):
+                accessor = property(attrgetter(row.attr), doc=row.help)
+                setattr(cls, row.attr[1:], accessor)
+        return cls
+
+    return install
 
 
 @dataclass

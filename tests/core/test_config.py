@@ -1,8 +1,13 @@
 """Tests for POSGConfig validation and sizing."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import POSGConfig
+from repro.core.instance import InstanceTracker
+from repro.core.matrices import make_shared_hashes
+from repro.core.multisource import MultiSourcePOSGGrouping
+from repro.core.scheduler import POSGScheduler
 
 
 class TestValidation:
@@ -66,3 +71,30 @@ class TestSizing:
         cfg = POSGConfig()
         with pytest.raises(AttributeError):
             cfg.epsilon = 0.2
+
+
+def _tracker(instance_id):
+    config = POSGConfig()
+    return InstanceTracker(instance_id, config, make_shared_hashes(config))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (MultiSourcePOSGGrouping, "sources"),
+        (_tracker, "instance_id"),
+        (POSGScheduler, "k"),
+    ],
+    ids=["multisource-sources", "tracker-instance_id", "scheduler-k"],
+)
+@pytest.mark.parametrize("count", [2.5, np.float64(2.0), "2"])
+def test_non_integer_counts_raise_a_type_error_naming_the_argument(build, name, count):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        build(count)
+
+
+@pytest.mark.parametrize("count", [2, np.int64(2)])
+def test_integer_counts_are_normalised_to_int(count):
+    assert type(MultiSourcePOSGGrouping(count).sources) is int
+    assert type(_tracker(count).stats()["instance"]) is int
+    assert type(POSGScheduler(count).k) is int

@@ -5,14 +5,18 @@ crash the scheduler, and its invariants must hold at every step:
 
 - decisions always target a valid instance;
 - C_hat entries stay finite;
-- the FSM only makes legal transitions;
 - sync requests are emitted only in SEND_ALL, exactly k per epoch.
 
-With a :class:`RecoveryConfig` armed the transition relation widens
-(timeout re-entry into SEND_ALL, watchdog fallback to ROUND_ROBIN,
-immediate resync on an already-complete WAIT_ALL entry) and the
-per-epoch request bound relaxes to ``k * (1 + sync_max_retries)`` —
-retransmission rounds re-issue requests under the *same* epoch.  The
+Every FSM edge, including each step of a tick-then-route chain inside
+one ``submit``, is checked by the scheduler itself:
+``POSGScheduler._transition`` raises on an edge outside
+:data:`~repro.core.scheduler.TRANSITIONS` and on a recovery-only edge
+with recovery off, so an illegal transition fails the example.
+
+With a :class:`RecoveryConfig` armed the recovery-only edges open up
+(watchdog fallback to ROUND_ROBIN) and the per-epoch request bound
+relaxes to ``k * (1 + sync_max_retries)`` — retransmission rounds
+re-issue requests under the *same* epoch.  The
 recovery classes below fuzz those paths: liveness when every reply is
 dropped, and stale accounting when retransmission duplicates replies.
 """
@@ -25,32 +29,6 @@ from repro.core.config import POSGConfig, RecoveryConfig
 from repro.core.matrices import FWPair, make_shared_hashes
 from repro.core.messages import MatricesMessage, SyncReply
 from repro.core.scheduler import POSGScheduler, SchedulerState
-
-#: legal FSM transitions (Figure 3), plus self-loops
-LEGAL = {
-    SchedulerState.ROUND_ROBIN: {SchedulerState.ROUND_ROBIN,
-                                 SchedulerState.SEND_ALL},
-    SchedulerState.SEND_ALL: {SchedulerState.SEND_ALL,
-                              SchedulerState.WAIT_ALL},
-    SchedulerState.WAIT_ALL: {SchedulerState.WAIT_ALL,
-                              SchedulerState.SEND_ALL,
-                              SchedulerState.RUN},
-    SchedulerState.RUN: {SchedulerState.RUN, SchedulerState.SEND_ALL},
-}
-
-#: additional edges legal only under RecoveryConfig, as observed between
-#: two actions (a single submit may chain tick + route internally):
-#: watchdog fallback from WAIT_ALL/RUN, and SEND_ALL finishing straight
-#: into RUN when every reply arrived during the sending phase.
-RECOVERY_LEGAL = {
-    SchedulerState.ROUND_ROBIN: LEGAL[SchedulerState.ROUND_ROBIN],
-    SchedulerState.SEND_ALL: LEGAL[SchedulerState.SEND_ALL]
-    | {SchedulerState.RUN},
-    SchedulerState.WAIT_ALL: LEGAL[SchedulerState.WAIT_ALL]
-    | {SchedulerState.ROUND_ROBIN},
-    SchedulerState.RUN: LEGAL[SchedulerState.RUN]
-    | {SchedulerState.ROUND_ROBIN},
-}
 
 #: defenses tuned small enough that fuzz sequences of ~120 actions
 #: actually cross the timeout and staleness deadlines
@@ -94,7 +72,6 @@ class TestSchedulerFuzz:
         config = POSGConfig(rows=2, cols=8, window_size=16)
         hashes = make_shared_hashes(config, np.random.default_rng(0))
         scheduler = POSGScheduler(k, config)
-        previous_state = scheduler.state
         epoch_requests: dict[int, int] = {}
 
         for action in actions:
@@ -119,10 +96,6 @@ class TestSchedulerFuzz:
                 scheduler.on_message(
                     SyncReply(instance=instance % k, epoch=epoch, delta=delta)
                 )
-            assert scheduler.state in LEGAL[previous_state], (
-                f"illegal transition {previous_state} -> {scheduler.state}"
-            )
-            previous_state = scheduler.state
             assert np.all(np.isfinite(scheduler.c_hat))
 
     @given(action_sequences())
@@ -188,7 +161,6 @@ class TestRecoveryFuzz:
                             recovery=FUZZ_RECOVERY)
         hashes = make_shared_hashes(config, np.random.default_rng(0))
         scheduler = POSGScheduler(k, config)
-        previous_state = scheduler.state
         epoch_requests: dict[int, int] = {}
         request_bound = k * (1 + FUZZ_RECOVERY.sync_max_retries)
 
@@ -215,10 +187,6 @@ class TestRecoveryFuzz:
                     SyncReply(instance=instance % k, epoch=epoch, delta=delta,
                               generation=generation)
                 )
-            assert scheduler.state in RECOVERY_LEGAL[previous_state], (
-                f"illegal transition {previous_state} -> {scheduler.state}"
-            )
-            previous_state = scheduler.state
             assert np.all(np.isfinite(scheduler.c_hat))
 
     @given(st.integers(min_value=1, max_value=4))

@@ -259,6 +259,34 @@ class TestLatencyModels:
         with pytest.raises(RuntimeError, match="not set up"):
             policy.k
 
+    @pytest.mark.parametrize(
+        "k", [2.5, np.float64(5.0), "5"], ids=["float", "numpy-float", "str"]
+    )
+    def test_non_integer_k_is_rejected_before_the_run(self, k):
+        """``k`` is normalised beside ``chunk_size``: a ``TypeError`` that
+        names it, before ``policy.setup`` draws from the caller's ``rng``."""
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        policy = POSGGrouping(tiny_config())
+        with pytest.raises(TypeError, match="^k must be an integer"):
+            simulate_stream(small_stream(m=64), policy, k=k, rng=rng)
+        assert rng.bit_generator.state == before
+        with pytest.raises(RuntimeError, match="not set up"):
+            policy.k
+
+    def test_numpy_integer_k_is_a_k(self):
+        stream = small_stream(m=256)
+        plain, numpy_int = (
+            simulate_stream(
+                stream, POSGGrouping(tiny_config()), k=k,
+                rng=np.random.default_rng(5),
+            )
+            for k in (5, np.int64(5))
+        )
+        np.testing.assert_array_equal(
+            plain.stats.completions, numpy_int.stats.completions
+        )
+
     def test_numpy_integer_chunk_size_is_a_chunk_size(self):
         stream = small_stream(m=256)
         plain, numpy_int = (
