@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import COUNT, POSITIVE, Bound
 from repro.sketches.hashing import random_hash_family
 
 
@@ -47,8 +48,7 @@ def expected_estimator_ratio(
     n = len(weights)
     if n < 2:
         raise ValueError("Theorem 4.3 needs at least two items")
-    if cols < 1:
-        raise ValueError(f"cols must be >= 1, got {cols}")
+    cols = COUNT.check("cols", cols)
     total = float(np.sum(weights))
     collision_factor = 1.0 - (1.0 - 1.0 / cols) ** n
     return (total - w_v) / (n - 1) - (
@@ -58,17 +58,14 @@ def expected_estimator_ratio(
 
 def markov_tail_bound(expectation: float, threshold: float) -> float:
     """``Pr{W_v/C_v >= x} <= E{W_v/C_v} / x`` (capped at 1)."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
+    POSITIVE.check("threshold", threshold)
     return min(1.0, expectation / threshold)
 
 
 def independent_rows_bound(row_probability: float, rows: int) -> float:
     """``Pr{min over r rows >= x} = p^r`` by row independence."""
-    if not 0.0 <= row_probability <= 1.0:
-        raise ValueError(f"row_probability must be in [0, 1], got {row_probability}")
-    if rows < 1:
-        raise ValueError(f"rows must be >= 1, got {rows}")
+    Bound(float, 0, 1).check("row_probability", row_probability)
+    rows = COUNT.check("rows", rows)
     return row_probability**rows
 
 

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bounds import COUNT
+
 
 def utilization(arrival_rate: float, mean_service: float, servers: int = 1) -> float:
     """``rho = lambda * E[S] / k``."""
     if arrival_rate < 0 or mean_service < 0:
         raise ValueError("arrival_rate and mean_service must be >= 0")
-    if servers < 1:
-        raise ValueError(f"servers must be >= 1, got {servers}")
+    servers = COUNT.check("servers", servers)
     return arrival_rate * mean_service / servers
 
 

@@ -12,20 +12,10 @@ constructor pins the paper's 4 x 54 shape.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
+from repro.bounds import check_bounds, integer, real
 from repro.sketches.count_min import dims_for
-
-
-def index_arg(name: str, value) -> int:
-    """``value`` as an exact integer (``operator.index``: any integer
-    type, never a float or a string), or a ``TypeError`` naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
 
 @dataclass(frozen=True)
 class RecoveryConfig:
@@ -72,42 +62,26 @@ class RecoveryConfig:
     """
 
     #: tuples scheduled in WAIT_ALL before the first retransmission
-    sync_timeout: int = 4_096
+    sync_timeout: int = integer(4_096, low=1)
     #: timeout multiplier per retry (bounded exponential backoff)
-    sync_backoff: float = 2.0
+    sync_backoff: float = real(2.0, low=1)
     #: upper bound on the per-retry timeout
-    sync_timeout_max: int = 65_536
+    sync_timeout_max: int = integer(65_536, low=1)
     #: retransmissions before the round is abandoned (partial resync)
-    sync_max_retries: int = 8
+    sync_max_retries: int = integer(8, low=0)
     #: tuples since an instance's last matrices before the ROUND_ROBIN
     #: fallback; ``None`` disables the watchdog
-    staleness_limit: int | None = 262_144
+    staleness_limit: int | None = integer(262_144, low=1, optional=True)
     #: instance window boundaries without a ship before the last stable
     #: matrices are re-sent; ``None`` disables the rebroadcast
-    rebroadcast_windows: int | None = 8
+    rebroadcast_windows: int | None = integer(8, low=1, optional=True)
 
     def __post_init__(self) -> None:
-        if self.sync_timeout < 1:
-            raise ValueError(f"sync_timeout must be >= 1, got {self.sync_timeout}")
-        if self.sync_backoff < 1.0:
-            raise ValueError(f"sync_backoff must be >= 1, got {self.sync_backoff}")
+        check_bounds(self)
         if self.sync_timeout_max < self.sync_timeout:
             raise ValueError(
                 f"sync_timeout_max ({self.sync_timeout_max}) must be >= "
                 f"sync_timeout ({self.sync_timeout})"
-            )
-        if self.sync_max_retries < 0:
-            raise ValueError(
-                f"sync_max_retries must be >= 0, got {self.sync_max_retries}"
-            )
-        if self.staleness_limit is not None and self.staleness_limit < 1:
-            raise ValueError(
-                f"staleness_limit must be >= 1 or None, got {self.staleness_limit}"
-            )
-        if self.rebroadcast_windows is not None and self.rebroadcast_windows < 1:
-            raise ValueError(
-                f"rebroadcast_windows must be >= 1 or None, "
-                f"got {self.rebroadcast_windows}"
             )
 
 
@@ -150,15 +124,12 @@ class CoordinationConfig:
     gossip: bool = True
     #: bill one 64-bit digest per shard edge every N gossiped tuples
     #: per shard; 0 disables billing (never affects routing)
-    gossip_stride: int = 16
+    gossip_stride: int = integer(16, low=0)
     snoop: bool = True
     two_choices: bool = False
 
     def __post_init__(self) -> None:
-        if self.gossip_stride < 0:
-            raise ValueError(
-                f"gossip_stride must be >= 0, got {self.gossip_stride}"
-            )
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -216,35 +187,20 @@ class POSGConfig:
         keeps sharded runs bit-identical to the uncoordinated protocol.
     """
 
-    epsilon: float = 0.05
-    delta: float = 0.1
-    window_size: int = 1024
-    mu: float = 0.05
-    rows: int | None = None
-    cols: int | None = None
+    epsilon: float = real(0.05, low=0, high=1, open_low=True)
+    delta: float = real(0.1, low=0, high=1, open_low=True, open_high=True)
+    window_size: int = integer(1024, low=1)
+    mu: float = real(0.05, low=0)
+    rows: int | None = integer(None, low=1, optional=True)
+    cols: int | None = integer(None, low=1, optional=True)
     merge_matrices: bool = False
     pooled_estimates: bool = False
-    merge_decay: float = 1.0
+    merge_decay: float = real(1.0, low=0, high=1)
     recovery: RecoveryConfig | None = None
     coordination: CoordinationConfig | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.window_size < 1:
-            raise ValueError(f"window_size must be >= 1, got {self.window_size}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if self.rows is not None and self.rows < 1:
-            raise ValueError(f"rows must be >= 1, got {self.rows}")
-        if self.cols is not None and self.cols < 1:
-            raise ValueError(f"cols must be >= 1, got {self.cols}")
-        if not 0.0 <= self.merge_decay <= 1.0:
-            raise ValueError(
-                f"merge_decay must be in [0, 1], got {self.merge_decay}"
-            )
+        check_bounds(self)
 
     @property
     def sketch_shape(self) -> tuple[int, int]:

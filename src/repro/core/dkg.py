@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bounds import COUNT, FRACTION
 from repro.core.grouping import GroupingPolicy, RouteDecision
 from repro.sketches.hashing import random_hash_family
 from repro.sketches.space_saving import SpaceSaving
@@ -49,12 +50,8 @@ class DKGGrouping(GroupingPolicy):
         self, warmup: int = 4096, phi: float = 0.001, capacity: int | None = None
     ) -> None:
         super().__init__()
-        if warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {warmup}")
-        if not 0.0 < phi <= 1.0:
-            raise ValueError(f"phi must be in (0, 1], got {phi}")
-        self._warmup = warmup
-        self._phi = phi
+        self._warmup = COUNT.check("warmup", warmup)
+        self._phi = FRACTION.check("phi", phi)
         self._capacity = capacity if capacity is not None else int(2 / phi)
         self._summary = SpaceSaving(self._capacity)
         self._hash = None

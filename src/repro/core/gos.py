@@ -15,6 +15,8 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Sequence
 
+from repro.bounds import COUNT
+
 
 def greedy_online_schedule(
     weights: Iterable[float], k: int
@@ -35,8 +37,7 @@ def greedy_online_schedule(
         per-machine cumulated load.  Ties break toward the lowest machine
         index, matching ``numpy.argmin`` in the runtime scheduler.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = COUNT.check("k", k)
     # (load, machine) heap gives O(m log k); machine index tie-breaks.
     heap = [(0.0, machine) for machine in range(k)]
     loads = [0.0] * k
@@ -64,8 +65,7 @@ def opt_lower_bound(weights: Sequence[float], k: int) -> float:
 
     ``C_OPT >= max(sum(w)/k, max(w))``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = COUNT.check("k", k)
     weights = list(weights)
     if not weights:
         return 0.0
@@ -109,8 +109,7 @@ def adversarial_sequence(k: int, w_max: float = 1.0) -> list[float]:
     ``w_max``: GOS ends with makespan ``w_max * (2 - 1/k)`` while OPT packs
     the small tasks on ``k-1`` machines and achieves ``w_max``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = COUNT.check("k", k)
     return [w_max / k] * (k * (k - 1)) + [w_max]
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import COUNT
 from repro.core.config import POSGConfig
 from repro.core.instance import InstanceTracker
 from repro.core.matrices import make_shared_hashes
@@ -64,9 +65,7 @@ class GroupingPolicy(abc.ABC):
 
         Engines call this exactly once before routing the first tuple.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self._k = k
+        self._k = COUNT.check("k", k)
 
     @property
     def k(self) -> int:

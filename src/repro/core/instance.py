@@ -21,7 +21,8 @@ import enum
 
 import numpy as np
 
-from repro.core.config import POSGConfig, index_arg
+from repro.bounds import INDEX
+from repro.core.config import POSGConfig
 from repro.core.matrices import FWPair
 from repro.core.messages import ControlMessage, MatricesMessage, SyncReply, SyncRequest
 from repro.sketches.count_min import running_total
@@ -99,9 +100,7 @@ class InstanceTracker:
         hashes: TwoUniversalHashFamily,
         telemetry=NULL_RECORDER,
     ) -> None:
-        instance_id = index_arg("instance_id", instance_id)
-        if instance_id < 0:
-            raise ValueError(f"instance_id must be >= 0, got {instance_id}")
+        instance_id = INDEX.check("instance_id", instance_id)
         rows, cols = config.sketch_shape
         if (hashes.rows, hashes.cols) != (rows, cols):
             raise ValueError(

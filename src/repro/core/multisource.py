@@ -79,7 +79,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.config import POSGConfig, index_arg
+from repro.bounds import COUNT
+from repro.core.config import POSGConfig
 from repro.core.grouping import GroupingPolicy, POSGGrouping, RouteDecision
 from repro.core.matrices import make_shared_hashes
 from repro.core.messages import ControlMessage, MatricesMessage, SyncReply
@@ -149,9 +150,7 @@ class MultiSourcePOSGGrouping(POSGGrouping):
         latency_hints: "list[float] | None" = None,
         telemetry=NULL_RECORDER,
     ) -> None:
-        sources = index_arg("sources", sources)
-        if sources < 1:
-            raise ValueError(f"sources must be >= 1, got {sources}")
+        sources = COUNT.check("sources", sources)
         super().__init__(config, latency_hints=latency_hints, telemetry=telemetry)
         self._sources = sources
         self._schedulers: list[POSGScheduler] = []

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bounds import COUNT
 from repro.core.grouping import GroupingPolicy, InstanceAgent, RouteDecision
 from repro.core.messages import ControlMessage, LoadReport, SyncRequest
 
@@ -71,11 +72,7 @@ class ReactiveGrouping(GroupingPolicy):
 
     def __init__(self, report_interval: int = 256) -> None:
         super().__init__()
-        if report_interval < 1:
-            raise ValueError(
-                f"report_interval must be >= 1, got {report_interval}"
-            )
-        self._interval = report_interval
+        self._interval = COUNT.check("report_interval", report_interval)
         self._reported: np.ndarray | None = None
         self._reported_executed: np.ndarray | None = None
         self._assigned: np.ndarray | None = None

@@ -48,7 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.config import POSGConfig, index_arg
+from repro.bounds import COUNT
+from repro.core.config import POSGConfig
 from repro.core.estimate_table import EstimateTable, float_column, span
 from repro.core.matrices import FWPair
 from repro.core.messages import ControlMessage, MatricesMessage, SyncReply, SyncRequest
@@ -194,9 +195,7 @@ class POSGScheduler:
         telemetry=NULL_RECORDER,
         source: int | None = None,
     ) -> None:
-        k = index_arg("k", k)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = COUNT.check("k", k)
         self._k = k
         self._source = source
         self._source_id = 0 if source is None else int(source)
@@ -445,26 +444,35 @@ class POSGScheduler:
     # ------------------------------------------------------------------
     # fault-tolerance defenses (RecoveryConfig)
     # ------------------------------------------------------------------
+    def _defense_deadlines(self) -> tuple[int | None, int | None]:
+        """``(stale_at, timeout_at)``: the ``tuples_scheduled`` values at
+        which the staleness watchdog (instance ``i`` is stale from
+        ``last[i] + staleness_limit + 1`` on) and the sync-round timeout
+        act, ``None`` for one that cannot.  The one rule
+        :meth:`_defense_tick` and :meth:`defense_deadline` read; recovery
+        must be armed and the state WAIT_ALL or RUN."""
+        limit = self._recovery.staleness_limit
+        stale_at = None if limit is None else min(self._last_matrices_at) + limit + 1
+        timeout_at = None
+        if self._state is SchedulerState.WAIT_ALL and self._pending_replies:
+            timeout_at = self._wait_entered + self._current_timeout
+        return stale_at, timeout_at
+
     def _defense_tick(self) -> None:
-        """Check recovery deadlines; the clock is tuples scheduled."""
+        """Act on a reached recovery deadline, the watchdog first; the
+        clock is tuples scheduled."""
         state = self._state
         if state is not SchedulerState.WAIT_ALL and state is not SchedulerState.RUN:
             return
-        recovery = self._recovery
-        limit = recovery.staleness_limit
-        if limit is not None:
-            now = self._tuples_scheduled
-            last = self._last_matrices_at
-            stale = [i for i in range(self._k) if now - last[i] > limit]
-            if stale:
-                self._watchdog_fallback(stale)
-                return
-        if (
-            state is SchedulerState.WAIT_ALL
-            and self._pending_replies
-            and self._tuples_scheduled - self._wait_entered >= self._current_timeout
-        ):
-            if self._sync_retries >= recovery.sync_max_retries:
+        stale_at, timeout_at = self._defense_deadlines()
+        now = self._tuples_scheduled
+        if stale_at is not None and now >= stale_at:
+            last, limit = self._last_matrices_at, self._recovery.staleness_limit
+            self._watchdog_fallback(
+                [i for i in range(self._k) if now >= last[i] + limit + 1]
+            )
+        elif timeout_at is not None and now >= timeout_at:
+            if self._sync_retries >= self._recovery.sync_max_retries:
                 self._abandon_sync_round()
             else:
                 self._start_retransmission()
@@ -483,19 +491,14 @@ class POSGScheduler:
         what lets an engine route whole control-quiet segments without
         ticking per tuple.
         """
-        recovery = self._recovery
         state = self._state
-        if recovery is None or (
+        if self._recovery is None or (
             state is not SchedulerState.WAIT_ALL and state is not SchedulerState.RUN
         ):
             return None
-        deadline = None
-        if recovery.staleness_limit is not None:
-            deadline = min(self._last_matrices_at) + recovery.staleness_limit + 1
-        if state is SchedulerState.WAIT_ALL and self._pending_replies:
-            timeout_at = self._wait_entered + self._current_timeout
-            if deadline is None or timeout_at < deadline:
-                deadline = timeout_at
+        deadline, timeout_at = self._defense_deadlines()
+        if deadline is None or (timeout_at is not None and timeout_at < deadline):
+            deadline = timeout_at
         if deadline is None:
             return None
         # an overdue deadline acts at the very next submit

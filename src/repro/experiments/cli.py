@@ -23,6 +23,7 @@ import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from repro.bounds import COUNT, POSITIVE, Bound
 from repro.experiments import (
     attribution,
     chaos,
@@ -174,6 +175,19 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+def _checked(parse: type, bound: Bound) -> Callable[[str], object]:
+    """An argparse ``type=`` checking the parsed flag against ``bound``:
+    a bad value is a usage error (exit 2) before anything runs."""
+
+    def convert(text: str):
+        try:
+            return bound.check("value", parse(text))
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     # every shared flag defaults to None: main() tells a flag that was
     # given from one that was not, to refuse what a command does not take
@@ -188,12 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="what to run ('list' prints one line per command)",
     )
     parser.add_argument(
-        "--reps", type=int, default=None,
+        "--reps", type=_checked(int, COUNT), default=None,
         help="figures: randomized streams per configuration "
         "(paper: 100; default 5)",
     )
     parser.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=_checked(float, POSITIVE), default=None,
         help="stream-length scale factor (1.0 = paper sizes)",
     )
     parser.add_argument(
@@ -205,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory to write the command's result files into",
     )
     parser.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
+        "--parallel", type=_checked(int, COUNT), default=None,
+        metavar="N",
         help="multisource: also run each sweep point through the "
         "multi-process parallel engine with N workers (gated "
         "bit-identical against the sequential run); chaos: run "

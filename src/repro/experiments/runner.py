@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.bounds import COUNT, POSITIVE
 from repro.core.config import POSGConfig
 from repro.core.grouping import (
     FullKnowledgeGrouping,
@@ -29,18 +30,12 @@ from repro.workloads.synthetic import Stream
 
 def env_reps(default: int = 5) -> int:
     """Repetitions per configuration; ``REPRO_REPS=100`` = paper scale."""
-    value = int(os.environ.get("REPRO_REPS", default))
-    if value < 1:
-        raise ValueError(f"REPRO_REPS must be >= 1, got {value}")
-    return value
+    return COUNT.check("REPRO_REPS", int(os.environ.get("REPRO_REPS", default)))
 
 
 def env_scale(default: float = 1.0) -> float:
     """Stream-length scale factor (``REPRO_SCALE=1.0`` = paper sizes)."""
-    value = float(os.environ.get("REPRO_SCALE", default))
-    if value <= 0:
-        raise ValueError(f"REPRO_SCALE must be > 0, got {value}")
-    return value
+    return POSITIVE.check("REPRO_SCALE", float(os.environ.get("REPRO_SCALE", default)))
 
 
 #: POSG configuration for the m = 32,768 parameter sweeps (Figures 4-9).

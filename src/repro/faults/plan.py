@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bounds import INDEX, check_bounds, integer, real
+
 
 @dataclass(frozen=True)
 class MessageFaults:
@@ -34,22 +36,15 @@ class MessageFaults:
     actually reorders messages relative to each other).
     """
 
-    drop: float = 0.0
-    duplicate: float = 0.0
-    delay: float = 0.0
-    delay_ms: float = 0.0
-    reorder: float = 0.0
-    reorder_ms: float = 8.0
+    drop: float = real(0.0, low=0, high=1)
+    duplicate: float = real(0.0, low=0, high=1)
+    delay: float = real(0.0, low=0, high=1)
+    delay_ms: float = real(0.0, low=0)
+    reorder: float = real(0.0, low=0, high=1)
+    reorder_ms: float = real(8.0, low=0)
 
     def __post_init__(self) -> None:
-        for name in ("drop", "duplicate", "delay", "reorder"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        for name in ("delay_ms", "reorder_ms"):
-            value = getattr(self, name)
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        check_bounds(self)
         if self.delay > 0.0 and self.delay_ms == 0.0:
             raise ValueError("delay > 0 requires delay_ms > 0")
 
@@ -85,17 +80,12 @@ class CrashFault:
     executing again.
     """
 
-    instance: int
-    at_ms: float
-    outage_ms: float = 0.0
+    instance: int = integer(low=0)
+    at_ms: float = real(low=0)
+    outage_ms: float = real(0.0, low=0)
 
     def __post_init__(self) -> None:
-        if self.instance < 0:
-            raise ValueError(f"instance must be >= 0, got {self.instance}")
-        if self.at_ms < 0.0:
-            raise ValueError(f"at_ms must be >= 0, got {self.at_ms}")
-        if self.outage_ms < 0.0:
-            raise ValueError(f"outage_ms must be >= 0, got {self.outage_ms}")
+        check_bounds(self)
 
     def summary(self) -> dict:
         """Plain-dict form for run reports."""
@@ -115,20 +105,13 @@ class SlowdownFault:
     operator-slowdown scenario PKG and POTUS evaluate under.
     """
 
-    instance: int
-    at_ms: float
-    duration_ms: float
-    factor: float
+    instance: int = integer(low=0)
+    at_ms: float = real(low=0)
+    duration_ms: float = real(low=0, open_low=True)
+    factor: float = real(low=0, open_low=True)
 
     def __post_init__(self) -> None:
-        if self.instance < 0:
-            raise ValueError(f"instance must be >= 0, got {self.instance}")
-        if self.at_ms < 0.0:
-            raise ValueError(f"at_ms must be >= 0, got {self.at_ms}")
-        if self.duration_ms <= 0.0:
-            raise ValueError(f"duration_ms must be > 0, got {self.duration_ms}")
-        if self.factor <= 0.0:
-            raise ValueError(f"factor must be > 0, got {self.factor}")
+        check_bounds(self)
 
     def summary(self) -> dict:
         """Plain-dict form for run reports."""
@@ -175,29 +158,20 @@ class WorkerFault:
     Sequential engines ignore worker faults entirely.
     """
 
-    worker: int
-    segment: int
+    worker: int = integer(low=0)
+    segment: int = integer(low=0)
     kind: str = "crash"
-    hang_ms: float = 0.0
-    stall_factor: float = 1.0
+    hang_ms: float = real(0.0, low=0)
+    stall_factor: float = real(1.0, low=1)
 
     def __post_init__(self) -> None:
-        if self.worker < 0:
-            raise ValueError(f"worker must be >= 0, got {self.worker}")
-        if self.segment < 0:
-            raise ValueError(f"segment must be >= 0, got {self.segment}")
+        check_bounds(self)
         if self.kind not in WORKER_FAULT_KINDS:
             raise ValueError(
                 f"kind must be one of {WORKER_FAULT_KINDS}, got {self.kind!r}"
             )
-        if self.hang_ms < 0.0:
-            raise ValueError(f"hang_ms must be >= 0, got {self.hang_ms}")
         if self.kind == "hang" and self.hang_ms == 0.0:
             raise ValueError("kind='hang' requires hang_ms > 0")
-        if self.stall_factor < 1.0:
-            raise ValueError(
-                f"stall_factor must be >= 1, got {self.stall_factor}"
-            )
         if self.kind == "stall" and self.stall_factor == 1.0:
             raise ValueError("kind='stall' requires stall_factor > 1")
 
@@ -268,15 +242,14 @@ class FaultPlan:
 
     @staticmethod
     def _normalize_overrides(name: str, overrides) -> tuple:
-        if isinstance(overrides, dict):
-            overrides = tuple(sorted(overrides.items()))
-        else:
-            overrides = tuple(tuple(pair) for pair in overrides)
-        for source, faults in overrides:
-            if not isinstance(source, int) or source < 0:
-                raise ValueError(
-                    f"{name} keys must be scheduler ids >= 0, got {source!r}"
-                )
+        mapping = isinstance(overrides, dict)
+        overrides = tuple(
+            (INDEX.check(f"{name} keys", source), faults)
+            for source, faults in (overrides.items() if mapping else overrides)
+        )
+        if mapping:
+            overrides = tuple(sorted(overrides))
+        for _, faults in overrides:
             if not isinstance(faults, MessageFaults):
                 raise TypeError(
                     f"{name} values must be MessageFaults, got {faults!r}"

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import COUNT, Bound
 from repro.telemetry.quantiles import P2Quantile
 
 
@@ -81,8 +82,7 @@ class CompletionStats:
         (five or fewer tuples) the P² path is exact anyway, since the
         estimator holds the whole sample.
         """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"q must be in [0, 100], got {q}")
+        Bound(float, 0, 100).check("q", q)
         if exact:
             return float(np.percentile(self._completions, q))
         if q == 0.0:
@@ -112,8 +112,7 @@ class CompletionStats:
 
     def time_series(self, bin_size: int = 2000) -> "TimeSeries":
         """Figure-10-style series: stats over consecutive bins of tuples."""
-        if bin_size < 1:
-            raise ValueError(f"bin_size must be >= 1, got {bin_size}")
+        bin_size = COUNT.check("bin_size", bin_size)
         m = self.m
         edges = np.arange(0, m, bin_size)
         centers, mins, means, maxes = [], [], [], []

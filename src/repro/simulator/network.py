@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from repro.bounds import NONNEGATIVE
+
 
 class LatencyModel(abc.ABC):
     """Per-message network delay, in milliseconds."""
@@ -27,9 +29,7 @@ class ConstantLatency(LatencyModel):
     """Every message takes exactly ``value`` milliseconds."""
 
     def __init__(self, value: float = 0.0) -> None:
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"latency must be >= 0 and finite, got {value}")
-        self._value = value
+        self._value = NONNEGATIVE.check("latency", value)
 
     @property
     def value(self) -> float:
@@ -78,13 +78,9 @@ class LognormalLatency(LatencyModel):
     ) -> None:
         if not math.isfinite(mean):
             raise ValueError(f"mean must be finite, got {mean}")
-        if not (math.isfinite(sigma) and sigma >= 0):
-            raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
-        if not (math.isfinite(base) and base >= 0):
-            raise ValueError(f"base must be >= 0 and finite, got {base}")
         self._mean = mean
-        self._sigma = sigma
-        self._base = base
+        self._sigma = NONNEGATIVE.check("sigma", sigma)
+        self._base = NONNEGATIVE.check("base", base)
         self._rng = rng if rng is not None else np.random.default_rng()
 
     def sample(self) -> float:

@@ -78,6 +78,7 @@ from time import perf_counter, sleep
 
 import numpy as np
 
+from repro.bounds import COUNT, OPTIONAL_COUNT, index_arg
 from repro.core.matrices import FWPair
 from repro.core.multisource import MultiSourcePOSGGrouping, ShardWorkerSpec
 from repro.core.scheduler import SchedulerState
@@ -846,8 +847,8 @@ def simulate_stream_parallel(
             f"policy (got {getattr(policy, 'name', policy)!r}); wrap a "
             "single-scheduler deployment as MultiSourcePOSGGrouping(1, ...)"
         )
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = COUNT.check("k", k)
+    chunk_size = index_arg("chunk_size", chunk_size)
     if chunk_size < 1:
         raise ValueError(
             f"chunk_size must be >= 1 for the parallel engine, got {chunk_size}"
@@ -865,10 +866,9 @@ def simulate_stream_parallel(
             "the parallel engine needs a scenario with bulk "
             "multiplier_matrix evaluation"
         )
-    if sample_queues_every is not None and sample_queues_every < 1:
-        raise ValueError(
-            f"sample_queues_every must be >= 1, got {sample_queues_every}"
-        )
+    sample_queues_every = OPTIONAL_COUNT.check(
+        "sample_queues_every", sample_queues_every
+    )
     if policy.config.recovery is not None:
         raise ValueError(
             "recovery defenses tick per routed tuple; the parallel engine "
@@ -901,8 +901,7 @@ def simulate_stream_parallel(
 
     if workers is None:
         workers = default_worker_count(policy.sources)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = COUNT.check("workers", workers)
 
     if profiler is not None:
         profiler.start("simulate")

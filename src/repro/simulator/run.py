@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import index_arg
+from repro.bounds import COUNT, INDEX, OPTIONAL_COUNT
 from repro.core.grouping import (
     FullKnowledgeGrouping,
     GroupingPolicy,
@@ -360,19 +360,14 @@ def simulate_stream(
     """
     # A float passes the sign checks and the loops slice with it: refuse
     # it here, before ``policy.setup`` draws from ``rng``.
-    k = index_arg("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    chunk_size = index_arg("chunk_size", chunk_size)
-    if chunk_size < 0:
-        raise ValueError(f"chunk_size must be >= 0, got {chunk_size}")
+    k = COUNT.check("k", k)
+    chunk_size = INDEX.check("chunk_size", chunk_size)
+    sample_queues_every = OPTIONAL_COUNT.check(
+        "sample_queues_every", sample_queues_every
+    )
     if scenario is None:
         scenario = LoadShiftScenario.constant(k)
     multipliers = _scenario_multipliers(scenario, k, stream.m)
-    if sample_queues_every is not None and sample_queues_every < 1:
-        raise ValueError(
-            f"sample_queues_every must be >= 1, got {sample_queues_every}"
-        )
     data_lat = _as_latency_list(data_latency, k)
     control_lat = _as_latency(control_latency)
     recorder = telemetry if telemetry is not None else NULL_RECORDER

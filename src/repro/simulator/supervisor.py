@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass
 from time import perf_counter
 
+from repro.bounds import check_bounds, integer, real
 from repro.telemetry.recorder import NULL_RECORDER
 
 #: ack deadline (seconds per segment) when no SupervisionConfig is given —
@@ -95,31 +96,16 @@ class SupervisionConfig:
         hung before it has ever acked.
     """
 
-    ack_deadline_s: float = 30.0
-    max_respawns: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 1.0
+    ack_deadline_s: float = real(30.0, low=0, open_low=True)
+    max_respawns: int = integer(2, low=0)
+    backoff_base_s: float = real(0.05, low=0)
+    backoff_factor: float = real(2.0, low=1)
+    backoff_max_s: float = real(1.0, low=0)
     degraded_policy: str = "inline"
-    spawn_grace_s: float = 10.0
+    spawn_grace_s: float = real(10.0, low=0)
 
     def __post_init__(self) -> None:
-        if self.ack_deadline_s <= 0.0:
-            raise ValueError(
-                f"ack_deadline_s must be > 0, got {self.ack_deadline_s}"
-            )
-        if self.max_respawns < 0:
-            raise ValueError(
-                f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-        if self.backoff_base_s < 0.0:
-            raise ValueError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
+        check_bounds(self)
         if self.backoff_max_s < self.backoff_base_s:
             raise ValueError(
                 "backoff_max_s must be >= backoff_base_s, got "
@@ -129,10 +115,6 @@ class SupervisionConfig:
             raise ValueError(
                 f"degraded_policy must be one of {DEGRADED_POLICIES}, "
                 f"got {self.degraded_policy!r}"
-            )
-        if self.spawn_grace_s < 0.0:
-            raise ValueError(
-                f"spawn_grace_s must be >= 0, got {self.spawn_grace_s}"
             )
 
     @classmethod

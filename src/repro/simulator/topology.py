@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import COUNT
 from repro.core.grouping import GroupingPolicy, InstanceAgent, POSGGrouping
 from repro.core.messages import SyncRequest
 from repro.core.scheduler import SchedulerState
@@ -101,9 +102,7 @@ class StageTopology:
         control_latency: LatencyModel | float = 1.0,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
+        self.k = k = COUNT.check("k", k)
         self.scenario = scenario if scenario is not None else LoadShiftScenario.constant(k)
         if self.scenario.k < k:
             raise ValueError(

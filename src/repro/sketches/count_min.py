@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from repro.bounds import FRACTION, NONNEGATIVE, Bound
 from repro.sketches.bucket_cache import get_bucket_cache
 from repro.sketches.hashing import TwoUniversalHashFamily, random_hash_family
 
@@ -53,10 +54,8 @@ def dims_for(epsilon: float, delta: float) -> tuple[int, int]:
     ``ceil`` which gives 3 for 0.1 — callers wanting the paper's exact
     r=4/c=54 can pass dimensions explicitly).
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    FRACTION.check("epsilon", epsilon)
+    Bound(float, 0, 1, open_low=True, open_high=True).check("delta", delta)
     rows = max(1, math.ceil(math.log(1.0 / delta)))
     cols = max(1, math.ceil(math.e / epsilon))
     return rows, cols
@@ -288,8 +287,7 @@ cells_many`, *not* bucket columns); validation is the caller's job —
         Scaling preserves all cell *ratios* (the quantity POSG estimates
         from) while down-weighting history relative to future merges.
         """
-        if factor < 0:
-            raise ValueError(f"factor must be >= 0, got {factor}")
+        NONNEGATIVE.check("factor", factor)
         self._matrix *= factor
         self._total_weight *= factor
 

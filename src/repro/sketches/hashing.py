@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import COUNT, check_bounds, integer
+
 # A Mersenne prime comfortably above every universe size used in the paper
 # (n = 4096 synthetic, n ~ 35000 Twitter entities) and large enough that the
 # ``mod p`` bias is negligible for any realistic universe.
@@ -130,16 +132,15 @@ class TwoUniversalHashFamily:
 
     a: tuple[int, ...]
     b: tuple[int, ...]
-    cols: int
-    prime: int = MERSENNE_PRIME_61
+    cols: int = integer(low=1)
+    prime: int = integer(MERSENNE_PRIME_61)
 
     def __post_init__(self) -> None:
         if len(self.a) != len(self.b):
             raise ValueError("coefficient vectors a and b must have equal length")
         if len(self.a) == 0:
             raise ValueError("a hash family needs at least one function")
-        if self.cols < 1:
-            raise ValueError(f"cols must be >= 1, got {self.cols}")
+        check_bounds(self)
         if not _is_prime(self.prime):
             raise ValueError(f"prime={self.prime} is not prime")
         if any(not (1 <= ai < self.prime) for ai in self.a):
@@ -244,10 +245,8 @@ def random_hash_family(
     prime:
         Field modulus; must exceed every item in the universe.
     """
-    if rows < 1:
-        raise ValueError(f"rows must be >= 1, got {rows}")
-    if cols < 1:
-        raise ValueError(f"cols must be >= 1, got {cols}")
+    rows = COUNT.check("rows", rows)
+    cols = COUNT.check("cols", cols)
     rng = rng if rng is not None else np.random.default_rng()
     a = tuple(int(rng.integers(1, prime)) for _ in range(rows))
     b = tuple(int(rng.integers(0, prime)) for _ in range(rows))

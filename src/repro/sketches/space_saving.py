@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.bounds import COUNT, FRACTION
+
 
 @dataclass
 class _Entry:
@@ -30,9 +32,7 @@ class SpaceSaving:
     """Fixed-capacity heavy-hitters summary."""
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
+        self._capacity = COUNT.check("capacity", capacity)
         self._entries: dict[int, _Entry] = {}
         self._total = 0.0
         self._evicted = False
@@ -84,8 +84,7 @@ class SpaceSaving:
         Every true ``phi``-heavy hitter is included (no false negatives
         when ``capacity > 1/phi``); some returned items may be lighter.
         """
-        if not 0.0 < phi <= 1.0:
-            raise ValueError(f"phi must be in (0, 1], got {phi}")
+        FRACTION.check("phi", phi)
         threshold = phi * self._total
         hitters = [
             (entry.item, entry.count)

@@ -19,6 +19,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.bounds import POSITIVE
+
 #: ack ids drawn from the generator per call (see ``fresh_ack_id``)
 _ACK_ID_BLOCK = 1024
 
@@ -50,9 +52,7 @@ class AckTracker:
         message_timeout: float,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if message_timeout <= 0:
-            raise ValueError(f"message_timeout must be > 0, got {message_timeout}")
-        self._timeout = message_timeout
+        self._timeout = POSITIVE.check("message_timeout", message_timeout)
         self._rng = rng if rng is not None else np.random.default_rng()
         #: drawn-ahead ids, reversed so ``pop()`` serves them in draw order
         self._ack_ids: list[int] = []

@@ -15,6 +15,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.bounds import check_bounds, integer, real
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashFault, FaultPlan
 from repro.simulator.engine import Simulation
@@ -35,33 +36,24 @@ class ClusterConfig:
     """
 
     #: topology.message.timeout.secs — Storm defaults to 30 s
-    message_timeout: float = 30_000.0
+    message_timeout: float = real(30_000.0, low=0, open_low=True)
     #: topology.max.spout.pending — None disables backpressure
-    max_spout_pending: int | None = None
+    max_spout_pending: int | None = integer(None, low=1, optional=True)
     #: network hop for data tuples between tasks
-    transfer_latency: float = 0.0
+    transfer_latency: float = real(0.0, low=0)
     #: network hop for control messages (POSG matrices / sync / acks)
-    control_latency: float = 1.0
+    control_latency: float = real(1.0, low=0)
     #: delay before re-polling an idle or backpressured spout
-    idle_backoff: float = 1.0
+    idle_backoff: float = real(1.0, low=0, open_low=True)
     #: auto-ack inputs that the bolt did not ack/fail itself
     auto_ack: bool = True
     #: how often the acker sweeps for timed-out trees
-    timeout_sweep_interval: float = 1_000.0
+    timeout_sweep_interval: float = real(1_000.0, low=0, open_low=True)
     #: seed for ack-id generation
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.message_timeout <= 0:
-            raise ValueError("message_timeout must be > 0")
-        if self.max_spout_pending is not None and self.max_spout_pending < 1:
-            raise ValueError("max_spout_pending must be >= 1 or None")
-        if self.transfer_latency < 0 or self.control_latency < 0:
-            raise ValueError("latencies must be >= 0")
-        if self.idle_backoff <= 0:
-            raise ValueError("idle_backoff must be > 0")
-        if self.timeout_sweep_interval <= 0:
-            raise ValueError("timeout_sweep_interval must be > 0")
+        check_bounds(self)
 
 
 class LocalCluster:

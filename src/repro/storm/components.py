@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bounds import COUNT
 from repro.storm.executor import BoltCollector, SpoutCollector, TaskContext
 from repro.storm.topology import Bolt, Spout
 from repro.storm.tuples import StormTuple
@@ -91,8 +92,7 @@ class ShardedStreamSpout(Spout):
     def __init__(
         self, stream: Stream, shard: int, sources: int, anchored: bool = True
     ) -> None:
-        if sources < 1:
-            raise ValueError(f"sources must be >= 1, got {sources}")
+        sources = COUNT.check("sources", sources)
         if not 0 <= shard < sources:
             raise ValueError(f"shard must be in [0, {sources}), got {shard}")
         self._stream = stream
@@ -196,9 +196,7 @@ class FailingBolt(Bolt):
     """Fails every ``failure_period``-th tuple (failure-injection tests)."""
 
     def __init__(self, failure_period: int = 2) -> None:
-        if failure_period < 1:
-            raise ValueError("failure_period must be >= 1")
-        self._period = failure_period
+        self._period = COUNT.check("failure_period", failure_period)
         self._count = 0
 
     def prepare(self, context: TaskContext, collector: BoltCollector) -> None:

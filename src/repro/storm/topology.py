@@ -22,6 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.bounds import COUNT
 from repro.storm.grouping import (
     FieldsGrouping,
     GlobalGrouping,
@@ -175,8 +176,7 @@ class TopologyBuilder:
     ) -> SpoutSpec:
         """Declare a spout; returns its spec."""
         self._check_name(name)
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+        parallelism = COUNT.check("parallelism", parallelism)
         spec = SpoutSpec(name, factory, parallelism, tuple(output_fields))
         self._spouts[name] = spec
         return spec
@@ -190,8 +190,7 @@ class TopologyBuilder:
     ) -> BoltSpec:
         """Declare a bolt; returns its spec for grouping declarations."""
         self._check_name(name)
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+        parallelism = COUNT.check("parallelism", parallelism)
         spec = BoltSpec(name, factory, parallelism, tuple(output_fields))
         self._bolts[name] = spec
         return spec

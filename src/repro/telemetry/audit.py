@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.bounds import POSITIVE, Bound, check_bounds, integer
 from repro.telemetry.quantiles import P2Quantile
 from repro.telemetry.recorder import NULL_RECORDER
 from repro.telemetry.registry import Sample
@@ -68,23 +69,20 @@ class AuditConfig:
         quantiles so before/after comparisons stay honest.
     """
 
-    sample_every: int = 256
+    sample_every: int = integer(256, low=1)
     quantiles: tuple[float, ...] = (0.5, 0.9, 0.99)
     tail_thresholds_ms: tuple[float, ...] = (48.0, 64.0, 96.0)
     segment_boundaries: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.sample_every < 1:
-            raise ValueError(
-                f"sample_every must be >= 1, got {self.sample_every}"
-            )
+        check_bounds(self)
         if not self.quantiles:
             raise ValueError("need at least one quantile")
+        quantile = Bound(float, 0, 1, open_low=True, open_high=True)
         for q in self.quantiles:
-            if not 0.0 < q < 1.0:
-                raise ValueError(f"quantiles must be in (0, 1), got {q}")
-        if any(t <= 0 for t in self.tail_thresholds_ms):
-            raise ValueError("tail thresholds must be > 0")
+            quantile.check("quantiles", q)
+        for t in self.tail_thresholds_ms:
+            POSITIVE.check("tail_thresholds_ms", t)
         boundaries = tuple(sorted(self.segment_boundaries))
         if boundaries != tuple(self.segment_boundaries):
             object.__setattr__(self, "segment_boundaries", boundaries)

@@ -26,6 +26,8 @@ import sys
 import threading
 from pathlib import Path
 
+from repro.bounds import POSITIVE
+
 __all__ = [
     "render_frame",
     "render_shard_lanes",
@@ -306,10 +308,8 @@ class LiveDashboard:
         ansi: bool = True,
         title: str = "POSG scheduling-quality observatory",
     ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
         self._recorder = recorder
-        self._interval = interval
+        self._interval = POSITIVE.check("interval", interval)
         self._out = out if out is not None else sys.stdout
         self._ansi = ansi
         self._title = title

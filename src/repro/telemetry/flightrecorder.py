@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.bounds import COUNT, check_bounds, integer
 from repro.telemetry.recorder import NULL_RECORDER
 from repro.telemetry.registry import Sample
 
@@ -82,17 +83,12 @@ class FlightRecorderConfig:
         decisions land in the same window).
     """
 
-    sample_every: int = 256
-    capacity: int | None = 65_536
-    window: int = 2_048
+    sample_every: int = integer(256, low=1)
+    capacity: int | None = integer(65_536, low=1, optional=True)
+    window: int = integer(2_048, low=1)
 
     def __post_init__(self) -> None:
-        if self.sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
-        if self.capacity is not None and self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {self.capacity}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        check_bounds(self)
 
 
 class FlightRecorder:
@@ -145,9 +141,7 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def bind(self, sources: int) -> None:
         """(Re)initialize for a run with ``sources`` scheduler shards."""
-        if sources < 1:
-            raise ValueError(f"sources must be >= 1, got {sources}")
-        self._sources = int(sources)
+        self._sources = COUNT.check("sources", sources)
         every = self._config.sample_every
         while math.gcd(every, self._sources) != 1:
             every += 1

@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.bounds import COUNT, check_bounds, integer, real
 from repro.telemetry.quantiles import P2Quantile
 from repro.telemetry.recorder import NULL_RECORDER
 from repro.telemetry.registry import Sample
@@ -91,18 +92,13 @@ class SLOConfig:
     """
 
     name: str
-    latency_ms: float
-    percentile: float = 99.0
+    latency_ms: float = real(low=0, open_low=True)
+    percentile: float = real(99.0, low=0, high=100, open_low=True, open_high=True)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("SLO name must be non-empty")
-        if not self.latency_ms > 0.0:
-            raise ValueError(f"latency_ms must be > 0, got {self.latency_ms}")
-        if not 0.0 < self.percentile < 100.0:
-            raise ValueError(
-                f"percentile must be in (0, 100), got {self.percentile}"
-            )
+        check_bounds(self)
 
     @property
     def budget(self) -> float:
@@ -132,15 +128,12 @@ class LineageConfig:
         time into burn-rate counters.
     """
 
-    sample_every: int = 128
-    capacity: int | None = 65_536
+    sample_every: int = integer(128, low=1)
+    capacity: int | None = integer(65_536, low=1, optional=True)
     slos: tuple[SLOConfig, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
-        if self.capacity is not None and self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {self.capacity}")
+        check_bounds(self)
         names = [slo.name for slo in self.slos]
         if len(names) != len(set(names)):
             raise ValueError(f"SLO names must be unique, got {names}")
@@ -220,9 +213,7 @@ class LineageTracer:
     # ------------------------------------------------------------------
     def bind(self, sources: int) -> None:
         """(Re)initialize for a run with ``sources`` scheduler shards."""
-        if sources < 1:
-            raise ValueError(f"sources must be >= 1, got {sources}")
-        self._sources = int(sources)
+        self._sources = COUNT.check("sources", sources)
         every = self._config.sample_every
         while math.gcd(every, self._sources) != 1:
             every += 1

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bounds import COUNT
 from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = ["compute_quality", "execution_time_matrix", "record_quality"]
@@ -106,8 +107,7 @@ def compute_quality(
         raise ValueError(
             f"times must have shape ({m}, {k}), got {times.shape}"
         )
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    window = COUNT.check("window", window)
 
     chosen_times = times[np.arange(m), assignments]
     achieved_loads = np.bincount(assignments, weights=chosen_times, minlength=k)

@@ -26,6 +26,8 @@ from collections import deque
 from io import IOBase
 from pathlib import Path
 
+from repro.bounds import OPTIONAL_COUNT
+
 
 def _sanitize(value):
     """Make one field value strict-JSON safe."""
@@ -72,8 +74,7 @@ class Tracer:
         capacity: int | None = 65_536,
         sink: "str | Path | IOBase | None" = None,
     ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+        capacity = OPTIONAL_COUNT.check("capacity", capacity)
         self._ring: deque = deque(maxlen=capacity)
         self._seq = 0
         self._dropped = 0

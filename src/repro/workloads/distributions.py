@@ -13,14 +13,14 @@ import abc
 
 import numpy as np
 
+from repro.bounds import COUNT, INDEX, NONNEGATIVE
+
 
 class ItemDistribution(abc.ABC):
     """A probability distribution over items ``0 .. n-1``."""
 
     def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError(f"universe size n must be >= 1, got {n}")
-        self._n = n
+        self._n = COUNT.check("n", n)
 
     @property
     def n(self) -> int:
@@ -33,8 +33,7 @@ class ItemDistribution(abc.ABC):
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``m`` items i.i.d. from the distribution."""
-        if m < 0:
-            raise ValueError(f"m must be >= 0, got {m}")
+        m = INDEX.check("m", m)
         return rng.choice(self._n, size=m, p=self.probabilities())
 
     @property
@@ -50,8 +49,7 @@ class UniformItems(ItemDistribution):
         return np.full(self._n, 1.0 / self._n)
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        if m < 0:
-            raise ValueError(f"m must be >= 0, got {m}")
+        m = INDEX.check("m", m)
         return rng.integers(0, self._n, size=m)
 
     @property
@@ -70,9 +68,7 @@ class ZipfItems(ItemDistribution):
 
     def __init__(self, n: int, alpha: float) -> None:
         super().__init__(n)
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self._alpha = alpha
+        self._alpha = alpha = NONNEGATIVE.check("alpha", alpha)
         ranks = np.arange(1, n + 1, dtype=np.float64)
         weights = ranks ** (-alpha)
         self._probabilities = weights / weights.sum()

@@ -16,6 +16,8 @@ import enum
 
 import numpy as np
 
+from repro.bounds import COUNT
+
 
 class Spacing(enum.Enum):
     """How the ``w_n`` values are spread over ``[w_min, w_max]``."""
@@ -28,8 +30,7 @@ def execution_time_values(
     w_n: int, w_min: float, w_max: float, spacing: Spacing = Spacing.LINEAR
 ) -> np.ndarray:
     """The ``w_n`` distinct execution-time values, ascending."""
-    if w_n < 1:
-        raise ValueError(f"w_n must be >= 1, got {w_n}")
+    w_n = COUNT.check("w_n", w_n)
     if w_min <= 0 or w_max < w_min:
         raise ValueError(f"need 0 < w_min <= w_max, got [{w_min}, {w_max}]")
     if w_n == 1:
@@ -67,8 +68,7 @@ class ExecutionTimeModel:
         spacing: Spacing = Spacing.LINEAR,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        n = COUNT.check("n", n)
         if w_n > n:
             raise ValueError(f"w_n ({w_n}) cannot exceed n ({n})")
         rng = rng if rng is not None else np.random.default_rng()

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import POSITIVE, check_bounds, integer
+
 #: the paper's phase multipliers for k = 5 (Figure 10)
 PAPER_PHASE1 = (1.05, 1.025, 1.0, 0.975, 0.95)
 PAPER_PHASE2 = (0.90, 0.95, 1.0, 1.05, 1.10)
@@ -52,8 +54,9 @@ class LoadShiftScenario:
         k = len(self.phases[0])
         if any(len(phase) != k for phase in self.phases):
             raise ValueError("all phases must cover the same instance count")
-        if any(m <= 0 for phase in self.phases for m in phase):
-            raise ValueError("multipliers must be > 0")
+        for phase in self.phases:
+            for multiplier in phase:
+                POSITIVE.check("multipliers", multiplier)
 
     @property
     def k(self) -> int:
@@ -114,17 +117,16 @@ class DriftScenario:
 
     start: tuple[float, ...]
     end: tuple[float, ...]
-    duration: int
+    duration: int = integer(low=1)
 
     def __post_init__(self) -> None:
         if len(self.start) != len(self.end):
             raise ValueError("start and end must cover the same instances")
         if not self.start:
             raise ValueError("need at least one instance")
-        if self.duration < 1:
-            raise ValueError(f"duration must be >= 1, got {self.duration}")
-        if any(m <= 0 for m in self.start + self.end):
-            raise ValueError("multipliers must be > 0")
+        check_bounds(self)
+        for multiplier in self.start + self.end:
+            POSITIVE.check("multipliers", multiplier)
 
     @property
     def k(self) -> int:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import check_bounds, integer, real
 from repro.workloads.distributions import ItemDistribution, ZipfItems
 from repro.workloads.exectime import ExecutionTimeModel, Spacing
 
@@ -36,25 +37,18 @@ class StreamSpec:
     extension; queues are strictly harder under Poisson arrivals).
     """
 
-    m: int = 32_768
-    n: int = 4_096
-    w_n: int = 64
-    w_min: float = 1.0
-    w_max: float = 64.0
+    m: int = integer(32_768, low=1)
+    n: int = integer(4_096, low=1)
+    w_n: int = integer(64, low=1)
+    w_min: float = real(1.0, low=0, open_low=True)
+    w_max: float = real(64.0, low=0, open_low=True)
     spacing: Spacing = Spacing.LINEAR
-    k: int = 5
-    over_provisioning: float = 1.0
+    k: int = integer(5, low=1)
+    over_provisioning: float = real(1.0, low=0, open_low=True)
     arrival_process: str = "constant"
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.over_provisioning <= 0:
-            raise ValueError(
-                f"over_provisioning must be > 0, got {self.over_provisioning}"
-            )
+        check_bounds(self)
         if self.arrival_process not in ("constant", "poisson"):
             raise ValueError(
                 f"arrival_process must be 'constant' or 'poisson', "
@@ -69,12 +63,13 @@ class Stream:
     items: np.ndarray
     base_times: np.ndarray
     arrivals: np.ndarray
-    n: int
+    n: int = integer(low=1)
     #: item -> nominal execution time lookup (for oracles and heterogeneity)
     time_table: np.ndarray
     label: str = "stream"
 
     def __post_init__(self) -> None:
+        check_bounds(self)
         if not (len(self.items) == len(self.base_times) == len(self.arrivals)):
             raise ValueError("items, base_times and arrivals must align")
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.bounds import check_bounds, integer, real
 from repro.workloads.distributions import ZipfItems
 from repro.workloads.exectime import ClassBasedTimeModel
 from repro.workloads.synthetic import Stream, arrival_times
@@ -42,27 +43,18 @@ PAPER_CLASS_TIMES = {CLASS_MEDIA: 25.0, CLASS_POLITICIAN: 5.0, CLASS_OTHER: 1.0}
 class TwitterDatasetSpec:
     """Parameters of the synthetic Twitter stream (defaults = paper)."""
 
-    m: int = 500_000
-    n: int = 35_000
-    top_probability: float = 0.065
+    m: int = integer(500_000, low=1)
+    n: int = integer(35_000, low=1)
+    top_probability: float = real(0.065, low=0, high=1, open_low=True, open_high=True)
     #: fraction of entities in each class; media are rare, long-running
-    media_fraction: float = 0.05
-    politician_fraction: float = 0.20
+    media_fraction: float = real(0.05, low=0)
+    politician_fraction: float = real(0.20, low=0)
     class_times: dict = field(default_factory=lambda: dict(PAPER_CLASS_TIMES))
-    k: int = 5
-    over_provisioning: float = 1.0
+    k: int = integer(5, low=1)
+    over_provisioning: float = real(1.0, low=0, open_low=True)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.top_probability < 1.0:
-            raise ValueError(
-                f"top_probability must be in (0, 1), got {self.top_probability}"
-            )
-        if self.media_fraction < 0 or self.politician_fraction < 0:
-            raise ValueError("class fractions must be >= 0")
+        check_bounds(self)
         if self.media_fraction + self.politician_fraction > 1.0:
             raise ValueError("class fractions must sum to <= 1")
 

@@ -9,6 +9,7 @@ from repro.experiments.cli import (
     COMMANDS,
     FIGURES,
     RUN_LEVEL,
+    Command,
     build_parser,
     main,
 )
@@ -119,6 +120,46 @@ class TestMain:
             main([command, *flag])
         assert refusal.value.code == 2
         assert f"{command} does not take {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["figure5", "--reps", "0"], "--reps: value must be >= 1, got 0"),
+            (["figure5", "--reps", "2.5"], "--reps"),
+            (["figure5", "--scale", "-1"], "--scale: value must be > 0, got -1.0"),
+            (["figure5", "--scale", "nan"], "--scale: value must be finite, got nan"),
+            (["chaos", "--scale", "nan"], "--scale: value must be finite, got nan"),
+            (["chaos", "--parallel", "0"], "--parallel: value must be >= 1, got 0"),
+        ],
+    )
+    def test_a_bad_count_or_scale_is_a_usage_error_before_anything_runs(
+        self, argv, message, capsys, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setitem(FIGURES, "figure5", lambda: ran.append("figure5"))
+        chaos = Command("", lambda args: ran.append("chaos"), ("scale", "parallel"))
+        monkeypatch.setitem(COMMANDS, "chaos", chaos)
+        with pytest.raises(SystemExit) as refusal:
+            main(argv)
+        assert refusal.value.code == 2
+        assert message in capsys.readouterr().err
+        assert ran == []
+
+    @pytest.mark.parametrize(
+        "name, value, reader",
+        [
+            ("REPRO_REPS", "0", env_reps),
+            ("REPRO_SCALE", "-1", env_scale),
+            ("REPRO_SCALE", "nan", env_scale),
+            ("REPRO_SCALE", "inf", env_scale),
+        ],
+    )
+    def test_environment_readers_refuse_out_of_range_values(
+        self, name, value, reader, monkeypatch
+    ):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            reader()
 
     @pytest.mark.parametrize("command", list(RUN_LEVEL))
     def test_run_level_command_writes_its_artefacts(

@@ -19,6 +19,7 @@ from repro.simulator.network import (
     LognormalLatency,
     UniformLatency,
 )
+from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
 from repro.workloads.distributions import UniformItems, ZipfItems
 from repro.workloads.nonstationary import LoadShiftScenario
@@ -258,6 +259,61 @@ class TestLatencyModels:
         assert rng.bit_generator.state == before
         with pytest.raises(RuntimeError, match="not set up"):
             policy.k
+
+    @pytest.mark.parametrize("chunk_size", [0, 512], ids=["reference", "chunked"])
+    def test_non_integer_sample_queues_every_is_rejected_before_the_run(
+        self, chunk_size
+    ):
+        """Both engines refuse ``sample_queues_every=100.5`` up front: left
+        to the loops, the reference engine sampled every 201st arrival
+        and the chunked one every 100th."""
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        policy = POSGGrouping(tiny_config())
+        with pytest.raises(TypeError, match="^sample_queues_every must be an integer"):
+            simulate_stream(
+                small_stream(m=64), policy, k=5, rng=rng, chunk_size=chunk_size,
+                sample_queues_every=100.5,
+            )
+        assert rng.bit_generator.state == before
+        with pytest.raises(RuntimeError, match="not set up"):
+            policy.k
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("chunk_size", 2.5),
+            ("chunk_size", np.float64(512.0)),
+            ("sample_queues_every", 100.5),
+            ("workers", 1.5),
+        ],
+        ids=["chunk-float", "chunk-numpy-float", "sample-float", "workers-float"],
+    )
+    def test_parallel_engine_rejects_non_integers_before_the_run(
+        self, argument, value
+    ):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        policy = MultiSourcePOSGGrouping(1, tiny_config())
+        with pytest.raises(TypeError, match=f"^{argument} must be an integer"):
+            simulate_stream_parallel(
+                small_stream(m=64), policy, k=5, rng=rng, **{argument: value}
+            )
+        assert rng.bit_generator.state == before
+        with pytest.raises(RuntimeError, match="not set up"):
+            policy.k
+
+    def test_numpy_integer_sample_queues_every_samples_alike_on_both_engines(self):
+        stream = small_stream(m=512)
+        samples = [
+            simulate_stream(
+                stream, POSGGrouping(tiny_config()), k=5, chunk_size=chunk_size,
+                rng=np.random.default_rng(3), sample_queues_every=np.int64(100),
+            ).queue_samples
+            for chunk_size in (0, 512)
+        ]
+        assert len(samples[0]) == 6
+        assert np.array_equal(samples[0], samples[1])
 
     @pytest.mark.parametrize(
         "k", [2.5, np.float64(5.0), "5"], ids=["float", "numpy-float", "str"]
