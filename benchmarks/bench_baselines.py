@@ -5,8 +5,7 @@
   fresh control plane reactive is competitive; under realistic control
   latency or infrequent reports POSG's proactive estimates win — the
   paper's robustness argument, quantified.
-- **Key grouping** (Section VI): DKG-style heavy-hitter-aware key
-  grouping balances tuple *counts* nearly perfectly, yet loses to even
+- **Key grouping** (Section VI): hash-based key grouping loses to even
   Round-Robin shuffle grouping when execution time depends on content,
   because a heavy key cannot be split across instances.
 """
@@ -14,7 +13,6 @@
 import numpy as np
 
 from repro.core.config import POSGConfig
-from repro.core.dkg import DKGGrouping
 from repro.core.grouping import KeyGrouping, POSGGrouping, RoundRobinGrouping
 from repro.core.reactive import ReactiveGrouping
 from repro.simulator.run import simulate_stream
@@ -77,15 +75,12 @@ def test_proactive_vs_reactive(benchmark):
 
 def test_key_grouping_contrast(benchmark):
     def run():
-        dkg_L, rr_L = run_pair(lambda: DKGGrouping(warmup=2048, phi=0.005))
-        key_L, _ = run_pair(lambda: KeyGrouping())
+        key_L, rr_L = run_pair(lambda: KeyGrouping())
         posg_L, _ = run_pair(lambda: POSGGrouping(POSG_CONFIG))
-        return {"key": key_L, "dkg": dkg_L, "round_robin": rr_L, "posg": posg_L}
+        return {"key": key_L, "round_robin": rr_L, "posg": posg_L}
 
     ls = benchmark.pedantic(run, rounds=1, iterations=1)
     print("\n" + "  ".join(f"{k}={v:.0f}ms" for k, v in ls.items()))
-    # DKG repairs plain key grouping...
-    assert ls["dkg"] < ls["key"]
-    # ...but any key-affinity constraint loses to shuffle grouping here
-    assert ls["round_robin"] < ls["dkg"]
+    # key affinity loses to shuffle grouping here
+    assert ls["round_robin"] < ls["key"]
     assert ls["posg"] < ls["round_robin"]

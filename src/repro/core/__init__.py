@@ -36,7 +36,6 @@ from repro.core.grouping import (
 )
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.core.reactive import ReactiveGrouping
-from repro.core.dkg import DKGGrouping
 
 __all__ = [
     "POSGConfig",
@@ -62,5 +61,4 @@ __all__ = [
     "POSGGrouping",
     "MultiSourcePOSGGrouping",
     "ReactiveGrouping",
-    "DKGGrouping",
 ]

@@ -130,8 +130,8 @@ class RandomGrouping(GroupingPolicy):
         self._rng = rng if rng is not None else np.random.default_rng()
 
     def route(self, item: int) -> RouteDecision:
-        assert self._rng is not None
-        return RouteDecision(int(self._rng.integers(0, self.k)))
+        k = self.k
+        return RouteDecision(int(self._rng.integers(0, k)))
 
 
 class KeyGrouping(GroupingPolicy):
@@ -139,7 +139,9 @@ class KeyGrouping(GroupingPolicy):
 
     Key grouping pins every occurrence of an item to one instance; the
     paper notes solutions built for it underperform under shuffle
-    grouping, which our experiments can now demonstrate.
+    grouping, which
+    ``tests/core/test_baselines.py::TestKeyGrouping::test_loses_to_shuffle_grouping_on_content_skew``
+    measures.
     """
 
     name = "key"
@@ -153,7 +155,7 @@ class KeyGrouping(GroupingPolicy):
         self._hash = random_hash_family(1, k, rng=rng)
 
     def route(self, item: int) -> RouteDecision:
-        assert self._hash is not None
+        self.k  # raises before setup
         return RouteDecision(self._hash.hash(0, item))
 
 
@@ -177,7 +179,7 @@ class FullKnowledgeGrouping(GroupingPolicy):
         self._loads = np.zeros(k, dtype=np.float64)
 
     def route(self, item: int) -> RouteDecision:
-        assert self._loads is not None
+        self.k  # raises before setup
         instance = int(np.argmin(self._loads))
         self._loads[instance] += self._oracle(item, instance)
         return RouteDecision(instance)
@@ -185,7 +187,7 @@ class FullKnowledgeGrouping(GroupingPolicy):
     @property
     def loads(self) -> np.ndarray:
         """Exact cumulated loads (read-only view)."""
-        assert self._loads is not None
+        self.k  # raises before setup
         view = self._loads.view()
         view.flags.writeable = False
         return view
@@ -215,11 +217,11 @@ class TwoChoicesGrouping(GroupingPolicy):
         self._rng = rng if rng is not None else np.random.default_rng()
 
     def route(self, item: int) -> RouteDecision:
-        assert self._loads is not None and self._rng is not None
-        if self.k == 1:
+        k = self.k
+        if k == 1:
             first = second = 0
         else:
-            first, second = self._rng.choice(self.k, size=2, replace=False)
+            first, second = self._rng.choice(k, size=2, replace=False)
         instance = int(first if self._loads[first] <= self._loads[second] else second)
         self._loads[instance] += self._oracle(item, instance)
         return RouteDecision(instance)

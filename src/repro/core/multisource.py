@@ -235,6 +235,7 @@ class MultiSourcePOSGGrouping(POSGGrouping):
     # ------------------------------------------------------------------
     def route(self, item: int) -> RouteDecision:
         """Route one tuple through the next shard in arrival order."""
+        self.k  # raises before setup
         source = self._cursor
         cursor = source + 1
         self._cursor = 0 if cursor == self._sources else cursor

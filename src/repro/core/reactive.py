@@ -94,9 +94,7 @@ class ReactiveGrouping(GroupingPolicy):
         self._reports_received = 0
 
     def route(self, item: int) -> RouteDecision:
-        assert self._reported is not None and self._assigned is not None
-        assert self._reported_executed is not None
-        assert self._mean_costs is not None and self._has_reported is not None
+        self.k  # raises before setup
         if not self._has_reported.all():
             # keep round-robin over the instances still missing a report:
             # they carry no load figure to rank by, and each needs
@@ -105,7 +103,6 @@ class ReactiveGrouping(GroupingPolicy):
             instance = int(silent[self._rr_counter % len(silent)])
             self._rr_counter += 1
         else:
-            assert self._assigned_at_report is not None
             # tuples assigned but not covered by the last report: the
             # assigned-minus-executed backlog where reports lag behind
             # the queue, and never less than the assignments made after
@@ -125,27 +122,32 @@ class ReactiveGrouping(GroupingPolicy):
         return RouteDecision(instance)
 
     def _global_mean_cost(self) -> float:
-        assert self._reported is not None and self._reported_executed is not None
         executed = float(self._reported_executed.sum())
         return float(self._reported.sum()) / executed if executed > 0 else 0.0
 
     def on_control(self, message: ControlMessage) -> None:
-        if not isinstance(message, LoadReport):
-            raise TypeError(f"reactive scheduler got {message!r}")
-        assert self._reported is not None and self._reported_executed is not None
-        assert self._mean_costs is not None and self._has_reported is not None
-        assert self._assigned is not None and self._assigned_at_report is not None
-        self._reported[message.instance] = message.cumulated_time
-        self._reported_executed[message.instance] = message.tuples_executed
-        self._assigned_at_report[message.instance] = self._assigned[
-            message.instance
-        ]
-        if message.tuples_executed > 0:
-            self._mean_costs[message.instance] = (
-                message.cumulated_time / message.tuples_executed
-            )
-        self._has_reported[message.instance] = True
-        self._reports_received += 1
+        self.on_control_batch([message])
+
+    def on_control_batch(self, messages: "list[ControlMessage]") -> None:
+        """Validate the whole batch, then apply it (atomic delivery)."""
+        for message in messages:
+            if not isinstance(message, LoadReport):
+                raise TypeError(f"reactive scheduler got {message!r}")
+            if not 0 <= message.instance < self.k:
+                raise ValueError(
+                    f"load report from unknown instance {message.instance}"
+                )
+        for message in messages:
+            instance = message.instance
+            self._reported[instance] = message.cumulated_time
+            self._reported_executed[instance] = message.tuples_executed
+            self._assigned_at_report[instance] = self._assigned[instance]
+            if message.tuples_executed > 0:
+                self._mean_costs[instance] = (
+                    message.cumulated_time / message.tuples_executed
+                )
+            self._has_reported[instance] = True
+            self._reports_received += 1
 
     def create_instance_agent(self, instance_id: int) -> InstanceAgent:
         return _ReportingAgent(instance_id, self._interval)

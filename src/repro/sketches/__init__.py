@@ -13,7 +13,6 @@ the paper relies on (Section III-A of the paper):
 from repro.sketches.hashing import TwoUniversalHashFamily, random_hash_family
 from repro.sketches.bucket_cache import BucketColumnCache, get_bucket_cache
 from repro.sketches.count_min import CountMinSketch, dims_for
-from repro.sketches.space_saving import SpaceSaving
 
 __all__ = [
     "TwoUniversalHashFamily",
@@ -22,5 +21,4 @@ __all__ = [
     "get_bucket_cache",
     "CountMinSketch",
     "dims_for",
-    "SpaceSaving",
 ]

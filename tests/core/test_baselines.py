@@ -1,10 +1,10 @@
-"""Tests for the reactive-scheduling and DKG baselines."""
+"""Tests for the reactive-scheduling and key-grouping baselines."""
 
 import numpy as np
 import pytest
 
-from repro.core.dkg import DKGGrouping
-from repro.core.grouping import RoundRobinGrouping
+from repro.core.config import POSGConfig
+from repro.core.grouping import KeyGrouping, POSGGrouping, RoundRobinGrouping
 from repro.core.messages import LoadReport
 from repro.core.reactive import ReactiveGrouping
 from repro.simulator.run import simulate_stream
@@ -103,6 +103,31 @@ class TestReactiveGrouping:
         with pytest.raises(TypeError):
             policy.on_control("junk")
 
+    @staticmethod
+    def assert_untouched(policy):
+        assert policy.reports_received == 0
+        # no instance has reported, so the rotation still covers all four
+        assert [policy.route(0).instance for _ in range(8)] == [0, 1, 2, 3] * 2
+
+    @pytest.mark.parametrize("instance", [-1, 4, 7])
+    def test_refuses_report_from_unknown_instance(self, instance):
+        policy = ReactiveGrouping(report_interval=4)
+        policy.setup(4)
+        with pytest.raises(ValueError,
+                           match=f"^load report from unknown instance {instance}$"):
+            policy.on_control(LoadReport(instance, 5.0, 1))
+        self.assert_untouched(policy)
+
+    def test_refused_batch_applies_nothing(self):
+        """Atomic delivery: the valid head of a batch is not applied
+        when a later report names an unknown instance."""
+        policy = ReactiveGrouping(report_interval=4)
+        policy.setup(4)
+        batch = [LoadReport(0, 5.0, 1), LoadReport(9, 1.0, 1)]
+        with pytest.raises(ValueError, match="unknown instance 9$"):
+            policy.on_control_batch(batch)
+        self.assert_untouched(policy)
+
     def test_reactive_beats_round_robin(self):
         """Load feedback, even stale, helps over blind rotation."""
         stream = skewed_stream()
@@ -143,61 +168,21 @@ class TestReactiveGrouping:
         assert np.mean(posg_L) < np.mean(reactive_L)
 
 
-class TestDKGGrouping:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DKGGrouping(warmup=0)
-        with pytest.raises(ValueError):
-            DKGGrouping(phi=0.0)
-
-    def test_key_affinity_after_placement(self):
-        policy = DKGGrouping(warmup=100, phi=0.01)
-        policy.setup(4, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            policy.route(int(rng.zipf(1.5) % 50))
-        assert policy.placed
-        # after placement every key routes deterministically
-        for item in range(50):
-            first = policy.route(item).instance
-            assert policy.route(item).instance == first
-
-    def test_heavy_hitters_get_placed(self):
-        policy = DKGGrouping(warmup=500, phi=0.05)
-        policy.setup(4, np.random.default_rng(0))
-        rng = np.random.default_rng(2)
-        for _ in range(600):
-            # item 0 is 30% of the stream
-            item = 0 if rng.random() < 0.3 else int(rng.integers(1, 1000))
-            policy.route(item)
-        assert policy.heavy_hitter_count >= 1
-
-    def test_balances_counts_better_than_plain_key_grouping(self):
-        from repro.core.grouping import KeyGrouping
-
-        stream = skewed_stream(m=20_000, n=256, seed=3)
-        dkg = simulate_stream(
-            stream, DKGGrouping(warmup=2048, phi=0.005), k=4,
-            rng=np.random.default_rng(4),
-        )
-        key = simulate_stream(
-            stream, KeyGrouping(), k=4, rng=np.random.default_rng(4)
-        )
-
-        def imbalance(result):
-            counts = result.stats.instance_tuple_counts(4).astype(float)
-            return counts.max() / counts.mean()
-
-        assert imbalance(dkg) < imbalance(key)
-
+class TestKeyGrouping:
     def test_loses_to_shuffle_grouping_on_content_skew(self):
-        """Section VI: key grouping underperforms under shuffle grouping
-        when execution time depends on the tuple."""
-        stream = skewed_stream(m=20_000, n=256, seed=5)
-        dkg = simulate_stream(
-            stream, DKGGrouping(warmup=2048, phi=0.005), k=4,
-            rng=np.random.default_rng(6),
-        )
-        rr = simulate_stream(stream, RoundRobinGrouping(), k=4)
-        assert (rr.stats.average_completion_time
-                < dkg.stats.average_completion_time)
+        """Section VI: key-grouping balancers underperform under shuffle
+        grouping when execution time depends on the tuple.  Key affinity
+        sends every occurrence of a heavy key to one instance, so even
+        blind Round-Robin beats it, and POSG beats Round-Robin."""
+        config = POSGConfig(window_size=64, rows=4, cols=54,
+                            merge_matrices=True, pooled_estimates=True)
+        for seed in range(3):
+            stream = skewed_stream(m=20_000, n=256, seed=seed)
+            posg, rr, key = (
+                simulate_stream(
+                    stream, policy, k=4, rng=np.random.default_rng(1)
+                ).stats.average_completion_time
+                for policy in (POSGGrouping(config), RoundRobinGrouping(),
+                               KeyGrouping())
+            )
+            assert posg < rr < key, (seed, posg, rr, key)

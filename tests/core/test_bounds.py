@@ -24,7 +24,6 @@ from repro.analysis.estimation import (
 )
 from repro.analysis.queueing import utilization
 from repro.core.config import CoordinationConfig, POSGConfig, RecoveryConfig
-from repro.core.dkg import DKGGrouping
 from repro.core.gos import adversarial_sequence, greedy_online_schedule, opt_lower_bound
 from repro.core.grouping import POSGGrouping, RoundRobinGrouping
 from repro.core.instance import InstanceTracker
@@ -45,7 +44,6 @@ from repro.simulator.supervisor import SupervisionConfig
 from repro.simulator.topology import StageTopology
 from repro.sketches.count_min import CountMinSketch, dims_for
 from repro.sketches.hashing import TwoUniversalHashFamily, random_hash_family
-from repro.sketches.space_saving import SpaceSaving
 from repro.storm.acker import AckTracker
 from repro.storm.cluster import ClusterConfig
 from repro.storm.components import FailingBolt, ShardedStreamSpout
@@ -351,8 +349,6 @@ INTEGER_ARGUMENTS = [
     ("sources", lambda v: FlightRecorder().bind(v), 2),
     ("sources", lambda v: LineageTracer().bind(v), 2),
     ("report_interval", lambda v: ReactiveGrouping(v), 8),
-    ("warmup", lambda v: DKGGrouping(v), 8),
-    ("capacity", lambda v: SpaceSaving(v), 8),
     ("capacity", lambda v: Tracer(v), 8),
     ("rows", lambda v: random_hash_family(v, 4, np.random.default_rng(0)), 2),
     ("cols", lambda v: random_hash_family(2, v, np.random.default_rng(0)), 4),
@@ -377,8 +373,6 @@ REAL_ARGUMENTS = [
     ("delta", lambda v: dims_for(0.5, v), 0.5),
     ("factor", lambda v: CountMinSketch(_hashes()).scale(v), 0.5),
     ("q", lambda v: CompletionStats(np.ones(4), np.zeros(4, int)).percentile(v), 50.0),
-    ("phi", lambda v: SpaceSaving(8).heavy_hitters(v), 0.5),
-    ("phi", lambda v: DKGGrouping(phi=v), 0.5),
     ("threshold", lambda v: markov_tail_bound(1.0, v), 2.0),
     ("row_probability", lambda v: independent_rows_bound(v, 2), 0.5),
     ("interval", lambda v: LiveDashboard(None, interval=v), 0.5),

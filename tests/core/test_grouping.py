@@ -1,15 +1,20 @@
 """Tests for the engine-facing grouping policies."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import repro.core
 from repro.core.config import POSGConfig
 from repro.core.grouping import (
     FullKnowledgeGrouping,
+    GroupingPolicy,
     KeyGrouping,
     POSGGrouping,
     RandomGrouping,
     RoundRobinGrouping,
+    TwoChoicesGrouping,
 )
 from repro.core.scheduler import SchedulerState
 
@@ -29,10 +34,6 @@ class TestRoundRobin:
         policy = RoundRobinGrouping()
         policy.setup(2)
         assert policy.create_instance_agent(0) is None
-
-    def test_requires_setup(self):
-        with pytest.raises(RuntimeError):
-            RoundRobinGrouping().route(1)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -135,3 +136,38 @@ class TestPOSGGrouping:
     def test_scheduler_before_setup_rejected(self):
         with pytest.raises(RuntimeError):
             POSGGrouping().scheduler
+
+
+#: every concrete grouping policy the package exports
+POLICIES = [
+    item
+    for item in (getattr(repro.core, name) for name in repro.core.__all__)
+    if isinstance(item, type)
+    and issubclass(item, GroupingPolicy)
+    and not inspect.isabstract(item)
+]
+
+
+def _unit_oracle(item, instance):
+    return 1.0
+
+
+#: constructor arguments of the policies that need any
+ARGUMENTS = {
+    FullKnowledgeGrouping: (_unit_oracle,),
+    TwoChoicesGrouping: (_unit_oracle,),
+}
+
+NOT_SET_UP = r"^policy not set up; call setup\(k\) first$"
+
+
+class TestEveryPolicy:
+    @pytest.mark.parametrize("cls", POLICIES, ids=lambda cls: cls.__name__)
+    def test_requires_setup(self, cls):
+        policy = cls(*ARGUMENTS.get(cls, ()))
+        with pytest.raises(RuntimeError, match=NOT_SET_UP):
+            policy.route(1)
+
+    def test_full_knowledge_loads_require_setup(self):
+        with pytest.raises(RuntimeError, match=NOT_SET_UP):
+            FullKnowledgeGrouping(_unit_oracle).loads

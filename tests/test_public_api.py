@@ -1,10 +1,26 @@
 """The public API surface: everything advertised must import and work."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+from tests.core.test_grouping import POLICIES
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: where a policy counts as reached by something a user runs
+REACHING_DIRS = ("src/repro/experiments", "examples", "bench")
+
+#: policies no experiment, example or bench workload names, each mapped to
+#: the tier-1 test (``path::Class::function``) of the paper claim it backs
+CLAIM_TESTS = {
+    "ReactiveGrouping": "tests/core/test_baselines.py::TestReactiveGrouping"
+    "::test_posg_beats_reactive_under_control_plane_latency",
+}
 
 
 class TestTopLevel:
@@ -56,3 +72,35 @@ class TestTopLevel:
             stream, repro.RoundRobinGrouping(), k=2
         )
         assert result.stats.m == 512
+
+
+class TestReachability:
+    """A policy earns its place by being run or by backing a claim."""
+
+    def test_every_policy_is_reached_or_backs_a_claim(self):
+        text = "\n".join(
+            path.read_text()
+            for directory in REACHING_DIRS
+            for path in sorted((ROOT / directory).rglob("*.py"))
+        )
+        for name in (cls.__name__ for cls in POLICIES):
+            reached = re.search(rf"\b{name}\b", text) is not None
+            assert reached != (name in CLAIM_TESTS), (
+                f"{name}: name it under {', '.join(REACHING_DIRS)} or map it "
+                "to its claim test in CLAIM_TESTS, not both and not neither"
+            )
+
+    @pytest.mark.parametrize("policy", sorted(CLAIM_TESTS))
+    def test_claim_test_exists(self, policy):
+        node = CLAIM_TESTS[policy]
+        path, *names = node.split("::")
+        scope = ast.parse((ROOT / path).read_text()).body
+        for name in names:
+            found = [
+                item
+                for item in scope
+                if isinstance(item, (ast.ClassDef, ast.FunctionDef))
+                and item.name == name
+            ]
+            assert found, f"{node}: no {name}"
+            scope = found[0].body
