@@ -4,7 +4,7 @@ PYTHON ?= python
 # every target runs against the in-tree sources without an install step
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test bench chaos chaos-parallel observe \
+.PHONY: install test chaos chaos-parallel observe \
 	multisource multisource-coord attribution latency figures \
 	figures-paper-scale examples clean
 
@@ -13,11 +13,6 @@ install:
 
 test:
 	$(PYTHON) -m pytest -x -q
-
-# paper-figure regenerators under pytest-benchmark; performance is
-# measured by the pinned benchmark, `python -m bench` (bench/README.md)
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # fault-injection acceptance scenario: 10% control-plane loss plus one
 # mid-stream crash; writes report.json/metrics.prom/trace.jsonl under
@@ -69,7 +64,9 @@ attribution:
 latency:
 	$(PYTHON) -m repro.experiments latency --scale 0.25 --output latency-out
 
-# regenerate every paper figure without pytest
+# regenerate every paper figure, then check the paper's figure and
+# theorem claims; exits non-zero if one misses (performance is measured
+# by the pinned benchmark, `python -m bench`, see bench/README.md)
 figures:
 	$(PYTHON) -m repro.experiments all
 

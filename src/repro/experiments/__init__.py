@@ -1,18 +1,16 @@
 """Experiment harness regenerating every table and figure of the paper.
 
 Each ``figure*`` function in :mod:`~repro.experiments.figures` rebuilds
-one plot of Section V as structured rows; the ``benchmarks/`` tree wraps
-them in pytest-benchmark targets that print the same series the paper
-reports.  The run-level experiments (``telemetry``, ``chaos``,
+one plot of Section V as structured rows, and
+:mod:`~repro.experiments.claims` checks them and the theorems against
+the paper.  The run-level experiments (``telemetry``, ``chaos``,
 ``observe``, ``multisource``, ``attribution``, ``latency``) are one
-module each on :mod:`~repro.experiments.scaffold`, and
-:mod:`~repro.experiments.cli` holds the one table of commands
-``python -m repro.experiments`` accepts.
+module each on :mod:`~repro.experiments.scaffold`;
+:mod:`~repro.experiments.cli` holds the one table of commands.
 
-Cost scaling: the paper aggregates over 100 randomized streams per
-configuration; that is hours of CPU.  ``REPRO_REPS`` (default 5) sets
-the repetition count and ``REPRO_SCALE`` (default 1.0) scales stream
-lengths; shapes are stable from roughly 5-10 repetitions.  The CLI's
+Cost: the paper aggregates 100 randomized streams per configuration,
+hours of CPU.  ``REPRO_REPS`` (default 5) sets the repetitions and
+``REPRO_SCALE`` (default 1.0) scales stream lengths; the CLI's
 ``--reps`` / ``--scale`` set them for one command and restore them.
 """
 

@@ -4,15 +4,17 @@ Usage::
 
     python -m repro.experiments list
     python -m repro.experiments figure4 --reps 5
-    python -m repro.experiments all --reps 3 --scale 0.25
+    python -m repro.experiments all --reps 3 --scale 1
     python -m repro.experiments chaos --scale 0.1 --output out/
 
 Every command is one row of :data:`COMMANDS` — its summary (what
 ``list`` prints), its runner and the shared flags it accepts; a flag a
 command does not take is refused, not ignored.  Each figure command
-prints the same series the paper plots; the run-level commands
-(:data:`RUN_LEVEL`) are described under their own headings in
-EXPERIMENTS.md.
+prints the same series the paper plots; ``all`` then checks the
+paper's claims (:mod:`~repro.experiments.claims`) and exits 1 on a miss,
+as it does at ``--scale 0.25``, where the streams are too short.  The
+run-level commands (:data:`RUN_LEVEL`) are described under their own
+headings in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.bounds import COUNT, POSITIVE, Bound
 from repro.experiments import (
     attribution,
     chaos,
+    claims,
     figures,
     latency,
     multisource,
@@ -80,12 +83,15 @@ def _environment(**values: object):
                 os.environ[name] = value
 
 
-def _figures(names: Sequence[str]) -> Callable[[argparse.Namespace], int]:
+def _figures(
+    names: Sequence[str], gate: bool = False
+) -> Callable[[argparse.Namespace], int]:
     def run(args: argparse.Namespace) -> int:
         directory = output_directory(args.output)
+        results = {}
         with _environment(REPRO_REPS=args.reps, REPRO_SCALE=args.scale):
             for name in names:
-                result = FIGURES[name]()
+                result = results[name] = FIGURES[name]()
                 print(render_figure(result))
                 if args.plot:
                     from repro.experiments.plotting import plot_figure
@@ -97,7 +103,7 @@ def _figures(names: Sequence[str]) -> Callable[[argparse.Namespace], int]:
                     result.save(path)
                     print(f"(saved to {path})")
                 print()
-        return 0
+        return claims.gate(results, directory) if gate else 0
 
     return run
 
@@ -168,8 +174,8 @@ COMMANDS: dict[str, Command] = {
     },
     **RUN_LEVEL,
     "all": Command(
-        "Every figure, one after the other.", _figures(sorted(FIGURES)),
-        FIGURE_FLAGS,
+        "Every figure, then the paper's claims: exits 1 if one fails.",
+        _figures(sorted(FIGURES), gate=True), FIGURE_FLAGS,
     ),
     "list": Command("This table.", _list, ()),
 }

@@ -1,12 +1,13 @@
 """One function per figure of the paper's evaluation (Section V).
 
 Every function returns a :class:`FigureResult` whose rows carry the same
-series the paper plots; the ``benchmarks/`` targets and the
-``figureN`` rows of :data:`repro.experiments.cli.COMMANDS` print them.
-Absolute milliseconds differ from the paper (different hardware model),
-but the *shapes* — orderings, trends and crossovers — are asserted by
-the benchmark suite.  Figures 5-9 are one-parameter sweeps over
-:func:`_sweep`; each names only what its parameter changes.
+series the paper plots; the ``figureN`` rows of
+:data:`repro.experiments.cli.COMMANDS` print them.  Absolute
+milliseconds differ from the paper (different hardware model), but the
+*shapes* — orderings, trends and crossovers — are the claims
+:mod:`repro.experiments.claims` checks after ``all`` has run every
+figure.  Figures 5-9 are one-parameter sweeps over :func:`_sweep`; each
+names only what its parameter changes.
 """
 
 from __future__ import annotations
@@ -47,16 +48,12 @@ class FigureResult:
     columns: list[str]
     rows: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    #: the figure's scalars as numbers (the claims read these, not notes)
+    facts: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """JSON-serializable form (for archiving measured results)."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "columns": list(self.columns),
-            "rows": [dict(row) for row in self.rows],
-            "notes": list(self.notes),
-        }
+        return dataclasses.asdict(self)
 
     def save(self, path) -> None:
         """Write the result as JSON."""
@@ -70,15 +67,9 @@ class FigureResult:
         """Read a result saved with :meth:`save`."""
         import json
 
+        # a file written before ``facts`` existed loads with none
         with open(path) as handle:
-            payload = json.load(handle)
-        return cls(
-            name=payload["name"],
-            description=payload["description"],
-            columns=payload["columns"],
-            rows=payload["rows"],
-            notes=payload["notes"],
-        )
+            return cls(**json.load(handle))
 
 
 def _spec(scale: float | None = None, **overrides) -> StreamSpec:
@@ -314,19 +305,18 @@ def figure10_timeseries(
             "rr_mean": rr_series.mean[i],
             "rr_max": rr_series.maximum[i],
         })
-    run_entry = posg.run_entry_index()
-    result.notes.append(f"POSG entered RUN at tuple {run_entry}")
-    recoveries = [
-        index for index, state in posg.state_transitions
-        if state is SchedulerState.RUN and index > m // 2
-    ]
-    if recoveries:
+    facts = result.facts = {
+        "run_entry": posg.run_entry_index(),
+        "resync": next((index for index, state in posg.state_transitions
+                        if state is SchedulerState.RUN and index > m // 2), None),
+        "sync_rounds": posg_policy.scheduler.sync_rounds_completed,
+    }
+    result.notes.append(f"POSG entered RUN at tuple {facts['run_entry']}")
+    if facts["resync"] is not None:
         result.notes.append(
-            f"first post-shift resynchronization completed at tuple {recoveries[0]}"
+            f"first post-shift resynchronization completed at tuple {facts['resync']}"
         )
-    result.notes.append(
-        f"sync rounds completed: {posg_policy.scheduler.sync_rounds_completed}"
-    )
+    result.notes.append(f"sync rounds completed: {facts['sync_rounds']}")
     return result
 
 
@@ -411,9 +401,14 @@ def figure11_prototype_timeseries(
             "posg_mean": float(posg_bin.mean()) if posg_bin.size else float("nan"),
             "assg_mean": float(assg_bin.mean()) if assg_bin.size else float("nan"),
         })
-    result.notes.append(f"POSG timeouts: {posg.metrics.timed_out}")
-    result.notes.append(f"ASSG timeouts: {assg.metrics.timed_out}")
-    result.notes.append(f"POSG control messages: {posg.metrics.control_messages}")
+    facts = result.facts = {
+        "posg_timeouts": posg.metrics.timed_out,
+        "assg_timeouts": assg.metrics.timed_out,
+        "posg_control_messages": posg.metrics.control_messages,
+    }
+    result.notes.append(f"POSG timeouts: {facts['posg_timeouts']}")
+    result.notes.append(f"ASSG timeouts: {facts['assg_timeouts']}")
+    result.notes.append(f"POSG control messages: {facts['posg_control_messages']}")
     return result
 
 

@@ -1,4 +1,4 @@
-"""ASCII rendering of figure results for the benchmark harness."""
+"""ASCII rendering of figure results for the experiment CLI."""
 
 from __future__ import annotations
 

@@ -42,7 +42,7 @@ def env_scale(default: float = 1.0) -> float:
 #:
 #: Three deliberate deviations from Section V-A's N = 1024 per-instance
 #: replace-mode setup, all documented and quantified in EXPERIMENTS.md
-#: and benchmarks/bench_ablations.py:
+#: and tests/experiments/test_design_claims.py:
 #:
 #: - ``window_size=128`` — the ROUND_ROBIN bootstrap then covers ~4 % of
 #:   the 32,768-tuple stream, comparable to the proportion the paper's

@@ -150,7 +150,7 @@ class TestReactiveGrouping:
         config = POSGConfig(window_size=64, rows=4, cols=54,
                             merge_matrices=True, pooled_estimates=True)
         control_latency = 200.0
-        reactive_L, posg_L = [], []
+        reactive_L, posg_L, fresh_reactive_L = [], [], []
         for seed in range(3):
             stream = skewed_stream(seed=seed)
             reactive = simulate_stream(
@@ -163,9 +163,17 @@ class TestReactiveGrouping:
                 control_latency=control_latency,
                 rng=np.random.default_rng(1),
             )
+            fresh_reactive = simulate_stream(
+                stream, ReactiveGrouping(report_interval=64), k=4,
+                control_latency=1.0, rng=np.random.default_rng(1),
+            )
             reactive_L.append(reactive.stats.average_completion_time)
             posg_L.append(posg.stats.average_completion_time)
+            fresh_reactive_L.append(fresh_reactive.stats.average_completion_time)
         assert np.mean(posg_L) < np.mean(reactive_L)
+        # staleness is what hurts reactive: it degrades against its own
+        # fresh self (1 ms control plane, a report every 64 tuples)
+        assert np.mean(reactive_L) > np.mean(fresh_reactive_L)
 
 
 class TestKeyGrouping:

@@ -181,3 +181,9 @@ class TestSmokeGates:
         for name in RUN_LEVEL:
             assert f"          - name: {name}\n" in smoke, name
             assert f"python -m repro.experiments {name} " in smoke, name
+        # the claim gate too, at scale 1: it is not a RUN_LEVEL row, as its
+        # claims miss at the 0.01 scale the artefact test runs
+        assert "          - name: all\n" in smoke
+        assert ("python -m repro.experiments all --scale 1 --reps 3 "
+                "--output paper-out\n") in smoke
+        assert "artifact: paper-out/claims.json\n" in smoke

@@ -11,11 +11,22 @@ class TestFigureResultPersistence:
         result = FigureResult(
             name="figureX", description="demo", columns=["a", "b"],
             rows=[{"a": 1, "b": 2.5}], notes=["hello"],
+            facts={"run_entry": 10_690, "resync": None},
         )
         path = tmp_path / "fig.json"
         result.save(path)
         loaded = FigureResult.load(path)
         assert loaded == result
+
+    def test_a_file_without_facts_loads_with_none(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "name": "figure10", "description": "d", "columns": ["index"],
+            "rows": [{"index": 0}], "notes": ["POSG entered RUN at tuple 5"],
+        }))
+        loaded = FigureResult.load(path)
+        assert loaded.facts == {}
+        assert loaded.notes == ["POSG entered RUN at tuple 5"]
 
     def test_json_is_plain(self, tmp_path):
         result = FigureResult(name="f", description="d", columns=["x"],

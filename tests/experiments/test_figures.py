@@ -1,5 +1,6 @@
 """Structural tests for the figure harness (tiny scale: shapes of the
-output, not of the science — the benchmarks assert the science)."""
+output, not of the science — the claims ``all`` checks assert the
+science, see tests/experiments/test_claims.py)."""
 
 import numpy as np
 import pytest
@@ -68,6 +69,9 @@ class TestTimeSeriesFigures:
         )
         assert len(result.rows) == 8
         assert any("entered RUN" in note for note in result.notes)
+        # the notes print the facts the claims read
+        assert set(result.facts) == {"run_entry", "resync", "sync_rounds"}
+        assert f"sync rounds completed: {result.facts['sync_rounds']}" in result.notes
         for row in result.rows:
             assert row["posg_min"] <= row["posg_mean"] <= row["posg_max"]
 
@@ -79,6 +83,7 @@ class TestTimeSeriesFigures:
         assert len(result.rows) == 4
         assert any(note.startswith("POSG timeouts") for note in result.notes)
         assert any(note.startswith("ASSG timeouts") for note in result.notes)
+        assert f"ASSG timeouts: {result.facts['assg_timeouts']}" in result.notes
 
     def test_figure12_structure(self):
         result = figure12_twitter(
