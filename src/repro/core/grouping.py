@@ -110,6 +110,10 @@ class RoundRobinGrouping(GroupingPolicy):
         super().__init__()
         self._counter = 0
 
+    def setup(self, k: int, rng: np.random.Generator | None = None) -> None:
+        super().setup(k, rng)
+        self._counter = 0
+
     def route(self, item: int) -> RouteDecision:
         instance = self._counter % self.k
         self._counter += 1

@@ -51,6 +51,7 @@ import heapq
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -123,9 +124,8 @@ class SimulationResult:
     #: speculation tallies — see ``repro.simulator.parallel``
     parallel: "dict | None" = None
     #: which loop ``simulate_stream`` ran and what it did there: ``path``
-    #: ("segment", "generic", "round_robin", "full_knowledge" or
-    #: "reference"), ``reason`` (why a chunked run is on the generic
-    #: loop, else ``None``), and the segment path's
+    #: ("segment", "generic" or "reference"), ``reason`` (why a chunked
+    #: run is on the generic loop, else ``None``), and the segment path's
     #: tallies — ``segments``, ``truncated_segments`` (stopped short of
     #: their chunk_size window), ``cuts`` (those segments by what stopped
     #: them: ``control`` — a delivery pending when the segment opened,
@@ -708,10 +708,10 @@ def _simulate_chunked(
         control_lat=control_lat,
     )
 
-    # Oracle closure for Full Knowledge: reads the multipliers at the
-    # loop's index in the open window.  Its tables are listed on the
-    # first call (in each window, for the multiplier rows): only Full
-    # Knowledge asks, and they cost some 200 bytes of objects per tuple.
+    # Oracle closure for Two-Choices and off-kernel Full Knowledge, the
+    # only askers: reads the multipliers at the loop's index in the open
+    # window.  Its tables are listed on the first call (in each window,
+    # for the multiplier rows); they cost some 200 bytes per tuple.
     position = state.position
     time_table: list = []
 
@@ -736,16 +736,17 @@ def _simulate_chunked(
     path, reason = _choose_loop(
         policy, injector, has_agents,
         observers.audit is None and profiler is None,
+        lambda: policy._oracle is oracle and np.array_equal(
+            stream.base_times, stream.time_table[stream.items]
+        ),
     )
     state.engine = _engine_info(path, reason)
-    if path == "segment":
-        _run_posg(state, policy, agents, injector, observers, profiler)
-    elif path == "round_robin":
-        _run_round_robin(state, policy, observers)
-    elif path == "full_knowledge":
-        _run_full_knowledge(state, policy, observers)
-    else:
+    if path != "segment":
         _run_generic(state, policy, agents, injector, observers, profiler)
+    elif isinstance(policy, POSGGrouping):
+        _run_posg(state, policy, agents, injector, observers, profiler)
+    else:
+        _run_baseline(state, policy, observers)
 
     finishes = np.frombuffer(state.finishes, dtype=np.float64)
     assignments = np.asarray(state.assignments, dtype=np.int64)
@@ -818,6 +819,7 @@ def _choose_loop(
     injector: FaultInjector | None,
     has_agents: bool,
     plain_run: bool,
+    own_oracle: Callable[[], bool],
 ) -> tuple[str, "str | None"]:
     """Pick the chunked engine's loop from what the engine can observe.
 
@@ -826,17 +828,19 @@ def _choose_loop(
     the stock shard interleave takes the segment path — ``POSGGrouping``,
     its subclasses, and ``MultiSourcePOSGGrouping`` at every ``s``, with
     or without latency hints, under any data-latency model, faulted or
-    not, defended or not.
+    not, defended or not.  So do the paper baselines on a plain run:
+    Round-Robin, and Full Knowledge if ``own_oracle()`` (the engine's
+    oracle over ``base_times == time_table[items]``).
     """
     if isinstance(policy, POSGGrouping):
         if type(policy).route in _SEGMENT_ROUTES:
             return "segment", None
         return "generic", "policy overrides route()"
     if not has_agents and injector is None and plain_run:
-        if type(policy) is RoundRobinGrouping:
-            return "round_robin", None
-        if type(policy) is FullKnowledgeGrouping:
-            return "full_knowledge", None
+        if type(policy) is RoundRobinGrouping or (
+            type(policy) is FullKnowledgeGrouping and own_oracle()
+        ):
+            return "segment", None
     return "generic", "policy has no segment router"
 
 
@@ -927,91 +931,46 @@ class _ChunkedState:
             yield (lo, *self.open_window(lo))
 
 
-def _run_round_robin(
-    state: _ChunkedState, policy: RoundRobinGrouping, observers: Observers
+def _run_baseline(
+    state: _ChunkedState, policy: GroupingPolicy, observers: Observers
 ) -> None:
-    """Whole-stream inline loop for ASSG (no agents, no control plane)."""
-    busy = state.busy_until
-    fin_append = state.finishes.append
-    asg_append = state.assignments.append
-    data_lat = state.data_lat
-    k = state.k
-    counter = policy._counter
-    # a small-int sentinel when nothing is attached
-    next_probe = min(observers.next_due, state.m)
+    """Round-Robin and Full Knowledge on the s = 1 segment kernel, one
+    call per window: with no agents no window closes (``window_left``
+    starts past ``m``) and no delivery cuts a segment.  Round-Robin's
+    counter keeps every tuple in the round-robin arm; Full Knowledge is
+    the greedy arm over its exact loads, estimating with the execution
+    columns, its own oracle's floats (:func:`_choose_loop` checked)."""
+    m, k = state.m, state.k
+    shape = Shape(k, 1, False, False, False, state.at_arrays is None)
+    kernel = segment_kernel(shape)
+    state.engine["kernel"] = shape.label
+    draws = [model.sample for model in state.data_lat] if shape.random_latency else None
+    round_robin = type(policy) is RoundRobinGrouping
+    block = SimpleNamespace(
+        _c=[0.0] * k if round_robin else policy._loads.tolist(),
+        _rr=policy._counter if round_robin else None,
+    )
+    sample = observers.sample
+
+    def probe(shard, index, item, instance, loads, *clocks):
+        # what ``sample_routed`` records for a policy without a scheduler
+        return sample(0, index, item, instance, (), *clocks[:-1], 0)
+
+    window_left, next_probe = [m + 1] * k, min(observers.next_due, m)
     for base, items, arrivals, at_columns, execution_columns in state.windows():
-        due = next_probe - base
-        for q, arrival in enumerate(arrivals):
-            instance = counter % k
-            counter += 1
-            if at_columns is not None:
-                at_instance = at_columns[instance][q]
-            else:
-                at_instance = arrival + data_lat[instance].sample()
-            b = busy[instance]
-            start = at_instance if at_instance > b else b
-            execution_time = execution_columns[instance][q]
-            finish = start + execution_time
-            busy[instance] = finish
-            fin_append(finish)
-            asg_append(instance)
-            if q == due:
-                next_probe = observers.sample(
-                    0, base + q, items[q], instance, (), arrival, at_instance,
-                    start, finish, execution_time, 0,
-                )
-                due = next_probe - base
-    policy._counter = counter
-
-
-def _run_full_knowledge(
-    state: _ChunkedState, policy: FullKnowledgeGrouping, observers: Observers
-) -> None:
-    """Whole-stream inline loop for the Full Knowledge baseline.
-
-    The exact load vector lives in a plain-float list for the duration of
-    the run (same IEEE additions, same first-minimum tie-breaking as the
-    policy's ``np.argmin``) and is written back at the end.
-    """
-    busy = state.busy_until
-    fin_append = state.finishes.append
-    asg_append = state.assignments.append
-    data_lat = state.data_lat
-    position = state.position
-    oracle = policy._oracle
-    loads = policy._loads.tolist()
-    k_range = range(1, state.k)
-    next_probe = min(observers.next_due, state.m)
-    for base, items, arrivals, at_columns, execution_columns in state.windows():
-        due = next_probe - base
-        for q, arrival in enumerate(arrivals):
-            position[0] = q
-            best = loads[0]
-            instance = 0
-            for i in k_range:
-                value = loads[i]
-                if value < best:
-                    best = value
-                    instance = i
-            loads[instance] += oracle(items[q], instance)
-            if at_columns is not None:
-                at_instance = at_columns[instance][q]
-            else:
-                at_instance = arrival + data_lat[instance].sample()
-            b = busy[instance]
-            start = at_instance if at_instance > b else b
-            execution_time = execution_columns[instance][q]
-            finish = start + execution_time
-            busy[instance] = finish
-            fin_append(finish)
-            asg_append(instance)
-            if q == due:
-                next_probe = observers.sample(
-                    0, base + q, items[q], instance, (), arrival, at_instance,
-                    start, finish, execution_time, 0,
-                )
-                due = next_probe - base
-    policy._loads[:] = loads
+        block._estimates = execution_columns
+        _, due, _ = kernel(
+            [block], 0, len(items), next_probe - base, _INFINITY, base, items,
+            arrivals, at_columns, execution_columns, state.busy_until,
+            window_left, m + 1, None, probe, state.finishes.append,
+            state.assignments.append, None, draws,
+        )
+        next_probe = base + due
+        state.engine["segments"] += 1
+    if round_robin:
+        policy._counter = block._rr
+    else:
+        policy._loads[:] = block._c
 
 
 def _send_control(

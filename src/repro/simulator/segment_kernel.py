@@ -1,5 +1,8 @@
 """The segment router's inner loop, generated once per run shape.
 
+Its s = 1 shape also runs the two paper baselines (``_run_baseline``):
+Round-Robin in the round-robin arm, Full Knowledge in the greedy one.
+
 A control-quiet segment of :func:`repro.simulator.run._run_posg` routes
 each tuple by a first-minimum scan over its shard's believed loads,
 adds its estimate, serves it FIFO and counts its instance's window

@@ -418,8 +418,8 @@ class TestMemoryPerTuple:
                 lambda: MultiSourcePOSGGrouping(4, POSGConfig.paper_defaults()),
                 "segment",
             ),
-            (RoundRobinGrouping, "round_robin"),
-            (lambda: FullKnowledgeGrouping, "full_knowledge"),
+            (RoundRobinGrouping, "segment"),
+            (lambda: FullKnowledgeGrouping, "segment"),
             (KeyGrouping, "generic"),
         ],
         ids=["posg", "posg-s4", "round-robin", "full-knowledge", "generic"],

@@ -14,7 +14,8 @@ engine.  This file pins that router four ways:
   observers, fault plans
   (message faults per channel and per source, crashes, overlapping
   slow-node windows) and recovery thresholds small enough that every
-  defence fires inside the stream;
+  defence fires inside the stream; and a second one for the two paper
+  baselines, which run the s = 1 kernel too;
 - a deterministic walk over the generated segment kernels (shard count
   x instance count x one feature at a time), each compiled once and
   legible in tracebacks;
@@ -59,7 +60,9 @@ from repro.telemetry.audit import AuditConfig
 from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
 from repro.telemetry.lineage import LineageConfig, LineageTracer
 from repro.telemetry.recorder import TelemetryRecorder
+from repro.workloads.nonstationary import LoadShiftScenario
 from repro.workloads.synthetic import (
+    Stream,
     StreamSpec,
     ZipfItems,
     default_stream,
@@ -80,8 +83,8 @@ def small_config(window_size=32, coordination=None, **overrides):
     )
 
 
-def assert_same_run(reference, chunked):
-    """Everything a run leaves behind, compared bit for bit."""
+def assert_same_stream(reference, chunked):
+    """What any policy's run leaves in the result, compared bit for bit."""
     np.testing.assert_array_equal(
         reference.stats.completions, chunked.stats.completions
     )
@@ -100,6 +103,19 @@ def assert_same_run(reference, chunked):
         np.testing.assert_array_equal(
             reference.queue_sample_indices, chunked.queue_sample_indices
         )
+    if reference.lineage is not None:
+        assert reference.lineage.timelines() == chunked.lineage.timelines()
+        assert reference.lineage.report() == chunked.lineage.report()
+    # each tuple became Python objects once, however SEND_ALL stretches,
+    # crashes and defences moved the windows
+    engine = chunked.engine
+    assert engine["window_tuples"] == chunked.stats.assignments.shape[0]
+    assert 1 <= engine["windows"] <= engine["window_tuples"]
+
+
+def assert_same_run(reference, chunked):
+    """Everything a POSG-family run leaves behind, compared bit for bit."""
+    assert_same_stream(reference, chunked)
     for ours, theirs in zip(
         reference.policy.schedulers, chunked.policy.schedulers, strict=True
     ):
@@ -125,9 +141,6 @@ def assert_same_run(reference, chunked):
     if reference.flight is not None:
         assert reference.flight.timelines() == chunked.flight.timelines()
         assert reference.flight.report() == chunked.flight.report()
-    if reference.lineage is not None:
-        assert reference.lineage.timelines() == chunked.lineage.timelines()
-        assert reference.lineage.report() == chunked.lineage.report()
     crashes = 0
     if reference.faults is not None:
         assert reference.faults.report() == chunked.faults.report()
@@ -141,10 +154,16 @@ def assert_same_run(reference, chunked):
     assert cuts["crash"] <= crashes
     # the estimate table never evaluates what a fresh gather would not
     assert engine["estimate_evaluations"] <= engine["estimate_requests"]
-    # each tuple became Python objects once, however SEND_ALL stretches,
-    # crashes and defences moved the windows
-    assert engine["window_tuples"] == chunked.stats.assignments.shape[0]
-    assert 1 <= engine["windows"] <= engine["window_tuples"]
+
+
+def assert_same_baseline_run(reference, chunked):
+    """A Round-Robin or Full Knowledge run, end state included."""
+    assert_same_stream(reference, chunked)
+    ours, theirs = reference.policy, chunked.policy
+    if isinstance(ours, RoundRobinGrouping):
+        assert ours._counter == theirs._counter == reference.stats.m
+    else:
+        np.testing.assert_array_equal(ours.loads, theirs.loads)
 
 
 def defence_actions(policy):
@@ -376,6 +395,47 @@ def configurations(draw):
     }
 
 
+#: the two paper baselines, as ``run_pair`` policy makers
+BASELINES = {
+    "round-robin": lambda recorder: RoundRobinGrouping(),
+    "full-knowledge": lambda recorder: FullKnowledgeGrouping,
+}
+
+
+@st.composite
+def baseline_configurations(draw):
+    k = draw(st.integers(min_value=1, max_value=16))
+    m = draw(st.integers(min_value=50, max_value=1_200))
+    scenario = None
+    if draw(st.booleans()):
+        multipliers = st.lists(
+            st.sampled_from([0.5, 1.0, 1.5, 3.0]), min_size=k, max_size=k
+        )
+        scenario = LoadShiftScenario(
+            phases=(tuple(draw(multipliers)), tuple(draw(multipliers))),
+            boundaries=(draw(st.integers(min_value=1, max_value=m - 1)),),
+        )
+    return {
+        "policy": draw(st.sampled_from(sorted(BASELINES))),
+        "k": k,
+        "m": m,
+        # past m: one window holds the whole stream
+        "chunk_size": draw(st.integers(min_value=1, max_value=m + 8)),
+        "data_latency": draw(
+            st.sampled_from(["constant", "per-instance-constants", "uniform"])
+        ),
+        "scenario": scenario,
+        "sample_queues_every": draw(st.sampled_from([None, 1, 7])),
+        "lineage": draw(
+            st.none() | st.sampled_from([1, 3, 64]).map(
+                lambda every: LineageConfig(sample_every=every)
+            )
+        ),
+        "seed": draw(st.integers(min_value=0, max_value=5)),
+        "recorded": draw(st.booleans()),
+    }
+
+
 class TestGeneratedDifferential:
     @given(configurations())
     @settings(max_examples=120, deadline=None)
@@ -407,6 +467,30 @@ class TestGeneratedDifferential:
         assert chunked.engine["path"] == "segment"
         assert chunked.engine["reason"] is None
         assert_same_run(reference, chunked)
+
+    @given(baseline_configurations())
+    @settings(max_examples=80, deadline=None)
+    def test_baselines_match_reference(self, drawn):
+        """Round-Robin and Full Knowledge run the s = 1 kernel, one
+        segment per window, and leave what the reference leaves."""
+        k = drawn["k"]
+        stream = default_stream(seed=drawn["seed"], m=drawn["m"], n=64, k=k)
+        reference, chunked = run_pair(
+            BASELINES[drawn["policy"]], stream, k, drawn["chunk_size"],
+            recorded=drawn["recorded"],
+            latencies=lambda: latency_models(
+                drawn["data_latency"], k, drawn["seed"], 1.0
+            ),
+            scenario=drawn["scenario"],
+            sample_queues_every=drawn["sample_queues_every"],
+            lineage=drawn["lineage"],
+        )
+        engine = chunked.engine
+        random_latency = drawn["data_latency"] == "uniform"
+        assert engine["path"] == "segment" and engine["reason"] is None
+        assert engine["kernel"] == Shape(k, 1, False, False, False, random_latency).label
+        assert engine["segments"] == engine["windows"]
+        assert_same_baseline_run(reference, chunked)
 
 
 #: one switch per shape field or run feature the generated kernels see;
@@ -978,6 +1062,48 @@ class TestNamedRegressions:
         assert sum(span[7] == 1 for span in spans) > m // (window_size * stride) // 2
 
 
+    def test_full_knowledge_around_a_user_oracle_stays_off_the_kernel(self):
+        """Only the engine's own oracle is known to return the execution
+        columns' floats: a user's oracle is asked per tuple."""
+
+        def make_policy(recorder):
+            return lambda oracle: FullKnowledgeGrouping(
+                lambda item, instance: 1.0 + (item + instance) % 3
+            )
+
+        stream = default_stream(seed=3, m=1_000, n=64)
+        reference, chunked = run_pair(
+            make_policy, stream, 5, 64, lineage=LineageConfig(sample_every=3)
+        )
+        assert chunked.engine["path"] == "generic"
+        assert chunked.engine["kernel"] is None
+        assert_same_baseline_run(reference, chunked)
+
+    def test_full_knowledge_on_base_times_off_the_time_table(self):
+        """The oracle reads ``time_table``, service reads ``base_times``:
+        when they disagree the kernel's estimate columns would be wrong."""
+        drawn = default_stream(seed=3, m=1_000, n=64)
+        stream = Stream(
+            items=drawn.items, base_times=drawn.base_times[::-1].copy(),
+            arrivals=drawn.arrivals, n=drawn.n, time_table=drawn.time_table,
+        )
+        reference, chunked = run_pair(
+            BASELINES["full-knowledge"], stream, 5, 64, sample_queues_every=7
+        )
+        assert chunked.engine["path"] == "generic"
+        assert_same_baseline_run(reference, chunked)
+
+    def test_a_reused_round_robin_starts_at_instance_zero(self):
+        policy = RoundRobinGrouping()
+        stream = default_stream(seed=0, m=1_001, n=64)
+        for chunk_size in (64, 0, 0, 64):
+            result = simulate_stream(stream, policy, k=5, chunk_size=chunk_size)
+            np.testing.assert_array_equal(
+                result.stats.assignments, np.arange(stream.m) % 5
+            )
+            assert policy._counter == stream.m
+
+
 class TestObserverArguments:
     """``audit=``/``flight=``/``lineage=`` are type-checked at the public
     boundary, before the policy is set up or the generator drawn from."""
@@ -1473,12 +1599,15 @@ class TestEngineRecord:
         assert engine["segments"] > 0
 
     def test_other_loops_name_themselves(self):
-        """Every loop but the segment router names itself and no kernel."""
-        for result, path in (
-            (self.run(RoundRobinGrouping()), "round_robin"),
-            (self.run(FullKnowledgeGrouping), "full_knowledge"),
-            (self.run(POSGGrouping(small_config(64)), chunk_size=0), "reference"),
-        ):
-            assert result.engine["path"] == path
-            assert result.engine["reason"] is None
-            assert result.engine["kernel"] is None
+        """The two baselines run the s = 1 kernel, one segment per
+        window; the reference names itself and no kernel."""
+        for result in (self.run(RoundRobinGrouping()), self.run(FullKnowledgeGrouping)):
+            engine = result.engine
+            assert set(engine) == ENGINE_KEYS
+            assert engine["path"] == "segment" and engine["reason"] is None
+            assert engine["kernel"] == "k=5 s=1"
+            assert engine["segments"] == engine["windows"] == self.M // self.CHUNK
+        reference = self.run(POSGGrouping(small_config(64)), chunk_size=0).engine
+        assert reference["path"] == "reference"
+        assert reference["reason"] is None
+        assert reference["kernel"] is None
