@@ -7,6 +7,11 @@ messages and bits, timeouts, failures, the final virtual time and the
 number of events the kernel executed.  A change to the order in which
 events fire, to an RNG stream (ack ids, fault draws, hash families) or to
 the arithmetic of an estimate moves at least one of them.
+
+``GOLDEN_STATS`` was recorded at commit fe56ea1, while execution reports
+were still folded one tuple at a time.  It pins what the run digests do
+not reach: the end-of-run stats of every scheduler and instance tracker
+of each POSG scenario, so a fold left pending at shutdown shows.
 """
 
 import dataclasses
@@ -89,6 +94,14 @@ def cluster_digest(cluster, final, bolts=("worker",), parallelism=K) -> str:
     )
 
 
+def policy_stats_digest(policy) -> str:
+    """sha256 of every scheduler's and every instance tracker's stats()."""
+    return digest(
+        [scheduler.stats() for scheduler in policy.schedulers],
+        [policy._agents[task].tracker.stats() for task in sorted(policy._agents)],
+    )
+
+
 def single_stage(stream, grouping, config=None, faults=None):
     builder = TopologyBuilder()
     builder.set_spout(
@@ -104,11 +117,13 @@ def single_stage(stream, grouping, config=None, faults=None):
     return cluster, cluster.run()
 
 
-def run_single_stage(stream, grouping, config=None, faults=None) -> str:
-    return cluster_digest(*single_stage(stream, grouping, config, faults))
+def run_single_stage(stream, grouping, config=None, faults=None):
+    """The run's digest, and the POSG policy behind it (``None`` for ASSG)."""
+    digest_ = cluster_digest(*single_stage(stream, grouping, config, faults))
+    return digest_, getattr(grouping, "policy", None)
 
 
-def run_sharded(stream, sources=2) -> str:
+def run_sharded(stream, sources=2):
     coordinator = MultiSourcePOSGCoordinator(
         sources, item_field="value", config=CONFIG, rng=np.random.default_rng(1)
     )
@@ -125,10 +140,11 @@ def run_sharded(stream, sources=2) -> str:
         bolt.custom_grouping(f"source{shard}", coordinator.shard(shard))
     cluster = LocalCluster(ClusterConfig(seed=0))
     cluster.submit(builder.build())
-    return cluster_digest(cluster, cluster.run())
+    return cluster_digest(cluster, cluster.run()), coordinator.policy
 
 
-def run_chain(stream) -> str:
+def run_chain(stream):
+    grouping = posg()
     builder = TopologyBuilder()
     builder.set_spout(
         "source", lambda: StreamSpout(stream), output_fields=STREAM_SPOUT_FIELDS
@@ -138,19 +154,20 @@ def run_chain(stream) -> str:
     ).shuffle_grouping("source")
     builder.set_bolt(
         "worker", lambda: WorkBolt(stream.time_table), parallelism=K
-    ).custom_grouping("fwd", posg())
+    ).custom_grouping("fwd", grouping)
     cluster = LocalCluster(ClusterConfig(seed=0))
     cluster.submit(builder.build())
     final = cluster.run()
     return digest(
         cluster_digest(cluster, final),
         cluster.metrics.task_execution_counts("fwd", 2),
-    )
+    ), grouping.policy
 
 
-def run_stage_topology(stream) -> str:
+def run_stage_topology(stream):
+    policy = POSGGrouping(CONFIG)
     topology = StageTopology(
-        K, POSGGrouping(CONFIG), control_latency=1.0,
+        K, policy, control_latency=1.0,
         rng=np.random.default_rng(1),
     )
     result = topology.run(stream)
@@ -162,7 +179,7 @@ def run_stage_topology(stream) -> str:
         result.control_bits,
         topology.sim.now,
         topology.sim.events_processed,
-    )
+    ), policy
 
 
 def chaos_plan(stream) -> FaultPlan:
@@ -223,9 +240,47 @@ GOLDEN = {
 }
 
 
+#: end-of-run stats of every POSG scenario: the scheduler's counters and
+#: each instance tracker's (tuples executed, C_op, matrices sent, window
+#: position, ...), which the run digests above do not cover
+GOLDEN_STATS = {
+    "faulted": "72098abc00961dbfa11a10b1d286405dc769e00bb10cc39c6f19f05944da459e",
+    "forwarding_chain": "0cfd879b034b94c68ae3a0533494fb6ff0aceff15be4f14630748b52b7381bcf",
+    "max_spout_pending": "3e670e97fb92a53524b7e49f512a19342f31e4c79830a34d88f630307de0a66f",
+    "multisource_s2": "20166896ab8679fc147ffde2868eb68f757f6abf6d89749e4add3373e9ce4e86",
+    "posg": "0cfd879b034b94c68ae3a0533494fb6ff0aceff15be4f14630748b52b7381bcf",
+    "posg_unpooled": "c9b0d42a452b54d20bca54517103fbb513a184539a498768afedbd222f385ac1",
+    "stage_topology": "0cfd879b034b94c68ae3a0533494fb6ff0aceff15be4f14630748b52b7381bcf",
+    "transfer_latency": "25377749256b5d980515eeb154e1d882169ff139c6444b7d1e9c3fe392d122f5",
+}
+
+
+@pytest.fixture(scope="module")
+def runs(stream):
+    """Each scenario's ``(digest, policy)``, run once per module."""
+    cache = {}
+
+    def run(name):
+        if name not in cache:
+            cache[name] = SCENARIOS[name](stream)
+        return cache[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_matches_recorded_digest(name, stream):
-    assert SCENARIOS[name](stream) == GOLDEN[name]
+def test_matches_recorded_digest(name, runs):
+    assert runs(name)[0] == GOLDEN[name]
+
+
+def test_stats_pins_cover_every_posg_scenario(runs):
+    posg_scenarios = {name for name in SCENARIOS if runs(name)[1] is not None}
+    assert posg_scenarios == set(GOLDEN_STATS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STATS))
+def test_matches_recorded_stats(name, runs):
+    assert policy_stats_digest(runs(name)[1]) == GOLDEN_STATS[name]
 
 
 def test_pinned_scenarios_exercise_what_they_name(stream):
