@@ -137,9 +137,9 @@ class FWPair:
         paper does not specify this corner case; the fallback keeps the
         scheduler's greedy choice meaningful during warm-up.
         """
-        # Hot path of the scheduler (called once per tuple): plain scalar
-        # indexing over cached columns beats numpy fancy indexing at these
-        # matrix sizes.
+        # Plain scalar indexing over cached columns beats numpy fancy
+        # indexing at these matrix sizes.  The scheduler runs the same scan
+        # over a list mirror (:meth:`estimate_in`); tests hold the two equal.
         freq_matrix = self._freq._matrix
         work_matrix = self._work._matrix
         best_freq = float("inf")
@@ -152,6 +152,32 @@ class FWPair:
         if best_freq <= 0:
             return self.mean_execution_time()
         return float(best_work / best_freq)
+
+    def rows(self) -> tuple[list, list]:
+        """``(F, W)`` as nested lists: a read-only mirror for :meth:`estimate_in`.
+
+        The mirror is a copy; it goes stale the moment either matrix
+        moves, and its holder must drop it then.
+        """
+        return self._freq._matrix.tolist(), self._work._matrix.tolist()
+
+    def estimate_in(self, rows: tuple[list, list], item: int) -> float:
+        """:meth:`estimate` read from ``rows`` (see :meth:`rows`).
+
+        The same scan over the same floats with list indexing, so the
+        result is bit-identical while the mirror is current.
+        """
+        freq_rows, work_rows = rows
+        best_freq = math.inf
+        best_work = 0.0
+        for row, col in enumerate(self._freq.bucket_cache.columns(item)):
+            cell = freq_rows[row][col]
+            if cell < best_freq:
+                best_freq = cell
+                best_work = work_rows[row][col]
+        if best_freq <= 0:
+            return self.mean_execution_time()
+        return best_work / best_freq
 
     def estimate_many(self, items: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`estimate` over a batch (shape ``(len(items),)``).

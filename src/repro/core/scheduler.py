@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -145,15 +144,15 @@ STATS = (
 )
 
 
-@dataclass(frozen=True)
-class SchedulingDecision:
+class SchedulingDecision(NamedTuple):
     """Outcome of submitting one tuple to the scheduler.
 
     ``sync_request`` must be piggy-backed on the tuple and handed to the
     target instance by the hosting engine.  ``estimate`` is the believed
     execution time just added to ``C_hat[instance]`` (0.0 in
     ROUND_ROBIN, where ``C_hat`` is not updated) — the cross-shard
-    gossip layer forwards it to sibling shards.
+    gossip layer forwards it to sibling shards.  A named tuple: one is
+    built per submitted tuple, at about half a frozen dataclass's cost.
     """
 
     instance: int
@@ -252,8 +251,12 @@ class POSGScheduler:
         # until it moves, whatever else the control plane delivers.
         self._matrices_version = 0
         # Per-tuple estimates repeat (a skewed stream routes the same hot
-        # items between two deliveries): memoised until the matrices move.
-        self._estimate_memo: dict[int, float] = {}
+        # items between two deliveries): one memo per instance, keyed by
+        # item, voided only when that instance's pair moves.  A miss scans
+        # a ``tolist()`` mirror of the pair's F and W rows (plain float
+        # indexing), built on first use and dropped with the memo.
+        self._memos: list[dict[int, float]] = [{} for _ in range(k)]
+        self._mirrors: list[tuple | None] = [None] * k
         # Block estimates repeat far more (every window re-reads the same
         # hot items for every instance): one value per (instance, item
         # id), valid until that instance's pair moves.  Held by reference:
@@ -674,22 +677,35 @@ class POSGScheduler:
         Paper behaviour (Listing III.2): read the target instance's
         matrices.  With ``config.pooled_estimates`` the estimate averages
         over every instance's matrices instead (see
-        :class:`~repro.core.config.POSGConfig`).
+        :class:`~repro.core.config.POSGConfig`), summed in ``_pairs``
+        order from the per-instance memos.
         """
-        memo = self._estimate_memo
-        pooled = self._config.pooled_estimates and self._pairs
-        key = item if pooled else item * self._k + instance
-        estimate = memo.get(key)
-        if estimate is None:
-            if pooled:
-                estimate = sum(
-                    pair.estimate(item) for pair in self._pairs
-                ) / len(self._pairs)
-            else:
-                pair = self._matrices.get(instance)
-                estimate = pair.estimate(item) if pair is not None else 0.0
-            memo[key] = estimate
-        return estimate
+        memos = self._memos
+        if self._config.pooled_estimates and self._pairs:
+            values = []
+            for index in self._matrices:
+                value = memos[index].get(item)
+                if value is None:
+                    value = self._evaluate(item, index)
+                values.append(value)
+            return sum(values) / len(values)
+        value = memos[instance].get(item)
+        if value is None:
+            value = self._evaluate(item, instance)
+        return value
+
+    def _evaluate(self, item: int, instance: int) -> float:
+        """``instance``'s own estimate of ``item`` (0 without a pair), memoised."""
+        pair = self._matrices.get(instance)
+        if pair is None:
+            value = 0.0
+        else:
+            mirror = self._mirrors[instance]
+            if mirror is None:
+                mirror = self._mirrors[instance] = pair.rows()
+            value = pair.estimate_in(mirror, item)
+        self._memos[instance][item] = value
+        return value
 
     def row_estimates(
         self, item: int, instance: int
@@ -719,11 +735,14 @@ class POSGScheduler:
 
     def _matrices_changed(self, instances) -> None:
         """Every write to ``_matrices`` ends here: whatever was derived
-        from the old pairs of ``instances`` (gathered columns, memoised
-        estimates, their rows of the estimate table) is void."""
+        from the old pairs of ``instances`` (gathered columns, their
+        memoised estimates and row mirrors, their rows of the estimate
+        table) is void."""
         self._pairs = tuple(self._matrices.values())
         self._matrices_version += 1
-        self._estimate_memo.clear()
+        for instance in instances:
+            self._memos[instance].clear()
+            self._mirrors[instance] = None
         self._table.void(instances)
 
     def _on_matrices(self, message: MatricesMessage) -> None:

@@ -10,9 +10,11 @@ engine is single-threaded, so simulations are exactly reproducible.
 from __future__ import annotations
 
 from collections.abc import Callable
-from heapq import heappop
+from heapq import heappop, heappush
 
 from repro.simulator.events import Event, EventQueue
+
+_INF = float("inf")
 
 
 class Simulation:
@@ -20,6 +22,10 @@ class Simulation:
 
     def __init__(self) -> None:
         self._queue = EventQueue()
+        # ``after`` pushes onto the queue's heap itself (it runs ~4 times
+        # per Storm tuple); same keys, same counter as ``EventQueue.push``.
+        self._heap = self._queue._heap
+        self._sequence = self._queue._counter
         self._now = 0.0
         self._events_processed = 0
         self._running = False
@@ -31,7 +37,12 @@ class Simulation:
 
     @property
     def events_processed(self) -> int:
-        """Number of events executed so far."""
+        """Number of events executed so far.
+
+        A :meth:`run` without limits credits its events when it returns
+        (or raises), so a callback reading this mid-run sees the count
+        at the start of that run.
+        """
         return self._events_processed
 
     # ------------------------------------------------------------------
@@ -53,7 +64,12 @@ class Simulation:
         """Schedule ``fn(*args)`` ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        return self._queue.push(self._now + delay, fn, args, priority)
+        time = self._now + delay
+        if not time < _INF:  # NaN or infinite
+            raise ValueError(f"event time must be finite, got {time}")
+        event = Event((time, priority, next(self._sequence), fn, args))
+        heappush(self._heap, event)
+        return event
 
     # ------------------------------------------------------------------
     # execution
@@ -75,7 +91,9 @@ class Simulation:
             raise RuntimeError("simulation is already running (re-entrant run)")
         self._running = True
         try:
-            heap = self._queue._heap
+            if until is None and max_events is None:
+                return self._drain()
+            heap = self._heap
             processed = 0
             while heap:
                 event = heap[0]
@@ -96,6 +114,28 @@ class Simulation:
             return self._now
         finally:
             self._running = False
+
+    def _drain(self) -> float:
+        """:meth:`run` with no limit: pop and fire until the heap is empty.
+
+        Counts fired events locally and credits them once, also when a
+        callback raises (the raising event is not counted, as in the
+        limited loop).
+        """
+        heap = self._heap
+        processed = 0
+        try:
+            while heap:
+                event = heappop(heap)
+                fn = event[3]
+                if fn is None:  # cancelled
+                    continue
+                self._now = event[0]
+                fn(*event[4])
+                processed += 1
+        finally:
+            self._events_processed += processed
+        return self._now
 
     def step(self) -> bool:
         """Execute exactly one event; returns ``False`` when none remain."""

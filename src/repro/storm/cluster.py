@@ -245,6 +245,9 @@ class LocalCluster:
         for executors in self._bolt_executors.values():
             for executor in executors:
                 executor.bolt.cleanup()
+        for groupings in self._reporting_groupings.values():
+            for grouping in groupings:
+                grouping.on_shutdown()
 
     def on_spout_exhausted(self) -> None:
         """A spout signalled it will never emit again (no-op hook)."""
@@ -299,15 +302,19 @@ class LocalCluster:
     ) -> None:
         """Hand one emission to every subscriber's grouping.
 
-        The groupings read ``values`` through a prototype tuple; every
-        edge of the tuple tree gets its own copy of them.
+        The groupings read the values through a prototype tuple; every
+        edge of the tuple tree gets its own copy of them.  The sole edge
+        of a route with one subscriber and one chosen task is the
+        prototype itself.
         """
         name = spec.name
         fields = spec.output_fields
-        proto = StormTuple(values, fields, name, task_index, root_id)
+        proto = StormTuple(list(values), fields, name, task_index, root_id)
+        routes = self._routes[name]
+        sole = len(routes) == 1
         acker = self.acker
         injector = self._injector
-        for bolt_spec, grouping, executors in self._routes[name]:
+        for bolt_spec, grouping, executors in routes:
             proto.sync_request = None
             tasks = grouping.choose_tasks(proto)
             sync_request = proto.sync_request  # set by POSG-style groupings
@@ -320,14 +327,20 @@ class LocalCluster:
                 # tuple itself still arrives.  Its bits were spent, so the
                 # control-overhead accounting still counts the send.
                 self.metrics.record_control_message(sync_request.size_bits())
-                sync_request = None
+                sync_request = proto.sync_request = None
+            reuse = sole and len(tasks) == 1
             for task in tasks:
                 if not 0 <= task < bolt_spec.parallelism:
                     raise ValueError(
                         f"grouping chose invalid task {task} for bolt "
                         f"{bolt_spec.name!r}"
                     )
-                edge = StormTuple(list(values), fields, name, task_index, root_id)
+                if reuse:
+                    edge = proto
+                else:
+                    edge = StormTuple(
+                        list(values), fields, name, task_index, root_id
+                    )
                 if root_id is not None:
                     edge.ack_id = acker.fresh_ack_id()
                     acker.register_edge(root_id, edge.ack_id)

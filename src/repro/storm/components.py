@@ -27,6 +27,7 @@ class StreamSpout(Spout):
 
     def __init__(self, stream: Stream, anchored: bool = True) -> None:
         self._stream = stream
+        self._m = stream.m
         self._anchored = anchored
         self._next = 0
         self._collector: SpoutCollector | None = None
@@ -44,28 +45,29 @@ class StreamSpout(Spout):
     @property
     def finished(self) -> bool:
         """Whether every tuple has been emitted."""
-        return self._next >= self._stream.m
+        return self._next >= self._m
 
     def next_tuple(self) -> float | None:
         """Emit the next tuple if its arrival time has come."""
         assert self._collector is not None
-        if self.finished:
+        if self._next >= self._m:
             return None
         now = self._clock()
-        due = float(self._stream.arrivals[self._next])
+        arrivals = self._stream.arrivals
+        due = arrivals.item(self._next)
         if now < due:
             # called early (e.g. right after backpressure cleared)
             return due - now
         index = self._next
         self._next += 1
         self._collector.emit(
-            [int(self._stream.items[index]), index],
+            [self._stream.items.item(index), index],
             msg_id=index if self._anchored else None,
         )
-        if self.finished:
+        if self._next >= self._m:
             return None
         # delay until the next arrival; 0 when already overdue
-        return max(0.0, float(self._stream.arrivals[self._next]) - now)
+        return max(0.0, arrivals.item(self._next) - now)
 
     def ack(self, msg_id) -> None:
         self.acked += 1
@@ -120,19 +122,19 @@ class ShardedStreamSpout(Spout):
         if self.finished:
             return None
         now = self._clock()
-        index = int(self._indices[self._next])
-        due = float(self._stream.arrivals[index])
+        index = self._indices.item(self._next)
+        due = self._stream.arrivals.item(index)
         if now < due:
             return due - now
         self._next += 1
         self._collector.emit(
-            [int(self._stream.items[index]), index],
+            [self._stream.items.item(index), index],
             msg_id=index if self._anchored else None,
         )
         if self.finished:
             return None
-        upcoming = int(self._indices[self._next])
-        return max(0.0, float(self._stream.arrivals[upcoming]) - now)
+        upcoming = self._indices.item(self._next)
+        return max(0.0, self._stream.arrivals.item(upcoming) - now)
 
     def ack(self, msg_id) -> None:
         self.acked += 1
@@ -171,7 +173,7 @@ class WorkBolt(Bolt):
     def work_time(self, tup: StormTuple) -> float:
         assert self._context is not None
         item = int(tup.value("value"))
-        base = float(self._time_table[item])
+        base = self._time_table.item(item)
         if self._scenario is None:
             return base
         position = int(tup.value("index"))

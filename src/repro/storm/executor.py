@@ -52,27 +52,26 @@ class BoltCollector:
         self._cluster = cluster
         self._spec = spec
         self._task_index = task_index
-        self._acked_inputs: set[int] = set()
 
     def emit(self, values: Values, anchors: list[StormTuple] | None = None) -> None:
         """Emit a tuple, optionally anchored to input tuples."""
         self._cluster.bolt_emit(self._spec, self._task_index, values, anchors or [])
 
     def ack(self, tup: StormTuple) -> None:
-        """Acknowledge an input tuple."""
-        if tup.tuple_id in self._acked_inputs:
+        """Acknowledge an input tuple (once: a handled tuple is left alone)."""
+        if tup.handled:
             return
-        self._acked_inputs.add(tup.tuple_id)
+        tup.handled = True
         self._cluster.ack_tuple(tup)
 
     def fail(self, tup: StormTuple) -> None:
         """Fail an input tuple's whole tree."""
-        self._acked_inputs.add(tup.tuple_id)
+        tup.handled = True
         self._cluster.fail_tuple(tup)
 
     def was_handled(self, tup: StormTuple) -> bool:
         """Whether the bolt already acked/failed this input."""
-        return tup.tuple_id in self._acked_inputs
+        return tup.handled
 
 
 class SpoutExecutor:

@@ -38,6 +38,8 @@ from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
 from repro.telemetry.lineage import LineageConfig, LineageTracer
 from repro.telemetry.observers import Observers
 
+_INF = float("inf")
+
 
 class MultiSourcePOSGCoordinator:
     """Shared state behind the ``s`` per-spout grouping shards.
@@ -109,6 +111,9 @@ class MultiSourcePOSGCoordinator:
         #: ``(task_seq, shard, sample_index, believed, arrival)``
         self._open_spans: dict[int, list] = {}
         self._agents: dict[int, object] = {}
+        #: per task: executed ``(items, times)`` not yet folded into its
+        #: tracker, and the tracker; see :meth:`_ShardGrouping.on_execution`
+        self._deferred: dict[int, tuple[list, list, object]] = {}
         self._shards: dict[int, _ShardGrouping] = {}
         self._bound_tasks: list[int] | None = None
 
@@ -135,6 +140,10 @@ class MultiSourcePOSGCoordinator:
             self._agents = {
                 position: self._core.create_instance_agent(position)
                 for position in range(len(target_tasks))
+            }
+            self._deferred = {
+                position: ([], [], agent.tracker)
+                for position, agent in self._agents.items()
             }
             self._observers.bind(self._core)
         elif list(target_tasks) != self._bound_tasks:
@@ -215,10 +224,26 @@ class MultiSourcePOSGCoordinator:
         """Dispatch through the core: broadcast matrices, route replies."""
         self._core.on_control(message)
 
+    def _fold_deferred(self, task: int) -> None:
+        """Fold ``task``'s deferred execution reports into its tracker."""
+        items, times, tracker = self._deferred[task]
+        if items:
+            tracker.execute_batch(items, times)
+            items.clear()
+            times.clear()
+
+    def _fold_all_deferred(self) -> None:
+        """Fold every task's deferred reports (the cluster shuts down)."""
+        for task in self._deferred:
+            self._fold_deferred(task)
+
     def _on_instance_crash(self, task: int) -> None:
         """Wipe the crashed task's instance-side state (new generation)."""
         agent = self._agents.get(task)
         if agent is not None:
+            # What ran before the crash counts in the lifetime counters,
+            # which survive the restart.
+            self._fold_deferred(task)
             agent.tracker.restart()
         # Open spans routed to the crashed task may never execute (its
         # queue restarts); drop them rather than mis-close later spans.
@@ -284,6 +309,9 @@ class _ShardGrouping(CustomStreamGrouping):
         self._coordinator = coordinator
         self._source = source
         self._item_field = coordinator.item_field
+        #: the last ``fields`` tuple seen and the item field's index in it
+        self._fields: tuple[str, ...] | None = None
+        self._item_index = 0
 
     def prepare(self, source: str, target_tasks: list[int]) -> None:
         super().prepare(source, target_tasks)
@@ -291,14 +319,24 @@ class _ShardGrouping(CustomStreamGrouping):
         coordinator._bind(self._source, self._target_tasks)
         self._submit = coordinator.schedulers[self._source].submit
         self._agents = coordinator._agents
+        self._deferred = coordinator._deferred
         # With nothing attached, routing is the bare ``submit`` and an
-        # execution report the bare fold.
+        # execution report a deferred fold.
         lineage = coordinator.lineage
         self._samples_routes = not (coordinator.flight is None and lineage is None)
         self._samples_executions = not (coordinator.audit is None and lineage is None)
 
+    def _item(self, tup: StormTuple) -> int:
+        """The tuple's item, through the index cached for its ``fields``."""
+        fields = tup.fields
+        if fields is not self._fields:
+            tup.value(self._item_field)  # KeyError on a tuple without it
+            self._item_index = fields.index(self._item_field)
+            self._fields = fields
+        return int(tup.values[self._item_index])
+
     def choose_tasks(self, tup: StormTuple) -> list[int]:
-        decision = self._submit(int(tup.value(self._item_field)))
+        decision = self._submit(self._item(tup))
         tup.sync_request = decision.sync_request
         if self._samples_routes:
             self._coordinator._sample_route(self._source, decision.instance)
@@ -308,9 +346,32 @@ class _ShardGrouping(CustomStreamGrouping):
         return self._source == 0
 
     def on_execution(self, task: int, tup: StormTuple, duration: float) -> list:
-        item = int(tup.value(self._item_field))
+        """Fold one execution report into ``task``'s tracker.
+
+        A report that carries no sync request, holds a valid time and
+        leaves the tracker short of its window boundary changes nothing
+        the scheduler can see, so it waits in the task's deferred buffer.
+        Any other report first folds the buffer in one
+        :meth:`~repro.core.instance.InstanceTracker.execute_batch`
+        (bit-identical to per-tuple folds), then goes through
+        ``on_executed``.  Crashes and shutdown fold the buffer too.  With
+        an audit or lineage tracer attached every report goes through
+        ``on_executed``: both read the tracker per report.
+        """
+        item = self._item(tup)
         if self._samples_executions:
             self._coordinator._sample_execution(task, item, duration)
+        else:
+            items, times, tracker = self._deferred[task]
+            if (
+                tup.sync_request is None
+                and 0.0 <= duration < _INF
+                and len(items) + 1 < tracker.window_remaining
+            ):
+                items.append(item)
+                times.append(duration)
+                return []
+            self._coordinator._fold_deferred(task)
         return self._agents[task].on_executed(item, duration, tup.sync_request)
 
     def on_control(self, message) -> None:
@@ -319,3 +380,6 @@ class _ShardGrouping(CustomStreamGrouping):
     def on_instance_crash(self, task: int) -> None:
         if self._source == 0:
             self._coordinator._on_instance_crash(task)
+
+    def on_shutdown(self) -> None:
+        self._coordinator._fold_all_deferred()

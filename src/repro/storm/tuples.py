@@ -43,6 +43,9 @@ class StormTuple:
     sync_request:
         POSG piggy-back slot (Figure 1.D): control payload riding on a
         data tuple.
+    handled:
+        Not a constructor argument: whether the receiving bolt already
+        acked or failed this tuple, set by its collector.
     """
 
     values: Values
@@ -53,6 +56,7 @@ class StormTuple:
     ack_id: int = 0
     tuple_id: int = field(default_factory=_fresh_tuple_id)
     sync_request: Any = None
+    handled: bool = field(default=False, init=False)
 
     def value(self, field_name: str) -> Any:
         """Value of a named field (Storm's ``getValueByField``)."""

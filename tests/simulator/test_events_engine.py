@@ -316,3 +316,92 @@ class TestSchedulingChecks:
         sim.at(3.0, fired.append, 3)
         sim.run()
         assert fired == [1, 3]
+
+
+# ----------------------------------------------------------------------
+# the run loop's contract: ``run()`` with no limit takes a separate loop
+# that counts fired events locally; ``after`` pushes onto the heap itself
+# ----------------------------------------------------------------------
+class Boom(Exception):
+    pass
+
+
+class TestRunLoopContract:
+    @pytest.mark.parametrize("limits", [{}, {"until": 100.0}, {"max_events": 100}])
+    def test_events_processed_is_exact_after_a_callback_raises(self, limits):
+        sim = Simulation()
+        fired = []
+
+        def fire(label):
+            fired.append(label)
+            if label == 2:
+                raise Boom
+
+        for label in range(5):
+            sim.at(float(label), fire, label)
+        with pytest.raises(Boom):
+            sim.run(**limits)
+        # events 0 and 1 completed; the raising event 2 is gone, uncounted
+        assert fired == [0, 1, 2]
+        assert sim.events_processed == 2
+        assert sim.now == 2.0
+        assert sim.pending == 2
+        assert sim.run() == 4.0  # not left "running"
+        assert fired == [0, 1, 2, 3, 4]
+        assert sim.events_processed == 4
+
+    def test_limits_keep_their_semantics_around_unlimited_runs(self):
+        sim = Simulation()
+        fired = []
+        for time in (1.0, 2.0, 3.0, 4.0):
+            sim.at(time, fired.append, time)
+        cancelled = sim.at(2.5, fired.append, "cancelled")
+        cancelled.cancel()
+        sim.run(until=2.5)
+        assert fired == [1.0, 2.0] and sim.now == 2.5
+        assert sim.events_processed == 2
+        sim.run(max_events=1)
+        assert fired == [1.0, 2.0, 3.0] and sim.events_processed == 3
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0, 4.0] and sim.now == 4.0
+        assert sim.events_processed == 4
+        # a drained simulation takes new events under both limits again
+        sim.after(1.0, fired.append, 5.0)
+        sim.after(2.0, fired.append, 6.0)
+        sim.after(3.0, fired.append, 7.0)
+        assert sim.run(max_events=0) == 4.0 and sim.events_processed == 4
+        assert sim.run(until=5.5) == 5.5
+        assert fired[-1] == 5.0 and sim.events_processed == 5
+        sim.run(max_events=1)
+        assert fired[-1] == 6.0 and sim.events_processed == 6
+        # ``until`` past the last event leaves the clock at that event
+        assert sim.run(until=100.0) == 7.0
+        assert sim.events_processed == 7 and sim.pending == 0
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
+    @pytest.mark.parametrize("mid_run", [False, True])
+    def test_bad_delays_raise_value_error_and_queue_nothing(self, delay, mid_run):
+        sim = Simulation()
+        errors = []
+
+        def schedule():
+            try:
+                sim.after(delay, errors.append, "scheduled")
+            except ValueError as error:
+                errors.append(type(error))
+
+        if mid_run:
+            sim.at(2.0, schedule)
+            sim.run()
+            assert sim.events_processed == 1
+        else:
+            schedule()
+        assert errors == [ValueError]
+        assert sim.pending == 0
+        assert sim._queue._heap == []
+        # the simulation carries on: ties still fire in insertion order
+        order = []
+        sim.after(0.0, order.append, "first")
+        sim.at(sim.now, order.append, "second")
+        sim.run()
+        assert order == ["first", "second"]
