@@ -161,8 +161,9 @@ class FWPair:
         """
         return self._freq._matrix.tolist(), self._work._matrix.tolist()
 
-    def estimate_in(self, rows: tuple[list, list], item: int) -> float:
-        """:meth:`estimate` read from ``rows`` (see :meth:`rows`).
+    def estimate_in(self, rows: tuple[list, list], columns: tuple[int, ...]) -> float:
+        """:meth:`estimate` read from ``rows`` (see :meth:`rows`) at an
+        item's bucket ``columns`` (``freq.bucket_cache.columns(item)``).
 
         The same scan over the same floats with list indexing, so the
         result is bit-identical while the mirror is current.
@@ -170,7 +171,7 @@ class FWPair:
         freq_rows, work_rows = rows
         best_freq = math.inf
         best_work = 0.0
-        for row, col in enumerate(self._freq.bucket_cache.columns(item)):
+        for row, col in enumerate(columns):
             cell = freq_rows[row][col]
             if cell < best_freq:
                 best_freq = cell

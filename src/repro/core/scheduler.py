@@ -245,6 +245,10 @@ class POSGScheduler:
         # of per estimate (dict insertion order is preserved, keeping the
         # float summation order of the per-tuple path).
         self._pairs: tuple[FWPair, ...] = ()
+        # The bucket-column cache every stored pair shares, or ``None``
+        # when the pairs sit on more than one hash family (hand-built
+        # tests): with one family an item is hashed once for all pairs.
+        self._family = None
         # Bumped wherever ``_matrices``/``_pairs`` change (a matrices
         # delivery, the watchdog dropping silent instances) and nowhere
         # else: estimate columns gathered under one stamp stay valid
@@ -631,17 +635,16 @@ class POSGScheduler:
                 )
         table.gathers += 1
         cells = None
-        if pairs and all(pair.hashes is pairs[0].hashes for pair in pairs):
+        if self._family is not None:
             with span(profiler, "hash"):
-                cells = pairs[0].freq.bucket_cache.cells_many(items)
+                cells = self._family.cells_many(items)
         with span(profiler, "estimate"):
             return self._gather_columns(items, count, pairs, cells)
 
     def _row_pairs(self) -> "list[FWPair] | None":
         """Every instance's pair in instance order, what the estimate table
         evaluates, if all ``k`` are stored on one hash family."""
-        pairs = self._pairs
-        if len(pairs) == self._k and all(p.hashes is pairs[0].hashes for p in pairs):
+        if len(self._pairs) == self._k and self._family is not None:
             return [self._matrices[instance] for instance in range(self._k)]
         return None
 
@@ -677,25 +680,35 @@ class POSGScheduler:
         Paper behaviour (Listing III.2): read the target instance's
         matrices.  With ``config.pooled_estimates`` the estimate averages
         over every instance's matrices instead (see
-        :class:`~repro.core.config.POSGConfig`), summed in ``_pairs``
-        order from the per-instance memos.
+        :class:`~repro.core.config.POSGConfig`), summed left to right in
+        ``_pairs`` order from the per-instance memos.  A pooled miss is
+        nearly always an item's first sighting, missing on every
+        instance: on one hash family its columns are read once for all.
         """
         memos = self._memos
         if self._config.pooled_estimates and self._pairs:
-            values = []
+            family = self._family
+            columns = None
+            total = 0.0
             for index in self._matrices:
                 value = memos[index].get(item)
                 if value is None:
-                    value = self._evaluate(item, index)
-                values.append(value)
-            return sum(values) / len(values)
+                    if columns is None and family is not None:
+                        columns = family.columns(item)
+                    value = self._evaluate(item, index, columns)
+                total += value
+            return total / len(self._pairs)
         value = memos[instance].get(item)
         if value is None:
             value = self._evaluate(item, instance)
         return value
 
-    def _evaluate(self, item: int, instance: int) -> float:
-        """``instance``'s own estimate of ``item`` (0 without a pair), memoised."""
+    def _evaluate(self, item: int, instance: int, columns=None) -> float:
+        """``instance``'s own estimate of ``item`` (0 without a pair), memoised.
+
+        ``columns`` are the item's bucket columns on the pair's family,
+        read here when not given.
+        """
         pair = self._matrices.get(instance)
         if pair is None:
             value = 0.0
@@ -703,7 +716,9 @@ class POSGScheduler:
             mirror = self._mirrors[instance]
             if mirror is None:
                 mirror = self._mirrors[instance] = pair.rows()
-            value = pair.estimate_in(mirror, item)
+            if columns is None:
+                columns = pair.freq.bucket_cache.columns(item)
+            value = pair.estimate_in(mirror, columns)
         self._memos[instance][item] = value
         return value
 
@@ -738,7 +753,12 @@ class POSGScheduler:
         from the old pairs of ``instances`` (gathered columns, their
         memoised estimates and row mirrors, their rows of the estimate
         table) is void."""
-        self._pairs = tuple(self._matrices.values())
+        pairs = self._pairs = tuple(self._matrices.values())
+        self._family = (
+            pairs[0].freq.bucket_cache
+            if pairs and all(pair.hashes is pairs[0].hashes for pair in pairs)
+            else None
+        )
         self._matrices_version += 1
         for instance in instances:
             self._memos[instance].clear()

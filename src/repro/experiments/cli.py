@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -89,9 +90,12 @@ def _figures(
     def run(args: argparse.Namespace) -> int:
         directory = output_directory(args.output)
         results = {}
+        seconds = {}
         with _environment(REPRO_REPS=args.reps, REPRO_SCALE=args.scale):
             for name in names:
+                start = time.perf_counter()
                 result = results[name] = FIGURES[name]()
+                seconds[name] = time.perf_counter() - start
                 print(render_figure(result))
                 if args.plot:
                     from repro.experiments.plotting import plot_figure
@@ -103,7 +107,14 @@ def _figures(
                     result.save(path)
                     print(f"(saved to {path})")
                 print()
-        return claims.gate(results, directory) if gate else 0
+        if not gate:
+            return 0
+        code = claims.gate(results, directory)
+        # stdout only: the artefacts stay deterministic
+        print("wall seconds: " + ", ".join(
+            f"{name} {wall:.1f}" for name, wall in seconds.items()
+        ) + f"; total {sum(seconds.values()):.1f}")
+        return code
 
     return run
 

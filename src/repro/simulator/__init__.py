@@ -16,7 +16,6 @@ Two execution paths are provided:
   the fast path (they must agree tuple-for-tuple).
 """
 
-from repro.simulator.events import Event, EventQueue
 from repro.simulator.engine import Simulation
 from repro.simulator.network import (
     ConstantLatency,
@@ -30,8 +29,6 @@ from repro.simulator.run import SimulationResult, simulate_stream
 from repro.simulator.topology import StageTopology
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "Simulation",
     "LatencyModel",
     "ConstantLatency",

@@ -314,6 +314,8 @@ class LocalCluster:
         sole = len(routes) == 1
         acker = self.acker
         injector = self._injector
+        after = self.sim.after
+        latency = self.config.transfer_latency
         for bolt_spec, grouping, executors in routes:
             proto.sync_request = None
             tasks = grouping.choose_tasks(proto)
@@ -349,22 +351,24 @@ class LocalCluster:
                     edge.sync_request = sync_request
                     self.metrics.record_control_message(sync_request.size_bits())
                     sync_request = None
-                self.sim.after(
-                    self.config.transfer_latency, executors[task].enqueue, edge
-                )
+                after(latency, executors[task].enqueue, edge)
 
     # ------------------------------------------------------------------
     # reliability
     # ------------------------------------------------------------------
     def ack_tuple(self, tup: StormTuple) -> None:
         """A bolt acked one of its inputs."""
-        if tup.root_id is None:
+        root_id = tup.root_id
+        if root_id is None:
             return
-        result = self.acker.ack(tup.root_id, tup.ack_id)
+        result = self.acker.ack(root_id, tup.ack_id)
         if result is not None:
-            _, emitted_at = result
-            self.metrics.record_completion(tup.root_id, self.sim.now - emitted_at)
-            self._notify_spout(tup.root_id, failed=False)
+            sim = self.sim
+            self.metrics.record_completion(root_id, sim.now - result[1])
+            # ``_notify_spout(root_id, failed=False)``, inline
+            executor = self._msg_roots.pop(root_id, None)
+            if executor is not None:
+                sim.after(self.config.control_latency, executor.spout.ack, root_id)
 
     def fail_tuple(self, tup: StormTuple) -> None:
         """A bolt failed one of its inputs: fail the whole tree."""

@@ -165,18 +165,30 @@ class WorkBolt(Bolt):
         self._scenario = scenario
         self._context: TaskContext | None = None
         self._collector: BoltCollector | None = None
+        #: the last ``fields`` tuple seen and the ``value`` / ``index``
+        #: fields' positions in it
+        self._fields: tuple[str, ...] | None = None
+        self._value_at = self._index_at = 0
 
     def prepare(self, context: TaskContext, collector: BoltCollector) -> None:
         self._context = context
         self._collector = collector
 
     def work_time(self, tup: StormTuple) -> float:
-        assert self._context is not None
-        item = int(tup.value("value"))
-        base = self._time_table.item(item)
+        fields = tup.fields
+        if fields is not self._fields:
+            assert self._context is not None
+            tup.value("value")  # KeyError on a tuple without it
+            self._value_at = fields.index("value")
+            if self._scenario is not None:
+                tup.value("index")
+                self._index_at = fields.index("index")
+            self._fields = fields
+        values = tup.values
+        base = self._time_table.item(int(values[self._value_at]))
         if self._scenario is None:
             return base
-        position = int(tup.value("index"))
+        position = int(values[self._index_at])
         return base * self._scenario.multiplier(self._context.task_index, position)
 
     def execute(self, tup: StormTuple) -> None:

@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING, Any
 
 from repro.storm.tuples import StormTuple, Values
 
+_INF = float("inf")
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storm.cluster import LocalCluster
     from repro.storm.topology import Bolt, BoltSpec, Spout, SpoutSpec
@@ -92,35 +94,33 @@ class SpoutExecutor:
         self.exhausted = False
 
     def open(self) -> None:
+        sim = self.cluster.sim
+        self._after = sim.after
         context = TaskContext(
-            self.spec.name,
-            self.task_index,
-            self.spec.parallelism,
-            clock=lambda: self.cluster.sim.now,
+            self.spec.name, self.task_index, self.spec.parallelism, clock=sim.clock
         )
         self.spout.open(context, self.collector)
-        self._schedule_tick(0.0)
-
-    def _schedule_tick(self, delay: float) -> None:
-        self.cluster.sim.after(max(0.0, delay), self._tick)
+        self._next_tuple = self.spout.next_tuple
+        self._after(0.0, self._tick)
 
     def _tick(self) -> None:
-        config = self.cluster.config
+        cluster = self.cluster
+        config = cluster.config
         if (
             config.max_spout_pending is not None
-            and self.cluster.acker.pending_count >= config.max_spout_pending
+            and cluster.acker.pending_count >= config.max_spout_pending
         ):
             # Backpressure: try again after the idle backoff.
-            self._schedule_tick(config.idle_backoff)
+            self._after(config.idle_backoff, self._tick)
             return
-        delay = self.spout.next_tuple()
+        delay = self._next_tuple()
         if delay is None:
             if getattr(self.spout, "finished", False):
                 self.exhausted = True
-                self.cluster.on_spout_exhausted()
+                cluster.on_spout_exhausted()
                 return
             delay = config.idle_backoff
-        self._schedule_tick(delay)
+        self._after(delay if delay > 0.0 else 0.0, self._tick)
 
 
 class BoltExecutor:
@@ -150,11 +150,13 @@ class BoltExecutor:
         self.fault_injector = None
 
     def prepare(self) -> None:
+        cluster = self.cluster
+        sim = cluster.sim
+        self._after = sim.after
+        self._auto_ack = cluster.config.auto_ack
+        self._ack_tuple = cluster.ack_tuple
         context = TaskContext(
-            self.spec.name,
-            self.task_index,
-            self.spec.parallelism,
-            clock=lambda: self.cluster.sim.now,
+            self.spec.name, self.task_index, self.spec.parallelism, clock=sim.clock
         )
         self.bolt.prepare(context, self.collector)
 
@@ -176,21 +178,21 @@ class BoltExecutor:
             self._start_next()
 
     def _start_next(self) -> None:
-        tup = self.queue.popleft()
-        self.busy = True
-        self._current = tup
+        tup = self.queue[0]
         duration = self.bolt.work_time(tup)
-        if duration < 0:
-            raise ValueError(
-                f"bolt {self.spec.name!r} returned negative work_time {duration}"
-            )
         if self.fault_injector is not None:
             duration *= self.fault_injector.execution_factor(
                 self.task_index, self.cluster.sim.now
             )
-        self.cluster.sim.after(
-            duration, self._finish, tup, duration, self._incarnation
-        )
+        if not 0.0 <= duration < _INF:  # negative, NaN or infinite
+            raise ValueError(
+                f"bolt {self.spec.name!r} task {self.task_index} returned "
+                f"work_time {duration}; it must be finite and >= 0"
+            )
+        self.queue.popleft()
+        self.busy = True
+        self._current = tup
+        self._after(duration, self._finish, tup, duration, self._incarnation)
 
     def _finish(self, tup: StormTuple, duration: float, incarnation: int = 0) -> None:
         if incarnation != self._incarnation:
@@ -198,9 +200,11 @@ class BoltExecutor:
         self._current = None
         self.executed += 1
         self.bolt.execute(tup)
-        # Basic-bolt convenience: auto-ack inputs the bolt didn't handle.
-        if self.cluster.config.auto_ack and not self.collector.was_handled(tup):
-            self.collector.ack(tup)
+        # Basic-bolt convenience: auto-ack inputs the bolt didn't handle
+        # (what ``BoltCollector.ack`` does, without the call).
+        if self._auto_ack and not tup.handled:
+            tup.handled = True
+            self._ack_tuple(tup)
         self.cluster.report_execution(self.spec, self.task_index, tup, duration)
         if self.queue:
             self._start_next()

@@ -79,7 +79,7 @@ class MultiSourcePOSGCoordinator:
         routed them.
     clock:
         Zero-argument virtual-time callable for span clocks (pass
-        ``lambda: cluster.sim.now``); optional.
+        ``cluster.sim.clock``); optional.
     """
 
     def __init__(

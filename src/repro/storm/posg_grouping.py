@@ -72,7 +72,7 @@ class POSGShuffleGrouping(_ShardGrouping):
         as :attr:`audit`, :attr:`flight` and :attr:`lineage`.
     clock:
         Zero-argument callable returning the current virtual time
-        (pass ``lambda: cluster.sim.now``).  Stamps span arrival and
+        (pass ``cluster.sim.clock``).  Stamps span arrival and
         finish clocks; without it spans carry a zero arrival and the
         reported duration as the finish, so only ``service_time`` is
         meaningful.  The Storm control plane reports executions without

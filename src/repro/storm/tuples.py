@@ -7,18 +7,11 @@ are *anchored* and tracked by the acker until every descendant is acked.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
 #: Storm's name for a plain list of field values
 Values = list
-
-_tuple_ids = itertools.count(1)
-
-
-def _fresh_tuple_id() -> int:
-    return next(_tuple_ids)
 
 
 @dataclass(slots=True)
@@ -54,7 +47,6 @@ class StormTuple:
     source_task: int
     root_id: Any = None
     ack_id: int = 0
-    tuple_id: int = field(default_factory=_fresh_tuple_id)
     sync_request: Any = None
     handled: bool = field(default=False, init=False)
 

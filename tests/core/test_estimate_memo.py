@@ -202,6 +202,36 @@ class TestEstimateMemo:
         assert scheduler.estimate(3, 1) == 0.0
 
 
+    def test_pooled_pairs_on_two_hash_families_read_their_own_columns(self):
+        """A pooled miss hashes the item once when every stored pair shares
+        one family; pairs on two families must each read their own
+        columns, and an instance without matrices adds nothing."""
+        config = POSGConfig(rows=2, cols=8, pooled_estimates=True)
+        families = [
+            make_shared_hashes(config, np.random.default_rng(seed)) for seed in (0, 1)
+        ]
+        #: never observed by any pair: the estimates read the pairs' means
+        unseen = (40, 41, 1_000)
+        assert any(
+            families[0].hash_all(item) != families[1].hash_all(item)
+            for item in ITEMS
+        )
+        scheduler = POSGScheduler(4, config)  # instance 3 never delivers
+        rng = np.random.default_rng(2)
+        # (instance, family): shared, mixed, mixed, shared again, mixed
+        for instance, family in ((0, 0), (1, 1), (2, 0), (1, 0), (0, 1)):
+            samples = [
+                (int(rng.integers(0, len(ITEMS))), float(rng.uniform(0.5, 25.0)))
+                for _ in range(5)
+            ]
+            deliver(scheduler, instance, families[family], samples)
+            for item in (*ITEMS, *unseen):
+                for target in range(4):
+                    assert scheduler.estimate(item, target) == memo_free(
+                        scheduler, item, target
+                    )
+
+
 def deliver(scheduler, instance, hashes, samples):
     scheduler.on_message(
         MatricesMessage(instance, pair_of(hashes, samples), len(samples))

@@ -108,6 +108,17 @@ class TestGate:
         assert written["failed"] == []
         assert [row["claim"] for row in written["claims"]] == list(claims.CLAIMS)
 
+    def test_wall_seconds_follow_the_claim_table_on_stdout_only(
+        self, stub_figures, tmp_path, capsys
+    ):
+        main(["all", "--output", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("wall seconds: ")
+        assert any(line.endswith("claims pass") for line in lines[:-1])
+        figures = lines[-1].removeprefix("wall seconds: ").split("; total ")[0]
+        assert [entry.split()[0] for entry in figures.split(", ")] == sorted(FIGURES)
+        assert "wall" not in (tmp_path / "claims.json").read_text()
+
     def test_a_planted_miss_exits_one_and_names_the_claim(
         self, stub_figures, capsys
     ):

@@ -1,4 +1,4 @@
-"""Tests for the event queue and the simulation engine."""
+"""Tests for the simulation engine and its heap of events."""
 
 import math
 
@@ -7,61 +7,80 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulator.engine import Simulation
-from repro.simulator.events import EventQueue
 
 
 class TestEventQueue:
+    """The simulation's heap of events, through ``at`` / ``step`` /
+    ``cancel`` / ``pending``."""
+
     def test_pops_in_time_order(self):
-        queue = EventQueue()
+        sim = Simulation()
         order = []
-        queue.push(2.0, lambda: order.append("b"))
-        queue.push(1.0, lambda: order.append("a"))
-        queue.push(3.0, lambda: order.append("c"))
-        while (event := queue.pop()) is not None:
-            event.action()
+        sim.at(2.0, lambda: order.append("b"))
+        sim.at(1.0, lambda: order.append("a"))
+        sim.at(3.0, lambda: order.append("c"))
+        while sim.step():
+            pass
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_priority_then_insertion(self):
-        queue = EventQueue()
+        sim = Simulation()
         order = []
-        queue.push(1.0, lambda: order.append("late"), priority=1)
-        queue.push(1.0, lambda: order.append("first"), priority=-1)
-        queue.push(1.0, lambda: order.append("second"), priority=-1)
-        while (event := queue.pop()) is not None:
-            event.action()
+        sim.at(1.0, lambda: order.append("late"), priority=1)
+        sim.at(1.0, lambda: order.append("first"), priority=-1)
+        sim.at(1.0, lambda: order.append("second"), priority=-1)
+        while sim.step():
+            pass
         assert order == ["first", "second", "late"]
 
     def test_cancel_skips_event(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        event.cancel()
-        assert queue.pop() is None
+        sim = Simulation()
+        handle = sim.at(1.0, lambda: None)
+        sim.cancel(handle)
+        assert sim.step() is False
 
     def test_len_ignores_cancelled(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        event.cancel()
-        assert len(queue) == 1
+        sim = Simulation()
+        handle = sim.at(1.0, lambda: None)
+        sim.at(2.0, lambda: None)
+        sim.cancel(handle)
+        assert sim.pending == 1
 
     def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.push(5.0, lambda: None)
-        assert queue.peek_time() == 5.0
+        sim = Simulation()
+        assert sim.step() is False
+        sim.at(5.0, lambda: None)
+        assert sim.step() is True
+        assert sim.now == 5.0
 
     def test_rejects_infinite_time(self):
-        queue = EventQueue()
+        sim = Simulation()
         with pytest.raises(ValueError):
-            queue.push(float("inf"), lambda: None)
+            sim.at(float("inf"), lambda: None)
         with pytest.raises(ValueError):
-            queue.push(float("nan"), lambda: None)
+            sim.at(float("nan"), lambda: None)
 
     def test_bool(self):
-        queue = EventQueue()
-        assert not queue
-        queue.push(1.0, lambda: None)
-        assert queue
+        sim = Simulation()
+        assert not sim.pending
+        sim.at(1.0, lambda: None)
+        assert sim.pending
+
+    def test_cancelling_twice_or_after_firing_is_a_no_op(self):
+        sim = Simulation()
+        fired = []
+        first = sim.at(1.0, fired.append, 1)
+        second = sim.at(2.0, fired.append, 2)
+        sim.at(3.0, fired.append, 3)
+        assert sim.step() is True
+        sim.cancel(first)  # already fired
+        sim.cancel(second)
+        sim.cancel(second)
+        assert sim.pending == 1
+        sim.run()
+        assert fired == [1, 3]
+        assert sim.events_processed == 2
+        assert sim.pending == 0
 
 
 class TestSimulation:
@@ -209,7 +228,7 @@ class Driver:
     def fire(self, label, spec):
         self.fired.append((label, self.sim.now))
         for target in spec[3]:
-            self.handles[target % len(self.handles)].cancel()
+            self.sim.cancel(self.handles[target % len(self.handles)])
         for child in spec[2]:
             self.handles.append(
                 self.sim.after(
@@ -312,7 +331,7 @@ class TestSchedulingChecks:
         sim = Simulation()
         fired = []
         first = sim.at(1.0, fired.append, 1)
-        sim.at(2.0, first.cancel)
+        sim.at(2.0, sim.cancel, first)
         sim.at(3.0, fired.append, 3)
         sim.run()
         assert fired == [1, 3]
@@ -356,7 +375,7 @@ class TestRunLoopContract:
         for time in (1.0, 2.0, 3.0, 4.0):
             sim.at(time, fired.append, time)
         cancelled = sim.at(2.5, fired.append, "cancelled")
-        cancelled.cancel()
+        sim.cancel(cancelled)
         sim.run(until=2.5)
         assert fired == [1.0, 2.0] and sim.now == 2.5
         assert sim.events_processed == 2
@@ -398,7 +417,7 @@ class TestRunLoopContract:
             schedule()
         assert errors == [ValueError]
         assert sim.pending == 0
-        assert sim._queue._heap == []
+        assert sim._heap == []
         # the simulation carries on: ties still fire in insertion order
         order = []
         sim.after(0.0, order.append, "first")

@@ -1,5 +1,7 @@
 """End-to-end tests for the local cluster."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,31 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ClusterConfig(**kwargs)
+
+
+class TestBadWorkTime:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_raises_naming_the_bolt_and_leaves_the_tuple_queued(self, bad):
+        stream = Stream(
+            items=np.zeros(3, dtype=np.int64),
+            base_times=np.full(3, 10.0),
+            arrivals=np.array([0.0, 100.0, 200.0]),
+            n=1,
+            time_table=np.array([bad]),
+        )
+        builder = TopologyBuilder()
+        builder.set_spout(
+            "source", lambda: StreamSpout(stream), output_fields=STREAM_SPOUT_FIELDS
+        )
+        builder.set_bolt(
+            "worker", lambda: WorkBolt(stream.time_table), parallelism=2
+        ).shuffle_grouping("source")
+        cluster = LocalCluster()
+        cluster.submit(builder.build())
+        with pytest.raises(ValueError, match=r"bolt 'worker' task \d"):
+            cluster.run()
+        executors = cluster._bolt_executors["worker"]
+        assert [executor.busy for executor in executors] == [False, False]
+        assert [executor._current for executor in executors] == [None, None]
+        assert sum(len(executor.queue) for executor in executors) == 1
+        assert cluster.metrics.completed == 0

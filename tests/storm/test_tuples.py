@@ -27,9 +27,6 @@ class TestFields:
     def test_select(self):
         assert make_tuple().select(("index", "value")) == (7, 42)
 
-    def test_unique_ids(self):
-        assert make_tuple().tuple_id != make_tuple().tuple_id
-
 
 class TestAnchoring:
     def test_unanchored_by_default(self):
