@@ -9,7 +9,7 @@ running on the virtual-time event engine of :mod:`repro.simulator`:
 - **topologies** of spouts and bolts with per-component parallelism
   (:mod:`~repro.storm.topology`);
 - **stream groupings** — Storm's stock shuffle grouping (round-robin,
-  called *ASSG* in the paper), fields/global/all groupings, and the
+  called *ASSG* in the paper), the all grouping, and the
   ``CustomStreamGrouping`` extension point POSG plugs into
   (:mod:`~repro.storm.grouping`, :mod:`~repro.storm.posg_grouping`);
 - **reliability**: XOR-based ack tracking, per-tuple timeouts and
@@ -34,8 +34,6 @@ from repro.storm.topology import (
 from repro.storm.grouping import (
     AllGrouping,
     CustomStreamGrouping,
-    FieldsGrouping,
-    GlobalGrouping,
     ShuffleGrouping,
     StreamGrouping,
 )
@@ -43,7 +41,6 @@ from repro.storm.acker import AckTracker
 from repro.storm.cluster import ClusterConfig, LocalCluster
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.posg_grouping import POSGShuffleGrouping
-from repro.storm.multisource import MultiSourcePOSGCoordinator
 
 __all__ = [
     "StormTuple",
@@ -56,8 +53,6 @@ __all__ = [
     "Topology",
     "StreamGrouping",
     "ShuffleGrouping",
-    "FieldsGrouping",
-    "GlobalGrouping",
     "AllGrouping",
     "CustomStreamGrouping",
     "AckTracker",
@@ -65,5 +60,4 @@ __all__ = [
     "LocalCluster",
     "TopologyMetrics",
     "POSGShuffleGrouping",
-    "MultiSourcePOSGCoordinator",
 ]

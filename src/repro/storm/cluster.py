@@ -146,6 +146,7 @@ class LocalCluster:
             self._bolt_executors[bolt_spec.name] = executors
             for executor in executors:
                 executor.prepare()
+        self.metrics.bind_executors(self._bolt_executors)
 
         for bolt_spec in topology.bolts.values():
             for subscription in bolt_spec.subscriptions:
@@ -411,7 +412,6 @@ class LocalCluster:
         self, spec: BoltSpec, task_index: int, tup: StormTuple, duration: float
     ) -> None:
         """A bolt task executed a tuple; notify reporting groupings."""
-        self.metrics.record_execution(spec.name, task_index)
         for grouping in self._reporting_groupings.get(spec.name, ()):
             messages = grouping.on_execution(task_index, tup, duration)
             for message in messages:

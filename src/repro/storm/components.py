@@ -80,69 +80,6 @@ class StreamSpout(Spout):
 STREAM_SPOUT_FIELDS = ("value", "index")
 
 
-class ShardedStreamSpout(Spout):
-    """Replays every ``sources``-th tuple of a stream, starting at ``shard``.
-
-    The multi-source deployment splits one logical stream over ``s``
-    upstream executors fed round-robin by the ingest layer: spout ``i``
-    emits tuples ``i, i+s, i+2s, ...`` at their original arrival times.
-    Message ids and the ``index`` field keep the *global* stream
-    positions, so ack tracking and load-shift scenarios see the same
-    identifiers as a single-spout replay of the full stream.
-    """
-
-    def __init__(
-        self, stream: Stream, shard: int, sources: int, anchored: bool = True
-    ) -> None:
-        sources = COUNT.check("sources", sources)
-        if not 0 <= shard < sources:
-            raise ValueError(f"shard must be in [0, {sources}), got {shard}")
-        self._stream = stream
-        self._indices = np.arange(shard, stream.m, sources)
-        self._anchored = anchored
-        self._next = 0
-        self._collector: SpoutCollector | None = None
-        self.acked: int = 0
-        self.failed: int = 0
-
-    def open(self, context: TaskContext, collector: SpoutCollector) -> None:
-        if context.parallelism != 1:
-            raise ValueError("ShardedStreamSpout must run with parallelism 1")
-        self._collector = collector
-        self._clock = context.clock
-
-    @property
-    def finished(self) -> bool:
-        """Whether every tuple of this shard has been emitted."""
-        return self._next >= len(self._indices)
-
-    def next_tuple(self) -> float | None:
-        """Emit the shard's next tuple if its arrival time has come."""
-        assert self._collector is not None
-        if self.finished:
-            return None
-        now = self._clock()
-        index = self._indices.item(self._next)
-        due = self._stream.arrivals.item(index)
-        if now < due:
-            return due - now
-        self._next += 1
-        self._collector.emit(
-            [self._stream.items.item(index), index],
-            msg_id=index if self._anchored else None,
-        )
-        if self.finished:
-            return None
-        upcoming = self._indices.item(self._next)
-        return max(0.0, self._stream.arrivals.item(upcoming) - now)
-
-    def ack(self, msg_id) -> None:
-        self.acked += 1
-
-    def fail(self, msg_id) -> None:
-        self.failed += 1
-
-
 class WorkBolt(Bolt):
     """Busy-works for the tuple's content-driven duration.
 

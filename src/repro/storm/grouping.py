@@ -47,26 +47,6 @@ class ShuffleGrouping(StreamGrouping):
         return [task]
 
 
-class FieldsGrouping(StreamGrouping):
-    """Hash-partition on selected fields (key grouping)."""
-
-    def __init__(self, fields: tuple[str, ...]) -> None:
-        if not fields:
-            raise ValueError("fields grouping needs at least one field")
-        self._fields = tuple(fields)
-
-    def choose_tasks(self, tup: StormTuple) -> list[int]:
-        key = tup.select(self._fields)
-        return [self._target_tasks[hash(key) % len(self._target_tasks)]]
-
-
-class GlobalGrouping(StreamGrouping):
-    """Every tuple to the lowest target task id."""
-
-    def choose_tasks(self, tup: StormTuple) -> list[int]:
-        return [self._target_tasks[0]]
-
-
 class AllGrouping(StreamGrouping):
     """Replicate every tuple to every target task."""
 

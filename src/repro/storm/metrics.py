@@ -16,7 +16,9 @@ class TopologyMetrics:
         self._completions: dict[Any, float] = {}
         self._timeouts: list[Any] = []
         self._failures: list[Any] = []
-        self._executed_per_task: dict[tuple[str, int], int] = {}
+        #: bolt name -> its executors, whose ``executed`` counters these
+        #: metrics read (bound by the cluster at submission)
+        self._bolt_executors: dict[str, list] = {}
         self._emitted = 0
         self._control_messages = 0
         self._control_bits = 0
@@ -36,9 +38,13 @@ class TopologyMetrics:
     def record_failure(self, msg_id: Any) -> None:
         self._failures.append(msg_id)
 
-    def record_execution(self, component: str, task_index: int) -> None:
-        key = (component, task_index)
-        self._executed_per_task[key] = self._executed_per_task.get(key, 0) + 1
+    def bind_executors(self, bolt_executors: dict[str, list]) -> None:
+        """Read per-task execution counts from these bolt executors.
+
+        ``bolt_executors`` maps a bolt's name to its executors by task
+        index; each counts the tuples it executed in ``executed``.
+        """
+        self._bolt_executors = bolt_executors
 
     def record_control_message(self, bits: int = 0) -> None:
         """Count one control-plane message and its wire size in bits.
@@ -117,11 +123,13 @@ class TopologyMetrics:
             ),
         ] + [
             Sample(
-                "storm_task_executed_total", count, "counter",
-                (("component", component), ("task", str(task))),
+                "storm_task_executed_total", executor.executed, "counter",
+                (("component", component), ("task", str(executor.task_index))),
                 help="Tuples executed per task",
             )
-            for (component, task), count in sorted(self._executed_per_task.items())
+            for component, executors in sorted(self._bolt_executors.items())
+            for executor in executors
+            if executor.executed
         ]
 
     def completion_latencies(self) -> np.ndarray:
@@ -147,8 +155,11 @@ class TopologyMetrics:
         return float(latencies.mean())
 
     def executions(self, component: str, task_index: int) -> int:
-        """Tuples executed by one task."""
-        return self._executed_per_task.get((component, task_index), 0)
+        """Tuples executed by one task (0 for a task that does not exist)."""
+        executors = self._bolt_executors.get(component, ())
+        if 0 <= task_index < len(executors):
+            return executors[task_index].executed
+        return 0
 
     def task_execution_counts(self, component: str, parallelism: int) -> np.ndarray:
         """Executed-tuple counts for every task of a component."""

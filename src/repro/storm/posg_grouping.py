@@ -18,19 +18,19 @@ import numpy as np
 from repro.core.config import POSGConfig
 from repro.core.grouping import POSGGrouping
 from repro.core.scheduler import POSGScheduler, SchedulerState
-from repro.storm.multisource import MultiSourcePOSGCoordinator, _ShardGrouping
-from repro.telemetry.audit import AuditConfig, EstimatorAudit
-from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
-from repro.telemetry.lineage import LineageConfig, LineageTracer
+from repro.storm.grouping import CustomStreamGrouping
+from repro.storm.tuples import StormTuple
+
+_INF = float("inf")
 
 
-class POSGShuffleGrouping(_ShardGrouping):
+class POSGShuffleGrouping(CustomStreamGrouping):
     """Drop-in replacement for Storm's shuffle grouping.
 
-    The paper's single scheduler is the ``s = 1`` case of
-    :class:`~repro.storm.multisource.MultiSourcePOSGCoordinator`: this
-    grouping is that coordinator's shard 0, bit-identical to claiming
-    ``MultiSourcePOSGCoordinator(1, ...).shard(0)`` by hand.
+    One grouping serves one subscription: the cluster reports every
+    execution of the subscribed bolt to each reporting grouping, so a
+    grouping bound twice would fold every report twice (:meth:`prepare`
+    refuses the second binding).
 
     Parameters
     ----------
@@ -45,39 +45,6 @@ class POSGShuffleGrouping(_ShardGrouping):
         Optional :class:`~repro.telemetry.recorder.TelemetryRecorder`;
         forwarded to the scheduler- and instance-side FSMs so their
         transitions land in the same registry/tracer as the cluster's.
-    audit:
-        Optional :class:`~repro.telemetry.audit.AuditConfig` (or a
-        pre-built :class:`~repro.telemetry.audit.EstimatorAudit`)
-        sampling executed tuples as the cluster reports them: every
-        N-th execution report compares the scheduler's current W/F
-        estimate against the measured duration.  Unlike the simulator's
-        hook (which samples in *routing* order), reports arrive in
-        completion order, so the sample index counts executions.
-    flight:
-        Optional :class:`~repro.telemetry.flightrecorder.FlightRecorderConfig`
-        (or pre-built recorder): captures the scheduler's causal event
-        timeline and samples every N-th routed tuple's decision with its
-        believed loads; the route-sample index counts tuples routed by
-        this grouping.
-    lineage:
-        Optional :class:`~repro.telemetry.lineage.LineageConfig` (or
-        pre-built :class:`~repro.telemetry.lineage.LineageTracer`):
-        every N-th routed tuple opens a span (route clock, believed
-        loads) that the matching execution report closes (service time,
-        pre-fold window counter).  Tuples execute FIFO per task, so the
-        open span and the report are matched by per-task sequence
-        numbers; a crash clears that task's open spans (its queue may
-        be dropped or replayed).  The sample index counts routed tuples.
-        All three observers bind in :meth:`prepare` and are then exposed
-        as :attr:`audit`, :attr:`flight` and :attr:`lineage`.
-    clock:
-        Zero-argument callable returning the current virtual time
-        (pass ``cluster.sim.clock``).  Stamps span arrival and
-        finish clocks; without it spans carry a zero arrival and the
-        reported duration as the finish, so only ``service_time`` is
-        meaningful.  The Storm control plane reports executions without
-        per-tuple enqueue clocks, so ``scheduling_delay`` is always 0
-        here (the simulator engines decompose all three components).
     """
 
     def __init__(
@@ -86,18 +53,98 @@ class POSGShuffleGrouping(_ShardGrouping):
         config: POSGConfig | None = None,
         rng: np.random.Generator | None = None,
         telemetry=None,
-        audit: "AuditConfig | EstimatorAudit | None" = None,
-        flight: "FlightRecorderConfig | FlightRecorder | None" = None,
-        lineage: "LineageConfig | LineageTracer | None" = None,
-        clock=None,
     ) -> None:
-        super().__init__(
-            MultiSourcePOSGCoordinator(
-                1, item_field, config, rng, telemetry, audit, flight, lineage,
-                clock,
-            ),
-            0,
-        )
+        self._policy = POSGGrouping(config, telemetry=telemetry)
+        self._item_field = item_field
+        self._rng = rng
+        #: the subscription's source component, once prepared
+        self._source: str | None = None
+        #: the last ``fields`` tuple seen and the item field's index in it
+        self._fields: tuple[str, ...] | None = None
+        self._item_index = 0
+        #: per task: executed ``(items, times)`` not yet folded into its
+        #: tracker, and the tracker; see :meth:`on_execution`
+        self._deferred: dict[int, tuple[list, list, object]] = {}
+
+    def prepare(self, source: str, target_tasks: list[int]) -> None:
+        if self._source is not None:
+            raise ValueError(
+                f"POSGShuffleGrouping already bound to source {self._source!r}; "
+                f"subscribe {source!r} with a grouping of its own"
+            )
+        super().prepare(source, target_tasks)
+        self._source = source
+        policy = self._policy
+        policy.setup(len(self._target_tasks), self._rng)
+        self._deferred = {
+            position: ([], [], policy.create_instance_agent(position).tracker)
+            for position in range(len(self._target_tasks))
+        }
+        self._submit = policy.scheduler.submit
+
+    def _item(self, tup: StormTuple) -> int:
+        """The tuple's item, through the index cached for its ``fields``."""
+        fields = tup.fields
+        if fields is not self._fields:
+            tup.value(self._item_field)  # KeyError on a tuple without it
+            self._item_index = fields.index(self._item_field)
+            self._fields = fields
+        return int(tup.values[self._item_index])
+
+    def choose_tasks(self, tup: StormTuple) -> list[int]:
+        decision = self._submit(self._item(tup))
+        tup.sync_request = decision.sync_request
+        return [self._target_tasks[decision.instance]]
+
+    def wants_execution_reports(self) -> bool:
+        return True
+
+    def on_execution(self, task: int, tup: StormTuple, duration: float) -> list:
+        """Fold one execution report into ``task``'s tracker.
+
+        A report that carries no sync request, holds a valid time and
+        leaves the tracker short of its window boundary changes nothing
+        the scheduler can see, so it waits in the task's deferred buffer.
+        Any other report first folds the buffer in one
+        :meth:`~repro.core.instance.InstanceTracker.execute_batch`
+        (bit-identical to per-tuple folds), then goes through
+        :meth:`~repro.core.instance.InstanceTracker.execute`.  Crashes and
+        shutdown fold the buffer too.
+        """
+        item = self._item(tup)
+        items, times, tracker = self._deferred[task]
+        if (
+            tup.sync_request is None
+            and 0.0 <= duration < _INF
+            and len(items) + 1 < tracker.window_remaining
+        ):
+            items.append(item)
+            times.append(duration)
+            return []
+        self._fold_deferred(task)
+        return tracker.execute(item, duration, tup.sync_request)
+
+    def _fold_deferred(self, task: int) -> None:
+        """Fold ``task``'s deferred execution reports into its tracker."""
+        items, times, tracker = self._deferred[task]
+        if items:
+            tracker.execute_batch(items, times)
+            items.clear()
+            times.clear()
+
+    def on_control(self, message) -> None:
+        self._policy.on_control(message)
+
+    def on_instance_crash(self, task: int) -> None:
+        """Wipe the crashed task's instance-side state (new generation)."""
+        # What ran before the crash counts in the lifetime counters,
+        # which survive the restart.
+        self._fold_deferred(task)
+        self._deferred[task][2].restart()
+
+    def on_shutdown(self) -> None:
+        for task in self._deferred:
+            self._fold_deferred(task)
 
     # ------------------------------------------------------------------
     # introspection
@@ -105,29 +152,14 @@ class POSGShuffleGrouping(_ShardGrouping):
     @property
     def scheduler(self) -> POSGScheduler:
         """The scheduler-side FSM."""
-        return self._coordinator.scheduler
+        return self._policy.scheduler
 
     @property
     def state(self) -> SchedulerState:
         """Scheduler FSM state."""
-        return self._coordinator.scheduler.state
+        return self._policy.scheduler.state
 
     @property
     def policy(self) -> POSGGrouping:
         """The underlying engine-agnostic policy."""
-        return self._coordinator.policy
-
-    @property
-    def audit(self) -> EstimatorAudit | None:
-        """The estimator audit, once :meth:`prepare` has bound it."""
-        return self._coordinator.audit
-
-    @property
-    def flight(self) -> FlightRecorder | None:
-        """The flight recorder, once :meth:`prepare` has bound it."""
-        return self._coordinator.flight
-
-    @property
-    def lineage(self) -> LineageTracer | None:
-        """The lineage tracer, once :meth:`prepare` has bound it."""
-        return self._coordinator.lineage
+        return self._policy

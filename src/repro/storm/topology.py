@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.bounds import COUNT
-from repro.storm.grouping import (
-    FieldsGrouping,
-    GlobalGrouping,
-    ShuffleGrouping,
-    StreamGrouping,
-)
+from repro.storm.grouping import ShuffleGrouping, StreamGrouping
 from repro.storm.tuples import StormTuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,16 +112,6 @@ class BoltSpec:
     def shuffle_grouping(self, source: str) -> "BoltSpec":
         """Subscribe with Storm's stock shuffle grouping (ASSG)."""
         self.subscriptions.append(_Subscription(source, ShuffleGrouping()))
-        return self
-
-    def fields_grouping(self, source: str, fields: tuple[str, ...]) -> "BoltSpec":
-        """Subscribe with hash-partitioning on the given fields."""
-        self.subscriptions.append(_Subscription(source, FieldsGrouping(fields)))
-        return self
-
-    def global_grouping(self, source: str) -> "BoltSpec":
-        """Subscribe with all tuples to the lowest task id."""
-        self.subscriptions.append(_Subscription(source, GlobalGrouping()))
         return self
 
     def custom_grouping(self, source: str, grouping: StreamGrouping) -> "BoltSpec":

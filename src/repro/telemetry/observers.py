@@ -1,10 +1,10 @@
 """The one attach point for a run's three read-only observers.
 
 ``audit=``, ``flight=`` and ``lineage=`` each accept a config or a
-pre-built instance; every entry point that takes them
-(``simulate_stream``, ``simulate_stream_parallel``, the two Storm
-groupings) hands all three to :class:`Observers`, which owns the three
-decisions none of them re-implements:
+pre-built instance; both entry points that take them
+(``simulate_stream`` and ``simulate_stream_parallel``) hand all three
+to :class:`Observers`, which owns the three decisions neither
+re-implements:
 
 - **resolve** — the constructor type-checks the arguments and touches
   nothing else, so a bad argument is rejected before ``policy.setup``

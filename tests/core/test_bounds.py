@@ -46,7 +46,7 @@ from repro.sketches.count_min import CountMinSketch, dims_for
 from repro.sketches.hashing import TwoUniversalHashFamily, random_hash_family
 from repro.storm.acker import AckTracker
 from repro.storm.cluster import ClusterConfig
-from repro.storm.components import FailingBolt, ShardedStreamSpout
+from repro.storm.components import FailingBolt
 from repro.storm.topology import TopologyBuilder
 from repro.telemetry.audit import AuditConfig
 from repro.telemetry.dashboard import LiveDashboard
@@ -364,7 +364,6 @@ INTEGER_ARGUMENTS = [
     ("parallelism", lambda v: TopologyBuilder().set_spout("s", object, v), 2),
     ("parallelism", lambda v: TopologyBuilder().set_bolt("b", object, v), 2),
     ("failure_period", lambda v: FailingBolt(v), 2),
-    ("sources", lambda v: ShardedStreamSpout(default_stream(m=8), 0, v), 2),
 ]
 
 #: real arguments checked outside a config dataclass

@@ -92,24 +92,6 @@ class TestFanOut:
         assert run(3) > run(1)
 
 
-class TestFieldsGroupingEndToEnd:
-    def test_same_value_lands_on_same_task(self):
-        CountingBolt.instances = []
-        stream = small_stream(m=200, n=8)
-        builder = TopologyBuilder()
-        builder.set_spout("src", lambda: StreamSpout(stream),
-                          output_fields=STREAM_SPOUT_FIELDS)
-        builder.set_bolt("sink", CountingBolt, parallelism=4) \
-               .fields_grouping("src", ("value",))
-        cluster = LocalCluster()
-        cluster.submit(builder.build())
-        cluster.run()
-        owner = {}
-        for task_index, bolt in enumerate(CountingBolt.instances):
-            for value, _index in bolt.seen:
-                assert owner.setdefault(value, task_index) == task_index
-
-
 class TestBackpressure:
     def test_pending_cap_is_respected(self):
         """With max_spout_pending=N, at most N trees are in flight."""

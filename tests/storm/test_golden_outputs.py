@@ -28,12 +28,10 @@ from repro.storm.cluster import ClusterConfig, LocalCluster
 from repro.storm.components import (
     STREAM_SPOUT_FIELDS,
     ForwardingBolt,
-    ShardedStreamSpout,
     StreamSpout,
     WorkBolt,
 )
 from repro.storm.grouping import ShuffleGrouping
-from repro.storm.multisource import MultiSourcePOSGCoordinator
 from repro.storm.posg_grouping import POSGShuffleGrouping
 from repro.storm.topology import TopologyBuilder
 from repro.workloads.twitter import TwitterDatasetSpec, generate_twitter_stream
@@ -123,26 +121,6 @@ def run_single_stage(stream, grouping, config=None, faults=None):
     return digest_, getattr(grouping, "policy", None)
 
 
-def run_sharded(stream, sources=2):
-    coordinator = MultiSourcePOSGCoordinator(
-        sources, item_field="value", config=CONFIG, rng=np.random.default_rng(1)
-    )
-    builder = TopologyBuilder()
-    bolt = builder.set_bolt(
-        "worker", lambda: WorkBolt(stream.time_table), parallelism=K
-    )
-    for shard in range(sources):
-        builder.set_spout(
-            f"source{shard}",
-            (lambda i: lambda: ShardedStreamSpout(stream, i, sources))(shard),
-            output_fields=STREAM_SPOUT_FIELDS,
-        )
-        bolt.custom_grouping(f"source{shard}", coordinator.shard(shard))
-    cluster = LocalCluster(ClusterConfig(seed=0))
-    cluster.submit(builder.build())
-    return cluster_digest(cluster, cluster.run()), coordinator.policy
-
-
 def run_chain(stream):
     grouping = posg()
     builder = TopologyBuilder()
@@ -221,7 +199,6 @@ SCENARIOS = {
     "faulted": lambda s: run_single_stage(
         s, posg(RECOVERING), faults=chaos_plan(s)
     ),
-    "multisource_s2": run_sharded,
     "forwarding_chain": run_chain,
     "stage_topology": run_stage_topology,
 }
@@ -232,7 +209,6 @@ GOLDEN = {
     "forwarding_chain": "5d4f44d9d523035282d696d3ac09894315e1c6076842437b71ea56a6fe7d060e",
     "max_spout_pending": "202b4d43834181fad5561752347efcace0580c88c8110dc6d99155e5b444e75c",
     "message_timeout": "90f1243a253ecf973ab07b33386038d419bd49acaba0fc32672933b15cd00609",
-    "multisource_s2": "2856528e2c91730845aac3bc9fecb80497268d12e3ec3439c4e453bad052a2e2",
     "posg": "ff74a028655c31aafd2872aad108be6b89fb67aca2b77594abb117490dbb6f0c",
     "posg_unpooled": "f6b7195148651851c152ed7aaccf67872b43adb0b1d726c18227e90b54f798bf",
     "stage_topology": "6b42ad124a0a2b3ba77ee044191462405c46c5f11eac47250305e0381afccf35",
@@ -247,7 +223,6 @@ GOLDEN_STATS = {
     "faulted": "72098abc00961dbfa11a10b1d286405dc769e00bb10cc39c6f19f05944da459e",
     "forwarding_chain": "0cfd879b034b94c68ae3a0533494fb6ff0aceff15be4f14630748b52b7381bcf",
     "max_spout_pending": "3e670e97fb92a53524b7e49f512a19342f31e4c79830a34d88f630307de0a66f",
-    "multisource_s2": "20166896ab8679fc147ffde2868eb68f757f6abf6d89749e4add3373e9ce4e86",
     "posg": "0cfd879b034b94c68ae3a0533494fb6ff0aceff15be4f14630748b52b7381bcf",
     "posg_unpooled": "c9b0d42a452b54d20bca54517103fbb513a184539a498768afedbd222f385ac1",
     "stage_topology": "0cfd879b034b94c68ae3a0533494fb6ff0aceff15be4f14630748b52b7381bcf",

@@ -1,9 +1,19 @@
 """Unit tests for TopologyMetrics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.storm.metrics import TopologyMetrics
+
+
+def executors(*counts):
+    """Stand-ins for one bolt's executors, by task index."""
+    return [
+        SimpleNamespace(task_index=index, executed=count)
+        for index, count in enumerate(counts)
+    ]
 
 
 class TestTopologyMetrics:
@@ -39,12 +49,12 @@ class TestTopologyMetrics:
 
     def test_execution_counts(self):
         metrics = TopologyMetrics()
-        metrics.record_execution("worker", 0)
-        metrics.record_execution("worker", 0)
-        metrics.record_execution("worker", 2)
+        assert metrics.executions("worker", 0) == 0
+        metrics.bind_executors({"worker": executors(2, 0, 1)})
         np.testing.assert_array_equal(
             metrics.task_execution_counts("worker", 3), [2, 0, 1]
         )
+        assert metrics.executions("worker", 3) == 0
         assert metrics.executions("other", 0) == 0
 
     def test_counters(self):
@@ -71,7 +81,7 @@ class TestTopologyMetrics:
         metrics = TopologyMetrics()
         metrics.record_emit()
         metrics.record_completion(0, 10.0)
-        metrics.record_execution("worker", 1)
+        metrics.bind_executors({"worker": executors(0, 1)})
         metrics.record_control_message(64)
         by_key = {sample.key: sample.value for sample in metrics.samples()}
         assert by_key["storm_tuples_emitted_total"] == 1
@@ -79,3 +89,5 @@ class TestTopologyMetrics:
         assert by_key["storm_control_messages_total"] == 1
         assert by_key["storm_control_bits_total"] == 64
         assert by_key['storm_task_executed_total{component="worker",task="1"}'] == 1
+        # a task that executed nothing exports no series
+        assert 'storm_task_executed_total{component="worker",task="0"}' not in by_key

@@ -18,13 +18,11 @@ def make_stream(m=3000, n=128, k=3, seed=0):
     return generate_stream(ZipfItems(n, 1.0), spec, np.random.default_rng(seed))
 
 
-def run_posg_topology(stream, k=3, config=None, posg_config=None, seed=1,
-                      audit=None):
+def run_posg_topology(stream, k=3, config=None, posg_config=None, seed=1):
     grouping = POSGShuffleGrouping(
         item_field="value",
         config=posg_config or POSGConfig(window_size=64, rows=2, cols=16),
         rng=np.random.default_rng(seed),
-        audit=audit,
     )
     builder = TopologyBuilder()
     builder.set_spout("source", lambda: StreamSpout(stream),
@@ -81,6 +79,24 @@ class TestLifecycle:
             > cluster.metrics.control_messages * 64
         )
 
+    def test_one_grouping_on_two_subscriptions_is_refused(self):
+        """The cluster reports each execution to every reporting grouping
+        of the bolt, so one grouping on two subscriptions would fold every
+        execution twice."""
+        stream = make_stream(m=100)
+        grouping = POSGShuffleGrouping("value", POSGConfig(rows=2, cols=16))
+        builder = TopologyBuilder()
+        bolt = builder.set_bolt(
+            "worker", lambda: WorkBolt(stream.time_table), parallelism=3
+        )
+        for source in ("left", "right"):
+            builder.set_spout(source, lambda: StreamSpout(stream),
+                              output_fields=STREAM_SPOUT_FIELDS)
+            bolt.custom_grouping(source, grouping)
+        cluster = LocalCluster()
+        with pytest.raises(ValueError, match="bound to source 'left'"):
+            cluster.submit(builder.build())
+
 
 class TestTelemetry:
     def test_cluster_and_grouping_share_recorder(self):
@@ -107,45 +123,6 @@ class TestTelemetry:
         assert snapshot["storm_control_bits_total"] == cluster.metrics.control_bits
         assert snapshot["posg_scheduler_tuples_scheduled_total"] == 2000
         assert recorder.tracer.events("scheduler_state")
-
-
-class TestAuditHook:
-    def test_audit_samples_execution_reports(self):
-        from repro.telemetry.audit import AuditConfig
-
-        stream = make_stream(m=2000)
-        cluster, grouping = run_posg_topology(
-            stream, audit=AuditConfig(sample_every=16)
-        )
-        audit = grouping.audit
-        assert audit is not None
-        # every 16th of 2000 execution reports, starting at index 0
-        assert audit.samples == 125
-        report = audit.report()
-        assert report["mean_true_ms"] > 0
-        assert report["theorem43"]["all_markov_hold"] is True
-
-    def test_audit_does_not_change_routing(self):
-        stream = make_stream(m=2000)
-        from repro.telemetry.audit import AuditConfig
-
-        plain_cluster, _ = run_posg_topology(stream)
-        audited_cluster, _ = run_posg_topology(
-            stream, audit=AuditConfig(sample_every=16)
-        )
-        np.testing.assert_array_equal(
-            plain_cluster.metrics.task_execution_counts("worker", 3),
-            audited_cluster.metrics.task_execution_counts("worker", 3),
-        )
-
-    def test_disabled_by_default(self):
-        stream = make_stream(m=500)
-        _, grouping = run_posg_topology(stream)
-        assert grouping.audit is None
-
-    def test_rejects_wrong_audit_type(self):
-        with pytest.raises(TypeError, match="audit"):
-            POSGShuffleGrouping(audit="sample everything")
 
 
 class TestBehaviour:

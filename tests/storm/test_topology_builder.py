@@ -3,12 +3,7 @@
 import pytest
 
 from repro.storm.components import ForwardingBolt, WorkBolt
-from repro.storm.grouping import (
-    AllGrouping,
-    FieldsGrouping,
-    GlobalGrouping,
-    ShuffleGrouping,
-)
+from repro.storm.grouping import AllGrouping, ShuffleGrouping
 from repro.storm.topology import TopologyBuilder
 from repro.storm.tuples import StormTuple
 
@@ -115,22 +110,6 @@ class TestGroupings:
         grouping.prepare("src", [0, 1, 2])
         picks = [grouping.choose_tasks(edge_tuple([i, i]))[0] for i in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
-
-    def test_fields_grouping_sticky(self):
-        grouping = FieldsGrouping(("value",))
-        grouping.prepare("src", [0, 1, 2, 3])
-        a = grouping.choose_tasks(edge_tuple([42, 0]))
-        b = grouping.choose_tasks(edge_tuple([42, 99]))
-        assert a == b
-
-    def test_fields_grouping_requires_fields(self):
-        with pytest.raises(ValueError):
-            FieldsGrouping(())
-
-    def test_global_grouping(self):
-        grouping = GlobalGrouping()
-        grouping.prepare("src", [3, 5, 7])
-        assert grouping.choose_tasks(edge_tuple([1, 1])) == [3]
 
     def test_all_grouping(self):
         grouping = AllGrouping()
