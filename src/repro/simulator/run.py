@@ -46,7 +46,6 @@ Two engines implement these semantics:
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from array import array
 from collections.abc import Callable
@@ -134,6 +133,8 @@ class SimulationResult:
     #: ``fallback_tuples`` (routed by the per-tuple step: SEND_ALL
     #: stretches and defence-deadline tuples), ``folds`` /
     #: ``folded_tuples`` (batched instance folds landed, tuples in them),
+    #: ``serves`` / ``served_tuples`` (FIFO chains landed after routing,
+    #: tuples in them),
     #: ``windows`` / ``window_tuples`` (column windows listed for the
     #: loops on any chunked path, tuples converted for them: the stream
     #: length) and, summed over the schedulers, ``estimate_gathers``
@@ -229,6 +230,8 @@ def _engine_info(path: str, reason: "str | None" = None) -> dict:
         "estimate_evaluations": 0,
         "folds": 0,
         "folded_tuples": 0,
+        "serves": 0,
+        "served_tuples": 0,
         "windows": 0,
         "window_tuples": 0,
         "cuts": dict.fromkeys(_CUT_CAUSES, 0),
@@ -671,8 +674,8 @@ def _simulate_chunked(
     profiler=None,
 ) -> SimulationResult:
     """Hoist what no routing decision can change, dispatch one loop, and
-    derive completions, backlog samples and slow-node billing from what
-    the loop appended.  The loops themselves only route and FIFO-fold."""
+    derive completions, backlog samples and slow-node billing from the
+    finishes and assignments it left."""
     items_array = np.ascontiguousarray(stream.items, dtype=np.int64)
     arrivals_array = np.ascontiguousarray(stream.arrivals, dtype=np.float64)
     base_array = np.ascontiguousarray(stream.base_times, dtype=np.float64)
@@ -748,8 +751,10 @@ def _simulate_chunked(
     else:
         _run_baseline(state, policy, observers)
 
-    finishes = np.frombuffer(state.finishes, dtype=np.float64)
-    assignments = np.asarray(state.assignments, dtype=np.int64)
+    finishes = state.finishes
+    assignments = np.empty(state.m, dtype=np.int64)
+    for instance, indices in enumerate(state.assigned):
+        assignments[_entries(indices, 0, len(indices))] = instance
     slowed_tuples = sum(
         int(np.count_nonzero(assignments[lo:hi] == instance))
         for instance, lo, hi, _ in slowed
@@ -814,6 +819,79 @@ def _backlog_samples(
     return indices, np.maximum(0.0, busy - arrivals[indices, None])
 
 
+#: a busy stretch shorter than this goes to the scalar recurrence, and
+#: so do the next this many tuples after one: idle gaps that dense make
+#: a numpy call per stretch dearer than the Python loop
+_SCALAR_RUN = 32
+#: the most tuples one running sum covers before the next gap is sought
+_SPAN = 1024
+
+
+def _fifo_chain(
+    busy: float, at: np.ndarray, times: np.ndarray, ordered: bool = False
+) -> tuple[np.ndarray, float]:
+    """FIFO service of one instance's tuples, in order; returns their
+    finish times and the busy clock after the last.
+
+    Tuple ``n`` arrives at ``at[n]``, starts when it is there and the
+    previous tuple is done, and takes ``times[n]``: the reference
+    engine's ``if a > b: b = a`` then ``b = b + x``, from ``b = busy``.
+    Within a busy stretch the finishes are a running sum from the
+    stretch's start, and ``np.add.accumulate`` adds strictly left to
+    right, so one accumulate over ``[start + x0, x1, x2, ...]`` gives the
+    recurrence's floats; the stretch ends at the first tuple that
+    arrives after the previous finish (an idle gap), and the next one
+    starts at that arrival.  With ``ordered`` arrivals (ascending, and
+    times never negative, so the finishes ascend too) a stretch whose
+    last tuple arrives by its first finish has no gap, and the compare
+    is skipped.
+    """
+    n = at.shape[0]
+    pieces = []
+    b, lo, burst = busy, 0, False
+    while lo < n:
+        if burst or n - lo < _SCALAR_RUN:
+            hi = min(n, lo + _SCALAR_RUN) if burst else n
+            run = []
+            for a, x in zip(at[lo:hi].tolist(), times[lo:hi].tolist()):
+                if a > b:
+                    b = a
+                b = b + x
+                run.append(b)
+            pieces.append(run)
+            lo, burst = hi, False
+            continue
+        hi = min(n, lo + _SPAN)
+        first = at.item(lo)
+        chain = times[lo:hi].copy()
+        chain[0] = (first if first > b else b) + times.item(lo)
+        np.add.accumulate(chain, out=chain)
+        # chain[t] is tuple lo + t's finish if no tuple up to it arrives
+        # after its predecessor's: lo + t (t >= 1) starts at chain[t - 1]
+        if ordered and at.item(hi - 1) <= chain.item(0):
+            gap = hi - lo
+        else:
+            late = at[lo + 1:hi] > chain[:-1]
+            gap = int(late.argmax()) + 1
+            if not late[gap - 1]:
+                gap = hi - lo
+        pieces.append(chain[:gap])
+        b = chain.item(gap - 1)
+        burst = gap < _SCALAR_RUN
+        lo += gap
+    if len(pieces) == 1 and type(pieces[0]) is np.ndarray:
+        return pieces[0], b
+    return np.concatenate(pieces) if pieces else np.empty(0), b
+
+
+def _entries(indices: array, lo: int, hi: int) -> np.ndarray:
+    """Entries ``[lo, hi)`` of an instance's index buffer: the stream
+    indices of its ``lo``-th to ``hi - 1``-th tuples, ascending.  The
+    view lives inside this one expression: a buffer that is exported
+    cannot grow, and the loops append to it."""
+    return np.frombuffer(indices, indices.typecode)[lo:hi].astype(np.intp)
+
+
 def _choose_loop(
     policy: GroupingPolicy,
     injector: FaultInjector | None,
@@ -847,20 +925,26 @@ def _choose_loop(
 class _ChunkedState:
     """Mutable bookkeeping shared by the chunked engine's policy loops.
 
-    What lives for the whole stream stays in arrays: the numpy columns
-    and the two result buffers the loops append to.  Python objects
-    exist for one ``chunk_size`` window at a time: :meth:`open_window`
-    lists each distinct column's slice once, and the loops index those
-    lists by position in the window.
+    What lives for the whole stream stays in arrays: the numpy columns,
+    the ``finishes`` the service writes, one index buffer per instance
+    (``assigned[i]``: the stream indices routed to ``i``, in order), which
+    the loops append to and the result's assignments are scattered from,
+    and, under a random data-latency model, the buffer of
+    instance-arrival draws.  Python objects exist for one
+    ``chunk_size`` window at a time: :meth:`open_window` lists the
+    window's items once, which the loops index by position in the
+    window; the other columns are read from the arrays, a tuple at a
+    time where one is sampled or served on its own, or listed by the
+    loop that reads every tuple's.
     """
 
     __slots__ = (
         "k", "m", "chunk_size", "items_array", "arrivals_array",
         "execution_arrays", "at_arrays", "data_lat", "control_lat",
-        "position", "busy_until", "finishes", "assignments", "control_queue",
+        "position", "busy_until", "finishes", "assigned", "drawn",
+        "control_queue",
         "control_seq", "control_messages", "control_bits",
-        "state_transitions", "engine", "base", "items", "arrivals",
-        "at_columns", "execution_columns", "multiplier_rows", "_listed",
+        "state_transitions", "engine", "base", "items", "multiplier_rows",
     )
 
     def __init__(self, **kwargs) -> None:
@@ -870,8 +954,14 @@ class _ChunkedState:
         #: the loop's index in the open window (the oracle's clock)
         self.position = [0]
         self.busy_until = [0.0] * self.k
-        self.finishes = array("d")  # numpy views both buffers in place
-        self.assignments = array("I")  # uint32 whatever k
+        #: every tuple's finish time, written where it is served
+        self.finishes = np.empty(self.m)
+        #: per instance, the stream indices routed to it, in order (uint32,
+        #: which numpy views in place)
+        self.assigned = [array("I") for _ in range(self.k)]
+        #: instance-arrival draws in stream order, kept where service is
+        #: landed after routing under a random data-latency model
+        self.drawn: "array | None" = None
         self.control_queue: list[tuple[float, int, object]] = []
         self.control_seq = 0
         self.control_messages = 0
@@ -882,7 +972,7 @@ class _ChunkedState:
         # x + 0.0 == x for the non-negative arrival times, so a zero
         # latency reads the arrivals themselves).  With any random model
         # every instance arrival is drawn inline, right after the pick,
-        # where the reference engine's seeded draws fall.
+        # where the reference engine's seeded draws fall, and recorded.
         self.at_arrays = None
         if all(isinstance(model, ConstantLatency) for model in self.data_lat):
             shifted = {0.0: self.arrivals_array}
@@ -891,44 +981,137 @@ class _ChunkedState:
                     shifted[model.value] = self.arrivals_array + model.value
             self.at_arrays = [shifted[model.value] for model in self.data_lat]
         self.base = 0
-        self.items = self.arrivals = []
-        self.at_columns = self.execution_columns = self.multiplier_rows = None
-        self._listed: dict[int, list] = {}
+        self.items: list = []
+        self.multiplier_rows = None
 
-    def open_window(self, lo: int):
-        """List the columns for ``[lo, lo + chunk_size)``.
-
-        Returns ``(items, arrivals, at_columns, execution_columns)``, the
-        last two per instance (``at_columns`` is ``None`` under a random
-        data-latency model); entry ``q`` of each is tuple ``lo + q``'s.
-        Where the new window overlaps the open one its lists are kept,
-        so a run converts each tuple once however its windows fall.
-        """
+    def open_window(self, lo: int) -> list:
+        """List the items of ``[lo, lo + chunk_size)``: entry ``q`` is
+        tuple ``lo + q``'s.  Where the new window overlaps the open one
+        its list is kept, so a run converts each tuple once however its
+        windows fall."""
         hi = min(lo + self.chunk_size, self.m)
         fresh = max(lo, self.base + len(self.items))
-        skip = lo - self.base
-        kept, listed = self._listed, {}
-
-        def column(array: np.ndarray) -> list:
-            key = id(array)
-            if key not in listed:
-                listed[key] = kept.get(key, [])[skip:] + array[fresh:hi].tolist()
-            return listed[key]
-
-        self.items = column(self.items_array)
-        self.arrivals = column(self.arrivals_array)
-        if self.at_arrays is not None:
-            self.at_columns = [column(array) for array in self.at_arrays]
-        self.execution_columns = [column(array) for array in self.execution_arrays]
-        self.base, self._listed, self.multiplier_rows = lo, listed, None
+        self.items = self.items[lo - self.base:] + self.items_array[fresh:hi].tolist()
+        self.base, self.multiplier_rows = lo, None
         self.engine["windows"] += 1
         self.engine["window_tuples"] += hi - fresh
-        return self.items, self.arrivals, self.at_columns, self.execution_columns
+        return self.items
 
     def windows(self):
-        """Open the stream's windows in turn: ``(lo, *open_window(lo))``."""
+        """Open the stream's windows in turn, for a loop that reads every
+        tuple's arrival: ``(lo, items, arrivals)``."""
         for lo in range(0, self.m, self.chunk_size):
-            yield (lo, *self.open_window(lo))
+            items = self.open_window(lo)
+            yield lo, items, self.arrivals_array[lo:lo + len(items)].tolist()
+
+
+class _Service:
+    """FIFO service, landed after routing, per instance.
+
+    A routing decision reads the scheduler's beliefs, never a queue, so
+    with FIFO instances that do not preempt every finish time is a
+    function of the assignment sequence: the segment loops only route,
+    and ``served[i]`` counts the entries of ``i``'s index buffer already
+    served.  The rest is landed where a finish or busy clock is read — a
+    window close, a sample the lineage tracer reads, a per-tuple step, a
+    crash, the end of the run.
+    """
+
+    __slots__ = ("state", "served", "profiler", "ordered")
+
+    def __init__(self, state: _ChunkedState, profiler=None) -> None:
+        self.state = state
+        self.served = [0] * state.k
+        self.profiler = profiler
+        # Constant latencies keep each instance's arrivals in stream
+        # order, which lets ``_fifo_chain`` skip most gap searches.
+        arrivals = state.arrivals_array
+        distinct = {id(times): times for times in state.execution_arrays}
+        self.ordered = (
+            state.at_arrays is not None
+            and bool((arrivals[1:] >= arrivals[:-1]).all())
+            and all(bool((times >= 0.0).all()) for times in distinct.values())
+        )
+        if state.at_arrays is None:
+            state.drawn = array("d")
+
+    def land(self, instance: int, owned: np.ndarray, times: np.ndarray) -> None:
+        """Serve the stream indices ``owned`` — ascending, all routed to
+        ``instance``, none served yet — whose execution times are ``times``."""
+        state = self.state
+        if self.profiler is not None:
+            self.profiler.start("serve")
+        if state.drawn is None:
+            at = state.at_arrays[instance][owned]
+        else:
+            at = np.frombuffer(state.drawn, dtype=np.float64)[owned]
+        state.finishes[owned], state.busy_until[instance] = _fifo_chain(
+            state.busy_until[instance], at, times, self.ordered
+        )
+        state.engine["serves"] += 1
+        state.engine["served_tuples"] += owned.size
+        if self.profiler is not None:
+            self.profiler.stop()
+
+    def serve(self, instance: int, hi: int) -> None:
+        """Serve entries ``[served, hi)`` of ``instance``'s index buffer."""
+        lo = self.served[instance]
+        if lo >= hi:
+            return
+        self.served[instance] = hi
+        owned = _entries(self.state.assigned[instance], lo, hi)
+        self.land(instance, owned, self.state.execution_arrays[instance][owned])
+
+    def serve_all(self) -> None:
+        """Serve every tuple routed so far."""
+        for instance, indices in enumerate(self.state.assigned):
+            self.serve(instance, len(indices))
+
+    def clocks(self, instance: int, j: int, execution_time: float) -> tuple:
+        """Serve ``instance`` through tuple ``j``, the latest routed to it,
+        and return ``j``'s ``(at_instance, start, finish)``."""
+        state = self.state
+        last = len(state.assigned[instance]) - 1
+        self.serve(instance, last)
+        busy = state.busy_until
+        if state.drawn is None:
+            at_instance = state.at_arrays[instance].item(j)
+        else:
+            at_instance = state.drawn[j]
+        b = busy[instance]
+        start = at_instance if at_instance > b else b
+        finish = start + execution_time
+        state.finishes[j] = busy[instance] = finish
+        self.served[instance] = last + 1
+        return at_instance, start, finish
+
+
+def _probe(
+    state: _ChunkedState, observers: Observers, service: _Service, believed: bool
+):
+    """The kernel's ``probe(shard, j, instance, loads, left)``: feed the
+    observers due at stream index ``j`` and return the next due index,
+    serving tuple ``j`` first when one of them reads its clocks.  Without
+    ``believed`` loads (the baselines) it records what ``sample_routed``
+    records for a policy without a scheduler."""
+    sample = observers.sample
+    reads_clocks = observers.reads_clocks
+
+    def probe(shard, j, instance, loads, left):
+        execution_time = state.execution_arrays[instance].item(j)
+        if reads_clocks(j):
+            at_instance, start, finish = service.clocks(instance, j, execution_time)
+        else:
+            at_instance = start = finish = None
+        if not believed:
+            loads, left = (), 0
+        return sample(
+            shard, j, state.items[j - state.base], instance, loads,
+            state.arrivals_array.item(j),
+            at_instance, start, finish, execution_time, left,
+        )
+
+    return probe
 
 
 def _run_baseline(
@@ -938,8 +1121,10 @@ def _run_baseline(
     call per window: with no agents no window closes (``window_left``
     starts past ``m``) and no delivery cuts a segment.  Round-Robin's
     counter keeps every tuple in the round-robin arm; Full Knowledge is
-    the greedy arm over its exact loads, estimating with the execution
-    columns, its own oracle's floats (:func:`_choose_loop` checked)."""
+    the greedy arm over its exact loads, estimating with the window's
+    execution columns, its own oracle's floats (:func:`_choose_loop`
+    checked), listed once per distinct column.  Service lands at lineage
+    samples and once at the end."""
     m, k = state.m, state.k
     shape = Shape(k, 1, False, False, False, state.at_arrays is None)
     kernel = segment_kernel(shape)
@@ -950,23 +1135,29 @@ def _run_baseline(
         _c=[0.0] * k if round_robin else policy._loads.tolist(),
         _rr=policy._counter if round_robin else None,
     )
-    sample = observers.sample
+    service = _Service(state)
+    probe = _probe(state, observers, service, believed=False)
+    draw = state.drawn.append if shape.random_latency else None
+    appends = [indices.append for indices in state.assigned]
 
-    def probe(shard, index, item, instance, loads, *clocks):
-        # what ``sample_routed`` records for a policy without a scheduler
-        return sample(0, index, item, instance, (), *clocks[:-1], 0)
-
+    distinct = {id(times): times for times in state.execution_arrays}
     window_left, next_probe = [m + 1] * k, min(observers.next_due, m)
-    for base, items, arrivals, at_columns, execution_columns in state.windows():
-        block._estimates = execution_columns
+    for base in range(0, m, state.chunk_size):
+        items = state.open_window(base)
+        hi = base + len(items)
+        if not round_robin:
+            listed = {key: times[base:hi].tolist() for key, times in distinct.items()}
+            block._estimates = [listed[id(times)] for times in state.execution_arrays]
+        # a random data latency is drawn onto each arrival
+        arrivals = state.arrivals_array[base:hi].tolist() if draws else None
         _, due, _ = kernel(
             [block], 0, len(items), next_probe - base, _INFINITY, base, items,
-            arrivals, at_columns, execution_columns, state.busy_until,
-            window_left, m + 1, None, probe, state.finishes.append,
-            state.assignments.append, None, draws,
+            arrivals, window_left, m + 1, None, probe, appends, draw, None,
+            draws,
         )
         next_probe = base + due
         state.engine["segments"] += 1
+    service.serve_all()
     if round_robin:
         policy._counter = block._rr
     else:
@@ -1032,12 +1223,15 @@ def _tuple_stepper(
     control drain) and after (FSM transitions), and has tuple ``j`` in
     the open window; slow-node windows are already in the execution
     columns.  ``_run_generic`` runs every tuple through it; the segment
-    router only the tuples it cannot batch.  The finish time is appended
-    to ``state.finishes`` and the chosen instance returned.
+    router only the tuples it cannot batch, once it has served every
+    instance up to ``j``.  The step serves tuple ``j`` itself: its finish
+    is written to ``state.finishes`` (a random instance-arrival draw to
+    ``state.drawn`` where that records them) and the chosen instance
+    returned.
     """
     busy = state.busy_until
     finishes = state.finishes
-    assignments = state.assignments
+    assigned = state.assigned
     data_lat = state.data_lat
     k = state.k
 
@@ -1054,13 +1248,15 @@ def _tuple_stepper(
             raise ValueError(
                 f"policy routed tuple {j} to invalid instance {instance}"
             )
-        if state.at_columns is not None:
-            at_instance = state.at_columns[instance][q]
+        if state.at_arrays is not None:
+            at_instance = state.at_arrays[instance].item(j)
         else:
             at_instance = arrival + data_lat[instance].sample()
+            if state.drawn is not None:
+                state.drawn.append(at_instance)
         b = busy[instance]
         start = at_instance if at_instance > b else b
-        execution_time = state.execution_columns[instance][q]
+        execution_time = state.execution_arrays[instance].item(j)
         sync_request = decision.sync_request
         if sync_request is not None:
             state.control_messages += 1
@@ -1069,8 +1265,8 @@ def _tuple_stepper(
                 sync_request = None
         finish = start + execution_time
         busy[instance] = finish
-        finishes.append(finish)
-        assignments.append(instance)
+        finishes[j] = finish
+        assigned[instance].append(j)
         agent = agents[instance]
         if j == observers.next_due:
             # Before the agent folds the tuple, so ``window_remaining``
@@ -1117,7 +1313,7 @@ def _run_generic(
     crash_ptr = 0
     faulting = injector is not None
     step = _tuple_stepper(state, policy, agents, injector, observers, profiler)
-    for base, _, arrivals, _, _ in state.windows():
+    for base, _, arrivals in state.windows():
         for q, arrival in enumerate(arrivals):
             position[0] = q
             if faulting:
@@ -1155,18 +1351,18 @@ def _run_posg(
     first-minimum scan over plain floats (the kernel's round-robin arm
     for a shard still bootstrapping; over load + latency debt + hint
     under ``latency_hints``), the two-choices probe and cross-shard
-    gossip are replayed in place, execution and
-    constant instance-arrival times are hoisted columns, listed with the
-    window (:meth:`_ChunkedState.open_window`) and indexed from its first
-    tuple (a random data latency is drawn inline, right after the pick),
-    and instance-side sketch folds are batched between window boundaries
-    (``InstanceTracker.execute_batch``) and read back from the
-    assignment buffer, so the loops keep no per-instance batch and the
+    gossip are replayed in place, the window's items are listed once
+    (:meth:`_ChunkedState.open_window`) and indexed from its first tuple
+    (a random data latency is drawn inline, right after the pick, and
+    recorded), and both halves of an instance's per-tuple work — its
+    sketch fold (``InstanceTracker.execute_batch``) and its FIFO service
+    (:class:`_Service`) — land lazily, read back from the instances'
+    index buffers, so the loops keep no per-instance batch and the
     numbers stay in arrays.  Routing and merge share the
     pass, so nothing is speculative: every block commits exactly the
     positions it consumed.  The per-tuple control check disappears:
-    arrivals are sorted, so the segment bound is a ``bisect`` on the
-    earliest pending delivery, re-tightened whenever a window boundary
+    arrivals are sorted, so the segment bound is a ``searchsorted`` on
+    the earliest pending delivery, re-tightened whenever a window boundary
     emits new messages; the blocks then ``resume`` over the rest of the
     window with their estimate columns intact.  While any shard is in
     SEND_ALL (tuples carry sync requests) the engine falls back to the
@@ -1177,7 +1373,7 @@ def _run_posg(
     because none of them acts between two events the engine already
     sees.  A scripted crash is a function of arrival time: its index is
     a ``searchsorted``, the segment stops there, and the crash fires at
-    the top of the loop once the pending folds have landed.  Slow-node
+    the top of the loop once the pending folds and service have landed.  Slow-node
     windows are already in the execution columns (``_simulate_chunked``
     folds them before it dispatches).  The injector draws only when a
     message is emitted — at a window close or in the per-tuple step —
@@ -1194,7 +1390,7 @@ def _run_posg(
     arrivals_array = state.arrivals_array
     busy = state.busy_until
     finishes = state.finishes
-    assignments = state.assignments
+    execution_arrays = state.execution_arrays
     control_queue = state.control_queue
     engine = state.engine
     schedulers = policy.schedulers
@@ -1228,6 +1424,9 @@ def _run_posg(
     kernel = segment_kernel(shape)
     engine["kernel"] = shape.label
     draws = None if at_arrays is not None else [model.sample for model in state.data_lat]
+    service = _Service(state, profiler)
+    draw = state.drawn.append if shape.random_latency else None
+    appends = [indices.append for indices in state.assigned]
 
     # The observers' sentinel is ``m`` when nothing is attached, so the
     # per-tuple compare stays between small ints.  Samples are taken at
@@ -1235,66 +1434,70 @@ def _run_posg(
     # owning shard's post-add ``c`` values — the exact floats ``commit``
     # folds back into ``C_hat``, so the reference engine's post-submit
     # ``C_hat`` reads match bit for bit.
-    probe = observers.sample
+    probe = _probe(state, observers, service, believed=True)
     next_probe = min(observers.next_due, m)
 
     # Instance-side folds are lazy and persist across segments: the
     # tuples instance ``i`` executed land in its tracker right before
     # anything inspects it (a window boundary, a crash, a per-tuple step,
-    # the end of the run).  What it is still owed is every index
-    # ``>= fold_from[i]`` the assignment buffer gives to ``i``; a tuple
-    # folded on its own at index ``j`` (a boundary tuple, a per-tuple
-    # step) hands over at ``j + 1``, so each tuple is folded exactly once.
-    fold_from = [0] * k
+    # the end of the run).  What it is still owed is every entry of its
+    # index buffer from ``folded[i]`` on; a tuple folded on its own (a
+    # boundary tuple, a per-tuple step) is handed over with the entries
+    # before it, so each tuple is folded exactly once.  Service hands
+    # over the same way at ``served[i]``, which a lineage sample may move
+    # ahead of ``folded[i]``, never behind.
+    assigned = state.assigned
+    folded = [0] * k
+    served = service.served
     window_left = [tracker.window_remaining for tracker in trackers]
 
-    def _fold(instance: int, hi: int) -> None:
-        """Land the tuples ``instance`` executed in ``[fold_from, hi)``."""
-        lo = fold_from[instance]
-        fold_from[instance] = hi
+    def _land(instance: int, closing: bool = False) -> None:
+        """Fold and serve every tuple routed to ``instance`` that is still
+        owed — one index and one execution-time gather for both — except
+        the fold of a ``closing`` tuple, the latest, which closes the
+        instance's window and is folded on its own."""
+        lo, hi = folded[instance], len(assigned[instance])
         if lo >= hi:
             return
-        if profiler is not None:
-            profiler.start("fold")
-        # The view lives inside this one expression: a buffer that is
-        # exported cannot grow, and the loops append to it.
-        owned = np.flatnonzero(
-            np.frombuffer(assignments, assignments.typecode)[lo:hi] == instance
-        )
-        if owned.size:
-            owned += lo
-            trackers[instance].execute_batch(
-                items_array[owned], state.execution_arrays[instance][owned]
-            )
+        folded[instance] = hi
+        owned = _entries(assigned[instance], lo, hi)
+        times = execution_arrays[instance][owned]
+        batch = hi - lo - 1 if closing else hi - lo
+        if batch > 0:
+            if profiler is not None:
+                profiler.start("fold")
+            trackers[instance].execute_batch(items_array[owned[:batch]], times[:batch])
             engine["folds"] += 1
-            engine["folded_tuples"] += owned.size
-        if profiler is not None:
-            profiler.stop()
+            engine["folded_tuples"] += batch
+            if profiler is not None:
+                profiler.stop()
+        fresh = served[instance] - lo
+        if fresh < hi - lo:
+            service.land(instance, owned[fresh:], times[fresh:])
+            served[instance] = hi
 
     def _window_boundary(
-        instance: int,
-        item: int,
-        execution_time: float,
-        finish: float,
-        lo: int,
-        next_due: float,
-        end: int,
+        instance: int, lo: int, next_due: float, end: int
     ) -> tuple[float, int]:
-        """Fold what precedes the boundary tuple ``lo - 1``, run that one
-        through the FSM (Figure 2), enqueue its messages, and re-tighten the
-        segment bound if a delivery now lands before the previous horizon.
-        ``lo`` and ``end`` count from the open window's first tuple."""
+        """Land what ``instance`` is owed up to the boundary tuple
+        ``lo - 1``, run that one through the FSM (Figure 2), enqueue its
+        messages at its finish, and re-tighten the segment bound if a
+        delivery now lands before the previous horizon.  ``lo`` and
+        ``end`` count from the open window's first tuple."""
         nonlocal cut
         if profiler is not None:
             profiler.start("window_close")
-        _fold(instance, state.base + lo - 1)
-        fold_from[instance] = state.base + lo
-        messages = trackers[instance].execute(item, execution_time, None)
+        _land(instance, closing=True)
+        j = state.base + lo - 1
+        messages = trackers[instance].execute(
+            state.items[lo - 1], execution_arrays[instance].item(j), None
+        )
         if messages:
-            _send_control(state, injector, messages, finish)
+            _send_control(state, injector, messages, finishes.item(j))
         if control_queue and control_queue[0][0] < next_due:
             next_due = control_queue[0][0]
-            tightened = bisect.bisect_left(state.arrivals, next_due, lo, end)
+            later = arrivals_array[state.base + lo:state.base + end]
+            tightened = lo + int(later.searchsorted(next_due))
             if tightened < end:
                 end = tightened
                 cut = "window"
@@ -1305,9 +1508,10 @@ def _run_posg(
     # These helpers close over names the segment loops do not read per
     # tuple, so the loops' locals stay plain locals.
     def _flush_pending() -> None:
-        """Land every batched fold, before anything reads a tracker."""
+        """Land every pending fold and service, before anything reads a
+        tracker or a busy clock."""
         for instance in range(k):
-            _fold(instance, len(assignments))
+            _land(instance)
 
     def _fill_window(lo: int, hi: int) -> None:
         """Fill the shared table once for every greedy shard's block of
@@ -1380,7 +1584,9 @@ def _run_posg(
                 # and shared by every shard's walk, and shard sigma owns
                 # the strided slice starting at its first index at or
                 # after j.
-                items, arrivals, at_cols, execution_columns = state.open_window(j)
+                items = state.open_window(j)
+                # a random data latency is drawn onto each arrival
+                arrivals = arrivals_array[j:j + len(items)].tolist() if draws else None
                 base = j
                 window_end = j + len(items)
                 if shared_table is not None:
@@ -1399,7 +1605,8 @@ def _run_posg(
                     block.resume(profiler)
             if control_queue:
                 next_due = control_queue[0][0]
-                end = base + bisect.bisect_left(arrivals, next_due, j + 1 - base)
+                later = arrivals_array[j + 1:window_end]
+                end = j + 1 + int(later.searchsorted(next_due))
             else:
                 next_due = _INFINITY
                 end = window_end
@@ -1423,9 +1630,8 @@ def _run_posg(
             # tuple ``base + q``, and at s = 1 the block's own cursor.
             q, due, gossiped = kernel(
                 blocks, j - base, end - base, next_probe - base, next_due,
-                base, items, arrivals, at_cols, execution_columns, busy,
-                window_left, window_size, _window_boundary, probe,
-                finishes.append, assignments.append, hints, draws,
+                base, items, arrivals, window_left, window_size,
+                _window_boundary, probe, appends, draw, hints, draws,
             )
             j = base + q
             next_probe = base + due
@@ -1456,7 +1662,8 @@ def _run_posg(
         if j >= state.base + len(state.items):
             state.open_window(j)
         instance = step(j, arrival)
-        fold_from[:] = [j + 1] * k  # the step folded tuple j itself
+        # the step folded and served tuple j itself
+        folded[instance] = served[instance] = len(assigned[instance])
         window_left[instance] = trackers[instance].window_remaining
         if j == next_probe:
             next_probe = observers.next_due

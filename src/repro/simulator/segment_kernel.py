@@ -5,23 +5,30 @@ Round-Robin in the round-robin arm, Full Knowledge in the greedy one.
 
 A control-quiet segment of :func:`repro.simulator.run._run_posg` routes
 each tuple by a first-minimum scan over its shard's believed loads,
-adds its estimate, serves it FIFO and counts its instance's window
-down.  Python pays for every list index on that path, so the loop is
-written out per *shape* with each quantity in a plain local: shard
-``σ``'s loads ``cσ_i``, estimate columns ``eσ_i``, round-robin counter
-``rσ`` (``None`` while it routes greedily), cursor ``pσ`` (``q`` itself
-at s = 1), gossip count ``gσ`` and latency debt ``dσ_i``; instance
-``i``'s busy clock ``b{i}``, window counter ``w{i}`` and execution and
-arrival columns ``x{i}`` / ``a{i}`` (or latency draw ``l{i}``).
+adds its estimate, records the assignment (the stream index, appended
+to the instance's index buffer through ``o{i}``) and counts its
+instance's window down.  It only routes: a routing decision reads the
+believed loads, never a queue, so FIFO service is landed after
+routing, per instance, where a finish or busy clock is read
+(``_Service`` in :mod:`repro.simulator.run`).  Python pays for every
+list index on that path, so the loop is written out per *shape* with
+each quantity in a plain local: shard ``σ``'s loads ``cσ_i``, estimate
+columns ``eσ_i``, round-robin counter ``rσ`` (``None`` while it routes
+greedily), cursor ``pσ`` (``q`` itself at s = 1), gossip count ``gσ``
+and latency debt ``dσ_i``; instance ``i``'s window counter ``w{i}``
+and, under a random data-latency model, latency draw ``l{i}``, taken
+right after the pick (where the reference engine draws) and appended
+to the draw buffer.
 
 The scan is unrolled with ``np.argmin``'s strict ``<`` tie-break.  A
 greedy pick lands in one arm per (shard, instance) that adds the
-estimate (gossiping it to the sibling locals when nonzero), serves the
-tuple, samples the probe with the shard's post-add loads and goes round
-again; a round-robin pick of any shard falls through to one service arm
-per instance, so the text grows with ``s·k``.  Every float operation is
-the reference engine's, in its order.  The text is registered in
-:mod:`linecache` (``<segment kernel k=5 s=4 gossip>``) for tracebacks and
+estimate (gossiping it to the sibling locals when nonzero), records the
+tuple, samples the probe with the shard's post-add loads, counts the
+window down and goes round again; a round-robin pick of any shard falls
+through to one countdown arm per instance, so the text grows with
+``s·k``.  Every float operation is the reference engine's, in its
+order.  The text is registered in :mod:`linecache`
+(``<segment kernel k=5 s=4 gossip>``) for tracebacks and
 :func:`inspect.getsource`.
 """
 
@@ -51,36 +58,18 @@ class Shape(NamedTuple):
 
 _SIGNATURE = """\
 def segment_kernel(
-    blocks, q, stop, due, next_due, base, items, arrivals, at_columns,
-    execution_columns, busy, window_left, window_size, boundary, probe,
-    fin_append, asg_append, hints, draws,
+    blocks, q, stop, due, next_due, base, items, arrivals, window_left,
+    window_size, boundary, probe, appends, draw_append, hints, draws,
 ):
 """
-_SERVE = """\
-at_instance = {arrival}
-b = b{i}
-if at_instance > b:
-    b = at_instance
-execution_time = x{i}[q]
-finish = b + execution_time
-b{i} = finish
-fin_append(finish)
-asg_append({i})
+# The probe reads the instance's window count before the tuple counts it
+# down, and runs before a window close, where the reference engine samples.
+_SAMPLE = "due = probe({shard}, base + q, {instance}, {loads}, {left}) - base"
+_COUNT_DOWN = """\
 w{i} -= 1
 if not w{i}:
-    next_due, stop = boundary(
-        {i}, items[q], execution_time, finish, q + 1, next_due, stop
-    )
+    next_due, stop = boundary({i}, q + 1, next_due, stop)
     w{i} = window_size
-"""
-# ``left`` is the window count after the tuple: before it, the count
-# was 1 if the tuple closed the window and ``left + 1`` otherwise.
-_SAMPLE = """\
-due = probe(
-    {shard}, base + q, items[q], {instance}, {loads}, arrivals[q],
-    at_instance, b, finish, execution_time,
-    1 if {left} == window_size else {left} + 1,
-) - base
 """
 _TWO_CHOICES = """\
 alt = items[q] % {k}
@@ -114,9 +103,8 @@ def kernel_source(shape: Shape) -> str:
             emit(depth, head)
             body(n, depth + 1)
 
-    def serve(i: int, depth: int) -> None:
-        arrival = f"arrivals[q] + l{i}()" if shape.random_latency else f"a{i}[q]"
-        emit(depth, _SERVE.format(arrival=arrival, i=i))
+    def count_down(i: int, depth: int) -> None:
+        emit(depth, _COUNT_DOWN.format(i=i))
 
     def route(shard: int, depth: int) -> None:
         """Shard ``shard``'s greedy arms, else its round-robin pick."""
@@ -152,11 +140,14 @@ def kernel_source(shape: Shape) -> str:
                 emit(depth + 1, f"g{shard} += 1")
             else:
                 emit(depth, f"{c}{i} += e{shard}_{i}[{p}]")
-            serve(i, depth)
+            if shape.random_latency:
+                emit(depth, f"draw_append(arrivals[q] + l{i}())")
+            emit(depth, f"o{i}(base + q)")
             if sources > 1:
                 emit(depth, f"p{shard} += 1")
             emit(depth, "if q == due:")
             emit(depth + 1, _SAMPLE.format(shard=shard, instance=i, loads=loads, left=f"w{i}"))
+            count_down(i, depth)
             emit(depth, "q += 1")
             if sources > 1:
                 emit(depth, f"shard = {(shard + 1) % sources}")
@@ -169,12 +160,9 @@ def kernel_source(shape: Shape) -> str:
 
     emit(0, _SIGNATURE)
     emit(1, f'"""<{shape.label}>: route window positions [q, stop)."""')
-    for prefix, column in (("b", "busy"), ("w", "window_left"), ("x", "execution_columns")):
-        emit(1, f"{_names(prefix, k)} = {column}")
+    emit(1, f"{_names('w', k)} = window_left\n{_names('o', k)} = appends")
     if shape.random_latency:
         emit(1, f"{_names('l', k)} = draws")
-    else:
-        emit(1, f"{_names('a', k)} = at_columns")
     if shape.hinted:
         emit(1, f"{_names('h', k)} = hints")
     emit(1, f"{_names('block', sources)} = blocks")
@@ -193,16 +181,18 @@ def kernel_source(shape: Shape) -> str:
 
     emit(1, "while q < stop:")
     arms("shard", sources, 2, route)
-    arms("instance", k, 2, serve)
-    emit(2, "if q == due:")
+    if shape.random_latency:
+        emit(2, "draw_append(arrivals[q] + draws[instance]())")
+    emit(2, "appends[instance](base + q)\nif q == due:")
 
     def loads(shard: int, depth: int) -> None:
         emit(depth, f"loads = ({_names(f'c{shard}_', k)})")
 
     arms("shard", sources, 3, loads)
-    emit(3, f"left = ({_names('w', k)})[instance]")
     owner = "shard" if sources > 1 else "0"
-    emit(3, _SAMPLE.format(shard=owner, instance="instance", loads="loads", left="left"))
+    left = f"({_names('w', k)})[instance]"
+    emit(3, _SAMPLE.format(shard=owner, instance="instance", loads="loads", left=left))
+    arms("instance", k, 2, count_down)
     emit(2, "q += 1")
     if sources > 1:
         emit(2, f"shard += 1\nif shard == {sources}:\n    shard = 0")
@@ -214,7 +204,7 @@ def kernel_source(shape: Shape) -> str:
         if shape.hinted:
             emit(1, f"if r{shard} is None:")
             emit(2, f"block{shard}._debt[:] = ({_names(f'd{shard}_', k)})")
-    emit(1, f"busy[:] = ({_names('b', k)})\nwindow_left[:] = ({_names('w', k)})")
+    emit(1, f"window_left[:] = ({_names('w', k)})")
     gossiped = f"({_names('g', sources)})" if shape.gossip else "None"
     emit(1, f"return q, due, {gossiped}")
     return "\n".join(lines) + "\n"

@@ -122,8 +122,9 @@ class LocalCluster:
         #: source component -> its subscribers, each
         #: ``(bolt_spec, grouping, executors)``
         self._routes: dict[str, list[tuple]] = {}
-        #: groupings wanting execution reports, per bolt name
-        self._reporting_groupings: dict[str, list[CustomStreamGrouping]] = {}
+        #: the grouping wanting execution reports, per ``(bolt, source)``
+        #: edge: it routed every tuple from that source into that bolt
+        self._reporting_groupings: dict[tuple[str, str], CustomStreamGrouping] = {}
         self._msg_roots: dict[Any, SpoutExecutor] = {}
         self._sweep_scheduled = False
         self._submitted = False
@@ -158,9 +159,15 @@ class LocalCluster:
                     isinstance(grouping, CustomStreamGrouping)
                     and grouping.wants_execution_reports()
                 ):
-                    self._reporting_groupings.setdefault(
-                        bolt_spec.name, []
-                    ).append(grouping)
+                    edge = (bolt_spec.name, subscription.source)
+                    if edge in self._reporting_groupings:
+                        raise ValueError(
+                            f"bolt {bolt_spec.name!r} subscribes to "
+                            f"{subscription.source!r} through two groupings "
+                            "that want execution reports; an execution could "
+                            "not be told apart between them"
+                        )
+                    self._reporting_groupings[edge] = grouping
 
         for spec in (*topology.spouts.values(), *topology.bolts.values()):
             self._routes[spec.name] = [
@@ -246,9 +253,8 @@ class LocalCluster:
         for executors in self._bolt_executors.values():
             for executor in executors:
                 executor.bolt.cleanup()
-        for groupings in self._reporting_groupings.values():
-            for grouping in groupings:
-                grouping.on_shutdown()
+        for grouping in self._reporting_groupings.values():
+            grouping.on_shutdown()
 
     def on_spout_exhausted(self) -> None:
         """A spout signalled it will never emit again (no-op hook)."""
@@ -411,10 +417,10 @@ class LocalCluster:
     def report_execution(
         self, spec: BoltSpec, task_index: int, tup: StormTuple, duration: float
     ) -> None:
-        """A bolt task executed a tuple; notify reporting groupings."""
-        for grouping in self._reporting_groupings.get(spec.name, ()):
-            messages = grouping.on_execution(task_index, tup, duration)
-            for message in messages:
+        """A bolt task executed a tuple; notify the grouping that routed it."""
+        grouping = self._reporting_groupings.get((spec.name, tup.source_component))
+        if grouping is not None:
+            for message in grouping.on_execution(task_index, tup, duration):
                 size_bits = getattr(message, "size_bits", None)
                 self.metrics.record_control_message(
                     size_bits() if size_bits is not None else 0

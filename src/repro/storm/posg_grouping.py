@@ -27,10 +27,10 @@ _INF = float("inf")
 class POSGShuffleGrouping(CustomStreamGrouping):
     """Drop-in replacement for Storm's shuffle grouping.
 
-    One grouping serves one subscription: the cluster reports every
-    execution of the subscribed bolt to each reporting grouping, so a
-    grouping bound twice would fold every report twice (:meth:`prepare`
-    refuses the second binding).
+    One grouping serves one subscription: :meth:`prepare` sets its
+    scheduler up for one source (and refuses a second binding), and the
+    cluster reports to it the executions of the tuples from that source
+    alone, the tuples its scheduler routed.
 
     Parameters
     ----------

@@ -135,7 +135,9 @@ class Observers:
         instance's count *before* it executes this tuple.  An observer
         is due when its stride divides ``index``; they are fed audit,
         flight, lineage, the order the per-tuple reference loop always
-        used (none reads what another writes).
+        used (none reads what another writes).  The clocks
+        (``at_instance``, ``start``, ``finish``) may be ``None`` where
+        :meth:`reads_clocks` says no observer reads them.
         """
         next_due = NEVER
         every = self._audit_every
@@ -162,6 +164,14 @@ class Observers:
                 next_due = due
         self.next_due = next_due
         return next_due
+
+    def reads_clocks(self, index: int) -> bool:
+        """Whether a sample at stream ``index`` feeds an observer that
+        reads the tuple's clocks — only the lineage tracer does — so an
+        engine that serves tuples after routing them serves this one first.
+        """
+        every = self._lineage_every
+        return every != 0 and index % every == 0
 
     def sample_routed(self, index: int, item: int, instance: int, *clocks) -> int:
         """:meth:`sample` right after ``policy.route`` routed ``index``.

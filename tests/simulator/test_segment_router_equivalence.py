@@ -72,7 +72,8 @@ from repro.workloads.synthetic import (
 ENGINE_KEYS = {
     "path", "reason", "segments", "truncated_segments", "fallback_tuples",
     "estimate_gathers", "estimate_requests", "estimate_evaluations", "folds",
-    "folded_tuples", "windows", "window_tuples", "cuts", "kernel",
+    "folded_tuples", "serves", "served_tuples", "windows", "window_tuples",
+    "cuts", "kernel",
 }
 
 
@@ -1508,6 +1509,10 @@ class TestEngineRecord:
         # took the per-tuple step
         assert 0 < engine["folds"] <= engine["folded_tuples"]
         assert engine["folded_tuples"] < self.M - engine["fallback_tuples"]
+        # service lands after routing for every tuple the per-tuple step
+        # or a lineage sample did not serve on its own
+        assert 0 < engine["serves"] <= engine["served_tuples"]
+        assert engine["served_tuples"] <= self.M - engine["fallback_tuples"]
         # with merging off the shards store the broadcast pairs and share
         # one estimate table, counted once: a window's ids are gathered
         # once per chunk_size window and matrices version for all shards

@@ -80,9 +80,8 @@ class TestLifecycle:
         )
 
     def test_one_grouping_on_two_subscriptions_is_refused(self):
-        """The cluster reports each execution to every reporting grouping
-        of the bolt, so one grouping on two subscriptions would fold every
-        execution twice."""
+        """``prepare`` sets a grouping's scheduler up for one source, so a
+        second subscription through the same grouping is refused."""
         stream = make_stream(m=100)
         grouping = POSGShuffleGrouping("value", POSGConfig(rows=2, cols=16))
         builder = TopologyBuilder()
@@ -96,6 +95,52 @@ class TestLifecycle:
         cluster = LocalCluster()
         with pytest.raises(ValueError, match="bound to source 'left'"):
             cluster.submit(builder.build())
+
+    def test_each_grouping_hears_only_its_own_sources_executions(self):
+        """Two spouts, each behind its own grouping, into one bolt: an
+        execution is reported to the grouping that routed the tuple, so
+        each grouping's trackers fold exactly what its scheduler sent."""
+        stream = make_stream(m=4000, k=5)
+        groupings = {}
+        builder = TopologyBuilder()
+        bolt = builder.set_bolt(
+            "worker", lambda: WorkBolt(stream.time_table), parallelism=5
+        )
+        for seed, source in enumerate(("left", "right")):
+            # unanchored: both spouts replay the same message ids
+            builder.set_spout(source, lambda: StreamSpout(stream, anchored=False),
+                              output_fields=STREAM_SPOUT_FIELDS)
+            groupings[source] = POSGShuffleGrouping(
+                "value", POSGConfig(window_size=64, rows=2, cols=16),
+                np.random.default_rng(seed),
+            )
+            bolt.custom_grouping(source, groupings[source])
+        cluster = LocalCluster()
+        cluster.submit(builder.build())
+        cluster.run()
+        for grouping in groupings.values():
+            executed = sum(
+                grouping.policy.tracker(i).tuples_executed for i in range(5)
+            )
+            assert grouping.scheduler.stats()["tuples_scheduled"] == stream.m
+            assert executed == stream.m
+
+    def test_two_reporting_groupings_on_one_edge_are_refused(self):
+        """Two groupings that want reports on the same (source, bolt)
+        edge: an execution could not be told apart between them."""
+        stream = make_stream(m=100)
+        builder = TopologyBuilder()
+        builder.set_spout("source", lambda: StreamSpout(stream),
+                          output_fields=STREAM_SPOUT_FIELDS)
+        bolt = builder.set_bolt(
+            "worker", lambda: WorkBolt(stream.time_table), parallelism=3
+        )
+        for _ in range(2):
+            bolt.custom_grouping(
+                "source", POSGShuffleGrouping("value", POSGConfig(rows=2, cols=16))
+            )
+        with pytest.raises(ValueError, match="two groupings"):
+            LocalCluster().submit(builder.build())
 
 
 class TestTelemetry:
