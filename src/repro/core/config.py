@@ -93,9 +93,10 @@ class CoordinationConfig:
     behind the sharded degradation curve ``L(s)/L(1)`` is *staleness
     regret*: each shard re-baselines its ``C_hat`` only at its own sync
     rounds and otherwise routes blind to what its siblings just
-    scheduled.  This config arms three composable repairs inside
-    :class:`~repro.core.multisource.MultiSourcePOSGGrouping` (they are
-    no-ops under ``sources=1`` except for the two-choices probe):
+    scheduled.  This config arms two composable repairs inside
+    :class:`~repro.core.multisource.MultiSourcePOSGGrouping` (both are
+    no-ops under ``sources=1``); every shard still routes each tuple to
+    the argmin of its own ``C_hat`` (Listing III.2):
 
     - **local delta gossip** (``gossip``) — after shard ``j`` routes a
       tuple to instance ``i``, the estimate it just believed is added to
@@ -113,12 +114,6 @@ class CoordinationConfig:
       observed a crash-restart keeps its own baseline).  Piggy-backed on
       the existing reply traffic: zero extra messages, 64 bits billed
       per published value per sibling.
-    - **two-choices probe** (``two_choices``) — layer a deterministic
-      power-of-two-choices check on the greedy argmin: compare the
-      argmin candidate against the alternate ``item mod k`` (bumped by
-      one when it collides with the candidate) under the gossip-fresh
-      beliefs and keep the cheaper target.  Off by default: with gossip
-      keeping beliefs fresh the plain argmin is already near-optimal.
     """
 
     gossip: bool = True
@@ -126,7 +121,6 @@ class CoordinationConfig:
     #: per shard; 0 disables billing (never affects routing)
     gossip_stride: int = integer(16, low=0)
     snoop: bool = True
-    two_choices: bool = False
 
     def __post_init__(self) -> None:
         check_bounds(self)
@@ -182,8 +176,8 @@ class POSGConfig:
         protocol bit for bit.
     coordination:
         Optional :class:`CoordinationConfig` arming cross-shard
-        coordination under multi-source scheduling (delta gossip,
-        sync-reply snooping, two-choices probe).  ``None`` (default)
+        coordination under multi-source scheduling (delta gossip and
+        sync-reply snooping).  ``None`` (default)
         keeps sharded runs bit-identical to the uncoordinated protocol.
     """
 

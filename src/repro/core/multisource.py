@@ -63,10 +63,6 @@ fresh between folds:
   every sibling whose generation tag for ``op`` matches and that has
   no in-flight measurement of its own for ``op`` (a shard about to
   fold its own delta for ``op`` must not be re-baselined twice).
-- **two-choices probe** — scheduler-local (see
-  :meth:`~repro.core.scheduler.POSGScheduler.submit`); under gossip the
-  probed beliefs are globally fresh, which is what makes the probe
-  meaningful (arXiv:1504.00788).
 
 All coordination state lives in the parent process and mutates in
 deterministic per-tuple order, so coordinated runs stay bit-identical
@@ -118,9 +114,6 @@ class ShardWorkerSpec:
     #: ``TwoUniversalHashFamily.to_dict()`` payload (shared by the
     #: scheduler-side and instance-side sketches)
     hashes: dict
-    #: replay the scheduler's deterministic two-choices probe
-    #: (:class:`~repro.core.config.CoordinationConfig.two_choices`)
-    two_choices: bool = False
 
 
 class MultiSourcePOSGGrouping(POSGGrouping):
@@ -399,7 +392,6 @@ class MultiSourcePOSGGrouping(POSGGrouping):
         """
         if self._hashes is None:
             raise RuntimeError("worker_spec() requires setup() first")
-        coordination = self._config.coordination
         return ShardWorkerSpec(
             sources=self._sources,
             k=self._k,
@@ -407,9 +399,6 @@ class MultiSourcePOSGGrouping(POSGGrouping):
             cols=self._hashes.cols,
             pooled_estimates=self._config.pooled_estimates,
             hashes=self._hashes.to_dict(),
-            two_choices=bool(
-                coordination is not None and coordination.two_choices
-            ),
         )
 
     def sync_cursor(self, position: int) -> None:

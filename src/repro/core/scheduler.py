@@ -209,10 +209,6 @@ class POSGScheduler:
         }
         self._telemetry = telemetry if telemetry is not None else NULL_RECORDER
         self._config = config if config is not None else POSGConfig()
-        coordination = self._config.coordination
-        self._two_choices = bool(
-            coordination is not None and coordination.two_choices
-        )
         if latency_hints is None:
             self._latency_hints = None
         else:
@@ -223,14 +219,6 @@ class POSGScheduler:
                 )
             if not np.all(np.isfinite(hints) & (hints >= 0)):
                 raise ValueError("latency hints must be >= 0 and finite")
-            if self._two_choices:
-                # The probe compares post-add *loads*; nothing defines it
-                # against a latency debt, so the pair is refused rather
-                # than routed as if two-choices were off.
-                raise ValueError(
-                    "CoordinationConfig(two_choices=True) cannot be combined "
-                    "with latency_hints"
-                )
             self._latency_hints = hints
         # Latency-aware extension: per-instance cumulated delivery cost.
         # Kept separate from C_hat so the Delta synchronization (which
@@ -387,21 +375,6 @@ class POSGScheduler:
         if self._latency_hints is None:
             instance = int(self._c_hat.argmin())
             estimate = self.estimate(item, instance)
-            if self._two_choices and self._k > 1:
-                # Deterministic power-of-two-choices probe: compare the
-                # argmin candidate against the alternate ``item mod k``
-                # (bumped past the candidate on collision) and keep the
-                # target whose post-add belief is lower.
-                alt = item % self._k
-                if alt == instance:
-                    alt = alt + 1 if alt + 1 < self._k else 0
-                alt_estimate = self.estimate(item, alt)
-                if (
-                    self._c_hat[alt] + alt_estimate
-                    < self._c_hat[instance] + estimate
-                ):
-                    instance = alt
-                    estimate = alt_estimate
         else:
             instance = int(
                 np.argmin(self._c_hat + self._latency_debt + self._latency_hints)
@@ -988,8 +961,7 @@ class _BlockRouter:
     In ROUND_ROBIN mode (``_estimates is None``) it advances the round-robin
     counter; in greedy mode it scans a plain-float copy of ``C_hat`` (plus
     latency debt/hints when configured) with the same first-minimum
-    tie-breaking as ``np.argmin``, applies the two-choices probe when the
-    scheduler has it armed, and accrues the pre-gathered estimates.
+    tie-breaking as ``np.argmin`` and accrues the pre-gathered estimates.
     All arithmetic happens on the exact same IEEE doubles the per-tuple
     path would touch, so the routed sequence is bit-identical.
 
@@ -1062,14 +1034,6 @@ class _BlockRouter:
                     best = value
                     instance = i
             estimate = self._estimates[instance][pos]
-            if self._scheduler._two_choices and self._k > 1:
-                alt = int(self._items[pos]) % self._k
-                if alt == instance:
-                    alt = alt + 1 if alt + 1 < self._k else 0
-                alt_estimate = self._estimates[alt][pos]
-                if c[alt] + alt_estimate < c[instance] + estimate:
-                    instance = alt
-                    estimate = alt_estimate
         else:
             debt, hints = self._debt, self._hints
             best = (c[0] + debt[0]) + hints[0]

@@ -17,12 +17,6 @@ Two execution paths are provided:
 """
 
 from repro.simulator.engine import Simulation
-from repro.simulator.network import (
-    ConstantLatency,
-    LatencyModel,
-    LognormalLatency,
-    UniformLatency,
-)
 from repro.simulator.metrics import CompletionStats
 from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import SimulationResult, simulate_stream
@@ -30,10 +24,6 @@ from repro.simulator.topology import StageTopology
 
 __all__ = [
     "Simulation",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "LognormalLatency",
     "CompletionStats",
     "SimulationResult",
     "simulate_stream",

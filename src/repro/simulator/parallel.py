@@ -62,8 +62,8 @@ engine falls back to the sequential per-tuple reference step for that
 tuple, preserving delivery order and FSM semantics exactly.
 
 Not supported (raises ``ValueError``): recovery defenses (per-tuple
-watchdog ticks), latency hints, non-constant data-latency models, and
-scenarios without bulk ``multiplier_matrix`` evaluation.  All of these
+watchdog ticks), latency hints, and scenarios without bulk
+``multiplier_matrix`` evaluation.  All of these
 run through :func:`~repro.simulator.run.simulate_stream`.
 """
 
@@ -85,7 +85,6 @@ from repro.core.scheduler import SchedulerState
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.simulator.metrics import CompletionStats
-from repro.simulator.network import ConstantLatency, LatencyModel
 from repro.simulator.run import (
     _INFINITY,
     SimulationResult,
@@ -365,7 +364,6 @@ def _route_shard(
     end: int,
     flight_every: int = 0,
     lineage_every: int = 0,
-    two_choices: bool = False,
 ) -> None:
     """Route shard ``shard``'s slice of the segment ``[start, end)``.
 
@@ -373,10 +371,7 @@ def _route_shard(
     slice, per-instance estimate columns via the same pooled /
     per-instance gathering as ``POSGScheduler._gather_columns``, then
     the first-minimum greedy scan (same tie-breaking as ``np.argmin``)
-    over plain Python floats.  With ``two_choices`` the scan layers the
-    scheduler's deterministic two-choices probe on top: the item-keyed
-    alternate candidate wins when its believed post-add load is
-    strictly lower (same float comparison as ``POSGScheduler.submit``).
+    over plain Python floats.
 
     With ``flight_every > 0`` the worker additionally emits flight
     route samples into the shard's ``fl_idx``/``fl_bel`` ring: the
@@ -462,8 +457,6 @@ def _route_shard(
     inst_append = inst_out.append
     est_append = est_out.append
     k_range = range(1, k)
-    two_choices = two_choices and k > 1
-    sub_items = sub.tolist() if two_choices else None
     if flight_every:
         next_fs = _flight_first_pos(first, sources, flight_every)
     else:
@@ -487,14 +480,6 @@ def _route_shard(
                 best = value
                 instance = i
         est = columns[instance][pos]
-        if two_choices:
-            alt = sub_items[pos] % k
-            if alt == instance:
-                alt = alt + 1 if alt + 1 < k else 0
-            alt_est = columns[alt][pos]
-            if c[alt] + alt_est < c[instance] + est:
-                instance = alt
-                est = alt_est
         c[instance] += est
         inst_append(instance)
         est_append(est)
@@ -523,7 +508,6 @@ def _route_segment_coupled(
     pairs_by_shard: dict[int, list[FWPair]],
     cache,
     pooled: bool,
-    two_choices: bool,
     flight_every: int = 0,
     lineage_every: int = 0,
 ) -> None:
@@ -551,12 +535,10 @@ def _route_segment_coupled(
     """
     sources = arena.sources
     k = arena.k
-    two_choices = two_choices and k > 1
     n_by_shard = [0] * sources
     rr_mode = [False] * sources
     rr_base = [0] * sources
     columns_by_shard: list = [None] * sources
-    items_by_shard: list = [None] * sources
     c_by_shard: list[list[float]] = []
     for shard in range(sources):
         ctrl = arena.ctrl[shard]
@@ -604,8 +586,6 @@ def _route_segment_coupled(
                         zeros = [0.0] * n
                     columns.append(zeros)
         columns_by_shard[shard] = columns
-        if two_choices:
-            items_by_shard[shard] = sub.tolist()
 
     inst_by_shard: list[list[int]] = [[] for _ in range(sources)]
     est_by_shard: list[list[float]] = [[] for _ in range(sources)]
@@ -630,16 +610,7 @@ def _route_segment_coupled(
                 if value < best:
                     best = value
                     instance = i
-            columns = columns_by_shard[shard]
-            est = columns[instance][position]
-            if two_choices:
-                alt = items_by_shard[shard][position] % k
-                if alt == instance:
-                    alt = alt + 1 if alt + 1 < k else 0
-                alt_est = columns[alt][position]
-                if c[alt] + alt_est < c[instance] + est:
-                    instance = alt
-                    est = alt_est
+            est = columns_by_shard[shard][instance][position]
             c[instance] += est
             if est != 0.0:
                 # Local delta gossip: every sibling's belief absorbs the
@@ -740,7 +711,6 @@ def _worker_main(
                 _route_shard(
                     arena, shard, pairs[shard], cache, pooled,
                     start, end, flight_every, lineage_every,
-                    spec.two_choices,
                 )
                 arena.wk_busy[shard] += perf_counter() - t0
             if stall_factor > 1.0:
@@ -780,8 +750,8 @@ def simulate_stream_parallel(
     workers: int | None = None,
     k: int = 5,
     scenario=None,
-    data_latency: "LatencyModel | float | list" = 0.0,
-    control_latency: "LatencyModel | float" = 1.0,
+    data_latency: "float | list | tuple" = 0.0,
+    control_latency: float = 1.0,
     rng: np.random.Generator | None = None,
     sample_queues_every: int | None = None,
     chunk_size: int = 2048,
@@ -837,9 +807,8 @@ def simulate_stream_parallel(
         fault plan are shipped into the workers either way.
 
     Raises ``ValueError`` for configurations the parallel engine does
-    not support (recovery defenses, latency hints, non-constant data
-    latencies, scenarios without ``multiplier_matrix``) — run those
-    through ``simulate_stream``.
+    not support (recovery defenses, latency hints, scenarios without
+    ``multiplier_matrix``) — run those through ``simulate_stream``.
     """
     if not isinstance(policy, MultiSourcePOSGGrouping):
         raise TypeError(
@@ -875,12 +844,7 @@ def simulate_stream_parallel(
             "does not support them — use simulate_stream"
         )
     data_lat = _as_latency_list(data_latency, k)
-    if not all(isinstance(model, ConstantLatency) for model in data_lat):
-        raise ValueError(
-            "the parallel engine supports constant data latencies only "
-            "(random models draw per tuple in stream order)"
-        )
-    control_lat = _as_latency(control_latency)
+    control_lat = _as_latency("control_latency", control_latency)
     recorder = telemetry if telemetry is not None else NULL_RECORDER
 
     if isinstance(faults, FaultInjector):
@@ -1006,8 +970,8 @@ def _simulate_parallel(
     workers: int,
     k: int,
     scenario,
-    data_lat: list[LatencyModel],
-    control_lat: LatencyModel,
+    data_lat: list[float],
+    control_lat: float,
     rng: np.random.Generator | None,
     sample_queues_every: int | None,
     chunk_size: int,
@@ -1034,14 +998,13 @@ def _simulate_parallel(
         else (stream.base_times * multipliers[:, instance]).tolist()
         for instance in range(k)
     ]
-    # Per-instance arrival-at-instance columns (constant latencies only;
-    # x + 0.0 == x keeps the zero-latency column the arrival list).
-    latency_values = [model.value for model in data_lat]
+    # Per-instance arrival-at-instance columns (x + 0.0 == x keeps the
+    # zero-latency column the arrival list).
     at_cols = [
         arrivals
         if value == 0.0
         else (arrivals_array + value).tolist()
-        for value in latency_values
+        for value in data_lat
     ]
 
     policy.setup(k, rng)
@@ -1105,7 +1068,6 @@ def _simulate_parallel(
         _route_shard(
             arena, shard, pairs, inline_state["cache"],
             spec.pooled_estimates, start, end, flight_every, lineage_every,
-            spec.two_choices,
         )
 
     def _coupled_route(start: int, end: int) -> None:
@@ -1125,8 +1087,7 @@ def _simulate_parallel(
                 )
         _route_segment_coupled(
             arena, start, end, pairs_by_shard, inline_state["cache"],
-            spec.pooled_estimates, spec.two_choices,
-            flight_every, lineage_every,
+            spec.pooled_estimates, flight_every, lineage_every,
         )
 
     supervisor = WorkerSupervisor(
@@ -1157,7 +1118,7 @@ def _simulate_parallel(
             arrivals_array=arrivals_array,
             execution_columns=execution_columns,
             at_cols=at_cols,
-            latency_values=latency_values,
+            latency_values=data_lat,
             control_lat=control_lat,
             policy=policy,
             schedulers=schedulers,
@@ -1353,7 +1314,7 @@ def _parallel_loop(
             pending_times[instance].clear()
         messages = tracker.execute(item, execution_time, None)
         for message in messages:
-            delivery = finish + control_lat.sample()
+            delivery = finish + control_lat
             heappush(control_queue, (delivery, control_seq, message))
             control_seq += 1
             control_messages += 1
@@ -1474,7 +1435,7 @@ def _parallel_loop(
             if profiler is not None:
                 profiler.stop()
             for message in messages:
-                delivery = finish + control_lat.sample()
+                delivery = finish + control_lat
                 control_messages += 1
                 control_bits += message.size_bits()
                 if faulting:
@@ -1583,7 +1544,7 @@ def _parallel_loop(
                 )
                 if messages:
                     for message in messages:
-                        delivery = finish + control_lat.sample()
+                        delivery = finish + control_lat
                         control_messages += 1
                         control_bits += message.size_bits()
                         for when in injector.deliver_times(message, delivery):

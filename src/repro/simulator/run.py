@@ -54,7 +54,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.bounds import COUNT, INDEX, OPTIONAL_COUNT
+from repro.bounds import COUNT, INDEX, NONNEGATIVE, OPTIONAL_COUNT
 from repro.core.grouping import (
     FullKnowledgeGrouping,
     GroupingPolicy,
@@ -66,7 +66,6 @@ from repro.core.scheduler import SchedulerState
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.simulator.metrics import CompletionStats
-from repro.simulator.network import ConstantLatency, LatencyModel
 from repro.simulator.segment_kernel import Shape, segment_kernel
 from repro.telemetry.audit import AuditConfig, EstimatorAudit
 from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
@@ -159,19 +158,18 @@ class SimulationResult:
         return None
 
 
-def _as_latency(latency: LatencyModel | float) -> LatencyModel:
-    if isinstance(latency, LatencyModel):
-        return latency
-    return ConstantLatency(float(latency))
+def _as_latency(name: str, latency) -> float:
+    """A network latency in milliseconds, as a ``float``: a finite real
+    ``>= 0``.  The raw value is checked, so a bool, a string or an array
+    raises ``TypeError`` naming ``name`` instead of converting."""
+    return float(NONNEGATIVE.check(name, latency))
 
 
-def _as_latency_list(
-    latency: "LatencyModel | float | list", k: int
-) -> list[LatencyModel]:
-    """Normalize a data-latency spec to one model per instance.
+def _as_latency_list(latency: "float | list | tuple", k: int) -> list[float]:
+    """Normalize a data-latency spec to one latency per instance.
 
-    Accepts a single model/number (shared by all instances) or a list of
-    ``k`` models/numbers (heterogeneous network paths, used by the
+    Accepts a single number (shared by all instances) or a list or tuple
+    of ``k`` numbers (heterogeneous network paths, used by the
     latency-aware scheduling extension).
     """
     if isinstance(latency, (list, tuple)):
@@ -179,9 +177,11 @@ def _as_latency_list(
             raise ValueError(
                 f"need one data latency per instance: got {len(latency)} for k={k}"
             )
-        return [_as_latency(entry) for entry in latency]
-    shared = _as_latency(latency)
-    return [shared] * k
+        return [
+            _as_latency(f"data_latency[{instance}]", entry)
+            for instance, entry in enumerate(latency)
+        ]
+    return [_as_latency("data_latency", latency)] * k
 
 
 def _scenario_multipliers(scenario, k: int, m: int) -> np.ndarray:
@@ -244,8 +244,8 @@ def simulate_stream(
     policy: GroupingPolicy | PolicyFactory,
     k: int = 5,
     scenario: LoadShiftScenario | None = None,
-    data_latency: "LatencyModel | float | list" = 0.0,
-    control_latency: LatencyModel | float = 1.0,
+    data_latency: "float | list | tuple" = 0.0,
+    control_latency: float = 1.0,
     rng: np.random.Generator | None = None,
     sample_queues_every: int | None = None,
     chunk_size: int = 2048,
@@ -281,10 +281,12 @@ def simulate_stream(
         attribute raises ``TypeError`` and a wrong shape or a short ``k``
         ``ValueError``, under either engine, before the policy is set up.
     data_latency, control_latency:
-        Network models for tuples and control messages, in milliseconds.
-        ``data_latency`` additionally accepts a length-``k`` list for
-        heterogeneous per-instance network paths.  Non-finite or
-        negative values are rejected when the model is built.
+        Fixed network latencies of tuples and control messages, in
+        milliseconds (Sec. V-A fixes them).  ``data_latency`` also accepts
+        a list or tuple of ``k`` of them for heterogeneous per-instance
+        network paths.  A bool, a string or an array raises
+        ``TypeError``, a non-finite or negative value ``ValueError``,
+        before the policy is set up.
     rng:
         Seeds the policy's internal randomness (hash functions, ...).
     sample_queues_every:
@@ -372,7 +374,7 @@ def simulate_stream(
         scenario = LoadShiftScenario.constant(k)
     multipliers = _scenario_multipliers(scenario, k, stream.m)
     data_lat = _as_latency_list(data_latency, k)
-    control_lat = _as_latency(control_latency)
+    control_lat = _as_latency("control_latency", control_latency)
     recorder = telemetry if telemetry is not None else NULL_RECORDER
 
     if isinstance(faults, FaultInjector):
@@ -500,8 +502,8 @@ def _simulate_reference(
     policy: GroupingPolicy | PolicyFactory,
     k: int,
     scenario,
-    data_lat: list[LatencyModel],
-    control_lat: LatencyModel,
+    data_lat: list[float],
+    control_lat: float,
     rng: np.random.Generator | None,
     sample_queues_every: int | None,
     injector: FaultInjector | None,
@@ -579,7 +581,7 @@ def _simulate_reference(
                 f"policy routed tuple {j} to invalid instance {instance}"
             )
 
-        at_instance = arrival + data_lat[instance].sample()
+        at_instance = arrival + data_lat[instance]
         start = at_instance if at_instance > busy_until[instance] else busy_until[instance]
         execution_time = base_times[j] * scenario.multiplier(instance, j)
         sync_request = decision.sync_request
@@ -613,7 +615,7 @@ def _simulate_reference(
             if profiler is not None:
                 profiler.stop()
             for message in messages:
-                delivery = finish + control_lat.sample()
+                delivery = finish + control_lat
                 control_messages += 1
                 control_bits += message.size_bits()
                 if faulting:
@@ -664,8 +666,8 @@ def _simulate_chunked(
     policy: GroupingPolicy | PolicyFactory,
     k: int,
     multipliers: np.ndarray,
-    data_lat: list[LatencyModel],
-    control_lat: LatencyModel,
+    data_lat: list[float],
+    control_lat: float,
     rng: np.random.Generator | None,
     sample_queues_every: int | None,
     chunk_size: int,
@@ -701,13 +703,20 @@ def _simulate_chunked(
     for instance, lo, hi, factor in slowed:
         execution_arrays[instance][lo:hi] *= factor
 
+    # Instance-arrival columns, one per distinct data latency (x + 0.0 ==
+    # x for the non-negative arrival times, so a zero latency reads the
+    # arrivals themselves).
+    shifted = {0.0: arrivals_array}
+    for latency in data_lat:
+        if latency not in shifted:
+            shifted[latency] = arrivals_array + latency
     state = _ChunkedState(
         k=k,
         chunk_size=chunk_size,
         items_array=items_array,
         arrivals_array=arrivals_array,
         execution_arrays=execution_arrays,
-        data_lat=data_lat,
+        at_arrays=[shifted[latency] for latency in data_lat],
         control_lat=control_lat,
     )
 
@@ -905,8 +914,8 @@ def _choose_loop(
     per-tuple generic loop.  Every POSG-family policy whose ``route`` is
     the stock shard interleave takes the segment path — ``POSGGrouping``,
     its subclasses, and ``MultiSourcePOSGGrouping`` at every ``s``, with
-    or without latency hints, under any data-latency model, faulted or
-    not, defended or not.  So do the paper baselines on a plain run:
+    or without latency hints, at any data latencies, faulted or not,
+    defended or not.  So do the paper baselines on a plain run:
     Round-Robin, and Full Knowledge if ``own_oracle()`` (the engine's
     oracle over ``base_times == time_table[items]``).
     """
@@ -926,11 +935,10 @@ class _ChunkedState:
     """Mutable bookkeeping shared by the chunked engine's policy loops.
 
     What lives for the whole stream stays in arrays: the numpy columns,
-    the ``finishes`` the service writes, one index buffer per instance
+    the ``finishes`` the service writes and one index buffer per instance
     (``assigned[i]``: the stream indices routed to ``i``, in order), which
-    the loops append to and the result's assignments are scattered from,
-    and, under a random data-latency model, the buffer of
-    instance-arrival draws.  Python objects exist for one
+    the loops append to and the result's assignments are scattered from.
+    Python objects exist for one
     ``chunk_size`` window at a time: :meth:`open_window` lists the
     window's items once, which the loops index by position in the
     window; the other columns are read from the arrays, a tuple at a
@@ -940,9 +948,8 @@ class _ChunkedState:
 
     __slots__ = (
         "k", "m", "chunk_size", "items_array", "arrivals_array",
-        "execution_arrays", "at_arrays", "data_lat", "control_lat",
-        "position", "busy_until", "finishes", "assigned", "drawn",
-        "control_queue",
+        "execution_arrays", "at_arrays", "control_lat",
+        "position", "busy_until", "finishes", "assigned", "control_queue",
         "control_seq", "control_messages", "control_bits",
         "state_transitions", "engine", "base", "items", "multiplier_rows",
     )
@@ -959,27 +966,11 @@ class _ChunkedState:
         #: per instance, the stream indices routed to it, in order (uint32,
         #: which numpy views in place)
         self.assigned = [array("I") for _ in range(self.k)]
-        #: instance-arrival draws in stream order, kept where service is
-        #: landed after routing under a random data-latency model
-        self.drawn: "array | None" = None
         self.control_queue: list[tuple[float, int, object]] = []
         self.control_seq = 0
         self.control_messages = 0
         self.control_bits = 0
         self.state_transitions: list[tuple[int, SchedulerState]] = []
-        # Constant data latencies are hoisted to instance-arrival columns,
-        # one per distinct latency (``sample`` is side-effect free there;
-        # x + 0.0 == x for the non-negative arrival times, so a zero
-        # latency reads the arrivals themselves).  With any random model
-        # every instance arrival is drawn inline, right after the pick,
-        # where the reference engine's seeded draws fall, and recorded.
-        self.at_arrays = None
-        if all(isinstance(model, ConstantLatency) for model in self.data_lat):
-            shifted = {0.0: self.arrivals_array}
-            for model in self.data_lat:
-                if model.value not in shifted:
-                    shifted[model.value] = self.arrivals_array + model.value
-            self.at_arrays = [shifted[model.value] for model in self.data_lat]
         self.base = 0
         self.items: list = []
         self.multiplier_rows = None
@@ -1023,17 +1014,13 @@ class _Service:
         self.state = state
         self.served = [0] * state.k
         self.profiler = profiler
-        # Constant latencies keep each instance's arrivals in stream
-        # order, which lets ``_fifo_chain`` skip most gap searches.
+        # A fixed latency keeps each instance's arrivals in stream order,
+        # which lets ``_fifo_chain`` skip most gap searches.
         arrivals = state.arrivals_array
         distinct = {id(times): times for times in state.execution_arrays}
-        self.ordered = (
-            state.at_arrays is not None
-            and bool((arrivals[1:] >= arrivals[:-1]).all())
-            and all(bool((times >= 0.0).all()) for times in distinct.values())
+        self.ordered = bool((arrivals[1:] >= arrivals[:-1]).all()) and all(
+            bool((times >= 0.0).all()) for times in distinct.values()
         )
-        if state.at_arrays is None:
-            state.drawn = array("d")
 
     def land(self, instance: int, owned: np.ndarray, times: np.ndarray) -> None:
         """Serve the stream indices ``owned`` — ascending, all routed to
@@ -1041,12 +1028,9 @@ class _Service:
         state = self.state
         if self.profiler is not None:
             self.profiler.start("serve")
-        if state.drawn is None:
-            at = state.at_arrays[instance][owned]
-        else:
-            at = np.frombuffer(state.drawn, dtype=np.float64)[owned]
         state.finishes[owned], state.busy_until[instance] = _fifo_chain(
-            state.busy_until[instance], at, times, self.ordered
+            state.busy_until[instance], state.at_arrays[instance][owned], times,
+            self.ordered,
         )
         state.engine["serves"] += 1
         state.engine["served_tuples"] += owned.size
@@ -1074,10 +1058,7 @@ class _Service:
         last = len(state.assigned[instance]) - 1
         self.serve(instance, last)
         busy = state.busy_until
-        if state.drawn is None:
-            at_instance = state.at_arrays[instance].item(j)
-        else:
-            at_instance = state.drawn[j]
+        at_instance = state.at_arrays[instance].item(j)
         b = busy[instance]
         start = at_instance if at_instance > b else b
         finish = start + execution_time
@@ -1126,10 +1107,9 @@ def _run_baseline(
     checked), listed once per distinct column.  Service lands at lineage
     samples and once at the end."""
     m, k = state.m, state.k
-    shape = Shape(k, 1, False, False, False, state.at_arrays is None)
+    shape = Shape(k, 1, False, False)
     kernel = segment_kernel(shape)
     state.engine["kernel"] = shape.label
-    draws = [model.sample for model in state.data_lat] if shape.random_latency else None
     round_robin = type(policy) is RoundRobinGrouping
     block = SimpleNamespace(
         _c=[0.0] * k if round_robin else policy._loads.tolist(),
@@ -1137,7 +1117,6 @@ def _run_baseline(
     )
     service = _Service(state)
     probe = _probe(state, observers, service, believed=False)
-    draw = state.drawn.append if shape.random_latency else None
     appends = [indices.append for indices in state.assigned]
 
     distinct = {id(times): times for times in state.execution_arrays}
@@ -1148,12 +1127,9 @@ def _run_baseline(
         if not round_robin:
             listed = {key: times[base:hi].tolist() for key, times in distinct.items()}
             block._estimates = [listed[id(times)] for times in state.execution_arrays]
-        # a random data latency is drawn onto each arrival
-        arrivals = state.arrivals_array[base:hi].tolist() if draws else None
         _, due, _ = kernel(
-            [block], 0, len(items), next_probe - base, _INFINITY, base, items,
-            arrivals, window_left, m + 1, None, probe, appends, draw, None,
-            draws,
+            [block], 0, len(items), next_probe - base, _INFINITY, base,
+            window_left, m + 1, None, probe, appends, None,
         )
         next_probe = base + due
         state.engine["segments"] += 1
@@ -1169,14 +1145,14 @@ def _send_control(
 ) -> None:
     """Bill an instance's outgoing messages and queue their deliveries.
 
-    Each message leaves at ``finish`` plus one control-latency draw; an
+    Each message leaves at ``finish`` plus the control latency; an
     injector turns that into zero, one or two delivery times.  Messages
-    go out in emission order, so the latency model's and the injector's
-    random streams advance exactly as in the reference engine.
+    go out in emission order, so the injector's random stream advances
+    exactly as in the reference engine.
     """
     control_queue = state.control_queue
     for message in messages:
-        delivery = finish + state.control_lat.sample()
+        delivery = finish + state.control_lat
         state.control_messages += 1
         state.control_bits += message.size_bits()
         times = (
@@ -1225,14 +1201,12 @@ def _tuple_stepper(
     columns.  ``_run_generic`` runs every tuple through it; the segment
     router only the tuples it cannot batch, once it has served every
     instance up to ``j``.  The step serves tuple ``j`` itself: its finish
-    is written to ``state.finishes`` (a random instance-arrival draw to
-    ``state.drawn`` where that records them) and the chosen instance
-    returned.
+    is written to ``state.finishes`` and the chosen instance returned.
     """
     busy = state.busy_until
     finishes = state.finishes
     assigned = state.assigned
-    data_lat = state.data_lat
+    at_arrays = state.at_arrays
     k = state.k
 
     def step(j: int, arrival: float) -> int:
@@ -1248,12 +1222,7 @@ def _tuple_stepper(
             raise ValueError(
                 f"policy routed tuple {j} to invalid instance {instance}"
             )
-        if state.at_arrays is not None:
-            at_instance = state.at_arrays[instance].item(j)
-        else:
-            at_instance = arrival + data_lat[instance].sample()
-            if state.drawn is not None:
-                state.drawn.append(at_instance)
+        at_instance = at_arrays[instance].item(j)
         b = busy[instance]
         start = at_instance if at_instance > b else b
         execution_time = state.execution_arrays[instance].item(j)
@@ -1302,8 +1271,8 @@ def _run_generic(
 
     A POSG-family run lands here only when its policy overrides
     ``route()`` (see :func:`_choose_loop`).  It replays the reference
-    engine's per-tuple order exactly, so random latency models and the
-    injector draw at the same points under both engines.
+    engine's per-tuple order exactly, so the injector draws at the same
+    points under both engines.
     """
     busy = state.busy_until
     control_queue = state.control_queue
@@ -1350,11 +1319,10 @@ def _run_posg(
     segment runs, whatever ``s``: the greedy pick is an unrolled
     first-minimum scan over plain floats (the kernel's round-robin arm
     for a shard still bootstrapping; over load + latency debt + hint
-    under ``latency_hints``), the two-choices probe and cross-shard
-    gossip are replayed in place, the window's items are listed once
-    (:meth:`_ChunkedState.open_window`) and indexed from its first tuple
-    (a random data latency is drawn inline, right after the pick, and
-    recorded), and both halves of an instance's per-tuple work — its
+    under ``latency_hints``), cross-shard gossip is replayed in place,
+    positions count from the window's first tuple, whose items are
+    listed once (:meth:`_ChunkedState.open_window`), and both halves of
+    an instance's per-tuple work — its
     sketch fold (``InstanceTracker.execute_batch``) and its FIFO service
     (:class:`_Service`) — land lazily, read back from the instances'
     index buffers, so the loops keep no per-instance batch and the
@@ -1399,7 +1367,6 @@ def _run_posg(
     window_size = policy.config.window_size
     previous_state = policy.state
     k = state.k
-    two_choices = schedulers[0]._two_choices and k > 1
     gossip = sources > 1 and policy._gossip_on
     hints = schedulers[0]._latency_hints
     if hints is not None:
@@ -1419,13 +1386,10 @@ def _run_posg(
     armed = policy.config.recovery is not None
     deadline_at = m
 
-    at_arrays = state.at_arrays
-    shape = Shape(k, sources, gossip, two_choices, hints is not None, at_arrays is None)
+    shape = Shape(k, sources, gossip, hints is not None)
     kernel = segment_kernel(shape)
     engine["kernel"] = shape.label
-    draws = None if at_arrays is not None else [model.sample for model in state.data_lat]
     service = _Service(state, profiler)
-    draw = state.drawn.append if shape.random_latency else None
     appends = [indices.append for indices in state.assigned]
 
     # The observers' sentinel is ``m`` when nothing is attached, so the
@@ -1584,11 +1548,8 @@ def _run_posg(
                 # and shared by every shard's walk, and shard sigma owns
                 # the strided slice starting at its first index at or
                 # after j.
-                items = state.open_window(j)
-                # a random data latency is drawn onto each arrival
-                arrivals = arrivals_array[j:j + len(items)].tolist() if draws else None
                 base = j
-                window_end = j + len(items)
+                window_end = j + len(state.open_window(j))
                 if shared_table is not None:
                     _fill_window(base, window_end)
                 blocks = [
@@ -1630,8 +1591,8 @@ def _run_posg(
             # tuple ``base + q``, and at s = 1 the block's own cursor.
             q, due, gossiped = kernel(
                 blocks, j - base, end - base, next_probe - base, next_due,
-                base, items, arrivals, window_left, window_size,
-                _window_boundary, probe, appends, draw, hints, draws,
+                base, window_left, window_size, _window_boundary, probe,
+                appends, hints,
             )
             j = base + q
             next_probe = base + due

@@ -11,14 +11,13 @@ instance's window down.  It only routes: a routing decision reads the
 believed loads, never a queue, so FIFO service is landed after
 routing, per instance, where a finish or busy clock is read
 (``_Service`` in :mod:`repro.simulator.run`).  Python pays for every
-list index on that path, so the loop is written out per *shape* with
-each quantity in a plain local: shard ``σ``'s loads ``cσ_i``, estimate
-columns ``eσ_i``, round-robin counter ``rσ`` (``None`` while it routes
-greedily), cursor ``pσ`` (``q`` itself at s = 1), gossip count ``gσ``
-and latency debt ``dσ_i``; instance ``i``'s window counter ``w{i}``
-and, under a random data-latency model, latency draw ``l{i}``, taken
-right after the pick (where the reference engine draws) and appended
-to the draw buffer.
+list index on that path, so the loop is written out per *shape* — the
+instance and shard counts, whether shards gossip, whether latency hints
+join the scan — with each quantity in a plain local: shard ``σ``'s
+loads ``cσ_i``, estimate columns ``eσ_i``, round-robin counter ``rσ``
+(``None`` while it routes greedily), cursor ``pσ`` (``q`` itself at
+s = 1), gossip count ``gσ`` and latency debt ``dσ_i``; instance ``i``'s
+window counter ``w{i}``.
 
 The scan is unrolled with ``np.argmin``'s strict ``<`` tie-break.  A
 greedy pick lands in one arm per (shard, instance) that adds the
@@ -45,21 +44,19 @@ class Shape(NamedTuple):
     k: int
     sources: int
     gossip: bool
-    two_choices: bool
     hinted: bool
-    random_latency: bool
 
     @property
     def label(self) -> str:
-        flags = ("gossip", "two-choices", "hinted", "random-latency")
+        flags = ("gossip", "hinted")
         named = [flag for flag, on in zip(flags, self[2:]) if on]
         return " ".join([f"k={self.k}", f"s={self.sources}", *named])
 
 
 _SIGNATURE = """\
 def segment_kernel(
-    blocks, q, stop, due, next_due, base, items, arrivals, window_left,
-    window_size, boundary, probe, appends, draw_append, hints, draws,
+    blocks, q, stop, due, next_due, base, window_left, window_size,
+    boundary, probe, appends, hints,
 ):
 """
 # The probe reads the instance's window count before the tuple counts it
@@ -70,13 +67,6 @@ w{i} -= 1
 if not w{i}:
     next_due, stop = boundary({i}, q + 1, next_due, stop)
     w{i} = window_size
-"""
-_TWO_CHOICES = """\
-alt = items[q] % {k}
-if alt == instance:
-    alt = alt + 1 if alt + 1 < {k} else 0
-if {loads}[alt] + E{shard}[alt][{p}] < best + E{shard}[instance][{p}]:
-    instance = alt
 """
 
 
@@ -122,11 +112,9 @@ def kernel_source(shape: Shape) -> str:
                 emit(depth + 1, f"value = {value}")
                 value = "value"
             emit(depth + 1, f"if {value} < best:")
-            if i < k - 1 or shape.two_choices:
+            if i < k - 1:
                 emit(depth + 2, f"best = {value}")
             emit(depth + 2, f"instance = {i}")
-        if shape.two_choices:
-            emit(depth + 1, _TWO_CHOICES.format(k=k, loads=loads, shard=shard, p=p))
 
         def arm(i: int, depth: int) -> None:
             if shape.hinted:
@@ -140,8 +128,6 @@ def kernel_source(shape: Shape) -> str:
                 emit(depth + 1, f"g{shard} += 1")
             else:
                 emit(depth, f"{c}{i} += e{shard}_{i}[{p}]")
-            if shape.random_latency:
-                emit(depth, f"draw_append(arrivals[q] + l{i}())")
             emit(depth, f"o{i}(base + q)")
             if sources > 1:
                 emit(depth, f"p{shard} += 1")
@@ -161,8 +147,6 @@ def kernel_source(shape: Shape) -> str:
     emit(0, _SIGNATURE)
     emit(1, f'"""<{shape.label}>: route window positions [q, stop)."""')
     emit(1, f"{_names('w', k)} = window_left\n{_names('o', k)} = appends")
-    if shape.random_latency:
-        emit(1, f"{_names('l', k)} = draws")
     if shape.hinted:
         emit(1, f"{_names('h', k)} = hints")
     emit(1, f"{_names('block', sources)} = blocks")
@@ -181,8 +165,6 @@ def kernel_source(shape: Shape) -> str:
 
     emit(1, "while q < stop:")
     arms("shard", sources, 2, route)
-    if shape.random_latency:
-        emit(2, "draw_append(arrivals[q] + draws[instance]())")
     emit(2, "appends[instance](base + q)\nif q == due:")
 
     def loads(shard: int, depth: int) -> None:
@@ -212,8 +194,8 @@ def kernel_source(shape: Shape) -> str:
 
 @functools.lru_cache(maxsize=None)
 def segment_kernel(shape: Shape):
-    """``shape``'s kernel, compiled once per process.  It writes the blocks,
-    ``busy`` and ``window_left`` back and returns ``(q, due, gossiped)``:
+    """``shape``'s kernel, compiled once per process.  It writes the blocks
+    and ``window_left`` back and returns ``(q, due, gossiped)``:
     where it stopped, the next probe position, each shard's gossip count."""
     text = kernel_source(shape)
     filename = f"<segment kernel {shape.label}>"

@@ -24,10 +24,10 @@ from repro.core.messages import SyncRequest
 from repro.core.scheduler import SchedulerState
 from repro.simulator.engine import Simulation
 from repro.simulator.metrics import CompletionStats
-from repro.simulator.network import ConstantLatency, LatencyModel
 from repro.simulator.run import (
     PolicyFactory,
     SimulationResult,
+    _as_latency,
     _as_latency_list,
 )
 from repro.workloads.nonstationary import LoadShiftScenario
@@ -98,8 +98,8 @@ class StageTopology:
         k: int,
         policy: GroupingPolicy | PolicyFactory,
         scenario: LoadShiftScenario | None = None,
-        data_latency: "LatencyModel | float | list" = 0.0,
-        control_latency: LatencyModel | float = 1.0,
+        data_latency: "float | list | tuple" = 0.0,
+        control_latency: float = 1.0,
         rng: np.random.Generator | None = None,
     ) -> None:
         self.k = k = COUNT.check("k", k)
@@ -109,10 +109,7 @@ class StageTopology:
                 f"scenario covers {self.scenario.k} instances but k={k} requested"
             )
         self._data_latency = _as_latency_list(data_latency, k)
-        self._control_latency = (
-            control_latency if isinstance(control_latency, LatencyModel)
-            else ConstantLatency(float(control_latency))
-        )
+        self._control_latency = _as_latency("control_latency", control_latency)
         self._policy_or_factory = policy
         self._rng = rng
         # bound at run() time
@@ -145,9 +142,8 @@ class StageTopology:
         """Route an instance's control message to the scheduler."""
         self._control_messages += 1
         self._control_bits += message.size_bits()
-        delay = self._control_latency.sample()
         self.sim.after(
-            delay, self.policy.on_control, message, priority=PRIORITY_CONTROL
+            self._control_latency, self.policy.on_control, message, priority=PRIORITY_CONTROL
         )
 
     # ------------------------------------------------------------------
@@ -174,7 +170,7 @@ class StageTopology:
             sync_request=decision.sync_request,
         )
         self.sim.after(
-            self._data_latency[decision.instance].sample(),
+            self._data_latency[decision.instance],
             self._instances[decision.instance].on_tuple,
             tup,
             priority=PRIORITY_DATA,

@@ -140,11 +140,6 @@ class BucketColumnCache:
         :meth:`cells_many` less each row's offset."""
         return self.cells_many(items) - self._offsets
 
-    def prefill(self, universe: int) -> None:
-        """Eagerly materialize columns for items ``0 .. universe-1``."""
-        if universe > 0:
-            self.cells_many(np.arange(min(universe, MAX_CACHED_ITEM + 1)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"BucketColumnCache(rows={self._rows}, "

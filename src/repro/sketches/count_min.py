@@ -130,33 +130,6 @@ BucketColumnCache`; callers updating several sketches with the same hash
         self._total_weight += weight
         self._update_count += 1
 
-    def update_conservative(self, item: int, weight: float = 1.0) -> None:
-        """Conservative update (Estan & Varghese): raise each of the
-        item's cells only up to ``query(item) + weight``.
-
-        Tightens point-query overestimates for frequency counting while
-        preserving the no-underestimate guarantee.  Note that POSG's
-        ``W/F`` ratio estimator requires ``F`` and ``W`` to grow in
-        lockstep (cell ratios are then mixture means), so the runtime
-        algorithm uses plain updates; this variant exists for sketch-level
-        comparisons and downstream users.
-
-        Conservative sketches lose linearity: :meth:`merge` of two
-        conservatively-built sketches still never underestimates, but may
-        overestimate more than a single conservatively-built sketch of
-        the concatenated stream.
-        """
-        if not 0.0 <= weight < math.inf:  # false for NaN
-            raise ValueError(f"weight must be finite and >= 0, got {weight}")
-        matrix = self._matrix
-        cells = list(enumerate(self._cache.columns(item)))
-        target = min(matrix[row, col] for row, col in cells) + weight
-        for row, col in cells:
-            if matrix[row, col] < target:
-                matrix[row, col] = target
-        self._total_weight += weight
-        self._update_count += 1
-
     def update_many(self, items: np.ndarray, weights: np.ndarray | None = None) -> None:
         """Vectorized bulk update (used by workload preprocessing).
 
@@ -253,16 +226,6 @@ cells_many`, *not* bucket columns); validation is the caller's job —
         buckets = self._cache.columns_many(items)
         rows = np.arange(buckets.shape[0])[:, None]
         return self._matrix[rows, buckets].min(axis=0).astype(np.float64)
-
-    def cells(self, item: int) -> np.ndarray:
-        """Return the item's cell values on every row (shape ``(rows,)``)."""
-        cols = self._cache.columns(item)
-        return self._matrix[np.arange(self._hashes.rows), list(cols)]
-
-    def argmin_row(self, item: int) -> int:
-        """Row index whose cell for ``item`` holds the minimum value."""
-        values = self.cells(item)
-        return int(np.argmin(values))
 
     # ------------------------------------------------------------------
     # lifecycle

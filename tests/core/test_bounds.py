@@ -38,7 +38,7 @@ from repro.faults.plan import (
     WorkerFault,
 )
 from repro.simulator.metrics import CompletionStats
-from repro.simulator.network import ConstantLatency, LognormalLatency
+from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
 from repro.simulator.supervisor import SupervisionConfig
 from repro.simulator.topology import StageTopology
@@ -376,9 +376,20 @@ REAL_ARGUMENTS = [
     ("row_probability", lambda v: independent_rows_bound(v, 2), 0.5),
     ("interval", lambda v: LiveDashboard(None, interval=v), 0.5),
     ("message_timeout", lambda v: AckTracker(v), 0.5),
-    ("latency", lambda v: ConstantLatency(v), 0.5),
-    ("sigma", lambda v: LognormalLatency(0.0, v), 0.5),
-    ("base", lambda v: LognormalLatency(0.0, 0.5, base=v), 0.5),
+    ("data_latency", lambda v: _simulate(simulate_stream, data_latency=v), 0.5),
+    ("control_latency", lambda v: _simulate(simulate_stream, control_latency=v), 0.5),
+    ("data_latency", lambda v: _simulate(simulate_stream_parallel, data_latency=v), 0.5),
+    (
+        "control_latency",
+        lambda v: _simulate(simulate_stream_parallel, control_latency=v),
+        0.5,
+    ),
+    ("data_latency", lambda v: StageTopology(2, RoundRobinGrouping, data_latency=v), 0.5),
+    (
+        "control_latency",
+        lambda v: StageTopology(2, RoundRobinGrouping, control_latency=v),
+        0.5,
+    ),
     ("alpha", lambda v: ZipfItems(8, v), 0.5),
 ]
 
@@ -390,6 +401,14 @@ def _tracker(instance_id):
 
 def _hashes():
     return random_hash_family(2, 4, np.random.default_rng(0))
+
+
+def _simulate(engine, **latencies):
+    """A 64-tuple sharded run at s = 1 through ``engine``."""
+    return engine(
+        default_stream(seed=0, m=64), MultiSourcePOSGGrouping(1), k=2,
+        **latencies,
+    )
 
 
 def _arg_id(case) -> str:

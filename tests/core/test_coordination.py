@@ -1,7 +1,7 @@
 """Unit tests for cross-shard coordination (CoordinationConfig).
 
-Covers the three composable mechanisms — local delta gossip, sync-reply
-snooping and the two-choices probe — at the policy/scheduler level; the
+Covers the two composable mechanisms — local delta gossip and sync-reply
+snooping — at the policy/scheduler level; the
 engine-level bit-identity sweeps live in
 ``tests/simulator/test_coordination_equivalence.py``.
 """
@@ -22,7 +22,7 @@ def coord_config(**overrides):
     coordination = CoordinationConfig(
         **{
             key: overrides.pop(key)
-            for key in ("gossip", "gossip_stride", "snoop", "two_choices")
+            for key in ("gossip", "gossip_stride", "snoop")
             if key in overrides
         }
     )
@@ -53,7 +53,6 @@ class TestCoordinationConfig:
         coordination = CoordinationConfig()
         assert coordination.gossip
         assert coordination.snoop
-        assert not coordination.two_choices
         assert coordination.gossip_stride == 16
 
     def test_no_coordination_arms_nothing(self):
@@ -228,49 +227,6 @@ class TestSnoop:
         assert sibling.c_hat[0] == 1.0
         assert sibling.c_hat[1] == 1.0
         assert policy._snoop_published == 0
-
-
-class TestTwoChoices:
-    def test_probe_prefers_cheaper_alternate(self):
-        config = coord_config(gossip=False, snoop=False, two_choices=True)
-        scheduler = POSGScheduler(3, config)
-        scheduler._state = SchedulerState.RUN
-        scheduler._c_hat[:] = [0.0, 0.5, 10.0]
-        estimates = {0: 5.0, 1: 1.0, 2: 1.0}
-        scheduler.estimate = lambda item, instance: estimates[instance]
-        # argmin is 0 (post-add 5.0); alt = 1 % 3 = 1 (post-add 1.5) wins
-        decision = scheduler.submit(1)
-        assert decision.instance == 1
-        assert decision.estimate == 1.0
-        assert scheduler._c_hat[1] == 1.5
-
-    def test_probe_keeps_argmin_when_not_cheaper(self):
-        config = coord_config(gossip=False, snoop=False, two_choices=True)
-        scheduler = POSGScheduler(3, config)
-        scheduler._state = SchedulerState.RUN
-        scheduler._c_hat[:] = [0.0, 5.0, 10.0]
-        scheduler.estimate = lambda item, instance: 1.0
-        decision = scheduler.submit(1)
-        assert decision.instance == 0
-
-    def test_alt_collision_bumps_to_next_instance(self):
-        config = coord_config(gossip=False, snoop=False, two_choices=True)
-        scheduler = POSGScheduler(3, config)
-        scheduler._state = SchedulerState.RUN
-        scheduler._c_hat[:] = [0.0, 10.0, 0.5]
-        estimates = {0: 5.0, 1: 1.0, 2: 1.0}
-        scheduler.estimate = lambda item, instance: estimates[instance]
-        # item 0 -> alt = 0 == argmin, bumped to 1 (too loaded), so the
-        # probe compares against instance 1 and argmin holds... then
-        # item 3 -> alt = 0 == argmin again, bumped to 1: identical rule.
-        decision = scheduler.submit(3)
-        assert decision.instance == 0
-
-    def test_probe_off_without_coordination(self):
-        scheduler = POSGScheduler(
-            3, POSGConfig(window_size=8, mu=1.0, rows=2, cols=8)
-        )
-        assert not scheduler._two_choices
 
 
 class TestDecisionEstimate:

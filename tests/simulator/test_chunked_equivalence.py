@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.config import CoordinationConfig, POSGConfig
+from repro.core.config import POSGConfig
 from repro.core.grouping import (
     FullKnowledgeGrouping,
     POSGGrouping,
@@ -21,7 +21,6 @@ from repro.core.grouping import (
 )
 from repro.core.messages import MatricesMessage
 from repro.core.scheduler import SchedulerState
-from repro.simulator.network import UniformLatency
 from repro.simulator.run import simulate_stream
 from repro.workloads.nonstationary import LoadShiftScenario
 from repro.workloads.synthetic import default_stream
@@ -32,9 +31,6 @@ M = 12_000
 def run_both(policy_factory, **kwargs):
     results = []
     for chunk in (0, 1024):
-        kw = dict(kwargs)
-        if "latency_factory" in kw:
-            kw["data_latency"] = kw.pop("latency_factory")()
         stream = default_stream(seed=0, m=M)
         results.append(
             simulate_stream(
@@ -44,7 +40,7 @@ def run_both(policy_factory, **kwargs):
                 rng=np.random.default_rng(1),
                 sample_queues_every=500,
                 chunk_size=chunk,
-                **kw,
+                **kwargs,
             )
         )
     return results
@@ -94,17 +90,6 @@ class TestPOSGEquivalence:
         ref, chunked = run_both(
             lambda: POSGGrouping(),
             data_latency=[0.0, 0.05, 0.1, 0.15, 0.2],
-        )
-        assert_identical(ref, chunked)
-
-    def test_random_latency_model(self):
-        """Fresh latency models per run (same seed) — the chunked engine
-        must consume the latency RNG in the same per-instance order."""
-        ref, chunked = run_both(
-            lambda: POSGGrouping(),
-            latency_factory=lambda: UniformLatency(
-                0.0, 0.2, rng=np.random.default_rng(7)
-            ),
         )
         assert_identical(ref, chunked)
 
@@ -189,13 +174,9 @@ class TestBlockRouterEquivalence:
         np.testing.assert_array_equal(blocked.c_hat, per_tuple.c_hat)
 
     @staticmethod
-    def greedy_scheduler(coordination=None):
+    def greedy_scheduler():
         """A scheduler warmed past ROUND_ROBIN and out of SEND_ALL."""
-        policy = POSGGrouping(
-            POSGConfig(
-                window_size=64, rows=2, cols=16, coordination=coordination
-            )
-        )
+        policy = POSGGrouping(POSGConfig(window_size=64, rows=2, cols=16))
         simulate_stream(
             default_stream(seed=0, m=4_096, n=64), policy, k=5,
             rng=np.random.default_rng(1),
@@ -205,17 +186,6 @@ class TestBlockRouterEquivalence:
             scheduler.submit(0)
         assert scheduler.state is not SchedulerState.ROUND_ROBIN
         return scheduler
-
-    def test_block_replays_the_two_choices_probe(self):
-        per_tuple = self.greedy_scheduler(CoordinationConfig(two_choices=True))
-        blocked = copy.deepcopy(per_tuple)
-        items = np.arange(0, 256, dtype=np.int64) % 64
-        expected = [per_tuple.submit(int(item)).instance for item in items]
-        block = blocked.begin_block(items)
-        assert [block.route_next() for _ in items] == expected
-        block.commit()
-        np.testing.assert_array_equal(blocked.c_hat, per_tuple.c_hat)
-        assert blocked.tuples_scheduled == per_tuple.tuples_scheduled
 
     def test_resumed_block_keeps_columns_until_matrices_version_moves(self):
         per_tuple = self.greedy_scheduler()

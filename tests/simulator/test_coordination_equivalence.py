@@ -10,8 +10,8 @@ Two contracts, both bit-exact:
    the refactored hot paths — the scheduler's inlined ``C_hat`` add,
    the batched control drain, the parallel dispatch gate — fails here.
 
-2. **Coordination on is engine-invariant.**  Gossip, snooping and the
-   two-choices probe are defined per tuple; the chunked engine and the
+2. **Coordination on is engine-invariant.**  Gossip and snooping are
+   defined per tuple; the chunked engine and the
    parallel engine (fork and spawn, with the gossip-coupled in-parent
    router) must reproduce the reference engine exactly, and stride-0
    billing must never change routing.
@@ -107,10 +107,8 @@ class TestCoordinationOnEngineInvariance:
             CoordinationConfig(),
             CoordinationConfig(snoop=False),
             CoordinationConfig(gossip=False),
-            CoordinationConfig(two_choices=True),
-            CoordinationConfig(gossip=False, snoop=False, two_choices=True),
         ],
-        ids=["gossip+snoop", "gossip", "snoop", "all", "two-choices"],
+        ids=["gossip+snoop", "gossip", "snoop"],
     )
     @pytest.mark.parametrize("sources", [2, 8])
     def test_three_engines_agree(self, sources, coordination):
@@ -121,14 +119,14 @@ class TestCoordinationOnEngineInvariance:
         assert len(digests) == 1
 
     def test_spawn_agrees_with_reference(self):
-        coordination = CoordinationConfig(two_choices=True)
+        coordination = CoordinationConfig()
         reference = run(4, coordination, "reference")
         spawned = run(4, coordination, "parallel", start_method="spawn")
         assert digest(spawned) == digest(reference)
 
     def test_single_source_gossip_is_inert(self):
         # s=1 has no siblings: gossip/snoop collapse to the pinned HEAD
-        # behavior (the two-choices probe is per-scheduler and does not)
+        # behavior
         result = run(1, CoordinationConfig(), "reference")
         assert digest(result) == HEAD_PINS[1]
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.core.config import POSGConfig
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.faults import CrashFault, FaultPlan
-from repro.simulator.network import UniformLatency
 from repro.simulator.run import _SCALAR_RUN, _SPAN, _fifo_chain, simulate_stream
 from repro.telemetry.lineage import LineageConfig
 from repro.workloads.synthetic import default_stream
@@ -120,8 +119,8 @@ def crash_plan(stream):
 
 class TestServiceAtEverySample:
     """Lineage at ``sample_every=1`` serves at every tuple the kernel
-    routes, beside window closes, a crash and random instance-arrival
-    draws; the reference engine serves inline."""
+    routes, beside window closes, a crash and per-instance data
+    latencies; the reference engine serves inline."""
 
     @pytest.mark.parametrize("sources", [1, 3])
     def test_lineage_reports_match_the_reference(self, sources):
@@ -136,16 +135,14 @@ class TestServiceAtEverySample:
                     k=5,
                     rng=np.random.default_rng(4),
                     chunk_size=chunk_size,
-                    data_latency=UniformLatency(
-                        0.0, 3.0, rng=np.random.default_rng(9)
-                    ),
+                    data_latency=[0.0, 3.0, 0.5, 1.5, 3.0],
                     faults=crash_plan(stream),
                     lineage=LineageConfig(sample_every=1),
                 )
             )
         reference, chunked = results
         assert chunked.engine["path"] == "segment"
-        assert "random-latency" in chunked.engine["kernel"]
+        assert chunked.engine["kernel"] == f"k=5 s={sources}"
         assert chunked.faults.report()["injected"]["crashes"] == 1
         np.testing.assert_array_equal(
             reference.stats.completions, chunked.stats.completions

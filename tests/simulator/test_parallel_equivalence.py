@@ -23,7 +23,6 @@ from repro.core.grouping import POSGGrouping
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.core.config import RecoveryConfig
 from repro.faults import CrashFault, FaultPlan, MessageFaults, SlowdownFault
-from repro.simulator.network import UniformLatency
 from repro.simulator.parallel import ShardArena, simulate_stream_parallel
 from repro.simulator.run import simulate_stream
 from repro.telemetry.audit import AuditConfig
@@ -151,6 +150,24 @@ class TestBitIdentity:
             parallel = run_parallel(4, 2, False, False, chunk_size=chunk)
             assert_run_identical(reference(4), parallel)
 
+    def test_matches_reference_at_per_instance_latencies(self):
+        """Fixed per-instance data latencies and a control latency reach
+        the parallel engine as the floats the reference adds per tuple."""
+        latencies = {
+            "data_latency": (0.0, 0.5, 3.0, 0.5, 1.0),
+            "control_latency": 4.0,
+        }
+        ref = simulate_stream(
+            default_stream(seed=0, m=M),
+            MultiSourcePOSGGrouping(2, config()),
+            k=K,
+            rng=np.random.default_rng(1),
+            chunk_size=0,
+            sample_queues_every=SAMPLE_EVERY,
+            **latencies,
+        )
+        assert_run_identical(ref, run_parallel(2, 2, False, False, **latencies))
+
     def test_spawn_start_method_matches(self, reference):
         parallel = run_parallel(2, 2, False, False, start_method="spawn")
         assert_run_identical(reference(2), parallel)
@@ -215,12 +232,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="recovery"):
             simulate_stream_parallel(
                 default_stream(seed=0, m=256), policy, k=K
-            )
-
-    def test_rejects_random_data_latency(self):
-        with pytest.raises(ValueError, match="constant data latencies"):
-            run_parallel(
-                2, 2, False, False, data_latency=UniformLatency(0.0, 1.0)
             )
 
     def test_rejects_bad_worker_count(self):

@@ -14,13 +14,9 @@ from repro.core.grouping import (
 )
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.core.scheduler import POSGScheduler, SchedulerState
-from repro.simulator.network import (
-    ConstantLatency,
-    LognormalLatency,
-    UniformLatency,
-)
 from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
+from repro.simulator.topology import StageTopology
 from repro.workloads.distributions import UniformItems, ZipfItems
 from repro.workloads.nonstationary import LoadShiftScenario
 from repro.workloads.synthetic import Stream, StreamSpec, generate_stream
@@ -87,7 +83,7 @@ class TestInvariants:
         stream = small_stream(m=200, over_provisioning=5.0)
         base = simulate_stream(stream, RoundRobinGrouping(), k=5)
         delayed = simulate_stream(
-            stream, RoundRobinGrouping(), k=5, data_latency=ConstantLatency(3.0)
+            stream, RoundRobinGrouping(), k=5, data_latency=3.0
         )
         # With a heavily over-provisioned system there is no queuing, so
         # the 3ms network hop shifts every completion by exactly 3ms.
@@ -178,37 +174,22 @@ class TestPOSGLifecycle:
 
 
 class TestLatencyModels:
-    def test_uniform_latency_bounds(self):
-        latency = UniformLatency(1.0, 2.0, np.random.default_rng(0))
-        samples = [latency.sample() for _ in range(100)]
-        assert all(1.0 <= s <= 2.0 for s in samples)
-
     def test_constant_latency_validation(self):
-        with pytest.raises(ValueError):
-            ConstantLatency(-1.0)
-
-    def test_uniform_latency_validation(self):
-        with pytest.raises(ValueError):
-            UniformLatency(2.0, 1.0)
+        with pytest.raises(ValueError, match="^data_latency must be >= 0"):
+            simulate_stream(
+                small_stream(m=64), RoundRobinGrouping(), k=5, data_latency=-1.0
+            )
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda bad: ConstantLatency(bad),
-            lambda bad: UniformLatency(bad, 1.0),
-            lambda bad: UniformLatency(0.0, bad),
-            lambda bad: LognormalLatency(bad, 1.0),
-            lambda bad: LognormalLatency(0.0, bad),
-            lambda bad: LognormalLatency(0.0, 1.0, base=bad),
+            lambda bad: StageTopology(3, RoundRobinGrouping(), data_latency=bad),
             lambda bad: POSGScheduler(3, tiny_config(), latency_hints=[bad] * 3),
             lambda bad: POSGScheduler(
                 3, tiny_config(), latency_hints=[0.0, bad, 1.0]
             ),
         ],
-        ids=[
-            "constant", "uniform-low", "uniform-high", "lognormal-mean",
-            "lognormal-sigma", "lognormal-base", "hints", "one-hint",
-        ],
+        ids=["constant", "hints", "one-hint"],
     )
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_values_are_rejected(self, build, bad):
@@ -239,6 +220,47 @@ class TestLatencyModels:
                 small_stream(m=64), policy, k=5, rng=rng,
                 chunk_size=chunk_size, **keywords,
             )
+        assert rng.bit_generator.state == before
+        with pytest.raises(RuntimeError, match="not set up"):
+            policy.k
+
+    @pytest.mark.parametrize(
+        "keywords",
+        [
+            {"data_latency": True},
+            {"data_latency": "1"},
+            {"data_latency": np.full(5, 1.0)},
+            {"data_latency": [0.0, False, 0.0, 0.0, 0.0]},
+            {"control_latency": True},
+            {"control_latency": "1"},
+        ],
+        ids=[
+            "data-bool", "data-str", "data-array", "data-list-bool",
+            "control-bool", "control-str",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "entry", ["reference", "chunked", "parallel", "topology"]
+    )
+    def test_non_real_latency_is_rejected_before_the_run(self, keywords, entry):
+        """A bool, a string or an array is refused with a ``TypeError``
+        naming the argument, not converted through ``float()`` (``True``
+        ran as 1 ms), before ``policy.setup`` draws from ``rng``."""
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        policy = MultiSourcePOSGGrouping(1, tiny_config())
+        stream = small_stream(m=64)
+        name = next(iter(keywords))
+        with pytest.raises(TypeError, match=rf"^{name}(\[1\])? must be a real number"):
+            if entry == "topology":
+                StageTopology(5, policy, rng=rng, **keywords).run(stream)
+            elif entry == "parallel":
+                simulate_stream_parallel(stream, policy, k=5, rng=rng, **keywords)
+            else:
+                simulate_stream(
+                    stream, policy, k=5, rng=rng,
+                    chunk_size=0 if entry == "reference" else 512, **keywords,
+                )
         assert rng.bit_generator.state == before
         with pytest.raises(RuntimeError, match="not set up"):
             policy.k
@@ -355,48 +377,6 @@ class TestLatencyModels:
         np.testing.assert_array_equal(
             plain.stats.completions, numpy_int.stats.completions
         )
-
-    def test_lognormal_latency_floors_at_base(self):
-        latency = LognormalLatency(0.0, 1.0, base=2.0,
-                                   rng=np.random.default_rng(0))
-        samples = [latency.sample() for _ in range(200)]
-        assert all(s > 2.0 for s in samples)
-
-    def test_lognormal_latency_is_heavy_tailed(self):
-        latency = LognormalLatency(0.0, 2.0, rng=np.random.default_rng(0))
-        samples = np.array([latency.sample() for _ in range(2000)])
-        # the tail stretches far beyond the median — that is the point
-        assert np.max(samples) > 10 * np.median(samples)
-
-    def test_lognormal_latency_seeded_reproducibility(self):
-        a = LognormalLatency(0.5, 1.0, rng=np.random.default_rng(7))
-        b = LognormalLatency(0.5, 1.0, rng=np.random.default_rng(7))
-        assert [a.sample() for _ in range(20)] == [b.sample() for _ in range(20)]
-
-    def test_lognormal_latency_zero_sigma_is_constant(self):
-        latency = LognormalLatency(0.0, 0.0, base=1.0,
-                                   rng=np.random.default_rng(0))
-        assert latency.sample() == pytest.approx(2.0)  # base + e^0
-
-    @pytest.mark.parametrize("kwargs", [
-        {"mean": 0.0, "sigma": -1.0},
-        {"mean": 0.0, "sigma": 1.0, "base": -0.5},
-    ])
-    def test_lognormal_latency_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            LognormalLatency(**kwargs)
-
-    def test_lognormal_control_latency_runs_end_to_end(self):
-        stream = small_stream()
-        result = simulate_stream(
-            stream,
-            RoundRobinGrouping(),
-            k=5,
-            control_latency=LognormalLatency(
-                0.0, 1.0, base=0.5, rng=np.random.default_rng(3)
-            ),
-        )
-        assert result.stats.completions.shape == (stream.m,)
 
 
 class TestMemoryPerTuple:

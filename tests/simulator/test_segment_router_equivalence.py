@@ -9,8 +9,7 @@ engine.  This file pins that router four ways:
 - a generated differential test (chunked vs ``chunk_size=0``) over shard
   count, instance count, chunk size, window size, coordination flags,
   matrices handling (merged or replaced, decay, pooled), latency hints,
-  constant and random data-latency models (shared, per instance, and
-  sharing one generator with the control model), queue sampling,
+  data latencies (one shared, one per instance), queue sampling,
   observers, fault plans
   (message faults per channel and per source, crashes, overlapping
   slow-node windows) and recovery thresholds small enough that every
@@ -52,7 +51,6 @@ from repro.core.messages import MatricesMessage
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.core.scheduler import POSGScheduler, SchedulerState
 from repro.faults.plan import CrashFault, FaultPlan, MessageFaults, SlowdownFault
-from repro.simulator.network import LognormalLatency, UniformLatency
 from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
 from repro.simulator.segment_kernel import Shape, kernel_source, segment_kernel
@@ -176,23 +174,16 @@ def defence_actions(policy):
     )
 
 
-def run_pair(
-    make_policy, stream, k, chunk_size, recorded=False, latencies=None,
-    **keywords,
-):
+def run_pair(make_policy, stream, k, chunk_size, recorded=False, **keywords):
     """The same run under the reference and the chunked engine.
 
     ``make_policy`` takes the run's telemetry recorder (``None`` unless
     ``recorded``); a recorded pair must also leave identical telemetry.
-    ``latencies`` builds each run's ``data_latency`` / ``control_latency``
-    keywords afresh: random models own generators a run advances.
     """
     results, recorders = [], []
     for chunk in (0, chunk_size):
         recorder = TelemetryRecorder() if recorded else None
         recorders.append(recorder)
-        if latencies is not None:
-            keywords.update(latencies())
         results.append(
             simulate_stream(
                 stream, make_policy(recorder), k=k,
@@ -308,23 +299,8 @@ def latency_models(kind, k, seed, control_latency):
     """One run's ``data_latency`` / ``control_latency`` keywords."""
     if kind == "constant":
         data = 0.5
-    elif kind == "per-instance-constants":
-        data = [(0.0, 0.5, 3.0)[(seed + instance) % 3] for instance in range(k)]
-    elif kind == "uniform":
-        data = UniformLatency(0.0, 2.0, rng=np.random.default_rng(seed))
-    elif kind == "per-instance-lognormal":
-        data = [
-            LognormalLatency(
-                -1.0, 0.5, base=0.25 * instance,
-                rng=np.random.default_rng(seed + instance),
-            )
-            for instance in range(k)
-        ]
     else:
-        # data and control draws interleave on one generator
-        shared = np.random.default_rng(seed)
-        data = UniformLatency(0.0, 2.0, rng=shared)
-        control_latency = LognormalLatency(0.0, 0.5, rng=shared)
+        data = [(0.0, 0.5, 3.0)[(seed + instance) % 3] for instance in range(k)]
     return {"data_latency": data, "control_latency": control_latency}
 
 
@@ -338,7 +314,6 @@ def configurations(draw):
             gossip=draw(st.booleans()),
             gossip_stride=draw(st.sampled_from([0, 1, 16])),
             snoop=draw(st.booleans()),
-            two_choices=draw(st.booleans()),
         )
     # whether shards share pairs and one estimate table follows from
     # these three, at every shard count
@@ -349,8 +324,6 @@ def configurations(draw):
         "pooled_estimates": draw(st.booleans()),
     }
     hints = draw(st.sampled_from([None, *HINT_SHAPES]))
-    if coordination is not None and coordination.two_choices:
-        hints = None  # refused together: the probe compares loads only
     observers = {}
     if draw(st.booleans()):
         observers["audit"] = AuditConfig(
@@ -376,12 +349,7 @@ def configurations(draw):
         "matrices": matrices,
         "latency_hints": None if hints is None else HINT_SHAPES[hints](k),
         "data_latency": draw(
-            st.sampled_from(
-                [
-                    "constant", "per-instance-constants", "uniform",
-                    "per-instance-lognormal", "one-generator",
-                ]
-            )
+            st.sampled_from(["constant", "per-instance-constants"])
         ),
         "control_latency": draw(st.sampled_from([0.0, 1.0, 25.0])),
         # 2_000 > m: the one sample is tuple 0's
@@ -423,7 +391,7 @@ def baseline_configurations(draw):
         # past m: one window holds the whole stream
         "chunk_size": draw(st.integers(min_value=1, max_value=m + 8)),
         "data_latency": draw(
-            st.sampled_from(["constant", "per-instance-constants", "uniform"])
+            st.sampled_from(["constant", "per-instance-constants"])
         ),
         "scenario": scenario,
         "sample_queues_every": draw(st.sampled_from([None, 1, 7])),
@@ -457,7 +425,7 @@ class TestGeneratedDifferential:
                 latency_hints=drawn["latency_hints"], telemetry=recorder,
             ),
             stream, k, drawn["chunk_size"], recorded=drawn["recorded"],
-            latencies=lambda: latency_models(
+            **latency_models(
                 drawn["data_latency"], k, drawn["seed"],
                 drawn["control_latency"],
             ),
@@ -479,17 +447,14 @@ class TestGeneratedDifferential:
         reference, chunked = run_pair(
             BASELINES[drawn["policy"]], stream, k, drawn["chunk_size"],
             recorded=drawn["recorded"],
-            latencies=lambda: latency_models(
-                drawn["data_latency"], k, drawn["seed"], 1.0
-            ),
+            **latency_models(drawn["data_latency"], k, drawn["seed"], 1.0),
             scenario=drawn["scenario"],
             sample_queues_every=drawn["sample_queues_every"],
             lineage=drawn["lineage"],
         )
         engine = chunked.engine
-        random_latency = drawn["data_latency"] == "uniform"
         assert engine["path"] == "segment" and engine["reason"] is None
-        assert engine["kernel"] == Shape(k, 1, False, False, False, random_latency).label
+        assert engine["kernel"] == Shape(k, 1, False, False).label
         assert engine["segments"] == engine["windows"]
         assert_same_baseline_run(reference, chunked)
 
@@ -500,25 +465,11 @@ WALK_FEATURES = {
     "gossip": lambda k, stream: (
         {"coordination": CoordinationConfig(gossip=True, snoop=False)}, {}, {}
     ),
-    "two-choices": lambda k, stream: (
-        {
-            "coordination": CoordinationConfig(
-                gossip=False, snoop=False, two_choices=True
-            )
-        },
-        {},
-        {},
-    ),
     "hints": lambda k, stream: (
         {}, {"latency_hints": HINT_SHAPES["increasing"](k)}, {}
     ),
-    "uniform-latency": lambda k, stream: (
-        {}, {}, {"latencies": lambda: latency_models("uniform", k, 3, 1.0)}
-    ),
     "per-instance-constants": lambda k, stream: (
-        {},
-        {},
-        {"latencies": lambda: latency_models("per-instance-constants", k, 3, 1.0)},
+        {}, {}, latency_models("per-instance-constants", k, 3, 1.0)
     ),
     "observers": lambda k, stream: (
         {},
@@ -589,14 +540,9 @@ class TestShapeWalk:
                         stream, k, 64, **keywords,
                     )
                     label = f"s={sources} k={k} {feature}"
-                    coordination = config.coordination
                     shape = Shape(
-                        k, sources,
-                        sources > 1 and feature == "gossip",
-                        k > 1 and coordination is not None
-                        and coordination.two_choices,
+                        k, sources, sources > 1 and feature == "gossip",
                         feature == "hints",
-                        feature == "uniform-latency",
                     )
                     shapes.add(shape)
                     try:
@@ -658,7 +604,7 @@ class TestShapeWalk:
                 rng=np.random.default_rng(1), chunk_size=64,
                 flight=Failing(FlightRecorderConfig(sample_every=1)),
             )
-        shape = Shape(5, 2, False, False, False, False)
+        shape = Shape(5, 2, False, False)
         text = kernel_source(shape)
         (frame,) = [
             frame
@@ -905,7 +851,7 @@ class TestSharedEstimateTable:
 class TestNamedRegressions:
     @pytest.mark.parametrize(
         "coordination",
-        [None, CoordinationConfig(gossip_stride=1, two_choices=True)],
+        [None, CoordinationConfig(gossip_stride=1)],
         ids=["plain", "coordinated"],
     )
     def test_segment_mixing_round_robin_and_greedy_shards(self, coordination):
@@ -1359,8 +1305,8 @@ class TestWindowRelativeColumns:
     @pytest.mark.parametrize("chunk_size", [1, 3, 7, 2_048, M, M + 5])
     @pytest.mark.parametrize(
         "latency",
-        # one shared column / per-instance columns / latencies drawn inline
-        ["constant", "per-instance-constants", "uniform"],
+        # one shared column / per-instance columns
+        ["constant", "per-instance-constants"],
     )
     def test_chunked_matches_reference(self, latency, chunk_size, sources):
         stream = default_stream(seed=2, m=self.M, n=64, k=self.K)
@@ -1395,7 +1341,7 @@ class TestWindowRelativeColumns:
                 sources, small_config(32, mu=1.0), telemetry=recorder
             ),
             stream, self.K, chunk_size, recorded=True,
-            latencies=lambda: latency_models(latency, self.K, 5, 1.0),
+            **latency_models(latency, self.K, 5, 1.0),
             sample_queues_every=13, faults=plan,
             # strides coprime to every chunk size above
             audit=AuditConfig(sample_every=11),
@@ -1482,7 +1428,6 @@ class TestEngineRecord:
         [
             (None, {}),
             (CoordinationConfig(), {}),
-            (CoordinationConfig(two_choices=True), {}),
             (
                 None,
                 {
@@ -1492,7 +1437,7 @@ class TestEngineRecord:
                 },
             ),
         ],
-        ids=["sharded", "coordinated", "two-choices", "observed"],
+        ids=["sharded", "coordinated", "observed"],
     )
     def test_sharded_runs_take_the_segment_path(
         self, coordination, observers, monkeypatch
@@ -1586,18 +1531,14 @@ class TestEngineRecord:
             ),
             (
                 lambda: MultiSourcePOSGGrouping(2, small_config(64)),
-                {
-                    "data_latency": UniformLatency(
-                        0.0, 0.2, rng=np.random.default_rng(7)
-                    )
-                },
+                {"data_latency": [0.0, 0.1, 0.2, 0.3, 0.4]},
             ),
         ],
-        ids=["faults", "recovery", "hints", "random-latency"],
+        ids=["faults", "recovery", "hints", "per-instance-latency"],
     )
     def test_stock_posg_runs_take_the_segment_path(self, make_policy, keywords):
-        """A fault plan and armed defences are segment horizons; hints
-        are one more scan and a random data latency one inline draw."""
+        """A fault plan and armed defences are segment horizons, hints
+        are one more scan and data latencies one arrival column each."""
         engine = self.run(make_policy(), **keywords).engine
         assert set(engine) == ENGINE_KEYS
         assert engine["path"] == "segment" and engine["reason"] is None

@@ -78,12 +78,6 @@ class TestColumnLookups:
         other = random_hash_family(3, 32, rng=np.random.default_rng(7))
         assert get_bucket_cache(fam) is not get_bucket_cache(other)
 
-    def test_prefill(self):
-        fam = random_hash_family(3, 32, rng=np.random.default_rng(8))
-        cache = BucketColumnCache(fam)
-        cache.prefill(100)
-        assert cache.cached_items == 100
-
 
 #: negatives, the initial 1024-slot table, past two capacity doublings,
 #: and ids the table never holds

@@ -133,7 +133,6 @@ def entry_points(cm):
     return {
         "update": ([cm], lambda w: cm.update(5, w)),
         "update_at": ([cm], lambda w: cm.update_at(cm.bucket_cache.columns(5), w)),
-        "update_conservative": ([cm], lambda w: cm.update_conservative(5, w)),
         "update_many": (
             [cm], lambda w: cm.update_many(np.array([1, 5]), np.array([1.0, w]))
         ),
@@ -214,19 +213,6 @@ class TestFlatView:
 
 
 class TestQueries:
-    def test_cells_shape(self):
-        cm = make_sketch(rows=4)
-        assert cm.cells(3).shape == (4,)
-
-    def test_argmin_row_consistent_with_query(self):
-        cm = make_sketch(rows=4, cols=8, seed=2)
-        rng = np.random.default_rng(2)
-        for item in rng.integers(0, 500, size=300):
-            cm.update(int(item))
-        for item in range(50):
-            row = cm.argmin_row(item)
-            assert cm.cells(item)[row] == cm.query(item)
-
     def test_empty_sketch_queries_zero(self):
         cm = make_sketch()
         assert cm.query(123) == 0.0
