@@ -4,8 +4,7 @@ PYTHON ?= python
 # every target runs against the in-tree sources without an install step
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test chaos chaos-parallel observe \
-	multisource multisource-coord attribution latency figures \
+.PHONY: install test chaos observe latency figures \
 	figures-paper-scale examples clean
 
 install:
@@ -20,46 +19,15 @@ test:
 chaos:
 	$(PYTHON) -m repro.experiments chaos --scale 0.25 --output chaos-out
 
-# process-level chaos against the parallel engine: a worker crash and a
-# worker hang injected mid-run under message loss; writes
-# recovery_report.json (plus report.json/trace.jsonl) under
-# chaos-parallel-out/ and exits non-zero unless the disturbed run is
-# bit-identical to the sequential engine AND fully healed by
-# respawn-replay
-chaos-parallel:
-	$(PYTHON) -m repro.experiments chaos --parallel 2 --scale 0.25 --output chaos-parallel-out
-
 # scheduling-quality observatory: estimator audit, decision-quality
 # metrics, phase profile and dashboard; writes quality_report.{json,html},
 # metrics.prom, profile.json and flamegraph.txt under observe-out/
 observe:
 	$(PYTHON) -m repro.experiments observe --scale 0.25 --output observe-out
 
-# multi-source sharding sweep: L(s)/L(1) for s in {1,2,4,8}, every
-# point both plain and with cross-shard coordination on; writes both
-# degradation curves to multisource-out/multisource.json and exits
-# non-zero if s=1 diverges from the single-scheduler path, any shard
-# never completes a sync round, or (at full scale) the coordinated
-# curve fails the L(8)/L(1) < 3 flatness gate
-multisource:
-	$(PYTHON) -m repro.experiments multisource --scale 0.25 --output multisource-out
-
-# the same sweep with the parallel-engine bit-identity leg armed — the
-# configuration the multisource-coord CI job runs
-multisource-coord:
-	$(PYTHON) -m repro.experiments multisource --scale 0.25 --parallel 2 --output multisource-coord-out
-
-# flight-recorder attribution sweep: reruns the multisource sweep under
-# the cross-shard flight recorder through all three engines (timelines
-# gated bit-identical) and decomposes each point's excess L into
-# staleness / collision / residual; writes attribution.{json,html}
-# under attribution-out/
-attribution:
-	$(PYTHON) -m repro.experiments attribution --scale 0.25 --output attribution-out
-
-# per-tuple latency decomposition sweep: runs the lineage tracer over
-# round-robin and POSG at s in {1,2,4} through all three engines
-# (timelines gated bit-identical, partition gated exact) and writes
+# per-tuple latency decomposition: runs the lineage tracer over
+# round-robin and POSG (s = 1) through both engines (timelines gated
+# bit-identical, partition gated exact) and writes
 # latency_report.{json,html} + metrics.prom under latency-out/
 latency:
 	$(PYTHON) -m repro.experiments latency --scale 0.25 --output latency-out

@@ -89,10 +89,10 @@ class RecoveryConfig:
 class CoordinationConfig:
     """Cross-shard coordination for multi-source (sharded) POSG.
 
-    PR 7's attribution experiment showed that most of the excess latency
-    behind the sharded degradation curve ``L(s)/L(1)`` is *staleness
-    regret*: each shard re-baselines its ``C_hat`` only at its own sync
-    rounds and otherwise routes blind to what its siblings just
+    Most of the excess latency behind the sharded degradation curve
+    ``L(s)/L(1)`` is *staleness regret* (EXPERIMENTS.md, "Sharding,
+    measured once"): each shard re-baselines its ``C_hat`` only at its
+    own sync rounds and otherwise routes blind to what its siblings just
     scheduled.  This config arms two composable repairs inside
     :class:`~repro.core.multisource.MultiSourcePOSGGrouping` (both are
     no-ops under ``sources=1``); every shard still routes each tuple to

@@ -31,8 +31,8 @@ shard's estimate to the instance's *global* load: after each completed
 sync round every scheduler greedily balances against what the instance
 actually executed for everyone, not just for its own shard.  Between
 rounds the shards drift apart again (each sees only its own share of
-the arrivals), which is exactly the degradation the
-``python -m repro.experiments multisource`` experiment measures.
+the arrivals), which is the degradation EXPERIMENTS.md's "Sharding,
+measured once" table records.
 
 With ``sources=1`` the subsystem collapses to the paper's deployment
 and is bit-identical to :class:`~repro.core.grouping.POSGGrouping`:
@@ -44,11 +44,11 @@ the same order as the single-scheduler path.
 
 Cross-shard coordination
 ------------------------
-The drift between folds is the dominant cost of sharding (see the
-``attribution`` experiment: 56-74% of the excess latency is staleness
-regret).  Arming :class:`~repro.core.config.CoordinationConfig` on the
-shared :class:`~repro.core.config.POSGConfig` keeps sibling beliefs
-fresh between folds:
+The drift between folds is the dominant cost of sharding (56-74% of
+the excess latency is staleness regret; EXPERIMENTS.md, "Sharding,
+measured once").  Arming :class:`~repro.core.config.CoordinationConfig`
+on the shared :class:`~repro.core.config.POSGConfig` keeps sibling
+beliefs fresh between folds:
 
 - **delta gossip** — after shard ``j``'s scheduler adds its believed
   estimate ``e`` to its own ``C_hat[i]``, the same ``e`` is added to

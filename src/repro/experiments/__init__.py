@@ -4,9 +4,10 @@ Each ``figure*`` function in :mod:`~repro.experiments.figures` rebuilds
 one plot of Section V as structured rows, and
 :mod:`~repro.experiments.claims` checks them and the theorems against
 the paper.  The run-level experiments (``telemetry``, ``chaos``,
-``observe``, ``multisource``, ``attribution``, ``latency``) are one
-module each on :mod:`~repro.experiments.scaffold`;
-:mod:`~repro.experiments.cli` holds the one table of commands.
+``observe``, ``latency``) are one module each on
+:mod:`~repro.experiments.scaffold`, and each runs the paper's one
+scheduler (s = 1) in one process; :mod:`~repro.experiments.cli` holds
+the one table of commands.
 
 Cost: the paper aggregates 100 randomized streams per configuration,
 hours of CPU.  ``REPRO_REPS`` (default 5) sets the repetitions and

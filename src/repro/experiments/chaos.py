@@ -5,22 +5,9 @@ Usage::
     python -m repro.experiments chaos
     python -m repro.experiments chaos --scale 0.1 --output out/
 
-With ``--parallel N`` the subcommand instead runs **process-level
-chaos** against the multi-process parallel engine
-(:func:`run_parallel`): scripted :class:`~repro.faults.plan.WorkerFault`
-events crash one shard worker and hang another mid-run while control
-messages are being dropped, the
-:class:`~repro.simulator.supervisor.WorkerSupervisor` kills and
-respawns them with the failed segments replayed, and the run
-self-gates on (1) output bit-identity to the sequential engine and
-(2) full recovery (every failure healed, no degraded workers) —
-exiting non-zero on any violation.  ``--output DIR`` additionally
-writes ``recovery_report.json`` with the supervision block, the gate
-verdicts and the measured recovery overhead.
-
-Without ``--parallel``, runs a Figure 4-sized stream (m = 32,768
-scaled, k = 5) twice with the self-healing control plane enabled (see
-"Failure model and recovery" in DESIGN.md):
+Runs a Figure 4-sized stream (m = 32,768 scaled, k = 5) twice with the
+self-healing control plane enabled (see "Failure model and recovery" in
+DESIGN.md):
 
 - a **fault-free** run — defenses armed but nothing to defend against;
 - a **chaos** run on the same stream and seeds — 10% of every
@@ -50,7 +37,6 @@ import sys
 
 from repro.experiments.scaffold import (
     compact_setup,
-    engines_agree,
     output_directory,
     simulate,
     wrote,
@@ -65,9 +51,9 @@ TIMELINE_BINS = 24
 
 
 def _off_segment_path(runs, chunk_size: int) -> list[str]:
-    """Print each sequential run's engine record; name the chunked runs
-    that left the segment router (a dispatch regression costs ~5x and is
-    otherwise silent)."""
+    """Print each run's engine record; name the chunked runs that left
+    the segment router (a dispatch regression costs ~5x and is otherwise
+    silent)."""
     off_path = []
     for label, result in runs:
         print(f"engine [{label}]: {result.engine}")
@@ -242,200 +228,6 @@ def run(
     if off_path:
         print(
             f"ERROR: chunked run(s) left the segment path: {off_path}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def run_parallel(
-    workers: int = 2,
-    scale: float | None = None,
-    output: str | None = None,
-    chunk_size: int = 2048,
-    seed: int = 0,
-) -> int:
-    """Process-level chaos against the self-healing parallel engine.
-
-    Crashes one shard worker and hangs another mid-run (scripted
-    ``WorkerFault`` events) while 10% of every control-message class is
-    dropped, lets the ``WorkerSupervisor`` respawn-and-replay, and
-    gates on:
-
-    1. **bit-identity** — the disturbed parallel run must match the
-       sequential engine exactly (completions, assignments, FSM
-       transitions, control traffic);
-    2. **full recovery** — every injected failure detected and healed
-       by respawn, no degraded workers.
-
-    Returns non-zero if either gate fails.  The measured recovery
-    overhead (faulted vs fault-free parallel wall-clock) is printed and
-    written to ``recovery_report.json`` under ``--output``.
-    """
-    import time as time_module
-
-    from repro.core.multisource import MultiSourcePOSGGrouping
-    from repro.faults import FaultPlan, MessageFaults, WorkerFault
-    from repro.simulator.supervisor import SupervisionConfig
-    from repro.telemetry.recorder import TelemetryRecorder
-    from repro.telemetry.report import RunReport
-    from repro.telemetry.tracer import Tracer
-
-    if workers < 2:
-        raise ValueError(
-            f"parallel chaos needs >= 2 workers to disturb, got {workers}"
-        )
-    setup = compact_setup(scale, seed, chunk_size, workers)
-    m, k, config = setup.m, setup.k, setup.config
-    sources = 4
-    directory = output_directory(output)
-
-    loss = MessageFaults(drop=DROP_RATE)
-    worker_faults = (
-        WorkerFault(worker=1, segment=1, kind="crash"),
-        WorkerFault(worker=0, segment=2, kind="hang", hang_ms=600.0),
-    )
-    plan = FaultPlan(
-        matrices=loss,
-        sync_requests=loss,
-        sync_replies=loss,
-        worker_faults=worker_faults,
-        seed=seed,
-    )
-    supervision = SupervisionConfig(
-        ack_deadline_s=0.25, max_respawns=2, degraded_policy="inline"
-    )
-
-    print(
-        f"== chaos --parallel: worker supervision under process faults "
-        f"(m={m}, k={k}, s={sources}, workers={workers}) =="
-    )
-    print(
-        f"plan: {DROP_RATE:.0%} drop on every control channel; "
-        "crash worker 1 at segment 1; hang worker 0 for 600 ms at "
-        f"segment 2 (ack deadline {supervision.ack_deadline_s * 1000:.0f} ms, "
-        f"max {supervision.max_respawns} respawns)"
-    )
-
-    def policy():
-        return MultiSourcePOSGGrouping(sources, config)
-
-    t0 = time_module.perf_counter()
-    reference = simulate(setup, policy(), faults=plan)
-    t_reference = time_module.perf_counter() - t0
-
-    # fault-free parallel baseline for the recovery-overhead measurement
-    # (message faults only, no process faults)
-    clean_plan = FaultPlan(
-        matrices=loss, sync_requests=loss, sync_replies=loss, seed=seed
-    )
-    t0 = time_module.perf_counter()
-    simulate(
-        setup, policy(), "parallel", faults=clean_plan, supervision=supervision
-    )
-    t_clean = time_module.perf_counter() - t0
-
-    tracer = (
-        Tracer(sink=str(directory / "trace.jsonl"))
-        if directory is not None
-        else Tracer()
-    )
-    with TelemetryRecorder(tracer=tracer) as recorder:
-        t0 = time_module.perf_counter()
-        disturbed = simulate(
-            setup,
-            MultiSourcePOSGGrouping(sources, config, telemetry=recorder),
-            "parallel",
-            telemetry=recorder, faults=plan, supervision=supervision,
-        )
-        t_disturbed = time_module.perf_counter() - t0
-        report = RunReport.from_simulation(
-            disturbed, k, baseline=reference, telemetry=recorder
-        )
-
-    sup = disturbed.parallel["supervision"]
-    failures = (
-        sup["crashes_detected"] + sup["hangs_detected"] + sup["worker_errors"]
-    )
-    identical = engines_agree(reference, disturbed)
-    recovered = (
-        bool(sup["recovered"])
-        and failures >= len(worker_faults)
-        and sup["respawns_total"] >= len(worker_faults)
-    )
-    overhead = t_disturbed / t_clean - 1.0 if t_clean > 0 else 0.0
-
-    print()
-    print("worker lifecycle:")
-    for event in sup["lifecycle"]:
-        detail = ", ".join(
-            f"{key}={value}"
-            for key, value in event.items()
-            if key not in ("event", "worker", "segment")
-        )
-        print(
-            f"  segment {event['segment']:>3}  worker {event['worker']}  "
-            f"{event['event']}" + (f"  ({detail})" if detail else "")
-        )
-    print()
-    print(
-        f"supervision: {failures} failures detected "
-        f"({sup['crashes_detected']} crashes, {sup['hangs_detected']} hangs), "
-        f"{sup['respawns_total']} respawns, "
-        f"{sup['replayed_segments']} segments replayed, "
-        f"degraded workers = {sup['degraded_workers']}"
-    )
-    print(
-        f"timing: sequential {t_reference:.2f} s, parallel fault-free "
-        f"{t_clean:.2f} s, parallel disturbed {t_disturbed:.2f} s "
-        f"(recovery overhead {overhead:+.1%})"
-    )
-    print(f"gate: bit-identical to sequential engine = {identical}")
-    print(f"gate: fully recovered via respawn-replay = {recovered}")
-    off_path = _off_segment_path((("sequential", reference),), chunk_size)
-
-    if directory is not None:
-        recovery = {
-            "schema": "posg-recovery-report/v1",
-            "m": m,
-            "k": k,
-            "sources": sources,
-            "workers": workers,
-            "chunk_size": chunk_size,
-            "seed": seed,
-            "plan": plan.summary(),
-            "supervision_config": supervision.summary(),
-            "supervision": sup,
-            "gates": {"bit_identical": identical, "recovered": recovered},
-            "timing_seconds": {
-                "sequential": t_reference,
-                "parallel_fault_free": t_clean,
-                "parallel_disturbed": t_disturbed,
-                "recovery_overhead": overhead,
-            },
-        }
-        wrote(directory / "recovery_report.json", recovery)
-        wrote(report.save(directory / "report.json"))
-        wrote(directory / "trace.jsonl")
-
-    if not identical:
-        print(
-            "ERROR: disturbed parallel run diverged from the sequential "
-            "engine",
-            file=sys.stderr,
-        )
-        return 1
-    if not recovered:
-        print(
-            "ERROR: supervisor did not fully recover "
-            f"(failures={failures}, respawns={sup['respawns_total']}, "
-            f"degraded={sup['degraded_workers']})",
-            file=sys.stderr,
-        )
-        return 1
-    if off_path:
-        print(
-            "ERROR: the sequential chunked run left the segment path",
             file=sys.stderr,
         )
         return 1

@@ -27,16 +27,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.bounds import COUNT, POSITIVE, Bound
-from repro.experiments import (
-    attribution,
-    chaos,
-    claims,
-    figures,
-    latency,
-    multisource,
-    observe,
-    telemetry,
-)
+from repro.experiments import chaos, claims, figures, latency, observe, telemetry
 from repro.experiments.report import render_figure
 from repro.experiments.scaffold import output_directory
 
@@ -119,14 +110,6 @@ def _figures(
     return run
 
 
-def _chaos(args: argparse.Namespace) -> int:
-    if args.parallel is not None:
-        return chaos.run_parallel(
-            workers=args.parallel, scale=args.scale, output=args.output
-        )
-    return chaos.run(scale=args.scale, output=args.output)
-
-
 def _run_level(module) -> Callable[[argparse.Namespace], int]:
     return lambda args: module.run(scale=args.scale, output=args.output)
 
@@ -146,31 +129,16 @@ RUN_LEVEL: dict[str, Command] = {
         "One instrumented run: report, metrics, trace.", _run_level(telemetry)
     ),
     "chaos": Command(
-        "One fault-injected run: recovery timeline, report.",
-        _chaos,
-        ("scale", "output", "parallel"),
+        "One fault-injected run: recovery timeline, report.", _run_level(chaos)
     ),
     "observe": Command(
         "One run under the quality observatory: audit, quality, profile, "
         "dashboard.",
         _run_level(observe),
     ),
-    "multisource": Command(
-        "Sharded-scheduling sweep: L(s)/L(1) for s in {1, 2, 4, 8}.",
-        lambda args: multisource.run(
-            scale=args.scale, output=args.output,
-            parallel_workers=args.parallel,
-        ),
-        ("scale", "output", "parallel"),
-    ),
-    "attribution": Command(
-        "Flight-recorder sweep: L(s)/L(1) decomposed into staleness / "
-        "collision / residual.",
-        _run_level(attribution),
-    ),
     "latency": Command(
-        "Lineage sweep: per-tuple scheduling delay / queue wait / service "
-        "time by strategy and s.",
+        "Lineage runs: per-tuple scheduling delay / queue wait / service "
+        "time, round-robin vs POSG.",
         _run_level(latency),
     ),
 }
@@ -234,16 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output", type=str, default=None,
         help="directory to write the command's result files into",
-    )
-    parser.add_argument(
-        "--parallel", type=_checked(int, COUNT), default=None,
-        metavar="N",
-        help="multisource: also run each sweep point through the "
-        "multi-process parallel engine with N workers (gated "
-        "bit-identical against the sequential run); chaos: run "
-        "process-level chaos against the parallel engine with N workers "
-        "(worker crash/hang injected mid-run, gated on bit-identity and "
-        "full supervisor recovery)",
     )
     return parser
 

@@ -7,9 +7,9 @@ Usage::
 
 The paper's headline claim is that POSG cuts per-tuple completion time
 versus plain shuffle grouping, but the aggregate metrics (L, makespan)
-cannot say *where* the saved time comes from.  This experiment runs the
-lineage tracer over a strategy x shard-count sweep and prints each
-point's exact latency decomposition::
+cannot say *where* the saved time comes from.  This experiment runs
+round-robin and POSG (one scheduler, s = 1) under the lineage tracer
+and prints each run's exact latency decomposition::
 
     completion = scheduling_delay + queue_wait + service_time
 
@@ -19,17 +19,16 @@ strategies pay the same service times for the same tuples, POSG just
 stops slow tuples from queueing behind each other — which is the
 paper-faithful explanation of Figure 4.
 
-Every POSG sweep point runs through *all three* engines — per-tuple
-reference (``chunk_size=0``), chunked, and multi-process parallel —
-with the same :class:`~repro.telemetry.lineage.LineageConfig`, and the
-run self-gates on the sampled timelines being bit-identical across
-them (the lineage determinism contract); round-robin points gate the
-two sequential engines.  Any mismatch, a zero-sample tracer, or a
+Each strategy runs through both engines — per-tuple reference
+(``chunk_size=0``) and chunked — with the same
+:class:`~repro.telemetry.lineage.LineageConfig`, and the run self-gates
+on the sampled timelines being bit-identical across them (the lineage
+determinism contract).  Any mismatch, a zero-sample tracer, or a
 sampled span whose components do not sum exactly to its completion
 time exits non-zero.
 
-With ``--output DIR`` it writes ``latency_report.json`` (the decomposed
-sweep), ``latency_report.html`` (the largest POSG point's full run
+With ``--output DIR`` it writes ``latency_report.json`` (both
+decomposed rows), ``latency_report.html`` (the POSG run's full run
 report with the latency-lineage section) and ``metrics.prom`` (the
 ``posg_lineage_*``/``posg_slo_*`` series), all uploaded by the CI
 ``latency-smoke`` job.
@@ -38,7 +37,6 @@ report with the latency-lineage section) and ``metrics.prom`` (the
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
 
 from repro.experiments.scaffold import (
     compact_setup,
@@ -48,8 +46,8 @@ from repro.experiments.scaffold import (
     wrote,
 )
 
-#: shard counts the POSG leg of the sweep decomposes
-SOURCE_COUNTS = (1, 2, 4)
+#: the strategies decomposed, the baseline first
+STRATEGIES = ("round_robin", "posg")
 
 
 def run(
@@ -57,20 +55,16 @@ def run(
     output: str | None = None,
     chunk_size: int = 2048,
     seed: int = 0,
-    source_counts: Sequence[int] = SOURCE_COUNTS,
-    workers: int = 2,
     sample_every: int = 31,
 ) -> int:
-    """Execute the latency-decomposition sweep; returns an exit code."""
-    from repro.core.grouping import RoundRobinGrouping
-    from repro.core.multisource import MultiSourcePOSGGrouping
+    """Execute the latency decomposition; returns an exit code."""
+    from repro.core.grouping import POSGGrouping, RoundRobinGrouping
     from repro.telemetry.dashboard import write_html_report
     from repro.telemetry.lineage import LineageConfig, SLOConfig, decompose
     from repro.telemetry.recorder import TelemetryRecorder
     from repro.telemetry.report import RunReport
 
-    # same setup as the multisource/attribution sweeps for comparability
-    setup = compact_setup(scale, seed, chunk_size, workers)
+    setup = compact_setup(scale, seed, chunk_size)
     m, k, window = setup.m, setup.k, setup.window
 
     def lineage_config():
@@ -85,14 +79,11 @@ def run(
             ),
         )
 
-    def traced(strategy: str, sources: int, engine: str, **options):
+    def traced(strategy: str, engine: str, **options):
         if strategy == "round_robin":
             policy = RoundRobinGrouping()
         else:
-            # the sharded wrapper covers s=1 too, so every engine (the
-            # parallel one only speaks the sharded worker protocol) runs
-            # the exact same policy object shape
-            policy = MultiSourcePOSGGrouping(sources, setup.config)
+            policy = POSGGrouping(setup.config)
         return simulate(
             setup, policy, engine, lineage=lineage_config(), **options
         )
@@ -102,24 +93,18 @@ def run(
         f"(m={m}, k={k}, window={window}, sample_every={sample_every}) =="
     )
 
-    points = [("round_robin", 1)] + [("posg", s) for s in source_counts]
     rows = []
     mismatches = []
     empty = []
     broken_partitions = []
-    for strategy, sources in points:
-        reference = traced(strategy, sources, "reference")
-        # the parallel engine schedules through the POSG worker protocol
-        others = ("chunked", "parallel") if strategy == "posg" else ("chunked",)
-        identical = engines_agree(
-            reference,
-            *(traced(strategy, sources, engine) for engine in others),
-        )
+    for strategy in STRATEGIES:
+        reference = traced(strategy, "reference")
+        identical = engines_agree(reference, traced(strategy, "chunked"))
         if not identical:
-            mismatches.append((strategy, sources))
+            mismatches.append(strategy)
         report = reference.lineage.report()
         if report["samples_total"] == 0:
-            empty.append((strategy, sources))
+            empty.append(strategy)
         for record in reference.lineage.records():
             span = decompose(record)
             parts = (
@@ -128,11 +113,11 @@ def run(
                 + span["service_time"]
             )
             if parts != span["completion_ms"]:
-                broken_partitions.append((strategy, sources, record[0]))
+                broken_partitions.append((strategy, record[0]))
         rows.append(
             {
                 "strategy": strategy,
-                "sources": sources,
+                "sources": 1,
                 "avg_completion_ms": float(
                     reference.stats.average_completion_time
                 ),
@@ -183,40 +168,30 @@ def run(
     print()
     for row in rows:
         status = "bit-identical" if row["timelines_identical"] else "MISMATCH"
-        engines = (
-            "reference/chunked/parallel"
-            if row["strategy"] == "posg"
-            else "reference/chunked"
-        )
         slos = " ".join(
             f"{slo['name']}={'MET' if slo['met'] else 'MISSED'}"
             for slo in row["lineage"]["slos"]
         )
         print(
             f"{row['strategy']}(s={row['sources']}): timelines {status} "
-            f"across {engines} ({row['lineage']['samples_total']} spans, "
+            f"across reference/chunked ({row['lineage']['samples_total']} spans, "
             f"{row['lineage']['dropped_samples']} dropped)  {slos}"
         )
 
     directory = output_directory(output)
     if directory is not None:
-        # one more instrumented reference run of the largest POSG point so
-        # metrics.prom carries its posg_lineage_*/posg_slo_* series
+        # one more instrumented reference run of POSG so metrics.prom
+        # carries its posg_lineage_*/posg_slo_* series
         with TelemetryRecorder() as recorder:
-            last_posg = traced(
-                "posg", max(source_counts), "reference", telemetry=recorder
-            )
+            posg = traced("posg", "reference", telemetry=recorder)
             prom_text = recorder.registry.to_prometheus()
-            report = RunReport.from_simulation(
-                last_posg, k=k, telemetry=recorder
-            )
+            report = RunReport.from_simulation(posg, k=k, telemetry=recorder)
         payload = {
             "m": m,
             "k": k,
             "window_size": window,
             "seed": seed,
             "chunk_size": chunk_size,
-            "workers": workers,
             "sample_every": sample_every,
             "sweep": rows,
         }

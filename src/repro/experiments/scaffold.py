@@ -1,10 +1,10 @@
 """What every run-level experiment shares, written once.
 
-``telemetry``, ``chaos``, ``observe``, ``multisource``, ``attribution``
-and ``latency`` all size a compact stream the same way, pick an engine
-the same way, gate on engines agreeing and write artefacts under
-``--output``.  Those four decisions live here; the experiment modules
-keep only what they measure and print.
+``telemetry``, ``chaos``, ``observe`` and ``latency`` all size a
+compact stream the same way, pick an engine the same way, gate on
+engines agreeing and write artefacts under ``--output``.  Those four
+decisions live here; the experiment modules keep only what they measure
+and print.  Each runs the paper's one scheduler in one process.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.config import POSGConfig
 from repro.experiments.runner import env_scale
-from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import SimulationResult, simulate_stream
 from repro.workloads.synthetic import Stream, default_stream
 
@@ -30,8 +29,6 @@ class Setup:
     config: POSGConfig
     seed: int
     chunk_size: int
-    #: process count of the ``"parallel"`` engine
-    workers: int | None = None
     k: int = 5
 
     @property
@@ -43,21 +40,14 @@ class Setup:
         return self.config.window_size
 
 
-def compact_setup(
-    scale: float | None,
-    seed: int,
-    chunk_size: int,
-    workers: int | None = None,
-) -> Setup:
+def compact_setup(scale: float | None, seed: int, chunk_size: int) -> Setup:
     """The compact configuration the control-plane experiments share.
 
-    They stress synchronization, faults and sharding, not sketch
-    accuracy: a small Count-Min (2 x 16) over a 128-item universe
-    stabilizes within the first third of the stream at every scale.  The
-    8,192-tuple floor leaves a restarted instance room to re-stabilize
-    and keeps every shard of the largest ``s`` past its first sync round
-    (a shard only sees ``m/s`` tuples); the window scales with the
-    stream so short smoke runs still complete sync rounds.
+    They stress synchronization and faults, not sketch accuracy: a
+    small Count-Min (2 x 16) over a 128-item universe stabilizes within
+    the first third of the stream at every scale.  The 8,192-tuple floor
+    leaves a restarted instance room to re-stabilize; the window scales
+    with the stream so short smoke runs still complete sync rounds.
     """
     scale = scale if scale is not None else env_scale()
     m = max(8_192, int(32_768 * scale))
@@ -67,7 +57,6 @@ def compact_setup(
         config=POSGConfig(window_size=window, rows=2, cols=16),
         seed=seed,
         chunk_size=chunk_size,
-        workers=workers,
     )
 
 
@@ -76,20 +65,14 @@ def simulate(
 ) -> SimulationResult:
     """Run ``policy`` over the setup's stream on one engine.
 
-    ``engine`` is ``"reference"`` (per-tuple, ``chunk_size=0``),
+    ``engine`` is ``"reference"`` (per-tuple, ``chunk_size=0``) or
     ``"chunked"`` (the setup's ``chunk_size``; 0 there selects the
-    reference engine too) or ``"parallel"`` (the process pool with the
-    setup's ``workers``).  Every run draws from the same
+    reference engine too).  Every run draws from the same
     ``seed + 1`` generator, which is what makes engines comparable;
     ``options`` (``faults=``, ``telemetry=``, ``audit=``, ``flight=``,
     ``lineage=``, ``scenario=``, ...) pass through unchanged.
     """
     options.update(k=setup.k, rng=np.random.default_rng(setup.seed + 1))
-    if engine == "parallel":
-        return simulate_stream_parallel(
-            setup.stream, policy, workers=setup.workers,
-            chunk_size=max(1, setup.chunk_size), **options,
-        )
     chunk_size = {"reference": 0, "chunked": setup.chunk_size}[engine]
     return simulate_stream(
         setup.stream, policy, chunk_size=chunk_size, **options

@@ -998,14 +998,14 @@ def _simulate_parallel(
         else (stream.base_times * multipliers[:, instance]).tolist()
         for instance in range(k)
     ]
-    # Per-instance arrival-at-instance columns (x + 0.0 == x keeps the
-    # zero-latency column the arrival list).
-    at_cols = [
-        arrivals
-        if value == 0.0
-        else (arrivals_array + value).tolist()
-        for value in data_lat
-    ]
+    # Arrival-at-instance columns, one per distinct data latency, as the
+    # chunked engine keys them (x + 0.0 == x keeps the zero-latency
+    # column the arrival list).
+    shifted = {0.0: arrivals}
+    for value in data_lat:
+        if value not in shifted:
+            shifted[value] = (arrivals_array + value).tolist()
+    at_cols = [shifted[value] for value in data_lat]
 
     policy.setup(k, rng)
     if policy.scheduler._latency_hints is not None:

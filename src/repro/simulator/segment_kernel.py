@@ -157,7 +157,7 @@ def kernel_source(shape: Shape) -> str:
         if shape.gossip:
             emit(1, f"g{shard} = 0")
         emit(1, f"if r{shard} is None:")
-        emit(2, f"E{shard} = block{shard}._estimates\n{_names(f'e{shard}_', k)} = E{shard}")
+        emit(2, f"{_names(f'e{shard}_', k)} = block{shard}._estimates")
         if shape.hinted:
             emit(2, f"{_names(f'd{shard}_', k)} = block{shard}._debt")
     if sources > 1:

@@ -35,11 +35,10 @@ The quality-observability layer builds on those hooks:
   ``python -m repro.experiments observe``;
 - :class:`FlightRecorder` — the cross-shard flight recorder: causal
   per-shard event timelines (sync rounds, folds, matrices, sampled
-  routing decisions with believed loads), bit-identical across engines,
-  with :func:`derive_attribution` splitting the sharded misroute regret
-  into staleness / collision / residual and :func:`render_shard_lanes`
-  drawing the timelines (:mod:`repro.telemetry.flightrecorder`), driven
-  by ``python -m repro.experiments attribution``.
+  routing decisions with believed loads), bit-identical across engines
+  (:mod:`repro.telemetry.flightrecorder`); :func:`render_shard_lanes`
+  draws them, and :func:`write_html_report` draws any report's flight
+  block with it.
 
 Usage::
 
@@ -63,11 +62,7 @@ from repro.telemetry.dashboard import (
     render_shard_lanes,
     write_html_report,
 )
-from repro.telemetry.flightrecorder import (
-    FlightRecorder,
-    FlightRecorderConfig,
-    derive_attribution,
-)
+from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
 from repro.telemetry.profiler import PhaseProfiler
 from repro.telemetry.provenance import git_sha, provenance
 from repro.telemetry.quality import (
@@ -106,7 +101,6 @@ __all__ = [
     "TelemetryRecorder",
     "Tracer",
     "compute_quality",
-    "derive_attribution",
     "execution_time_matrix",
     "git_sha",
     "provenance",

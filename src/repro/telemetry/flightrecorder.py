@@ -1,11 +1,9 @@
-"""Cross-shard flight recorder: causal per-shard timelines + attribution.
+"""Cross-shard flight recorder: causal per-shard timelines.
 
-The multi-source experiment measures a steep degradation curve
-``L(s)/L(1)`` but, before this module, could not say *why* sharded
-scheduling misroutes: shards re-baseline ``C_hat`` only when a sync
-round folds, and between folds each shard routes against a belief that
-drifts from the instances' true global load.  The flight recorder
-captures exactly the evidence needed to attribute that gap:
+Each upstream scheduler (shard) re-baselines ``C_hat`` only when a sync
+round folds, and between folds it routes against a belief that drifts
+from the instances' true global load.  The flight recorder captures
+that evidence:
 
 - **causal per-shard timelines** — every sync request, sync reply
   (fresh or stale), delta fold (the ``C_hat`` re-baseline) and matrices
@@ -14,14 +12,11 @@ captures exactly the evidence needed to attribute that gap:
 - **sampled routing decisions** — every ``sample_every``-th tuple of
   the stream records which instance the owning shard argmin-picked and
   the shard's *believed* per-instance loads (its ``C_hat`` right after
-  the pick);
-- **attribution** (:func:`derive_attribution`) — replays the recorded
-  assignments against the true execution-time matrix (the same replay
-  as :mod:`repro.telemetry.quality`) and splits the misroute regret
-  into *collision loss* (windows where >= 2 shards concurrently picked
-  the same instance), *staleness regret* (decisions made on a ``C_hat``
-  snapshot older than one sync round — the "blind window") and
-  *residual* (estimator error and genuine ties).
+  the pick), and how many tuples old that belief was.
+
+:func:`~repro.telemetry.dashboard.render_shard_lanes` draws the
+timelines; :meth:`FlightRecorder.report` is the run report's
+``flightrecorder`` block.
 
 Determinism contract
 --------------------
@@ -78,9 +73,10 @@ class FlightRecorderConfig:
         Per-shard timeline bound; the prefix is kept on overflow and
         ``dropped_events`` counts the rest.  ``None`` is unbounded.
     window:
-        Tuple-window used for the cross-shard collision metric (two
-        shards "concurrently" pick an instance when their sampled
-        decisions land in the same window).
+        Tuple-window stamped into :meth:`FlightRecorder.report`, for a
+        reader grouping sampled decisions by window (two shards
+        "concurrently" pick an instance when their sampled decisions
+        land in the same window).
     """
 
     sample_every: int = integer(256, low=1)
@@ -283,27 +279,6 @@ class FlightRecorder:
             return -1
         return shard + (at - 1) * self._sources
 
-    def fold_positions(self, shard: int) -> list[int]:
-        """Global indices at which the shard re-baselined ``C_hat``."""
-        return [
-            self._global(shard, event[1])
-            for event in self._timelines[shard]
-            if event[0] == "fold"
-        ]
-
-    def sync_interval(self, shard: int, default: int) -> int:
-        """Median gap (in tuples) between the shard's folds.
-
-        ``default`` (typically the stream length) is returned when the
-        shard folded fewer than twice — everything after the first fold
-        then counts as inside one (unbounded) round.
-        """
-        folds = self.fold_positions(shard)
-        if len(folds) < 2:
-            return default
-        gaps = sorted(b - a for a, b in zip(folds, folds[1:]))
-        return gaps[len(gaps) // 2]
-
     def _lane(self, shard: int) -> list[list]:
         """Downsampled ``[kind, global_index]`` lane for dashboards."""
         lane: list[list] = []
@@ -414,176 +389,3 @@ class FlightRecorder:
             )
         return samples
 
-
-def derive_attribution(
-    flight: FlightRecorder,
-    assignments,
-    times,
-    window: int | None = None,
-) -> dict:
-    """Attribute misroute regret to staleness, collisions or residual.
-
-    Replays ``assignments`` against the true execution-time matrix
-    ``times`` (shape ``(m, k)``) exactly like
-    :func:`repro.telemetry.quality.compute_quality`: a tuple is
-    *misrouted* when its chosen instance's running true load exceeds the
-    minimum, and its *regret* is that gap.  Each misrouted tuple's
-    regret is then attributed, in priority order:
-
-    1. **collision** — a sampled decision window in which >= 2 distinct
-       shards picked this tuple's instance (concurrent argmin clash);
-    2. **staleness** — the owning shard's ``C_hat`` snapshot was older
-       than one sync round (the blind window) at this index;
-    3. **residual** — estimator error, ties, and everything else.
-
-    Returns a JSON-serializable dict; all times in milliseconds.
-    """
-    sources = flight.sources
-    if sources < 1:
-        raise ValueError("flight recorder is unbound; run a simulation first")
-    m = len(assignments)
-    k = times.shape[1]
-    if window is None:
-        window = flight.config.window
-
-    # --- per-shard fold schedule and blind threshold -------------------
-    # A shard's "one sync round" is its median inter-fold gap; shards
-    # that folded fewer than twice inherit the pooled median across all
-    # shards (a shard that never re-baselined is blind relative to the
-    # cadence its peers achieved).  When the pool itself is empty — no
-    # shard anywhere folded twice, which tiny streams and s=1 short runs
-    # hit — "one sync round" is undefined, so the fallback is pinned
-    # explicitly: every shard's threshold becomes the stream length
-    # ``m``, no decision can exceed it, and ``blind_tuples`` is exactly
-    # 0 (nothing is attributed to staleness on evidence that thin).
-    # The chosen fallback is reported as ``staleness.interval_fallback``
-    # so downstream tables can tell a measured threshold from the
-    # degenerate one.
-    folds = [flight.fold_positions(shard) for shard in range(sources)]
-    pooled = sorted(
-        b - a
-        for shard_folds in folds
-        for a, b in zip(shard_folds, shard_folds[1:])
-    )
-    if pooled:
-        global_interval = pooled[len(pooled) // 2]
-        interval_fallback = "pooled_median"
-    else:
-        global_interval = m
-        interval_fallback = "stream_length"
-    intervals = [
-        flight.sync_interval(shard, global_interval) for shard in range(sources)
-    ]
-    fold_ptr = [0] * sources
-    last_fold = [-1] * sources
-
-    # --- collision windows from sampled decisions ----------------------
-    # window -> instance -> set of shards that picked it there
-    picks: dict[int, dict[int, set[int]]] = {}
-    sampled_windows: set[int] = set()
-    for shard in range(sources):
-        for event in flight.timelines()[shard]:
-            if event[0] != "route":
-                continue
-            w = event[1] // window
-            sampled_windows.add(w)
-            picks.setdefault(w, {}).setdefault(event[2], set()).add(shard)
-    collided: set[tuple[int, int]] = set()  # (window, instance)
-    collided_windows: set[int] = set()
-    for w, by_instance in picks.items():
-        for instance, shards in by_instance.items():
-            if len(shards) >= 2:
-                collided.add((w, instance))
-                collided_windows.add(w)
-
-    # --- believed-vs-true divergence at sampled decisions ---------------
-    route_samples: list[list[tuple]] = [[] for _ in range(sources)]
-    for shard in range(sources):
-        route_samples[shard] = [
-            event for event in flight.timelines()[shard] if event[0] == "route"
-        ]
-    sample_ptr = [0] * sources
-    gap_sum = 0.0
-    gap_max = 0.0
-    gap_count = 0
-
-    # --- sequential replay against the truth ---------------------------
-    loads = [0.0] * k
-    misrouted = 0
-    regret_total = 0.0
-    regret_collision = 0.0
-    regret_stale = 0.0
-    regret_residual = 0.0
-    blind_tuples = 0
-    for j in range(m):
-        shard = j % sources
-        shard_folds = folds[shard]
-        ptr = fold_ptr[shard]
-        while ptr < len(shard_folds) and shard_folds[ptr] < j:
-            last_fold[shard] = shard_folds[ptr]
-            ptr += 1
-        fold_ptr[shard] = ptr
-        age = j - last_fold[shard]
-        blind = age > intervals[shard]
-        if blind:
-            blind_tuples += 1
-
-        instance = assignments[j]
-        row = times[j]
-        best = min(loads)
-        gap = loads[instance] - best
-        if gap > 0.0:
-            misrouted += 1
-            regret_total += gap
-            if (j // window, instance) in collided:
-                regret_collision += gap
-            elif blind:
-                regret_stale += gap
-            else:
-                regret_residual += gap
-
-        sp = sample_ptr[shard]
-        shard_routes = route_samples[shard]
-        if sp < len(shard_routes) and shard_routes[sp][1] == j:
-            believed = shard_routes[sp][3]
-            for op in range(k):
-                diff = abs(believed[op] - loads[op])
-                gap_sum += diff
-                if diff > gap_max:
-                    gap_max = diff
-            gap_count += k
-            sample_ptr[shard] = sp + 1
-
-        loads[instance] += float(row[instance])
-
-    makespan = max(loads) if loads else 0.0
-    return {
-        "sources": sources,
-        "tuples": m,
-        "window": window,
-        "makespan_ms": makespan,
-        "regret": {
-            "total_ms": regret_total,
-            "collision_ms": regret_collision,
-            "stale_ms": regret_stale,
-            "residual_ms": regret_residual,
-            "misrouted": misrouted,
-            "misroute_fraction": misrouted / m if m else 0.0,
-        },
-        "collision": {
-            "windows_sampled": len(sampled_windows),
-            "collided_windows": len(collided_windows),
-            "rate": len(collided_windows) / len(sampled_windows) if sampled_windows else 0.0,
-        },
-        "staleness": {
-            "blind_tuples": blind_tuples,
-            "blind_fraction": blind_tuples / m if m else 0.0,
-            "sync_interval_tuples": intervals,
-            "interval_fallback": interval_fallback,
-        },
-        "believed_gap": {
-            "samples": gap_count,
-            "mean_abs_ms": gap_sum / gap_count if gap_count else 0.0,
-            "max_abs_ms": gap_max,
-        },
-    }

@@ -4,11 +4,11 @@ A function-level reachability census.  Every entry point in
 :data:`ENTRY_POINTS` runs in a subprocess whose interpreter installs a
 ``sys.setprofile`` hook at start-up (a generated ``sitecustomize``
 module put first on ``PYTHONPATH``), so the processes those entry points
-start — the benchmark's workers, the parallel engine's forked and
-spawned shard workers — are counted too.  Each process appends the
-first call of every ``src/repro`` function to one shared log.  The
-census then lists the ``def`` statements ``ast`` finds under
-``src/repro`` that no process called, module by module, and the total.
+start — the benchmark's workers and the process pool it drives — are
+counted too.  Each process appends the first call of every
+``src/repro`` function to one shared log.  The census then lists the
+``def`` statements ``ast`` finds under ``src/repro`` that no process
+called, module by module, and the total.
 
 Run from the repository root (~5 min on two cores)::
 
@@ -37,7 +37,7 @@ PACKAGE = ROOT / "src" / "repro"
 #: run)``; ``{output}`` becomes a fresh directory.  ``all`` exits 1 at
 #: small scale because the figure claims need the paper's stream lengths.
 FIGURES = tuple(f"figure{number}" for number in range(4, 13))
-RUN_LEVEL = ("telemetry", "chaos", "observe", "multisource", "attribution", "latency")
+RUN_LEVEL = ("telemetry", "chaos", "observe", "latency")
 ENTRY_POINTS = (
     *(
         (f"examples/{path.name}", [f"examples/{path.name}"], {0})
@@ -60,15 +60,6 @@ ENTRY_POINTS = (
             {0},
         )
         for command in RUN_LEVEL
-    ),
-    *(
-        (
-            f"{command} --scale 0.02 --parallel 2",
-            ["-m", "repro.experiments", command, "--scale", "0.02", "--parallel", "2",
-             "--output", "{output}"],
-            {0},
-        )
-        for command in ("chaos", "multisource")
     ),
 )
 

@@ -64,39 +64,3 @@ class TestChaosExperiment:
         assert main(["list"]) == 0
         assert "chaos" in capsys.readouterr().out
 
-
-class TestChaosParallelExperiment:
-    def test_runs_heals_and_writes_recovery_report(self, tmp_path, capsys):
-        code = main(
-            ["chaos", "--parallel", "2", "--scale", "0.01",
-             "--output", str(tmp_path)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "gate: bit-identical to sequential engine = True" in out
-        assert "gate: fully recovered via respawn-replay = True" in out
-
-        recovery = json.loads((tmp_path / "recovery_report.json").read_text())
-        assert recovery["schema"] == "posg-recovery-report/v1"
-        assert recovery["gates"]["bit_identical"] is True
-        assert recovery["gates"]["recovered"] is True
-        supervision = recovery["supervision"]
-        assert supervision["crashes_detected"] >= 1
-        assert supervision["hangs_detected"] >= 1
-        assert supervision["respawns_total"] >= 2
-        assert supervision["degraded_workers"] == []
-        kinds = [event["event"] for event in supervision["lifecycle"]]
-        assert "worker_crash_detected" in kinds
-        assert "worker_respawned" in kinds
-        assert recovery["timing_seconds"]["recovery_overhead"] is not None
-
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["schema"] == "posg-run-report/v6"
-        assert report["supervision"]["recovered"] is True
-        assert report["faults"]["injected"]["worker_faults"]["crash"] == 1
-        assert report["faults"]["injected"]["worker_faults"]["hang"] == 1
-        assert report["faults"]["injected"]["worker_respawns"] == 2
-
-        trace = (tmp_path / "trace.jsonl").read_text()
-        assert "fault_worker" in trace
-        assert "worker_respawn" in trace

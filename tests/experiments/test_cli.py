@@ -24,8 +24,6 @@ ARTEFACTS = {
         "quality_report.json", "quality_report.html", "metrics.prom",
         "profile.json", "flamegraph.txt",
     },
-    "multisource": {"multisource.json"},
-    "attribution": {"attribution.json", "attribution.html"},
     "latency": {
         "latency_report.json", "latency_report.html", "metrics.prom",
     },
@@ -101,14 +99,14 @@ class TestMain:
     @pytest.mark.parametrize(
         "command, flag",
         [
-            ("attribution", ["--parallel", "4"]),
-            ("latency", ["--parallel", "2"]),
+            ("chaos", ["--plot"]),
+            ("latency", ["--reps", "2"]),
             ("telemetry", ["--plot"]),
             ("chaos", ["--reps", "3"]),
-            ("multisource", ["--plot"]),
+            ("observe", ["--plot"]),
             ("observe", ["--reps", "1"]),
-            ("figure4", ["--parallel", "2"]),
-            ("all", ["--parallel", "2"]),
+            ("telemetry", ["--reps", "2"]),
+            ("latency", ["--plot"]),
             ("list", ["--scale", "1"]),
             ("list", ["--output", "out"]),
         ],
@@ -129,7 +127,6 @@ class TestMain:
             (["figure5", "--scale", "-1"], "--scale: value must be > 0, got -1.0"),
             (["figure5", "--scale", "nan"], "--scale: value must be finite, got nan"),
             (["chaos", "--scale", "nan"], "--scale: value must be finite, got nan"),
-            (["chaos", "--parallel", "0"], "--parallel: value must be >= 1, got 0"),
         ],
     )
     def test_a_bad_count_or_scale_is_a_usage_error_before_anything_runs(
@@ -137,13 +134,29 @@ class TestMain:
     ):
         ran = []
         monkeypatch.setitem(FIGURES, "figure5", lambda: ran.append("figure5"))
-        chaos = Command("", lambda args: ran.append("chaos"), ("scale", "parallel"))
+        chaos = Command("", lambda args: ran.append("chaos"), ("scale",))
         monkeypatch.setitem(COMMANDS, "chaos", chaos)
         with pytest.raises(SystemExit) as refusal:
             main(argv)
         assert refusal.value.code == 2
         assert message in capsys.readouterr().err
         assert ran == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["multisource"], "invalid choice: 'multisource'"),
+            (["attribution"], "invalid choice: 'attribution'"),
+            (["chaos", "--parallel", "2"], "unrecognized arguments: --parallel 2"),
+        ],
+    )
+    def test_the_sharded_commands_and_the_process_pool_flag_are_gone(
+        self, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit) as refusal:
+            main(argv)
+        assert refusal.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, value, reader",

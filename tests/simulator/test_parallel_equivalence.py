@@ -15,6 +15,8 @@ cache) — the sweep is workers x sources x faults x audit and the
 sequential runs dominate the runtime.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,40 @@ class TestRunAccounting:
             if key.startswith("sim_parallel_worker_tuples_total")
         ]
         assert sum(worker_totals) == M
+
+
+class TestMemoryPerTuple:
+    """Equal data latencies share one instance-arrival column: five
+    instances at one non-zero latency cost one whole-stream float list
+    (~32 B per tuple), not five."""
+
+    M = 2**16
+    LIMIT = 64  # bytes per tuple over the zero-latency run; 133 with a list each
+
+    def peak(self, stream, data_latency) -> int:
+        def run():
+            return simulate_stream_parallel(
+                stream,
+                MultiSourcePOSGGrouping(2, POSGConfig.paper_defaults()),
+                workers=1,
+                k=K,
+                rng=np.random.default_rng(1),
+                data_latency=data_latency,
+            )
+
+        # the first call fills the process-wide caches
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_equal_latencies_share_one_column(self):
+        stream = default_stream(seed=0, m=self.M)
+        extra = self.peak(stream, 0.5) - self.peak(stream, 0.0)
+        assert extra / self.M < self.LIMIT
 
 
 class TestValidation:

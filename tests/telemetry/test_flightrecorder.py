@@ -1,13 +1,8 @@
-"""Unit tests for the cross-shard flight recorder and attribution."""
+"""Unit tests for the cross-shard flight recorder."""
 
-import numpy as np
 import pytest
 
-from repro.telemetry.flightrecorder import (
-    FlightRecorder,
-    FlightRecorderConfig,
-    derive_attribution,
-)
+from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
 from repro.telemetry.recorder import TelemetryRecorder
 
 
@@ -126,15 +121,7 @@ class TestTimelines:
         flight.bind(4)
         # shard 2's 5th scheduled tuple is global index 2 + 4 * 4 = 18
         flight.record_fold(2, at=5, epoch=1, folded=2)
-        assert flight.fold_positions(2) == [18]
-
-    def test_sync_interval_median_and_default(self):
-        flight = FlightRecorder()
-        flight.bind(1)
-        assert flight.sync_interval(0, default=999) == 999
-        for at in (1, 11, 31):  # gaps of 10 and 20 tuples
-            flight.record_fold(0, at=at, epoch=1, folded=1)
-        assert flight.sync_interval(0, default=999) == 20
+        assert flight.report()["per_shard"][2]["lane"] == [["fold", 18]]
 
     def test_staleness_tracks_snapshot_age(self):
         flight = FlightRecorder()
@@ -180,148 +167,3 @@ class TestReportAndMetrics:
         assert 'posg_flight_dropped_events_total{shard="0"} 0' in text
         assert 'posg_flight_staleness_tuples_mean{shard="0"}' in text
 
-
-class TestDeriveAttribution:
-    def test_rejects_unbound_recorder(self):
-        with pytest.raises(ValueError, match="unbound"):
-            derive_attribution(
-                FlightRecorder(), [0, 1], np.ones((2, 2)), window=1
-            )
-
-    def test_buckets_partition_total_regret(self):
-        flight = FlightRecorder(FlightRecorderConfig(sample_every=1, window=4))
-        flight.bind(2)
-        # both shards sampled picking instance 0 in window 0 -> collision
-        flight.record_route(0, index=0, instance=0, believed=[0.0, 0.0])
-        flight.record_route(1, index=1, instance=0, believed=[0.0, 0.0])
-        m, k = 8, 2
-        times = np.ones((m, k))
-        assignments = [0] * m  # everything misrouted onto instance 0
-        att = derive_attribution(flight, assignments, times)
-        regret = att["regret"]
-        assert regret["total_ms"] == pytest.approx(
-            regret["collision_ms"]
-            + regret["stale_ms"]
-            + regret["residual_ms"]
-        )
-        assert regret["misrouted"] == m - 1  # first tuple sees an empty tie
-        assert att["collision"]["collided_windows"] == 1
-        # tuples 0..3 (window 0, collided pick) charge to collision
-        assert regret["collision_ms"] > 0.0
-
-    def test_on_simulated_run(self):
-        # end-to-end shape check on a real sharded run
-        from repro.core.config import POSGConfig
-        from repro.core.multisource import MultiSourcePOSGGrouping
-        from repro.simulator.run import simulate_stream
-        from repro.telemetry.quality import execution_time_matrix
-        from repro.workloads.nonstationary import LoadShiftScenario
-        from repro.workloads.synthetic import default_stream
-
-        m, k = 4_096, 3
-        stream = default_stream(seed=3, m=m, n=64)
-        result = simulate_stream(
-            stream,
-            MultiSourcePOSGGrouping(2, POSGConfig(window_size=64, rows=2, cols=16)),
-            k=k,
-            rng=np.random.default_rng(4),
-            chunk_size=1024,
-            flight=FlightRecorderConfig(sample_every=32, window=64),
-        )
-        times = execution_time_matrix(stream, LoadShiftScenario.constant(k), k)
-        att = derive_attribution(result.flight, result.stats.assignments, times)
-        assert att["sources"] == 2
-        assert att["tuples"] == m
-        assert 0.0 <= att["regret"]["misroute_fraction"] <= 1.0
-        assert att["regret"]["total_ms"] == pytest.approx(
-            att["regret"]["collision_ms"]
-            + att["regret"]["stale_ms"]
-            + att["regret"]["residual_ms"]
-        )
-        assert att["believed_gap"]["samples"] > 0
-        assert len(att["staleness"]["sync_interval_tuples"]) == 2
-        # whichever threshold was used, the report must say which
-        assert att["staleness"]["interval_fallback"] in (
-            "pooled_median",
-            "stream_length",
-        )
-
-    def test_measured_interval_reported_as_pooled_median(self):
-        # a run whose shards fold repeatedly uses the measured cadence
-        from repro.core.config import POSGConfig
-        from repro.core.multisource import MultiSourcePOSGGrouping
-        from repro.simulator.run import simulate_stream
-        from repro.telemetry.quality import execution_time_matrix
-        from repro.workloads.nonstationary import LoadShiftScenario
-        from repro.workloads.synthetic import default_stream
-
-        m, k = 4_096, 5
-        stream = default_stream(seed=3, m=m, n=128)
-        result = simulate_stream(
-            stream,
-            MultiSourcePOSGGrouping(
-                2, POSGConfig(window_size=64, rows=2, cols=16)
-            ),
-            k=k,
-            rng=np.random.default_rng(7),
-            chunk_size=1024,
-            flight=FlightRecorderConfig(sample_every=32, window=64),
-        )
-        assert all(
-            len(result.flight.fold_positions(shard)) >= 2 for shard in range(2)
-        )
-        times = execution_time_matrix(stream, LoadShiftScenario.constant(k), k)
-        att = derive_attribution(result.flight, result.stats.assignments, times)
-        staleness = att["staleness"]
-        assert staleness["interval_fallback"] == "pooled_median"
-        assert all(
-            interval < m for interval in staleness["sync_interval_tuples"]
-        )
-
-    def test_tiny_stream_fallback_is_explicit_and_blind_free(self):
-        """No shard folded twice -> the pooled median is undefined.
-
-        The threshold pins to the stream length (no decision can exceed
-        it, so staleness gets exactly zero blame on evidence that thin)
-        and the report says which fallback was used.
-        """
-        flight = FlightRecorder(FlightRecorderConfig(sample_every=1, window=4))
-        flight.bind(2)
-        flight.record_fold(0, at=1, epoch=0, folded=1)  # a single fold:
-        flight.record_route(0, index=0, instance=0, believed=[0.0, 0.0])
-        m, k = 6, 2
-        times = np.ones((m, k))
-        att = derive_attribution(flight, [0] * m, times)
-        staleness = att["staleness"]
-        assert staleness["interval_fallback"] == "stream_length"
-        assert staleness["blind_tuples"] == 0
-        assert staleness["sync_interval_tuples"] == [m, m]
-        assert att["regret"]["stale_ms"] == 0.0
-
-    def test_tiny_simulated_stream_hits_stream_length_fallback(self):
-        # end-to-end: a stream too short for any shard to fold twice
-        from repro.core.config import POSGConfig
-        from repro.core.multisource import MultiSourcePOSGGrouping
-        from repro.simulator.run import simulate_stream
-        from repro.telemetry.quality import execution_time_matrix
-        from repro.workloads.nonstationary import LoadShiftScenario
-        from repro.workloads.synthetic import default_stream
-
-        m, k = 96, 2
-        stream = default_stream(seed=3, m=m, n=64)
-        result = simulate_stream(
-            stream,
-            MultiSourcePOSGGrouping(
-                2, POSGConfig(window_size=256, rows=2, cols=16)
-            ),
-            k=k,
-            rng=np.random.default_rng(4),
-            chunk_size=32,
-            flight=FlightRecorderConfig(sample_every=4, window=16),
-        )
-        times = execution_time_matrix(stream, LoadShiftScenario.constant(k), k)
-        att = derive_attribution(result.flight, result.stats.assignments, times)
-        staleness = att["staleness"]
-        assert staleness["interval_fallback"] == "stream_length"
-        assert staleness["blind_tuples"] == 0
-        assert staleness["sync_interval_tuples"] == [m, m]
