@@ -64,9 +64,10 @@ beliefs fresh between folds:
   no in-flight measurement of its own for ``op`` (a shard about to
   fold its own delta for ``op`` must not be re-baselined twice).
 
-All coordination state lives in the parent process and mutates in
-deterministic per-tuple order, so coordinated runs stay bit-identical
-across the reference, chunked and parallel engines.
+All coordination state mutates in deterministic per-tuple order, so
+coordinated runs stay bit-identical across the reference and chunked
+engines.  The process pool (``repro.simulator.parallel``) refuses
+coordination: gossip couples the shard scans it runs apart.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ class MultiSourcePOSGGrouping(POSGGrouping):
             # ROUND_ROBIN decisions carry estimate == 0.0 (C_hat is not
             # updated there); skipping them keeps sibling floats exactly
             # on the "every estimate lands everywhere" replay and means
-            # the parallel commit can reconstruct billing from the
+            # the segment engine can reconstruct billing from the
             # nonzero-estimate count alone.
             if estimate != 0.0:
                 instance = decision.instance
@@ -361,11 +362,11 @@ class MultiSourcePOSGGrouping(POSGGrouping):
                 )
 
     def commit_gossip(self, source: int, gossiped: int) -> None:
-        """Fold a committed segment's gossip accounting (parallel engine).
+        """Fold a committed segment's gossip accounting.
 
-        The parallel engine applies the gossip *array* updates itself
-        when it folds a committed prefix back into the schedulers; this
-        replays only the event/billing counters for the ``gossiped``
+        The chunked engine's segment kernel applies the gossip *array*
+        updates itself while it routes; this replays only the
+        event/billing counters for the ``gossiped``
         nonzero-estimate tuples shard ``source`` contributed, producing
         the same digest count the per-tuple path would have billed
         (digests fire at every ``gossip_stride``-th event, so the count
@@ -383,7 +384,7 @@ class MultiSourcePOSGGrouping(POSGGrouping):
             self._bill_gossip_digest(source, after // stride - before // stride)
 
     # ------------------------------------------------------------------
-    # parallel-engine attachment
+    # process-pool attachment
     # ------------------------------------------------------------------
     def worker_spec(self) -> ShardWorkerSpec:
         """The picklable static state workers need to route for a shard.
@@ -404,9 +405,9 @@ class MultiSourcePOSGGrouping(POSGGrouping):
     def sync_cursor(self, position: int) -> None:
         """Restore the shard interleave after externally-routed tuples.
 
-        The parallel engine routes whole segments in workers without
-        calling :meth:`route`; before handing a tuple at stream position
-        ``p`` back to the sequential path (SEND_ALL fallback) it must
+        The segment engines route whole segments without calling
+        :meth:`route`; before handing a tuple at stream position ``p``
+        back to the per-tuple path (SEND_ALL fallback) they must
         restore the invariant ``cursor == p mod s`` so the tuple reaches
         the same shard the reference engine would pick.
 

@@ -26,7 +26,6 @@ from repro.faults.plan import (
     MessageFaults,
     NO_FAULTS,
     SlowdownFault,
-    WorkerFault,
 )
 from repro.faults.injector import FaultInjector
 
@@ -37,5 +36,4 @@ __all__ = [
     "MessageFaults",
     "NO_FAULTS",
     "SlowdownFault",
-    "WorkerFault",
 ]

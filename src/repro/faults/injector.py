@@ -92,10 +92,6 @@ class FaultInjector:
         self._crashes_fired = 0
         self._restarts_fired = 0
         self._slowed_tuples = 0
-        # process-level worker faults (parallel engine only); booked by
-        # the WorkerSupervisor at dispatch time, deterministically
-        self._worker_faults_fired = {"crash": 0, "hang": 0, "stall": 0}
-        self._worker_respawns = 0
         self._telemetry.registry.register_collector(self._collect_samples)
 
     # ------------------------------------------------------------------
@@ -259,36 +255,6 @@ class FaultInjector:
             self._telemetry.tracer.emit("fault_restart", instance=instance, at_ms=at_ms)
 
     # ------------------------------------------------------------------
-    # process-level worker faults (parallel engine)
-    # ------------------------------------------------------------------
-    @property
-    def worker_faults(self) -> tuple:
-        """Scripted process-level faults for the parallel engine."""
-        return self._plan.worker_faults
-
-    def note_worker_fault(self, fault) -> None:
-        """Book a worker fault the supervisor just shipped into a segment.
-
-        Called at dispatch time (the fault *will* fire in the worker),
-        so the tally is deterministic even when the resulting hang is
-        too short for the parent to distinguish from a slow segment.
-        """
-        self._worker_faults_fired[fault.kind] += 1
-        if self._telemetry.enabled:
-            self._telemetry.tracer.emit(
-                "fault_worker",
-                fault_kind=fault.kind,
-                worker=fault.worker,
-                segment=fault.segment,
-            )
-
-    def note_worker_respawn(self, worker: int) -> None:
-        """Book one supervisor kill + respawn of a worker process."""
-        self._worker_respawns += 1
-        if self._telemetry.enabled:
-            self._telemetry.tracer.emit("worker_respawn", worker=worker)
-
-    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     @property
@@ -313,8 +279,6 @@ class FaultInjector:
                 "crashes": self._crashes_fired,
                 "restarts": self._restarts_fired,
                 "slowed_tuples": self._slowed_tuples,
-                "worker_faults": dict(self._worker_faults_fired),
-                "worker_respawns": self._worker_respawns,
             },
         }
 
@@ -359,24 +323,6 @@ class FaultInjector:
                 self._slowed_tuples,
                 "counter",
                 help="Tuple executions inflated by slow-node windows",
-            )
-        )
-        samples.extend(
-            Sample(
-                "posg_fault_worker_total",
-                count,
-                "counter",
-                (("kind", kind),),
-                help="Process-level worker faults injected (parallel engine)",
-            )
-            for kind, count in self._worker_faults_fired.items()
-        )
-        samples.append(
-            Sample(
-                "posg_fault_worker_respawns_total",
-                self._worker_respawns,
-                "counter",
-                help="Worker processes killed and respawned by the supervisor",
             )
         )
         return samples

@@ -123,69 +123,6 @@ class SlowdownFault:
         }
 
 
-#: the process-level fault kinds a WorkerFault can script
-WORKER_FAULT_KINDS = ("crash", "hang", "stall")
-
-
-@dataclass(frozen=True)
-class WorkerFault:
-    """Scripted process-level fault of one parallel-engine worker.
-
-    Unlike :class:`CrashFault` (which models an *operator instance*
-    losing state inside the simulated topology), a ``WorkerFault``
-    targets the machinery running the simulation itself: one of the
-    shard-routing worker processes of
-    :func:`~repro.simulator.parallel.simulate_stream_parallel`.  The
-    fault fires when the worker receives the dispatch for global
-    control-quiet segment number ``segment`` (0-based, counted by the
-    parent across the whole run):
-
-    - ``kind="crash"`` — the worker process hard-exits (``os._exit``)
-      before routing, exactly like an OOM kill or SIGKILL;
-    - ``kind="hang"`` — the worker sleeps ``hang_ms`` before routing,
-      modelling a GC pause / NUMA stall / live-lock; a hang longer than
-      the supervision ack deadline is indistinguishable from a death
-      and triggers kill + respawn;
-    - ``kind="stall"`` — from this segment on, the worker sleeps an
-      extra ``(stall_factor - 1)`` times its routing time per segment:
-      a degraded-but-alive straggler that never trips the deadline.
-
-    Because workers route speculatively against frozen shared-memory
-    state and the parent commits only merged prefixes, none of these
-    faults can change the run's output: a killed worker's segment is
-    simply re-routed (by a respawned worker or by the parent), so
-    chaos-tested runs stay bit-identical to the sequential engines.
-    Sequential engines ignore worker faults entirely.
-    """
-
-    worker: int = integer(low=0)
-    segment: int = integer(low=0)
-    kind: str = "crash"
-    hang_ms: float = real(0.0, low=0)
-    stall_factor: float = real(1.0, low=1)
-
-    def __post_init__(self) -> None:
-        check_bounds(self)
-        if self.kind not in WORKER_FAULT_KINDS:
-            raise ValueError(
-                f"kind must be one of {WORKER_FAULT_KINDS}, got {self.kind!r}"
-            )
-        if self.kind == "hang" and self.hang_ms == 0.0:
-            raise ValueError("kind='hang' requires hang_ms > 0")
-        if self.kind == "stall" and self.stall_factor == 1.0:
-            raise ValueError("kind='stall' requires stall_factor > 1")
-
-    def summary(self) -> dict:
-        """Plain-dict form for run reports."""
-        return {
-            "worker": self.worker,
-            "segment": self.segment,
-            "kind": self.kind,
-            "hang_ms": self.hang_ms,
-            "stall_factor": self.stall_factor,
-        }
-
-
 #: a MessageFaults with every probability at zero (the default)
 NO_FAULTS = MessageFaults()
 
@@ -217,14 +154,6 @@ class FaultPlan:
         sorts them by time).
     slowdowns:
         Scripted :class:`SlowdownFault` windows.
-    worker_faults:
-        Scripted :class:`WorkerFault` events against the parallel
-        engine's shard-routing worker processes (crash / hang / stall
-        at a given control-quiet segment).  Only
-        :func:`~repro.simulator.parallel.simulate_stream_parallel`
-        realizes them; the sequential engines ignore them, which is
-        safe because process faults never change routed output.  At
-        most one fault per ``(worker, segment)`` pair.
     seed:
         Seed for the injector's private random generator; the same plan
         and seed reproduce the same fault sequence.
@@ -237,7 +166,6 @@ class FaultPlan:
     source_sync_replies: tuple[tuple[int, MessageFaults], ...] = ()
     crashes: tuple[CrashFault, ...] = field(default_factory=tuple)
     slowdowns: tuple[SlowdownFault, ...] = field(default_factory=tuple)
-    worker_faults: tuple[WorkerFault, ...] = field(default_factory=tuple)
     seed: int = 0
 
     @staticmethod
@@ -276,35 +204,21 @@ class FaultPlan:
                 "source_sync_replies", self.source_sync_replies
             ),
         )
-        object.__setattr__(self, "worker_faults", tuple(self.worker_faults))
         for crash in self.crashes:
             if not isinstance(crash, CrashFault):
                 raise TypeError(f"crashes must hold CrashFault, got {crash!r}")
         for slow in self.slowdowns:
             if not isinstance(slow, SlowdownFault):
                 raise TypeError(f"slowdowns must hold SlowdownFault, got {slow!r}")
-        for fault in self.worker_faults:
-            if not isinstance(fault, WorkerFault):
-                raise TypeError(
-                    f"worker_faults must hold WorkerFault, got {fault!r}"
-                )
-        keys = [(f.worker, f.segment) for f in self.worker_faults]
-        if len(set(keys)) != len(keys):
-            raise ValueError(
-                "worker_faults has more than one fault for the same "
-                "(worker, segment) pair"
-            )
 
     @property
-    def control_active(self) -> bool:
-        """Whether any *simulated-topology* fault can fire.
+    def active(self) -> bool:
+        """Whether this plan can inject anything at all.
 
-        This is the flag the per-tuple merge paths interpose on:
-        control-plane message faults plus scripted instance crashes and
-        slowdowns.  Process-level :attr:`worker_faults` are excluded —
-        they perturb the machinery, never the simulated run, so engines
-        may keep their fault-free fast paths when only worker faults
-        are scripted.
+        An inactive plan is the contract behind the bit-identity
+        guarantee: engines check it once and skip the interposition
+        entirely, so a run with ``FaultPlan()`` equals a run with no
+        plan.
         """
         return (
             self.matrices.active
@@ -316,22 +230,6 @@ class FaultPlan:
             or bool(self.slowdowns)
         )
 
-    @property
-    def process_active(self) -> bool:
-        """Whether any process-level worker fault is scripted."""
-        return bool(self.worker_faults)
-
-    @property
-    def active(self) -> bool:
-        """Whether this plan can inject anything at all.
-
-        An inactive plan is the contract behind the bit-identity
-        guarantee: engines check it once and skip the interposition
-        entirely, so a run with ``FaultPlan()`` equals a run with no
-        plan.
-        """
-        return self.control_active or self.process_active
-
     def summary(self) -> dict:
         """Plain-dict form for ``RunReport`` / ``report.json``."""
         summary = {
@@ -342,10 +240,6 @@ class FaultPlan:
             "crashes": [crash.summary() for crash in self.crashes],
             "slowdowns": [slow.summary() for slow in self.slowdowns],
         }
-        if self.worker_faults:
-            summary["worker_faults"] = [
-                fault.summary() for fault in self.worker_faults
-            ]
         if self.source_sync_requests:
             summary["source_sync_requests"] = {
                 str(source): faults.summary()

@@ -117,9 +117,9 @@ class SimulationResult:
     #: the per-tuple lineage tracer (``None`` when disabled); holds the
     #: sampled span chains and the latency decomposition / SLO status
     lineage: "LineageTracer | None" = None
-    #: parallel-engine accounting (``None`` for single-process runs):
-    #: workers, start method, shard/worker tuple counts, segment and
-    #: speculation tallies — see ``repro.simulator.parallel``
+    #: process-pool accounting (``None`` for single-process runs):
+    #: workers, start method, shards per worker, segment and speculation
+    #: tallies — see ``repro.simulator.parallel``
     parallel: "dict | None" = None
     #: which loop ``simulate_stream`` ran and what it did there: ``path``
     #: ("segment", "generic" or "reference"), ``reason`` (why a chunked
@@ -310,9 +310,8 @@ def simulate_stream(
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` (or a pre-built
         :class:`~repro.faults.injector.FaultInjector`) injecting seeded
-        control-plane and instance faults.  A plan that cannot fault the
-        simulated topology — empty, or scripting only the parallel
-        engine's ``worker_faults`` — is equivalent to no plan: the
+        control-plane and instance faults.  An inactive plan (one
+        whose ``active`` is false) is equivalent to no plan: the
         fault-free code paths run untouched, preserving bit-identical
         results.  With faults active the reference engine interposes
         per tuple and the chunked engine ends its segments wherever the
@@ -387,24 +386,18 @@ def simulate_stream(
         raise TypeError(f"faults must be a FaultPlan or FaultInjector, got {faults!r}")
     observers = Observers(audit, flight, lineage, recorder)
 
-    # Process-level worker faults mean nothing to the sequential engines:
-    # a plan scripting only those runs as if there were no plan.
-    interposed = (
-        injector if injector is not None and injector.plan.control_active else None
-    )
-
     if profiler is not None:
         profiler.start("simulate")
     try:
         if chunk_size == 0:
             result = _simulate_reference(
                 stream, policy, k, scenario, data_lat, control_lat, rng,
-                sample_queues_every, interposed, observers, profiler,
+                sample_queues_every, injector, observers, profiler,
             )
         else:
             result = _simulate_chunked(
                 stream, policy, k, multipliers, data_lat, control_lat, rng,
-                sample_queues_every, chunk_size, interposed, observers,
+                sample_queues_every, chunk_size, injector, observers,
                 profiler,
             )
     finally:

@@ -22,11 +22,11 @@ Determinism contract
 --------------------
 All record points are keyed on engine-invariant quantities: the
 scheduler's ``tuples_scheduled`` counter for control events, and the
-global stream index for route samples.  Both simulator engines and the
-parallel engine emit the *same* events in the *same* per-shard order,
-so :meth:`FlightRecorder.timelines` is bit-identical across
-``chunk_size=0``, chunked and parallel runs for fixed seeds (asserted
-by ``tests/simulator/test_flightrecorder_equivalence.py``).
+global stream index for route samples.  Both simulator engines emit
+the *same* events in the *same* per-shard order, so
+:meth:`FlightRecorder.timelines` is bit-identical across
+``chunk_size=0`` and chunked runs for fixed seeds (asserted by
+``tests/simulator/test_flightrecorder_equivalence.py``).
 
 A shard-local clock value ``at`` (the ``t``-th tuple the shard
 scheduled) maps to the global stream index ``g = shard + (t - 1) * s``
@@ -72,16 +72,10 @@ class FlightRecorderConfig:
     capacity:
         Per-shard timeline bound; the prefix is kept on overflow and
         ``dropped_events`` counts the rest.  ``None`` is unbounded.
-    window:
-        Tuple-window stamped into :meth:`FlightRecorder.report`, for a
-        reader grouping sampled decisions by window (two shards
-        "concurrently" pick an instance when their sampled decisions
-        land in the same window).
     """
 
     sample_every: int = integer(256, low=1)
     capacity: int | None = integer(65_536, low=1, optional=True)
-    window: int = integer(2_048, low=1)
 
     def __post_init__(self) -> None:
         check_bounds(self)
@@ -91,8 +85,8 @@ class FlightRecorder:
     """Deterministic per-shard event capture for sharded POSG runs.
 
     One recorder instruments one run: pass it (or a
-    :class:`FlightRecorderConfig`) to ``simulate_stream`` /
-    ``simulate_stream_parallel`` via ``flight=`` and read
+    :class:`FlightRecorderConfig`) to ``simulate_stream`` via
+    ``flight=`` and read
     :meth:`report` — or :attr:`SimulationResult.flight` — afterwards.
 
     Event tuples (per shard, insertion-ordered)::
@@ -126,10 +120,6 @@ class FlightRecorder:
         self._last_fold_g: list[int] = []
         self._stale_sum: list[int] = []
         self._stale_max: list[int] = []
-        #: worker-lifecycle side channel (parallel engine supervision);
-        #: wall-clock-driven, so deliberately OUTSIDE timelines() and
-        #: the bit-identity contract
-        self._worker_events: list[tuple] = []
         self._telemetry.registry.register_collector(self._collect_samples)
 
     # ------------------------------------------------------------------
@@ -159,7 +149,6 @@ class FlightRecorder:
         self._last_fold_g = [-1] * sources
         self._stale_sum = [0] * sources
         self._stale_max = [0] * sources
-        self._worker_events = []
 
     @property
     def config(self) -> FlightRecorderConfig:
@@ -250,22 +239,6 @@ class FlightRecorder:
             if age > self._stale_max[shard]:
                 self._stale_max[shard] = age
 
-    def record_worker_event(self, worker: int, kind: str, segment: int) -> None:
-        """Worker-process lifecycle event from the parallel supervisor.
-
-        These events (crash/hang detections, respawns, degradations)
-        are driven by wall-clock deadlines, so they land in a side
-        channel that :meth:`timelines` never exposes — the per-shard
-        timelines stay bit-identical across engines while the report
-        still carries the full supervision story.
-        """
-        self._worker_events.append((kind, int(worker), int(segment)))
-
-    @property
-    def worker_events(self) -> tuple[tuple, ...]:
-        """Lifecycle side channel (insertion-ordered, non-deterministic)."""
-        return tuple(self._worker_events)
-
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
@@ -324,12 +297,10 @@ class FlightRecorder:
             "schema": "posg-flight/v1",
             "sources": self._sources,
             "sample_every": self._config.sample_every,
-            "window": self._config.window,
             "capacity": self._config.capacity,
             "events_total": sum(len(t) for t in self._timelines),
             "dropped_events": sum(self._dropped),
             "per_shard": per_shard,
-            "worker_events": [list(event) for event in self._worker_events],
         }
 
     # ------------------------------------------------------------------

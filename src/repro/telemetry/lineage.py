@@ -35,12 +35,11 @@ three components are each >= 0 up to that same rounding.
 Determinism contract
 --------------------
 Records are keyed on the global stream index and store only
-engine-invariant clocks (the same float values all three engines
-compute for arrival / at-instance / start / finish) plus the believed
-loads the engine-side block routers commit.  The per-shard timelines
-are therefore **bit-identical** across the per-tuple reference, the
-chunked engine and the multi-process parallel engine, with and without
-fault plans, under fork and spawn (gated by
+engine-invariant clocks (the same float values both engines compute
+for arrival / at-instance / start / finish) plus the believed loads the
+engine-side block routers commit.  The per-shard timelines are
+therefore **bit-identical** across the per-tuple reference and the
+chunked engine, with and without fault plans (gated by
 ``tests/simulator/test_lineage_equivalence.py``).  Like the flight
 recorder, the sampling stride is bumped to the next integer coprime
 with the shard count so samples rotate over every shard; quantiles and
@@ -181,8 +180,8 @@ class LineageTracer:
     """Deterministic per-tuple span capture for any grouping policy.
 
     One tracer instruments one run: pass it (or a
-    :class:`LineageConfig`) to ``simulate_stream`` /
-    ``simulate_stream_parallel`` via ``lineage=`` and read
+    :class:`LineageConfig`) to ``simulate_stream`` via ``lineage=``
+    and read
     :meth:`report` — or :attr:`SimulationResult.lineage` — afterwards.
 
     Record tuples (per shard, ascending global index)::

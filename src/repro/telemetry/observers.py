@@ -1,10 +1,9 @@
 """The one attach point for a run's three read-only observers.
 
 ``audit=``, ``flight=`` and ``lineage=`` each accept a config or a
-pre-built instance; both entry points that take them
-(``simulate_stream`` and ``simulate_stream_parallel``) hand all three
-to :class:`Observers`, which owns the three decisions neither
-re-implements:
+pre-built instance; ``simulate_stream`` hands all three to
+:class:`Observers`, which owns the three decisions its two engines
+share:
 
 - **resolve** — the constructor type-checks the arguments and touches
   nothing else, so a bad argument is rejected before ``policy.setup``

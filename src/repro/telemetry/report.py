@@ -69,9 +69,6 @@ class RunReport:
     #: tracer ring-buffer accounting (emitted vs dropped, v4) — nonzero
     #: ``dropped`` means the embedded ``fsm_timeline`` is truncated
     tracer: dict | None = None
-    #: ``WorkerSupervisor.report()`` for parallel-engine runs (v5) —
-    #: detected worker failures, respawns, and degraded workers
-    supervision: dict | None = None
     #: ``LineageTracer.report()`` when per-tuple lineage was traced (v6)
     #: — latency decomposition quantiles and evaluated SLOs
     lineage: dict | None = None
@@ -181,11 +178,6 @@ class RunReport:
         if tracer is not None and hasattr(tracer, "report"):
             lineage = tracer.report()
 
-        supervision = None
-        parallel_info = getattr(result, "parallel", None)
-        if parallel_info:
-            supervision = parallel_info.get("supervision")
-
         return cls(
             schema=SCHEMA,
             policy=name,
@@ -210,7 +202,6 @@ class RunReport:
             quality=quality,
             flightrecorder=flightrecorder,
             tracer=tracer_stats,
-            supervision=supervision,
             lineage=lineage,
         )
 
@@ -306,25 +297,6 @@ class RunReport:
                     f"{'MET' if slo['met'] else 'MISSED'} "
                     f"(burn rate {slo['burn_rate']:.2f}, "
                     f"{slo['violations']}/{slo['samples']} over)"
-                )
-        if self.supervision is not None:
-            failures = (
-                self.supervision.get("crashes_detected", 0)
-                + self.supervision.get("hangs_detected", 0)
-                + self.supervision.get("worker_errors", 0)
-            )
-            degraded = self.supervision.get("degraded_workers", [])
-            if failures or degraded:
-                lines.append(
-                    f"supervision: {failures} worker failures detected, "
-                    f"{self.supervision.get('respawns_total', 0)} respawns, "
-                    f"{self.supervision.get('replayed_segments', 0)} segments "
-                    "replayed"
-                    + (
-                        f" — DEGRADED workers {degraded} routed in-parent"
-                        if degraded
-                        else " — fully recovered"
-                    )
                 )
         if self.tracer is not None and self.tracer.get("dropped", 0):
             lines.append(

@@ -63,10 +63,7 @@ class Tracer:
     flight timelines must stay bit-comparable across engines.
 
     One process, one ring: ``Tracer`` is not safe to share across
-    processes.  Multi-process engines (``repro.simulator.parallel``)
-    keep all tracer emission in the parent — workers communicate
-    through the shared-memory arena and never hold a recorder — so
-    capacity accounting stays exact with any worker count.
+    processes.
     """
 
     def __init__(

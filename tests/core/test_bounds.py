@@ -35,12 +35,9 @@ from repro.faults.plan import (
     FaultPlan,
     MessageFaults,
     SlowdownFault,
-    WorkerFault,
 )
 from repro.simulator.metrics import CompletionStats
-from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
-from repro.simulator.supervisor import SupervisionConfig
 from repro.simulator.topology import StageTopology
 from repro.sketches.count_min import CountMinSketch, dims_for
 from repro.sketches.hashing import TwoUniversalHashFamily, random_hash_family
@@ -73,12 +70,10 @@ CLASSES = {
     MessageFaults: {"delay_ms": 1.0},
     CrashFault: {"instance": 0, "at_ms": 0.0},
     SlowdownFault: {"instance": 0, "at_ms": 0.0, "duration_ms": 1.0, "factor": 2.0},
-    WorkerFault: {"worker": 0, "segment": 0},
     StreamSpec: {},
     TwitterDatasetSpec: {},
     DriftScenario: {"start": (1.0,), "end": (2.0,), "duration": 8},
     ClusterConfig: {},
-    SupervisionConfig: {"backoff_base_s": 0.0},
     TwoUniversalHashFamily: {"a": (1,), "b": (0,), "cols": 4},
     Stream: {
         "items": np.zeros(2, dtype=np.int64),
@@ -378,10 +373,10 @@ REAL_ARGUMENTS = [
     ("message_timeout", lambda v: AckTracker(v), 0.5),
     ("data_latency", lambda v: _simulate(simulate_stream, data_latency=v), 0.5),
     ("control_latency", lambda v: _simulate(simulate_stream, control_latency=v), 0.5),
-    ("data_latency", lambda v: _simulate(simulate_stream_parallel, data_latency=v), 0.5),
+    ("data_latency", lambda v: _simulate(simulate_stream, chunk_size=0, data_latency=v), 0.5),
     (
         "control_latency",
-        lambda v: _simulate(simulate_stream_parallel, control_latency=v),
+        lambda v: _simulate(simulate_stream, chunk_size=0, control_latency=v),
         0.5,
     ),
     ("data_latency", lambda v: StageTopology(2, RoundRobinGrouping, data_latency=v), 0.5),
@@ -403,11 +398,12 @@ def _hashes():
     return random_hash_family(2, 4, np.random.default_rng(0))
 
 
-def _simulate(engine, **latencies):
-    """A 64-tuple sharded run at s = 1 through ``engine``."""
+def _simulate(engine, **options):
+    """A 64-tuple sharded run at s = 1 through ``engine``; ``chunk_size=0``
+    in ``options`` selects the per-tuple reference engine."""
     return engine(
         default_stream(seed=0, m=64), MultiSourcePOSGGrouping(1), k=2,
-        **latencies,
+        **options,
     )
 
 

@@ -139,7 +139,7 @@ class TestGossip:
             assert billed2 >= 1
 
     def test_commit_gossip_matches_per_tuple_billing(self):
-        # The parallel engine replays billing at commit; the digest
+        # The segment engine replays billing at commit; the digest
         # count over an event interval is a floor-difference, so split
         # deliveries must bill exactly like one per-tuple sequence.
         policy = MultiSourcePOSGGrouping(2, coord_config(gossip_stride=3))

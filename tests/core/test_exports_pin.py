@@ -33,14 +33,14 @@ K = 4
 PINS = {
     1: {
         "stats": "9bab18e57bda45ac7348f89c812da2a49ae5c9d5e89e9dbdf728cbe2ea857678",
-        "snapshot": "790b45b8de2c6cb5749e8fa3744bde2f3941fae4266ce13ed5a3035be21f4fbf",
-        "prometheus": "6a18a04dba2539871057a7c8e513c3571383272fbed50f279370b7aa858df543",
+        "snapshot": "caae89d08fe1c0b8fd9602f28f1aa0a232de8b4bf00ec7b3a3b725f64e5489dc",
+        "prometheus": "8b87567d0753880069bfd9054960b435248d7562783a2f2209a341922a834571",
         "events": "ed5c0ef8ab8aa60e0624372d7a2d7889c6182f22f24ecb3eb603a01f6bba1ab2",
     },
     2: {
         "stats": "6ad819086682d06f0ab037f3884acd2ce880c3f390aae8f08a5b9e859a8fbf66",
-        "snapshot": "ae5c6b04a7a8037e0c59b38be5d1a0f30b6b9fd77620ada378fd81c8f7513c67",
-        "prometheus": "a581ce4eefdd3e06e23d73f445cd5dfb5c48c8ba5fed0a68485a4511bca176e7",
+        "snapshot": "136e9586d3053f0b444f405068ccada6981315621917b473b2ec09fd2e8dcdf7",
+        "prometheus": "7905056c72cf7540ad96e365530051ab4935d1c70c2ca3b875ded30fcd7819f7",
         "events": "55611b383fbf1a741893fc7780283b38d959033e25103ad0b2625774003da893",
     },
 }

@@ -148,7 +148,7 @@ class TestSyncCursor:
             policy.sync_cursor(6)
 
     def test_accepts_exact_routed_count(self):
-        # The parallel engine calls sync_cursor(end) right after the
+        # The segment engines call sync_cursor(end) right after the
         # commit step books exactly `end` tuples — equality must pass.
         policy = MultiSourcePOSGGrouping(2, small_config())
         policy.setup(2, np.random.default_rng(0))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.matrices import FWPair, make_shared_hashes
 from repro.core.config import POSGConfig
 from repro.core.messages import MatricesMessage, SyncReply
-from repro.faults import CrashFault, FaultInjector, FaultPlan, MessageFaults, SlowdownFault, WorkerFault
+from repro.faults import CrashFault, FaultInjector, FaultPlan, MessageFaults, SlowdownFault
 
 
 def make_matrices(instance=0):
@@ -175,21 +175,3 @@ class TestInstanceFaults:
         injected = injector.report()["injected"]
         assert injected["crashes"] == 1
         assert injected["restarts"] == 1
-
-
-class TestWorkerFaultBookkeeping:
-    def test_worker_fault_and_respawn_tallies(self):
-        plan = FaultPlan(
-            worker_faults=(
-                WorkerFault(worker=0, segment=1),
-                WorkerFault(worker=1, segment=2, kind="hang", hang_ms=9.0),
-            )
-        )
-        injector = FaultInjector(plan)
-        assert injector.worker_faults == plan.worker_faults
-        for fault in plan.worker_faults:
-            injector.note_worker_fault(fault)
-        injector.note_worker_respawn(0)
-        injected = injector.report()["injected"]
-        assert injected["worker_faults"] == {"crash": 1, "hang": 1, "stall": 0}
-        assert injected["worker_respawns"] == 1

@@ -8,7 +8,6 @@ from repro.faults import (
     FaultPlan,
     MessageFaults,
     SlowdownFault,
-    WorkerFault,
 )
 
 
@@ -113,70 +112,3 @@ class TestFaultPlan:
         assert summary["crashes"] == [
             {"instance": 1, "at_ms": 5.0, "outage_ms": 2.0}
         ]
-
-
-class TestWorkerFault:
-    def test_defaults_are_a_crash(self):
-        fault = WorkerFault(worker=0, segment=3)
-        assert fault.kind == "crash"
-        assert fault.summary() == {
-            "worker": 0,
-            "segment": 3,
-            "kind": "crash",
-            "hang_ms": 0.0,
-            "stall_factor": 1.0,
-        }
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"worker": -1, "segment": 0}, "worker"),
-            ({"worker": 0, "segment": -1}, "segment"),
-            ({"worker": 0, "segment": 0, "kind": "nap"}, "kind"),
-            ({"worker": 0, "segment": 0, "kind": "hang"}, "hang_ms"),
-            (
-                {"worker": 0, "segment": 0, "kind": "hang", "hang_ms": -1.0},
-                "hang_ms",
-            ),
-            ({"worker": 0, "segment": 0, "kind": "stall"}, "stall_factor"),
-            (
-                {
-                    "worker": 0,
-                    "segment": 0,
-                    "kind": "stall",
-                    "stall_factor": 0.5,
-                },
-                "stall_factor",
-            ),
-        ],
-    )
-    def test_validation(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            WorkerFault(**kwargs)
-
-    def test_duplicate_worker_segment_rejected(self):
-        with pytest.raises(ValueError, match="same"):
-            FaultPlan(
-                worker_faults=(
-                    WorkerFault(worker=0, segment=1),
-                    WorkerFault(
-                        worker=0, segment=1, kind="hang", hang_ms=5.0
-                    ),
-                )
-            )
-
-    def test_worker_faults_are_process_level_only(self):
-        plan = FaultPlan(worker_faults=(WorkerFault(worker=0, segment=0),))
-        # active overall, but the control plane (what the merge paths
-        # interpose on) stays quiet so fast paths and RNG draws survive
-        assert plan.active
-        assert plan.process_active
-        assert not plan.control_active
-        assert plan.summary()["worker_faults"] == [
-            WorkerFault(worker=0, segment=0).summary()
-        ]
-
-    def test_control_faults_do_not_imply_process_faults(self):
-        plan = FaultPlan(matrices=MessageFaults(drop=0.1))
-        assert plan.control_active
-        assert not plan.process_active

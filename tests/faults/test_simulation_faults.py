@@ -28,7 +28,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     MessageFaults,
-    WorkerFault,
 )
 from repro.simulator.run import simulate_stream
 from repro.workloads.distributions import ZipfItems
@@ -95,19 +94,6 @@ class TestDisabledPlanIdentity:
         planned, _ = run(config, faults=FaultPlan(), chunk_size=chunk_size)
         assert_identical(bare, planned)
         assert planned.faults is None
-
-    @pytest.mark.parametrize("chunk_size", [0, 2048])
-    def test_worker_faults_alone_do_not_change_the_path(self, chunk_size):
-        config = POSGConfig(window_size=64, rows=2, cols=16)
-        plan = FaultPlan(worker_faults=(WorkerFault(worker=0, segment=1),))
-        assert plan.active and not plan.control_active
-        bare, _ = run(config, faults=None, chunk_size=chunk_size)
-        planned, _ = run(config, faults=plan, chunk_size=chunk_size)
-        assert_identical(bare, planned)
-        assert planned.engine == bare.engine
-        assert planned.engine["path"] == ("segment" if chunk_size else "reference")
-        # the plan still travels with the result, for the report
-        assert planned.faults.plan is plan
 
     def test_recovery_without_faults_is_cross_engine_identical(self):
         config = recovery_config()

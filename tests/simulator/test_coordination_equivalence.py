@@ -11,10 +11,10 @@ Two contracts, both bit-exact:
    the batched control drain, the parallel dispatch gate — fails here.
 
 2. **Coordination on is engine-invariant.**  Gossip and snooping are
-   defined per tuple; the chunked engine and the
-   parallel engine (fork and spawn, with the gossip-coupled in-parent
-   router) must reproduce the reference engine exactly, and stride-0
-   billing must never change routing.
+   defined per tuple; the chunked engine must reproduce the reference
+   engine exactly, and stride-0 billing must never change routing.
+   The process pool refuses coordination, so it takes part only in the
+   coordination-off pins.
 """
 
 import hashlib
@@ -114,15 +114,9 @@ class TestCoordinationOnEngineInvariance:
     def test_three_engines_agree(self, sources, coordination):
         digests = {
             digest(run(sources, coordination, engine))
-            for engine in ("reference", "chunked", "parallel")
+            for engine in ("reference", "chunked")
         }
         assert len(digests) == 1
-
-    def test_spawn_agrees_with_reference(self):
-        coordination = CoordinationConfig()
-        reference = run(4, coordination, "reference")
-        spawned = run(4, coordination, "parallel", start_method="spawn")
-        assert digest(spawned) == digest(reference)
 
     def test_single_source_gossip_is_inert(self):
         # s=1 has no siblings: gossip/snoop collapse to the pinned HEAD
@@ -160,10 +154,10 @@ class TestBillingNeverRoutes:
         coordination = CoordinationConfig()
         keys = ("gossip_updates", "gossip_billed", "snoop_published")
         per_engine = []
-        for engine in ("reference", "chunked", "parallel"):
+        for engine in ("reference", "chunked"):
             stats = run(4, coordination, engine).policy.stats()
             per_engine.append(tuple(stats[key] for key in keys))
-        assert per_engine[0] == per_engine[1] == per_engine[2]
+        assert per_engine[0] == per_engine[1]
         assert per_engine[0][0] > 0  # gossip actually flowed
 
 

@@ -6,12 +6,8 @@ Three contracts, following ``test_audit_equivalence.py``:
   completions, FSM transitions, and control traffic are bit-identical
   with the recorder on or off, in every engine;
 - the recorded **timelines themselves** are bit-identical between the
-  per-tuple reference engine (``chunk_size=0``), the chunked engine,
-  and the multi-process parallel engine (fork *and* spawn) — the
-  determinism contract the attribution experiment self-gates on;
-- the same holds under an active fault plan (faults force the generic
-  per-tuple chunk loop sequentially and the per-tuple fallback in the
-  parallel engine).
+  per-tuple reference engine (``chunk_size=0``) and the chunked engine;
+- the same holds under an active fault plan.
 """
 
 import numpy as np
@@ -21,14 +17,13 @@ from repro.core.config import POSGConfig, RecoveryConfig
 from repro.core.grouping import POSGGrouping
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.faults import CrashFault, FaultPlan, MessageFaults, SlowdownFault
-from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
 from repro.telemetry.flightrecorder import FlightRecorder, FlightRecorderConfig
 from repro.workloads.synthetic import default_stream
 
 M = 8_000
 K = 5
-FLIGHT = FlightRecorderConfig(sample_every=97, window=512)
+FLIGHT = FlightRecorderConfig(sample_every=97)
 
 
 def config():
@@ -95,21 +90,6 @@ def run_sequential(sources, chunk_size, flight=None, faults=None, cfg=None):
     )
 
 
-def run_parallel(sources, workers, flight=None, faults=None, **kwargs):
-    stream = default_stream(seed=0, m=M)
-    return simulate_stream_parallel(
-        stream,
-        MultiSourcePOSGGrouping(sources, config()),
-        workers=workers,
-        k=K,
-        rng=np.random.default_rng(1),
-        chunk_size=2048,
-        flight=flight,
-        faults=faults,
-        **kwargs,
-    )
-
-
 def assert_run_identical(a, b):
     np.testing.assert_array_equal(a.stats.completions, b.stats.completions)
     np.testing.assert_array_equal(a.stats.assignments, b.stats.assignments)
@@ -143,11 +123,6 @@ class TestFlightIsPureObserver:
         assert flown.flight.sources == 1
         assert flown.flight.report()["per_shard"][0]["route_samples"] > 0
 
-    def test_parallel_routing_unchanged(self):
-        bare = run_parallel(3, 2)
-        flown = run_parallel(3, 2, flight=FLIGHT)
-        assert_run_identical(bare, flown)
-
 
 class TestCrossEngineTimelineIdentity:
     @pytest.mark.parametrize("chunk_size", [64, 1000, 2048, 4096])
@@ -156,19 +131,6 @@ class TestCrossEngineTimelineIdentity:
         assert_run_identical(reference, chunked)
         assert reference.flight.timelines() == chunked.flight.timelines()
         assert reference.flight.report() == chunked.flight.report()
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_parallel_matches_reference(self, reference, workers):
-        parallel = run_parallel(3, workers, flight=FLIGHT)
-        assert_run_identical(reference, parallel)
-        assert reference.flight.timelines() == parallel.flight.timelines()
-        assert reference.flight.report() == parallel.flight.report()
-
-    def test_spawn_start_method_matches(self, reference):
-        parallel = run_parallel(3, 2, flight=FLIGHT, start_method="spawn")
-        assert parallel.parallel["start_method"] == "spawn"
-        assert_run_identical(reference, parallel)
-        assert reference.flight.timelines() == parallel.flight.timelines()
 
     def test_single_scheduler_cross_engine(self):
         reference = run_sequential(None, 0, flight=FLIGHT)
@@ -196,15 +158,6 @@ class TestFaultedTimelineIdentity:
         assert (
             faulted_reference.flight.timelines()
             == chunked.flight.timelines()
-        )
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_parallel_matches_reference(self, faulted_reference, workers):
-        parallel = run_parallel(3, workers, flight=FLIGHT, faults=chaos_plan())
-        assert_run_identical(faulted_reference, parallel)
-        assert (
-            faulted_reference.flight.timelines()
-            == parallel.flight.timelines()
         )
 
     def test_control_starvation_is_visible(self, faulted_reference):

@@ -6,9 +6,8 @@ Three contracts, following ``test_flightrecorder_equivalence.py``:
   FSM transitions, and control traffic are bit-identical with the
   tracer on or off, in every engine;
 - the recorded **timelines themselves** are bit-identical between the
-  per-tuple reference engine (``chunk_size=0``), the chunked engine,
-  and the multi-process parallel engine (fork *and* spawn) — the
-  determinism contract the latency experiment self-gates on;
+  per-tuple reference engine (``chunk_size=0``) and the chunked engine
+  — the determinism contract the latency experiment self-gates on;
 - the same holds under an active fault plan, and every sampled span
   satisfies the exact latency partition
   ``scheduling_delay + queue_wait + service_time == completion``.
@@ -21,7 +20,6 @@ from repro.core.config import POSGConfig
 from repro.core.grouping import POSGGrouping, RoundRobinGrouping
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.faults import CrashFault, FaultPlan, MessageFaults, SlowdownFault
-from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
 from repro.telemetry.lineage import LineageConfig, LineageTracer, SLOConfig
 from repro.workloads.synthetic import default_stream
@@ -81,21 +79,6 @@ def run_sequential(sources, chunk_size, lineage=None, faults=None):
     )
 
 
-def run_parallel(sources, workers, lineage=None, faults=None, **kwargs):
-    stream = default_stream(seed=0, m=M)
-    return simulate_stream_parallel(
-        stream,
-        MultiSourcePOSGGrouping(sources, config()),
-        workers=workers,
-        k=K,
-        rng=np.random.default_rng(1),
-        chunk_size=2048,
-        lineage=lineage,
-        faults=faults,
-        **kwargs,
-    )
-
-
 def assert_run_identical(a, b):
     np.testing.assert_array_equal(a.stats.completions, b.stats.completions)
     np.testing.assert_array_equal(a.stats.assignments, b.stats.assignments)
@@ -137,11 +120,6 @@ class TestLineageIsPureObserver:
         assert_run_identical(bare, traced)
         assert traced.lineage.sources == 1
 
-    def test_parallel_routing_unchanged(self):
-        bare = run_parallel(3, 2)
-        traced = run_parallel(3, 2, lineage=LINEAGE)
-        assert_run_identical(bare, traced)
-
 
 class TestCrossEngineTimelineIdentity:
     @pytest.mark.parametrize("chunk_size", [64, 1000, 2048, 4096])
@@ -150,19 +128,6 @@ class TestCrossEngineTimelineIdentity:
         assert_run_identical(reference, chunked)
         assert reference.lineage.timelines() == chunked.lineage.timelines()
         assert reference.lineage.report() == chunked.lineage.report()
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_parallel_matches_reference(self, reference, workers):
-        parallel = run_parallel(3, workers, lineage=LINEAGE)
-        assert_run_identical(reference, parallel)
-        assert reference.lineage.timelines() == parallel.lineage.timelines()
-        assert reference.lineage.report() == parallel.lineage.report()
-
-    def test_spawn_start_method_matches(self, reference):
-        parallel = run_parallel(3, 2, lineage=LINEAGE, start_method="spawn")
-        assert parallel.parallel["start_method"] == "spawn"
-        assert_run_identical(reference, parallel)
-        assert reference.lineage.timelines() == parallel.lineage.timelines()
 
     def test_single_scheduler_cross_engine(self):
         reference = run_sequential(None, 0, lineage=LINEAGE)
@@ -208,17 +173,6 @@ class TestFaultedTimelineIdentity:
         assert (
             faulted_reference.lineage.timelines()
             == chunked.lineage.timelines()
-        )
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_parallel_matches_reference(self, faulted_reference, workers):
-        parallel = run_parallel(
-            3, workers, lineage=LINEAGE, faults=chaos_plan()
-        )
-        assert_run_identical(faulted_reference, parallel)
-        assert (
-            faulted_reference.lineage.timelines()
-            == parallel.lineage.timelines()
         )
 
     def test_exact_partition_under_faults(self, faulted_reference):

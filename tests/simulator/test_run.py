@@ -240,7 +240,7 @@ class TestLatencyModels:
         ],
     )
     @pytest.mark.parametrize(
-        "entry", ["reference", "chunked", "parallel", "topology"]
+        "entry", ["reference", "chunked", "topology"]
     )
     def test_non_real_latency_is_rejected_before_the_run(self, keywords, entry):
         """A bool, a string or an array is refused with a ``TypeError``
@@ -254,8 +254,6 @@ class TestLatencyModels:
         with pytest.raises(TypeError, match=rf"^{name}(\[1\])? must be a real number"):
             if entry == "topology":
                 StageTopology(5, policy, rng=rng, **keywords).run(stream)
-            elif entry == "parallel":
-                simulate_stream_parallel(stream, policy, k=5, rng=rng, **keywords)
             else:
                 simulate_stream(
                     stream, policy, k=5, rng=rng,
@@ -306,10 +304,9 @@ class TestLatencyModels:
         [
             ("chunk_size", 2.5),
             ("chunk_size", np.float64(512.0)),
-            ("sample_queues_every", 100.5),
             ("workers", 1.5),
         ],
-        ids=["chunk-float", "chunk-numpy-float", "sample-float", "workers-float"],
+        ids=["chunk-float", "chunk-numpy-float", "workers-float"],
     )
     def test_parallel_engine_rejects_non_integers_before_the_run(
         self, argument, value
@@ -319,7 +316,8 @@ class TestLatencyModels:
         policy = MultiSourcePOSGGrouping(1, tiny_config())
         with pytest.raises(TypeError, match=f"^{argument} must be an integer"):
             simulate_stream_parallel(
-                small_stream(m=64), policy, k=5, rng=rng, **{argument: value}
+                small_stream(m=64), policy, k=5, rng=rng,
+                **{"workers": 1, argument: value},
             )
         assert rng.bit_generator.state == before
         with pytest.raises(RuntimeError, match="not set up"):

@@ -51,7 +51,6 @@ from repro.core.messages import MatricesMessage
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.core.scheduler import POSGScheduler, SchedulerState
 from repro.faults.plan import CrashFault, FaultPlan, MessageFaults, SlowdownFault
-from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
 from repro.simulator.segment_kernel import Shape, kernel_source, segment_kernel
 from repro.telemetry.audit import AuditConfig
@@ -1055,10 +1054,7 @@ class TestObserverArguments:
     """``audit=``/``flight=``/``lineage=`` are type-checked at the public
     boundary, before the policy is set up or the generator drawn from."""
 
-    @pytest.mark.parametrize(
-        "run", [simulate_stream, simulate_stream_parallel],
-        ids=["sequential", "parallel"],
-    )
+    @pytest.mark.parametrize("run", [simulate_stream], ids=["sequential"])
     @pytest.mark.parametrize(
         "name,bad", [("audit", "x"), ("flight", 3), ("lineage", object())],
         ids=["audit", "flight", "lineage"],

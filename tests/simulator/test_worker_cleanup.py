@@ -1,16 +1,18 @@
-"""Crash-mid-run hygiene: an externally SIGKILLed worker must not leak.
+"""Crash-mid-run hygiene: a worker that dies or stops must not leak.
 
-Satellite of the supervision PR: whatever kills a worker — not just
-the injected faults the supervisor knows about, but a raw ``SIGKILL``
-from outside (the OOM killer's signature move) — the parent must end
-the run cleanly: a crisp error in strict mode, a healed run under
-supervision, and in both cases no orphaned ``/dev/shm`` segment and no
-``resource_tracker`` complaints on stderr.
+Whatever takes a worker down — a raw ``SIGKILL`` from outside (the OOM
+killer's signature move) or a stop that leaves it alive but silent —
+the parent must end the run with a crisp ``RuntimeError``, unlink its
+shared-memory arena, leave no child process behind and print no
+``resource_tracker`` complaint on stderr.
 
 Each case runs in a subprocess harness: the simulation runs in a
-thread while the main thread finds the ``posg-shard-worker-0`` child
-(parked there by an injected hang fault, which opens a wide kill
-window) and SIGKILLs it mid-run.
+thread, and its first segment dispatch waits until the main thread has
+parked the ``posg-shard-worker-0`` child with ``SIGSTOP``.  The
+``kill`` mode then ``SIGKILL``\\ s the parked worker; the ``stop`` mode
+leaves it stopped, with the ack deadline shrunk to one second.  The leak
+check looks only for the arena this harness created, so segments other
+processes create in ``/dev/shm`` meanwhile cannot fail it.
 """
 
 import json
@@ -35,58 +37,54 @@ import numpy as np
 
 from repro.core.config import POSGConfig
 from repro.core.multisource import MultiSourcePOSGGrouping
-from repro.faults import FaultPlan, WorkerFault
-from repro.simulator.parallel import simulate_stream_parallel
-from repro.simulator.supervisor import SupervisionConfig
+from repro.simulator import parallel
 from repro.workloads.synthetic import default_stream
 
-start_method = sys.argv[1]
-supervised = sys.argv[2] == "supervised"
+start_method, mode = sys.argv[1], sys.argv[2]
+if mode == "stop":
+    parallel.ACK_DEADLINE_S = 1.0
 
-shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+arenas = []
 
-# the hang parks worker 0 inside segment 1 for 20s — a wide, reliable
-# window for the external SIGKILL (far beyond any test's real runtime:
-# the kill always lands first and the supervisor's deadline never
-# expires on its own)
-plan = FaultPlan(
-    worker_faults=(
-        WorkerFault(worker=0, segment=1, kind="hang", hang_ms=20_000.0),
-    ),
-)
-supervision = (
-    SupervisionConfig(
-        ack_deadline_s=60.0,
-        max_respawns=2,
-        backoff_base_s=0.01,
-        backoff_max_s=0.05,
-    )
-    if supervised
-    else None
-)
+
+class RecordingArena(parallel.ShardArena):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.owner:
+            arenas.append(self.name)
+
+
+parallel.ShardArena = RecordingArena
+
+dispatching = threading.Event()
+parked = threading.Event()
+route_segment = parallel._Pool.route_segment
+
+
+def hold_first_dispatch(self, start, end):
+    if not dispatching.is_set():
+        dispatching.set()
+        parked.wait(60.0)
+    return route_segment(self, start, end)
+
+
+parallel._Pool.route_segment = hold_first_dispatch
 
 outcome = {}
 
 
 def run():
     try:
-        result = simulate_stream_parallel(
+        parallel.simulate_stream_parallel(
             default_stream(seed=0, m=8_000),
             MultiSourcePOSGGrouping(4, POSGConfig(window_size=128)),
             workers=2,
             k=5,
             rng=np.random.default_rng(1),
             chunk_size=2048,
-            faults=plan,
-            supervision=supervision,
             start_method=start_method,
         )
         outcome["status"] = "completed"
-        outcome["supervision"] = {
-            key: result.parallel["supervision"][key]
-            for key in ("crashes_detected", "respawns_total", "recovered")
-        }
-        outcome["tuples"] = int(result.stats.completions.sum())
     except RuntimeError as error:
         outcome["status"] = "error"
         outcome["message"] = str(error)
@@ -94,27 +92,26 @@ def run():
 
 thread = threading.Thread(target=run)
 thread.start()
-
-victim = None
-deadline = time.monotonic() + 30.0
-while victim is None and time.monotonic() < deadline:
-    for child in multiprocessing.active_children():
-        if child.name == "posg-shard-worker-0":
-            victim = child
-            break
-    time.sleep(0.02)
-assert victim is not None, "worker 0 never appeared"
-
-# let the run reach the hung segment (spawn startup can take a good
-# second), then strike from outside
-time.sleep(2.0)
-os.kill(victim.pid, signal.SIGKILL)
+assert dispatching.wait(60.0), "the run never dispatched a segment"
+victim = next(
+    child
+    for child in multiprocessing.active_children()
+    if child.name == "posg-shard-worker-0"
+)
+os.kill(victim.pid, signal.SIGSTOP)
+parked.set()
+if mode == "kill":
+    time.sleep(0.5)
+    os.kill(victim.pid, signal.SIGKILL)
 
 thread.join(timeout=120)
-assert not thread.is_alive(), "simulation never returned after the kill"
+assert not thread.is_alive(), "simulation never returned"
 
-shm_after = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-outcome["leaked_shm"] = sorted(shm_after - shm_before)
+outcome["arenas"] = len(arenas)
+outcome["leaked_shm"] = [
+    name for name in arenas if os.path.exists(os.path.join("/dev/shm", name))
+]
+outcome["children"] = [child.name for child in multiprocessing.active_children()]
 print(json.dumps(outcome))
 """
 
@@ -136,24 +133,24 @@ def run_harness(start_method, mode):
     return outcome, proc.stderr
 
 
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_sigkill_with_supervision_recovers_cleanly(start_method):
-    outcome, stderr = run_harness(start_method, "supervised")
-    assert outcome["status"] == "completed"
-    assert outcome["supervision"]["crashes_detected"] >= 1
-    assert outcome["supervision"]["respawns_total"] >= 1
-    assert outcome["supervision"]["recovered"] is True
-    # bit-identity to the sequential engine is gated in
-    # test_supervision.py; here it is enough that the run completed
-    assert outcome["tuples"] > 0
+def assert_clean(outcome, stderr):
+    assert outcome["arenas"] == 1
     assert outcome["leaked_shm"] == []
+    assert outcome["children"] == []
     assert "resource_tracker" not in stderr
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_sigkill_without_supervision_fails_cleanly(start_method):
-    outcome, stderr = run_harness(start_method, "strict")
+    outcome, stderr = run_harness(start_method, "kill")
     assert outcome["status"] == "error"
     assert "crash" in outcome["message"]
-    assert outcome["leaked_shm"] == []
-    assert "resource_tracker" not in stderr
+    assert_clean(outcome, stderr)
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_missed_ack_deadline_fails_cleanly(start_method):
+    outcome, stderr = run_harness(start_method, "stop")
+    assert outcome["status"] == "error"
+    assert "no ack within 1 s" in outcome["message"]
+    assert_clean(outcome, stderr)

@@ -11,14 +11,12 @@ class TestConfig:
         config = FlightRecorderConfig()
         assert config.sample_every == 256
         assert config.capacity == 65_536
-        assert config.window == 2_048
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"sample_every": 0},
             {"capacity": 0},
-            {"window": 0},
         ],
     )
     def test_rejects_invalid(self, kwargs):
