@@ -23,7 +23,7 @@ Layers (see README.md / DESIGN.md):
   run reports across all of the above (off by default, zero-cost when
   off);
 - :mod:`repro.faults`     — seeded fault injection (control-message
-  drop/delay/duplicate/reorder, instance crash-restarts, slow nodes)
+  drop/delay/duplicate/reorder, instance crash-restarts)
   exercising the recovery defenses of
   :class:`~repro.core.config.RecoveryConfig`.
 """

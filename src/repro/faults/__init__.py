@@ -7,16 +7,15 @@ this package supplies the adversary that the recovery defenses in
 
 - :class:`~repro.faults.plan.FaultPlan` — a frozen, validated
   description of what goes wrong: per-kind drop/delay/duplicate/reorder
-  probabilities for control messages, scripted instance crash-restarts
-  and slow-node windows.
+  probabilities for control messages and scripted instance
+  crash-restarts.
 - :class:`~repro.faults.injector.FaultInjector` — the seeded runtime
   that turns the plan into concrete fault decisions, counts them, and
   traces them through telemetry.
 
-Both simulator engines (``simulator/run.py``) and the Storm-like layer
-(``storm/cluster.py``) accept an injector; with the plan inactive they
-skip the interposition entirely, preserving bit-identical fault-free
-behaviour.  ``python -m repro.experiments chaos`` runs the packaged
+Both simulator engines (``simulator/run.py``) accept an injector; with
+the plan inactive they skip the interposition entirely, preserving
+bit-identical fault-free behaviour.  ``python -m repro.experiments chaos`` runs the packaged
 recovery-timeline scenario.
 """
 
@@ -25,7 +24,6 @@ from repro.faults.plan import (
     FaultPlan,
     MessageFaults,
     NO_FAULTS,
-    SlowdownFault,
 )
 from repro.faults.injector import FaultInjector
 
@@ -35,5 +33,4 @@ __all__ = [
     "FaultPlan",
     "MessageFaults",
     "NO_FAULTS",
-    "SlowdownFault",
 ]

@@ -4,17 +4,14 @@ The injector is the single stateful object of the fault subsystem: it
 owns the private random generator that turns the plan's probabilities
 into concrete fault decisions, counts everything it injects, and emits
 tracer events so a chaos run's timeline can be reconstructed from the
-trace alone.  Engines interpose it at exactly three points:
+trace alone.  Engines interpose it at exactly two points:
 
 - control-message dispatch — :meth:`deliver_times` maps one outgoing
   message and its nominal delivery time to zero (dropped), one, or two
   (duplicated) delivery times, possibly shifted by delay/reorder faults;
 - sync-request piggy-backing — :meth:`drop_request` decides whether the
   request riding on a data tuple is lost (the only fault kind that makes
-  sense for piggy-backed messages);
-- tuple execution — :meth:`execution_factor` inflates execution times
-  inside scripted slow-node windows (:meth:`slowdown_regions` is the
-  same lookup for an engine that hoists execution times into columns).
+  sense for piggy-backed messages).
 
 Scripted crashes are driven *by the engine* (each engine owns its notion
 of time and of what "the instance is down" means); the injector supplies
@@ -23,8 +20,8 @@ the sorted schedule via :attr:`crashes` and books the events through
 
 Determinism: all randomness comes from ``default_rng(plan.seed)`` and is
 drawn only in :meth:`deliver_times` and :meth:`drop_request`, i.e. when
-a message is emitted; crashes and slow-node windows are functions of
-virtual time.  Every engine emits messages in arrival order, so a
+a message is emitted; crashes are functions of virtual time.  Every
+engine emits messages in arrival order, so a
 (plan, seed, workload) triple reproduces the same faults — including
 across the per-tuple and chunked simulator engines: the chunked engine
 routes whole segments between emissions, but the emissions themselves
@@ -32,8 +29,6 @@ routes whole segments between emissions, but the emissions themselves
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -69,10 +64,10 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan, k: int | None = None, telemetry=NULL_RECORDER) -> None:
         if k is not None:
-            for event in (*plan.crashes, *plan.slowdowns):
-                if event.instance >= k:
+            for crash in plan.crashes:
+                if crash.instance >= k:
                     raise ValueError(
-                        f"scripted fault targets instance {event.instance} "
+                        f"scripted fault targets instance {crash.instance} "
                         f"but only {k} instances exist"
                     )
         self._plan = plan
@@ -84,14 +79,12 @@ class FaultInjector:
         self._request_overrides = dict(plan.source_sync_requests)
         self._reply_overrides = dict(plan.source_sync_replies)
         self._crashes = tuple(sorted(plan.crashes, key=lambda c: c.at_ms))
-        self._slowdowns = tuple(sorted(plan.slowdowns, key=lambda s: s.at_ms))
         self._dropped = dict.fromkeys(KINDS, 0)
         self._duplicated = dict.fromkeys(KINDS, 0)
         self._delayed = dict.fromkeys(KINDS, 0)
         self._reordered = dict.fromkeys(KINDS, 0)
         self._crashes_fired = 0
         self._restarts_fired = 0
-        self._slowed_tuples = 0
         self._telemetry.registry.register_collector(self._collect_samples)
 
     # ------------------------------------------------------------------
@@ -192,56 +185,6 @@ class FaultInjector:
         """Scripted crash events, sorted by ``at_ms`` (engine-driven)."""
         return self._crashes
 
-    def execution_factor(self, instance: int, now: float) -> float:
-        """Execution-time multiplier for ``instance`` at virtual time ``now``.
-
-        Overlapping slow-node windows compound multiplicatively.
-        """
-        factor = 1.0
-        for slow in self._slowdowns:
-            if slow.at_ms > now:
-                break
-            if slow.instance == instance and now < slow.at_ms + slow.duration_ms:
-                factor *= slow.factor
-        if factor != 1.0:
-            self._slowed_tuples += 1
-        return factor
-
-    def slowdown_regions(self, arrivals) -> list[tuple[int, int, int, float]]:
-        """The slow-node windows as ``(instance, lo, hi, factor)`` index ranges.
-
-        For engines that hoist execution times out of their loop:
-        ``arrivals`` is the sorted arrival-time column, and every tuple
-        ``lo <= j < hi`` executed by ``instance`` has
-        ``execution_factor(instance, arrivals[j]) == factor`` — windows
-        overlapping on an instance are split at each other's edges and
-        compounded in the same ``at_ms`` order, so the product is the
-        same float.  Ranges whose factor is ``1.0`` are left out.  Books
-        nothing: the engine reports the tuples it inflated through
-        :meth:`note_slowed_tuples`.
-        """
-        windows: dict[int, list[tuple[int, int, float]]] = {}
-        for slow in self._slowdowns:
-            lo = bisect.bisect_left(arrivals, slow.at_ms)
-            hi = bisect.bisect_left(arrivals, slow.at_ms + slow.duration_ms)
-            if lo < hi:
-                windows.setdefault(slow.instance, []).append((lo, hi, slow.factor))
-        regions = []
-        for instance, spans in windows.items():
-            edges = sorted({edge for lo, hi, _ in spans for edge in (lo, hi)})
-            for lo, hi in zip(edges, edges[1:]):
-                factor = 1.0
-                for span_lo, span_hi, span_factor in spans:
-                    if span_lo <= lo and hi <= span_hi:
-                        factor *= span_factor
-                if factor != 1.0:
-                    regions.append((instance, lo, hi, factor))
-        return regions
-
-    def note_slowed_tuples(self, count: int) -> None:
-        """Book ``count`` executions inflated through :meth:`slowdown_regions`."""
-        self._slowed_tuples += count
-
     def note_crash(self, instance: int, at_ms: float) -> None:
         """Book a crash the engine just fired."""
         self._crashes_fired += 1
@@ -258,11 +201,6 @@ class FaultInjector:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def plan(self) -> FaultPlan:
-        """The plan being executed."""
-        return self._plan
-
-    @property
     def active(self) -> bool:
         """Whether the plan can inject anything (engines may skip us)."""
         return self._plan.active
@@ -278,7 +216,6 @@ class FaultInjector:
                 "reordered": dict(self._reordered),
                 "crashes": self._crashes_fired,
                 "restarts": self._restarts_fired,
-                "slowed_tuples": self._slowed_tuples,
             },
         }
 
@@ -315,14 +252,6 @@ class FaultInjector:
                 self._restarts_fired,
                 "counter",
                 help="Scripted instance restarts fired",
-            )
-        )
-        samples.append(
-            Sample(
-                "posg_fault_slowed_tuples_total",
-                self._slowed_tuples,
-                "counter",
-                help="Tuple executions inflated by slow-node windows",
             )
         )
         return samples

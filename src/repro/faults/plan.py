@@ -12,10 +12,12 @@ The model follows the failure assumptions of the paper's evaluation
 (Figure 10 is a recovery-timeline experiment) and of the systems POSG
 targets: control messages ride an asynchronous network that may drop,
 delay, duplicate or reorder them, and operator instances may crash
-(losing their in-memory ``F``/``W`` matrices and ``C_op``) or run slow
-for a while.  Data tuples are *not* faulted — shuffle grouping sits on
-the data path, and the point of the subsystem is to stress the control
-plane underneath it.
+(losing their in-memory ``F``/``W`` matrices and ``C_op``).  A slow
+instance is not a fault: it is a
+:class:`~repro.workloads.nonstationary.LoadShiftScenario` phase.  Data
+tuples are *not* faulted — shuffle grouping sits on the data path, and
+the point of the subsystem is to stress the control plane underneath
+it.
 """
 
 from __future__ import annotations
@@ -96,33 +98,6 @@ class CrashFault:
         }
 
 
-@dataclass(frozen=True)
-class SlowdownFault:
-    """Scripted slow-node window: execution times inflate by ``factor``.
-
-    While ``at_ms <= now < at_ms + duration_ms`` every tuple executed by
-    ``instance`` takes ``factor`` times its nominal duration — the
-    operator-slowdown scenario PKG and POTUS evaluate under.
-    """
-
-    instance: int = integer(low=0)
-    at_ms: float = real(low=0)
-    duration_ms: float = real(low=0, open_low=True)
-    factor: float = real(low=0, open_low=True)
-
-    def __post_init__(self) -> None:
-        check_bounds(self)
-
-    def summary(self) -> dict:
-        """Plain-dict form for run reports."""
-        return {
-            "instance": self.instance,
-            "at_ms": self.at_ms,
-            "duration_ms": self.duration_ms,
-            "factor": self.factor,
-        }
-
-
 #: a MessageFaults with every probability at zero (the default)
 NO_FAULTS = MessageFaults()
 
@@ -152,8 +127,6 @@ class FaultPlan:
     crashes:
         Scripted :class:`CrashFault` events, any order (the injector
         sorts them by time).
-    slowdowns:
-        Scripted :class:`SlowdownFault` windows.
     seed:
         Seed for the injector's private random generator; the same plan
         and seed reproduce the same fault sequence.
@@ -165,7 +138,6 @@ class FaultPlan:
     source_sync_requests: tuple[tuple[int, MessageFaults], ...] = ()
     source_sync_replies: tuple[tuple[int, MessageFaults], ...] = ()
     crashes: tuple[CrashFault, ...] = field(default_factory=tuple)
-    slowdowns: tuple[SlowdownFault, ...] = field(default_factory=tuple)
     seed: int = 0
 
     @staticmethod
@@ -189,7 +161,6 @@ class FaultPlan:
     def __post_init__(self) -> None:
         # accept lists for convenience, store tuples (frozen dataclass)
         object.__setattr__(self, "crashes", tuple(self.crashes))
-        object.__setattr__(self, "slowdowns", tuple(self.slowdowns))
         object.__setattr__(
             self,
             "source_sync_requests",
@@ -207,9 +178,6 @@ class FaultPlan:
         for crash in self.crashes:
             if not isinstance(crash, CrashFault):
                 raise TypeError(f"crashes must hold CrashFault, got {crash!r}")
-        for slow in self.slowdowns:
-            if not isinstance(slow, SlowdownFault):
-                raise TypeError(f"slowdowns must hold SlowdownFault, got {slow!r}")
 
     @property
     def active(self) -> bool:
@@ -227,7 +195,6 @@ class FaultPlan:
             or any(faults.active for _, faults in self.source_sync_requests)
             or any(faults.active for _, faults in self.source_sync_replies)
             or bool(self.crashes)
-            or bool(self.slowdowns)
         )
 
     def summary(self) -> dict:
@@ -238,7 +205,6 @@ class FaultPlan:
             "sync_requests": self.sync_requests.summary(),
             "sync_replies": self.sync_replies.summary(),
             "crashes": [crash.summary() for crash in self.crashes],
-            "slowdowns": [slow.summary() for slow in self.slowdowns],
         }
         if self.source_sync_requests:
             summary["source_sync_requests"] = {

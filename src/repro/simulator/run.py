@@ -24,8 +24,8 @@ Two engines implement these semantics:
 - the **reference engine** (``chunk_size=0``) routes one tuple at a time
   through ``policy.route`` — simple, obviously correct, and slow;
 - the **chunked engine** (default) processes the stream in
-  control-quiet segments.  Scenario multipliers, slow-node windows and
-  constant latencies are hoisted out of the loop, every POSG-family
+  control-quiet segments.  Scenario multipliers and constant latencies
+  are hoisted out of the loop, every POSG-family
   policy — one scheduler or ``s`` shards, coordinated or not, observed
   or not, latency-hinted or not, under a fault plan or armed recovery
   defences or neither — routes through
@@ -275,9 +275,9 @@ def simulate_stream(
         covered, at least the run's ``k``), ``multiplier(instance,
         index)`` and ``multiplier_matrix(m)`` — the same values in bulk,
         shape ``(m, >= k)`` with ``[j, i] == multiplier(i, j)``
-        (:class:`~repro.workloads.nonstationary.LoadShiftScenario` and
-        ``DriftScenario`` both qualify); it is only read, so a read-only,
-        zero-strided view of one repeated row will do.  A missing
+        (:class:`~repro.workloads.nonstationary.LoadShiftScenario`
+        qualifies); it is only read, so a read-only, zero-strided view
+        of one repeated row will do.  A missing
         attribute raises ``TypeError`` and a wrong shape or a short ``k``
         ``ValueError``, under either engine, before the policy is set up.
     data_latency, control_latency:
@@ -578,12 +578,12 @@ def _simulate_reference(
         start = at_instance if at_instance > busy_until[instance] else busy_until[instance]
         execution_time = base_times[j] * scenario.multiplier(instance, j)
         sync_request = decision.sync_request
-        if faulting:
-            factor = injector.execution_factor(instance, arrival)
-            if factor != 1.0:
-                execution_time = execution_time * factor
-            if sync_request is not None and injector.drop_request(sync_request):
-                sync_request = None
+        if (
+            faulting
+            and sync_request is not None
+            and injector.drop_request(sync_request)
+        ):
+            sync_request = None
         finish = start + execution_time
         busy_until[instance] = finish
         completions[j] = finish - arrival
@@ -669,8 +669,8 @@ def _simulate_chunked(
     profiler=None,
 ) -> SimulationResult:
     """Hoist what no routing decision can change, dispatch one loop, and
-    derive completions, backlog samples and slow-node billing from the
-    finishes and assignments it left."""
+    derive completions and backlog samples from the finishes and
+    assignments it left."""
     items_array = np.ascontiguousarray(stream.items, dtype=np.int64)
     arrivals_array = np.ascontiguousarray(stream.arrivals, dtype=np.float64)
     base_array = np.ascontiguousarray(stream.base_times, dtype=np.float64)
@@ -687,14 +687,6 @@ def _simulate_chunked(
         base_array if unit[instance] else base_array * multipliers[:, instance]
         for instance in range(k)
     ]
-    # Slow-node windows are a function of arrival time alone: the same
-    # multiply ``execution_factor`` applies per tuple, once per region;
-    # untouched columns stay shared.
-    slowed = injector.slowdown_regions(arrivals_array) if injector is not None else ()
-    for instance in {region[0] for region in slowed}:
-        execution_arrays[instance] = execution_arrays[instance].copy()
-    for instance, lo, hi, factor in slowed:
-        execution_arrays[instance][lo:hi] *= factor
 
     # Instance-arrival columns, one per distinct data latency (x + 0.0 ==
     # x for the non-negative arrival times, so a zero latency reads the
@@ -757,12 +749,6 @@ def _simulate_chunked(
     assignments = np.empty(state.m, dtype=np.int64)
     for instance, indices in enumerate(state.assigned):
         assignments[_entries(indices, 0, len(indices))] = instance
-    slowed_tuples = sum(
-        int(np.count_nonzero(assignments[lo:hi] == instance))
-        for instance, lo, hi, _ in slowed
-    )
-    if slowed_tuples:
-        injector.note_slowed_tuples(slowed_tuples)
     queue_samples = queue_sample_indices = None
     if sample_queues_every is not None:
         queue_sample_indices, queue_samples = _backlog_samples(
@@ -1190,8 +1176,7 @@ def _tuple_stepper(
     drop, observer samples, the instance agent's fold and its outgoing
     messages.  The caller keeps what comes before (due crashes, the
     control drain) and after (FSM transitions), and has tuple ``j`` in
-    the open window; slow-node windows are already in the execution
-    columns.  ``_run_generic`` runs every tuple through it; the segment
+    the open window.  ``_run_generic`` runs every tuple through it; the segment
     router only the tuples it cannot batch, once it has served every
     instance up to ``j``.  The step serves tuple ``j`` itself: its finish
     is written to ``state.finishes`` and the chosen instance returned.
@@ -1334,9 +1319,8 @@ def _run_posg(
     because none of them acts between two events the engine already
     sees.  A scripted crash is a function of arrival time: its index is
     a ``searchsorted``, the segment stops there, and the crash fires at
-    the top of the loop once the pending folds and service have landed.  Slow-node
-    windows are already in the execution columns (``_simulate_chunked``
-    folds them before it dispatches).  The injector draws only when a
+    the top of the loop once the pending folds and service have landed.
+    The injector draws only when a
     message is emitted — at a window close or in the per-tuple step —
     so its random stream advances in tuple order as in the reference
     engine.  A defence acts when a scheduler's tuple clock reaches

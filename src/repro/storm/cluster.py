@@ -16,8 +16,6 @@ from typing import Any
 import numpy as np
 
 from repro.bounds import check_bounds, integer, real
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import CrashFault, FaultPlan
 from repro.simulator.engine import Simulation
 from repro.storm.acker import AckTracker
 from repro.storm.executor import BoltExecutor, SpoutExecutor
@@ -71,14 +69,6 @@ class LocalCluster:
         config seed makes runs reproducible end to end.  The acker draws
         ids ahead of use and so owns the generator from here on: do not
         share it with another consumer.
-    faults:
-        Optional :class:`~repro.faults.plan.FaultPlan` (or pre-built
-        injector).  Scripted crashes/slowdowns target ``fault_bolt``;
-        message faults apply to the POSG control messages the cluster
-        dispatches.  An inactive plan changes nothing.
-    fault_bolt:
-        Name of the bolt whose tasks scripted faults target; may be
-        omitted when the topology has exactly one bolt.
     """
 
     def __init__(
@@ -86,8 +76,6 @@ class LocalCluster:
         config: ClusterConfig | None = None,
         telemetry=None,
         rng: np.random.Generator | None = None,
-        faults: "FaultPlan | FaultInjector | None" = None,
-        fault_bolt: str | None = None,
     ) -> None:
         self.config = config if config is not None else ClusterConfig()
         self.sim = Simulation()
@@ -99,21 +87,6 @@ class LocalCluster:
             self.config.message_timeout,
             rng=rng if rng is not None else np.random.default_rng(self.config.seed),
         )
-        if isinstance(faults, FaultInjector):
-            self._injector = faults if faults.active else None
-        elif isinstance(faults, FaultPlan):
-            self._injector = (
-                FaultInjector(faults, telemetry=self.telemetry)
-                if faults.active
-                else None
-            )
-        elif faults is None:
-            self._injector = None
-        else:
-            raise TypeError(
-                f"faults must be a FaultPlan or FaultInjector, got {faults!r}"
-            )
-        self._fault_bolt = fault_bolt
         self._topology: Topology | None = None
         self._spout_executors: list[SpoutExecutor] = []
         #: spout name -> its executors, by task index
@@ -184,57 +157,6 @@ class LocalCluster:
                 self._spout_tasks.setdefault(spout_spec.name, []).append(executor)
                 executor.open()
 
-        if self._injector is not None:
-            self._arm_faults()
-
-    def _arm_faults(self) -> None:
-        """Schedule scripted faults against the target bolt's tasks."""
-        injector = self._injector
-        name = self._fault_bolt
-        if name is None:
-            if len(self._bolt_executors) != 1:
-                raise ValueError(
-                    "fault_bolt must name the target bolt when the topology "
-                    f"has {len(self._bolt_executors)} bolts"
-                )
-            name = next(iter(self._bolt_executors))
-        elif name not in self._bolt_executors:
-            raise ValueError(f"fault_bolt {name!r} is not a bolt in the topology")
-        self._fault_bolt = name
-        executors = self._bolt_executors[name]
-        for event in (*injector.crashes, *injector.plan.slowdowns):
-            if event.instance >= len(executors):
-                raise ValueError(
-                    f"scripted fault targets task {event.instance} but bolt "
-                    f"{name!r} has parallelism {len(executors)}"
-                )
-        if injector.plan.slowdowns:
-            for executor in executors:
-                executor.fault_injector = injector
-        for crash in injector.crashes:
-            self.sim.after(crash.at_ms, self._fire_crash, crash)
-
-    def _fire_crash(self, crash: CrashFault) -> None:
-        """Crash one bolt task: fail its tuples, notify groupings."""
-        executors = self._bolt_executors[self._fault_bolt]
-        executor = executors[crash.instance]
-        lost = executor.crash()
-        self._injector.note_crash(crash.instance, self.sim.now)
-        for tup in lost:
-            self.fail_tuple(tup)
-        bolt_spec = self._topology.bolts[self._fault_bolt]
-        for subscription in bolt_spec.subscriptions:
-            grouping = subscription.grouping
-            if isinstance(grouping, CustomStreamGrouping):
-                grouping.on_instance_crash(crash.instance)
-        self.sim.after(
-            crash.outage_ms, self._finish_restart, executor, crash.instance
-        )
-
-    def _finish_restart(self, executor: BoltExecutor, instance: int) -> None:
-        executor.restart()
-        self._injector.note_restart(instance, self.sim.now)
-
     def run(self, until: float | None = None) -> float:
         """Drain the event loop; returns the final virtual time."""
         if not self._submitted:
@@ -255,9 +177,6 @@ class LocalCluster:
                 executor.bolt.cleanup()
         for grouping in self._reporting_groupings.values():
             grouping.on_shutdown()
-
-    def on_spout_exhausted(self) -> None:
-        """A spout signalled it will never emit again (no-op hook)."""
 
     # ------------------------------------------------------------------
     # emission and routing
@@ -320,23 +239,12 @@ class LocalCluster:
         routes = self._routes[name]
         sole = len(routes) == 1
         acker = self.acker
-        injector = self._injector
         after = self.sim.after
         latency = self.config.transfer_latency
         for bolt_spec, grouping, executors in routes:
             proto.sync_request = None
             tasks = grouping.choose_tasks(proto)
             sync_request = proto.sync_request  # set by POSG-style groupings
-            if (
-                sync_request is not None
-                and injector is not None
-                and injector.drop_request(sync_request)
-            ):
-                # The piggy-backed request is lost on the wire; the data
-                # tuple itself still arrives.  Its bits were spent, so the
-                # control-overhead accounting still counts the send.
-                self.metrics.record_control_message(sync_request.size_bits())
-                sync_request = proto.sync_request = None
             reuse = sole and len(tasks) == 1
             for task in tasks:
                 if not 0 <= task < bolt_spec.parallelism:
@@ -425,11 +333,6 @@ class LocalCluster:
                 self.metrics.record_control_message(
                     size_bits() if size_bits is not None else 0
                 )
-                if self._injector is not None:
-                    delays = self._injector.deliver_times(
-                        message, self.config.control_latency
-                    )
-                else:
-                    delays = (self.config.control_latency,)
-                for delay in delays:
-                    self.sim.after(delay, grouping.on_control, message)
+                self.sim.after(
+                    self.config.control_latency, grouping.on_control, message
+                )

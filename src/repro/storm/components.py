@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bounds import COUNT
 from repro.storm.executor import BoltCollector, SpoutCollector, TaskContext
 from repro.storm.topology import Bolt, Spout
 from repro.storm.tuples import StormTuple
@@ -141,21 +140,3 @@ class ForwardingBolt(Bolt):
 
     def execute(self, tup: StormTuple) -> None:
         self._collector.emit(tup.values, anchors=[tup])
-
-
-class FailingBolt(Bolt):
-    """Fails every ``failure_period``-th tuple (failure-injection tests)."""
-
-    def __init__(self, failure_period: int = 2) -> None:
-        self._period = COUNT.check("failure_period", failure_period)
-        self._count = 0
-
-    def prepare(self, context: TaskContext, collector: BoltCollector) -> None:
-        self._collector = collector
-
-    def execute(self, tup: StormTuple) -> None:
-        self._count += 1
-        if self._count % self._period == 0:
-            self._collector.fail(tup)
-        else:
-            self._collector.ack(tup)

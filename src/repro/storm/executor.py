@@ -117,7 +117,6 @@ class SpoutExecutor:
         if delay is None:
             if getattr(self.spout, "finished", False):
                 self.exhausted = True
-                cluster.on_spout_exhausted()
                 return
             delay = config.idle_backoff
         self._after(delay if delay > 0.0 else 0.0, self._tick)
@@ -141,13 +140,6 @@ class BoltExecutor:
         self.queue: deque[StormTuple] = deque()
         self.busy = False
         self.executed = 0
-        self.alive = True
-        #: bumped on every crash so in-flight finish timers from a dead
-        #: incarnation are recognized and dropped
-        self._incarnation = 0
-        self._current: StormTuple | None = None
-        #: set by the cluster when slow-node faults target this task
-        self.fault_injector = None
 
     def prepare(self) -> None:
         cluster = self.cluster
@@ -167,12 +159,6 @@ class BoltExecutor:
 
     def enqueue(self, tup: StormTuple) -> None:
         """A tuple arrived on this task's input."""
-        if not self.alive:
-            # The task is down: the tuple is lost, its tree fails and the
-            # spout replays (or gives up on) it — Storm's at-least-once
-            # contract under worker crashes.
-            self.cluster.fail_tuple(tup)
-            return
         self.queue.append(tup)
         if not self.busy:
             self._start_next()
@@ -180,10 +166,6 @@ class BoltExecutor:
     def _start_next(self) -> None:
         tup = self.queue[0]
         duration = self.bolt.work_time(tup)
-        if self.fault_injector is not None:
-            duration *= self.fault_injector.execution_factor(
-                self.task_index, self.cluster.sim.now
-            )
         if not 0.0 <= duration < _INF:  # negative, NaN or infinite
             raise ValueError(
                 f"bolt {self.spec.name!r} task {self.task_index} returned "
@@ -191,13 +173,9 @@ class BoltExecutor:
             )
         self.queue.popleft()
         self.busy = True
-        self._current = tup
-        self._after(duration, self._finish, tup, duration, self._incarnation)
+        self._after(duration, self._finish, tup, duration)
 
-    def _finish(self, tup: StormTuple, duration: float, incarnation: int = 0) -> None:
-        if incarnation != self._incarnation:
-            return  # timer from a crashed incarnation; the tuple is gone
-        self._current = None
+    def _finish(self, tup: StormTuple, duration: float) -> None:
         self.executed += 1
         self.bolt.execute(tup)
         # Basic-bolt convenience: auto-ack inputs the bolt didn't handle
@@ -210,29 +188,3 @@ class BoltExecutor:
             self._start_next()
         else:
             self.busy = False
-
-    # ------------------------------------------------------------------
-    # fault injection
-    # ------------------------------------------------------------------
-    def crash(self) -> list[StormTuple]:
-        """Kill this task; returns the tuples it loses.
-
-        The queue and the in-service tuple vanish with the process; the
-        caller (the cluster) fails their trees through the acker so the
-        spouts learn about the loss.
-        """
-        self.alive = False
-        self._incarnation += 1
-        lost = list(self.queue)
-        self.queue.clear()
-        if self.busy and self._current is not None:
-            lost.append(self._current)
-        self._current = None
-        self.busy = False
-        return lost
-
-    def restart(self) -> None:
-        """Bring the task back up (empty queue, fresh incarnation)."""
-        self.alive = True
-        if self.queue and not self.busy:
-            self._start_next()

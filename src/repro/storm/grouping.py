@@ -70,14 +70,6 @@ class CustomStreamGrouping(StreamGrouping):
     def on_control(self, message) -> None:
         """Control message from a downstream task (default: ignored)."""
 
-    def on_instance_crash(self, task: int) -> None:
-        """A subscribed bolt task crash-restarted (default: ignored).
-
-        Fired by the cluster's fault injection; stateful groupings (POSG)
-        use it to wipe the per-task tracker the way a real process
-        restart would.
-        """
-
     def on_shutdown(self) -> None:
         """The cluster shuts down (default: ignored).
 

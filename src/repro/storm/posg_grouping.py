@@ -135,13 +135,6 @@ class POSGShuffleGrouping(CustomStreamGrouping):
     def on_control(self, message) -> None:
         self._policy.on_control(message)
 
-    def on_instance_crash(self, task: int) -> None:
-        """Wipe the crashed task's instance-side state (new generation)."""
-        # What ran before the crash counts in the lifetime counters,
-        # which survive the restart.
-        self._fold_deferred(task)
-        self._deferred[task][2].restart()
-
     def on_shutdown(self) -> None:
         for task in self._deferred:
             self._fold_deferred(task)

@@ -237,8 +237,8 @@ class EstimatorAudit:
 
         ``index`` is the stream position (drives segmenting), ``item``
         and ``instance`` identify the routing decision, ``true_time`` is
-        the execution time the simulation actually charged (after any
-        injected slowdown — the audit measures the estimator against
+        the execution time the simulation actually charged (scenario
+        multiplier included — the audit measures the estimator against
         what really happened).
         """
         boundaries = self._boundaries

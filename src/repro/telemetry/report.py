@@ -243,8 +243,7 @@ class RunReport:
             dropped = sum(injected.get("dropped", {}).values())
             lines.append(
                 f"faults: {dropped} control messages dropped, "
-                f"{injected.get('crashes', 0)} crashes, "
-                f"{injected.get('slowed_tuples', 0)} slowed tuples"
+                f"{injected.get('crashes', 0)} crashes"
             )
         if self.audit is not None:
             rel = self.audit.get("rel_error_quantiles", {})

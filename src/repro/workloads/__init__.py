@@ -18,7 +18,7 @@ from repro.workloads.distributions import (
 from repro.workloads.exectime import ExecutionTimeModel, Spacing
 from repro.workloads.synthetic import Stream, StreamSpec, generate_stream
 from repro.workloads.twitter import TwitterDatasetSpec, generate_twitter_stream
-from repro.workloads.nonstationary import DriftScenario, LoadShiftScenario
+from repro.workloads.nonstationary import LoadShiftScenario
 
 __all__ = [
     "ItemDistribution",
@@ -32,5 +32,4 @@ __all__ = [
     "TwitterDatasetSpec",
     "generate_twitter_stream",
     "LoadShiftScenario",
-    "DriftScenario",
 ]

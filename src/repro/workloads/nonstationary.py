@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bounds import POSITIVE, check_bounds, integer
+from repro.bounds import POSITIVE
 
 #: the paper's phase multipliers for k = 5 (Figure 10)
 PAPER_PHASE1 = (1.05, 1.025, 1.0, 0.975, 0.95)
@@ -100,54 +100,3 @@ class LoadShiftScenario:
         """A single-phase (stationary) schedule; uniform by default."""
         phase = multipliers if multipliers is not None else tuple([1.0] * k)
         return cls(phases=(phase,), boundaries=())
-
-
-@dataclass(frozen=True)
-class DriftScenario:
-    """Gradual per-instance drift (beyond-paper robustness scenario).
-
-    The paper assumes load changes are abrupt but rare ("subsequent
-    changes are interleaved by a large enough time frame").  Real systems
-    also drift continuously — thermal throttling, co-located tenants,
-    cache warming.  This scenario interpolates each instance's multiplier
-    *linearly* from ``start`` to ``end`` over ``[0, duration)``, so no
-    snapshot window ever sees a stationary distribution; it probes how
-    POSG's stability gate behaves when its premise is violated.
-    """
-
-    start: tuple[float, ...]
-    end: tuple[float, ...]
-    duration: int = integer(low=1)
-
-    def __post_init__(self) -> None:
-        if len(self.start) != len(self.end):
-            raise ValueError("start and end must cover the same instances")
-        if not self.start:
-            raise ValueError("need at least one instance")
-        check_bounds(self)
-        for multiplier in self.start + self.end:
-            POSITIVE.check("multipliers", multiplier)
-
-    @property
-    def k(self) -> int:
-        """Instance count covered by the schedule."""
-        return len(self.start)
-
-    def multiplier(self, instance: int, tuple_index: int) -> float:
-        """Linearly interpolated multiplier at one stream position."""
-        fraction = min(1.0, tuple_index / self.duration)
-        return (
-            self.start[instance]
-            + (self.end[instance] - self.start[instance]) * fraction
-        )
-
-    def multiplier_matrix(self, m: int) -> np.ndarray:
-        """Vectorized multipliers for positions ``0..m-1``: shape ``(m, k)``.
-
-        Elementwise-identical to :meth:`multiplier` (the same IEEE
-        operations in the same order, just broadcast).
-        """
-        fraction = np.minimum(1.0, np.arange(m) / self.duration)
-        start = np.asarray(self.start, dtype=np.float64)
-        end = np.asarray(self.end, dtype=np.float64)
-        return start[None, :] + (end - start)[None, :] * fraction[:, None]

@@ -30,12 +30,7 @@ from repro.core.instance import InstanceTracker
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.core.reactive import ReactiveGrouping
 from repro.core.scheduler import POSGScheduler
-from repro.faults.plan import (
-    CrashFault,
-    FaultPlan,
-    MessageFaults,
-    SlowdownFault,
-)
+from repro.faults.plan import CrashFault, FaultPlan, MessageFaults
 from repro.simulator.metrics import CompletionStats
 from repro.simulator.run import simulate_stream
 from repro.simulator.topology import StageTopology
@@ -43,7 +38,6 @@ from repro.sketches.count_min import CountMinSketch, dims_for
 from repro.sketches.hashing import TwoUniversalHashFamily, random_hash_family
 from repro.storm.acker import AckTracker
 from repro.storm.cluster import ClusterConfig
-from repro.storm.components import FailingBolt
 from repro.storm.topology import TopologyBuilder
 from repro.telemetry.audit import AuditConfig
 from repro.telemetry.dashboard import LiveDashboard
@@ -53,7 +47,7 @@ from repro.telemetry.quality import compute_quality
 from repro.telemetry.tracer import Tracer
 from repro.workloads.distributions import UniformItems, ZipfItems
 from repro.workloads.exectime import ExecutionTimeModel, execution_time_values
-from repro.workloads.nonstationary import DriftScenario, LoadShiftScenario
+from repro.workloads.nonstationary import LoadShiftScenario
 from repro.workloads.synthetic import Stream, StreamSpec, default_stream
 from repro.workloads.twitter import TwitterDatasetSpec
 
@@ -69,10 +63,8 @@ CLASSES = {
     AuditConfig: {},
     MessageFaults: {"delay_ms": 1.0},
     CrashFault: {"instance": 0, "at_ms": 0.0},
-    SlowdownFault: {"instance": 0, "at_ms": 0.0, "duration_ms": 1.0, "factor": 2.0},
     StreamSpec: {},
     TwitterDatasetSpec: {},
-    DriftScenario: {"start": (1.0,), "end": (2.0,), "duration": 8},
     ClusterConfig: {},
     TwoUniversalHashFamily: {"a": (1,), "b": (0,), "cols": 4},
     Stream: {
@@ -251,10 +243,6 @@ class TestMeasuredCases:
                 "percentile must be in (0, 100), got 100.0",
             ),
             (lambda: MessageFaults(drop=1.5), "drop must be in [0, 1], got 1.5"),
-            (
-                lambda: SlowdownFault(instance=0, at_ms=0.0, duration_ms=0.0, factor=1.0),
-                "duration_ms must be > 0, got 0.0",
-            ),
         ],
     )
     def test_range_messages_keep_their_wording(self, build_it, message):
@@ -305,11 +293,6 @@ class TestSequenceElementsAndKeys:
             LoadShiftScenario(phases=((1.0, value),), boundaries=())
 
     @pytest.mark.parametrize("value", [math.nan, 0.0])
-    def test_drift_multipliers(self, value):
-        with pytest.raises(ValueError, match="^multipliers must be"):
-            DriftScenario(start=(1.0,), end=(value,), duration=8)
-
-    @pytest.mark.parametrize("value", [math.nan, 0.0])
     def test_audit_tail_thresholds(self, value):
         with pytest.raises(ValueError, match="^tail_thresholds_ms must be"):
             AuditConfig(tail_thresholds_ms=(value,))
@@ -358,7 +341,6 @@ INTEGER_ARGUMENTS = [
     ("window", lambda v: compute_quality(np.zeros(8, int), np.ones((8, 2)), 2, v), 4),
     ("parallelism", lambda v: TopologyBuilder().set_spout("s", object, v), 2),
     ("parallelism", lambda v: TopologyBuilder().set_bolt("b", object, v), 2),
-    ("failure_period", lambda v: FailingBolt(v), 2),
 ]
 
 #: real arguments checked outside a config dataclass

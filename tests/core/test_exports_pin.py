@@ -33,14 +33,14 @@ K = 4
 PINS = {
     1: {
         "stats": "9bab18e57bda45ac7348f89c812da2a49ae5c9d5e89e9dbdf728cbe2ea857678",
-        "snapshot": "caae89d08fe1c0b8fd9602f28f1aa0a232de8b4bf00ec7b3a3b725f64e5489dc",
-        "prometheus": "8b87567d0753880069bfd9054960b435248d7562783a2f2209a341922a834571",
+        "snapshot": "df348de50882c83acd4290d606781e1d3cc83549cf009834bb077b53ec15cfde",
+        "prometheus": "2dfad1c7b886aebb66aada3f619d1765f4de2a7203e856bd3ad9d1f4950bee9f",
         "events": "ed5c0ef8ab8aa60e0624372d7a2d7889c6182f22f24ecb3eb603a01f6bba1ab2",
     },
     2: {
         "stats": "6ad819086682d06f0ab037f3884acd2ce880c3f390aae8f08a5b9e859a8fbf66",
-        "snapshot": "136e9586d3053f0b444f405068ccada6981315621917b473b2ec09fd2e8dcdf7",
-        "prometheus": "7905056c72cf7540ad96e365530051ab4935d1c70c2ca3b875ded30fcd7819f7",
+        "snapshot": "99273aa63336565fe06b7424460faefe561bf164d9fec3097c48876962d1f9ae",
+        "prometheus": "16a257894079eb51b44954484e7ccfd5476c9dc47ef03ab488664221566de6fb",
         "events": "55611b383fbf1a741893fc7780283b38d959033e25103ad0b2625774003da893",
     },
 }

@@ -2,13 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.matrices import FWPair, make_shared_hashes
 from repro.core.config import POSGConfig
 from repro.core.messages import MatricesMessage, SyncReply
-from repro.faults import CrashFault, FaultInjector, FaultPlan, MessageFaults, SlowdownFault
+from repro.faults import CrashFault, FaultInjector, FaultPlan, MessageFaults
 
 
 def make_matrices(instance=0):
@@ -23,14 +21,6 @@ class TestValidation:
         plan = FaultPlan(crashes=(CrashFault(instance=5, at_ms=1.0),))
         with pytest.raises(ValueError, match="instance 5"):
             FaultInjector(plan, k=3)
-
-    def test_slowdown_out_of_range_rejected(self):
-        plan = FaultPlan(
-            slowdowns=(SlowdownFault(instance=9, at_ms=0.0,
-                                     duration_ms=1.0, factor=2.0),)
-        )
-        with pytest.raises(ValueError, match="instance 9"):
-            FaultInjector(plan, k=4)
 
     def test_unknown_k_accepts_anything(self):
         plan = FaultPlan(crashes=(CrashFault(instance=99, at_ms=1.0),))
@@ -101,72 +91,6 @@ class TestInstanceFaults:
         )
         injector = FaultInjector(plan)
         assert [c.at_ms for c in injector.crashes] == [2.0, 9.0]
-
-    def test_execution_factor_inside_window(self):
-        plan = FaultPlan(
-            slowdowns=(SlowdownFault(instance=1, at_ms=10.0,
-                                     duration_ms=5.0, factor=3.0),)
-        )
-        injector = FaultInjector(plan)
-        assert injector.execution_factor(1, 5.0) == 1.0
-        assert injector.execution_factor(1, 12.0) == 3.0
-        assert injector.execution_factor(0, 12.0) == 1.0
-        assert injector.execution_factor(1, 15.0) == 1.0
-        assert injector.report()["injected"]["slowed_tuples"] == 1
-
-    def test_overlapping_slowdowns_compound(self):
-        plan = FaultPlan(
-            slowdowns=(
-                SlowdownFault(instance=0, at_ms=0.0, duration_ms=10.0, factor=2.0),
-                SlowdownFault(instance=0, at_ms=5.0, duration_ms=10.0, factor=3.0),
-            )
-        )
-        injector = FaultInjector(plan)
-        assert injector.execution_factor(0, 7.0) == 6.0
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 2),
-                st.integers(0, 40),
-                st.integers(1, 30),
-                st.sampled_from([0.5, 2.0, 3.0, 0.1]),
-            ),
-            max_size=5,
-        ),
-        st.lists(st.integers(0, 60), min_size=1, max_size=40),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_slowdown_regions_replay_execution_factor(self, windows, clock):
-        """Hoisted index ranges against the per-tuple lookup, on a clock
-        with repeated arrivals and windows that start and end on them."""
-        arrivals = [float(t) for t in sorted(clock)]
-        plan = FaultPlan(
-            slowdowns=[
-                SlowdownFault(instance, float(at), float(span), factor)
-                for instance, at, span, factor in windows
-            ]
-        )
-        hoisted = {}
-        for instance, lo, hi, factor in FaultInjector(plan).slowdown_regions(
-            arrivals
-        ):
-            assert factor != 1.0 and 0 <= lo < hi <= len(arrivals)
-            for j in range(lo, hi):
-                assert (instance, j) not in hoisted, "regions overlap"
-                hoisted[instance, j] = factor
-        per_tuple = FaultInjector(plan)
-        for instance in range(3):
-            for j, now in enumerate(arrivals):
-                assert hoisted.get((instance, j), 1.0) == (
-                    per_tuple.execution_factor(instance, now)
-                )
-        assert per_tuple.report()["injected"]["slowed_tuples"] == len(hoisted)
-
-    def test_noted_slowed_tuples_land_in_the_report(self):
-        injector = FaultInjector(FaultPlan())
-        injector.note_slowed_tuples(7)
-        assert injector.report()["injected"]["slowed_tuples"] == 7
 
     def test_crash_bookkeeping(self):
         injector = FaultInjector(FaultPlan())

@@ -7,7 +7,6 @@ from repro.faults import (
     CrashFault,
     FaultPlan,
     MessageFaults,
-    SlowdownFault,
 )
 
 
@@ -65,12 +64,6 @@ class TestScriptedFaults:
         with pytest.raises(ValueError, match="outage_ms"):
             CrashFault(instance=0, at_ms=0.0, outage_ms=-1.0)
 
-    def test_slowdown_validation(self):
-        with pytest.raises(ValueError, match="duration_ms"):
-            SlowdownFault(instance=0, at_ms=0.0, duration_ms=0.0, factor=2.0)
-        with pytest.raises(ValueError, match="factor"):
-            SlowdownFault(instance=0, at_ms=0.0, duration_ms=1.0, factor=0.0)
-
 
 class TestFaultPlan:
     def test_empty_plan_is_inactive(self):
@@ -83,8 +76,6 @@ class TestFaultPlan:
     def test_wrong_event_types_rejected(self):
         with pytest.raises(TypeError, match="CrashFault"):
             FaultPlan(crashes=("nope",))
-        with pytest.raises(TypeError, match="SlowdownFault"):
-            FaultPlan(slowdowns=(CrashFault(instance=0, at_ms=1.0),))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -93,8 +84,6 @@ class TestFaultPlan:
             {"sync_requests": MessageFaults(drop=0.1)},
             {"sync_replies": MessageFaults(duplicate=0.1)},
             {"crashes": (CrashFault(instance=0, at_ms=1.0),)},
-            {"slowdowns": (SlowdownFault(instance=0, at_ms=1.0,
-                                         duration_ms=1.0, factor=2.0),)},
         ],
     )
     def test_any_fault_activates(self, kwargs):

@@ -19,7 +19,7 @@ import pytest
 from repro.core.config import POSGConfig
 from repro.core.grouping import POSGGrouping, RoundRobinGrouping
 from repro.core.multisource import MultiSourcePOSGGrouping
-from repro.faults import CrashFault, FaultPlan, MessageFaults, SlowdownFault
+from repro.faults import CrashFault, FaultPlan, MessageFaults
 from repro.simulator.run import simulate_stream
 from repro.telemetry.lineage import LineageConfig, LineageTracer, SLOConfig
 from repro.workloads.synthetic import default_stream
@@ -47,14 +47,6 @@ def chaos_plan():
                 instance=2,
                 at_ms=float(stream.arrivals[M // 2]),
                 outage_ms=400.0,
-            ),
-        ),
-        slowdowns=(
-            SlowdownFault(
-                instance=1,
-                at_ms=float(stream.arrivals[M // 4]),
-                duration_ms=600.0,
-                factor=3.0,
             ),
         ),
         seed=7,

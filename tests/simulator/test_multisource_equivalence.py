@@ -18,7 +18,7 @@ import pytest
 from repro.core.config import POSGConfig
 from repro.core.grouping import POSGGrouping
 from repro.core.multisource import MultiSourcePOSGGrouping
-from repro.faults import CrashFault, FaultPlan, MessageFaults, SlowdownFault
+from repro.faults import CrashFault, FaultPlan, MessageFaults
 from repro.simulator.run import simulate_stream
 from repro.telemetry.audit import AuditConfig
 from repro.telemetry.recorder import TelemetryRecorder
@@ -57,14 +57,6 @@ def chaos_plan(**overrides):
                 instance=2,
                 at_ms=float(stream.arrivals[2 * M // 3]),
                 outage_ms=500.0,
-            ),
-        ),
-        slowdowns=(
-            SlowdownFault(
-                instance=1,
-                at_ms=float(stream.arrivals[M // 3]),
-                duration_ms=2000.0,
-                factor=3.0,
             ),
         ),
         seed=7,

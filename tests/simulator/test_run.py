@@ -1,5 +1,6 @@
 """Tests for the fast single-stage simulation."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,12 @@ from repro.simulator.run import simulate_stream
 from repro.simulator.topology import StageTopology
 from repro.workloads.distributions import UniformItems, ZipfItems
 from repro.workloads.nonstationary import LoadShiftScenario
-from repro.workloads.synthetic import Stream, StreamSpec, generate_stream
+from repro.workloads.synthetic import (
+    Stream,
+    StreamSpec,
+    default_stream,
+    generate_stream,
+)
 
 
 def small_stream(seed=0, m=2048, n=256, k=5, **overrides):
@@ -421,3 +427,48 @@ class TestMemoryPerTuple:
         assert result.engine["path"] == path
         assert result.engine["window_tuples"] == self.M
         assert peak / self.M <= self.LIMIT
+
+
+#: sha256 of completions, assignments and state transitions of a run with
+#: two slow-node windows on arrival time -- instance 1 x 3.0 over stream
+#: indices [4000, 9000) and instance 3 x 0.5 over [7000, 14000), the
+#: second opening before the first closes -- recorded under both engines
+#: with the slow-node fault kind the fault plan used to have
+SLOW_NODE_DIGESTS = (
+    "b8f0ddbaefc67274a8f90e5bc13d837d4b028edb618574a2e829e06184f8d835",
+    "8741d074394d999367eb09cb3a9e9a6ab91ed0f63b468353408586dc4e517124",
+    "8b97607af1d33851bb2d3a602a4d5f99e53cca2ac4347495ab55c6d24dd6cbe2",
+)
+
+
+@pytest.mark.parametrize("chunk_size", [0, 2048])
+def test_slow_node_window_is_a_scenario_phase(chunk_size):
+    """A slow node is a multiplier phase: the same windows written as
+    scenario boundaries reproduce the recorded run bit for bit."""
+    ones = (1.0,) * 5
+    scenario = LoadShiftScenario(
+        phases=(
+            ones,
+            (1.0, 3.0, 1.0, 1.0, 1.0),
+            (1.0, 3.0, 1.0, 0.5, 1.0),
+            (1.0, 1.0, 1.0, 0.5, 1.0),
+            ones,
+        ),
+        boundaries=(4_000, 7_000, 9_000, 14_000),
+    )
+    result = simulate_stream(
+        default_stream(seed=0, m=20_000),
+        POSGGrouping(POSGConfig(window_size=128, mu=0.3)),
+        k=5, scenario=scenario, rng=np.random.default_rng(1),
+        chunk_size=chunk_size,
+    )
+    transitions = [(j, state.name) for j, state in result.state_transitions]
+    assert len(transitions) == 91
+    assert tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (
+            result.stats.completions.tobytes(),
+            result.stats.assignments.tobytes(),
+            repr(transitions).encode(),
+        )
+    ) == SLOW_NODE_DIGESTS

@@ -11,8 +11,8 @@ engine.  This file pins that router four ways:
   matrices handling (merged or replaced, decay, pooled), latency hints,
   data latencies (one shared, one per instance), queue sampling,
   observers, fault plans
-  (message faults per channel and per source, crashes, overlapping
-  slow-node windows) and recovery thresholds small enough that every
+  (message faults per channel and per source, crashes) and recovery
+  thresholds small enough that every
   defence fires inside the stream; and a second one for the two paper
   baselines, which run the s = 1 kernel too;
 - a deterministic walk over the generated segment kernels (shard count
@@ -50,7 +50,7 @@ from repro.core.estimate_table import EstimateTable
 from repro.core.messages import MatricesMessage
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.core.scheduler import POSGScheduler, SchedulerState
-from repro.faults.plan import CrashFault, FaultPlan, MessageFaults, SlowdownFault
+from repro.faults.plan import CrashFault, FaultPlan, MessageFaults
 from repro.simulator.run import simulate_stream
 from repro.simulator.segment_kernel import Shape, kernel_source, segment_kernel
 from repro.telemetry.audit import AuditConfig
@@ -211,8 +211,8 @@ def message_faults(draw):
 
 @st.composite
 def fault_scripts(draw, sources, k):
-    """A ``FaultPlan`` minus its clock: crash and slow-node times are
-    fractions of the stream, resolved by :func:`fault_plan`."""
+    """A ``FaultPlan`` minus its clock: crash times are fractions of
+    the stream, resolved by :func:`fault_plan`."""
     fraction = st.floats(min_value=0.0, max_value=1.0)
     shards = st.integers(min_value=0, max_value=sources - 1)
     overrides = st.dictionaries(shards, message_faults(), max_size=2)
@@ -235,17 +235,6 @@ def fault_scripts(draw, sources, k):
                 max_size=3,
             )
         ),
-        "slowdowns": draw(
-            st.lists(
-                st.tuples(
-                    instance, fraction, st.sampled_from([0.0, 0.5]),
-                    st.floats(min_value=0.01, max_value=0.6),
-                    # 2.0 over 0.5 compounds to exactly 1.0
-                    st.sampled_from([0.5, 2.0, 3.0]),
-                ),
-                max_size=2,
-            )
-        ),
     }
 
 
@@ -262,13 +251,6 @@ def fault_plan(script, stream):
         crashes=[
             CrashFault(instance, clock(position, offset), outage)
             for instance, position, offset, outage in script["crashes"]
-        ],
-        slowdowns=[
-            SlowdownFault(
-                instance, clock(position, offset),
-                span * float(arrivals[-1] - arrivals[0]) + gap, factor,
-            )
-            for instance, position, offset, span, factor in script["slowdowns"]
         ],
         **script["channels"],
     )
@@ -1307,7 +1289,6 @@ class TestWindowRelativeColumns:
     def test_chunked_matches_reference(self, latency, chunk_size, sources):
         stream = default_stream(seed=2, m=self.M, n=64, k=self.K)
         arrivals = stream.arrivals
-        gap = float(arrivals[1] - arrivals[0])
         # Before the first window close (instance 0's 32nd tuple is index
         # 155) nothing has moved the windows off the chunk_size grid.
         early = 96 // chunk_size * chunk_size
@@ -1317,17 +1298,6 @@ class TestWindowRelativeColumns:
             crashes=[
                 CrashFault(1, float(arrivals[early]), 5.0),
                 CrashFault(3, float(arrivals[later]), 200.0),
-            ],
-            # from two tuples before a window edge to three past it, and
-            # one across a third of the stream
-            slowdowns=[
-                SlowdownFault(
-                    2, max(0.0, float(arrivals[max(early - 2, 0)]) - 0.5 * gap),
-                    5 * gap, 3.0,
-                ),
-                SlowdownFault(
-                    0, float(arrivals[self.M // 3]), 400 * gap, 2.0
-                ),
             ],
             sync_replies=MessageFaults(drop=0.2),
             seed=1,
@@ -1346,7 +1316,6 @@ class TestWindowRelativeColumns:
         )
         assert chunked.engine["path"] == "segment"
         assert chunked.faults.report()["injected"]["crashes"] == 2
-        assert chunked.faults.report()["injected"]["slowed_tuples"] > 0
         assert any(
             state is SchedulerState.SEND_ALL
             for _, state in chunked.state_transitions

@@ -8,12 +8,11 @@ import pytest
 from repro.storm.cluster import ClusterConfig, LocalCluster
 from repro.storm.components import (
     STREAM_SPOUT_FIELDS,
-    FailingBolt,
     ForwardingBolt,
     StreamSpout,
     WorkBolt,
 )
-from repro.storm.topology import TopologyBuilder
+from repro.storm.topology import Bolt, TopologyBuilder
 from repro.workloads.distributions import UniformItems
 from repro.workloads.nonstationary import LoadShiftScenario
 from repro.workloads.synthetic import Stream, StreamSpec, generate_stream
@@ -22,6 +21,21 @@ from repro.workloads.synthetic import Stream, StreamSpec, generate_stream
 def small_stream(m=200, n=16, seed=0, k=2):
     spec = StreamSpec(m=m, n=n, w_n=4, k=k)
     return generate_stream(UniformItems(n), spec, np.random.default_rng(seed))
+
+
+class FailingBolt(Bolt):
+    """Fails every other tuple and acks the rest."""
+
+    def prepare(self, context, collector):
+        self._collector = collector
+        self._count = 0
+
+    def execute(self, tup):
+        self._count += 1
+        if self._count % 2 == 0:
+            self._collector.fail(tup)
+        else:
+            self._collector.ack(tup)
 
 
 def run_work_topology(stream, k=2, config=None, scenario=None):
@@ -120,7 +134,7 @@ class TestReliability:
         builder = TopologyBuilder()
         spout = StreamSpout(stream)
         builder.set_spout("source", lambda: spout, output_fields=STREAM_SPOUT_FIELDS)
-        builder.set_bolt("flaky", lambda: FailingBolt(failure_period=2),
+        builder.set_bolt("flaky", FailingBolt,
                          parallelism=1).shuffle_grouping("source")
         cluster = LocalCluster()
         cluster.submit(builder.build())
@@ -206,6 +220,21 @@ class TestBadWorkTime:
             cluster.run()
         executors = cluster._bolt_executors["worker"]
         assert [executor.busy for executor in executors] == [False, False]
-        assert [executor._current for executor in executors] == [None, None]
         assert sum(len(executor.queue) for executor in executors) == 1
         assert cluster.metrics.completed == 0
+
+
+class TestSeededAckIds:
+    def test_config_seed_makes_ack_ids_reproducible(self):
+        a = LocalCluster(ClusterConfig(seed=5))
+        b = LocalCluster(ClusterConfig(seed=5))
+        ids_a = [a.acker.fresh_ack_id() for _ in range(32)]
+        ids_b = [b.acker.fresh_ack_id() for _ in range(32)]
+        assert ids_a == ids_b
+        assert all(1 <= i < (1 << 64) for i in ids_a)
+
+    def test_explicit_rng_overrides_config_seed(self):
+        a = LocalCluster(ClusterConfig(seed=5), rng=np.random.default_rng(11))
+        b = LocalCluster(ClusterConfig(seed=6), rng=np.random.default_rng(11))
+        assert ([a.acker.fresh_ack_id() for _ in range(8)]
+                == [b.acker.fresh_ack_id() for _ in range(8)])

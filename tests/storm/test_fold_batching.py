@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core.messages import MatricesMessage
-from repro.faults import CrashFault, FaultPlan
 from repro.storm.cluster import ClusterConfig, LocalCluster
 from repro.storm.components import STREAM_SPOUT_FIELDS, StreamSpout, WorkBolt
 from repro.storm.posg_grouping import POSGShuffleGrouping
@@ -43,13 +42,11 @@ def stream():
 
 
 class Probe:
-    """Logs what one run's folds produced: shipped pairs, batch folds and
-    the deferred reports each crash found."""
+    """Logs what one run's folds produced: shipped pairs and batch folds."""
 
     def __init__(self, grouping):
         self.shipped = []
         self.batches = 0
-        self.deferred_at_crash = []
         inner = grouping.on_execution
 
         def on_execution(task, tup, duration):
@@ -66,13 +63,6 @@ class Probe:
             return messages
 
         grouping.on_execution = on_execution
-        crash = grouping.on_instance_crash
-
-        def on_instance_crash(task):
-            self.deferred_at_crash.append(len(grouping._deferred[task][0]))
-            crash(task)
-
-        grouping.on_instance_crash = on_instance_crash
         self._grouping = grouping
 
     def watch_batches(self):
@@ -88,7 +78,7 @@ class Probe:
             tracker.execute_batch = execute_batch
 
 
-def run(stream, config, grouping_class, cluster_config=None, faults=None):
+def run(stream, config, grouping_class, cluster_config=None):
     grouping = grouping_class("value", config, np.random.default_rng(1))
     builder = TopologyBuilder()
     builder.set_spout(
@@ -98,8 +88,7 @@ def run(stream, config, grouping_class, cluster_config=None, faults=None):
         "worker", lambda: WorkBolt(stream.time_table), parallelism=K
     ).custom_grouping("source", grouping)
     cluster = LocalCluster(
-        cluster_config if cluster_config is not None else ClusterConfig(seed=0),
-        faults=faults,
+        cluster_config if cluster_config is not None else ClusterConfig(seed=0)
     )
     probe = Probe(grouping)
     cluster.submit(builder.build())
@@ -141,18 +130,6 @@ def test_every_window_size(stream, window_size):
         # sync rounds completed: reports carrying a request took the
         # per-tuple step in the deferred run too
         assert deferred["schedulers"][0]["sync_rounds_completed"] > 0
-
-
-def test_a_crash_mid_window(stream):
-    crash = CrashFault(
-        instance=1, at_ms=float(stream.arrivals[M // 2]), outage_ms=200.0
-    )
-    deferred, probe = assert_same_folds(
-        stream, CONFIG, faults=FaultPlan(crashes=(crash,), seed=7)
-    )
-    # the crash found reports waiting, which must count before the restart
-    assert probe.deferred_at_crash and probe.deferred_at_crash[0] > 0
-    assert deferred["trackers"][1]["restarts"] == 1
 
 
 def test_max_spout_pending(stream):

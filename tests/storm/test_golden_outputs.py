@@ -5,7 +5,7 @@ event-kernel rewrite) and covers everything a run of the engine reports:
 completion latencies and ids, per-task execution counts, control
 messages and bits, timeouts, failures, the final virtual time and the
 number of events the kernel executed.  A change to the order in which
-events fire, to an RNG stream (ack ids, fault draws, hash families) or to
+events fire, to an RNG stream (ack ids, hash families) or to
 the arithmetic of an estimate moves at least one of them.
 
 ``GOLDEN_STATS`` was recorded at commit fe56ea1, while execution reports
@@ -20,9 +20,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.config import POSGConfig, RecoveryConfig
+from repro.core.config import POSGConfig
 from repro.core.grouping import POSGGrouping
-from repro.faults import CrashFault, FaultPlan, MessageFaults
 from repro.simulator.topology import StageTopology
 from repro.storm.cluster import ClusterConfig, LocalCluster
 from repro.storm.components import (
@@ -44,9 +43,6 @@ M = 4000
 CONFIG = POSGConfig(
     window_size=32, mu=0.5, rows=4, cols=54,
     merge_matrices=True, pooled_estimates=True,
-)
-RECOVERING = dataclasses.replace(
-    CONFIG, recovery=RecoveryConfig(sync_timeout=256, staleness_limit=2048)
 )
 #: ASSG under back-to-back arrivals queues past a 40 ms timeout: trees time
 #: out and the sweep (every 10 ms) fails them
@@ -100,7 +96,7 @@ def policy_stats_digest(policy) -> str:
     )
 
 
-def single_stage(stream, grouping, config=None, faults=None):
+def single_stage(stream, grouping, config=None):
     builder = TopologyBuilder()
     builder.set_spout(
         "source", lambda: StreamSpout(stream), output_fields=STREAM_SPOUT_FIELDS
@@ -108,16 +104,14 @@ def single_stage(stream, grouping, config=None, faults=None):
     builder.set_bolt(
         "worker", lambda: WorkBolt(stream.time_table), parallelism=K
     ).custom_grouping("source", grouping)
-    cluster = LocalCluster(
-        config if config is not None else ClusterConfig(seed=0), faults=faults
-    )
+    cluster = LocalCluster(config if config is not None else ClusterConfig(seed=0))
     cluster.submit(builder.build())
     return cluster, cluster.run()
 
 
-def run_single_stage(stream, grouping, config=None, faults=None):
+def run_single_stage(stream, grouping, config=None):
     """The run's digest, and the POSG policy behind it (``None`` for ASSG)."""
-    digest_ = cluster_digest(*single_stage(stream, grouping, config, faults))
+    digest_ = cluster_digest(*single_stage(stream, grouping, config))
     return digest_, getattr(grouping, "policy", None)
 
 
@@ -160,23 +154,6 @@ def run_stage_topology(stream):
     ), policy
 
 
-def chaos_plan(stream) -> FaultPlan:
-    loss = MessageFaults(drop=0.10)
-    return FaultPlan(
-        matrices=loss,
-        sync_requests=loss,
-        sync_replies=loss,
-        crashes=(
-            CrashFault(
-                instance=1,
-                at_ms=float(stream.arrivals[2 * stream.m // 3]),
-                outage_ms=200.0,
-            ),
-        ),
-        seed=7,
-    )
-
-
 SCENARIOS = {
     "posg": lambda s: run_single_stage(s, posg()),
     # the paper's protocol: replace stored matrices, per-instance estimates
@@ -196,16 +173,12 @@ SCENARIOS = {
     "message_timeout": lambda s: run_single_stage(
         s, ShuffleGrouping(), TIGHT_TIMEOUT
     ),
-    "faulted": lambda s: run_single_stage(
-        s, posg(RECOVERING), faults=chaos_plan(s)
-    ),
     "forwarding_chain": run_chain,
     "stage_topology": run_stage_topology,
 }
 
 GOLDEN = {
     "assg": "3c5fd38ff2335c00173617a57b866a7822ad7c93b89328be1954a0dbc134119b",
-    "faulted": "107de014931b53d8eb1b7b24c845b2e66a2f0a863213583758e776d6dbc88270",
     "forwarding_chain": "5d4f44d9d523035282d696d3ac09894315e1c6076842437b71ea56a6fe7d060e",
     "max_spout_pending": "202b4d43834181fad5561752347efcace0580c88c8110dc6d99155e5b444e75c",
     "message_timeout": "90f1243a253ecf973ab07b33386038d419bd49acaba0fc32672933b15cd00609",
@@ -220,7 +193,6 @@ GOLDEN = {
 #: each instance tracker's (tuples executed, C_op, matrices sent, window
 #: position, ...), which the run digests above do not cover
 GOLDEN_STATS = {
-    "faulted": "72098abc00961dbfa11a10b1d286405dc769e00bb10cc39c6f19f05944da459e",
     "forwarding_chain": "0cfd879b034b94c68ae3a0533494fb6ff0aceff15be4f14630748b52b7381bcf",
     "max_spout_pending": "3e670e97fb92a53524b7e49f512a19342f31e4c79830a34d88f630307de0a66f",
     "posg": "0cfd879b034b94c68ae3a0533494fb6ff0aceff15be4f14630748b52b7381bcf",
@@ -258,14 +230,10 @@ def test_matches_recorded_stats(name, runs):
     assert policy_stats_digest(runs(name)[1]) == GOLDEN_STATS[name]
 
 
-def test_pinned_scenarios_exercise_what_they_name(stream):
-    """The pins must cover the sweep, the crash and a moving scheduler."""
+def test_pinned_scenarios_exercise_what_they_name(stream, runs):
+    """The pins must cover the sweep and a moving scheduler."""
     timed, _ = single_stage(stream, ShuffleGrouping(), TIGHT_TIMEOUT)
     assert timed.metrics.timed_out > 0
     assert timed.metrics.completed + timed.metrics.timed_out == stream.m
-    grouping = posg(RECOVERING)
-    faulted, _ = single_stage(stream, grouping, faults=chaos_plan(stream))
-    injected = faulted._injector.report()["injected"]
-    assert injected["crashes"] == 1 and all(injected["dropped"].values())
-    assert faulted.metrics.failed > 0
-    assert grouping.scheduler.stats()["sync_rounds_completed"] >= 2
+    policy = runs("posg")[1]
+    assert policy.scheduler.stats()["sync_rounds_completed"] >= 2
