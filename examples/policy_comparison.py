@@ -1,12 +1,10 @@
 #!/usr/bin/env python
-"""Tournament: every shuffle-grouping policy on the same stream.
+"""Tournament: the paper's policies, and key grouping, on the same stream.
 
 Compares, on one seeded Zipf-1.0 stream (Section V-A parameters):
 
-- ``random``          — uniform random assignment;
 - ``key``             — hash-partitioning (key grouping, for contrast);
 - ``round_robin``     — the stock baseline (Storm's ASSG);
-- ``two_choices``     — power-of-two-choices over exact loads;
 - ``posg``            — the paper's contribution (sketch estimates);
 - ``full_knowledge``  — greedy with exact execution times (upper bound).
 
@@ -23,7 +21,7 @@ from repro.core import (
     POSGGrouping,
     RoundRobinGrouping,
 )
-from repro.core.grouping import KeyGrouping, RandomGrouping, TwoChoicesGrouping
+from repro.core.grouping import KeyGrouping
 from repro.simulator import simulate_stream
 from repro.workloads import StreamSpec, ZipfItems, generate_stream
 
@@ -38,10 +36,8 @@ def main() -> None:
     posg_config = POSGConfig(window_size=128, rows=4, cols=54,
                              merge_matrices=True, pooled_estimates=True)
     policies = {
-        "random": lambda oracle: RandomGrouping(),
         "key": lambda oracle: KeyGrouping(),
         "round_robin": lambda oracle: RoundRobinGrouping(),
-        "two_choices": lambda oracle: TwoChoicesGrouping(oracle),
         "posg": lambda oracle: POSGGrouping(posg_config),
         "full_knowledge": lambda oracle: FullKnowledgeGrouping(oracle),
     }
@@ -70,8 +66,8 @@ def main() -> None:
     print("\nNotes: 'key' pins every item to one instance, so a heavy item "
           "overloads it permanently — the paper's Section VI point that "
           "key-grouping balancers underperform for stateless operators. "
-          "'two_choices' and 'full_knowledge' cheat: they read the true "
-          "execution time; POSG only ever sees its sketches.")
+          "'full_knowledge' cheats: it reads the true execution time; "
+          "POSG only ever sees its sketches.")
 
 
 if __name__ == "__main__":

@@ -28,10 +28,8 @@ from repro.core.gos import greedy_online_schedule, makespan, opt_lower_bound
 from repro.core.grouping import (
     GroupingPolicy,
     RoundRobinGrouping,
-    RandomGrouping,
     KeyGrouping,
     FullKnowledgeGrouping,
-    TwoChoicesGrouping,
     POSGGrouping,
 )
 from repro.core.multisource import MultiSourcePOSGGrouping
@@ -54,10 +52,8 @@ __all__ = [
     "opt_lower_bound",
     "GroupingPolicy",
     "RoundRobinGrouping",
-    "RandomGrouping",
     "KeyGrouping",
     "FullKnowledgeGrouping",
-    "TwoChoicesGrouping",
     "POSGGrouping",
     "MultiSourcePOSGGrouping",
     "ReactiveGrouping",

@@ -162,13 +162,6 @@ class POSGConfig:
         scheduler systematically favour under-estimating instances
         (adverse selection); for heterogeneous instances it biases the
         estimate toward the fleet average, so it is off by default.
-    merge_decay:
-        Beyond-paper aging ablation, only meaningful with
-        ``merge_matrices``: before folding a freshly received pair in,
-        the stored counters are multiplied by this factor.  ``1.0``
-        (default) keeps the full history; values below 1 trade long-run
-        estimate sharpness for faster adaptation to load changes
-        (bridging the replace/merge trade-off of Figure 10).
     recovery:
         Optional :class:`RecoveryConfig` arming the scheduler's
         fault-tolerance defenses (sync-round retransmission, staleness
@@ -189,7 +182,6 @@ class POSGConfig:
     cols: int | None = integer(None, low=1, optional=True)
     merge_matrices: bool = False
     pooled_estimates: bool = False
-    merge_decay: float = real(1.0, low=0, high=1)
     recovery: RecoveryConfig | None = None
     coordination: CoordinationConfig | None = None
 

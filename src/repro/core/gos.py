@@ -72,36 +72,6 @@ def opt_lower_bound(weights: Sequence[float], k: int) -> float:
     return max(sum(weights) / k, max(weights))
 
 
-def gos_approximation_ratio(weights: Sequence[float], k: int) -> float:
-    """Observed ``C_GOS / lower_bound(C_OPT)``; Theorem 4.2 caps it at 2-1/k.
-
-    Because the true ``C_OPT`` is NP-hard, the ratio is computed against
-    the lower bound, which only makes the check *stricter*.
-    """
-    _, loads = greedy_online_schedule(weights, k)
-    bound = opt_lower_bound(weights, k)
-    if bound == 0:
-        return 1.0
-    return makespan(loads) / bound
-
-
-def lpt_schedule(weights: Sequence[float], k: int) -> tuple[list[int], list[float]]:
-    """Offline Longest-Processing-Time-first schedule (4/3-approximation).
-
-    A classical offline comparator: sort descending, then greedy.  Used by
-    the analysis benchmarks to contextualize the online penalty.
-    ``assignment`` is indexed by the *original* task positions.
-    """
-    order = sorted(range(len(weights)), key=lambda j: -weights[j])
-    sorted_assignment, loads = greedy_online_schedule(
-        [weights[j] for j in order], k
-    )
-    assignment = [0] * len(weights)
-    for rank, original in enumerate(order):
-        assignment[original] = sorted_assignment[rank]
-    return assignment, loads
-
-
 def adversarial_sequence(k: int, w_max: float = 1.0) -> list[float]:
     """The tight worst case for GOS (Section IV-A, after Theorem 4.2).
 
@@ -111,28 +81,3 @@ def adversarial_sequence(k: int, w_max: float = 1.0) -> list[float]:
     """
     k = COUNT.check("k", k)
     return [w_max / k] * (k * (k - 1)) + [w_max]
-
-
-def completion_times_online(
-    arrivals: Sequence[float],
-    weights: Sequence[float],
-    assignment: Sequence[int],
-    k: int,
-) -> list[float]:
-    """Per-task completion times under FIFO queues and a fixed assignment.
-
-    Task ``j`` arrives at ``arrivals[j]``, is routed to machine
-    ``assignment[j]``, waits for every earlier task on that machine, runs
-    ``weights[j]``, and its completion time is ``finish - arrivals[j]``.
-    This is the queueing model behind the paper's metric ``L``.
-    """
-    if not len(arrivals) == len(weights) == len(assignment):
-        raise ValueError("arrivals, weights and assignment must align")
-    busy_until = [0.0] * k
-    completions: list[float] = []
-    for arrival, weight, machine in zip(arrivals, weights, assignment):
-        start = max(arrival, busy_until[machine])
-        finish = start + weight
-        busy_until[machine] = finish
-        completions.append(finish - arrival)
-    return completions

@@ -120,24 +120,6 @@ class RoundRobinGrouping(GroupingPolicy):
         return RouteDecision(instance)
 
 
-class RandomGrouping(GroupingPolicy):
-    """Uniform random assignment (a weaker shuffle-grouping baseline)."""
-
-    name = "random"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._rng: np.random.Generator | None = None
-
-    def setup(self, k: int, rng: np.random.Generator | None = None) -> None:
-        super().setup(k, rng)
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def route(self, item: int) -> RouteDecision:
-        k = self.k
-        return RouteDecision(int(self._rng.integers(0, k)))
-
-
 class KeyGrouping(GroupingPolicy):
     """Hash-based key grouping (included for contrast, Section VI).
 
@@ -197,40 +179,6 @@ class FullKnowledgeGrouping(GroupingPolicy):
         return view
 
 
-class TwoChoicesGrouping(GroupingPolicy):
-    """Power-of-two-choices over exact loads (classic baseline).
-
-    Samples two distinct instances uniformly and sends the tuple to the
-    one with the lower exact cumulated load (the oracle supplies the true
-    execution time, as for :class:`FullKnowledgeGrouping`).  A standard
-    point of comparison between blind (Round-Robin) and fully informed
-    (greedy-over-all) shuffle grouping.
-    """
-
-    name = "two_choices"
-
-    def __init__(self, oracle: Callable[[int, int], float]) -> None:
-        super().__init__()
-        self._oracle = oracle
-        self._loads: np.ndarray | None = None
-        self._rng: np.random.Generator | None = None
-
-    def setup(self, k: int, rng: np.random.Generator | None = None) -> None:
-        super().setup(k, rng)
-        self._loads = np.zeros(k, dtype=np.float64)
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def route(self, item: int) -> RouteDecision:
-        k = self.k
-        if k == 1:
-            first = second = 0
-        else:
-            first, second = self._rng.choice(k, size=2, replace=False)
-        instance = int(first if self._loads[first] <= self._loads[second] else second)
-        self._loads[instance] += self._oracle(item, instance)
-        return RouteDecision(instance)
-
-
 class _POSGInstanceAgent(InstanceAgent):
     """Adapter exposing an :class:`InstanceTracker` as an instance agent."""
 
@@ -260,12 +208,10 @@ class POSGGrouping(GroupingPolicy):
     def __init__(
         self,
         config: POSGConfig | None = None,
-        latency_hints: "list[float] | None" = None,
         telemetry=NULL_RECORDER,
     ) -> None:
         super().__init__()
         self._config = config if config is not None else POSGConfig()
-        self._latency_hints = latency_hints
         self._telemetry = telemetry if telemetry is not None else NULL_RECORDER
         self._scheduler: POSGScheduler | None = None
         self._hashes = None
@@ -275,10 +221,7 @@ class POSGGrouping(GroupingPolicy):
         super().setup(k, rng)
         self._hashes = make_shared_hashes(self._config, rng=rng)
         self._scheduler = POSGScheduler(
-            k,
-            self._config,
-            latency_hints=self._latency_hints,
-            telemetry=self._telemetry,
+            k, self._config, telemetry=self._telemetry
         )
         self._agents = {}
 

@@ -307,16 +307,6 @@ class FWPair:
         self._freq.reset()
         self._work.reset()
 
-    def scale(self, factor: float) -> None:
-        """Age both matrices by ``factor`` (see CountMinSketch.scale)."""
-        if self._telemetry.enabled:
-            self._telemetry.registry.counter(
-                "posg_fwpair_scales_total",
-                help="Decay-aging passes applied to stored matrices",
-            ).inc()
-        self._freq.scale(factor)
-        self._work.scale(factor)
-
     def copy(self) -> "FWPair":
         """Deep copy (what actually travels in a :class:`MatricesMessage`).
 
@@ -329,34 +319,6 @@ class FWPair:
         clone._work = self._work.copy()
         clone._telemetry = NULL_RECORDER
         return clone
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot of both matrices (shared hashes
-        stored once)."""
-        return {
-            "hashes": self.hashes.to_dict(),
-            "freq": self._freq.to_dict(),
-            "work": self._work.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(
-        cls, payload: dict, hashes: TwoUniversalHashFamily | None = None
-    ) -> "FWPair":
-        """Rebuild from :meth:`to_dict` (optionally sharing a family)."""
-        family = (
-            hashes
-            if hashes is not None
-            else TwoUniversalHashFamily.from_dict(payload["hashes"])
-        )
-        pair = cls.__new__(cls)
-        pair._freq = CountMinSketch.from_dict(payload["freq"], hashes=family)
-        pair._work = CountMinSketch.from_dict(payload["work"], hashes=family)
-        pair._telemetry = NULL_RECORDER
-        return pair
 
     # ------------------------------------------------------------------
     # introspection

@@ -130,7 +130,7 @@ class MultiSourcePOSGGrouping(POSGGrouping):
     ----------
     sources:
         Number of upstream schedulers ``s`` (>= 1).
-    config, latency_hints, telemetry:
+    config, telemetry:
         As for :class:`~repro.core.grouping.POSGGrouping`; shared by
         every shard.
     """
@@ -141,11 +141,10 @@ class MultiSourcePOSGGrouping(POSGGrouping):
         self,
         sources: int = 2,
         config: POSGConfig | None = None,
-        latency_hints: "list[float] | None" = None,
         telemetry=NULL_RECORDER,
     ) -> None:
         sources = COUNT.check("sources", sources)
-        super().__init__(config, latency_hints=latency_hints, telemetry=telemetry)
+        super().__init__(config, telemetry=telemetry)
         self._sources = sources
         self._schedulers: list[POSGScheduler] = []
         self._cursor = 0
@@ -174,7 +173,6 @@ class MultiSourcePOSGGrouping(POSGGrouping):
             POSGScheduler(
                 k,
                 self._config,
-                latency_hints=self._latency_hints,
                 telemetry=self._telemetry,
                 source=shard,
             )

@@ -190,7 +190,6 @@ class POSGScheduler:
         self,
         k: int,
         config: POSGConfig | None = None,
-        latency_hints: "np.ndarray | list[float] | None" = None,
         telemetry=NULL_RECORDER,
         source: int | None = None,
     ) -> None:
@@ -209,22 +208,6 @@ class POSGScheduler:
         }
         self._telemetry = telemetry if telemetry is not None else NULL_RECORDER
         self._config = config if config is not None else POSGConfig()
-        if latency_hints is None:
-            self._latency_hints = None
-        else:
-            hints = np.asarray(latency_hints, dtype=np.float64)
-            if hints.shape != (k,):
-                raise ValueError(
-                    f"latency_hints must have shape ({k},), got {hints.shape}"
-                )
-            if not np.all(np.isfinite(hints) & (hints >= 0)):
-                raise ValueError("latency hints must be >= 0 and finite")
-            self._latency_hints = hints
-        # Latency-aware extension: per-instance cumulated delivery cost.
-        # Kept separate from C_hat so the Delta synchronization (which
-        # re-aligns C_hat with the instances' measured *execution* time)
-        # does not erase it.
-        self._latency_debt = np.zeros(k, dtype=np.float64)
         self._state = SchedulerState.ROUND_ROBIN
         self._c_hat = np.zeros(k, dtype=np.float64)
         self._matrices: dict[int, FWPair] = {}
@@ -369,18 +352,8 @@ class POSGScheduler:
             )
 
         # WAIT_ALL and RUN schedule greedily (Greedy Online Scheduler).
-        # The latency-aware extension (the paper's stated future work)
-        # charges every assignment its instance's delivery latency, so
-        # distant instances receive a proportionally smaller share.
-        if self._latency_hints is None:
-            instance = int(self._c_hat.argmin())
-            estimate = self.estimate(item, instance)
-        else:
-            instance = int(
-                np.argmin(self._c_hat + self._latency_debt + self._latency_hints)
-            )
-            self._latency_debt[instance] += self._latency_hints[instance]
-            estimate = self.estimate(item, instance)
+        instance = int(self._c_hat.argmin())
+        estimate = self.estimate(item, instance)
         self._c_hat[instance] += estimate
         return SchedulingDecision(instance, None, self._state, estimate)
 
@@ -751,10 +724,7 @@ class POSGScheduler:
         if stored is not None and self._config.merge_matrices and not restarted:
             # The instance reset after shipping, so the incoming pair holds
             # only fresh samples; merging accumulates the full history
-            # (Count-Min sketches are linear).  An optional decay ages the
-            # history so stale load characteristics fade out.
-            if self._config.merge_decay < 1.0:
-                stored.scale(self._config.merge_decay)
+            # (Count-Min sketches are linear).
             stored.freq.merge(message.matrices.freq)
             stored.work.merge(message.matrices.work)
         else:
@@ -959,9 +929,9 @@ class _BlockRouter:
     """Scalar-loop replay of :meth:`POSGScheduler.submit` for one block.
 
     In ROUND_ROBIN mode (``_estimates is None``) it advances the round-robin
-    counter; in greedy mode it scans a plain-float copy of ``C_hat`` (plus
-    latency debt/hints when configured) with the same first-minimum
-    tie-breaking as ``np.argmin`` and accrues the pre-gathered estimates.
+    counter; in greedy mode it scans a plain-float copy of ``C_hat`` with
+    the same first-minimum tie-breaking as ``np.argmin`` and accrues the
+    pre-gathered estimates.
     All arithmetic happens on the exact same IEEE doubles the per-tuple
     path would touch, so the routed sequence is bit-identical.
 
@@ -980,8 +950,6 @@ class _BlockRouter:
         "_committed",
         "_rr",
         "_c",
-        "_debt",
-        "_hints",
     )
 
     def __init__(self, scheduler: POSGScheduler, items, profiler=None) -> None:
@@ -997,14 +965,14 @@ class _BlockRouter:
         """Re-open the block at ``_pos`` for another control-quiet segment.
 
         Re-reads what control deliveries may have changed — the FSM mode,
-        ``C_hat``, the round-robin counter, the latency debt — and
-        re-gathers the estimate columns only if the scheduler's matrices
-        version moved since they were gathered: sync replies and snooped
-        folds change ``C_hat`` but never an estimate.
+        ``C_hat``, the round-robin counter — and re-gathers the estimate
+        columns only if the scheduler's matrices version moved since they
+        were gathered: sync replies and snooped folds change ``C_hat`` but
+        never an estimate.
         """
         scheduler = self._scheduler
         self._c = scheduler._c_hat.tolist()
-        self._rr = self._estimates = self._debt = self._hints = None
+        self._rr = self._estimates = None
         if scheduler._state is SchedulerState.ROUND_ROBIN:
             self._rr = scheduler._rr_counter
             return
@@ -1012,9 +980,6 @@ class _BlockRouter:
             self._columns = scheduler._block_estimates(self._items, profiler)
             self._version = scheduler._matrices_version
         self._estimates = self._columns
-        if scheduler._latency_hints is not None:
-            self._hints = scheduler._latency_hints.tolist()
-            self._debt = scheduler._latency_debt.tolist()
 
     def route_next(self) -> int:
         """Route one tuple; returns its instance (no sync payloads here)."""
@@ -1025,27 +990,14 @@ class _BlockRouter:
             self._rr += 1
             return instance
         c = self._c
-        if self._hints is None:
-            best = c[0]
-            instance = 0
-            for i in range(1, self._k):
-                value = c[i]
-                if value < best:
-                    best = value
-                    instance = i
-            estimate = self._estimates[instance][pos]
-        else:
-            debt, hints = self._debt, self._hints
-            best = (c[0] + debt[0]) + hints[0]
-            instance = 0
-            for i in range(1, self._k):
-                value = (c[i] + debt[i]) + hints[i]
-                if value < best:
-                    best = value
-                    instance = i
-            debt[instance] += hints[instance]
-            estimate = self._estimates[instance][pos]
-        c[instance] += estimate
+        best = c[0]
+        instance = 0
+        for i in range(1, self._k):
+            value = c[i]
+            if value < best:
+                best = value
+                instance = i
+        c[instance] += self._estimates[instance][pos]
         return instance
 
     def commit(self) -> None:
@@ -1056,5 +1008,3 @@ class _BlockRouter:
         scheduler._c_hat[:] = self._c
         if self._estimates is None:
             scheduler._rr_counter = self._rr
-        elif self._hints is not None:
-            scheduler._latency_debt[:] = self._debt

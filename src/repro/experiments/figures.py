@@ -62,15 +62,6 @@ class FigureResult:
         with open(path, "w") as handle:
             json.dump(self.to_dict(), handle, indent=2)
 
-    @classmethod
-    def load(cls, path) -> "FigureResult":
-        """Read a result saved with :meth:`save`."""
-        import json
-
-        # a file written before ``facts`` existed loads with none
-        with open(path) as handle:
-            return cls(**json.load(handle))
-
 
 def _spec(scale: float | None = None, **overrides) -> StreamSpec:
     """Section V-A defaults, optionally length-scaled."""

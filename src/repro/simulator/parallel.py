@@ -42,9 +42,9 @@ Any shard in SEND_ALL (tuples piggy-back sync requests) sends the tuple
 through the sequential per-tuple step instead.
 
 The pool runs the plain policy only: fault plans, observers, latency
-models, queue samples, recovery defences, latency hints and cross-shard
-coordination all run through :func:`~repro.simulator.run.simulate_stream`,
-and the last three are refused here before any state moves.
+models, queue samples, recovery defences and cross-shard coordination
+all run through :func:`~repro.simulator.run.simulate_stream`, and the
+last two are refused here before any state moves.
 """
 
 from __future__ import annotations
@@ -526,8 +526,8 @@ def simulate_stream_parallel(
 
     Raises ``TypeError`` for a policy that is not a
     ``MultiSourcePOSGGrouping`` and ``ValueError`` for one with recovery
-    defences, latency hints or a ``CoordinationConfig``, all before the
-    policy is set up or any process starts.
+    defences or a ``CoordinationConfig``, both before the policy is set
+    up or any process starts.
     """
     if not isinstance(policy, MultiSourcePOSGGrouping):
         raise TypeError(
@@ -545,7 +545,6 @@ def simulate_stream_parallel(
     config = policy.config
     for refused, what in (
         (config.recovery, "recovery defences tick per routed tuple"),
-        (policy._latency_hints, "latency hints change the greedy objective per tuple"),
         (config.coordination, "cross-shard coordination couples the shard scans"),
     ):
         if refused is not None:

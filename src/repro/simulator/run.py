@@ -27,7 +27,7 @@ Two engines implement these semantics:
   control-quiet segments.  Scenario multipliers and constant latencies
   are hoisted out of the loop, every POSG-family
   policy — one scheduler or ``s`` shards, coordinated or not, observed
-  or not, latency-hinted or not, under a fault plan or armed recovery
+  or not, under a fault plan or armed recovery
   defences or neither — routes through
   its schedulers' pre-gathered block routers
   (:meth:`~repro.core.scheduler.POSGScheduler.begin_block`) in one walk
@@ -705,10 +705,10 @@ def _simulate_chunked(
         control_lat=control_lat,
     )
 
-    # Oracle closure for Two-Choices and off-kernel Full Knowledge, the
-    # only askers: reads the multipliers at the loop's index in the open
-    # window.  Its tables are listed on the first call (in each window,
-    # for the multiplier rows); they cost some 200 bytes per tuple.
+    # Oracle closure for off-kernel Full Knowledge, the only asker: reads
+    # the multipliers at the loop's index in the open window.  Its tables
+    # are listed on the first call (in each window, for the multiplier
+    # rows); they cost some 200 bytes per tuple.
     position = state.position
     time_table: list = []
 
@@ -892,9 +892,8 @@ def _choose_loop(
     Returns ``(path, reason)``; ``reason`` says why a run is on the
     per-tuple generic loop.  Every POSG-family policy whose ``route`` is
     the stock shard interleave takes the segment path — ``POSGGrouping``,
-    its subclasses, and ``MultiSourcePOSGGrouping`` at every ``s``, with
-    or without latency hints, at any data latencies, faulted or not,
-    defended or not.  So do the paper baselines on a plain run:
+    its subclasses, and ``MultiSourcePOSGGrouping`` at every ``s``, at
+    any data latencies, faulted or not, defended or not.  So do the paper baselines on a plain run:
     Round-Robin, and Full Knowledge if ``own_oracle()`` (the engine's
     oracle over ``base_times == time_table[items]``).
     """
@@ -1086,7 +1085,7 @@ def _run_baseline(
     checked), listed once per distinct column.  Service lands at lineage
     samples and once at the end."""
     m, k = state.m, state.k
-    shape = Shape(k, 1, False, False)
+    shape = Shape(k, 1, False)
     kernel = segment_kernel(shape)
     state.engine["kernel"] = shape.label
     round_robin = type(policy) is RoundRobinGrouping
@@ -1108,7 +1107,7 @@ def _run_baseline(
             block._estimates = [listed[id(times)] for times in state.execution_arrays]
         _, due, _ = kernel(
             [block], 0, len(items), next_probe - base, _INFINITY, base,
-            window_left, m + 1, None, probe, appends, None,
+            window_left, m + 1, None, probe, appends,
         )
         next_probe = base + due
         state.engine["segments"] += 1
@@ -1296,8 +1295,7 @@ def _run_posg(
     (:mod:`repro.simulator.segment_kernel`), which every control-quiet
     segment runs, whatever ``s``: the greedy pick is an unrolled
     first-minimum scan over plain floats (the kernel's round-robin arm
-    for a shard still bootstrapping; over load + latency debt + hint
-    under ``latency_hints``), cross-shard gossip is replayed in place,
+    for a shard still bootstrapping), cross-shard gossip is replayed in place,
     positions count from the window's first tuple, whose items are
     listed once (:meth:`_ChunkedState.open_window`), and both halves of
     an instance's per-tuple work — its
@@ -1345,9 +1343,6 @@ def _run_posg(
     previous_state = policy.state
     k = state.k
     gossip = sources > 1 and policy._gossip_on
-    hints = schedulers[0]._latency_hints
-    if hints is not None:
-        hints = hints.tolist()
     send_all = SchedulerState.SEND_ALL
     round_robin = SchedulerState.ROUND_ROBIN
     cuts = engine["cuts"]
@@ -1363,7 +1358,7 @@ def _run_posg(
     armed = policy.config.recovery is not None
     deadline_at = m
 
-    shape = Shape(k, sources, gossip, hints is not None)
+    shape = Shape(k, sources, gossip)
     kernel = segment_kernel(shape)
     engine["kernel"] = shape.label
     service = _Service(state, profiler)
@@ -1569,7 +1564,7 @@ def _run_posg(
             q, due, gossiped = kernel(
                 blocks, j - base, end - base, next_probe - base, next_due,
                 base, window_left, window_size, _window_boundary, probe,
-                appends, hints,
+                appends,
             )
             j = base + q
             next_probe = base + due

@@ -12,12 +12,11 @@ believed loads, never a queue, so FIFO service is landed after
 routing, per instance, where a finish or busy clock is read
 (``_Service`` in :mod:`repro.simulator.run`).  Python pays for every
 list index on that path, so the loop is written out per *shape* — the
-instance and shard counts, whether shards gossip, whether latency hints
-join the scan — with each quantity in a plain local: shard ``σ``'s
-loads ``cσ_i``, estimate columns ``eσ_i``, round-robin counter ``rσ``
-(``None`` while it routes greedily), cursor ``pσ`` (``q`` itself at
-s = 1), gossip count ``gσ`` and latency debt ``dσ_i``; instance ``i``'s
-window counter ``w{i}``.
+instance and shard counts and whether shards gossip — with each
+quantity in a plain local: shard ``σ``'s loads ``cσ_i``, estimate
+columns ``eσ_i``, round-robin counter ``rσ`` (``None`` while it routes
+greedily), cursor ``pσ`` (``q`` itself at s = 1) and gossip count
+``gσ``; instance ``i``'s window counter ``w{i}``.
 
 The scan is unrolled with ``np.argmin``'s strict ``<`` tie-break.  A
 greedy pick lands in one arm per (shard, instance) that adds the
@@ -44,19 +43,17 @@ class Shape(NamedTuple):
     k: int
     sources: int
     gossip: bool
-    hinted: bool
 
     @property
     def label(self) -> str:
-        flags = ("gossip", "hinted")
-        named = [flag for flag, on in zip(flags, self[2:]) if on]
-        return " ".join([f"k={self.k}", f"s={self.sources}", *named])
+        gossip = ["gossip"] if self.gossip else []
+        return " ".join([f"k={self.k}", f"s={self.sources}", *gossip])
 
 
 _SIGNATURE = """\
 def segment_kernel(
     blocks, q, stop, due, next_due, base, window_left, window_size,
-    boundary, probe, appends, hints,
+    boundary, probe, appends,
 ):
 """
 # The probe reads the instance's window count before the tuple counts it
@@ -101,24 +98,15 @@ def kernel_source(shape: Shape) -> str:
         c, p = f"c{shard}_", "q" if sources == 1 else f"p{shard}"
         loads = f"({_names(c, k)})"
 
-        def term(i: int) -> str:
-            return f"({c}{i} + d{shard}_{i}) + h{i}" if shape.hinted else f"{c}{i}"
-
         emit(depth, f"if r{shard} is None:")
-        emit(depth + 1, f"best = {term(0)}\ninstance = 0")
+        emit(depth + 1, f"best = {c}0\ninstance = 0")
         for i in range(1, k):
-            value = term(i)
-            if shape.hinted:
-                emit(depth + 1, f"value = {value}")
-                value = "value"
-            emit(depth + 1, f"if {value} < best:")
+            emit(depth + 1, f"if {c}{i} < best:")
             if i < k - 1:
-                emit(depth + 2, f"best = {value}")
+                emit(depth + 2, f"best = {c}{i}")
             emit(depth + 2, f"instance = {i}")
 
         def arm(i: int, depth: int) -> None:
-            if shape.hinted:
-                emit(depth, f"d{shard}_{i} += h{i}")
             if shape.gossip:
                 emit(depth, f"estimate = e{shard}_{i}[{p}]\n{c}{i} += estimate")
                 emit(depth, "if estimate != 0.0:")
@@ -147,8 +135,6 @@ def kernel_source(shape: Shape) -> str:
     emit(0, _SIGNATURE)
     emit(1, f'"""<{shape.label}>: route window positions [q, stop)."""')
     emit(1, f"{_names('w', k)} = window_left\n{_names('o', k)} = appends")
-    if shape.hinted:
-        emit(1, f"{_names('h', k)} = hints")
     emit(1, f"{_names('block', sources)} = blocks")
     for shard in range(sources):
         emit(1, f"{_names(f'c{shard}_', k)} = block{shard}._c\nr{shard} = block{shard}._rr")
@@ -158,8 +144,6 @@ def kernel_source(shape: Shape) -> str:
             emit(1, f"g{shard} = 0")
         emit(1, f"if r{shard} is None:")
         emit(2, f"{_names(f'e{shard}_', k)} = block{shard}._estimates")
-        if shape.hinted:
-            emit(2, f"{_names(f'd{shard}_', k)} = block{shard}._debt")
     if sources > 1:
         emit(1, f"shard = (base + q) % {sources}")
 
@@ -183,9 +167,6 @@ def kernel_source(shape: Shape) -> str:
         emit(1, f"block{shard}._c[:] = ({_names(f'c{shard}_', k)})")
         emit(1, f"block{shard}._rr = r{shard}")
         emit(1, f"block{shard}._pos = {'q' if sources == 1 else f'p{shard}'}")
-        if shape.hinted:
-            emit(1, f"if r{shard} is None:")
-            emit(2, f"block{shard}._debt[:] = ({_names(f'd{shard}_', k)})")
     emit(1, f"window_left[:] = ({_names('w', k)})")
     gossiped = f"({_names('g', sources)})" if shape.gossip else "None"
     emit(1, f"return q, due, {gossiped}")

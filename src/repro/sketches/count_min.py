@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from repro.bounds import FRACTION, NONNEGATIVE, Bound
+from repro.bounds import FRACTION, Bound
 from repro.sketches.bucket_cache import get_bucket_cache
 from repro.sketches.hashing import TwoUniversalHashFamily, random_hash_family
 
@@ -75,7 +75,7 @@ class CountMinSketch:
     Notes
     -----
     The sketch exposes its matrix as the read-only property :attr:`matrix`
-    so POSG can snapshot, serialize and merge sketches; mutate only through
+    so POSG can snapshot and merge sketches; mutate only through
     :meth:`update`/:meth:`reset`/:meth:`merge`.
     """
 
@@ -244,16 +244,6 @@ cells_many`, *not* bucket columns); validation is the caller's job —
         clone._update_count = self._update_count
         return clone
 
-    def scale(self, factor: float) -> None:
-        """Multiply every counter by ``factor`` (exponential aging).
-
-        Scaling preserves all cell *ratios* (the quantity POSG estimates
-        from) while down-weighting history relative to future merges.
-        """
-        NONNEGATIVE.check("factor", factor)
-        self._matrix *= factor
-        self._total_weight *= factor
-
     def merge(self, other: "CountMinSketch") -> None:
         """Add ``other``'s counters into this sketch (linear sketch property).
 
@@ -266,43 +256,6 @@ cells_many`, *not* bucket columns); validation is the caller's job —
         self._matrix += other._matrix
         self._total_weight += other._total_weight
         self._update_count += other._update_count
-
-    # ------------------------------------------------------------------
-    # serialization (what actually crosses the network in a deployment)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot, including the hash family."""
-        return {
-            "hashes": self._hashes.to_dict(),
-            "matrix": self._matrix.tolist(),
-            "total_weight": self._total_weight,
-            "update_count": self._update_count,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, payload: dict, hashes: TwoUniversalHashFamily | None = None
-    ) -> "CountMinSketch":
-        """Rebuild from :meth:`to_dict`; pass ``hashes`` to share an
-        existing family object (required for :meth:`merge` with ``is``
-        identity)."""
-        family = (
-            hashes
-            if hashes is not None
-            else TwoUniversalHashFamily.from_dict(payload["hashes"])
-        )
-        sketch = cls(family)
-        # C order: the batch fold writes through the matrix's flat view
-        matrix = np.ascontiguousarray(payload["matrix"], dtype=sketch._matrix.dtype)
-        if matrix.shape != sketch._matrix.shape:
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match family shape "
-                f"{sketch._matrix.shape}"
-            )
-        sketch._matrix = matrix
-        sketch._total_weight = float(payload["total_weight"])
-        sketch._update_count = int(payload["update_count"])
-        return sketch
 
     # ------------------------------------------------------------------
     # introspection

@@ -238,13 +238,6 @@ class RunReport:
             lines.insert(2, f"speedup vs baseline = {self.speedup_vs_baseline:.3f}")
         if self.run_entry_index is not None:
             lines.append(f"scheduler entered RUN at tuple {self.run_entry_index}")
-        if self.faults is not None:
-            injected = self.faults.get("injected", {})
-            dropped = sum(injected.get("dropped", {}).values())
-            lines.append(
-                f"faults: {dropped} control messages dropped, "
-                f"{injected.get('crashes', 0)} crashes"
-            )
         if self.audit is not None:
             rel = self.audit.get("rel_error_quantiles", {})
             quantiles = "  ".join(
@@ -265,16 +258,6 @@ class RunReport:
                 f"{makespan['oracle_gos_ratio']:.4f} "
                 f"(bound {makespan['graham_bound']:.2f}), misrouted = "
                 f"{self.quality['regret']['misroute_fraction']:.4f}"
-            )
-        if self.flightrecorder is not None:
-            per_shard = self.flightrecorder.get("per_shard", [])
-            folds = sum(s.get("folds", 0) for s in per_shard)
-            routes = sum(s.get("route_samples", 0) for s in per_shard)
-            lines.append(
-                f"flight recorder: {self.flightrecorder.get('sources', 0)} "
-                f"shards, {self.flightrecorder.get('events_total', 0)} events "
-                f"({folds} folds, {routes} route samples, "
-                f"{self.flightrecorder.get('dropped_events', 0)} dropped)"
             )
         if self.lineage is not None:
             components = self.lineage.get("components", {})

@@ -87,32 +87,6 @@ class Stream:
         """Nominal execution time of an item (oracle access)."""
         return float(self.time_table[item])
 
-    def save(self, path) -> None:
-        """Persist the stream to a ``.npz`` file (exact reproducibility:
-        a saved stream replays bit-identically on any machine)."""
-        np.savez_compressed(
-            path,
-            items=self.items,
-            base_times=self.base_times,
-            arrivals=self.arrivals,
-            time_table=self.time_table,
-            n=np.asarray(self.n),
-            label=np.asarray(self.label),
-        )
-
-    @classmethod
-    def load(cls, path) -> "Stream":
-        """Load a stream persisted with :meth:`save`."""
-        with np.load(path, allow_pickle=False) as data:
-            return cls(
-                items=data["items"],
-                base_times=data["base_times"],
-                arrivals=data["arrivals"],
-                time_table=data["time_table"],
-                n=int(data["n"]),
-                label=str(data["label"]),
-            )
-
 
 def arrival_times(
     m: int,

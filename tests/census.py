@@ -14,10 +14,11 @@ Run from the repository root (~5 min on two cores)::
 
     python -m tests.census
 
-It reports and never gates on what it finds: it exits 1 only when an
-entry point itself fails, since a census of a crashed run means
-nothing.  Stdlib only.  pytest does not collect it: its name does not
-start with ``test_``.
+It is a ratchet: it exits 1 when the unreached total rises above
+:data:`UNREACHED_LINES`, and when an entry point itself fails, since a
+census of a crashed run means nothing.  A change that leaves fewer
+lines unreached lowers the constant.  Stdlib only.  pytest does not
+collect it: its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -67,7 +68,33 @@ ENTRY_POINTS = (
 #: ``--plot``'s matplotlib module
 EXEMPT_MODULES = ("repro.analysis", "repro.experiments.plotting")
 EXEMPT_NAMES = ("__repr__",)
-EXEMPT_CLASSES = ("LiveDashboard",)
+EXEMPT_CLASSES = (
+    "LiveDashboard",
+    # the disabled recorder: its no-ops stand in for whichever
+    # instrument a run does not touch
+    "_NullInstrument",
+    "_NullRegistry",
+    "_NullTracer",
+    "NullRecorder",
+    # Section III's rejected alternative, which backs a CLAIM_TESTS row
+    # in tests/test_public_api.py
+    "ReactiveGrouping",
+    "_ReportingAgent",
+    # the fan-out grouping that gives the acker tuple trees of several
+    # edges (tests/integration/test_storm_advanced.py)
+    "AllGrouping",
+)
+#: qualified names, with every function nested in them
+EXEMPT_FUNCTIONS = (
+    # the test oracles of the Count-Min error bound
+    "CountMinSketch.error_bound",
+    "CountMinSketch.from_accuracy",
+    # the estimate fallback for ids past ``EstimateTable.limit`` and for
+    # a pair on a foreign hash family (tests/core/test_estimate_memo.py)
+    "POSGScheduler._gather_columns",
+)
+#: the unreached total the census last read; it fails above it
+UNREACHED_LINES = 682
 
 _HOOK = '''\
 import os
@@ -114,11 +141,11 @@ def functions() -> dict[tuple[str, int], tuple[str, str, int]]:
                     first = min(
                         [child.lineno] + [line.lineno for line in child.decorator_list]
                     )
-                    if not exempt and child.name not in EXEMPT_NAMES:
-                        found[(str(path), first)] = (
-                            module, prefix + child.name, child.end_lineno
-                        )
-                    visit(child, f"{prefix}{child.name}.<locals>.", exempt)
+                    name = prefix + child.name
+                    skipped = exempt or name in EXEMPT_FUNCTIONS
+                    if not skipped and child.name not in EXEMPT_NAMES:
+                        found[(str(path), first)] = (module, name, child.end_lineno)
+                    visit(child, f"{name}.<locals>.", skipped)
                 else:
                     visit(child, prefix, exempt)
 
@@ -185,10 +212,14 @@ def main() -> int:
         f"({lines} lines) in {len(by_module)} modules; "
         f"{len(ENTRY_POINTS)} entry points"
     )
+    if lines > UNREACHED_LINES:
+        print(
+            f"unreached lines rose from {UNREACHED_LINES} to {lines}",
+            file=sys.stderr,
+        )
     if failures:
         print(f"failed entry points: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failures or lines > UNREACHED_LINES else 0
 
 
 if __name__ == "__main__":

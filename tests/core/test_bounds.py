@@ -347,7 +347,6 @@ INTEGER_ARGUMENTS = [
 REAL_ARGUMENTS = [
     ("epsilon", lambda v: dims_for(v, 0.5), 0.5),
     ("delta", lambda v: dims_for(0.5, v), 0.5),
-    ("factor", lambda v: CountMinSketch(_hashes()).scale(v), 0.5),
     ("q", lambda v: CompletionStats(np.ones(4), np.zeros(4, int)).percentile(v), 50.0),
     ("threshold", lambda v: markov_tail_bound(1.0, v), 2.0),
     ("row_probability", lambda v: independent_rows_bound(v, 2), 0.5),

@@ -5,8 +5,8 @@ pooled) until a write to ``_matrices`` moves ``_matrices_version``, and
 ``_block_estimates`` reads ``(instance, id)`` cells out of a table whose
 row a delivery for that instance voids, and which serves a row only to
 a reader holding the pair that filled it.  Random walks over ``submit``,
-``on_message`` and block gathers — replaced and merged matrices,
-``merge_decay < 1``, the staleness watchdog dropping pairs, restart
+``on_message`` and block gathers — replaced and merged matrices, the
+staleness watchdog dropping pairs, restart
 generations — must leave ``estimate()`` and every gathered column equal
 to a recomputation from ``_matrices`` after every step, with memo and
 table kept warm so a missed invalidation shows at once.
@@ -60,7 +60,6 @@ CONFIGS = st.builds(
     cols=st.just(8),
     pooled_estimates=st.booleans(),
     merge_matrices=st.booleans(),
-    merge_decay=st.sampled_from([1.0, 0.5]),
     recovery=st.sampled_from([None, WATCHDOG]),
 )
 
@@ -167,8 +166,7 @@ class TestEstimateMemo:
         """The mutant "no invalidation on merge" dies here: the stored
         pair is mutated in place, so only the clear at the write can tell."""
         config = POSGConfig(
-            rows=2, cols=8, merge_matrices=True, merge_decay=0.5,
-            pooled_estimates=pooled,
+            rows=2, cols=8, merge_matrices=True, pooled_estimates=pooled,
         )
         hashes = make_shared_hashes(config, np.random.default_rng(0))
         scheduler = POSGScheduler(2, config)
@@ -251,12 +249,11 @@ class TestEstimateTable:
         return scheduler, hashes
 
     @pytest.mark.parametrize("pooled", [False, True])
-    @pytest.mark.parametrize("decay", [1.0, 0.5])
-    def test_a_merge_voids_the_merged_row(self, pooled, decay):
-        """The stored pair is mutated in place (``scale`` then ``merge``),
-        so only the dirty mark at the write can tell the row moved."""
+    def test_a_merge_voids_the_merged_row(self, pooled):
+        """The stored pair is mutated in place by ``merge``, so only the
+        dirty mark at the write can tell the row moved."""
         scheduler, hashes = self.warmed(
-            merge_matrices=True, merge_decay=decay, pooled_estimates=pooled
+            merge_matrices=True, pooled_estimates=pooled
         )
         before = block_values(scheduler, [3, 5, 3])
         stored = scheduler._matrices[1]

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import verify_theorem_42
 from repro.core.gos import (
     adversarial_sequence,
-    completion_times_online,
-    gos_approximation_ratio,
     greedy_online_schedule,
-    lpt_schedule,
     makespan,
     opt_lower_bound,
 )
+from repro.core.grouping import FullKnowledgeGrouping, RoundRobinGrouping
+from repro.simulator.run import simulate_stream
+from repro.workloads.synthetic import Stream
 
 
 class TestGreedySchedule:
@@ -76,7 +77,7 @@ class TestTheorem42:
         rng = np.random.default_rng(k)
         for _ in range(20):
             weights = rng.uniform(1.0, 64.0, size=200).tolist()
-            ratio = gos_approximation_ratio(weights, k)
+            ratio = verify_theorem_42(weights, k).ratio
             assert ratio <= 2.0 - 1.0 / k + 1e-9
 
     @pytest.mark.parametrize("k", [2, 3, 5, 10])
@@ -97,65 +98,33 @@ class TestTheorem42:
     )
     @settings(max_examples=100, deadline=None)
     def test_ratio_property(self, weights, k):
-        assert gos_approximation_ratio(weights, k) <= 2.0 - 1.0 / k + 1e-6
+        assert verify_theorem_42(weights, k).ratio <= 2.0 - 1.0 / k + 1e-6
 
 
-class TestLPT:
-    def test_lpt_beats_or_equals_gos_on_adversary(self):
-        k = 4
-        weights = adversarial_sequence(k)
-        _, gos_loads = greedy_online_schedule(weights, k)
-        _, lpt_loads = lpt_schedule(weights, k)
-        assert makespan(lpt_loads) <= makespan(gos_loads)
-
-    def test_lpt_assignment_indexes_original_positions(self):
-        weights = [1.0, 9.0, 1.0]
-        assignment, loads = lpt_schedule(weights, 2)
-        assert len(assignment) == 3
-        # The heavy task sits alone on its machine.
-        heavy_machine = assignment[1]
-        assert loads[heavy_machine] == pytest.approx(9.0)
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=100),
-        st.integers(min_value=1, max_value=8),
+def paper_example_completions(policy):
+    """Section II's stream a0, b1, a2 (w_a = 10, w_b = 1) arriving at
+    0, 1 and 2 on k = 2, through the engine that measures L."""
+    stream = Stream(
+        items=np.array([0, 1, 0]),
+        base_times=np.array([10.0, 1.0, 10.0]),
+        arrivals=np.array([0.0, 1.0, 2.0]),
+        n=2,
+        time_table=np.array([10.0, 1.0]),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_lpt_is_a_valid_greedy_schedule(self, weights, k):
-        """LPT is greedy on the sorted order, so the GOS bound applies.
-
-        (The classical 4/3 guarantee is relative to the true OPT, which is
-        NP-hard; against the lower bound only the (2 - 1/k) cap is valid.)
-        """
-        assignment, loads = lpt_schedule(weights, k)
-        assert sorted(set(assignment)) <= list(range(k))
-        assert sum(loads) == pytest.approx(sum(weights))
-        bound = opt_lower_bound(weights, k)
-        assert makespan(loads) <= (2.0 - 1.0 / k) * bound + 1e-6
+    result = simulate_stream(stream, policy, k=2)
+    return result.stats.assignments.tolist(), result.stats.completions
 
 
 class TestCompletionTimes:
     def test_paper_round_robin_example(self):
-        """Section II: RR on the a0,b1,a2 stream wastes 8s queuing."""
-        arrivals = [0.0, 1.0, 2.0]
-        weights = [10.0, 1.0, 10.0]
-        rr_assignment = [0, 1, 0]
-        completions = completion_times_online(arrivals, weights, rr_assignment, 2)
-        assert sum(completions) == pytest.approx(10 + 1 + 10 + (10 - 2))
+        """Section II: RR sends a2 behind a0 and wastes 8 ms queueing."""
+        assignment, completions = paper_example_completions(RoundRobinGrouping())
+        assert assignment == [0, 1, 0]
+        assert completions.sum() == 10 + 1 + 10 + (10 - 2)
 
     def test_paper_better_schedule_example(self):
-        arrivals = [0.0, 1.0, 2.0]
-        weights = [10.0, 1.0, 10.0]
-        good_assignment = [0, 1, 1]
-        completions = completion_times_online(arrivals, weights, good_assignment, 2)
-        assert sum(completions) == pytest.approx(10 + 1 + 10)
-
-    def test_rejects_misaligned_inputs(self):
-        with pytest.raises(ValueError):
-            completion_times_online([0.0], [1.0, 2.0], [0], 1)
-
-    def test_idle_machine_no_queuing(self):
-        completions = completion_times_online(
-            [0.0, 100.0], [5.0, 5.0], [0, 0], 1
+        assignment, completions = paper_example_completions(
+            lambda oracle: FullKnowledgeGrouping(oracle)
         )
-        assert completions == [5.0, 5.0]
+        assert assignment == [0, 1, 1]
+        assert completions.sum() == 10 + 1 + 10

@@ -1,51 +1,12 @@
-"""Property tests tying the GOS makespan view to the queueing view."""
+"""Property tests of the GOS makespan across machine counts."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gos import (
-    completion_times_online,
-    greedy_online_schedule,
-    makespan,
-)
+from repro.core.gos import greedy_online_schedule, makespan
 
 
 class TestCompletionModelProperties:
-    @given(
-        st.lists(st.floats(min_value=0.1, max_value=20.0),
-                 min_size=1, max_size=50),
-        st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_batch_arrivals_reduce_to_makespan(self, weights, k):
-        """If every task arrives at time 0, the last completion time on
-        the greedy schedule equals the greedy makespan."""
-        assignment, loads = greedy_online_schedule(weights, k)
-        arrivals = [0.0] * len(weights)
-        completions = completion_times_online(arrivals, weights, assignment, k)
-        assert max(completions) == np.float64(makespan(loads)) or \
-            abs(max(completions) - makespan(loads)) < 1e-9
-
-    @given(
-        st.lists(st.floats(min_value=0.1, max_value=20.0),
-                 min_size=1, max_size=50),
-        st.integers(min_value=1, max_value=4),
-        st.floats(min_value=0.0, max_value=5.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_later_arrivals_never_increase_completion(self, weights, k, gap):
-        """Spacing arrivals out can only reduce queueing delay."""
-        assignment, _ = greedy_online_schedule(weights, k)
-        batch = completion_times_online(
-            [0.0] * len(weights), weights, assignment, k
-        )
-        spaced_arrivals = [gap * j for j in range(len(weights))]
-        spaced = completion_times_online(
-            spaced_arrivals, weights, assignment, k
-        )
-        assert sum(spaced) <= sum(batch) + 1e-6
-
     @given(
         st.lists(st.floats(min_value=0.1, max_value=20.0),
                  min_size=2, max_size=40),

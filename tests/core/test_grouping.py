@@ -12,9 +12,7 @@ from repro.core.grouping import (
     GroupingPolicy,
     KeyGrouping,
     POSGGrouping,
-    RandomGrouping,
     RoundRobinGrouping,
-    TwoChoicesGrouping,
 )
 from repro.core.scheduler import SchedulerState
 
@@ -38,23 +36,6 @@ class TestRoundRobin:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             RoundRobinGrouping().setup(0)
-
-
-class TestRandom:
-    def test_range_and_determinism(self):
-        a, b = RandomGrouping(), RandomGrouping()
-        a.setup(4, np.random.default_rng(7))
-        b.setup(4, np.random.default_rng(7))
-        picks_a = [a.route(i).instance for i in range(50)]
-        picks_b = [b.route(i).instance for i in range(50)]
-        assert picks_a == picks_b
-        assert all(0 <= p < 4 for p in picks_a)
-
-    def test_covers_all_instances(self):
-        policy = RandomGrouping()
-        policy.setup(3, np.random.default_rng(1))
-        picks = {policy.route(i).instance for i in range(100)}
-        assert picks == {0, 1, 2}
 
 
 class TestKeyGrouping:
@@ -155,7 +136,6 @@ def _unit_oracle(item, instance):
 #: constructor arguments of the policies that need any
 ARGUMENTS = {
     FullKnowledgeGrouping: (_unit_oracle,),
-    TwoChoicesGrouping: (_unit_oracle,),
 }
 
 NOT_SET_UP = r"^policy not set up; call setup\(k\) first$"

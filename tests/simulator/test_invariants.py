@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.grouping import RandomGrouping, RoundRobinGrouping
+from repro.core.grouping import KeyGrouping, RoundRobinGrouping
 from repro.simulator.run import simulate_stream
 from repro.workloads.synthetic import Stream
 
@@ -61,7 +61,7 @@ class TestFastPathInvariants:
         of its service times, and its makespan is at most last-arrival +
         total service (it never idles with work queued)."""
         result = simulate_stream(
-            stream, RandomGrouping(), k=k,
+            stream, KeyGrouping(), k=k,
             rng=np.random.default_rng(seed),
         )
         finish = stream.arrivals + result.stats.completions

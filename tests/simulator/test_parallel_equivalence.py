@@ -148,9 +148,6 @@ class TestRefusesBeforeAnyStateMoves:
         "recovery": lambda: MultiSourcePOSGGrouping(
             2, config(recovery=RecoveryConfig())
         ),
-        "latency hints": lambda: MultiSourcePOSGGrouping(
-            2, config(), latency_hints=[0.0, 1.0, 2.0, 3.0, 4.0]
-        ),
         "coordination": lambda: MultiSourcePOSGGrouping(
             2, config(coordination=CoordinationConfig())
         ),

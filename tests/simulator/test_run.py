@@ -14,7 +14,7 @@ from repro.core.grouping import (
     RoundRobinGrouping,
 )
 from repro.core.multisource import MultiSourcePOSGGrouping
-from repro.core.scheduler import POSGScheduler, SchedulerState
+from repro.core.scheduler import SchedulerState
 from repro.simulator.parallel import simulate_stream_parallel
 from repro.simulator.run import simulate_stream
 from repro.simulator.topology import StageTopology
@@ -190,12 +190,8 @@ class TestLatencyModels:
         "build",
         [
             lambda bad: StageTopology(3, RoundRobinGrouping(), data_latency=bad),
-            lambda bad: POSGScheduler(3, tiny_config(), latency_hints=[bad] * 3),
-            lambda bad: POSGScheduler(
-                3, tiny_config(), latency_hints=[0.0, bad, 1.0]
-            ),
         ],
-        ids=["constant", "hints", "one-hint"],
+        ids=["constant"],
     )
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_values_are_rejected(self, build, bad):

@@ -8,8 +8,7 @@ engine.  This file pins that router four ways:
 
 - a generated differential test (chunked vs ``chunk_size=0``) over shard
   count, instance count, chunk size, window size, coordination flags,
-  matrices handling (merged or replaced, decay, pooled), latency hints,
-  data latencies (one shared, one per instance), queue sampling,
+  matrices handling (merged or replaced, pooled), data latencies (one shared, one per instance), queue sampling,
   observers, fault plans
   (message faults per channel and per source, crashes) and recovery
   thresholds small enough that every
@@ -118,7 +117,6 @@ def assert_same_run(reference, chunked):
         reference.policy.schedulers, chunked.policy.schedulers, strict=True
     ):
         np.testing.assert_array_equal(ours.c_hat, theirs.c_hat)
-        np.testing.assert_array_equal(ours._latency_debt, theirs._latency_debt)
         assert ours._tuples_scheduled == theirs._tuples_scheduled
         assert ours._rr_counter == theirs._rr_counter
         assert ours.stats() == theirs.stats()
@@ -269,13 +267,6 @@ def recovery_configs(draw):
     )
 
 
-HINT_SHAPES = {
-    "increasing": lambda k: [0.25 * instance for instance in range(k)],
-    "all-equal": lambda k: [0.5] * k,
-    "one-zero": lambda k: [0.0] + [0.75] * (k - 1),
-}
-
-
 def latency_models(kind, k, seed, control_latency):
     """One run's ``data_latency`` / ``control_latency`` keywords."""
     if kind == "constant":
@@ -298,13 +289,10 @@ def configurations(draw):
         )
     # whether shards share pairs and one estimate table follows from
     # these three, at every shard count
-    merge = draw(st.booleans())
     matrices = {
-        "merge_matrices": merge,
-        "merge_decay": draw(st.sampled_from([0.5, 1.0])) if merge else 1.0,
+        "merge_matrices": draw(st.booleans()),
         "pooled_estimates": draw(st.booleans()),
     }
-    hints = draw(st.sampled_from([None, *HINT_SHAPES]))
     observers = {}
     if draw(st.booleans()):
         observers["audit"] = AuditConfig(
@@ -328,7 +316,6 @@ def configurations(draw):
         "mu": draw(st.sampled_from([0.05, 1.0])),
         "coordination": coordination,
         "matrices": matrices,
-        "latency_hints": None if hints is None else HINT_SHAPES[hints](k),
         "data_latency": draw(
             st.sampled_from(["constant", "per-instance-constants"])
         ),
@@ -402,8 +389,7 @@ class TestGeneratedDifferential:
         faults = drawn["faults"]
         reference, chunked = run_pair(
             lambda recorder: MultiSourcePOSGGrouping(
-                drawn["sources"], config,
-                latency_hints=drawn["latency_hints"], telemetry=recorder,
+                drawn["sources"], config, telemetry=recorder
             ),
             stream, k, drawn["chunk_size"], recorded=drawn["recorded"],
             **latency_models(
@@ -435,7 +421,7 @@ class TestGeneratedDifferential:
         )
         engine = chunked.engine
         assert engine["path"] == "segment" and engine["reason"] is None
-        assert engine["kernel"] == Shape(k, 1, False, False).label
+        assert engine["kernel"] == Shape(k, 1, False).label
         assert engine["segments"] == engine["windows"]
         assert_same_baseline_run(reference, chunked)
 
@@ -445,9 +431,6 @@ class TestGeneratedDifferential:
 WALK_FEATURES = {
     "gossip": lambda k, stream: (
         {"coordination": CoordinationConfig(gossip=True, snoop=False)}, {}, {}
-    ),
-    "hints": lambda k, stream: (
-        {}, {"latency_hints": HINT_SHAPES["increasing"](k)}, {}
     ),
     "per-instance-constants": lambda k, stream: (
         {}, {}, latency_models("per-instance-constants", k, 3, 1.0)
@@ -521,10 +504,7 @@ class TestShapeWalk:
                         stream, k, 64, **keywords,
                     )
                     label = f"s={sources} k={k} {feature}"
-                    shape = Shape(
-                        k, sources, sources > 1 and feature == "gossip",
-                        feature == "hints",
-                    )
+                    shape = Shape(k, sources, sources > 1 and feature == "gossip")
                     shapes.add(shape)
                     try:
                         assert chunked.engine["path"] == "segment"
@@ -585,7 +565,7 @@ class TestShapeWalk:
                 rng=np.random.default_rng(1), chunk_size=64,
                 flight=Failing(FlightRecorderConfig(sample_every=1)),
             )
-        shape = Shape(5, 2, False, False)
+        shape = Shape(5, 2, False)
         text = kernel_source(shape)
         (frame,) = [
             frame
@@ -789,7 +769,7 @@ class TestSharedEstimateTable:
     def test_merging_shards_keep_private_copies_and_tables(self):
         """With ``merge_matrices`` every shard merges into a pair of its
         own: one shared object would take every merge once per shard."""
-        config = small_config(16, mu=0.5, merge_matrices=True, merge_decay=0.5)
+        config = small_config(16, mu=0.5, merge_matrices=True)
         stream = default_stream(seed=2, m=4_000, n=64, k=self.K)
         reference, chunked = run_pair(
             lambda recorder: Shadowed(self.SOURCES, config), stream, self.K, 256,
@@ -1489,21 +1469,15 @@ class TestEngineRecord:
                 {},
             ),
             (
-                lambda: POSGGrouping(
-                    small_config(64), latency_hints=[0.0, 0.1, 0.2, 0.3, 0.4]
-                ),
-                {},
-            ),
-            (
                 lambda: MultiSourcePOSGGrouping(2, small_config(64)),
                 {"data_latency": [0.0, 0.1, 0.2, 0.3, 0.4]},
             ),
         ],
-        ids=["faults", "recovery", "hints", "per-instance-latency"],
+        ids=["faults", "recovery", "per-instance-latency"],
     )
     def test_stock_posg_runs_take_the_segment_path(self, make_policy, keywords):
-        """A fault plan and armed defences are segment horizons, hints
-        are one more scan and data latencies one arrival column each."""
+        """A fault plan and armed defences are segment horizons and data
+        latencies one arrival column each."""
         engine = self.run(make_policy(), **keywords).engine
         assert set(engine) == ENGINE_KEYS
         assert engine["path"] == "segment" and engine["reason"] is None

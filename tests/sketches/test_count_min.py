@@ -177,27 +177,6 @@ class TestFlatView:
     """The batch fold writes through ``matrix.reshape(-1)``: a copy there
     would move the counters and leave the matrix as it was."""
 
-    @pytest.mark.parametrize(
-        "layout",
-        [np.asfortranarray, lambda zeros: np.zeros(zeros.shape[::-1]).T],
-        ids=["fortran", "transposed-view"],
-    )
-    def test_from_dict_binds_a_matrix_the_fold_can_write(self, layout):
-        matrix = layout(np.zeros((4, 54)))
-        assert not matrix.flags.c_contiguous
-        reference = make_sketch(seed=8)
-        cm = CountMinSketch.from_dict(
-            dict(reference.to_dict(), matrix=matrix), hashes=reference.hashes
-        )
-        items, weights = [3, 9, 3, 200], [1.0, 2.0, 4.0, 8.0]
-        cm.fold_batch_exact(
-            cm.bucket_cache.cells_many(np.array(items)), np.array(weights)
-        )
-        for item, weight in zip(items, weights):
-            reference.update(item, weight)
-        assert cm.update_count == 4 and cm.total_weight == 15.0
-        np.testing.assert_array_equal(cm.matrix, reference.matrix)
-
     def test_a_matrix_rebound_without_a_shared_flat_view_is_refused(self):
         cm = make_sketch(seed=8)
         cm._matrix = np.asfortranarray(cm._matrix)

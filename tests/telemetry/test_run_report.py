@@ -104,7 +104,7 @@ class TestRunReport:
         assert flight["per_shard"][0]["route_samples"] > 0
         assert report.tracer["emitted"] >= len(report.fsm_timeline)
         assert report.tracer["dropped"] == 0
-        assert "flight recorder: 1 shards" in report.summary()
+        assert report.to_dict()["flightrecorder"]["sources"] == 1
 
     def test_truncated_tracer_flagged_in_summary(self):
         from repro.telemetry.tracer import Tracer
