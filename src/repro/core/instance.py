@@ -13,11 +13,19 @@ Figure 2 of the paper.  Each instance folds every executed tuple into its
 The tracker also keeps the instance's measured cumulated execution time
 ``C_op`` needed to answer :class:`~repro.core.messages.SyncRequest`
 messages with ``Delta_op = C_op - C_hat[op]``.
+
+Only a window close reads the matrices, so the tracker records executed
+tuples and folds them in one exact-order batch when something reads the
+pair (a window close, :meth:`InstanceTracker.restart`,
+:attr:`InstanceTracker.matrices`); ``C_op``, the counters, the window
+count and sync replies move at once.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import operator
 
 import numpy as np
 
@@ -89,8 +97,9 @@ class InstanceTracker:
     The hosting engine calls :meth:`execute` once per tuple *after*
     measuring its execution time, passing along any
     :class:`~repro.core.messages.SyncRequest` that was piggy-backed on the
-    tuple.  The returned control messages must be delivered to the
-    scheduler (with whatever latency the engine models).
+    tuple, or :meth:`execute_batch` for a run of tuples without one.  The
+    returned control messages must be delivered to the scheduler (with
+    whatever latency the engine models).
     """
 
     def __init__(
@@ -111,6 +120,11 @@ class InstanceTracker:
         self._config = config
         self._telemetry = telemetry if telemetry is not None else NULL_RECORDER
         self._pair = FWPair(hashes, telemetry=self._telemetry)
+        # executed tuples not yet folded into the pair, in execution
+        # order: whole batches, then the scalar tail recorded since
+        self._batches: list[tuple] = []
+        self._items: list = []
+        self._times: list = []
         self._state = InstanceState.START
         self._snapshot: np.ndarray | None = None
         self._window_count = 0
@@ -150,8 +164,16 @@ class InstanceTracker:
         covers exactly the tuples assigned up to and including this one,
         which is the prefix the scheduler's ``c_hat_at_send`` estimated.
         """
+        if not 0.0 <= execution_time < math.inf:  # false for NaN
+            raise ValueError(
+                f"execution_time must be finite and >= 0, got {execution_time}"
+            )
+        # the fold takes int64 items: a float or a string is a TypeError here
+        if not -(1 << 63) <= operator.index(item) < 1 << 63:
+            raise ValueError(f"item must fit in 64 bits, got {item}")
         outgoing: list[ControlMessage] = []
-        self._pair.update(item, execution_time)
+        self._items.append(item)
+        self._times.append(execution_time)
         self._cumulated_time += execution_time
         self._tuples_executed += 1
         self._window_count += 1
@@ -183,32 +205,67 @@ class InstanceTracker:
                 outgoing.append(message)
         return outgoing
 
-    def execute_batch(self, items, execution_times) -> None:
-        """Record a *boundary-free* batch of executed tuples.
+    def execute_batch(self, items, execution_times) -> list[ControlMessage]:
+        """Record a batch of executed tuples that carry no sync request.
 
-        Bit-identical to calling :meth:`execute` per tuple with no sync
-        requests: the F/W fold preserves per-tuple float semantics
-        (``FWPair.update_batch``) and ``C_op`` accumulates term by term
-        (:func:`~repro.sketches.count_min.running_total`).  ``items`` and
-        ``execution_times`` are arrays or sequences of equal length; the
-        chunked simulator hands over index-gathered arrays, which are
-        used as they are.  The batch must not reach a window boundary —
-        the FSM of Figure 2 inspects the matrices exactly there, so the
-        boundary tuple itself must go through :meth:`execute`.  A batch
-        that would, or that holds a negative or non-finite time, raises
+        Bit-identical to calling :meth:`execute` per tuple: ``C_op``
+        accumulates term by term
+        (:func:`~repro.sketches.count_min.running_total`) and the fold
+        keeps per-tuple float semantics (``FWPair.fold``).
+        ``items`` and ``execution_times`` are arrays or sequences of
+        equal length; an array is kept until the next fold, so the caller
+        must not write to it.  The batch may end on the window boundary
+        and then returns that tuple's messages (Figure 2); one that would
+        cross it, or that holds a negative or non-finite time, raises
         ``ValueError`` with the tracker untouched.
         """
+        items = np.asarray(items, dtype=np.int64)
         times = np.asarray(execution_times, dtype=np.float64)
+        if items.ndim != 1 or items.shape != times.shape:
+            raise ValueError(
+                "items and execution_times must be 1-D and of equal length, "
+                f"got shapes {items.shape} and {times.shape}"
+            )
+        if not (np.isfinite(times).all() and (times >= 0.0).all()):
+            raise ValueError("execution times must be finite and >= 0")
         count = times.size
-        if self._window_count + count >= self._config.window_size:
+        if self._window_count + count > self._config.window_size:
             raise ValueError(
                 f"batch of {count} tuples would cross the window boundary "
                 f"({self._window_count}/{self._config.window_size} used)"
             )
-        self._pair.update_batch(items, times)
+        if self._items:
+            self._batches.append((self._items, self._times))
+            self._items, self._times = [], []
+        self._batches.append((items, times))
         self._cumulated_time = running_total(self._cumulated_time, times)
         self._tuples_executed += count
         self._window_count += count
+        if self._window_count < self._config.window_size:
+            return []
+        self._window_count = 0
+        message = self._window_boundary()
+        return [] if message is None else [message]
+
+    def _fold(self) -> None:
+        """Fold every recorded tuple into the pair, in execution order."""
+        batches = self._batches
+        if self._items:
+            batches.append((self._items, self._times))
+            self._items, self._times = [], []
+        if batches:
+            # every tuple was checked when it was recorded
+            self._pair.fold(
+                np.concatenate([items for items, _ in batches], dtype=np.int64),
+                np.concatenate([times for _, times in batches], dtype=np.float64),
+            )
+            batches.clear()
+
+    @property
+    def matrices(self) -> FWPair:
+        """The instance's ``(F, W)`` pair with every executed tuple folded in."""
+        self._fold()
+        return self._pair
 
     @property
     def window_remaining(self) -> int:
@@ -229,6 +286,7 @@ class InstanceTracker:
         (``tuples_executed``, ``matrices_sent``, ...) are telemetry-side
         accounting and survive, mirroring an external metrics store.
         """
+        self._fold()
         self._pair.reset()
         self._snapshot = None
         self._state = InstanceState.START
@@ -249,6 +307,7 @@ class InstanceTracker:
 
     def _window_boundary(self) -> MatricesMessage | None:
         """FSM transition after ``N`` executed tuples (Figure 2)."""
+        self._fold()
         self._boundaries_since_ship += 1
         if self._state is InstanceState.START:
             self._snapshot = self._pair.snapshot()

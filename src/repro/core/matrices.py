@@ -117,13 +117,16 @@ class FWPair:
                 "items and execution_times must be 1-D and of equal length, "
                 f"got shapes {items.shape} and {times.shape}"
             )
-        if items.size == 0:
-            return
         if not (np.isfinite(times).all() and (times >= 0.0).all()):
             raise ValueError("execution times must be finite and >= 0")
+        self.fold(items, times)
+
+    def fold(self, items: np.ndarray, execution_times: np.ndarray) -> None:
+        """:meth:`update_batch` without its checks, for a caller that
+        checked its tuples when it took them (``InstanceTracker``)."""
         cells = self._freq.bucket_cache.cells_many(items)
         self._freq.fold_batch_exact(cells, None)
-        self._work.fold_batch_exact(cells, times)
+        self._work.fold_batch_exact(cells, execution_times)
 
     # ------------------------------------------------------------------
     # estimation (Listing III.2, UPDATEC)

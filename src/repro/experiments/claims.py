@@ -195,17 +195,17 @@ def _theorem31() -> dict:
     cells = {}
     for rows, n in ((4, 64), (4, 10**9), (1, 4096), (16, 4096)):
         tracker = _tracker(rows)
-        matrices = tracker._pair.freq.matrix, tracker._pair.work.matrix
-        before = [matrix.copy() for matrix in matrices]
+        before = tracker.matrices.freq.matrix.copy(), tracker.matrices.work.matrix.copy()
         tracker.execute(int(np.random.default_rng(5).integers(0, n)), 1.0)
-        cells[rows, n] = tuple(int(np.count_nonzero(a != b)) for a, b in zip(matrices, before))
+        after = tracker.matrices.freq.matrix, tracker.matrices.work.matrix
+        cells[rows, n] = tuple(int(np.count_nonzero(a != b)) for a, b in zip(after, before))
     return {"theorem3.1.update": (all(c == (rows, rows) for (rows, _), c in cells.items()),
                                   {f"r={r} n={n} F/W cells": c for (r, n), c in cells.items()})}
 
 
 def _theorem32() -> dict:
     trackers = _tracker(rows=2, cols=10), _tracker(rows=4, cols=100)
-    sizes = tuple(t._pair.freq.matrix.nbytes + t._pair.work.matrix.nbytes for t in trackers)
+    sizes = tuple(t.matrices.freq.matrix.nbytes + t.matrices.work.matrix.nbytes for t in trackers)
     bits = POSGConfig(rows=4, cols=54).memory_bits(stream_length=32_768, universe_size=4_096)
     return {"theorem3.2.space": (sizes == (2 * 2 * 10 * 8, 2 * 4 * 100 * 8)
                                  and bits == 2 * 4 * 54 * 15 + 4 * 12,

@@ -639,8 +639,8 @@ def _parallel_loop(
     state_transitions: list[tuple[int, SchedulerState]] = []
     previous_state = policy.state
 
-    # Instance-side batching: routed tuples fold into their instance's
-    # sketches in one batch at the next window close or per-tuple step.
+    # Routed tuples reach their instance's tracker in one batch at the
+    # next window close or per-tuple step, not one per stretch.
     pending_items: list[list[int]] = [[] for _ in range(k)]
     pending_times: list[list[float]] = [[] for _ in range(k)]
     window_left = [tracker.window_remaining for tracker in trackers]
@@ -663,9 +663,10 @@ def _parallel_loop(
 
     def _flush(instance: int) -> None:
         if pending_items[instance]:
-            trackers[instance].execute_batch(
+            closed = trackers[instance].execute_batch(
                 pending_items[instance], pending_times[instance]
             )
+            assert not closed, "a pending batch stops short of its window boundary"
             pending_items[instance].clear()
             pending_times[instance].clear()
 
@@ -890,8 +891,7 @@ def _parallel_loop(
         policy.sync_cursor(end)
         j = end
 
-    # Fold the tail batches so tracker state ends exactly where the
-    # sequential engines leave it.
+    # Report the tails: tracker state ends where the sequential engines leave it.
     for instance in range(k):
         _flush(instance)
 

@@ -33,9 +33,9 @@ Two engines implement these semantics:
   (:meth:`~repro.core.scheduler.POSGScheduler.begin_block`) in one walk
   in global arrival order — the run shape's generated loop
   (:mod:`repro.simulator.segment_kernel`) for every control-quiet
-  segment, the ROUND_ROBIN bootstrap included — and instance-side
-  sketch maintenance is folded in exact-order batches between FSM
-  window boundaries.  Every
+  segment, the ROUND_ROBIN bootstrap included — and each instance's
+  FIFO service and tracker reports land afterwards in exact-order
+  batches.  Every
   floating-point operation matches the reference engine bit for bit —
   identical completions, assignments, state transitions, control
   traffic, queue samples and observer reports — which
@@ -130,10 +130,9 @@ class SimulationResult:
     #: ``window`` — a delivery one of its own window closes emitted,
     #: ``crash`` — a scripted crash, ``defence`` — a recovery deadline),
     #: ``fallback_tuples`` (routed by the per-tuple step: SEND_ALL
-    #: stretches and defence-deadline tuples), ``folds`` /
-    #: ``folded_tuples`` (batched instance folds landed, tuples in them),
-    #: ``serves`` / ``served_tuples`` (FIFO chains landed after routing,
-    #: tuples in them),
+    #: stretches and defence-deadline tuples),
+    #: ``serves`` / ``served_tuples`` (FIFO chains landed after routing
+    #: and reported to the trackers, tuples in them),
     #: ``windows`` / ``window_tuples`` (column windows listed for the
     #: loops on any chunked path, tuples converted for them: the stream
     #: length) and, summed over the schedulers, ``estimate_gathers``
@@ -228,8 +227,6 @@ def _engine_info(path: str, reason: "str | None" = None) -> dict:
         "estimate_gathers": 0,
         "estimate_requests": 0,
         "estimate_evaluations": 0,
-        "folds": 0,
-        "folded_tuples": 0,
         "serves": 0,
         "served_tuples": 0,
         "windows": 0,
@@ -265,7 +262,10 @@ def simulate_stream(
     policy:
         A :class:`~repro.core.grouping.GroupingPolicy`, or a factory
         called with the simulation's oracle (for the Full Knowledge
-        baseline, which needs exact execution times).
+        baseline, which needs exact execution times; the
+        ``FullKnowledgeGrouping`` class is one).  Any other class, a
+        non-callable, or a factory that returns no policy raises
+        ``TypeError`` before the policy is set up.
     k:
         Number of downstream operator instances; any integer type, like
         ``chunk_size``.
@@ -362,6 +362,14 @@ def simulate_stream(
         under a root ``simulate`` span.  Purely additive timing — no
         effect on results.
     """
+    if not isinstance(policy, GroupingPolicy) and (
+        not callable(policy)
+        or isinstance(policy, type) and not issubclass(policy, FullKnowledgeGrouping)
+    ):
+        raise TypeError(
+            "policy must be a GroupingPolicy or a factory called with the "
+            f"oracle, got {policy!r}"
+        )
     # A float passes the sign checks and the loops slice with it: refuse
     # it here, before ``policy.setup`` draws from ``rng``.
     k = COUNT.check("k", k)
@@ -407,6 +415,16 @@ def simulate_stream(
     if recorder.enabled:
         _record_run_telemetry(recorder, result, k)
     return result
+
+
+def _built_policy(policy, oracle: Oracle) -> GroupingPolicy:
+    """``policy`` itself, or the policy its factory builds on ``oracle``."""
+    built = policy if isinstance(policy, GroupingPolicy) else policy(oracle)
+    if not isinstance(built, GroupingPolicy):
+        raise TypeError(
+            f"policy factory {policy!r} returned {built!r}, not a GroupingPolicy"
+        )
+    return built
 
 
 def _record_run_telemetry(recorder, result: SimulationResult, k: int) -> None:
@@ -509,8 +527,7 @@ def _simulate_reference(
     def oracle(item: int, instance: int) -> float:
         return stream.time_of(item) * scenario.multiplier(instance, position[0])
 
-    if not isinstance(policy, GroupingPolicy):
-        policy = policy(oracle)
+    policy = _built_policy(policy, oracle)
     policy.setup(k, rng)
     observers.bind(policy)
 
@@ -677,7 +694,7 @@ def _simulate_chunked(
 
     # Per-instance execution-time columns ``base_times * multiplier``
     # (elementwise numpy, identical IEEE multiplies), which the batched
-    # folds gather from and the loops read a window at a time.  A unit
+    # service gathers from and the loops read a window at a time.  A unit
     # multiplier column is the base times themselves (x * 1.0 == x
     # exactly), so uniform instances share one array; a zero-strided
     # matrix is one row repeated, and that row decides.
@@ -722,8 +739,7 @@ def _simulate_chunked(
             ].tolist()
         return time_table[item] * rows[position[0]][instance]
 
-    if not isinstance(policy, GroupingPolicy):
-        policy = policy(oracle)
+    policy = _built_policy(policy, oracle)
     policy.setup(k, rng)
     observers.bind(policy)
 
@@ -975,22 +991,29 @@ class _ChunkedState:
 
 
 class _Service:
-    """FIFO service, landed after routing, per instance.
+    """FIFO service and instance reports, landed after routing, per instance.
 
     A routing decision reads the scheduler's beliefs, never a queue, so
     with FIFO instances that do not preempt every finish time is a
     function of the assignment sequence: the segment loops only route,
     and ``served[i]`` counts the entries of ``i``'s index buffer already
-    served.  The rest is landed where a finish or busy clock is read — a
-    window close, a sample the lineage tracer reads, a per-tuple step, a
-    crash, the end of the run.
+    served.  The rest is landed where a busy clock or a tracker is read —
+    a window close, a per-tuple step, a crash, the end of the run — and
+    serving an instance's entries hands the same gathered batch to its
+    tracker (``InstanceTracker.execute_batch``), which folds its sketches
+    when its window closes.  A lineage sample taken before its tuple is
+    served records a placeholder span; ``spans[i]`` holds those of
+    instance ``i`` as ``(j, span)``, and :meth:`serve` fills their start
+    and finish from the chain it lands.
     """
 
-    __slots__ = ("state", "served", "profiler", "ordered")
+    __slots__ = ("state", "served", "trackers", "spans", "profiler", "ordered")
 
-    def __init__(self, state: _ChunkedState, profiler=None) -> None:
+    def __init__(self, state: _ChunkedState, trackers=None, profiler=None) -> None:
         self.state = state
         self.served = [0] * state.k
+        self.trackers = trackers
+        self.spans: list[list] = [[] for _ in range(state.k)]
         self.profiler = profiler
         # A fixed latency keeps each instance's arrivals in stream order,
         # which lets ``_fifo_chain`` skip most gap searches.
@@ -1000,75 +1023,83 @@ class _Service:
             bool((times >= 0.0).all()) for times in distinct.values()
         )
 
-    def land(self, instance: int, owned: np.ndarray, times: np.ndarray) -> None:
-        """Serve the stream indices ``owned`` — ascending, all routed to
-        ``instance``, none served yet — whose execution times are ``times``."""
+    def serve(self, instance: int) -> list:
+        """Serve every tuple routed to ``instance`` and not served yet,
+        report them to its tracker and return the tracker's messages
+        (a window's, when the last of them closes one)."""
         state = self.state
-        if self.profiler is not None:
-            self.profiler.start("serve")
-        state.finishes[owned], state.busy_until[instance] = _fifo_chain(
-            state.busy_until[instance], state.at_arrays[instance][owned], times,
-            self.ordered,
+        lo, hi = self.served[instance], len(state.assigned[instance])
+        if lo >= hi:
+            return []
+        self.served[instance] = hi
+        owned = _entries(state.assigned[instance], lo, hi)
+        times = state.execution_arrays[instance][owned]
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.start("serve")
+        busy = state.busy_until[instance]
+        finishes, state.busy_until[instance] = _fifo_chain(
+            busy, state.at_arrays[instance][owned], times, self.ordered
         )
+        state.finishes[owned] = finishes
+        spans = self.spans[instance]
+        while spans:
+            # start = at if at > previous finish else previous finish:
+            # the reference engine's floats
+            j, span = spans.pop()
+            n = int(owned.searchsorted(j))
+            previous = finishes.item(n - 1) if n else busy
+            span[5] = span[4] if span[4] > previous else previous
+            span[6] = finishes.item(n)
         state.engine["serves"] += 1
         state.engine["served_tuples"] += owned.size
-        if self.profiler is not None:
-            self.profiler.stop()
-
-    def serve(self, instance: int, hi: int) -> None:
-        """Serve entries ``[served, hi)`` of ``instance``'s index buffer."""
-        lo = self.served[instance]
-        if lo >= hi:
-            return
-        self.served[instance] = hi
-        owned = _entries(self.state.assigned[instance], lo, hi)
-        self.land(instance, owned, self.state.execution_arrays[instance][owned])
+        if profiler is not None:
+            profiler.stop()
+        if self.trackers is None:
+            return []
+        if profiler is not None:
+            profiler.start("fold")
+        messages = self.trackers[instance].execute_batch(
+            state.items_array[owned], times
+        )
+        if profiler is not None:
+            profiler.stop()
+        return messages
 
     def serve_all(self) -> None:
-        """Serve every tuple routed so far."""
-        for instance, indices in enumerate(self.state.assigned):
-            self.serve(instance, len(indices))
-
-    def clocks(self, instance: int, j: int, execution_time: float) -> tuple:
-        """Serve ``instance`` through tuple ``j``, the latest routed to it,
-        and return ``j``'s ``(at_instance, start, finish)``."""
-        state = self.state
-        last = len(state.assigned[instance]) - 1
-        self.serve(instance, last)
-        busy = state.busy_until
-        at_instance = state.at_arrays[instance].item(j)
-        b = busy[instance]
-        start = at_instance if at_instance > b else b
-        finish = start + execution_time
-        state.finishes[j] = busy[instance] = finish
-        self.served[instance] = last + 1
-        return at_instance, start, finish
+        """Serve every tuple routed so far.  No window closes here: the
+        loops close each where it falls, so messages from a tracker mean
+        a boundary tuple was routed past, and would be lost."""
+        for instance in range(self.state.k):
+            if self.serve(instance):
+                raise RuntimeError(
+                    f"instance {instance} closed a window outside a boundary step"
+                )
 
 
 def _probe(
     state: _ChunkedState, observers: Observers, service: _Service, believed: bool
 ):
     """The kernel's ``probe(shard, j, instance, loads, left)``: feed the
-    observers due at stream index ``j`` and return the next due index,
-    serving tuple ``j`` first when one of them reads its clocks.  Without
-    ``believed`` loads (the baselines) it records what ``sample_routed``
-    records for a policy without a scheduler."""
+    observers due at stream index ``j`` and return the next due index.
+    Tuple ``j`` is routed, not served, so a lineage sample records a
+    placeholder span (``Observers.span``) that ``service`` fills when it
+    serves ``j``.  Without ``believed`` loads (the baselines) it records
+    what ``sample_routed`` records for a policy without a scheduler."""
     sample = observers.sample
-    reads_clocks = observers.reads_clocks
+    spans = service.spans
 
     def probe(shard, j, instance, loads, left):
-        execution_time = state.execution_arrays[instance].item(j)
-        if reads_clocks(j):
-            at_instance, start, finish = service.clocks(instance, j, execution_time)
-        else:
-            at_instance = start = finish = None
         if not believed:
             loads, left = (), 0
-        return sample(
+        due = sample(
             shard, j, state.items[j - state.base], instance, loads,
-            state.arrivals_array.item(j),
-            at_instance, start, finish, execution_time, left,
+            state.arrivals_array.item(j), state.at_arrays[instance].item(j),
+            None, None, state.execution_arrays[instance].item(j), left,
         )
+        if observers.span is not None:
+            spans[instance].append((j, observers.span))
+        return due
 
     return probe
 
@@ -1082,8 +1113,8 @@ def _run_baseline(
     counter keeps every tuple in the round-robin arm; Full Knowledge is
     the greedy arm over its exact loads, estimating with the window's
     execution columns, its own oracle's floats (:func:`_choose_loop`
-    checked), listed once per distinct column.  Service lands at lineage
-    samples and once at the end."""
+    checked), listed once per distinct column.  Service lands once, at
+    the end."""
     m, k = state.m, state.k
     shape = Shape(k, 1, False)
     kernel = segment_kernel(shape)
@@ -1297,10 +1328,9 @@ def _run_posg(
     first-minimum scan over plain floats (the kernel's round-robin arm
     for a shard still bootstrapping), cross-shard gossip is replayed in place,
     positions count from the window's first tuple, whose items are
-    listed once (:meth:`_ChunkedState.open_window`), and both halves of
-    an instance's per-tuple work — its
-    sketch fold (``InstanceTracker.execute_batch``) and its FIFO service
-    (:class:`_Service`) — land lazily, read back from the instances'
+    listed once (:meth:`_ChunkedState.open_window`), and an instance's
+    per-tuple work — its FIFO service and its tracker report
+    (:class:`_Service`) — lands lazily, read back from the instances'
     index buffers, so the loops keep no per-instance batch and the
     numbers stay in arrays.  Routing and merge share the
     pass, so nothing is speculative: every block commits exactly the
@@ -1317,7 +1347,7 @@ def _run_posg(
     because none of them acts between two events the engine already
     sees.  A scripted crash is a function of arrival time: its index is
     a ``searchsorted``, the segment stops there, and the crash fires at
-    the top of the loop once the pending folds and service have landed.
+    the top of the loop once the pending service has landed.
     The injector draws only when a
     message is emitted — at a window close or in the per-tuple step —
     so its random stream advances in tuple order as in the reference
@@ -1333,7 +1363,6 @@ def _run_posg(
     arrivals_array = state.arrivals_array
     busy = state.busy_until
     finishes = state.finishes
-    execution_arrays = state.execution_arrays
     control_queue = state.control_queue
     engine = state.engine
     schedulers = policy.schedulers
@@ -1361,7 +1390,7 @@ def _run_posg(
     shape = Shape(k, sources, gossip)
     kernel = segment_kernel(shape)
     engine["kernel"] = shape.label
-    service = _Service(state, profiler)
+    service = _Service(state, trackers, profiler)
     appends = [indices.append for indices in state.assigned]
 
     # The observers' sentinel is ``m`` when nothing is attached, so the
@@ -1373,63 +1402,30 @@ def _run_posg(
     probe = _probe(state, observers, service, believed=True)
     next_probe = min(observers.next_due, m)
 
-    # Instance-side folds are lazy and persist across segments: the
-    # tuples instance ``i`` executed land in its tracker right before
-    # anything inspects it (a window boundary, a crash, a per-tuple step,
-    # the end of the run).  What it is still owed is every entry of its
-    # index buffer from ``folded[i]`` on; a tuple folded on its own (a
-    # boundary tuple, a per-tuple step) is handed over with the entries
-    # before it, so each tuple is folded exactly once.  Service hands
-    # over the same way at ``served[i]``, which a lineage sample may move
-    # ahead of ``folded[i]``, never behind.
+    # Instance-side work is lazy and persists across segments: the tuples
+    # routed to instance ``i`` are served and reported to its tracker in
+    # one gather (``service.serve(i)``) right before anything reads its
+    # busy clock or its window — a window boundary, a crash, a per-tuple
+    # step, the end of the run — and ``served[i]`` counts those landed.
     assigned = state.assigned
-    folded = [0] * k
     served = service.served
     window_left = [tracker.window_remaining for tracker in trackers]
-
-    def _land(instance: int, closing: bool = False) -> None:
-        """Fold and serve every tuple routed to ``instance`` that is still
-        owed — one index and one execution-time gather for both — except
-        the fold of a ``closing`` tuple, the latest, which closes the
-        instance's window and is folded on its own."""
-        lo, hi = folded[instance], len(assigned[instance])
-        if lo >= hi:
-            return
-        folded[instance] = hi
-        owned = _entries(assigned[instance], lo, hi)
-        times = execution_arrays[instance][owned]
-        batch = hi - lo - 1 if closing else hi - lo
-        if batch > 0:
-            if profiler is not None:
-                profiler.start("fold")
-            trackers[instance].execute_batch(items_array[owned[:batch]], times[:batch])
-            engine["folds"] += 1
-            engine["folded_tuples"] += batch
-            if profiler is not None:
-                profiler.stop()
-        fresh = served[instance] - lo
-        if fresh < hi - lo:
-            service.land(instance, owned[fresh:], times[fresh:])
-            served[instance] = hi
 
     def _window_boundary(
         instance: int, lo: int, next_due: float, end: int
     ) -> tuple[float, int]:
-        """Land what ``instance`` is owed up to the boundary tuple
-        ``lo - 1``, run that one through the FSM (Figure 2), enqueue its
-        messages at its finish, and re-tighten the segment bound if a
-        delivery now lands before the previous horizon.  ``lo`` and
-        ``end`` count from the open window's first tuple."""
+        """Land what ``instance`` is owed, through the boundary tuple
+        ``lo - 1`` whose report closes its window (Figure 2), enqueue the
+        window's messages at that tuple's finish, and re-tighten the
+        segment bound if a delivery now lands before the previous
+        horizon.  ``lo`` and ``end`` count from the open window's first
+        tuple."""
         nonlocal cut
         if profiler is not None:
             profiler.start("window_close")
-        _land(instance, closing=True)
-        j = state.base + lo - 1
-        messages = trackers[instance].execute(
-            state.items[lo - 1], execution_arrays[instance].item(j), None
-        )
+        messages = service.serve(instance)
         if messages:
-            _send_control(state, injector, messages, finishes.item(j))
+            _send_control(state, injector, messages, finishes.item(state.base + lo - 1))
         if control_queue and control_queue[0][0] < next_due:
             next_due = control_queue[0][0]
             later = arrivals_array[state.base + lo:state.base + end]
@@ -1443,12 +1439,6 @@ def _run_posg(
 
     # These helpers close over names the segment loops do not read per
     # tuple, so the loops' locals stay plain locals.
-    def _flush_pending() -> None:
-        """Land every pending fold and service, before anything reads a
-        tracker or a busy clock."""
-        for instance in range(k):
-            _land(instance)
-
     def _fill_window(lo: int, hi: int) -> None:
         """Fill the shared table once for every greedy shard's block of
         window ``[lo, hi)``, against the first one's pairs (each reader
@@ -1491,9 +1481,9 @@ def _run_posg(
     while j < m:
         arrival = arrivals_array.item(j)
         if j == next_crash:
-            # A restart keeps the tracker's lifetime counters, so the
-            # batched folds land first.
-            _flush_pending()
+            # A restart keeps the tracker's lifetime counters and pushes
+            # the busy clock, so what the instances are owed lands first.
+            service.serve_all()
             crash_ptr = _fire_due_crashes(
                 injector, crash_ptr, arrival, agents, busy
             )
@@ -1591,12 +1581,12 @@ def _run_posg(
         # next segment opens a new window.
         window_end = 0
         engine["fallback_tuples"] += 1
-        _flush_pending()
+        service.serve_all()
         if j >= state.base + len(state.items):
             state.open_window(j)
         instance = step(j, arrival)
-        # the step folded and served tuple j itself
-        folded[instance] = served[instance] = len(assigned[instance])
+        # the step served and reported tuple j itself
+        served[instance] = len(assigned[instance])
         window_left[instance] = trackers[instance].window_remaining
         if j == next_probe:
             next_probe = observers.next_due
@@ -1607,8 +1597,8 @@ def _run_posg(
             previous_state = current_state
         j += 1
 
-    # Fold the tail batches so the trackers' state (C_op, counters) ends
-    # exactly where the per-tuple engine would leave it.
-    _flush_pending()
+    # Land the tails so the finishes and the trackers' C_op and counters
+    # end exactly where the per-tuple engine leaves them.
+    service.serve_all()
     for count in ("gathers", "requests", "evaluations"):
         engine["estimate_" + count] = sum(getattr(table, count) for table in tables)

@@ -175,8 +175,6 @@ class LocalCluster:
         for executors in self._bolt_executors.values():
             for executor in executors:
                 executor.bolt.cleanup()
-        for grouping in self._reporting_groupings.values():
-            grouping.on_shutdown()
 
     # ------------------------------------------------------------------
     # emission and routing

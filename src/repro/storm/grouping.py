@@ -70,14 +70,6 @@ class CustomStreamGrouping(StreamGrouping):
     def on_control(self, message) -> None:
         """Control message from a downstream task (default: ignored)."""
 
-    def on_shutdown(self) -> None:
-        """The cluster shuts down (default: ignored).
-
-        Called on every grouping that wants execution reports; one that
-        defers work on them settles it here, so what it exposes reads
-        complete after the run.
-        """
-
     def wants_execution_reports(self) -> bool:
         """Whether bolt tasks must report executions to this grouping."""
         return False

@@ -21,8 +21,6 @@ from repro.core.scheduler import POSGScheduler, SchedulerState
 from repro.storm.grouping import CustomStreamGrouping
 from repro.storm.tuples import StormTuple
 
-_INF = float("inf")
-
 
 class POSGShuffleGrouping(CustomStreamGrouping):
     """Drop-in replacement for Storm's shuffle grouping.
@@ -62,9 +60,6 @@ class POSGShuffleGrouping(CustomStreamGrouping):
         #: the last ``fields`` tuple seen and the item field's index in it
         self._fields: tuple[str, ...] | None = None
         self._item_index = 0
-        #: per task: executed ``(items, times)`` not yet folded into its
-        #: tracker, and the tracker; see :meth:`on_execution`
-        self._deferred: dict[int, tuple[list, list, object]] = {}
 
     def prepare(self, source: str, target_tasks: list[int]) -> None:
         if self._source is not None:
@@ -76,10 +71,10 @@ class POSGShuffleGrouping(CustomStreamGrouping):
         self._source = source
         policy = self._policy
         policy.setup(len(self._target_tasks), self._rng)
-        self._deferred = {
-            position: ([], [], policy.create_instance_agent(position).tracker)
+        self._trackers = [
+            policy.create_instance_agent(position).tracker
             for position in range(len(self._target_tasks))
-        }
+        ]
         self._submit = policy.scheduler.submit
 
     def _item(self, tup: StormTuple) -> int:
@@ -100,44 +95,13 @@ class POSGShuffleGrouping(CustomStreamGrouping):
         return True
 
     def on_execution(self, task: int, tup: StormTuple, duration: float) -> list:
-        """Fold one execution report into ``task``'s tracker.
-
-        A report that carries no sync request, holds a valid time and
-        leaves the tracker short of its window boundary changes nothing
-        the scheduler can see, so it waits in the task's deferred buffer.
-        Any other report first folds the buffer in one
-        :meth:`~repro.core.instance.InstanceTracker.execute_batch`
-        (bit-identical to per-tuple folds), then goes through
-        :meth:`~repro.core.instance.InstanceTracker.execute`.  Crashes and
-        shutdown fold the buffer too.
-        """
-        item = self._item(tup)
-        items, times, tracker = self._deferred[task]
-        if (
-            tup.sync_request is None
-            and 0.0 <= duration < _INF
-            and len(items) + 1 < tracker.window_remaining
-        ):
-            items.append(item)
-            times.append(duration)
-            return []
-        self._fold_deferred(task)
-        return tracker.execute(item, duration, tup.sync_request)
-
-    def _fold_deferred(self, task: int) -> None:
-        """Fold ``task``'s deferred execution reports into its tracker."""
-        items, times, tracker = self._deferred[task]
-        if items:
-            tracker.execute_batch(items, times)
-            items.clear()
-            times.clear()
+        """Report one execution to ``task``'s tracker, which answers any
+        piggy-backed sync request at once and folds its sketches when a
+        window closes (:class:`~repro.core.instance.InstanceTracker`)."""
+        return self._trackers[task].execute(self._item(tup), duration, tup.sync_request)
 
     def on_control(self, message) -> None:
         self._policy.on_control(message)
-
-    def on_shutdown(self) -> None:
-        for task in self._deferred:
-            self._fold_deferred(task)
 
     # ------------------------------------------------------------------
     # introspection

@@ -203,7 +203,7 @@ class LineageTracer:
         self._telemetry = telemetry if telemetry is not None else NULL_RECORDER
         self._sources = 0
         self._effective_every = self._config.sample_every
-        self._timelines: list[list[tuple]] = []
+        self._timelines: list[list[list]] = []
         self._dropped: list[int] = []
         self._telemetry.registry.register_collector(self._collect_samples)
 
@@ -261,36 +261,34 @@ class LineageTracer:
         start: float,
         finish: float,
         window_remaining: int,
-    ) -> None:
-        """Record one sampled tuple's span chain (raw clocks).
+    ) -> list | None:
+        """Record one sampled tuple's span chain (raw clocks); return the
+        record, or ``None`` when the shard's capacity dropped it.
 
         The clocks are the engine's own values — never re-derived — so
         identical runs produce identical records regardless of engine.
+        An engine that serves the tuple later passes ``start`` and
+        ``finish`` as ``None`` and writes them into the returned record
+        (entries 5 and 6) before anything reads it.
         """
         timeline = self._timelines[shard]
         cap = self._config.capacity
         if cap is not None and len(timeline) >= cap:
             self._dropped[shard] += 1
-            return
-        timeline.append(
-            (
-                index,
-                instance,
-                tuple(believed),
-                arrival,
-                at_instance,
-                start,
-                finish,
-                window_remaining,
-            )
-        )
+            return None
+        record = [
+            index, instance, tuple(believed), arrival, at_instance, start,
+            finish, window_remaining,
+        ]
+        timeline.append(record)
+        return record
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
     def timelines(self) -> tuple[tuple, ...]:
         """Per-shard record tuples, ascending index (for bit-identity)."""
-        return tuple(tuple(timeline) for timeline in self._timelines)
+        return tuple(tuple(map(tuple, timeline)) for timeline in self._timelines)
 
     def records(self) -> list[tuple]:
         """All records merged in global stream-index order.
@@ -299,7 +297,7 @@ class LineageTracer:
         merge is a deterministic sort over disjoint index sets — the
         same list whichever engine produced the timelines.
         """
-        merged = [record for timeline in self._timelines for record in timeline]
+        merged = [tuple(record) for timeline in self._timelines for record in timeline]
         merged.sort(key=lambda record: record[0])
         return merged
 

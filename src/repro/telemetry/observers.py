@@ -44,7 +44,7 @@ class Observers:
     """
 
     __slots__ = (
-        "audit", "flight", "lineage", "next_due",
+        "audit", "flight", "lineage", "next_due", "span",
         "_specs", "_telemetry", "_schedulers",
         "_audit_every", "_flight_every", "_lineage_every",
     )
@@ -64,6 +64,8 @@ class Observers:
         self.lineage: LineageTracer | None = None
         self._audit_every = self._flight_every = self._lineage_every = 0
         self.next_due = NEVER
+        #: the lineage record the last :meth:`sample` opened, else ``None``
+        self.span: list | None = None
 
     def bind(self, policy) -> None:
         """Tie the observers to ``policy``, which must be set up.
@@ -134,11 +136,12 @@ class Observers:
         instance's count *before* it executes this tuple.  An observer
         is due when its stride divides ``index``; they are fed audit,
         flight, lineage, the order the per-tuple reference loop always
-        used (none reads what another writes).  The clocks
-        (``at_instance``, ``start``, ``finish``) may be ``None`` where
-        :meth:`reads_clocks` says no observer reads them.
+        used (none reads what another writes).  ``start`` and ``finish``
+        may be ``None`` from an engine that serves a tuple after routing
+        it: it fills them into :attr:`span`, the lineage record this call
+        opened (``None`` when no lineage sample was taken).
         """
-        next_due = NEVER
+        next_due, span = NEVER, None
         every = self._audit_every
         if every:
             if index % every == 0:
@@ -154,23 +157,15 @@ class Observers:
         every = self._lineage_every
         if every:
             if index % every == 0:
-                self.lineage.record_sample(
+                span = self.lineage.record_sample(
                     shard, index, instance, believed, arrival, at_instance,
                     start, finish, window_remaining,
                 )
             due = index - index % every + every
             if due < next_due:
                 next_due = due
-        self.next_due = next_due
+        self.next_due, self.span = next_due, span
         return next_due
-
-    def reads_clocks(self, index: int) -> bool:
-        """Whether a sample at stream ``index`` feeds an observer that
-        reads the tuple's clocks — only the lineage tracer does — so an
-        engine that serves tuples after routing them serves this one first.
-        """
-        every = self._lineage_every
-        return every != 0 and index % every == 0
 
     def sample_routed(self, index: int, item: int, instance: int, *clocks) -> int:
         """:meth:`sample` right after ``policy.route`` routed ``index``.

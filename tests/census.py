@@ -94,7 +94,7 @@ EXEMPT_FUNCTIONS = (
     "POSGScheduler._gather_columns",
 )
 #: the unreached total the census last read; it fails above it
-UNREACHED_LINES = 682
+UNREACHED_LINES = 675
 
 _HOOK = '''\
 import os

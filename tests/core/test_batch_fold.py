@@ -1,11 +1,16 @@
 """The batched instance fold, tested directly.
 
-``InstanceTracker.execute_batch`` -> ``FWPair.update_batch`` ->
-``CountMinSketch.fold_batch_exact`` is what the segment router lands
-between window boundaries.  It must leave a tracker in the state
-per-tuple ``execute`` leaves it, bit for bit — the engine equivalence
-suites and the sha256 pins rest on that — and must refuse what
-``execute`` refuses before anything moves.
+``InstanceTracker.execute_batch`` records what the segment router lands,
+and the tracker folds it through ``FWPair.fold`` ->
+``CountMinSketch.fold_batch_exact`` when the pair is read.  It must
+leave a tracker in the state per-tuple ``execute`` leaves it, bit for
+bit — the engine equivalence suites and the sha256 pins rest on that —
+and must refuse what ``execute`` refuses before anything moves.
+
+Every engine folds through that scatter, so the reference here is
+independent of it: a pair fed tuple by tuple through ``FWPair.update``
+(``CountMinSketch.update_at`` per row) and ``C_op`` summed in a Python
+loop.
 """
 
 import numpy as np
@@ -13,8 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import POSGConfig
-from repro.core.instance import InstanceTracker
-from repro.core.matrices import make_shared_hashes
+from repro.core.instance import InstanceState, InstanceTracker
+from repro.core.matrices import FWPair, make_shared_hashes
 from repro.sketches.count_min import running_total
 
 WINDOW = 64
@@ -26,9 +31,7 @@ TIMES = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e9))
 TUPLES = st.tuples(st.integers(min_value=0, max_value=40), TIMES)
 
 
-def state_of(tracker):
-    """Everything a fold moves, floats as their bytes."""
-    pair = tracker._pair
+def pair_state(pair):
     return (
         pair.freq.matrix.tobytes(),
         pair.work.matrix.tobytes(),
@@ -36,16 +39,41 @@ def state_of(tracker):
         np.float64(pair.work.total_weight).tobytes(),
         pair.freq.update_count,
         pair.work.update_count,
+    )
+
+
+def state_of(tracker):
+    """Everything a fold moves, floats as their bytes."""
+    return pair_state(tracker.matrices) + (
         np.float64(tracker.cumulated_time).tobytes(),
         tracker.tuples_executed,
         tracker.window_remaining,
     )
 
 
-def warmed(prefix, config=CONFIG):
+def oracle_state(tuples, config=CONFIG):
+    """What :func:`state_of` must read after ``tuples`` executed within
+    one window, computed one tuple at a time without the batched fold."""
+    pair = FWPair(HASHES)
+    cumulated = 0.0
+    for item, time in tuples:
+        pair.update(item, time)
+        cumulated += time
+    return pair_state(pair) + (
+        np.float64(cumulated).tobytes(),
+        len(tuples),
+        config.window_size - len(tuples),
+    )
+
+
+def warmed(prefix, config=CONFIG, read_each=False):
+    """A tracker that executed ``prefix`` one tuple at a time; with
+    ``read_each`` its matrices are read, so folded, after every tuple."""
     tracker = InstanceTracker(0, config, HASHES)
     for item, time in prefix:
         tracker.execute(item, time)
+        if read_each:
+            tracker.matrices
     return tracker
 
 
@@ -60,11 +88,11 @@ class TestBatchEqualsPerTuple:
         continue from; the batch stops short of the window boundary."""
         self.assert_batch_matches_execute(prefix, batch, CONFIG)
 
-    @pytest.mark.parametrize("length", [1, 27, 428, 1023])
+    @pytest.mark.parametrize("length", [1, 27, 428, 1023, 2045])
     def test_fold_sized_batches_with_repeated_ids(self, length):
-        """The lengths the engines fold (a sweep's ~27, ``fast_single``'s
-        ~428, a whole window less one) over 41 ids, so past the first
-        few dozen tuples every cell takes several updates in one scatter."""
+        """Short batches, what a tracker holds mid-window and a whole
+        window less the prefix, over 41 ids, so past the first few dozen
+        tuples every cell takes several updates in one scatter."""
         rng = np.random.default_rng(length)
         batch = list(
             zip(
@@ -77,7 +105,9 @@ class TestBatchEqualsPerTuple:
 
     @staticmethod
     def assert_batch_matches_execute(prefix, batch, config):
-        one_by_one = warmed(prefix + batch, config)
+        expected = oracle_state(prefix + batch, config)
+        assert state_of(warmed(prefix + batch, config, read_each=True)) == expected
+        assert state_of(warmed(prefix + batch, config)) == expected
         items = [item for item, _ in batch]
         times = [time for _, time in batch]
         from_lists = warmed(prefix, config)
@@ -86,8 +116,8 @@ class TestBatchEqualsPerTuple:
         from_arrays.execute_batch(
             np.array(items, dtype=np.int64), np.array(times, dtype=np.float64)
         )
-        assert state_of(from_lists) == state_of(one_by_one)
-        assert state_of(from_arrays) == state_of(one_by_one)
+        assert state_of(from_lists) == expected
+        assert state_of(from_arrays) == expected
 
     def test_seeded_accumulate_is_the_python_loop(self):
         """``np.add.accumulate`` adds strictly left to right; a numpy that
@@ -124,9 +154,21 @@ class TestBatchRefusesBeforeMutating:
         with pytest.raises(ValueError, match="finite and >= 0"):
             tracker.execute(position + 1, bad)
         assert state_of(tracker) == before
-        pair = tracker._pair
+        pair = tracker.matrices
         with pytest.raises(ValueError, match="finite and >= 0"):
             pair.work.update_at(pair.work.bucket_cache.columns(1), bad)
+        assert state_of(tracker) == before
+
+    @pytest.mark.parametrize(
+        "item, error", [(2.5, TypeError), ("3", TypeError), (1 << 63, ValueError)]
+    )
+    def test_an_item_the_fold_cannot_take(self, item, error):
+        """Items are folded as int64 when the window closes, so
+        ``execute`` refuses the rest at once, before anything moves."""
+        tracker = warmed(self.PREFIX)
+        before = state_of(tracker)
+        with pytest.raises(error):
+            tracker.execute(item, 1.0)
         assert state_of(tracker) == before
 
     def test_both_spellings_take_the_edges_of_the_range(self):
@@ -145,11 +187,18 @@ class TestBatchRefusesBeforeMutating:
         assert state_of(tracker) == before
 
     def test_a_batch_reaching_the_window_boundary(self):
+        """A batch past the boundary is refused; one ending on it closes
+        the window as ``execute`` would and returns its messages."""
         tracker = warmed(self.PREFIX)
         before = state_of(tracker)
         count = WINDOW - len(self.PREFIX)
         with pytest.raises(ValueError, match="window boundary"):
-            tracker.execute_batch([1] * count, [1.0] * count)
+            tracker.execute_batch([1] * (count + 1), [1.0] * (count + 1))
         assert state_of(tracker) == before
-        tracker.execute_batch([1] * (count - 1), [1.0] * (count - 1))
-        assert tracker.window_remaining == 1
+        single = warmed(self.PREFIX)
+        assert tracker.execute_batch([1] * count, [1.0] * count) == []
+        for _ in range(count):
+            single.execute(1, 1.0)
+        assert tracker.state is single.state is InstanceState.STABILIZING
+        assert tracker.window_remaining == WINDOW
+        assert state_of(tracker) == state_of(single)

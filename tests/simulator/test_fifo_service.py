@@ -1,13 +1,16 @@
 """FIFO service landed after routing (``repro.simulator.run._Service``).
 
 The segment loops only route; each instance's finish times are written
-later, by ``_fifo_chain``, wherever a finish or busy clock is read.
-These tests hold the chain to the reference engine's per-tuple
-recurrence, and hold a run that lands service at every sample to the
-reference engine.
+later, by ``_fifo_chain``, wherever a busy clock or a tracker is read,
+and the same batch is reported to the instance's tracker.  These tests
+hold the chain to the reference engine's per-tuple recurrence, hold a
+run that samples lineage at every tuple to the reference engine, and
+count the landings and the trackers' folds.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import POSGConfig
+from repro.core.grouping import POSGGrouping
+from repro.core.instance import InstanceTracker
+from repro.core.matrices import FWPair
 from repro.core.multisource import MultiSourcePOSGGrouping
 from repro.faults import CrashFault, FaultPlan
 from repro.simulator.run import _SCALAR_RUN, _SPAN, _fifo_chain, simulate_stream
@@ -118,16 +124,17 @@ def crash_plan(stream):
 
 
 class TestServiceAtEverySample:
-    """Lineage at ``sample_every=1`` serves at every tuple the kernel
-    routes, beside window closes, a crash and per-instance data
-    latencies; the reference engine serves inline."""
+    """Lineage at ``sample_every=1`` records a placeholder span at every
+    tuple the kernel routes, which the next landing fills, beside window
+    closes, a crash and per-instance data latencies; the reference
+    engine records its clocks inline."""
 
     @pytest.mark.parametrize("sources", [1, 3])
     def test_lineage_reports_match_the_reference(self, sources):
         stream = default_stream(seed=2, m=6_000, n=64)
         config = POSGConfig(window_size=64, rows=2, cols=16)
         results = []
-        for chunk_size in (0, 256):
+        for chunk_size, lineage in ((0, True), (256, True), (256, False)):
             results.append(
                 simulate_stream(
                     stream,
@@ -137,10 +144,10 @@ class TestServiceAtEverySample:
                     chunk_size=chunk_size,
                     data_latency=[0.0, 3.0, 0.5, 1.5, 3.0],
                     faults=crash_plan(stream),
-                    lineage=LineageConfig(sample_every=1),
+                    lineage=LineageConfig(sample_every=1) if lineage else None,
                 )
             )
-        reference, chunked = results
+        reference, chunked, unobserved = results
         assert chunked.engine["path"] == "segment"
         assert chunked.engine["kernel"] == f"k=5 s={sources}"
         assert chunked.faults.report()["injected"]["crashes"] == 1
@@ -153,3 +160,41 @@ class TestServiceAtEverySample:
         assert reference.lineage.timelines() == chunked.lineage.timelines()
         assert reference.lineage.report() == chunked.lineage.report()
         assert len(chunked.lineage.records()) == stream.m
+        # a sample lands nothing of its own
+        assert chunked.engine["serves"] == unobserved.engine["serves"]
+
+
+class TestTrackerFolds:
+    """The trackers fold their sketches once per window close (plus once
+    per crash), however often the engine lands their reports."""
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["plain", "crash"])
+    def test_one_fold_per_window_close(self, crash, monkeypatch):
+        folds, closes = Counter(), Counter()
+        fold = FWPair.fold
+        window_boundary = InstanceTracker._window_boundary
+
+        def counting_folds(pair, items, times):
+            folds[id(pair)] += 1
+            fold(pair, items, times)
+
+        def counting_closes(tracker):
+            closes[tracker.instance_id] += 1
+            return window_boundary(tracker)
+
+        monkeypatch.setattr(FWPair, "fold", counting_folds)
+        monkeypatch.setattr(InstanceTracker, "_window_boundary", counting_closes)
+        stream = default_stream(seed=0, m=2**15)
+        result = simulate_stream(
+            stream, POSGGrouping(POSGConfig.paper_defaults()), k=5,
+            rng=np.random.default_rng(1),
+            faults=crash_plan(stream) if crash else None,
+        )
+        engine = result.engine
+        assert engine["path"] == "segment" and engine["fallback_tuples"] > 0
+        counted = dict(folds)
+        trackers = [result.policy.tracker(instance) for instance in range(5)]
+        assert sum(t.restarts for t in trackers) == crash
+        for instance, tracker in enumerate(trackers):
+            assert closes[instance] > 0
+            assert counted[id(tracker.matrices)] == closes[instance] + tracker.restarts

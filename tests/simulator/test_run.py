@@ -378,6 +378,24 @@ class TestLatencyModels:
             plain.stats.completions, numpy_int.stats.completions
         )
 
+    @pytest.mark.parametrize("chunk_size", [0, None], ids=["reference", "default"])
+    @pytest.mark.parametrize(
+        "policy",
+        [RoundRobinGrouping, POSGGrouping, "rr", lambda oracle: RoundRobinGrouping],
+        ids=["class", "posg-class", "str", "factory-of-a-class"],
+    )
+    def test_a_policy_argument_that_is_no_policy_is_refused(self, policy, chunk_size):
+        """Only the Full Knowledge class is a factory: another class, a
+        non-callable or a factory that returns no policy is a
+        ``TypeError`` naming ``policy``, before any engine runs and with
+        the caller's generator untouched."""
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        keywords = {} if chunk_size is None else {"chunk_size": chunk_size}
+        with pytest.raises(TypeError, match="^policy"):
+            simulate_stream(small_stream(m=64), policy, k=5, rng=rng, **keywords)
+        assert rng.bit_generator.state == before
+
 
 class TestMemoryPerTuple:
     """The chunked engine keeps the stream in arrays and lists one

@@ -67,9 +67,8 @@ from repro.workloads.synthetic import (
 
 ENGINE_KEYS = {
     "path", "reason", "segments", "truncated_segments", "fallback_tuples",
-    "estimate_gathers", "estimate_requests", "estimate_evaluations", "folds",
-    "folded_tuples", "serves", "served_tuples", "windows", "window_tuples",
-    "cuts", "kernel",
+    "estimate_gathers", "estimate_requests", "estimate_evaluations",
+    "serves", "served_tuples", "windows", "window_tuples", "cuts", "kernel",
 }
 
 
@@ -1395,14 +1394,10 @@ class TestEngineRecord:
         assert engine["path"] == "segment" and engine["reason"] is None
         assert 0 < engine["truncated_segments"] < engine["segments"]
         assert engine["fallback_tuples"] >= sources * self.K
-        # batched folds carry the tuples that neither closed a window nor
-        # took the per-tuple step
-        assert 0 < engine["folds"] <= engine["folded_tuples"]
-        assert engine["folded_tuples"] < self.M - engine["fallback_tuples"]
-        # service lands after routing for every tuple the per-tuple step
-        # or a lineage sample did not serve on its own
+        # service and tracker reports land after routing for every tuple
+        # the per-tuple step did not serve on its own, lineage or not
         assert 0 < engine["serves"] <= engine["served_tuples"]
-        assert engine["served_tuples"] <= self.M - engine["fallback_tuples"]
+        assert engine["served_tuples"] == self.M - engine["fallback_tuples"]
         # with merging off the shards store the broadcast pairs and share
         # one estimate table, counted once: a window's ids are gathered
         # once per chunk_size window and matrices version for all shards

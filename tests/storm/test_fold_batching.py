@@ -1,12 +1,13 @@
-"""Deferred instance folds on the Storm layer equal per-tuple folds.
+"""Deferred instance folds on the Storm layer equal per-report folds.
 
-The POSG grouping keeps the execution reports of each task that change
-nothing the scheduler sees and folds them per window through
-``InstanceTracker.execute_batch``.  The reference is a test-local
-subclass whose ``on_execution`` folds every report as it arrives.  Each
-pair of runs below (deferred, per tuple) must agree on the run digest,
-on the bytes of every shipped (F, W) pair, and on every scheduler's and
-tracker's end-of-run stats.
+Each bolt task's ``InstanceTracker`` records execution reports and
+folds its sketches when a window closes.  The reference is a test-local
+subclass whose ``on_execution`` reads the tracker's matrices after every
+report, which folds each one as it arrives.  Each pair of runs below
+(deferred, per report) must agree on the run digest, on the bytes of
+every shipped (F, W) pair, on every scheduler's and tracker's end-of-run
+stats and on the trackers' final matrices.  Folds are counted by
+wrapping ``FWPair.fold``.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.matrices import FWPair
 from repro.core.messages import MatricesMessage
 from repro.storm.cluster import ClusterConfig, LocalCluster
 from repro.storm.components import STREAM_SPOUT_FIELDS, StreamSpout, WorkBolt
@@ -25,13 +27,13 @@ from tests.storm.test_golden_outputs import CONFIG, K, cluster_digest
 M = 3000
 
 
-class PerTupleGrouping(POSGShuffleGrouping):
+class PerReportGrouping(POSGShuffleGrouping):
     """Folds every execution report as it arrives: the reference."""
 
     def on_execution(self, task, tup, duration):
-        return self.policy.tracker(task).execute(
-            self._item(tup), duration, tup.sync_request
-        )
+        messages = super().on_execution(task, tup, duration)
+        self.policy.tracker(task).matrices
+        return messages
 
 
 @pytest.fixture(scope="module")
@@ -41,44 +43,21 @@ def stream():
     )
 
 
-class Probe:
-    """Logs what one run's folds produced: shipped pairs and batch folds."""
+@pytest.fixture
+def folds(monkeypatch):
+    """Every ``FWPair.fold`` call's batch length, in order."""
+    lengths = []
+    fold = FWPair.fold
 
-    def __init__(self, grouping):
-        self.shipped = []
-        self.batches = 0
-        inner = grouping.on_execution
+    def counting(pair, items, times):
+        lengths.append(len(items))
+        fold(pair, items, times)
 
-        def on_execution(task, tup, duration):
-            messages = inner(task, tup, duration)
-            for message in messages:
-                if isinstance(message, MatricesMessage):
-                    self.shipped.append((
-                        message.instance,
-                        message.generation,
-                        message.tuples_observed,
-                        message.matrices.freq.matrix.tobytes(),
-                        message.matrices.work.matrix.tobytes(),
-                    ))
-            return messages
-
-        grouping.on_execution = on_execution
-        self._grouping = grouping
-
-    def watch_batches(self):
-        policy = self._grouping.policy
-        for task in range(policy.k):
-            tracker = policy.tracker(task)
-            fold = tracker.execute_batch
-
-            def execute_batch(items, times, fold=fold):
-                self.batches += 1
-                fold(items, times)
-
-            tracker.execute_batch = execute_batch
+    monkeypatch.setattr(FWPair, "fold", counting)
+    return lengths
 
 
-def run(stream, config, grouping_class, cluster_config=None):
+def run(stream, config, grouping_class, folds, cluster_config=None):
     grouping = grouping_class("value", config, np.random.default_rng(1))
     builder = TopologyBuilder()
     builder.set_spout(
@@ -90,49 +69,75 @@ def run(stream, config, grouping_class, cluster_config=None):
     cluster = LocalCluster(
         cluster_config if cluster_config is not None else ClusterConfig(seed=0)
     )
-    probe = Probe(grouping)
+    shipped = []
+    inner = grouping.on_execution
+
+    def on_execution(task, tup, duration):
+        messages = inner(task, tup, duration)
+        shipped.extend(
+            (
+                message.instance,
+                message.generation,
+                message.tuples_observed,
+                message.matrices.freq.matrix.tobytes(),
+                message.matrices.work.matrix.tobytes(),
+            )
+            for message in messages
+            if isinstance(message, MatricesMessage)
+        )
+        return messages
+
+    grouping.on_execution = on_execution
     cluster.submit(builder.build())
-    probe.watch_batches()
+    del folds[:]
     final = cluster.run()
     policy = grouping.policy
-    return {
+    trackers = [policy.tracker(task) for task in range(policy.k)]
+    record = {
         "digest": cluster_digest(cluster, final),
-        "shipped": probe.shipped,
+        "shipped": shipped,
         "schedulers": [scheduler.stats() for scheduler in policy.schedulers],
-        "trackers": [policy.tracker(task).stats() for task in range(policy.k)],
-    }, probe
+        "trackers": [tracker.stats() for tracker in trackers],
+        "folds": len(folds),
+    }
+    record["matrices"] = [
+        (t.matrices.freq.matrix.tobytes(), t.matrices.work.matrix.tobytes())
+        for t in trackers
+    ]
+    return record
 
 
-def assert_same_folds(stream, config, **kwargs):
-    deferred, deferred_probe = run(stream, config, POSGShuffleGrouping, **kwargs)
-    per_tuple, per_tuple_probe = run(stream, config, PerTupleGrouping, **kwargs)
-    assert deferred["digest"] == per_tuple["digest"]
-    assert deferred["shipped"] == per_tuple["shipped"]
-    assert deferred["schedulers"] == per_tuple["schedulers"]
-    assert deferred["trackers"] == per_tuple["trackers"]
-    assert per_tuple_probe.batches == 0
-    return deferred, deferred_probe
+def assert_same_folds(stream, config, folds, **kwargs):
+    deferred = run(stream, config, POSGShuffleGrouping, folds, **kwargs)
+    per_report = run(stream, config, PerReportGrouping, folds, **kwargs)
+    for key in ("digest", "shipped", "schedulers", "trackers", "matrices"):
+        assert deferred[key] == per_report[key], key
+    # the reference folds each report on its own; the deferred run once
+    # per window closed (no task restarts in these runs)
+    assert per_report["folds"] == M
+    windows = sum(
+        t["tuples_executed"] // config.window_size for t in deferred["trackers"]
+    )
+    assert deferred["folds"] == windows
+    return deferred
 
 
 @pytest.mark.parametrize("window_size", [1, 2, 32, 128])
-def test_every_window_size(stream, window_size):
+def test_every_window_size(stream, window_size, folds):
     config = dataclasses.replace(CONFIG, window_size=window_size)
-    deferred, probe = assert_same_folds(stream, config)
+    deferred = assert_same_folds(stream, config, folds)
     assert sum(t["tuples_executed"] for t in deferred["trackers"]) == M
-    if window_size == 1:
-        # every report closes a window: nothing is ever deferred
-        assert probe.batches == 0
-    else:
-        assert probe.batches > 0
     if window_size <= 32:
         assert deferred["shipped"]
     if window_size >= 32:
-        # sync rounds completed: reports carrying a request took the
-        # per-tuple step in the deferred run too
+        # sync rounds completed: their replies left with the report that
+        # carried the request, before the window's fold
         assert deferred["schedulers"][0]["sync_rounds_completed"] > 0
+        assert deferred["folds"] < M // window_size + K
 
 
-def test_max_spout_pending(stream):
+def test_max_spout_pending(stream, folds):
     assert_same_folds(
-        stream, CONFIG, cluster_config=ClusterConfig(seed=0, max_spout_pending=50)
+        stream, CONFIG, folds,
+        cluster_config=ClusterConfig(seed=0, max_spout_pending=50),
     )
